@@ -11,7 +11,6 @@ a fully reproducible Monte Carlo harness.
 from .model import (
     Instance,
     InfeasibleSlotError,
-    SlotDecision,
     StorageSpec,
     Trajectory,
     feasible_purchase_range,
@@ -98,7 +97,6 @@ __all__ = [
     "Policy",
     "RegretReport",
     "SampleStats",
-    "SlotDecision",
     "StorageSpec",
     "ThresholdFamily",
     "ThresholdPolicy",

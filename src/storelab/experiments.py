@@ -4,6 +4,11 @@ adaptive convergence, and assumption relaxations.
 Every Monte Carlo unit derives its RNG stream from (master seed, fixed
 index path), so runs are reproducible and byte-identical for any worker
 count; output rows are canonically ordered before writing.
+
+Fan-out: a runner splits each index range (rounds or episodes) into
+contiguous chunks, one per worker.  Every chunk runs one module-level
+function with the frozen config and the objects the runner built once
+bound by ``functools.partial``; results are merged in chunk order.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +28,17 @@ from .config import (
     build_model,
     load_history,
 )
-from .estimation import EstimateReport, RECORD_FIELDS, estimate, threshold_price
+from .estimation import (
+    EstimateReport,
+    RECORD_FIELDS,
+    clamp_lower_bound,
+    estimate,
+    threshold_price,
+)
 from .metrics import (
     MetricRow,
     ViolationReport,
+    _write_csv,
     assemble_violation_report,
     competitive_ratio,
     offline_optimal,
@@ -40,7 +53,6 @@ from .policies import (
     DpPolicy,
     LinearBudget,
     ThresholdFamily,
-    ValueTable,
     budgeted_threshold_policy,
     build_value_table,
     threshold_policy,
@@ -66,23 +78,12 @@ def parallel_map(fn, tasks, workers: int = 1) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _chunk_ranges(count: int, workers: int) -> list[range]:
+def _map_chunks(fn, count: int, workers: int) -> list:
+    """fn(chunk) for contiguous chunks of range(count), one per worker, in order."""
     parts = max(1, min(workers, count))
     bounds = np.linspace(0, count, parts + 1).astype(int)
-    return [range(bounds[i], bounds[i + 1]) for i in range(parts) if bounds[i] < bounds[i + 1]]
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    chunks = [range(bounds[i], bounds[i + 1]) for i in range(parts) if bounds[i] < bounds[i + 1]]
+    return parallel_map(fn, chunks, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -108,62 +109,24 @@ def run_estimate(config: ExperimentConfig, workers: int = 1) -> EstimateReport:
 # violation curve
 
 
-@dataclass(frozen=True)
-class _ViolationTask:
-    history: np.ndarray
-    n: int
-    rounds: range
-    instance: Instance
-    eval_model: object
-    eval_episodes: int
-    seed: int
-    resample_mode: str
-    alpha: float
-    conservative: bool
-    clamp_m: bool
-    verdict: str
-    grid_size: int
-    clamp_eval_to_bounds: bool
-    eval_source: str
-
-
-def _violation_chunk(task: _ViolationTask) -> tuple[list[MetricRow], int]:
-    return violation_rounds(
-        task.history, task.n, task.rounds,
-        instance=task.instance, eval_model=task.eval_model,
-        eval_episodes=task.eval_episodes, seed=task.seed,
-        resample_mode=task.resample_mode, alpha=task.alpha,
-        conservative=task.conservative,
-        clamp_nonpositive_lower=task.clamp_m,
-        verdict=task.verdict, grid_size=task.grid_size,
-        clamp_eval_to_bounds=task.clamp_eval_to_bounds,
-        eval_source=task.eval_source,
-    )
-
-
 def run_violation_curve(config: ExperimentConfig, workers: int = 1) -> list[ViolationReport]:
     """Bound-violation probability for every sample size in the n grid."""
     history = load_history(config)
-    instance = build_instance(config)
-    eval_model = build_model(config)
+    options = dict(
+        instance=build_instance(config), eval_model=build_model(config),
+        eval_episodes=config.eval_episodes, seed=config.seed,
+        resample_mode=config.resample_mode, alpha=config.alpha,
+        conservative=config.conservative, clamp_nonpositive_lower=config.clamp_m,
+        verdict=config.verdict, grid_size=config.G,
+        clamp_eval_to_bounds=config.clamp_eval_to_bounds,
+        eval_source=config.eval_source,
+    )
     reports = []
     for n in sorted(config.n_grid):
-        tasks = [
-            _ViolationTask(
-                history=history, n=n, rounds=chunk, instance=instance,
-                eval_model=eval_model, eval_episodes=config.eval_episodes,
-                seed=config.seed, resample_mode=config.resample_mode,
-                alpha=config.alpha, conservative=config.conservative,
-                clamp_m=config.clamp_m, verdict=config.verdict,
-                grid_size=config.G,
-                clamp_eval_to_bounds=config.clamp_eval_to_bounds,
-                eval_source=config.eval_source,
-            )
-            for chunk in _chunk_ranges(config.rounds, workers)
-        ]
+        chunk = partial(violation_rounds, history, n, **options)
         rows: list[MetricRow] = []
         failures = 0
-        for chunk_rows, chunk_failures in parallel_map(_violation_chunk, tasks, workers):
+        for chunk_rows, chunk_failures in _map_chunks(chunk, config.rounds, workers):
             rows.extend(chunk_rows)
             failures += chunk_failures
         reports.append(assemble_violation_report(n, config.rounds, rows, failures))
@@ -191,58 +154,45 @@ class PolicySummary:
     cr_max: float
 
 
-@dataclass(frozen=True)
-class _CompareTask:
-    episodes: range
-    instance: Instance
-    eval_model: object
-    policy_model: object
-    eta: float
-    seed: int
-    grid_size: int
-    atom_count: int
-    clamp_m: bool
-
-
-def _true_parameter_policies(task: _CompareTask):
+def _true_parameter_policies(config: ExperimentConfig, instance: Instance, policy_model):
     """Threshold, budgeted-threshold, and DP policies from true model parameters."""
-    mean = task.policy_model.marginal_mean
-    std = task.policy_model.marginal_std
+    mean = policy_model.marginal_mean
+    std = policy_model.marginal_std
     upper = mean + 3.0 * std
     lower = mean - 3.0 * std
     if lower <= 0.0:
-        if not task.clamp_m:
+        if not config.clamp_m:
             raise ValueError(
                 f"nonpositive lower price bound {lower}; enable clamp_m or adjust the model"
             )
-        lower = max(lower, 1e-3 * upper)
+        lower = clamp_lower_bound(upper, lower)
     theta = threshold_price(upper, lower)
-    table = build_value_table(
-        task.instance, task.policy_model, task.grid_size, task.atom_count
-    )
+    table = build_value_table(instance, policy_model, config.G, config.K)
     policies = (
         threshold_policy(theta),
-        budgeted_threshold_policy(theta, LinearBudget(upper, lower, task.instance.storage.capacity)),
+        budgeted_threshold_policy(theta, LinearBudget(upper, lower, instance.storage.capacity)),
         DpPolicy(table),
     )
     return policies, theta, math.sqrt(upper / lower)
 
 
-def _compare_chunk(task: _CompareTask) -> list[MetricRow]:
-    policies, theta, bound = _true_parameter_policies(task)
-    instance = task.instance
+def _compare_chunk(
+    config: ExperimentConfig, instance: Instance, eval_model, policy_model, eta: float,
+    episodes: range,
+) -> list[MetricRow]:
+    policies, theta, bound = _true_parameter_policies(config, instance, policy_model)
     T = instance.horizon
     rows: list[MetricRow] = []
-    for e in task.episodes:
-        prices = generate(task.eval_model, T, stream(task.seed, 1, e))
-        if task.eta > 0.0:
-            noise = stream(task.seed, 2, e).uniform(-task.eta, task.eta, T)
+    for e in episodes:
+        prices = generate(eval_model, T, stream(config.seed, 1, e))
+        if eta > 0.0:
+            noise = stream(config.seed, 2, e).uniform(-eta, eta, T)
             realized = np.asarray(instance.demand) * (1.0 + noise)
             oracle_instance = Instance(T, realized, instance.storage)
         else:
             realized = None
             oracle_instance = instance
-        opt = offline_optimal(oracle_instance, prices, task.grid_size).total_cost
+        opt = offline_optimal(oracle_instance, prices, config.G).total_cost
         for policy in policies:
             alg = simulate(instance, prices, policy, realized_demand=realized).total_cost
             cr = competitive_ratio(alg, opt)
@@ -251,7 +201,7 @@ def _compare_chunk(task: _CompareTask) -> list[MetricRow]:
                     round=e, n=0, policy_id=policy.policy_id,
                     alg_cost=alg, opt_cost=opt, cr=cr, cr_bound=bound,
                     violated=bool(cr > bound), regret=alg - opt,
-                    theta_hat=theta, seed=task.seed,
+                    theta_hat=theta, seed=config.seed,
                 )
             )
     return rows
@@ -265,17 +215,9 @@ def _compare_core(
     scenario: str,
     workers: int,
 ) -> tuple[list[MetricRow], list[PolicySummary]]:
-    instance = build_instance(config)
-    tasks = [
-        _CompareTask(
-            episodes=chunk, instance=instance, eval_model=eval_model,
-            policy_model=policy_model, eta=eta, seed=config.seed,
-            grid_size=config.G, atom_count=config.K, clamp_m=config.clamp_m,
-        )
-        for chunk in _chunk_ranges(config.episodes, workers)
-    ]
+    chunk = partial(_compare_chunk, config, build_instance(config), eval_model, policy_model, eta)
     rows: list[MetricRow] = []
-    for chunk_rows in parallel_map(_compare_chunk, tasks, workers):
+    for chunk_rows in _map_chunks(chunk, config.episodes, workers):
         rows.extend(chunk_rows)
     rows.sort(key=lambda r: (r.n, r.round, r.policy_id))
     summaries = []
@@ -337,49 +279,31 @@ class AdaptiveRow:
     stderr_vs_offline: float
 
 
-@dataclass(frozen=True)
-class _AdaptiveTask:
-    rounds: range
-    warmup: int
-    warmup_index: int
-    refresh: float
-    instance: Instance
-    model: object
-    true_table: ValueTable
-    episodes: int
-    seed: int
-    family: str
-    alpha: float
-    conservative: bool
-    clamp_m: bool
-    grid_size: int
-    atom_count: int
-
-
-def _adaptive_chunk(task: _AdaptiveTask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    instance = task.instance
+def _adaptive_chunk(
+    config: ExperimentConfig, instance: Instance, model, true_policy: DpPolicy,
+    warmup_index: int, warmup_size: int, refresh: float, rounds: range,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     T = instance.horizon
-    true_policy = DpPolicy(task.true_table)
-    if task.family == "dp":
-        family = DpFamily(instance, task.grid_size, task.atom_count)
+    if config.family == "dp":
+        family = DpFamily(instance, config.G, config.K)
     else:
         family = ThresholdFamily(budgeted=False)
-    stride = None if math.isinf(task.refresh) else int(task.refresh)
+    stride = None if math.isinf(refresh) else int(refresh)
     adaptive_costs, true_costs, offline_costs = [], [], []
-    for r in task.rounds:
-        warmup = generate(task.model, task.warmup, stream(task.seed, 3, task.warmup_index, r))
+    for r in rounds:
+        warmup = generate(model, warmup_size, stream(config.seed, 3, warmup_index, r))
         policy = AdaptivePolicy(
             family, warmup, stride,
-            alpha=task.alpha, conservative=task.conservative,
-            clamp_nonpositive_lower=task.clamp_m,
+            alpha=config.alpha, conservative=config.conservative,
+            clamp_nonpositive_lower=config.clamp_m,
         )
-        for e in range(task.episodes):
+        for e in range(config.episodes):
             if stride is not None:
                 policy.reset()
-            prices = generate(task.model, T, stream(task.seed, 4, r, e))
+            prices = generate(model, T, stream(config.seed, 4, r, e))
             adaptive_costs.append(simulate(instance, prices, policy).total_cost)
             true_costs.append(simulate(instance, prices, true_policy).total_cost)
-            offline_costs.append(offline_optimal(instance, prices, task.grid_size).total_cost)
+            offline_costs.append(offline_optimal(instance, prices, config.G).total_cost)
     return (
         np.asarray(adaptive_costs),
         np.asarray(true_costs),
@@ -398,21 +322,14 @@ def run_adaptive_convergence(
     """
     instance = build_instance(config)
     model = build_model(config)
-    true_table = build_value_table(instance, model, config.G, config.K)
+    true_policy = DpPolicy(build_value_table(instance, model, config.G, config.K))
     rows = []
     for wi, warmup in enumerate(sorted(config.warmup_grid)):
         for refresh in config.refresh_grid:
-            tasks = [
-                _AdaptiveTask(
-                    rounds=chunk, warmup=warmup, warmup_index=wi, refresh=refresh,
-                    instance=instance, model=model, true_table=true_table,
-                    episodes=config.episodes, seed=config.seed, family=config.family,
-                    alpha=config.alpha, conservative=config.conservative,
-                    clamp_m=config.clamp_m, grid_size=config.G, atom_count=config.K,
-                )
-                for chunk in _chunk_ranges(config.rounds, workers)
-            ]
-            parts = parallel_map(_adaptive_chunk, tasks, workers)
+            chunk = partial(
+                _adaptive_chunk, config, instance, model, true_policy, wi, warmup, refresh
+            )
+            parts = _map_chunks(chunk, config.rounds, workers)
             adaptive_costs = np.concatenate([p[0] for p in parts])
             true_costs = np.concatenate([p[1] for p in parts])
             offline_costs = np.concatenate([p[2] for p in parts])

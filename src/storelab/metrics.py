@@ -39,20 +39,32 @@ class MetricRow:
     theta_hat: float
     seed: int
 
-    def to_csv_line(self) -> str:
-        return (
-            f"{self.round},{self.n},{self.policy_id},{self.alg_cost!r},"
-            f"{self.opt_cost!r},{self.cr!r},{self.cr_bound!r},{int(self.violated)},"
-            f"{self.regret!r},{self.theta_hat!r},{self.seed}"
-        )
+
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """Write a header line and one comma-joined line per row (floats via repr)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def write_metric_rows(path, rows) -> None:
     rows = sorted(rows, key=lambda r: (r.n, r.round, r.policy_id))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(METRIC_HEADER + "\n")
-        for row in rows:
-            fh.write(row.to_csv_line() + "\n")
+    _write_csv(
+        path,
+        METRIC_HEADER,
+        [
+            (r.round, r.n, r.policy_id, r.alg_cost, r.opt_cost, r.cr, r.cr_bound,
+             int(r.violated), r.regret, r.theta_hat, r.seed)
+            for r in rows
+        ],
+    )
 
 
 class _HindsightGreedy(Policy):
@@ -185,15 +197,21 @@ def _violation_round(
     eval_model,
     eval_episodes: int,
     seed: int,
-    resample_mode: str,
-    alpha: float,
-    conservative: bool,
-    clamp_nonpositive_lower: bool,
-    verdict: str,
-    grid_size: int,
-    clamp_eval_to_bounds: bool,
-    eval_source: str,
+    resample_mode: str = "with-replacement",
+    alpha: float = 0.05,
+    conservative: bool = False,
+    clamp_nonpositive_lower: bool = False,
+    verdict: str = "mean",
+    grid_size: int = 100,
+    clamp_eval_to_bounds: bool = False,
+    eval_source: str = "model",
 ) -> MetricRow:
+    if eval_episodes < 1:
+        raise ValueError(f"eval_episodes must be >= 1, got {eval_episodes}")
+    if verdict not in ("mean", "any"):
+        raise ValueError(f"verdict must be 'mean' or 'any', got {verdict!r}")
+    if eval_source not in ("model", "held-out"):
+        raise ValueError(f"eval_source must be 'model' or 'held-out', got {eval_source!r}")
     # held-out evaluation splits the history: the first n records form the
     # estimation pool, the suffix provides the evaluation windows
     pool = history[:n] if eval_source == "held-out" else history
@@ -244,10 +262,11 @@ def _violation_round(
     )
 
 
-def violation_rounds(history, n: int, round_indices, **kwargs) -> tuple[list[MetricRow], int]:
+def violation_rounds(history, n: int, round_indices, **options) -> tuple[list[MetricRow], int]:
     """Run a batch of violation rounds; returns (rows, failure count).
 
-    Each round is seeded by its own index, so any partition of the round
+    ``options`` are the keyword parameters of ``_violation_round``.  Each
+    round is seeded by its own index, so any partition of the round
     indices across workers reproduces the same rows.
     """
     history = np.asarray(history, dtype=float)
@@ -255,58 +274,28 @@ def violation_rounds(history, n: int, round_indices, **kwargs) -> tuple[list[Met
     failures = 0
     for r in round_indices:
         try:
-            rows.append(_violation_round(history, n, r, **kwargs))
+            rows.append(_violation_round(history, n, r, **options))
         except EstimationError:
             failures += 1
     return rows, failures
 
 
-def bound_violation_probability(
-    history,
-    n: int,
-    *,
-    instance: Instance,
-    eval_model,
-    rounds: int,
-    eval_episodes: int,
-    seed: int,
-    resample_mode: str = "with-replacement",
-    alpha: float = 0.05,
-    conservative: bool = False,
-    clamp_nonpositive_lower: bool = False,
-    verdict: str = "mean",
-    grid_size: int = 100,
-    clamp_eval_to_bounds: bool = False,
-    eval_source: str = "model",
-) -> ViolationReport:
+def bound_violation_probability(history, n: int, *, rounds: int, **options) -> ViolationReport:
     """Frequency of rounds whose competitive ratio exceeds its estimated bound.
 
     Each round draws a size-n sample from the history, estimates the
     threshold and the ratio bound, runs the threshold policy on fresh
     evaluation series (never on the estimation sample), and compares the
-    round's competitive ratio (mean over episodes, or worst episode with
-    verdict="any") against the bound.  Rounds whose estimation fails are
-    counted in ``failures``, not dropped.
+    round's competitive ratio (mean over episodes, or the worst episode)
+    against the bound.  Rounds whose estimation fails are counted in
+    ``failures``, not dropped.  ``options`` are the keyword parameters of
+    ``_violation_round``, declared there with their defaults.
     """
     if n < 2:
         raise ValueError(f"sample size must be >= 2, got {n}")
-    if rounds < 1 or eval_episodes < 1:
-        raise ValueError("rounds and eval_episodes must be >= 1")
-    if verdict not in ("mean", "any"):
-        raise ValueError(f"verdict must be 'mean' or 'any', got {verdict!r}")
-    if eval_source not in ("model", "held-out"):
-        raise ValueError(f"eval_source must be 'model' or 'held-out', got {eval_source!r}")
-    rows, failures = violation_rounds(
-        history, n, range(rounds),
-        instance=instance, eval_model=eval_model,
-        eval_episodes=eval_episodes, seed=seed,
-        resample_mode=resample_mode, alpha=alpha,
-        conservative=conservative,
-        clamp_nonpositive_lower=clamp_nonpositive_lower,
-        verdict=verdict, grid_size=grid_size,
-        clamp_eval_to_bounds=clamp_eval_to_bounds,
-        eval_source=eval_source,
-    )
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    rows, failures = violation_rounds(history, n, range(rounds), **options)
     return assemble_violation_report(n, rounds, rows, failures)
 
 

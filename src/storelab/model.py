@@ -12,20 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .prices import as_series
+
 ENERGY_TOL = 1e-9
 
 
 class InfeasibleSlotError(ValueError):
     """Demand at some slot cannot be met even when buying at the maximum rate."""
-
-
-def _as_price_vector(values, name: str = "prices") -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a one-dimensional sequence")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -91,19 +84,10 @@ class Instance:
         return cls(horizon, np.full(horizon, float(demand)), storage)
 
 
-@dataclass(frozen=True)
-class SlotDecision:
-    """Purchase made in one slot and the storage level after it."""
-
-    purchase: float
-    storage_after: float
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Realized run of one policy on one price series."""
 
-    decisions: tuple[SlotDecision, ...]
     prices: np.ndarray
     purchases: np.ndarray
     levels: np.ndarray  # length T+1, levels[0] is the initial fill
@@ -143,7 +127,7 @@ def simulate(instance, prices, policy, *, realized_demand=None) -> Trajectory:
     while the policy still acts on the nominal instance.  After every slot
     the price is passed to the policy's ``observe`` hook if it has one.
     """
-    prices = _as_price_vector(prices)
+    prices = as_series(prices, "prices")
     T = instance.horizon
     if prices.size < T:
         raise ValueError(f"need at least {T} prices, got {prices.size}")
@@ -179,17 +163,11 @@ def simulate(instance, prices, policy, *, realized_demand=None) -> Trajectory:
         if observe is not None:
             observe(p)
 
-    used_prices = prices[:T].copy()
+    used_prices = prices[:T]
     total_cost = float(np.dot(used_prices, purchases))
-    decisions = tuple(
-        SlotDecision(purchase=float(purchases[t]), storage_after=float(levels[t + 1]))
-        for t in range(T)
-    )
-    used_prices.flags.writeable = False
     purchases.flags.writeable = False
     levels.flags.writeable = False
     return Trajectory(
-        decisions=decisions,
         prices=used_prices,
         purchases=purchases,
         levels=levels,

@@ -33,6 +33,7 @@ from storelab import (
 from storelab.experiments import (
     run_adaptive_convergence,
     run_policy_compare,
+    run_relaxation,
     run_violation_curve,
 )
 from storelab.seeds import stream
@@ -256,6 +257,7 @@ class TestCriterion10Determinism:
         for kind, runner in (
             ("violation-curve", run_violation_curve),
             ("policy-compare", run_policy_compare),
+            ("relax", run_relaxation),
         ):
             blobs = []
             for tag, workers in (("w1", 1), ("w2", 2), ("w1b", 1)):
