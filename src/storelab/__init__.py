@@ -19,7 +19,6 @@ from .model import (
 from .prices import (
     AR1,
     Clamped,
-    CsvSpec,
     Empirical,
     IngestError,
     LogNormal,
@@ -77,7 +76,6 @@ __all__ = [
     "AdaptivePolicy",
     "Clamped",
     "ConfigError",
-    "CsvSpec",
     "DegenerateSpreadError",
     "DpFamily",
     "DpPolicy",

@@ -8,19 +8,21 @@ returns an equal config for every valid config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .model import Instance, StorageSpec
-from .prices import AR1, Clamped, CsvSpec, LogNormal, Normal, ingest
+from .prices import AR1, Clamped, LogNormal, Normal, ingest
 
 KINDS = ("estimate", "violation-curve", "policy-compare", "adaptive", "relax")
 MODELS = ("normal", "lognormal", "ar1")
 SCENARIOS = ("baseline", "ar1", "lognormal", "demand-noise")
 RESAMPLE_MODES = ("with-replacement", "prefix", "random-window")
 FAMILIES = ("dp", "threshold")
+# kinds that score every episode by alg_cost / opt_cost
+_RATIO_KINDS = ("violation-curve", "policy-compare", "relax")
 
 
 class ConfigError(ValueError):
@@ -79,55 +81,41 @@ class ExperimentConfig:
     out: str = "report.csv"
 
 
-_BOOL_FIELDS = {"conservative", "clamp_m", "clamp_eval_to_bounds"}
-_INT_FIELDS = {"history_size", "T", "rounds", "eval_episodes", "episodes", "G", "K", "seed"}
-_FLOAT_FIELDS = {"mu", "sigma", "log_mu", "log_sigma", "phi", "B", "s0", "alpha", "eta"}
-_OPT_FLOAT_FIELDS = {"clamp_lo", "clamp_hi"}
-_OPT_STR_FIELDS = {"history"}
-_INT_TUPLE_FIELDS = {"n_grid", "warmup_grid"}
-_FLOAT_TUPLE_FIELDS = {"refresh_grid"}
-_STR_TUPLE_FIELDS = {"scenarios"}
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}  # annotation strings
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _parse_bool(field: str, raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ConfigError(field, f"expected a boolean, got {raw!r}")
+def _parse_bool(raw: str) -> bool:
+    try:
+        return _BOOLS[raw.lower()]
+    except KeyError:
+        raise ValueError(raw) from None
+
+
+_SCALAR_PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str}
 
 
 def _coerce(field: str, raw: str):
+    """Parse raw text by the field's annotation: a scalar, ``X | None`` or ``tuple[X, ...]``."""
     raw = raw.strip()
+    typ = _FIELD_TYPES[field]
+    if typ.endswith(" | None"):
+        if raw == "":
+            return None
+        typ = typ.removesuffix(" | None")
     try:
-        if field in _BOOL_FIELDS:
-            return _parse_bool(field, raw)
-        if field in _INT_FIELDS:
-            return int(raw)
-        if field in _FLOAT_FIELDS:
-            return float(raw)
-        if field in _OPT_FLOAT_FIELDS:
-            return None if raw == "" else float(raw)
-        if field in _OPT_STR_FIELDS:
-            return None if raw == "" else raw
-        if field in _INT_TUPLE_FIELDS:
-            return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-        if field in _FLOAT_TUPLE_FIELDS:
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        if field in _STR_TUPLE_FIELDS:
-            return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-    except ConfigError:
-        raise
+        if typ.startswith("tuple["):
+            parse = _SCALAR_PARSERS[typ.removeprefix("tuple[").removesuffix(", ...]")]
+            return tuple(parse(tok.strip()) for tok in raw.split(",") if tok.strip())
+        return _SCALAR_PARSERS[typ](raw)
     except ValueError:
-        raise ConfigError(field, f"cannot parse value {raw!r}") from None
-    return raw
+        raise ConfigError(field, f"cannot parse {raw!r} as {typ}") from None
 
 
 def _render_value(field: str, value) -> str:
     if value is None:
         return ""
-    if field in _BOOL_FIELDS:
+    if _FIELD_TYPES[field] == "bool":
         return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
@@ -138,7 +126,6 @@ def _render_value(field: str, value) -> str:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse key=value lines ('#' starts a comment) into a config."""
-    known = {f.name for f in fields(ExperimentConfig)}
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -148,7 +135,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}", f"expected key=value, got {body!r}")
         key, raw = body.split("=", 1)
         key = key.strip()
-        if key not in known:
+        if key not in _FIELD_TYPES:
             raise ConfigError(key, "unknown configuration key")
         values[key] = _coerce(key, raw)
     config = ExperimentConfig(**values)
@@ -165,27 +152,20 @@ def load_config(path) -> ExperimentConfig:
 
 def render_config(config: ExperimentConfig) -> str:
     """Canonical key=value text; omitted optional fields render as empty."""
-    lines = []
-    for f in fields(ExperimentConfig):
-        lines.append(f"{f.name}={_render_value(f.name, getattr(config, f.name))}")
+    lines = [f"{name}={_render_value(name, getattr(config, name))}" for name in _FIELD_TYPES]
     return "\n".join(lines) + "\n"
 
 
 def apply_overrides(config: ExperimentConfig, overrides: dict[str, str]) -> ExperimentConfig:
     """Apply key=value string overrides (CLI --set) on top of a config."""
-    known = {f.name for f in fields(ExperimentConfig)}
     values = {}
     for key, raw in overrides.items():
-        if key not in known:
+        if key not in _FIELD_TYPES:
             raise ConfigError(key, "unknown configuration key")
         values[key] = _coerce(key, raw)
-    updated = ExperimentConfig(**{**_as_dict(config), **values})
+    updated = replace(config, **values)
     validate_config(updated)
     return updated
-
-
-def _as_dict(config: ExperimentConfig) -> dict:
-    return {f.name: getattr(config, f.name) for f in fields(ExperimentConfig)}
 
 
 def validate_config(config: ExperimentConfig) -> None:
@@ -251,7 +231,11 @@ def validate_config(config: ExperimentConfig) -> None:
                 raise ConfigError(
                     "n_grid", "largest n exceeds history_size for a non-bootstrap mode"
                 )
-    _parse_demand_spec(config.demand, config.T)  # validates the spec string
+    demand = _parse_demand_spec(config.demand, config.T)
+    if config.kind in _RATIO_KINDS and demand.sum() == 0.0:
+        raise ConfigError(
+            "demand", f"total demand is 0, so {config.kind}'s competitive ratios are undefined"
+        )
 
 
 def build_model(config: ExperimentConfig):
@@ -290,7 +274,7 @@ def _parse_demand_spec(spec: str, horizon: int) -> np.ndarray:
     if head == "file":
         if not Path(tail).is_file():
             raise ConfigError("demand", f"missing demand file: {tail}")
-        values = np.asarray(ingest(tail, CsvSpec()))
+        values = np.asarray(ingest(tail))
         if values.size != horizon:
             raise ConfigError(
                 "demand", f"file has {values.size} values, horizon is {horizon}"
@@ -308,7 +292,7 @@ def build_instance(config: ExperimentConfig) -> Instance:
 def load_history(config: ExperimentConfig):
     """Historical series: from file when configured, else synthesized."""
     if config.history is not None:
-        return ingest(config.history, CsvSpec())
+        return ingest(config.history)
     from .prices import generate
     from .seeds import stream
 

@@ -109,9 +109,9 @@ def threshold_price(upper: float, lower: float) -> float:
     return math.sqrt(upper * lower)
 
 
-def clamp_lower_bound(upper: float, lower: float, eps: float = CLAMP_EPS) -> float:
-    """Floor the lower bound at eps times the upper bound."""
-    return max(lower, eps * upper)
+def clamp_lower_bound(upper: float, lower: float) -> float:
+    """Floor the lower bound at CLAMP_EPS times the upper bound."""
+    return max(lower, CLAMP_EPS * upper)
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,6 @@ def estimate(
     *,
     conservative: bool = False,
     clamp_nonpositive_lower: bool = False,
-    clamp_eps: float = CLAMP_EPS,
 ) -> EstimateReport:
     """Full estimation pipeline from raw sample to threshold.
 
@@ -174,7 +173,7 @@ def estimate(
     upper, lower = three_sigma_bounds(stats, alpha, conservative)
     clamped = False
     if clamp_nonpositive_lower and upper > 0.0:
-        floored = clamp_lower_bound(upper, lower, clamp_eps)
+        floored = clamp_lower_bound(upper, lower)
         clamped = floored > lower
         lower = floored
     theta = threshold_price(upper, lower)

@@ -287,7 +287,7 @@ def _adaptive_chunk(
     if config.family == "dp":
         family = DpFamily(instance, config.G, config.K)
     else:
-        family = ThresholdFamily(budgeted=False)
+        family = ThresholdFamily()
     stride = None if math.isinf(refresh) else int(refresh)
     adaptive_costs, true_costs, offline_costs = [], [], []
     for r in rounds:

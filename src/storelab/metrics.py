@@ -114,7 +114,7 @@ def brute_force_optimal(instance: Instance, prices, q_step: float) -> float:
     if q_step <= 0:
         raise ValueError("q_step must be > 0")
     spec = instance.storage
-    q_cap = float(np.max(instance.demand)) + min(spec.capacity, spec.charge_limit)
+    q_cap = float(np.max(instance.demand)) + spec.capacity
     if q_cap / q_step > 12 + 1e-9:
         raise ValueError(
             f"lattice too fine: q_max/q_step = {q_cap / q_step:.1f} exceeds 12"

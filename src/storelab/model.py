@@ -1,9 +1,10 @@
 """One-shot load serving: storage dynamics, feasibility, and the simulation engine.
 
 Units: prices are currency per unit of energy, demands and storage levels are
-energy.  The store is lossless with unit efficiency, purchases only (no export
-back to the grid), and energy left over at the end of the horizon has no
-salvage value.  Energy comparisons use an absolute tolerance of 1e-9.
+energy.  The store is lossless with unit efficiency and no per-slot charge or
+discharge limit beyond its capacity, purchases only (no export back to the
+grid), and energy left over at the end of the horizon has no salvage value.
+Energy comparisons use an absolute tolerance of 1e-9.
 """
 
 from __future__ import annotations
@@ -18,21 +19,15 @@ ENERGY_TOL = 1e-9
 
 
 class InfeasibleSlotError(ValueError):
-    """Demand at some slot cannot be met even when buying at the maximum rate."""
+    """A slot's purchase interval is empty, which only a level outside [0, capacity] causes."""
 
 
 @dataclass(frozen=True)
 class StorageSpec:
-    """Capacity, initial fill, and per-slot rate limits of the store.
-
-    Rate limits default to the capacity, which makes them effectively
-    unconstrained within a single slot.
-    """
+    """Capacity and initial fill of the store; within one slot it may fill or empty completely."""
 
     capacity: float
     initial_level: float = 0.0
-    max_charge_per_slot: float | None = None
-    max_discharge_per_slot: float | None = None
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.capacity) or self.capacity < 0:
@@ -41,20 +36,6 @@ class StorageSpec:
             raise ValueError(
                 f"initial_level {self.initial_level} outside [0, {self.capacity}]"
             )
-        for name in ("max_charge_per_slot", "max_discharge_per_slot"):
-            rate = getattr(self, name)
-            if rate is not None and (not np.isfinite(rate) or rate < 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {rate}")
-
-    @property
-    def charge_limit(self) -> float:
-        limit = self.max_charge_per_slot
-        return self.capacity if limit is None else limit
-
-    @property
-    def discharge_limit(self) -> float:
-        limit = self.max_discharge_per_slot
-        return self.capacity if limit is None else limit
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +89,8 @@ def feasible_purchase_range(
     """
     if demand < 0:
         raise ValueError(f"demand must be >= 0, got {demand}")
-    q_lo = max(0.0, demand - min(level, spec.discharge_limit))
-    q_hi = demand + min(spec.capacity - level, spec.charge_limit)
+    q_lo = max(0.0, demand - min(level, spec.capacity))
+    q_hi = demand + min(spec.capacity - level, spec.capacity)
     if q_lo > q_hi + ENERGY_TOL:
         raise InfeasibleSlotError(
             f"no feasible purchase: need >= {q_lo}, can buy <= {q_hi} "

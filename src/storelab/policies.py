@@ -19,8 +19,6 @@ from .estimation import EstimateReport, EstimationError, estimate
 from .model import Instance, StorageSpec, feasible_purchase_range
 from .prices import Normal
 
-_MASK_TOL = 1e-12
-
 
 class Policy:
     """Per-slot purchase rule driven by the simulation engine.
@@ -143,13 +141,6 @@ class ValueTable:
         return self.values.shape[0] - 1
 
 
-def _unrestricted_rates(spec: StorageSpec) -> bool:
-    return (
-        spec.charge_limit >= spec.capacity - _MASK_TOL
-        and spec.discharge_limit >= spec.capacity - _MASK_TOL
-    )
-
-
 def storage_grid(capacity: float, grid_size: int) -> np.ndarray:
     """Equally spaced storage levels; a zero-capacity store collapses to one point."""
     if capacity <= 0.0:
@@ -169,31 +160,19 @@ def backward_step(
 
     For every grid level and price atom, minimizes price * purchase plus
     the interpolated next value over candidate next levels: every feasible
-    grid point plus the exact feasibility endpoints.  Splitting the cost as
-    p (d - s) + (p s' + V(s')) turns the default-rate case into suffix
-    minima over the next-level axis.
+    grid point plus the exact lower feasibility endpoint.  The store can
+    always fill to capacity within a slot, so the feasible next levels are
+    [s_lo, capacity], and splitting the cost as p (d - s) + (p s' + V(s'))
+    turns the scan into suffix minima over the next-level axis.
     """
     cap = spec.capacity
-    q_lo = np.maximum(0.0, demand - np.minimum(grid, spec.discharge_limit))
-    q_hi = demand + np.minimum(cap - grid, spec.charge_limit)
+    q_lo = np.maximum(0.0, demand - np.minimum(grid, cap))
     s_lo = np.clip(grid + (q_lo - demand), 0.0, cap)
-    s_hi = np.clip(grid + (q_hi - demand), 0.0, cap)
     v_lo = np.interp(s_lo, grid, v_next)
-    v_hi = np.interp(s_hi, grid, v_next)
     shifted = atoms[:, None] * grid[None, :] + v_next[None, :]  # (K, G+1) over s'
-    if _unrestricted_rates(spec):
-        # window is [s_lo, capacity]: suffix minima, endpoint s_hi == capacity
-        suffix = np.minimum.accumulate(shifted[:, ::-1], axis=1)[:, ::-1]
-        idx = np.searchsorted(grid, s_lo, side="left")
-        best = suffix[:, idx]
-    else:
-        window = (grid[None, :] >= s_lo[:, None] - _MASK_TOL) & (
-            grid[None, :] <= s_hi[:, None] + _MASK_TOL
-        )
-        masked = np.where(window[None, :, :], shifted[:, None, :], np.inf)
-        best = masked.min(axis=2)
-        best = np.minimum(best, atoms[:, None] * s_hi[None, :] + v_hi[None, :])
-    best = np.minimum(best, atoms[:, None] * s_lo[None, :] + v_lo[None, :])
+    suffix = np.minimum.accumulate(shifted[:, ::-1], axis=1)[:, ::-1]
+    idx = np.searchsorted(grid, s_lo, side="left")
+    best = np.minimum(suffix[:, idx], atoms[:, None] * s_lo[None, :] + v_lo[None, :])
     return weights @ (atoms[:, None] * (demand - grid[None, :]) + best)
 
 
@@ -282,24 +261,11 @@ def write_value_table(table: ValueTable, path) -> None:
                 fh.write(f"{t},{i},{s!r},{table.values[t, i]!r}\n")
 
 
-@dataclass(frozen=True)
 class ThresholdFamily:
-    """Builds a threshold policy from an estimate report.
-
-    With ``budgeted`` set, the fill target follows the linear budget
-    derived from the report's price bounds.
-    """
-
-    budgeted: bool = False
-    capacity: float | None = None
+    """Builds a threshold policy from an estimate report."""
 
     def __call__(self, report: EstimateReport) -> Policy:
-        if not self.budgeted:
-            return ThresholdPolicy(report.threshold)
-        if self.capacity is None:
-            raise ValueError("budgeted threshold family needs the storage capacity")
-        budget = LinearBudget(report.upper_bound, report.lower_bound, self.capacity)
-        return budgeted_threshold_policy(report.threshold, budget)
+        return ThresholdPolicy(report.threshold)
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,7 +304,6 @@ class AdaptivePolicy(Policy):
         alpha: float = 0.05,
         conservative: bool = False,
         clamp_nonpositive_lower: bool = False,
-        prior: Policy | None = None,
     ) -> None:
         if refresh_stride is not None and refresh_stride < 1:
             raise ValueError(f"refresh stride must be >= 1, got {refresh_stride}")
@@ -348,22 +313,20 @@ class AdaptivePolicy(Policy):
         self.conservative = conservative
         self.clamp_nonpositive_lower = clamp_nonpositive_lower
         self._warmup = [float(v) for v in np.asarray(warmup, dtype=float)]
-        if len(self._warmup) < 2 and prior is None:
-            raise ValueError("need a warmup of at least 2 prices or an explicit prior")
-        self._prior = prior
+        if len(self._warmup) < 2:
+            raise ValueError("need a warmup of at least 2 prices")
         self.reset()
 
     def reset(self) -> None:
-        """Restore the history to the warmup and rebuild the base policy."""
+        """Restore the history to the warmup and rebuild the base policy.
+
+        Raises EstimationError when the warmup itself gives no estimate.
+        """
         self.history = list(self._warmup)
         self.events: list[str] = []
         self.reports: list[EstimateReport] = []
         self._since_refresh = 0
-        self._current = self._prior
-        if len(self.history) >= 2:
-            self._try_refresh(initial=True)
-        if self._current is None:
-            raise EstimationError("initial estimation failed and no prior policy given")
+        self._current = self._rebuild()
 
     def decide(self, t, level, price, instance):
         stride = self.refresh_stride
@@ -375,20 +338,22 @@ class AdaptivePolicy(Policy):
         self.history.append(float(price))
         self._since_refresh += 1
 
-    def _try_refresh(self, initial: bool = False) -> None:
+    def _rebuild(self) -> Policy:
+        report = estimate(
+            self.history,
+            self.alpha,
+            conservative=self.conservative,
+            clamp_nonpositive_lower=self.clamp_nonpositive_lower,
+        )
+        policy = self.family(report)
+        self.reports.append(report)
+        return policy
+
+    def _try_refresh(self) -> None:
         self._since_refresh = 0
         try:
-            report = estimate(
-                self.history,
-                self.alpha,
-                conservative=self.conservative,
-                clamp_nonpositive_lower=self.clamp_nonpositive_lower,
-            )
-            self._current = self.family(report)
-            self.reports.append(report)
+            self._current = self._rebuild()
         except EstimationError as exc:
             self.events.append(
                 f"refresh failed at n={len(self.history)} ({exc}); kept previous policy"
             )
-            if initial and self._prior is not None:
-                self._current = self._prior

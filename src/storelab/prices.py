@@ -232,38 +232,17 @@ def resample(history, n: int, seed, mode: ResampleMode = "with-replacement") -> 
     return as_series(history[start : start + n])
 
 
-@dataclass(frozen=True)
-class CsvSpec:
-    """Shape of a price CSV: value column, delimiter, optional header line."""
-
-    column: int = 0
-    delimiter: str = ","
-    header: bool = False
-
-    def __post_init__(self) -> None:
-        if self.column < 0:
-            raise ValueError("column index must be >= 0")
-        if self.delimiter not in (",", ";"):
-            raise ValueError(f"delimiter must be ',' or ';', got {self.delimiter!r}")
-
-
-def ingest(path, spec: CsvSpec = CsvSpec()) -> np.ndarray:
-    """Read one price per row from a CSV file, in file order."""
+def ingest(path) -> np.ndarray:
+    """Read one price per non-blank line from a text file, in file order."""
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"missing price file: {path}")
     values: list[float] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if lineno == 1 and spec.header:
+            raw = line.strip()
+            if not raw:
                 continue
-            text = line.strip()
-            if not text:
-                continue
-            fields = text.split(spec.delimiter)
-            if spec.column >= len(fields):
-                raise IngestError(f"{path}:{lineno}: no column {spec.column} in row {text!r}")
-            raw = fields[spec.column].strip()
             try:
                 value = float(raw)
             except ValueError:
@@ -276,11 +255,9 @@ def ingest(path, spec: CsvSpec = CsvSpec()) -> np.ndarray:
     return as_series(values)
 
 
-def write_series(path, series, spec: CsvSpec = CsvSpec()) -> None:
-    """Write a series one price per row with full round-trip precision."""
+def write_series(path, series) -> None:
+    """Write a series one price per line with full round-trip precision."""
     series = as_series(series)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if spec.header:
-            fh.write("price\n")
         for v in series:
             fh.write(f"{v:.17g}\n")

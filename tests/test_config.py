@@ -98,6 +98,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match="missing config"):
             load_config(tmp_path / "absent.txt")
 
+    @pytest.mark.parametrize("kind", ["policy-compare", "violation-curve", "relax"])
+    def test_zero_total_demand_rejected_for_ratio_kinds(self, kind):
+        for demand in ("constant:0", "vector:0,0"):
+            with pytest.raises(ConfigError, match="demand"):
+                parse_config(f"kind={kind}\nT=2\ndemand={demand}\n")
+
+    @pytest.mark.parametrize("kind", ["estimate", "adaptive"])
+    def test_zero_total_demand_allowed_without_ratios(self, kind):
+        config = parse_config(f"kind={kind}\ndemand=constant:0\n")
+        assert build_instance(config).demand.sum() == 0.0
+
     def test_prefix_mode_needs_large_history(self):
         with pytest.raises(ConfigError, match="n_grid"):
             parse_config(

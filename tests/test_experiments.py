@@ -262,6 +262,14 @@ class TestCli:
         assert code == 1
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["policy-compare", "violation-curve", "relax"])
+    def test_zero_demand_exits_1_before_any_episode(self, tmp_path, capsys, command):
+        out = tmp_path / "z.csv"
+        code = main([command, "--set", "demand=constant:0", "--out", str(out)])
+        assert code == 1
+        assert "demand" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_runtime_estimation_failure_exits_2(self, tmp_path, capsys):
         # negative-mean prices make the lower bound nonpositive; clamp disabled
         history = tmp_path / "h.csv"

@@ -84,30 +84,6 @@ class TestBruteForce:
             bf = brute_force_optimal(inst, prices, 0.25)
             assert off == pytest.approx(bf, abs=1e-7)
 
-    def test_agrees_with_offline_under_rate_limits(self):
-        # charge/discharge limits force the windowed candidate scan
-        rng = np.random.default_rng(7001)
-        step = 0.25
-        checked = 0
-        while checked < 40:
-            T = int(rng.integers(1, 5))
-            B = step * int(rng.integers(2, 7))
-            s0 = step * int(rng.integers(0, round(B / step) + 1))
-            chg = step * int(rng.integers(1, round(B / step) + 1))
-            dis = step * int(rng.integers(1, round(B / step) + 1))
-            demand = step * rng.integers(0, 5, size=T).astype(float)
-            prices = rng.uniform(1.0, 10.0, T)
-            if (demand.max() + min(B, chg)) / step > 12:
-                continue
-            inst = Instance(
-                T, demand,
-                StorageSpec(B, s0, max_charge_per_slot=chg, max_discharge_per_slot=dis),
-            )
-            off = offline_optimal(inst, prices, max(2, round(B / step))).total_cost
-            bf = brute_force_optimal(inst, prices, step)
-            assert off == pytest.approx(bf, abs=1e-7)
-            checked += 1
-
 
 class TestRatioAndRegret:
     def test_competitive_ratio_values(self):

@@ -24,21 +24,15 @@ class TestFeasiblePurchaseRange:
         assert (lo, hi) == (0.0, 1.0)
 
     def test_closed_form_endpoints(self):
-        # q_lo = d - min(level, discharge), q_hi = d + min(B - level, charge)
+        # q_lo = d - min(level, B), q_hi = d + min(B - level, B)
         lo, hi = feasible_purchase_range(StorageSpec(2.0), level=0.5, demand=1.0)
         assert lo == pytest.approx(0.5, abs=1e-12)
         assert hi == pytest.approx(2.5, abs=1e-12)
 
-    def test_rate_limits_shrink_the_interval(self):
-        spec = StorageSpec(5.0, max_charge_per_slot=0.5, max_discharge_per_slot=0.25)
-        lo, hi = feasible_purchase_range(spec, level=2.0, demand=1.0)
-        assert lo == pytest.approx(0.75)  # can discharge only 0.25
-        assert hi == pytest.approx(1.5)   # can absorb only 0.5
-
     def test_infeasible_state_raises(self):
         # unreachable for in-contract levels; a malformed state trips the guard
         with pytest.raises(InfeasibleSlotError):
-            feasible_purchase_range(StorageSpec(1.0, max_charge_per_slot=0.5), level=-5.0, demand=3.0)
+            feasible_purchase_range(StorageSpec(1.0), level=-5.0, demand=3.0)
 
     def test_negative_demand_rejected(self):
         with pytest.raises(ValueError):
@@ -49,10 +43,6 @@ class TestValidation:
     def test_initial_level_above_capacity(self):
         with pytest.raises(ValueError):
             StorageSpec(capacity=1.0, initial_level=2.0)
-
-    def test_negative_rate(self):
-        with pytest.raises(ValueError):
-            StorageSpec(capacity=1.0, max_charge_per_slot=-1.0)
 
     def test_demand_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -117,14 +107,12 @@ def _instances():
         StorageSpec,
         capacity=st.floats(0.1, 8.0),
         initial_level=st.just(0.0),
-        max_charge_per_slot=st.one_of(st.none(), st.floats(0.1, 8.0)),
-        max_discharge_per_slot=st.one_of(st.none(), st.floats(0.1, 8.0)),
     )
 
     def build(spec, demand, frac):
         demand = np.asarray(demand)
         level = frac * spec.capacity
-        spec = StorageSpec(spec.capacity, level, spec.max_charge_per_slot, spec.max_discharge_per_slot)
+        spec = StorageSpec(spec.capacity, level)
         return Instance(len(demand), demand, spec)
 
     return st.builds(

@@ -7,6 +7,7 @@ import pytest
 from storelab import (
     AdaptivePolicy,
     Empirical,
+    EstimationError,
     Instance,
     LinearBudget,
     Normal,
@@ -49,11 +50,6 @@ class TestThresholdPolicy:
         below = {pol.decide(0, 0.5, p, inst) for p in (0.1, 2.5, 4.999, 5.0)}
         above = {pol.decide(0, 0.5, p, inst) for p in (5.001, 7.0, 50.0)}
         assert len(below) == 1 and len(above) == 1
-
-    def test_charge_rate_limits_fill(self):
-        inst = Instance.constant(1, 1.0, StorageSpec(5.0, max_charge_per_slot=0.5))
-        pol = threshold_policy(3.0)
-        assert pol.decide(0, 0.0, 1.0, inst) == pytest.approx(1.5)
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
@@ -137,14 +133,6 @@ class TestValueTable:
         table = build_value_table(inst, Empirical([1.0, 2.0, 5.0]), 30, 12)
         assert np.all(np.isfinite(table.values))
         assert np.all(table.values >= -1e-12)
-
-    def test_rate_limited_table_matches_masked_path(self):
-        # restricted rates exercise the masked candidate scan
-        spec = StorageSpec(2.0, max_charge_per_slot=0.7, max_discharge_per_slot=0.4)
-        inst = Instance(3, np.array([0.5, 1.0, 0.25]), spec)
-        table = build_value_table(inst, Empirical([2.0, 4.0]), 25, 8)
-        assert np.all(np.isfinite(table.values))
-        assert np.all(np.diff(table.values, axis=1) <= 1e-9)
 
     def test_quadrature_convergence(self, reference_instance):
         model = Normal(10.0, 2.0)
@@ -279,15 +267,10 @@ class TestAdaptivePolicy:
         with pytest.raises(ValueError):
             AdaptivePolicy(ThresholdFamily(), [10.0], refresh_stride=1)
 
-    def test_prior_used_when_initial_estimation_fails(self):
-        prior = threshold_policy(5.0)
-        adaptive = AdaptivePolicy(
-            ThresholdFamily(), [10.0, -10.0, 10.0], refresh_stride=None, prior=prior
-        )
-        inst = Instance.constant(2, 1.0, StorageSpec(1.0))
-        traj = simulate(inst, [4.0, 6.0], adaptive)
-        ref = simulate(inst, [4.0, 6.0], prior)
-        assert np.array_equal(traj.purchases, ref.purchases)
+    def test_failed_initial_estimation_raises(self):
+        # the three-sigma lower bound of the warmup is negative and unclamped
+        with pytest.raises(EstimationError):
+            AdaptivePolicy(ThresholdFamily(), [10.0, -10.0, 10.0])
 
     def test_reset_restores_warmup(self):
         warmup = generate(Normal(10.0, 2.0), 100, seed=9)

@@ -7,7 +7,6 @@ import scipy.stats as st
 from storelab import (
     AR1,
     Clamped,
-    CsvSpec,
     Empirical,
     IngestError,
     LogNormal,
@@ -138,11 +137,6 @@ class TestIngest:
         path.write_text("10.0\n12.5\n9.1\n")
         assert ingest(path).tolist() == [10.0, 12.5, 9.1]
 
-    def test_header_skip(self, tmp_csv):
-        path = tmp_csv()
-        path.write_text("price\n1.0\n")
-        assert ingest(path, CsvSpec(header=True)).tolist() == [1.0]
-
     def test_parse_error_names_line(self, tmp_csv):
         path = tmp_csv()
         path.write_text("1.0\nabc\n2.0\n")
@@ -164,18 +158,6 @@ class TestIngest:
         path.write_text("1.0\ninf\n")
         with pytest.raises(IngestError, match=":2:"):
             ingest(path)
-
-    def test_column_and_delimiter(self, tmp_csv):
-        path = tmp_csv()
-        path.write_text("a;1.5\nb;2.5\n")
-        series = ingest(path, CsvSpec(column=1, delimiter=";"))
-        assert series.tolist() == [1.5, 2.5]
-
-    def test_missing_column_names_line(self, tmp_csv):
-        path = tmp_csv()
-        path.write_text("1.0\n2.0,3.0\n")
-        with pytest.raises(IngestError, match=":1:"):
-            ingest(path, CsvSpec(column=1))
 
     def test_round_trip_is_exact(self, tmp_csv):
         rng = np.random.default_rng(17)
