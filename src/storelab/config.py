@@ -180,7 +180,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("sigma", f"must be > 0, got {config.sigma}")
     if config.model == "lognormal" and not config.log_sigma > 0:
         raise ConfigError("log_sigma", f"must be > 0, got {config.log_sigma}")
-    if config.model == "ar1" and not (-1.0 < config.phi < 1.0):
+    uses_phi = config.model == "ar1" or (config.kind == "relax" and "ar1" in config.scenarios)
+    if uses_phi and not (-1.0 < config.phi < 1.0):
         raise ConfigError("phi", f"must lie in (-1, 1), got {config.phi}")
     if (config.clamp_lo is None) != (config.clamp_hi is None):
         raise ConfigError("clamp_lo", "clamp_lo and clamp_hi must be set together")
@@ -236,6 +237,16 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(
             "demand", f"total demand is 0, so {config.kind}'s competitive ratios are undefined"
         )
+    if config.kind == "relax" and config.model == "normal" and not config.clamp_m:
+        for scenario in config.scenarios:
+            policy_model = scenario_policy_model(config, scenario)
+            lower = policy_model.marginal_mean - 3.0 * policy_model.marginal_std
+            if lower <= 0.0:
+                raise ConfigError(
+                    "clamp_m",
+                    f"scenario {scenario!r} has lower price bound {lower!r} <= 0, "
+                    "so its threshold is undefined without clamp_m=true",
+                )
 
 
 def build_model(config: ExperimentConfig):
@@ -249,6 +260,13 @@ def build_model(config: ExperimentConfig):
     if config.clamp_lo is not None:
         return Clamped(base, config.clamp_lo, config.clamp_hi)
     return base
+
+
+def scenario_policy_model(config: ExperimentConfig, scenario: str) -> Normal:
+    """Normal model the relax policies assume: the AR(1) marginal under ``ar1``."""
+    if scenario == "ar1":
+        return Normal(config.mu, AR1(config.mu, config.sigma, config.phi).marginal_std)
+    return Normal(config.mu, config.sigma)
 
 
 def _parse_demand_spec(spec: str, horizon: int) -> np.ndarray:

@@ -120,13 +120,23 @@ class EstimateReport:
 
     alpha: float
     stats: SampleStats
-    mu_interval: tuple[float, float]
-    sigma_interval: tuple[float, float]
     upper_bound: float
     lower_bound: float
     threshold: float
     conservative: bool
     lower_clamped: bool = False
+
+    @property
+    def mu_interval(self) -> tuple[float, float]:
+        """(1-alpha) t interval for the mean, computed on read."""
+        return mu_interval(self.stats, self.alpha)
+
+    @property
+    def sigma_interval(self) -> tuple[float, float]:
+        """(1-alpha) chi-squared interval for sigma; (0, 0) at zero spread."""
+        if self.stats.sample_std <= 0.0:
+            return 0.0, 0.0
+        return sigma_interval(self.stats, self.alpha)
 
     @property
     def ratio_bound(self) -> float:
@@ -135,15 +145,17 @@ class EstimateReport:
 
     def to_record(self) -> dict:
         """Flat record with the documented serialization keys."""
+        mu_lo, mu_hi = self.mu_interval
+        sigma_lo, sigma_hi = self.sigma_interval
         return {
             "n": self.stats.n,
             "alpha": self.alpha,
             "mean": self.stats.mean,
             "s": self.stats.sample_std,
-            "mu_lo": self.mu_interval[0],
-            "mu_hi": self.mu_interval[1],
-            "sigma_lo": self.sigma_interval[0],
-            "sigma_hi": self.sigma_interval[1],
+            "mu_lo": mu_lo,
+            "mu_hi": mu_hi,
+            "sigma_lo": sigma_lo,
+            "sigma_hi": sigma_hi,
             "m_hat": self.lower_bound,
             "M_hat": self.upper_bound,
             "theta_hat": self.threshold,
@@ -164,12 +176,8 @@ def estimate(
     the bounds coincide with the mean, and the threshold equals it.  A
     nonpositive lower bound raises unless the clamp is requested.
     """
+    _check_alpha(alpha)
     stats = sample_stats(data)
-    mu_iv = mu_interval(stats, alpha)
-    if stats.sample_std <= 0.0:
-        sig_iv = (0.0, 0.0)
-    else:
-        sig_iv = sigma_interval(stats, alpha)
     upper, lower = three_sigma_bounds(stats, alpha, conservative)
     clamped = False
     if clamp_nonpositive_lower and upper > 0.0:
@@ -180,8 +188,6 @@ def estimate(
     return EstimateReport(
         alpha=alpha,
         stats=stats,
-        mu_interval=mu_iv,
-        sigma_interval=sig_iv,
         upper_bound=upper,
         lower_bound=lower,
         threshold=theta,

@@ -27,6 +27,7 @@ from .config import (
     build_instance,
     build_model,
     load_history,
+    scenario_policy_model,
 )
 from .estimation import (
     EstimateReport,
@@ -57,7 +58,7 @@ from .policies import (
     build_value_table,
     threshold_policy,
 )
-from .prices import AR1, LogNormal, Normal, generate
+from .prices import AR1, LogNormal, generate
 from .seeds import stream
 
 VIOLATION_HEADER = "n,p_hat,stderr,violations,failures,rounds"
@@ -280,16 +281,17 @@ class AdaptiveRow:
 
 
 def _adaptive_chunk(
-    config: ExperimentConfig, instance: Instance, model, true_policy: DpPolicy,
+    config: ExperimentConfig, instance: Instance, model,
     warmup_index: int, warmup_size: int, refresh: float, rounds: range,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
+    """Adaptive-policy cost of every (round, episode) stream in ``rounds``."""
     T = instance.horizon
     if config.family == "dp":
         family = DpFamily(instance, config.G, config.K)
     else:
         family = ThresholdFamily()
     stride = None if math.isinf(refresh) else int(refresh)
-    adaptive_costs, true_costs, offline_costs = [], [], []
+    costs = []
     for r in rounds:
         warmup = generate(model, warmup_size, stream(config.seed, 3, warmup_index, r))
         policy = AdaptivePolicy(
@@ -301,14 +303,22 @@ def _adaptive_chunk(
             if stride is not None:
                 policy.reset()
             prices = generate(model, T, stream(config.seed, 4, r, e))
-            adaptive_costs.append(simulate(instance, prices, policy).total_cost)
+            costs.append(simulate(instance, prices, policy).total_cost)
+    return np.asarray(costs)
+
+
+def _reference_chunk(
+    config: ExperimentConfig, instance: Instance, model, true_policy: DpPolicy, rounds: range,
+) -> tuple[np.ndarray, np.ndarray]:
+    """True-parameter DP and oracle costs of the same streams _adaptive_chunk scores."""
+    T = instance.horizon
+    true_costs, offline_costs = [], []
+    for r in rounds:
+        for e in range(config.episodes):
+            prices = generate(model, T, stream(config.seed, 4, r, e))
             true_costs.append(simulate(instance, prices, true_policy).total_cost)
             offline_costs.append(offline_optimal(instance, prices, config.G).total_cost)
-    return (
-        np.asarray(adaptive_costs),
-        np.asarray(true_costs),
-        np.asarray(offline_costs),
-    )
+    return np.asarray(true_costs), np.asarray(offline_costs)
 
 
 def run_adaptive_convergence(
@@ -318,21 +328,22 @@ def run_adaptive_convergence(
 
     Sweeps warmup sizes and refresh strides; episodes share price streams
     across all grid points and against the true-parameter arm, so regrets
-    are paired comparisons.
+    are paired comparisons.  The streams do not depend on the grid point,
+    so the true-parameter and oracle costs are computed once, in a
+    reference pass, and paired with every grid point's adaptive costs.
     """
     instance = build_instance(config)
     model = build_model(config)
     true_policy = DpPolicy(build_value_table(instance, model, config.G, config.K))
+    reference = partial(_reference_chunk, config, instance, model, true_policy)
+    parts = _map_chunks(reference, config.rounds, workers)
+    true_costs = np.concatenate([p[0] for p in parts])
+    offline_costs = np.concatenate([p[1] for p in parts])
     rows = []
     for wi, warmup in enumerate(sorted(config.warmup_grid)):
         for refresh in config.refresh_grid:
-            chunk = partial(
-                _adaptive_chunk, config, instance, model, true_policy, wi, warmup, refresh
-            )
-            parts = _map_chunks(chunk, config.rounds, workers)
-            adaptive_costs = np.concatenate([p[0] for p in parts])
-            true_costs = np.concatenate([p[1] for p in parts])
-            offline_costs = np.concatenate([p[2] for p in parts])
+            chunk = partial(_adaptive_chunk, config, instance, model, wi, warmup, refresh)
+            adaptive_costs = np.concatenate(_map_chunks(chunk, config.rounds, workers))
             vs_dp = regret(adaptive_costs, true_costs)
             vs_off = regret(adaptive_costs, offline_costs)
             rows.append(
@@ -360,16 +371,15 @@ def run_adaptive_convergence(
 
 
 def _scenario_setup(config: ExperimentConfig, scenario: str):
-    base = Normal(config.mu, config.sigma)
+    policy_model = scenario_policy_model(config, scenario)
     if scenario == "baseline":
-        return base, base, 0.0
+        return policy_model, policy_model, 0.0
     if scenario == "ar1":
-        eval_model = AR1(config.mu, config.sigma, config.phi)
-        return eval_model, Normal(config.mu, eval_model.marginal_std), 0.0
+        return AR1(config.mu, config.sigma, config.phi), policy_model, 0.0
     if scenario == "lognormal":
-        return LogNormal.from_moments(config.mu, config.sigma), base, 0.0
+        return LogNormal.from_moments(config.mu, config.sigma), policy_model, 0.0
     if scenario == "demand-noise":
-        return base, base, config.eta
+        return policy_model, policy_model, config.eta
     raise ConfigError("scenarios", f"unknown scenario {scenario!r}")
 
 

@@ -129,12 +129,14 @@ class ValueTable:
 
     values[t, i] is the pre-price expected cost of serving slots t..T-1
     optimally starting from storage grid[i]; values[T] is identically zero.
+    Only rows first_slot..T are built; the rows before it are zero.
     """
 
     grid: np.ndarray
     values: np.ndarray
     atoms: np.ndarray
     weights: np.ndarray
+    first_slot: int = 0
 
     @property
     def horizon(self) -> int:
@@ -185,24 +187,32 @@ def quantile_atoms(model, count: int) -> np.ndarray:
 
 
 def build_value_table(
-    instance: Instance, model, grid_size: int = 100, atom_count: int = 51
+    instance: Instance, model, grid_size: int = 100, atom_count: int = 51,
+    first_slot: int = 0,
 ) -> ValueTable:
-    """Backward induction over the horizon for a price model."""
+    """Backward induction over the horizon for a price model.
+
+    Only slots first_slot..T-1 are stepped.  values[t] depends on
+    values[t + 1] alone, so those rows equal a full build bit for bit.
+    """
     if grid_size < 2:
         raise ValueError(f"grid size must be >= 2, got {grid_size}")
+    T = instance.horizon
+    if not (0 <= first_slot <= T):
+        raise ValueError(f"first slot must lie in [0, {T}], got {first_slot}")
     spec = instance.storage
     grid = storage_grid(spec.capacity, grid_size)
     atoms = quantile_atoms(model, atom_count)
     weights = np.full(atom_count, 1.0 / atom_count)
-    T = instance.horizon
     values = np.zeros((T + 1, grid.size))
-    for t in range(T - 1, -1, -1):
+    for t in range(T - 1, first_slot - 1, -1):
         values[t] = backward_step(
             grid, values[t + 1], float(instance.demand[t]), spec, atoms, weights
         )
     grid.flags.writeable = False
     values.flags.writeable = False
-    return ValueTable(grid=grid, values=values, atoms=atoms, weights=weights)
+    return ValueTable(grid=grid, values=values, atoms=atoms, weights=weights,
+                      first_slot=first_slot)
 
 
 def argmin_purchase(
@@ -224,7 +234,9 @@ def argmin_purchase(
     s_hi = min(max(level + q_hi - demand, 0.0), cap)
     i0 = int(np.searchsorted(grid, s_lo, side="left"))
     i1 = int(np.searchsorted(grid, s_hi, side="right"))
-    cands = np.unique(np.concatenate(([s_lo], grid[i0:i1], [s_hi])))
+    # Already non-decreasing (grid[i0] >= s_lo, grid[i1 - 1] <= s_hi); a repeated
+    # level costs the same, so argmin picks the same level as over unique values.
+    cands = np.concatenate(([s_lo], grid[i0:i1], [s_hi]))
     costs = price * (cands - level + demand) + np.interp(cands, grid, v_next)
     pick = float(cands[int(np.argmin(costs))])
     return min(max(pick - level + demand, q_lo), q_hi)
@@ -242,6 +254,8 @@ class DpPolicy(Policy):
         table = self.table
         if t >= table.horizon:
             raise IndexError(f"slot {t} beyond table horizon {table.horizon}")
+        if t < table.first_slot:
+            raise IndexError(f"slot {t} before table first slot {table.first_slot}")
         return argmin_purchase(
             table.grid, table.values[t + 1], instance.storage, level,
             float(instance.demand[t]), price,
@@ -264,40 +278,47 @@ def write_value_table(table: ValueTable, path) -> None:
 class ThresholdFamily:
     """Builds a threshold policy from an estimate report."""
 
-    def __call__(self, report: EstimateReport) -> Policy:
+    def __call__(self, report: EstimateReport, first_slot: int) -> Policy:
         return ThresholdPolicy(report.threshold)
 
 
 @dataclass(frozen=True, eq=False)
 class DpFamily:
-    """Builds a DP policy from an estimate report via a fitted normal model."""
+    """Builds a DP policy from an estimate report via a fitted normal model.
+
+    The policy acts from slot ``first_slot`` on, so only those rows of its
+    value table are built.
+    """
 
     instance: Instance
     grid_size: int = 100
     atom_count: int = 51
 
-    def __call__(self, report: EstimateReport) -> Policy:
+    def __call__(self, report: EstimateReport, first_slot: int) -> Policy:
         model = Normal(report.stats.mean, max(report.stats.sample_std, 1e-12))
-        table = build_value_table(self.instance, model, self.grid_size, self.atom_count)
+        table = build_value_table(
+            self.instance, model, self.grid_size, self.atom_count, first_slot
+        )
         return DpPolicy(table)
 
 
 class AdaptivePolicy(Policy):
     """Re-estimates price statistics from accumulated history.
 
-    Wraps a policy family (estimate report -> policy).  Prices observed
-    during the run join the warmup history; every ``refresh_stride``
-    observed slots the estimates and the base policy are rebuilt.  A
-    failed refresh keeps the previous policy and is recorded in ``events``
-    (which the simulation engine copies into the trajectory log).  One
-    instance drives one trajectory; use ``reset`` between episodes.
+    Wraps a policy family ((estimate report, first slot) -> policy that
+    acts from that slot on).  Prices observed during the run join the
+    warmup history; every ``refresh_stride`` observed slots the estimates
+    and the base policy are rebuilt at the current slot.  A failed refresh
+    keeps the previous policy and is recorded in ``events`` (which the
+    simulation engine copies into the trajectory log).  One instance
+    drives one trajectory; use ``reset`` between episodes.
     """
 
     policy_id = "adaptive"
 
     def __init__(
         self,
-        family: Callable[[EstimateReport], Policy],
+        family: Callable[[EstimateReport, int], Policy],
         warmup,
         refresh_stride: int | None = None,
         *,
@@ -326,33 +347,33 @@ class AdaptivePolicy(Policy):
         self.events: list[str] = []
         self.reports: list[EstimateReport] = []
         self._since_refresh = 0
-        self._current = self._rebuild()
+        self._current = self._rebuild(0)
 
     def decide(self, t, level, price, instance):
         stride = self.refresh_stride
         if stride is not None and self._since_refresh >= stride:
-            self._try_refresh()
+            self._try_refresh(t)
         return self._current.decide(t, level, price, instance)
 
     def observe(self, price: float) -> None:
         self.history.append(float(price))
         self._since_refresh += 1
 
-    def _rebuild(self) -> Policy:
+    def _rebuild(self, first_slot: int) -> Policy:
         report = estimate(
             self.history,
             self.alpha,
             conservative=self.conservative,
             clamp_nonpositive_lower=self.clamp_nonpositive_lower,
         )
-        policy = self.family(report)
+        policy = self.family(report, first_slot)
         self.reports.append(report)
         return policy
 
-    def _try_refresh(self) -> None:
+    def _try_refresh(self, t: int) -> None:
         self._since_refresh = 0
         try:
-            self._current = self._rebuild()
+            self._current = self._rebuild(t)
         except EstimationError as exc:
             self.events.append(
                 f"refresh failed at n={len(self.history)} ({exc}); kept previous policy"

@@ -32,6 +32,7 @@ from storelab import (
 )
 from storelab.experiments import (
     run_adaptive_convergence,
+    run_estimate,
     run_policy_compare,
     run_relaxation,
     run_violation_curve,
@@ -249,14 +250,19 @@ class TestCriterion9AdaptiveConvergence:
 
 class TestCriterion10Determinism:
     def test_byte_identical_across_workers_and_reruns(self, tmp_path):
+        # family=dp with stride 3 < T exercises the adaptive reference pass
+        # and the partial value-table rebuilds
         base = ExperimentConfig(
             T=8, B=2.0, G=20, K=11, rounds=8, eval_episodes=2, episodes=12,
-            n_grid=(5, 25), seed=1001,
+            n_grid=(5, 25), warmup_grid=(10, 50), refresh_grid=(math.inf, 3.0),
+            family="dp", seed=1001,
         )
         outputs = []
         for kind, runner in (
+            ("estimate", run_estimate),
             ("violation-curve", run_violation_curve),
             ("policy-compare", run_policy_compare),
+            ("adaptive", run_adaptive_convergence),
             ("relax", run_relaxation),
         ):
             blobs = []

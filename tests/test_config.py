@@ -32,7 +32,12 @@ class TestRoundTrip:
             n_grid=tuple(n_grid), refresh_grid=(refresh,), clamp_m=clamp, seed=seed,
             B=float(T), s0=float(T) / 2,
         )
-        assert parse_config(render_config(config)) == config
+        ar1_lower = mu - 3.0 * AR1(mu, sigma, config.phi).marginal_std
+        if kind == "relax" and not clamp and ar1_lower <= 0.0:
+            with pytest.raises(ConfigError, match="clamp_m"):
+                parse_config(render_config(config))
+        else:
+            assert parse_config(render_config(config)) == config
 
     def test_comments_and_blank_lines(self):
         text = render_config(ExperimentConfig()) + "\n# a comment line\n\n"
@@ -108,6 +113,22 @@ class TestValidation:
     def test_zero_total_demand_allowed_without_ratios(self, kind):
         config = parse_config(f"kind={kind}\ndemand=constant:0\n")
         assert build_instance(config).demand.sum() == 0.0
+
+    def test_relax_unclamped_nonpositive_lower_bound_rejected(self):
+        # the AR(1) marginal std is 2 / sqrt(1 - 0.8^2) = 10/3: mu - 3 std rounds below 0
+        with pytest.raises(ConfigError, match="clamp_m"):
+            parse_config("kind=relax\nclamp_m=false\n")
+        with pytest.raises(ConfigError, match="'baseline'"):
+            parse_config("kind=relax\nclamp_m=false\nmu=5.0\n")
+        # the same models pass with the clamp, or without the ar1 scenario
+        parse_config("kind=relax\nclamp_m=true\n")
+        parse_config("kind=relax\nclamp_m=false\nscenarios=baseline,lognormal,demand-noise\n")
+        parse_config("kind=policy-compare\nclamp_m=false\nmu=5.0\n")
+
+    def test_relax_ar1_scenario_needs_valid_phi(self):
+        with pytest.raises(ConfigError, match="phi"):
+            parse_config("kind=relax\nphi=1.5\n")
+        parse_config("kind=relax\nphi=1.5\nscenarios=baseline\n")
 
     def test_prefix_mode_needs_large_history(self):
         with pytest.raises(ConfigError, match="n_grid"):

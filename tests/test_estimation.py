@@ -171,6 +171,20 @@ class TestEstimateReport:
         assert report.threshold == 3.0
         assert report.ratio_bound == 1.0
 
+    def test_intervals_computed_from_stats_and_alpha(self):
+        data = generate(Normal(10.0, 2.0), 300, seed=8)
+        for alpha in (0.01, 0.05, 0.3):
+            for conservative in (False, True):
+                report = estimate(data, alpha, conservative=conservative)
+                assert report.mu_interval == mu_interval(report.stats, alpha)
+                assert report.sigma_interval == sigma_interval(report.stats, alpha)
+
+    def test_bad_alpha_raises_at_call_time_in_point_mode(self):
+        data = generate(Normal(10.0, 2.0), 50, seed=9)
+        for alpha in (1.5, 0.0):
+            with pytest.raises(ValueError, match="alpha"):
+                estimate(data, alpha)
+
     def test_nonpositive_lower_errors_without_clamp(self):
         rng = np.random.default_rng(1)
         data = rng.normal(0.0, 5.0, 100)  # mean ~0, s ~5 so lower ~ -15

@@ -189,6 +189,24 @@ class TestRunAdaptive:
         assert len(rows) == 1
         assert math.isfinite(rows[0].regret_vs_offline)
 
+    def test_oracle_scores_each_stream_once(self, tmp_path, monkeypatch):
+        import storelab.experiments as experiments
+
+        calls = []
+        oracle = experiments.offline_optimal
+
+        def counting_oracle(*args, **kwargs):
+            calls.append(1)
+            return oracle(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "offline_optimal", counting_oracle)
+        for warmups, refreshes in (((10,), (math.inf,)), ((10, 30, 50), (math.inf, 2.0))):
+            calls.clear()
+            config = small_config(tmp_path, kind="adaptive", rounds=3, episodes=4,
+                                  warmup_grid=warmups, refresh_grid=refreshes)
+            run_adaptive_convergence(config)
+            assert len(calls) == 3 * 4
+
     def test_worker_invariance(self, tmp_path):
         c1 = small_config(tmp_path, kind="adaptive", rounds=4, episodes=3,
                           warmup_grid=(10, 30), out=str(tmp_path / "a1.csv"))
@@ -268,6 +286,14 @@ class TestCli:
         code = main([command, "--set", "demand=constant:0", "--out", str(out)])
         assert code == 1
         assert "demand" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_relax_unclamped_nonpositive_bound_exits_1_before_any_episode(self, tmp_path, capsys):
+        # the AR(1) marginal std is 10/3, so mu - 3 std rounds just below 0
+        out = tmp_path / "r.csv"
+        code = main(["relax", "--set", "clamp_m=false", "--out", str(out)])
+        assert code == 1
+        assert "clamp_m" in capsys.readouterr().err
         assert not out.exists()
 
     def test_runtime_estimation_failure_exits_2(self, tmp_path, capsys):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storelab import (
     AdaptivePolicy,
@@ -24,7 +26,7 @@ from storelab import (
     threshold_policy,
     write_value_table,
 )
-from storelab.policies import DpFamily
+from storelab.policies import DpFamily, argmin_purchase, storage_grid
 
 
 def _inst(T=1, demand=1.0, B=1.0, s0=0.0):
@@ -146,6 +148,21 @@ class TestValueTable:
         v400 = build_value_table(reference_instance, model, 400, 51).values[0, 0]
         assert abs(v400 - v100) / v100 < 0.005
 
+    def test_partial_build_matches_full_rows_bit_for_bit(self):
+        inst = Instance(6, np.array([1.0, 0.0, 2.0, 1.0, 0.5, 1.0]), StorageSpec(3.0, 1.0))
+        full = build_value_table(inst, Normal(10.0, 3.0), 40, 21)
+        for k in (0, 1, 3, 5, 6):
+            part = build_value_table(inst, Normal(10.0, 3.0), 40, 21, first_slot=k)
+            assert part.first_slot == k
+            assert part.values[k:].tobytes() == full.values[k:].tobytes()
+            assert not part.values[:k].any()
+
+    def test_first_slot_out_of_range(self):
+        inst = _inst(T=3)
+        for k in (-1, 4):
+            with pytest.raises(ValueError, match="first slot"):
+                build_value_table(inst, Normal(5.0, 1.0), 10, 5, first_slot=k)
+
     def test_csv_dump(self, tmp_path):
         inst = _inst(T=2, B=1.0)
         table = build_value_table(inst, Normal(5.0, 1.0), 4, 5)
@@ -188,6 +205,43 @@ def _enumerate_online_optimum(inst, step=0.5):
     return 0.5 * (value(0, spec.initial_level, 1.0) + value(0, spec.initial_level, 3.0))
 
 
+def _argmin_purchase_unique(grid, v_next, spec, level, demand, price):
+    """Reference argmin_purchase that deduplicates the candidate levels with np.unique."""
+    q_lo, q_hi = feasible_purchase_range(spec, level, demand)
+    cap = spec.capacity
+    s_lo = min(max(level + q_lo - demand, 0.0), cap)
+    s_hi = min(max(level + q_hi - demand, 0.0), cap)
+    i0 = int(np.searchsorted(grid, s_lo, side="left"))
+    i1 = int(np.searchsorted(grid, s_hi, side="right"))
+    cands = np.unique(np.concatenate(([s_lo], grid[i0:i1], [s_hi])))
+    costs = price * (cands - level + demand) + np.interp(cands, grid, v_next)
+    pick = float(cands[int(np.argmin(costs))])
+    return min(max(pick - level + demand, q_lo), q_hi)
+
+
+@st.composite
+def _argmin_cases(draw):
+    capacity = draw(st.sampled_from((0.0, 1.0, 2.5, 5.0)))
+    grid = storage_grid(capacity, draw(st.integers(2, 30)))
+    on_grid = st.sampled_from(grid.tolist())  # endpoints land exactly on grid points
+    level = draw(st.one_of(on_grid, st.floats(0.0, capacity)))
+    demand = draw(st.one_of(on_grid, st.floats(0.0, 2.0 * capacity + 1.0)))
+    price = draw(st.floats(0.0, 20.0))
+    if draw(st.booleans()):
+        v_next = -price * grid  # every candidate (nearly) ties
+    else:
+        v_next = np.asarray(draw(st.lists(
+            st.floats(-50.0, 50.0), min_size=grid.size, max_size=grid.size)))
+    return grid, v_next, StorageSpec(capacity), level, demand, price
+
+
+class TestArgminPurchase:
+    @given(_argmin_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_deduplicated_candidates(self, case):
+        assert argmin_purchase(*case) == _argmin_purchase_unique(*case)
+
+
 class TestDpPolicy:
     def test_two_atom_value_matches_enumeration(self):
         inst, table = _two_atom_setup()
@@ -222,6 +276,13 @@ class TestDpPolicy:
         inst, table = _two_atom_setup()
         with pytest.raises(IndexError):
             dp_policy(table).decide(3, 0.0, 1.0, inst)
+
+    def test_slot_before_first_slot(self):
+        inst = Instance.constant(4, 1.0, StorageSpec(2.0))
+        pol = dp_policy(build_value_table(inst, Normal(10.0, 2.0), 20, 11, first_slot=2))
+        with pytest.raises(IndexError):
+            pol.decide(1, 0.0, 10.0, inst)
+        assert pol.decide(2, 0.0, 10.0, inst) >= 0.0
 
 
 class TestAdaptivePolicy:
@@ -303,3 +364,18 @@ class TestAdaptivePolicy:
         assert adaptive.reports[1].stats.n == 33
         assert adaptive.reports[2].stats.n == 36
         assert np.isfinite(traj.total_cost)
+
+    def test_dp_refresh_builds_only_remaining_rows(self):
+        class FullTableFamily(DpFamily):
+            def __call__(self, report, first_slot):
+                return super().__call__(report, 0)
+
+        inst = Instance.constant(12, 1.0, StorageSpec(3.0))
+        warmup = generate(Normal(10.0, 2.0), 40, seed=16)
+        prices = generate(Normal(10.0, 2.0), 12, seed=17)
+        for stride, last_refresh in ((1, 11), (5, 10)):
+            partial = AdaptivePolicy(DpFamily(inst, 20, 11), warmup, refresh_stride=stride)
+            full = AdaptivePolicy(FullTableFamily(inst, 20, 11), warmup, refresh_stride=stride)
+            a = simulate(inst, prices, partial)
+            assert partial._current.table.first_slot == last_refresh
+            assert a.purchases.tobytes() == simulate(inst, prices, full).purchases.tobytes()
