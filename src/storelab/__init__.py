@@ -61,13 +61,13 @@ from .metrics import (
     MetricRow,
     RegretReport,
     ViolationReport,
-    bound_violation_probability,
     brute_force_optimal,
     competitive_ratio,
     offline_optimal,
     regret,
 )
 from .config import ConfigError, ExperimentConfig, parse_config, render_config
+from .experiments import bound_violation_probability
 
 __version__ = "0.1.0"
 

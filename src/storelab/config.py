@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .estimation import model_bounds
 from .model import Instance, StorageSpec
 from .prices import AR1, Clamped, LogNormal, Normal, ingest
 
@@ -237,16 +238,23 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(
             "demand", f"total demand is 0, so {config.kind}'s competitive ratios are undefined"
         )
-    if config.kind == "relax" and config.model == "normal" and not config.clamp_m:
-        for scenario in config.scenarios:
-            policy_model = scenario_policy_model(config, scenario)
-            lower = policy_model.marginal_mean - 3.0 * policy_model.marginal_std
-            if lower <= 0.0:
-                raise ConfigError(
-                    "clamp_m",
-                    f"scenario {scenario!r} has lower price bound {lower!r} <= 0, "
-                    "so its threshold is undefined without clamp_m=true",
-                )
+    # the true-parameter threshold policies need a positive lower price bound
+    if config.kind == "policy-compare":
+        policy_models = {"model": build_model(config)}
+    elif config.kind == "relax" and config.model == "normal":
+        policy_models = {
+            f"scenario {s!r}": scenario_policy_model(config, s) for s in config.scenarios
+        }
+    else:
+        policy_models = {}
+    for label, policy_model in policy_models.items():
+        _, lower = model_bounds(policy_model, config.clamp_m)
+        if lower <= 0.0:
+            raise ConfigError(
+                "clamp_m",
+                f"{label} has lower price bound {lower!r} <= 0, so its threshold is undefined"
+                + ("" if config.clamp_m else " without clamp_m=true"),
+            )
 
 
 def build_model(config: ExperimentConfig):

@@ -110,8 +110,19 @@ def threshold_price(upper: float, lower: float) -> float:
 
 
 def clamp_lower_bound(upper: float, lower: float) -> float:
-    """Floor the lower bound at CLAMP_EPS times the upper bound."""
-    return max(lower, CLAMP_EPS * upper)
+    """Floor the lower bound at CLAMP_EPS times a positive upper bound."""
+    return max(lower, CLAMP_EPS * upper) if upper > 0.0 else lower
+
+
+def model_bounds(model, clamp: bool) -> tuple[float, float]:
+    """Three-sigma (upper, lower) price bounds of a model's marginal law.
+
+    With ``clamp`` the lower bound is floored as ``estimate`` floors it; a
+    nonpositive lower bound is returned as is, for the caller to reject.
+    """
+    mean, std = model.marginal_mean, model.marginal_std
+    upper, lower = mean + 3.0 * std, mean - 3.0 * std
+    return upper, clamp_lower_bound(upper, lower) if clamp else lower
 
 
 @dataclass(frozen=True)
@@ -180,7 +191,7 @@ def estimate(
     stats = sample_stats(data)
     upper, lower = three_sigma_bounds(stats, alpha, conservative)
     clamped = False
-    if clamp_nonpositive_lower and upper > 0.0:
+    if clamp_nonpositive_lower:
         floored = clamp_lower_bound(upper, lower)
         clamped = floored > lower
         lower = floored

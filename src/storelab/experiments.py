@@ -28,19 +28,19 @@ from .config import (
     build_model,
     load_history,
     scenario_policy_model,
+    validate_config,
 )
 from .estimation import (
     EstimateReport,
     RECORD_FIELDS,
-    clamp_lower_bound,
     estimate,
+    model_bounds,
     threshold_price,
 )
 from .metrics import (
     MetricRow,
     ViolationReport,
     _write_csv,
-    assemble_violation_report,
     competitive_ratio,
     offline_optimal,
     regret,
@@ -70,21 +70,18 @@ ADAPTIVE_HEADER = (
 )
 
 
-def parallel_map(fn, tasks, workers: int = 1) -> list:
-    """Order-preserving map, fanned across processes when workers > 1."""
-    tasks = list(tasks)
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
-
-
 def _map_chunks(fn, count: int, workers: int) -> list:
-    """fn(chunk) for contiguous chunks of range(count), one per worker, in order."""
+    """fn(chunk) for contiguous chunks of range(count), one per worker, in order.
+
+    A single chunk runs in this process; more run in a process pool.
+    """
     parts = max(1, min(workers, count))
     bounds = np.linspace(0, count, parts + 1).astype(int)
     chunks = [range(bounds[i], bounds[i + 1]) for i in range(parts) if bounds[i] < bounds[i + 1]]
-    return parallel_map(fn, chunks, workers)
+    if len(chunks) <= 1:
+        return [fn(chunk) for chunk in chunks]
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        return list(pool.map(fn, chunks))
 
 
 # ---------------------------------------------------------------------------
@@ -110,27 +107,47 @@ def run_estimate(config: ExperimentConfig, workers: int = 1) -> EstimateReport:
 # violation curve
 
 
+def bound_violation_probability(
+    config: ExperimentConfig, history, n: int, workers: int = 1
+) -> ViolationReport:
+    """Frequency of rounds whose competitive ratio exceeds its estimated bound.
+
+    Each of the config's ``rounds`` draws a size-n sample from the history,
+    estimates the threshold and the ratio bound, runs the threshold policy
+    on fresh evaluation series (never on the estimation sample), and
+    compares the round's competitive ratio (mean over episodes, or the
+    worst episode) against the bound.  Rounds whose estimation fails are
+    counted in ``failures``, not dropped.
+    """
+    validate_config(config)
+    if n < 2:
+        raise ValueError(f"sample size must be >= 2, got {n}")
+    history = np.asarray(history, dtype=float)
+    instance = build_instance(config)
+    if config.eval_source == "held-out" and history.size - n < instance.horizon:
+        raise ValueError(
+            f"held-out history too short: {history.size - n} < horizon {instance.horizon}"
+        )
+    chunk = partial(violation_rounds, config, instance, build_model(config), history, n)
+    rows: list[MetricRow] = []
+    failures = 0
+    for chunk_rows, chunk_failures in _map_chunks(chunk, config.rounds, workers):
+        rows.extend(chunk_rows)
+        failures += chunk_failures
+    violations = sum(int(r.violated) for r in rows)
+    p_hat = violations / config.rounds
+    return ViolationReport(
+        n=n, rounds=config.rounds, violations=violations, failures=failures,
+        p_hat=p_hat, stderr=math.sqrt(p_hat * (1.0 - p_hat) / config.rounds),
+        rows=tuple(rows),
+    )
+
+
 def run_violation_curve(config: ExperimentConfig, workers: int = 1) -> list[ViolationReport]:
     """Bound-violation probability for every sample size in the n grid."""
     history = load_history(config)
-    options = dict(
-        instance=build_instance(config), eval_model=build_model(config),
-        eval_episodes=config.eval_episodes, seed=config.seed,
-        resample_mode=config.resample_mode, alpha=config.alpha,
-        conservative=config.conservative, clamp_nonpositive_lower=config.clamp_m,
-        verdict=config.verdict, grid_size=config.G,
-        clamp_eval_to_bounds=config.clamp_eval_to_bounds,
-        eval_source=config.eval_source,
-    )
-    reports = []
-    for n in sorted(config.n_grid):
-        chunk = partial(violation_rounds, history, n, **options)
-        rows: list[MetricRow] = []
-        failures = 0
-        for chunk_rows, chunk_failures in _map_chunks(chunk, config.rounds, workers):
-            rows.extend(chunk_rows)
-            failures += chunk_failures
-        reports.append(assemble_violation_report(n, config.rounds, rows, failures))
+    reports = [bound_violation_probability(config, history, n, workers)
+               for n in sorted(config.n_grid)]
     _write_csv(
         config.out,
         VIOLATION_HEADER,
@@ -157,16 +174,7 @@ class PolicySummary:
 
 def _true_parameter_policies(config: ExperimentConfig, instance: Instance, policy_model):
     """Threshold, budgeted-threshold, and DP policies from true model parameters."""
-    mean = policy_model.marginal_mean
-    std = policy_model.marginal_std
-    upper = mean + 3.0 * std
-    lower = mean - 3.0 * std
-    if lower <= 0.0:
-        if not config.clamp_m:
-            raise ValueError(
-                f"nonpositive lower price bound {lower}; enable clamp_m or adjust the model"
-            )
-        lower = clamp_lower_bound(upper, lower)
+    upper, lower = model_bounds(policy_model, config.clamp_m)
     theta = threshold_price(upper, lower)
     table = build_value_table(instance, policy_model, config.G, config.K)
     policies = (

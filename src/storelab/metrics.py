@@ -1,4 +1,4 @@
-"""Hindsight oracles, competitive ratio, regret, and bound-violation probability.
+"""Hindsight oracles, competitive ratio, regret, and bound-violation rounds.
 
 The offline oracle reuses the DP machinery with the realized price as a
 single atom per slot, so its cost is exact whenever demands, capacity, and
@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .estimation import EstimationError, estimate
 from .model import Instance, Trajectory, feasible_purchase_range, simulate
 from .policies import Policy, argmin_purchase, backward_step, storage_grid, threshold_policy
@@ -189,64 +190,44 @@ class ViolationReport:
 
 
 def _violation_round(
-    history,
-    n: int,
-    round_idx: int,
-    *,
-    instance: Instance,
-    eval_model,
-    eval_episodes: int,
-    seed: int,
-    resample_mode: str = "with-replacement",
-    alpha: float = 0.05,
-    conservative: bool = False,
-    clamp_nonpositive_lower: bool = False,
-    verdict: str = "mean",
-    grid_size: int = 100,
-    clamp_eval_to_bounds: bool = False,
-    eval_source: str = "model",
+    config: ExperimentConfig, instance: Instance, eval_model, history: np.ndarray,
+    n: int, round_idx: int,
 ) -> MetricRow:
-    if eval_episodes < 1:
-        raise ValueError(f"eval_episodes must be >= 1, got {eval_episodes}")
-    if verdict not in ("mean", "any"):
-        raise ValueError(f"verdict must be 'mean' or 'any', got {verdict!r}")
-    if eval_source not in ("model", "held-out"):
-        raise ValueError(f"eval_source must be 'model' or 'held-out', got {eval_source!r}")
-    # held-out evaluation splits the history: the first n records form the
-    # estimation pool, the suffix provides the evaluation windows
-    pool = history[:n] if eval_source == "held-out" else history
-    sample = resample(pool, n, stream(seed, 0, round_idx), mode=resample_mode)
+    """Estimate from one size-n sample, then score its threshold policy.
+
+    The config's ``eval_episodes`` evaluation series come from the
+    evaluation model, or with ``eval_source=held-out`` from windows of the
+    history after its first n records, which form the estimation pool.
+    """
+    held_out = history[n:] if config.eval_source == "held-out" else None
+    pool = history if held_out is None else history[:n]
+    sample = resample(pool, n, stream(config.seed, 0, round_idx), mode=config.resample_mode)
     report = estimate(
-        sample, alpha,
-        conservative=conservative,
-        clamp_nonpositive_lower=clamp_nonpositive_lower,
+        sample, config.alpha,
+        conservative=config.conservative,
+        clamp_nonpositive_lower=config.clamp_m,
     )
     policy = threshold_policy(report.threshold)
     bound = report.ratio_bound
     T = instance.horizon
-    alg_costs = np.empty(eval_episodes)
-    opt_costs = np.empty(eval_episodes)
-    crs = np.empty(eval_episodes)
-    held_out = history[n:] if eval_source == "held-out" else None
-    for e in range(eval_episodes):
-        rng = stream(seed, 1, round_idx, e)
+    alg_costs = np.empty(config.eval_episodes)
+    opt_costs = np.empty(config.eval_episodes)
+    crs = np.empty(config.eval_episodes)
+    for e in range(config.eval_episodes):
+        rng = stream(config.seed, 1, round_idx, e)
         if held_out is not None:
-            if held_out.size < T:
-                raise ValueError(
-                    f"held-out history too short: {held_out.size} < horizon {T}"
-                )
             start = int(rng.integers(0, held_out.size - T + 1))
-            prices = np.asarray(held_out[start : start + T], dtype=float)
+            prices = held_out[start : start + T]
         else:
             prices = eval_model.draw(rng, T)
-        if clamp_eval_to_bounds:
+        if config.clamp_eval_to_bounds:
             prices = np.clip(prices, report.lower_bound, report.upper_bound)
         alg = simulate(instance, prices, policy).total_cost
-        opt = offline_optimal(instance, prices, grid_size).total_cost
+        opt = offline_optimal(instance, prices, config.G).total_cost
         alg_costs[e] = alg
         opt_costs[e] = opt
         crs[e] = competitive_ratio(alg, opt)
-    round_cr = float(crs.max() if verdict == "any" else crs.mean())
+    round_cr = float(crs.max() if config.verdict == "any" else crs.mean())
     return MetricRow(
         round=round_idx,
         n=n,
@@ -258,56 +239,25 @@ def _violation_round(
         violated=bool(round_cr > bound),
         regret=float((alg_costs - opt_costs).mean()),
         theta_hat=report.threshold,
-        seed=seed,
+        seed=config.seed,
     )
 
 
-def violation_rounds(history, n: int, round_indices, **options) -> tuple[list[MetricRow], int]:
+def violation_rounds(
+    config: ExperimentConfig, instance: Instance, eval_model, history: np.ndarray,
+    n: int, round_indices,
+) -> tuple[list[MetricRow], int]:
     """Run a batch of violation rounds; returns (rows, failure count).
 
-    ``options`` are the keyword parameters of ``_violation_round``.  Each
-    round is seeded by its own index, so any partition of the round
-    indices across workers reproduces the same rows.
+    Each round is seeded by its own index, so any partition of the round
+    indices across workers reproduces the same rows.  Rounds whose
+    estimation fails are counted, not dropped.
     """
-    history = np.asarray(history, dtype=float)
     rows: list[MetricRow] = []
     failures = 0
     for r in round_indices:
         try:
-            rows.append(_violation_round(history, n, r, **options))
+            rows.append(_violation_round(config, instance, eval_model, history, n, r))
         except EstimationError:
             failures += 1
     return rows, failures
-
-
-def bound_violation_probability(history, n: int, *, rounds: int, **options) -> ViolationReport:
-    """Frequency of rounds whose competitive ratio exceeds its estimated bound.
-
-    Each round draws a size-n sample from the history, estimates the
-    threshold and the ratio bound, runs the threshold policy on fresh
-    evaluation series (never on the estimation sample), and compares the
-    round's competitive ratio (mean over episodes, or the worst episode)
-    against the bound.  Rounds whose estimation fails are counted in
-    ``failures``, not dropped.  ``options`` are the keyword parameters of
-    ``_violation_round``, declared there with their defaults.
-    """
-    if n < 2:
-        raise ValueError(f"sample size must be >= 2, got {n}")
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    rows, failures = violation_rounds(history, n, range(rounds), **options)
-    return assemble_violation_report(n, rounds, rows, failures)
-
-
-def assemble_violation_report(
-    n: int, rounds: int, rows, failures: int
-) -> ViolationReport:
-    """Combine per-round rows into a ViolationReport, order-independently."""
-    rows = tuple(sorted(rows, key=lambda r: r.round))
-    violations = sum(int(r.violated) for r in rows)
-    p_hat = violations / rounds
-    stderr = math.sqrt(p_hat * (1.0 - p_hat) / rounds)
-    return ViolationReport(
-        n=n, rounds=rounds, violations=violations, failures=failures,
-        p_hat=p_hat, stderr=stderr, rows=rows,
-    )

@@ -209,15 +209,12 @@ class TestCriterion7DpDominance:
 class TestCriterion8ViolationTrend:
     def test_nonincreasing_in_sample_size(self):
         history = generate(Normal(10.0, 2.0), 10**5, stream(8101, 90))
-        eval_model = Clamped(Normal(10.0, 2.0), 4.0, 16.0)
-        reports = [
-            bound_violation_probability(
-                history, n, instance=REFERENCE, eval_model=eval_model,
-                rounds=200, eval_episodes=2, seed=8101,
-                clamp_nonpositive_lower=True,
-            )
-            for n in (10, 100, 1000)
-        ]
+        # the reference instance with prices N(10, 2^2) clamped to [4, 16]
+        config = ExperimentConfig(
+            kind="violation-curve", clamp_lo=4.0, clamp_hi=16.0,
+            rounds=200, eval_episodes=2, seed=8101, clamp_m=True,
+        )
+        reports = [bound_violation_probability(config, history, n) for n in (10, 100, 1000)]
         for prev, cur in zip(reports, reports[1:]):
             slack = 2.0 * math.hypot(prev.stderr, cur.stderr)
             assert cur.p_hat <= prev.p_hat + slack, (

@@ -32,8 +32,12 @@ class TestRoundTrip:
             n_grid=tuple(n_grid), refresh_grid=(refresh,), clamp_m=clamp, seed=seed,
             B=float(T), s0=float(T) / 2,
         )
-        ar1_lower = mu - 3.0 * AR1(mu, sigma, config.phi).marginal_std
-        if kind == "relax" and not clamp and ar1_lower <= 0.0:
+        # the unclamped true-parameter lower bound; relax's ar1 scenario has the widest law
+        lower = {
+            "policy-compare": mu - 3.0 * sigma,
+            "relax": mu - 3.0 * AR1(mu, sigma, config.phi).marginal_std,
+        }.get(kind, math.inf)
+        if not clamp and lower <= 0.0:
             with pytest.raises(ConfigError, match="clamp_m"):
                 parse_config(render_config(config))
         else:
@@ -123,7 +127,15 @@ class TestValidation:
         # the same models pass with the clamp, or without the ar1 scenario
         parse_config("kind=relax\nclamp_m=true\n")
         parse_config("kind=relax\nclamp_m=false\nscenarios=baseline,lognormal,demand-noise\n")
-        parse_config("kind=policy-compare\nclamp_m=false\nmu=5.0\n")
+
+    def test_policy_compare_unclamped_nonpositive_lower_bound_rejected(self):
+        with pytest.raises(ConfigError, match="clamp_m"):
+            parse_config("kind=policy-compare\nclamp_m=false\nmu=5.0\n")
+        # clamping the prices to [4, 16] leaves the policies' bounds at 5 -+ 3 * 2
+        with pytest.raises(ConfigError, match="clamp_m"):
+            parse_config("kind=policy-compare\nclamp_m=false\nmu=5.0\nclamp_lo=4\nclamp_hi=16\n")
+        parse_config("kind=policy-compare\nclamp_m=true\nmu=5.0\n")
+        parse_config("kind=violation-curve\nclamp_m=false\nmu=5.0\n")
 
     def test_relax_ar1_scenario_needs_valid_phi(self):
         with pytest.raises(ConfigError, match="phi"):

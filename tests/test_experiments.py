@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from storelab import ExperimentConfig, Normal, estimate, generate
+from storelab import ExperimentConfig, Normal, bound_violation_probability, estimate, generate
 from storelab.cli import main
+from storelab.config import load_history
 from storelab.experiments import (
     ADAPTIVE_HEADER,
     RELAX_HEADER,
@@ -85,6 +86,19 @@ class TestRunViolationCurve:
         run_violation_curve(c1, workers=1)
         run_violation_curve(c2, workers=3)
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+
+    def test_workers_do_not_change_rows(self, tmp_path):
+        config = small_config(tmp_path, kind="violation-curve")
+        history = generate(Normal(10.0, 2.0), 500, seed=5)
+        serial = bound_violation_probability(config, history, 20, workers=1)
+        assert bound_violation_probability(config, history, 20, workers=2).rows == serial.rows
+        assert len(serial.rows) == config.rounds
+
+    def test_runner_reports_equal_per_n_reports(self, tmp_path):
+        config = small_config(tmp_path, kind="violation-curve", n_grid=(20, 5))
+        reports = run_violation_curve(config)
+        history = load_history(config)
+        assert reports == [bound_violation_probability(config, history, n) for n in (5, 20)]
 
     def test_held_out_evaluation_source(self, tmp_path):
         # estimation uses the first n values, evaluation windows the suffix
@@ -294,6 +308,28 @@ class TestCli:
         code = main(["relax", "--set", "clamp_m=false", "--out", str(out)])
         assert code == 1
         assert "clamp_m" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_policy_compare_unclamped_nonpositive_bound_exits_1_before_any_episode(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "p.csv"
+        code = main(["policy-compare", "--set", "clamp_m=false", "--set", "mu=5", "--out", str(out)])
+        assert code == 1
+        assert "clamp_m" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_short_held_out_history_exits_2_before_any_round(self, tmp_path, capsys):
+        # 30 - 10 held-out values cannot fill one 24-slot evaluation window
+        history = tmp_path / "h.csv"
+        history.write_text("\n".join(str(10.0 + i % 3) for i in range(30)) + "\n")
+        out = tmp_path / "v.csv"
+        code = main([
+            "violation-curve", "--set", f"history={history}", "--set", "eval_source=held-out",
+            "--set", "resample_mode=prefix", "--set", "n_grid=10", "--out", str(out),
+        ])
+        assert code == 2
+        assert "held-out history too short: 20 < horizon 24" in capsys.readouterr().err
         assert not out.exists()
 
     def test_runtime_estimation_failure_exits_2(self, tmp_path, capsys):

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from storelab import (
+    ConfigError,
+    ExperimentConfig,
     Instance,
     MetricRow,
     Normal,
@@ -17,6 +21,7 @@ from storelab import (
     simulate,
     threshold_policy,
 )
+from storelab import experiments
 from storelab.metrics import METRIC_HEADER, write_metric_rows
 
 from conftest import random_aligned_instance
@@ -109,18 +114,21 @@ class TestRatioAndRegret:
             regret([1.0], [1.0, 2.0])
 
 
+def violation_config(**kw) -> ExperimentConfig:
+    """A violation-curve config; the defaults are the reference instance and N(10, 2^2)."""
+    return ExperimentConfig(kind="violation-curve", **kw)
+
+
 class TestViolationProbability:
     def test_degenerate_constant_history(self):
         # storage-free instance: every policy must buy exactly the demand,
         # the bound collapses to 1 and nothing can violate it
-        instance = Instance.constant(4, 1.0, StorageSpec(0.0))
         history = np.full(50, 7.0)
-        report = bound_violation_probability(
-            history, 10,
-            instance=instance, eval_model=Normal(7.0, 1e-12),
-            rounds=5, eval_episodes=2, seed=21,
-            clamp_nonpositive_lower=True,
+        config = violation_config(
+            T=4, B=0.0, mu=7.0, sigma=1e-12,
+            rounds=5, eval_episodes=2, seed=21, clamp_m=True,
         )
+        report = bound_violation_probability(config, history, 10)
         assert report.p_hat == 0.0
         assert report.failures == 0
         for row in report.rows:
@@ -128,70 +136,61 @@ class TestViolationProbability:
             assert row.cr_bound == pytest.approx(1.0, abs=1e-9)
             assert row.theta_hat == pytest.approx(7.0)
 
-    def test_bounded_prices_never_violate(self, reference_instance):
+    def test_bounded_prices_never_violate(self):
         # the guarantee setting: evaluation prices clamped into the round's
         # estimated [lower, upper] never push the ratio past sqrt(upper/lower)
         history = generate(Normal(10.0, 2.0), 5000, seed=31)
-        report = bound_violation_probability(
-            history, 1000,
-            instance=reference_instance, eval_model=Normal(10.0, 2.0),
+        config = violation_config(
             rounds=100, eval_episodes=1, seed=32,
-            clamp_nonpositive_lower=True, clamp_eval_to_bounds=True,
-            verdict="any",
+            clamp_m=True, clamp_eval_to_bounds=True, verdict="any",
         )
+        report = bound_violation_probability(config, history, 1000)
         assert report.violations == 0
         assert report.failures == 0
 
-    def test_fixed_seed_reproduces_violated_round_set(self, reference_instance):
+    def test_fixed_seed_reproduces_violated_round_set(self):
         history = generate(Normal(10.0, 2.0), 2000, seed=41)
-        kwargs = dict(
-            instance=reference_instance, eval_model=Normal(10.0, 2.0),
-            rounds=30, eval_episodes=2, seed=42, clamp_nonpositive_lower=True,
-        )
-        a = bound_violation_probability(history, 10, **kwargs)
-        b = bound_violation_probability(history, 10, **kwargs)
+        config = violation_config(rounds=30, eval_episodes=2, seed=42, clamp_m=True)
+        a = bound_violation_probability(config, history, 10)
+        b = bound_violation_probability(config, history, 10)
         assert [r.violated for r in a.rows] == [r.violated for r in b.rows]
         assert a.p_hat == b.p_hat
 
-    def test_failures_counted_not_dropped(self, reference_instance):
+    def test_failures_counted_not_dropped(self):
         # heavy-tailed history around zero makes nonpositive lower bounds common
         history = generate(Normal(0.0, 5.0), 2000, seed=51)
-        report = bound_violation_probability(
-            history, 5,
-            instance=reference_instance, eval_model=Normal(10.0, 2.0),
-            rounds=40, eval_episodes=1, seed=52,
-            clamp_nonpositive_lower=False,
-        )
+        config = violation_config(rounds=40, eval_episodes=1, seed=52, clamp_m=False)
+        report = bound_violation_probability(config, history, 5)
         assert report.failures > 0
         assert len(report.rows) == report.rounds - report.failures
 
-    def test_held_out_evaluation(self, reference_instance):
+    def test_held_out_evaluation(self):
         history = generate(Normal(10.0, 2.0), 500, seed=61)
-        report = bound_violation_probability(
-            history, 100,
-            instance=reference_instance, eval_model=Normal(10.0, 2.0),
+        config = violation_config(
             rounds=10, eval_episodes=2, seed=62,
-            resample_mode="prefix", eval_source="held-out",
-            clamp_nonpositive_lower=True,
+            resample_mode="prefix", eval_source="held-out", clamp_m=True,
         )
+        report = bound_violation_probability(config, history, 100)
         assert report.rounds == 10
         # prefix estimation from the first 100 values is round-independent
         thetas = {r.theta_hat for r in report.rows}
         assert len(thetas) == 1
 
-    def test_parameter_validation(self, reference_instance):
+    def test_parameter_validation(self, monkeypatch):
+        def no_rounds(*args):
+            raise AssertionError("a round ran")
+
+        monkeypatch.setattr(experiments, "violation_rounds", no_rounds)
         history = np.arange(10.0) + 1.0
-        with pytest.raises(ValueError):
-            bound_violation_probability(
-                history, 1, instance=reference_instance,
-                eval_model=Normal(10, 2), rounds=1, eval_episodes=1, seed=0,
-            )
-        with pytest.raises(ValueError):
-            bound_violation_probability(
-                history, 5, instance=reference_instance,
-                eval_model=Normal(10, 2), rounds=1, eval_episodes=1, seed=0,
-                verdict="sometimes",
-            )
+        config = violation_config(rounds=1, eval_episodes=1, seed=0)
+        with pytest.raises(ValueError, match="sample size"):
+            bound_violation_probability(config, history, 1)
+        with pytest.raises(ConfigError, match="verdict"):
+            bound_violation_probability(replace(config, verdict="sometimes"), history, 5)
+        # 10 - 5 held-out values cannot fill one 24-slot window
+        held_out = replace(config, eval_source="held-out", resample_mode="prefix")
+        with pytest.raises(ValueError, match="held-out history too short: 5 < horizon 24"):
+            bound_violation_probability(held_out, history, 5)
 
 
 class TestMetricRows:
