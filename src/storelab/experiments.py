@@ -8,7 +8,10 @@ count; output rows are canonically ordered before writing.
 Fan-out: a runner splits each index range (rounds or episodes) into
 contiguous chunks, one per worker.  Every chunk runs one module-level
 function with the frozen config and the objects the runner built once
-bound by ``functools.partial``; results are merged in chunk order.
+bound by ``functools.partial``; results are merged in chunk order.  A
+violation curve is one fan-out over rounds that covers every n of the
+grid: each round runs all sample sizes, so the oracle scores each
+evaluation series once per round, and one pool serves the whole run.
 """
 
 from __future__ import annotations
@@ -107,6 +110,47 @@ def run_estimate(config: ExperimentConfig, workers: int = 1) -> EstimateReport:
 # violation curve
 
 
+def _violation_reports(
+    config: ExperimentConfig, history, ns, workers: int
+) -> list[ViolationReport]:
+    """One ViolationReport per sample size in ``ns``, in that order.
+
+    The checks run once for the whole grid, before any round; the rounds
+    are then fanned out once, and each chunk covers every n.
+    """
+    validate_config(config)
+    if min(ns) < 2:
+        raise ValueError(f"sample size must be >= 2, got {min(ns)}")
+    history = np.asarray(history, dtype=float)
+    instance = build_instance(config)
+    largest = max(ns)
+    if config.eval_source == "held-out" and history.size - largest < instance.horizon:
+        raise ConfigError(
+            "history",
+            f"held-out history too short: {history.size - largest} < horizon {instance.horizon}",
+        )
+    if config.resample_mode != "with-replacement" and largest > history.size:
+        raise ConfigError(
+            "history",
+            f"n={largest} exceeds history length {history.size} "
+            f"for mode {config.resample_mode!r}",
+        )
+    chunk = partial(violation_rounds, config, instance, build_model(config), history, tuple(ns))
+    parts = _map_chunks(chunk, config.rounds, workers)
+    reports = []
+    for i, n in enumerate(ns):
+        rows = tuple(row for part_rows, _ in parts for row in part_rows[i])
+        violations = sum(int(r.violated) for r in rows)
+        p_hat = violations / config.rounds
+        reports.append(ViolationReport(
+            n=n, rounds=config.rounds, violations=violations,
+            failures=sum(part_failures[i] for _, part_failures in parts),
+            p_hat=p_hat, stderr=math.sqrt(p_hat * (1.0 - p_hat) / config.rounds),
+            rows=rows,
+        ))
+    return reports
+
+
 def bound_violation_probability(
     config: ExperimentConfig, history, n: int, workers: int = 1
 ) -> ViolationReport:
@@ -117,37 +161,15 @@ def bound_violation_probability(
     on fresh evaluation series (never on the estimation sample), and
     compares the round's competitive ratio (mean over episodes, or the
     worst episode) against the bound.  Rounds whose estimation fails are
-    counted in ``failures``, not dropped.
+    counted in ``failures``, not dropped.  This is the violation curve's
+    body for the one-point grid ``(n,)``.
     """
-    validate_config(config)
-    if n < 2:
-        raise ValueError(f"sample size must be >= 2, got {n}")
-    history = np.asarray(history, dtype=float)
-    instance = build_instance(config)
-    if config.eval_source == "held-out" and history.size - n < instance.horizon:
-        raise ValueError(
-            f"held-out history too short: {history.size - n} < horizon {instance.horizon}"
-        )
-    chunk = partial(violation_rounds, config, instance, build_model(config), history, n)
-    rows: list[MetricRow] = []
-    failures = 0
-    for chunk_rows, chunk_failures in _map_chunks(chunk, config.rounds, workers):
-        rows.extend(chunk_rows)
-        failures += chunk_failures
-    violations = sum(int(r.violated) for r in rows)
-    p_hat = violations / config.rounds
-    return ViolationReport(
-        n=n, rounds=config.rounds, violations=violations, failures=failures,
-        p_hat=p_hat, stderr=math.sqrt(p_hat * (1.0 - p_hat) / config.rounds),
-        rows=tuple(rows),
-    )
+    return _violation_reports(config, history, (n,), workers)[0]
 
 
 def run_violation_curve(config: ExperimentConfig, workers: int = 1) -> list[ViolationReport]:
     """Bound-violation probability for every sample size in the n grid."""
-    history = load_history(config)
-    reports = [bound_violation_probability(config, history, n, workers)
-               for n in sorted(config.n_grid)]
+    reports = _violation_reports(config, load_history(config), sorted(config.n_grid), workers)
     _write_csv(
         config.out,
         VIOLATION_HEADER,

@@ -191,13 +191,16 @@ class ViolationReport:
 
 def _violation_round(
     config: ExperimentConfig, instance: Instance, eval_model, history: np.ndarray,
-    n: int, round_idx: int,
+    n: int, round_idx: int, oracle_costs: dict[bytes, float],
 ) -> MetricRow:
     """Estimate from one size-n sample, then score its threshold policy.
 
     The config's ``eval_episodes`` evaluation series come from the
     evaluation model, or with ``eval_source=held-out`` from windows of the
     history after its first n records, which form the estimation pool.
+    Oracle costs are looked up in ``oracle_costs`` by the exact price
+    bytes and added on a miss, so a series the round already scored at
+    another n is not scored again.
     """
     held_out = history[n:] if config.eval_source == "held-out" else None
     pool = history if held_out is None else history[:n]
@@ -223,7 +226,10 @@ def _violation_round(
         if config.clamp_eval_to_bounds:
             prices = np.clip(prices, report.lower_bound, report.upper_bound)
         alg = simulate(instance, prices, policy).total_cost
-        opt = offline_optimal(instance, prices, config.G).total_cost
+        key = prices.tobytes()
+        opt = oracle_costs.get(key)
+        if opt is None:
+            opt = oracle_costs[key] = offline_optimal(instance, prices, config.G).total_cost
         alg_costs[e] = alg
         opt_costs[e] = opt
         crs[e] = competitive_ratio(alg, opt)
@@ -245,19 +251,26 @@ def _violation_round(
 
 def violation_rounds(
     config: ExperimentConfig, instance: Instance, eval_model, history: np.ndarray,
-    n: int, round_indices,
-) -> tuple[list[MetricRow], int]:
-    """Run a batch of violation rounds; returns (rows, failure count).
+    ns, round_indices,
+) -> tuple[list[list[MetricRow]], list[int]]:
+    """Run a batch of violation rounds at every sample size in ``ns``.
 
-    Each round is seeded by its own index, so any partition of the round
-    indices across workers reproduces the same rows.  Rounds whose
-    estimation fails are counted, not dropped.
+    Returns the rows and the failure count of each n, in the order of
+    ``ns``.  Each round is seeded by its own index, so any partition of the
+    round indices across workers reproduces the same rows.  Inside a round
+    the n grid shares one oracle cache: model-drawn, unclamped evaluation
+    series do not depend on n, so each is scored once per round.  Rounds
+    whose estimation fails are counted, not dropped.
     """
-    rows: list[MetricRow] = []
-    failures = 0
+    rows: list[list[MetricRow]] = [[] for _ in ns]
+    failures = [0] * len(ns)
     for r in round_indices:
-        try:
-            rows.append(_violation_round(config, instance, eval_model, history, n, r))
-        except EstimationError:
-            failures += 1
+        oracle_costs: dict[bytes, float] = {}
+        for i, n in enumerate(ns):
+            try:
+                rows[i].append(
+                    _violation_round(config, instance, eval_model, history, n, r, oracle_costs)
+                )
+            except EstimationError:
+                failures[i] += 1
     return rows, failures

@@ -262,12 +262,16 @@ class TestCriterion10Determinism:
             ("adaptive", run_adaptive_convergence),
             ("relax", run_relaxation),
         ):
+            runs = [("w1", 1), ("w2", 2), ("w1b", 1)]
+            if kind == "violation-curve":
+                runs.append(("w3", 3))  # 8 rounds in uneven chunks of 2, 3 and 3
             blobs = []
-            for tag, workers in (("w1", 1), ("w2", 2), ("w1b", 1)):
+            for tag, workers in runs:
                 out = tmp_path / f"{kind}-{tag}.csv"
                 runner(replace(base, kind=kind, out=str(out)), workers=workers)
                 blobs.append(out.read_bytes())
             assert blobs[0] == blobs[1], f"{kind}: workers changed the output"
             assert blobs[0] == blobs[2], f"{kind}: rerun changed the output"
+            assert all(b == blobs[0] for b in blobs[3:]), f"{kind}: 3 workers changed the output"
             outputs.append(kind)
         _report("criterion 10 (determinism)", f"byte-identical: {', '.join(outputs)}")

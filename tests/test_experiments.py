@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import storelab.experiments as experiments
+import storelab.metrics as metrics
 from storelab import ExperimentConfig, Normal, bound_violation_probability, estimate, generate
 from storelab.cli import main
 from storelab.config import load_history
@@ -21,6 +23,10 @@ from storelab.experiments import (
     summary_path,
 )
 from storelab.metrics import METRIC_HEADER
+
+
+def _no_rounds(*args):
+    raise AssertionError("a round ran")
 
 
 def small_config(tmp_path, **kw):
@@ -81,11 +87,14 @@ class TestRunViolationCurve:
         assert (tmp_path / "out.csv").read_bytes() == first
 
     def test_worker_count_does_not_change_output(self, tmp_path):
-        c1 = small_config(tmp_path, kind="violation-curve", out=str(tmp_path / "w1.csv"))
-        c2 = replace(c1, out=str(tmp_path / "w2.csv"))
-        run_violation_curve(c1, workers=1)
-        run_violation_curve(c2, workers=3)
-        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+        # 7 rounds over 2 and 3 workers give uneven chunks
+        blobs = []
+        for workers in (1, 2, 3):
+            config = small_config(tmp_path, kind="violation-curve", n_grid=(5, 20, 40),
+                                  rounds=7, out=str(tmp_path / f"w{workers}.csv"))
+            run_violation_curve(config, workers=workers)
+            blobs.append((tmp_path / f"w{workers}.csv").read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
 
     def test_workers_do_not_change_rows(self, tmp_path):
         config = small_config(tmp_path, kind="violation-curve")
@@ -99,6 +108,41 @@ class TestRunViolationCurve:
         reports = run_violation_curve(config)
         history = load_history(config)
         assert reports == [bound_violation_probability(config, history, n) for n in (5, 20)]
+
+    def test_oracle_scores_each_stream_once(self, tmp_path, monkeypatch):
+        calls = []
+        oracle = metrics.offline_optimal
+
+        def counting_oracle(*args, **kwargs):
+            calls.append(1)
+            return oracle(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "offline_optimal", counting_oracle)
+        config = small_config(tmp_path, kind="violation-curve", n_grid=(40, 5, 20),
+                              rounds=5, eval_episodes=3)
+        reports = run_violation_curve(config)
+        # model-drawn, unclamped series do not depend on n
+        assert len(calls) == 5 * 3
+        history = load_history(config)
+        assert [r.rows for r in reports] == [
+            bound_violation_probability(config, history, n).rows for n in (5, 20, 40)
+        ]
+
+    @pytest.mark.parametrize("mode", [
+        dict(eval_source="held-out", resample_mode="prefix", history_size=300),
+        dict(clamp_eval_to_bounds=True),
+        # estimation fails at some n but not at others in the same round
+        dict(mu=7.0, sigma=2.5, clamp_lo=0.5, clamp_hi=14.0, clamp_m=False, history_size=400),
+    ], ids=["held-out", "clamped-eval", "mixed-failures"])
+    def test_n_dependent_series_equal_per_n_reports(self, tmp_path, mode):
+        config = small_config(tmp_path, kind="violation-curve", n_grid=(3, 8, 60),
+                              rounds=6, eval_episodes=2, **mode)
+        reports = run_violation_curve(config)
+        history = load_history(config)
+        assert reports == [bound_violation_probability(config, history, n) for n in (3, 8, 60)]
+        if mode.get("clamp_m") is False:
+            assert all(0 < r.failures < r.rounds for r in reports)
+            assert len({frozenset(row.round for row in r.rows) for r in reports}) > 1
 
     def test_held_out_evaluation_source(self, tmp_path):
         # estimation uses the first n values, evaluation windows the suffix
@@ -204,8 +248,6 @@ class TestRunAdaptive:
         assert math.isfinite(rows[0].regret_vs_offline)
 
     def test_oracle_scores_each_stream_once(self, tmp_path, monkeypatch):
-        import storelab.experiments as experiments
-
         calls = []
         oracle = experiments.offline_optimal
 
@@ -319,17 +361,39 @@ class TestCli:
         assert "clamp_m" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_short_held_out_history_exits_2_before_any_round(self, tmp_path, capsys):
-        # 30 - 10 held-out values cannot fill one 24-slot evaluation window
+    def test_short_held_out_history_exits_1_before_any_round(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 30 - 10 held-out values cannot fill one 24-slot evaluation window;
+        # n=2 alone would fit, but the check covers the whole grid up front
+        monkeypatch.setattr(experiments, "violation_rounds", _no_rounds)
         history = tmp_path / "h.csv"
         history.write_text("\n".join(str(10.0 + i % 3) for i in range(30)) + "\n")
         out = tmp_path / "v.csv"
         code = main([
             "violation-curve", "--set", f"history={history}", "--set", "eval_source=held-out",
-            "--set", "resample_mode=prefix", "--set", "n_grid=10", "--out", str(out),
+            "--set", "resample_mode=prefix", "--set", "n_grid=2,10", "--out", str(out),
         ])
-        assert code == 2
+        assert code == 1
         assert "held-out history too short: 20 < horizon 24" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["prefix", "random-window"])
+    def test_history_shorter_than_largest_n_exits_1_before_any_round(
+        self, tmp_path, capsys, monkeypatch, mode
+    ):
+        monkeypatch.setattr(experiments, "violation_rounds", _no_rounds)
+        history = tmp_path / "h.csv"
+        history.write_text("\n".join(str(10.0 + i % 3) for i in range(6)) + "\n")
+        out = tmp_path / "v.csv"
+        code = main([
+            "violation-curve", "--set", f"history={history}", "--set", f"resample_mode={mode}",
+            "--set", "n_grid=5,10", "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "configuration error: history:" in err
+        assert f"n=10 exceeds history length 6 for mode '{mode}'" in err
         assert not out.exists()
 
     def test_runtime_estimation_failure_exits_2(self, tmp_path, capsys):
