@@ -45,17 +45,11 @@ from .policies import (
     AdaptivePolicy,
     DpFamily,
     DpPolicy,
-    FixedPlanPolicy,
-    LinearBudget,
     Policy,
     ThresholdFamily,
     ThresholdPolicy,
     ValueTable,
-    budgeted_threshold_policy,
     build_value_table,
-    dp_policy,
-    threshold_policy,
-    write_value_table,
 )
 from .metrics import (
     MetricRow,
@@ -83,11 +77,9 @@ __all__ = [
     "EstimateReport",
     "EstimationError",
     "ExperimentConfig",
-    "FixedPlanPolicy",
     "InfeasibleSlotError",
     "IngestError",
     "Instance",
-    "LinearBudget",
     "LogNormal",
     "MetricRow",
     "NonpositiveLowerBoundError",
@@ -103,10 +95,8 @@ __all__ = [
     "ViolationReport",
     "bound_violation_probability",
     "brute_force_optimal",
-    "budgeted_threshold_policy",
     "build_value_table",
     "competitive_ratio",
-    "dp_policy",
     "estimate",
     "feasible_purchase_range",
     "generate",
@@ -121,8 +111,6 @@ __all__ = [
     "sigma_interval",
     "simulate",
     "three_sigma_bounds",
-    "threshold_policy",
     "threshold_price",
     "write_series",
-    "write_value_table",
 ]

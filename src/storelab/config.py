@@ -14,13 +14,12 @@ from pathlib import Path
 import numpy as np
 
 from .estimation import model_bounds
-from .model import Instance, StorageSpec
-from .prices import AR1, Clamped, LogNormal, Normal, ingest
+from .model import ENERGY_TOL, Instance, StorageSpec
+from .prices import AR1, RESAMPLE_MODES, Clamped, LogNormal, Normal, ingest
 
 KINDS = ("estimate", "violation-curve", "policy-compare", "adaptive", "relax")
 MODELS = ("normal", "lognormal", "ar1")
 SCENARIOS = ("baseline", "ar1", "lognormal", "demand-noise")
-RESAMPLE_MODES = ("with-replacement", "prefix", "random-window")
 FAMILIES = ("dp", "threshold")
 # kinds that score every episode by alg_cost / opt_cost
 _RATIO_KINDS = ("violation-curve", "policy-compare", "relax")
@@ -234,9 +233,13 @@ def validate_config(config: ExperimentConfig) -> None:
                     "n_grid", "largest n exceeds history_size for a non-bootstrap mode"
                 )
     demand = _parse_demand_spec(config.demand, config.T)
-    if config.kind in _RATIO_KINDS and demand.sum() == 0.0:
+    # an initial fill that covers the total demand makes buying nothing optimal
+    total = float(demand.sum())
+    if config.kind in _RATIO_KINDS and total <= config.s0 + ENERGY_TOL:
         raise ConfigError(
-            "demand", f"total demand is 0, so {config.kind}'s competitive ratios are undefined"
+            "demand",
+            f"total demand {total!r} does not exceed the initial fill s0={config.s0!r}, "
+            f"so {config.kind}'s competitive ratios are undefined",
         )
     # the true-parameter threshold policies need a positive lower price bound
     if config.kind == "policy-compare":

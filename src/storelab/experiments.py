@@ -55,11 +55,10 @@ from .policies import (
     AdaptivePolicy,
     DpFamily,
     DpPolicy,
-    LinearBudget,
     ThresholdFamily,
-    budgeted_threshold_policy,
+    ThresholdPolicy,
     build_value_table,
-    threshold_policy,
+    linear_budget,
 )
 from .prices import AR1, LogNormal, generate
 from .seeds import stream
@@ -200,8 +199,11 @@ def _true_parameter_policies(config: ExperimentConfig, instance: Instance, polic
     theta = threshold_price(upper, lower)
     table = build_value_table(instance, policy_model, config.G, config.K)
     policies = (
-        threshold_policy(theta),
-        budgeted_threshold_policy(theta, LinearBudget(upper, lower, instance.storage.capacity)),
+        ThresholdPolicy(theta),
+        ThresholdPolicy(
+            theta, fill_target=linear_budget(theta, upper, lower, instance.storage.capacity),
+            policy_id="budgeted",
+        ),
         DpPolicy(table),
     )
     return policies, theta, math.sqrt(upper / lower)

@@ -17,7 +17,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .estimation import EstimationError, estimate
 from .model import Instance, Trajectory, feasible_purchase_range, simulate
-from .policies import Policy, argmin_purchase, backward_step, storage_grid, threshold_policy
+from .policies import Policy, ThresholdPolicy, argmin_purchase, backward_step, storage_grid
 from .prices import resample
 from .seeds import stream
 
@@ -106,7 +106,7 @@ def brute_force_optimal(instance: Instance, prices, q_step: float) -> float:
     """Exact minimum cost over purchase sequences on the q_step lattice.
 
     Exponential enumeration; guarded to T <= 6 and at most 12 lattice steps
-    per slot.  Used solely to validate offline_optimal and dp_policy.
+    per slot.  Used solely to validate offline_optimal and DpPolicy.
     """
     prices = np.asarray(prices, dtype=float)
     T = instance.horizon
@@ -210,7 +210,7 @@ def _violation_round(
         conservative=config.conservative,
         clamp_nonpositive_lower=config.clamp_m,
     )
-    policy = threshold_policy(report.threshold)
+    policy = ThresholdPolicy(report.threshold)
     bound = report.ratio_bound
     T = instance.horizon
     alg_costs = np.empty(config.eval_episodes)

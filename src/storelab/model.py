@@ -74,7 +74,6 @@ class Trajectory:
     levels: np.ndarray  # length T+1, levels[0] is the initial fill
     total_cost: float
     clamped_slots: tuple[int, ...] = ()
-    log: tuple[str, ...] = ()
 
 
 def feasible_purchase_range(
@@ -105,8 +104,9 @@ def simulate(instance, prices, policy, *, realized_demand=None) -> Trajectory:
     The policy sees (slot, level, observed price, instance) and returns a
     purchase, which is clamped into the feasible range (clamps are recorded).
     When ``realized_demand`` is given it drives the dynamics and feasibility
-    while the policy still acts on the nominal instance.  After every slot
-    the price is passed to the policy's ``observe`` hook if it has one.
+    while the policy still acts on the nominal instance.  A policy that
+    defines ``observe`` (the adaptive one) is passed the price after every
+    slot.
     """
     prices = as_series(prices, "prices")
     T = instance.horizon
@@ -154,5 +154,4 @@ def simulate(instance, prices, policy, *, realized_demand=None) -> Trajectory:
         levels=levels,
         total_cost=total_cost,
         clamped_slots=tuple(clamped),
-        log=tuple(getattr(policy, "events", ())),
     )

@@ -24,30 +24,15 @@ class Policy:
     """Per-slot purchase rule driven by the simulation engine.
 
     ``decide`` maps (slot, storage level, observed price, instance) to a
-    purchase; the engine clamps it into the feasible range.  ``observe``
-    is called after every slot so stateful policies can accumulate price
-    history.
+    purchase; the engine clamps it into the feasible range.  A policy that
+    defines ``observe`` is passed each slot's price after the slot, so it
+    can accumulate price history.
     """
 
     policy_id = "policy"
 
     def decide(self, t: int, level: float, price: float, instance: Instance) -> float:
         raise NotImplementedError
-
-    def observe(self, price: float) -> None:
-        pass
-
-
-class FixedPlanPolicy(Policy):
-    """Price-oblivious policy that replays a fixed purchase plan."""
-
-    policy_id = "fixed-plan"
-
-    def __init__(self, plan) -> None:
-        self.plan = np.asarray(plan, dtype=float)
-
-    def decide(self, t, level, price, instance):
-        return float(self.plan[t])
 
 
 class ThresholdPolicy(Policy):
@@ -63,8 +48,8 @@ class ThresholdPolicy(Policy):
                  policy_id: str = "threshold") -> None:
         if not (threshold > 0) or not math.isfinite(threshold):
             raise ValueError(f"threshold must be finite and > 0, got {threshold}")
-        if fill_target is not None and fill_target < 0:
-            raise ValueError(f"fill target must be >= 0, got {fill_target}")
+        if fill_target is not None and not (0.0 <= fill_target < math.inf):
+            raise ValueError(f"fill target must be finite and >= 0, got {fill_target}")
         self.threshold = float(threshold)
         self.fill_target = fill_target
         self.policy_id = policy_id
@@ -86,41 +71,19 @@ class ThresholdPolicy(Policy):
         return min(max(want, q_lo), q_hi)
 
 
-def threshold_policy(threshold: float) -> ThresholdPolicy:
-    """Threshold policy that fills to full capacity when the price is cheap."""
-    return ThresholdPolicy(threshold)
-
-
-def budgeted_threshold_policy(
-    threshold: float, budget_map: Callable[[float], float]
-) -> ThresholdPolicy:
-    """Threshold policy whose cheap-price fill target is budget_map(threshold)."""
-    budget = float(budget_map(threshold))
-    if budget < 0 or not math.isfinite(budget):
-        raise ValueError(f"budget map returned {budget}, expected a value in [0, capacity]")
-    return ThresholdPolicy(threshold, fill_target=budget, policy_id="budgeted")
-
-
-@dataclass(frozen=True)
-class LinearBudget:
+def linear_budget(threshold: float, upper: float, lower: float, capacity: float) -> float:
     """Fill budget shrinking linearly from full capacity to zero.
 
     A threshold at the lower price bound keeps the whole capacity, one at
     the upper bound keeps none; in between the budget is
     capacity * (upper - threshold) / (upper - lower), clipped to [0, 1].
     """
-
-    upper: float
-    lower: float
-    capacity: float
-
-    def __call__(self, threshold: float) -> float:
-        span = self.upper - self.lower
-        if span <= 0.0:
-            frac = 1.0 if threshold <= self.lower else 0.0
-        else:
-            frac = min(max((self.upper - threshold) / span, 0.0), 1.0)
-        return self.capacity * frac
+    span = upper - lower
+    if span <= 0.0:
+        frac = 1.0 if threshold <= lower else 0.0
+    else:
+        frac = min(max((upper - threshold) / span, 0.0), 1.0)
+    return capacity * frac
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,8 +97,6 @@ class ValueTable:
 
     grid: np.ndarray
     values: np.ndarray
-    atoms: np.ndarray
-    weights: np.ndarray
     first_slot: int = 0
 
     @property
@@ -211,8 +172,7 @@ def build_value_table(
         )
     grid.flags.writeable = False
     values.flags.writeable = False
-    return ValueTable(grid=grid, values=values, atoms=atoms, weights=weights,
-                      first_slot=first_slot)
+    return ValueTable(grid=grid, values=values, first_slot=first_slot)
 
 
 def argmin_purchase(
@@ -262,19 +222,6 @@ class DpPolicy(Policy):
         )
 
 
-def dp_policy(table: ValueTable) -> DpPolicy:
-    return DpPolicy(table)
-
-
-def write_value_table(table: ValueTable, path) -> None:
-    """Dump a value table as CSV rows (t, grid index, level, value)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,grid_index,s,value\n")
-        for t in range(table.values.shape[0]):
-            for i, s in enumerate(table.grid):
-                fh.write(f"{t},{i},{s!r},{table.values[t, i]!r}\n")
-
-
 class ThresholdFamily:
     """Builds a threshold policy from an estimate report."""
 
@@ -309,9 +256,9 @@ class AdaptivePolicy(Policy):
     acts from that slot on).  Prices observed during the run join the
     warmup history; every ``refresh_stride`` observed slots the estimates
     and the base policy are rebuilt at the current slot.  A failed refresh
-    keeps the previous policy and is recorded in ``events`` (which the
-    simulation engine copies into the trajectory log).  One instance
-    drives one trajectory; use ``reset`` between episodes.
+    keeps the previous policy and is recorded in ``events``.  The engine
+    passes each slot's price to ``observe``.  One instance drives one
+    trajectory; use ``reset`` between episodes.
     """
 
     policy_id = "adaptive"
@@ -345,7 +292,6 @@ class AdaptivePolicy(Policy):
         """
         self.history = list(self._warmup)
         self.events: list[str] = []
-        self.reports: list[EstimateReport] = []
         self._since_refresh = 0
         self._current = self._rebuild(0)
 
@@ -366,9 +312,7 @@ class AdaptivePolicy(Policy):
             conservative=self.conservative,
             clamp_nonpositive_lower=self.clamp_nonpositive_lower,
         )
-        policy = self.family(report, first_slot)
-        self.reports.append(report)
-        return policy
+        return self.family(report, first_slot)
 
     def _try_refresh(self, t: int) -> None:
         self._since_refresh = 0

@@ -16,8 +16,7 @@ import numpy as np
 from .seeds import rng_from
 from .special import normal_quantile
 
-ResampleMode = str  # "with-replacement" | "prefix" | "random-window"
-_RESAMPLE_MODES = ("with-replacement", "prefix", "random-window")
+RESAMPLE_MODES = ("with-replacement", "prefix", "random-window")
 
 
 class IngestError(ValueError):
@@ -193,9 +192,6 @@ class Clamped:
         return self.base.marginal_std
 
 
-PriceModel = Normal | LogNormal | AR1 | Empirical | Clamped
-
-
 def generate(model, length: int, seed) -> np.ndarray:
     """Sample a price series of the given length, deterministic per seed."""
     if length < 1:
@@ -206,15 +202,15 @@ def generate(model, length: int, seed) -> np.ndarray:
     return as_series(model.draw(rng_from(seed), length))
 
 
-def resample(history, n: int, seed, mode: ResampleMode = "with-replacement") -> np.ndarray:
+def resample(history, n: int, seed, mode: str = "with-replacement") -> np.ndarray:
     """Draw a size-n sample from a historical series.
 
     ``prefix`` takes the first n values, ``random-window`` a contiguous
     random window, ``with-replacement`` an i.i.d. bootstrap sample.
     """
     history = as_series(history, "history")
-    if mode not in _RESAMPLE_MODES:
-        raise ValueError(f"unknown resample mode {mode!r}, expected one of {_RESAMPLE_MODES}")
+    if mode not in RESAMPLE_MODES:
+        raise ValueError(f"unknown resample mode {mode!r}, expected one of {RESAMPLE_MODES}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if mode == "with-replacement":

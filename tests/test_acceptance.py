@@ -14,21 +14,21 @@ import pytest
 
 from storelab import (
     Clamped,
+    DpPolicy,
     Empirical,
     ExperimentConfig,
     Instance,
     Normal,
     StorageSpec,
+    ThresholdPolicy,
     bound_violation_probability,
     brute_force_optimal,
     build_value_table,
-    dp_policy,
     feasible_purchase_range,
     generate,
     offline_optimal,
     regret,
     simulate,
-    threshold_policy,
 )
 from storelab.experiments import (
     run_adaptive_convergence,
@@ -129,7 +129,7 @@ class TestCriterion5CompetitiveRatioGuarantee:
         bound = math.sqrt(upper / lower)  # 2.0
         theta = math.sqrt(upper * lower)  # 8.0
         model = Clamped(Normal(10.0, 2.0), lower, upper)
-        policy = threshold_policy(theta)
+        policy = ThresholdPolicy(theta)
         worst = 0.0
         for i in range(2000):
             prices = generate(model, REFERENCE.horizon, stream(5501, i))
@@ -173,7 +173,7 @@ class TestCriterion6OracleEquivalence:
             return best
 
         expected = 0.5 * (value(0, 0.0, 1.0) + value(0, 0.0, 3.0))
-        pol = dp_policy(table)
+        pol = DpPolicy(table)
         costs = [
             simulate(inst, np.asarray(path), pol).total_cost
             for path in itertools.product([1.0, 3.0], repeat=3)
@@ -187,8 +187,8 @@ class TestCriterion6OracleEquivalence:
 class TestCriterion7DpDominance:
     def test_dominance_and_positive_regret(self):
         table = build_value_table(REFERENCE, Normal(10.0, 2.0), 100, 51)
-        dp = dp_policy(table)
-        thb = threshold_policy(8.0)  # sqrt((10+6)(10-6)) from the true parameters
+        dp = DpPolicy(table)
+        thb = ThresholdPolicy(8.0)  # sqrt((10+6)(10-6)) from the true parameters
         dp_costs, thb_costs, opt_costs = [], [], []
         for e in range(1000):
             prices = generate(Normal(10.0, 2.0), REFERENCE.horizon, stream(7701, 1, e))

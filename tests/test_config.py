@@ -113,10 +113,23 @@ class TestValidation:
             with pytest.raises(ConfigError, match="demand"):
                 parse_config(f"kind={kind}\nT=2\ndemand={demand}\n")
 
+    @pytest.mark.parametrize("kind", ["policy-compare", "violation-curve", "relax"])
+    def test_initial_fill_covering_total_demand_rejected_for_ratio_kinds(self, kind):
+        # buying nothing is then optimal, so every opt_cost is <= 0
+        for demand in ("constant:1.0", "vector:0.5,1.5"):  # total 2 over T=2
+            for s0 in (2.0, 3.0):
+                with pytest.raises(ConfigError, match="demand") as err:
+                    parse_config(f"kind={kind}\nT=2\ndemand={demand}\ns0={s0}\n")
+                assert "s0" in str(err.value)
+            config = parse_config(f"kind={kind}\nT=2\ndemand={demand}\ns0=1.99\n")
+            assert build_instance(config).storage.initial_level == 1.99
+
     @pytest.mark.parametrize("kind", ["estimate", "adaptive"])
     def test_zero_total_demand_allowed_without_ratios(self, kind):
         config = parse_config(f"kind={kind}\ndemand=constant:0\n")
         assert build_instance(config).demand.sum() == 0.0
+        config = parse_config(f"kind={kind}\nT=2\ndemand=constant:1.0\ns0=3.0\n")
+        assert build_instance(config).storage.initial_level == 3.0
 
     def test_relax_unclamped_nonpositive_lower_bound_rejected(self):
         # the AR(1) marginal std is 2 / sqrt(1 - 0.8^2) = 10/3: mu - 3 std rounds below 0

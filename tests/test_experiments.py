@@ -226,11 +226,11 @@ class TestRunAdaptive:
             warmup_grid=(100,), refresh_grid=(math.inf,), rounds=1, episodes=6,
         )
         rows = run_adaptive_convergence(config)
-        from storelab import Instance, StorageSpec, simulate, threshold_policy
+        from storelab import Instance, StorageSpec, ThresholdPolicy, simulate
         from storelab.seeds import stream
 
         warmup = generate(Normal(config.mu, config.sigma), 100, stream(config.seed, 3, 0, 0))
-        static = threshold_policy(estimate(warmup, 0.05, clamp_nonpositive_lower=True).threshold)
+        static = ThresholdPolicy(estimate(warmup, 0.05, clamp_nonpositive_lower=True).threshold)
         inst = Instance.constant(config.T, 1.0, StorageSpec(config.B))
         costs = []
         for e in range(6):
@@ -343,6 +343,22 @@ class TestCli:
         assert code == 1
         assert "demand" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["policy-compare", "violation-curve", "relax"])
+    def test_initial_fill_covering_demand_exits_1_before_any_episode(
+        self, tmp_path, capsys, command
+    ):
+        # 24 slots of 0.1 or 0.2 fit in a full store of 5
+        for demand in ("constant:0.1", "constant:0.2"):
+            out = tmp_path / "s.csv"
+            code = main([
+                command, "--set", "s0=5", "--set", f"demand={demand}",
+                "--set", "episodes=3", "--out", str(out),
+            ])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "demand" in err and "s0" in err
+            assert not out.exists()
 
     def test_relax_unclamped_nonpositive_bound_exits_1_before_any_episode(self, tmp_path, capsys):
         # the AR(1) marginal std is 10/3, so mu - 3 std rounds just below 0

@@ -5,21 +5,21 @@ import pytest
 
 from storelab import (
     ConfigError,
+    DpPolicy,
     ExperimentConfig,
     Instance,
     MetricRow,
     Normal,
     StorageSpec,
+    ThresholdPolicy,
     bound_violation_probability,
     brute_force_optimal,
     build_value_table,
     competitive_ratio,
-    dp_policy,
     generate,
     offline_optimal,
     regret,
     simulate,
-    threshold_policy,
 )
 from storelab import experiments
 from storelab.metrics import METRIC_HEADER, write_metric_rows
@@ -52,7 +52,7 @@ class TestOfflineOptimal:
     def test_oracle_never_beaten_by_policies(self, reference_instance):
         rng = np.random.default_rng(5)
         table = build_value_table(reference_instance, Normal(10.0, 2.0), 100, 21)
-        policies = [threshold_policy(8.0), dp_policy(table)]
+        policies = [ThresholdPolicy(8.0), DpPolicy(table)]
         for _ in range(20):
             prices = rng.normal(10.0, 2.0, 24)
             opt = offline_optimal(reference_instance, prices, 100).total_cost

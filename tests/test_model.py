@@ -4,14 +4,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from storelab import (
-    FixedPlanPolicy,
     InfeasibleSlotError,
     Instance,
+    Policy,
     StorageSpec,
     brute_force_optimal,
     feasible_purchase_range,
     simulate,
 )
+
+
+class FixedPlanPolicy(Policy):
+    """Price-oblivious policy that replays a fixed purchase plan."""
+
+    policy_id = "fixed-plan"
+
+    def __init__(self, plan) -> None:
+        self.plan = np.asarray(plan, dtype=float)
+
+    def decide(self, t, level, price, instance):
+        return float(self.plan[t])
 
 
 class TestFeasiblePurchaseRange:

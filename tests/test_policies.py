@@ -8,25 +8,23 @@ from hypothesis import strategies as st
 
 from storelab import (
     AdaptivePolicy,
+    DpPolicy,
     Empirical,
     EstimationError,
     Instance,
-    LinearBudget,
     Normal,
     StorageSpec,
     ThresholdFamily,
-    budgeted_threshold_policy,
+    ThresholdPolicy,
     build_value_table,
-    dp_policy,
     estimate,
     feasible_purchase_range,
     generate,
     offline_optimal,
     simulate,
-    threshold_policy,
-    write_value_table,
 )
-from storelab.policies import DpFamily, argmin_purchase, storage_grid
+from storelab import policies
+from storelab.policies import DpFamily, argmin_purchase, linear_budget, storage_grid
 
 
 def _inst(T=1, demand=1.0, B=1.0, s0=0.0):
@@ -35,19 +33,19 @@ def _inst(T=1, demand=1.0, B=1.0, s0=0.0):
 
 class TestThresholdPolicy:
     def test_cheap_price_fills_storage(self):
-        pol = threshold_policy(2.0)
+        pol = ThresholdPolicy(2.0)
         assert pol.decide(0, 0.0, 1.0, _inst(B=1.0)) == pytest.approx(2.0)
 
     def test_expensive_price_serves_from_storage(self):
-        pol = threshold_policy(2.0)
+        pol = ThresholdPolicy(2.0)
         assert pol.decide(0, 1.0, 3.0, _inst(B=1.0, s0=1.0)) == pytest.approx(0.0)
 
     def test_boundary_price_counts_as_cheap(self):
-        pol = threshold_policy(2.0)
+        pol = ThresholdPolicy(2.0)
         assert pol.decide(0, 0.0, 2.0, _inst(B=1.0)) == pytest.approx(2.0)
 
     def test_decision_constant_within_one_side(self):
-        pol = threshold_policy(5.0)
+        pol = ThresholdPolicy(5.0)
         inst = _inst(B=2.0)
         below = {pol.decide(0, 0.5, p, inst) for p in (0.1, 2.5, 4.999, 5.0)}
         above = {pol.decide(0, 0.5, p, inst) for p in (5.001, 7.0, 50.0)}
@@ -55,37 +53,43 @@ class TestThresholdPolicy:
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
-            threshold_policy(0.0)
+            ThresholdPolicy(0.0)
+
+    @pytest.mark.parametrize("fill_target", [-1.0, math.nan, math.inf])
+    def test_invalid_fill_target_rejected_at_construction(self, fill_target):
+        with pytest.raises(ValueError, match="fill target"):
+            ThresholdPolicy(5.0, fill_target=fill_target)
+
+
+def _budgeted(theta, budget):
+    return ThresholdPolicy(theta, fill_target=budget, policy_id="budgeted")
 
 
 class TestBudgetedThreshold:
     def test_budget_arithmetic(self):
-        budget = LinearBudget(upper=13.0, lower=7.0, capacity=10.0)
         theta = math.sqrt(13.0 * 7.0)
-        assert budget(theta) == pytest.approx(10.0 * (13.0 - theta) / 6.0)
-        assert budget(theta) == pytest.approx(5.768, abs=1e-3)
+        budget = linear_budget(theta, upper=13.0, lower=7.0, capacity=10.0)
+        assert budget == pytest.approx(10.0 * (13.0 - theta) / 6.0)
+        assert budget == pytest.approx(5.768, abs=1e-3)
 
     def test_threshold_at_lower_bound_keeps_full_budget(self):
-        budget = LinearBudget(13.0, 7.0, 10.0)
-        full = budgeted_threshold_policy(7.0, budget)
-        plain = threshold_policy(7.0)
+        full = _budgeted(7.0, linear_budget(7.0, 13.0, 7.0, 10.0))
+        plain = ThresholdPolicy(7.0)
         inst = _inst(T=1, B=10.0)
         for level in (0.0, 3.0, 10.0):
             for price in (1.0, 7.0, 20.0):
                 assert full.decide(0, level, price, inst) == plain.decide(0, level, price, inst)
 
     def test_threshold_at_upper_bound_never_prebuys(self):
-        budget = LinearBudget(13.0, 7.0, 10.0)
-        pol = budgeted_threshold_policy(13.0, budget)
+        pol = _budgeted(13.0, linear_budget(13.0, 13.0, 7.0, 10.0))
         inst = _inst(T=1, B=10.0, s0=2.0)
         # cheap price, but zero budget: serve from storage, buy only the shortfall
         assert pol.decide(0, 2.0, 5.0, inst) == pytest.approx(0.0)
         assert pol.decide(0, 0.5, 5.0, inst) == pytest.approx(0.5)
 
     def test_full_budget_map_identical_to_plain_threshold(self):
-        inst = _inst(T=1, B=3.0)
-        plain = threshold_policy(4.0)
-        budgeted = budgeted_threshold_policy(4.0, lambda theta: 3.0)
+        plain = ThresholdPolicy(4.0)
+        budgeted = _budgeted(4.0, 3.0)
         for level in np.linspace(0.0, 3.0, 7):
             for d in (0.0, 0.5, 1.0, 2.0):
                 inst_d = _inst(T=1, demand=d, B=3.0)
@@ -95,14 +99,13 @@ class TestBudgetedThreshold:
                     )
 
     def test_budget_above_capacity_rejected_at_decide(self):
-        pol = budgeted_threshold_policy(4.0, lambda theta: 99.0)
+        pol = _budgeted(4.0, 99.0)
         with pytest.raises(ValueError):
             pol.decide(0, 0.0, 1.0, _inst(B=1.0))
 
     def test_degenerate_span(self):
-        budget = LinearBudget(7.0, 7.0, 4.0)
-        assert budget(7.0) == 4.0
-        assert budget(7.1) == 0.0
+        assert linear_budget(7.0, 7.0, 7.0, 4.0) == 4.0
+        assert linear_budget(7.1, 7.0, 7.0, 4.0) == 0.0
 
 
 class TestValueTable:
@@ -163,19 +166,12 @@ class TestValueTable:
             with pytest.raises(ValueError, match="first slot"):
                 build_value_table(inst, Normal(5.0, 1.0), 10, 5, first_slot=k)
 
-    def test_csv_dump(self, tmp_path):
+    def test_rebuild_is_bit_identical(self):
         inst = _inst(T=2, B=1.0)
         table = build_value_table(inst, Normal(5.0, 1.0), 4, 5)
-        out = tmp_path / "table.csv"
-        write_value_table(table, out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "t,grid_index,s,value"
-        assert len(lines) == 1 + 3 * 5  # (T+1) rows of G+1 grid points
-        # rebuilding from identical inputs dumps identical bytes
+        assert table.values.shape == (3, 5)  # (T+1) rows of G+1 grid points
         again = build_value_table(_inst(T=2, B=1.0), Normal(5.0, 1.0), 4, 5)
-        out2 = tmp_path / "table2.csv"
-        write_value_table(again, out2)
-        assert out2.read_bytes() == out.read_bytes()
+        assert again.values.tobytes() == table.values.tobytes()
 
 
 def _two_atom_setup():
@@ -249,7 +245,7 @@ class TestDpPolicy:
 
     def test_two_atom_policy_expected_cost_matches_enumeration(self):
         inst, table = _two_atom_setup()
-        pol = dp_policy(table)
+        pol = DpPolicy(table)
         costs = [
             simulate(inst, np.asarray(path), pol).total_cost
             for path in itertools.product([1.0, 3.0], repeat=3)
@@ -259,7 +255,7 @@ class TestDpPolicy:
     def test_final_slot_buys_only_the_shortfall(self):
         inst = Instance.constant(4, 1.0, StorageSpec(3.0))
         table = build_value_table(inst, Normal(10.0, 2.0), 30, 11)
-        pol = dp_policy(table)
+        pol = DpPolicy(table)
         for price in (0.5, 5.0, 50.0):
             assert pol.decide(3, 0.25, price, inst) == pytest.approx(0.75)
             assert pol.decide(3, 2.0, price, inst) == pytest.approx(0.0)
@@ -268,21 +264,36 @@ class TestDpPolicy:
         inst = Instance.constant(6, 1.0, StorageSpec(2.0))
         table = build_value_table(inst, Normal(4.0, 1e-12), 40, 11)
         prices = np.full(6, 4.0)
-        dp_cost = simulate(inst, prices, dp_policy(table)).total_cost
+        dp_cost = simulate(inst, prices, DpPolicy(table)).total_cost
         off_cost = offline_optimal(inst, prices, 40).total_cost
         assert dp_cost == pytest.approx(off_cost, rel=1e-9)
 
     def test_slot_beyond_horizon(self):
         inst, table = _two_atom_setup()
         with pytest.raises(IndexError):
-            dp_policy(table).decide(3, 0.0, 1.0, inst)
+            DpPolicy(table).decide(3, 0.0, 1.0, inst)
 
     def test_slot_before_first_slot(self):
         inst = Instance.constant(4, 1.0, StorageSpec(2.0))
-        pol = dp_policy(build_value_table(inst, Normal(10.0, 2.0), 20, 11, first_slot=2))
+        pol = DpPolicy(build_value_table(inst, Normal(10.0, 2.0), 20, 11, first_slot=2))
         with pytest.raises(IndexError):
             pol.decide(1, 0.0, 10.0, inst)
         assert pol.decide(2, 0.0, 10.0, inst) >= 0.0
+
+
+@pytest.fixture
+def estimate_reports(monkeypatch):
+    """Every estimate report AdaptivePolicy builds a policy from, in order."""
+    reports = []
+    original = policies.estimate
+
+    def recording(*args, **kwargs):
+        report = original(*args, **kwargs)
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr(policies, "estimate", recording)
+    return reports
 
 
 class TestAdaptivePolicy:
@@ -291,19 +302,19 @@ class TestAdaptivePolicy:
         inst = Instance.constant(12, 1.0, StorageSpec(3.0))
         prices = generate(Normal(10.0, 2.0), 12, seed=2)
         adaptive = AdaptivePolicy(ThresholdFamily(), warmup, refresh_stride=None)
-        static = threshold_policy(estimate(warmup, 0.05).threshold)
+        static = ThresholdPolicy(estimate(warmup, 0.05).threshold)
         a = simulate(inst, prices, adaptive)
         b = simulate(inst, prices, static)
         assert np.array_equal(a.purchases, b.purchases)
         assert a.total_cost == b.total_cost
 
-    def test_refresh_every_slot_matches_scratch_estimates(self):
+    def test_refresh_every_slot_matches_scratch_estimates(self, estimate_reports):
         warmup = generate(Normal(10.0, 2.0), 50, seed=3)
         inst = Instance.constant(8, 1.0, StorageSpec(2.0))
         prices = generate(Normal(10.0, 2.0), 8, seed=4)
         adaptive = AdaptivePolicy(ThresholdFamily(), warmup, refresh_stride=1)
         simulate(inst, prices, adaptive)
-        got = [r.threshold for r in adaptive.reports]
+        got = [r.threshold for r in estimate_reports]
         expected = [estimate(warmup, 0.05).threshold]
         history = list(warmup)
         for t in range(7):  # refreshes happen before slots 1..7
@@ -311,17 +322,17 @@ class TestAdaptivePolicy:
             expected.append(estimate(history, 0.05).threshold)
         assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_failed_refresh_keeps_previous_policy_and_logs(self):
+    def test_failed_refresh_keeps_previous_policy_and_logs(self, estimate_reports):
         warmup = [10.0, 10.5, 9.5, 10.2]
         inst = Instance.constant(3, 1.0, StorageSpec(1.0))
         # wild prices push the three-sigma lower bound negative on every refresh
         prices = np.array([500.0, -480.0, 510.0])
         adaptive = AdaptivePolicy(ThresholdFamily(), warmup, refresh_stride=1)
-        theta_before = adaptive.reports[0].threshold
+        theta_before = estimate_reports[0].threshold
         traj = simulate(inst, prices, adaptive)
-        assert sum("refresh failed" in event for event in traj.log) == 2
-        assert len(adaptive.reports) == 1  # only the initial estimate succeeded
-        static = simulate(inst, prices, threshold_policy(theta_before))
+        assert sum("refresh failed" in event for event in adaptive.events) == 2
+        assert len(estimate_reports) == 1  # only the initial estimate succeeded
+        static = simulate(inst, prices, ThresholdPolicy(theta_before))
         assert np.array_equal(traj.purchases, static.purchases)
 
     def test_short_warmup_without_prior_rejected(self):
@@ -351,7 +362,7 @@ class TestAdaptivePolicy:
         traj = simulate(inst, prices, adaptive)
         assert traj.total_cost > 0
 
-    def test_dp_family_with_mid_episode_refresh(self):
+    def test_dp_family_with_mid_episode_refresh(self, estimate_reports):
         # the table is rebuilt from the grown history at slots 3 and 6
         inst = Instance.constant(8, 1.0, StorageSpec(2.0))
         warmup = generate(Normal(10.0, 2.0), 30, seed=14)
@@ -360,9 +371,9 @@ class TestAdaptivePolicy:
         )
         prices = generate(Normal(10.0, 2.0), 8, seed=15)
         traj = simulate(inst, prices, adaptive)
-        assert len(adaptive.reports) == 3  # initial + two refreshes
-        assert adaptive.reports[1].stats.n == 33
-        assert adaptive.reports[2].stats.n == 36
+        assert len(estimate_reports) == 3  # initial + two refreshes
+        assert estimate_reports[1].stats.n == 33
+        assert estimate_reports[2].stats.n == 36
         assert np.isfinite(traj.total_cost)
 
     def test_dp_refresh_builds_only_remaining_rows(self):
