@@ -13,8 +13,10 @@ from .model import (
     InfeasibleSlotError,
     StorageSpec,
     Trajectory,
+    TrajectoryBatch,
     feasible_purchase_range,
     simulate,
+    simulate_batch,
 )
 from .prices import (
     AR1,
@@ -57,6 +59,7 @@ from .metrics import (
     ViolationReport,
     brute_force_optimal,
     competitive_ratio,
+    offline_costs,
     offline_optimal,
     regret,
 )
@@ -91,6 +94,7 @@ __all__ = [
     "ThresholdFamily",
     "ThresholdPolicy",
     "Trajectory",
+    "TrajectoryBatch",
     "ValueTable",
     "ViolationReport",
     "bound_violation_probability",
@@ -102,6 +106,7 @@ __all__ = [
     "generate",
     "ingest",
     "mu_interval",
+    "offline_costs",
     "offline_optimal",
     "parse_config",
     "regret",
@@ -110,6 +115,7 @@ __all__ = [
     "sample_stats",
     "sigma_interval",
     "simulate",
+    "simulate_batch",
     "three_sigma_bounds",
     "threshold_price",
     "write_series",

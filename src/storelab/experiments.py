@@ -10,8 +10,13 @@ contiguous chunks, one per worker.  Every chunk runs one module-level
 function with the frozen config and the objects the runner built once
 bound by ``functools.partial``; results are merged in chunk order.  A
 violation curve is one fan-out over rounds that covers every n of the
-grid: each round runs all sample sizes, so the oracle scores each
-evaluation series once per round, and one pool serves the whole run.
+grid, and an adaptive sweep one fan-out over rounds that covers every
+warmup x refresh grid point, so one pool serves each run.
+
+Inside a chunk, episodes are scored as (E, T) price arrays, at most
+``BATCH_ROWS`` at a time: one ``simulate_batch`` per true-parameter policy
+and one ``offline_costs`` batch for the oracle.  The adaptive policy
+re-estimates per episode, so it stays on the per-slot ``simulate``.
 """
 
 from __future__ import annotations
@@ -41,16 +46,18 @@ from .estimation import (
     threshold_price,
 )
 from .metrics import (
+    BATCH_ROWS,
     MetricRow,
     ViolationReport,
     _write_csv,
     competitive_ratio,
-    offline_optimal,
+    offline_costs,
+    offline_optimal,  # noqa: F401  (a name bench/tracer.py wraps)
     regret,
     violation_rounds,
     write_metric_rows,
 )
-from .model import Instance, simulate
+from .model import Instance, simulate, simulate_batch
 from .policies import (
     AdaptivePolicy,
     DpFamily,
@@ -216,27 +223,35 @@ def _compare_chunk(
     policies, theta, bound = _true_parameter_policies(config, instance, policy_model)
     T = instance.horizon
     rows: list[MetricRow] = []
-    for e in episodes:
-        prices = generate(eval_model, T, stream(config.seed, 1, e))
+    for start in range(0, len(episodes), BATCH_ROWS):
+        batch = episodes[start : start + BATCH_ROWS]
+        prices = np.array([generate(eval_model, T, stream(config.seed, 1, e)) for e in batch])
+        realized = None
         if eta > 0.0:
-            noise = stream(config.seed, 2, e).uniform(-eta, eta, T)
-            realized = np.asarray(instance.demand) * (1.0 + noise)
-            oracle_instance = Instance(T, realized, instance.storage)
-        else:
-            realized = None
-            oracle_instance = instance
-        opt = offline_optimal(oracle_instance, prices, config.G).total_cost
-        for policy in policies:
-            alg = simulate(instance, prices, policy, realized_demand=realized).total_cost
-            cr = competitive_ratio(alg, opt)
-            rows.append(
-                MetricRow(
-                    round=e, n=0, policy_id=policy.policy_id,
-                    alg_cost=alg, opt_cost=opt, cr=cr, cr_bound=bound,
-                    violated=bool(cr > bound), regret=alg - opt,
-                    theta_hat=theta, seed=config.seed,
+            realized = np.array([
+                instance.demand * (1.0 + stream(config.seed, 2, e).uniform(-eta, eta, T))
+                for e in batch
+            ])
+        opt_costs = offline_costs(
+            instance, prices, config.G, realized_demand=realized
+        ).total_cost.tolist()
+        alg_costs = [
+            simulate_batch(instance, prices, policy, realized_demand=realized).total_cost.tolist()
+            for policy in policies
+        ]
+        for k, e in enumerate(batch):
+            opt = opt_costs[k]
+            for policy, costs in zip(policies, alg_costs):
+                alg = costs[k]
+                cr = competitive_ratio(alg, opt)
+                rows.append(
+                    MetricRow(
+                        round=e, n=0, policy_id=policy.policy_id,
+                        alg_cost=alg, opt_cost=opt, cr=cr, cr_bound=bound,
+                        violated=bool(cr > bound), regret=alg - opt,
+                        theta_hat=theta, seed=config.seed,
+                    )
                 )
-            )
     return rows
 
 
@@ -313,44 +328,48 @@ class AdaptiveRow:
 
 
 def _adaptive_chunk(
-    config: ExperimentConfig, instance: Instance, model,
-    warmup_index: int, warmup_size: int, refresh: float, rounds: range,
-) -> np.ndarray:
-    """Adaptive-policy cost of every (round, episode) stream in ``rounds``."""
+    config: ExperimentConfig, instance: Instance, model, true_policy: DpPolicy, rounds: range,
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """True-parameter DP, oracle and per-grid-point adaptive costs of ``rounds``.
+
+    Each (round, episode) stream and each (warmup, round) warmup is drawn
+    once.  Costs are in (round, episode) order; the adaptive ones come one
+    array per warmup x refresh grid point, warmups sorted, refreshes in
+    config order.
+    """
     T = instance.horizon
+    streams = [
+        [generate(model, T, stream(config.seed, 4, r, e)) for e in range(config.episodes)]
+        for r in rounds
+    ]
+    flat = [p for round_streams in streams for p in round_streams]
+    true_costs, oracle_costs = [], []
+    for start in range(0, len(flat), BATCH_ROWS):
+        prices = np.array(flat[start : start + BATCH_ROWS])
+        true_costs.append(simulate_batch(instance, prices, true_policy).total_cost)
+        oracle_costs.append(offline_costs(instance, prices, config.G).total_cost)
     if config.family == "dp":
         family = DpFamily(instance, config.G, config.K)
     else:
         family = ThresholdFamily()
-    stride = None if math.isinf(refresh) else int(refresh)
-    costs = []
-    for r in rounds:
-        warmup = generate(model, warmup_size, stream(config.seed, 3, warmup_index, r))
-        policy = AdaptivePolicy(
-            family, warmup, stride,
-            alpha=config.alpha, conservative=config.conservative,
-            clamp_nonpositive_lower=config.clamp_m,
-        )
-        for e in range(config.episodes):
-            if stride is not None:
-                policy.reset()
-            prices = generate(model, T, stream(config.seed, 4, r, e))
-            costs.append(simulate(instance, prices, policy).total_cost)
-    return np.asarray(costs)
-
-
-def _reference_chunk(
-    config: ExperimentConfig, instance: Instance, model, true_policy: DpPolicy, rounds: range,
-) -> tuple[np.ndarray, np.ndarray]:
-    """True-parameter DP and oracle costs of the same streams _adaptive_chunk scores."""
-    T = instance.horizon
-    true_costs, offline_costs = [], []
-    for r in rounds:
-        for e in range(config.episodes):
-            prices = generate(model, T, stream(config.seed, 4, r, e))
-            true_costs.append(simulate(instance, prices, true_policy).total_cost)
-            offline_costs.append(offline_optimal(instance, prices, config.G).total_cost)
-    return np.asarray(true_costs), np.asarray(offline_costs)
+    adaptive_costs = []
+    for wi, warmup_size in enumerate(sorted(config.warmup_grid)):
+        warmups = [generate(model, warmup_size, stream(config.seed, 3, wi, r)) for r in rounds]
+        for refresh in config.refresh_grid:
+            stride = None if math.isinf(refresh) else int(refresh)
+            costs = []
+            for warmup, round_streams in zip(warmups, streams):
+                policy = AdaptivePolicy(
+                    family, warmup, stride,
+                    alpha=config.alpha, conservative=config.conservative,
+                    clamp_nonpositive_lower=config.clamp_m,
+                )
+                for episode_prices in round_streams:
+                    if stride is not None:
+                        policy.reset()
+                    costs.append(simulate(instance, episode_prices, policy).total_cost)
+            adaptive_costs.append(np.asarray(costs))
+    return np.concatenate(true_costs), np.concatenate(oracle_costs), adaptive_costs
 
 
 def run_adaptive_convergence(
@@ -361,31 +380,31 @@ def run_adaptive_convergence(
     Sweeps warmup sizes and refresh strides; episodes share price streams
     across all grid points and against the true-parameter arm, so regrets
     are paired comparisons.  The streams do not depend on the grid point,
-    so the true-parameter and oracle costs are computed once, in a
-    reference pass, and paired with every grid point's adaptive costs.
+    so one fan-out over rounds draws each stream once, scores it once with
+    the true-parameter DP and the oracle, and runs every grid point's
+    adaptive policy on it.
     """
     instance = build_instance(config)
     model = build_model(config)
     true_policy = DpPolicy(build_value_table(instance, model, config.G, config.K))
-    reference = partial(_reference_chunk, config, instance, model, true_policy)
-    parts = _map_chunks(reference, config.rounds, workers)
+    chunk = partial(_adaptive_chunk, config, instance, model, true_policy)
+    parts = _map_chunks(chunk, config.rounds, workers)
     true_costs = np.concatenate([p[0] for p in parts])
-    offline_costs = np.concatenate([p[1] for p in parts])
+    oracle_costs = np.concatenate([p[1] for p in parts])
+    grid = [(w, refresh) for w in sorted(config.warmup_grid) for refresh in config.refresh_grid]
     rows = []
-    for wi, warmup in enumerate(sorted(config.warmup_grid)):
-        for refresh in config.refresh_grid:
-            chunk = partial(_adaptive_chunk, config, instance, model, wi, warmup, refresh)
-            adaptive_costs = np.concatenate(_map_chunks(chunk, config.rounds, workers))
-            vs_dp = regret(adaptive_costs, true_costs)
-            vs_off = regret(adaptive_costs, offline_costs)
-            rows.append(
-                AdaptiveRow(
-                    warmup=warmup, refresh=refresh,
-                    mean_cost=float(adaptive_costs.mean()),
-                    regret_vs_dp=vs_dp.mean, stderr_vs_dp=vs_dp.stderr,
-                    regret_vs_offline=vs_off.mean, stderr_vs_offline=vs_off.stderr,
-                )
+    for k, (warmup, refresh) in enumerate(grid):
+        adaptive_costs = np.concatenate([p[2][k] for p in parts])
+        vs_dp = regret(adaptive_costs, true_costs)
+        vs_off = regret(adaptive_costs, oracle_costs)
+        rows.append(
+            AdaptiveRow(
+                warmup=warmup, refresh=refresh,
+                mean_cost=float(adaptive_costs.mean()),
+                regret_vs_dp=vs_dp.mean, stderr_vs_dp=vs_dp.stderr,
+                regret_vs_offline=vs_off.mean, stderr_vs_offline=vs_off.stderr,
             )
+        )
     _write_csv(
         config.out,
         ADAPTIVE_HEADER,

@@ -1,10 +1,19 @@
 """Hindsight oracles, competitive ratio, regret, and bound-violation rounds.
 
-The offline oracle reuses the DP machinery with the realized price as a
-single atom per slot, so its cost is exact whenever demands, capacity, and
-the initial fill are multiples of the grid step.  The brute-force oracle
-enumerates purchase lattices on tiny instances and exists only to validate
-the others.
+The offline oracle is the purchase DP with each episode's realized price as
+its single atom per slot, so its cost is exact whenever demands, capacity,
+and the initial fill are multiples of the grid step.  ``offline_costs``
+scores E episodes at once: a row-wise Bellman step fills a (T+1, E, G+1)
+value cube, and ``simulate_batch`` runs the greedy rule that reads each
+row's own value rows.  Rows go through in blocks of ``ORACLE_BLOCK``, which
+bounds the cube's memory; every row's result is the same bits whatever
+block it lands in, and ``offline_optimal`` is the one-row case.  The
+brute-force oracle enumerates purchase lattices on tiny instances and
+exists only to validate the others.
+
+A violation chunk estimates its (round, n) pairs and scores them together,
+``BATCH_ROWS`` evaluation series at a time: one threshold batch and one
+oracle batch over the distinct series.
 """
 
 from __future__ import annotations
@@ -16,8 +25,24 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .estimation import EstimationError, estimate
-from .model import Instance, Trajectory, feasible_purchase_range, simulate
-from .policies import Policy, ThresholdPolicy, argmin_purchase, backward_step, storage_grid
+from .model import (
+    Instance,
+    Trajectory,
+    TrajectoryBatch,
+    demand_rows,
+    feasible_purchase_range,
+    price_rows,
+    simulate,  # noqa: F401  (a name bench/tracer.py wraps)
+    simulate_batch,
+)
+from .policies import (
+    ThresholdPolicy,
+    argmin_purchase,  # noqa: F401  (a name bench/tracer.py wraps)
+    argmin_purchases,
+    backward_step,  # noqa: F401  (a name bench/tracer.py wraps)
+    interp_rows,
+    storage_grid,
+)
 from .prices import resample
 from .seeds import stream
 
@@ -68,20 +93,85 @@ def write_metric_rows(path, rows) -> None:
     )
 
 
-class _HindsightGreedy(Policy):
-    """Greedy forward pass against per-slot value tables built from known prices."""
+ORACLE_BLOCK = 32  # rows per oracle value cube: (T+1) x 32 x (G+1) floats
+
+
+def _hindsight_step(grid, v_next, demand, spec, prices) -> np.ndarray:
+    """``backward_step`` with row e's own price as its single atom, for every row.
+
+    ``v_next`` is (E, G+1), ``demand`` and ``prices`` are (E,).  The same
+    elementwise arithmetic as ``backward_step``; its ``weights @`` with the
+    one unit weight adds 0.0, which the final ``+ 0.0`` repeats.
+    """
+    cap = spec.capacity
+    d = demand[:, None]
+    p = prices[:, None]
+    q_lo = np.maximum(0.0, d - np.minimum(grid, cap))
+    s_lo = np.clip(grid + (q_lo - d), 0.0, cap)
+    v_lo = interp_rows(s_lo, grid, v_next)
+    shifted = p * grid + v_next
+    suffix = np.minimum.accumulate(shifted[:, ::-1], axis=1)[:, ::-1]
+    idx = np.searchsorted(grid, s_lo, side="left") + (grid.size * np.arange(len(p)))[:, None]
+    best = np.minimum(suffix.take(idx), p * s_lo + v_lo)
+    return p * (d - grid) + best + 0.0
+
+
+class _HindsightRule:
+    """Greedy forward pass against each row's own value rows, for ``simulate_batch``."""
 
     policy_id = "offline"
 
-    def __init__(self, grid: np.ndarray, values: np.ndarray) -> None:
+    def __init__(self, grid: np.ndarray, values: np.ndarray, demand: np.ndarray) -> None:
         self.grid = grid
-        self.values = values
+        self.values = values  # (T+1, E, G+1)
+        self.demand = demand  # (E, T)
 
-    def decide(self, t, level, price, instance):
-        return argmin_purchase(
-            self.grid, self.values[t + 1], instance.storage, level,
-            float(instance.demand[t]), price,
+    def decide_batch(self, t, levels, prices, instance):
+        return argmin_purchases(
+            self.grid, self.values[t + 1], instance.storage, levels,
+            self.demand[:, t], prices,
         )
+
+
+def offline_costs(
+    instance: Instance, prices, grid_size: int = 100, realized_demand=None
+) -> TrajectoryBatch:
+    """Hindsight-optimal trajectories of E price series by backward DP on a grid.
+
+    ``realized_demand`` (one (E, T) row per series) replaces the instance's
+    demand for the oracle.  Row e equals ``offline_optimal`` on series e
+    bit for bit; rows go through in blocks of ``ORACLE_BLOCK``.
+    """
+    T = instance.horizon
+    prices = price_rows(prices, T)
+    E = prices.shape[0]
+    if realized_demand is None:
+        demand = np.broadcast_to(instance.demand, (E, T))
+    else:
+        demand = demand_rows(realized_demand, E, T)
+    spec = instance.storage
+    grid = storage_grid(spec.capacity, grid_size)
+    cube = np.zeros((T + 1, min(E, ORACLE_BLOCK), grid.size))  # row T stays zero
+    parts = []
+    for start in range(0, E, ORACLE_BLOCK):
+        block = slice(start, start + ORACLE_BLOCK)
+        p, d = prices[block], demand[block]
+        values = cube[:, : p.shape[0]]
+        for t in range(T - 1, -1, -1):
+            values[t] = _hindsight_step(grid, values[t + 1], d[:, t], spec, p[:, t])
+        parts.append(simulate_batch(
+            instance, p, _HindsightRule(grid, values, d),
+            realized_demand=None if realized_demand is None else d,
+        ))
+    if len(parts) == 1:
+        return parts[0]
+    joined = {
+        name: np.concatenate([getattr(part, name) for part in parts]) for name in
+        ("prices", "purchases", "levels", "total_cost", "clamped")
+    }
+    for arr in joined.values():
+        arr.flags.writeable = False
+    return TrajectoryBatch(**joined)
 
 
 def offline_optimal(instance: Instance, prices, grid_size: int = 100) -> Trajectory:
@@ -90,16 +180,14 @@ def offline_optimal(instance: Instance, prices, grid_size: int = 100) -> Traject
     T = instance.horizon
     if prices.size < T:
         raise ValueError(f"need at least {T} prices, got {prices.size}")
-    spec = instance.storage
-    grid = storage_grid(spec.capacity, grid_size)
-    values = np.zeros((T + 1, grid.size))
-    one = np.ones(1)
-    for t in range(T - 1, -1, -1):
-        values[t] = backward_step(
-            grid, values[t + 1], float(instance.demand[t]), spec,
-            np.asarray([float(prices[t])]), one,
-        )
-    return simulate(instance, prices, _HindsightGreedy(grid, values))
+    batch = offline_costs(instance, prices[None, :], grid_size)
+    return Trajectory(
+        prices=batch.prices[0],
+        purchases=batch.purchases[0],
+        levels=batch.levels[0],
+        total_cost=float(batch.total_cost[0]),
+        clamped_slots=tuple(np.flatnonzero(batch.clamped[0]).tolist()),
+    )
 
 
 def brute_force_optimal(instance: Instance, prices, q_step: float) -> float:
@@ -189,64 +277,7 @@ class ViolationReport:
     rows: tuple[MetricRow, ...] = field(repr=False, default=())
 
 
-def _violation_round(
-    config: ExperimentConfig, instance: Instance, eval_model, history: np.ndarray,
-    n: int, round_idx: int, oracle_costs: dict[bytes, float],
-) -> MetricRow:
-    """Estimate from one size-n sample, then score its threshold policy.
-
-    The config's ``eval_episodes`` evaluation series come from the
-    evaluation model, or with ``eval_source=held-out`` from windows of the
-    history after its first n records, which form the estimation pool.
-    Oracle costs are looked up in ``oracle_costs`` by the exact price
-    bytes and added on a miss, so a series the round already scored at
-    another n is not scored again.
-    """
-    held_out = history[n:] if config.eval_source == "held-out" else None
-    pool = history if held_out is None else history[:n]
-    sample = resample(pool, n, stream(config.seed, 0, round_idx), mode=config.resample_mode)
-    report = estimate(
-        sample, config.alpha,
-        conservative=config.conservative,
-        clamp_nonpositive_lower=config.clamp_m,
-    )
-    policy = ThresholdPolicy(report.threshold)
-    bound = report.ratio_bound
-    T = instance.horizon
-    alg_costs = np.empty(config.eval_episodes)
-    opt_costs = np.empty(config.eval_episodes)
-    crs = np.empty(config.eval_episodes)
-    for e in range(config.eval_episodes):
-        rng = stream(config.seed, 1, round_idx, e)
-        if held_out is not None:
-            start = int(rng.integers(0, held_out.size - T + 1))
-            prices = held_out[start : start + T]
-        else:
-            prices = eval_model.draw(rng, T)
-        if config.clamp_eval_to_bounds:
-            prices = np.clip(prices, report.lower_bound, report.upper_bound)
-        alg = simulate(instance, prices, policy).total_cost
-        key = prices.tobytes()
-        opt = oracle_costs.get(key)
-        if opt is None:
-            opt = oracle_costs[key] = offline_optimal(instance, prices, config.G).total_cost
-        alg_costs[e] = alg
-        opt_costs[e] = opt
-        crs[e] = competitive_ratio(alg, opt)
-    round_cr = float(crs.max() if config.verdict == "any" else crs.mean())
-    return MetricRow(
-        round=round_idx,
-        n=n,
-        policy_id="threshold",
-        alg_cost=float(alg_costs.mean()),
-        opt_cost=float(opt_costs.mean()),
-        cr=round_cr,
-        cr_bound=bound,
-        violated=bool(round_cr > bound),
-        regret=float((alg_costs - opt_costs).mean()),
-        theta_hat=report.threshold,
-        seed=config.seed,
-    )
+BATCH_ROWS = 1024  # episodes per runner batch: bounds (rows x (G+1)) temporaries and held series
 
 
 def violation_rounds(
@@ -257,20 +288,89 @@ def violation_rounds(
 
     Returns the rows and the failure count of each n, in the order of
     ``ns``.  Each round is seeded by its own index, so any partition of the
-    round indices across workers reproduces the same rows.  Inside a round
-    the n grid shares one oracle cache: model-drawn, unclamped evaluation
-    series do not depend on n, so each is scored once per round.  Rounds
-    whose estimation fails are counted, not dropped.
+    round indices across workers reproduces the same rows.
+
+    A round estimates from a size-n sample, then scores its threshold
+    policy on the config's ``eval_episodes`` evaluation series.  The series
+    come from the evaluation model (drawn once per round, for every n), or
+    with ``eval_source=held-out`` from windows of the history after its
+    first n records, which form the estimation pool.  Rounds whose
+    estimation fails are counted, not dropped.  The estimated (round, n)
+    pairs are scored together, whenever their series reach ``BATCH_ROWS``
+    and at the end of the chunk: one threshold batch with one threshold
+    per row, and one oracle batch over the distinct series.
     """
-    rows: list[list[MetricRow]] = [[] for _ in ns]
+    T = instance.horizon
+    E = config.eval_episodes
+    held = config.eval_source == "held-out"
+    rows_by_n: list[list[MetricRow]] = [[] for _ in ns]
     failures = [0] * len(ns)
+    scored = []  # (index into ns, round, estimate report)
+    series = []  # E price series per scored (round, n)
     for r in round_indices:
-        oracle_costs: dict[bytes, float] = {}
+        drawn = None if held else [
+            eval_model.draw(stream(config.seed, 1, r, e), T) for e in range(E)
+        ]
         for i, n in enumerate(ns):
+            pool = history[:n] if held else history
+            sample = resample(pool, n, stream(config.seed, 0, r), mode=config.resample_mode)
             try:
-                rows[i].append(
-                    _violation_round(config, instance, eval_model, history, n, r, oracle_costs)
+                report = estimate(
+                    sample, config.alpha,
+                    conservative=config.conservative,
+                    clamp_nonpositive_lower=config.clamp_m,
                 )
             except EstimationError:
                 failures[i] += 1
-    return rows, failures
+                continue
+            if held:
+                held_out = history[n:]
+                windows = []
+                for e in range(E):
+                    start = int(stream(config.seed, 1, r, e).integers(0, held_out.size - T + 1))
+                    windows.append(held_out[start : start + T])
+            else:
+                windows = drawn
+            if config.clamp_eval_to_bounds:
+                windows = [np.clip(p, report.lower_bound, report.upper_bound) for p in windows]
+            scored.append((i, r, report))
+            series.extend(windows)
+        if len(series) >= BATCH_ROWS:
+            _score_rounds(config, instance, ns, scored, series, rows_by_n)
+            scored, series = [], []
+    if scored:
+        _score_rounds(config, instance, ns, scored, series, rows_by_n)
+    return rows_by_n, failures
+
+
+def _score_rounds(config, instance, ns, scored, series, rows_by_n) -> None:
+    """Append one MetricRow per scored (round, n) to ``rows_by_n``."""
+    E = config.eval_episodes
+    prices = np.array(series)
+    thresholds = np.repeat([report.threshold for *_, report in scored], E)
+    alg = simulate_batch(instance, prices, ThresholdPolicy(thresholds)).total_cost
+    series_id: dict[bytes, int] = {}
+    which = np.array([series_id.setdefault(row.tobytes(), len(series_id)) for row in prices])
+    first = np.unique(which, return_index=True)[1]
+    opt = offline_costs(instance, prices[first], config.G).total_cost[which]
+    for k, (i, r, report) in enumerate(scored):
+        alg_costs = alg[k * E : (k + 1) * E]
+        opt_costs = opt[k * E : (k + 1) * E]
+        crs = np.array([
+            competitive_ratio(a, o) for a, o in zip(alg_costs.tolist(), opt_costs.tolist())
+        ])
+        round_cr = float(crs.max() if config.verdict == "any" else crs.mean())
+        bound = report.ratio_bound
+        rows_by_n[i].append(MetricRow(
+            round=r,
+            n=ns[i],
+            policy_id="threshold",
+            alg_cost=float(alg_costs.mean()),
+            opt_cost=float(opt_costs.mean()),
+            cr=round_cr,
+            cr_bound=bound,
+            violated=bool(round_cr > bound),
+            regret=float((alg_costs - opt_costs).mean()),
+            theta_hat=report.threshold,
+            seed=config.seed,
+        ))

@@ -1,4 +1,8 @@
-"""One-shot load serving: storage dynamics, feasibility, and the simulation engine.
+"""One-shot load serving: storage dynamics, feasibility, and the simulation engines.
+
+``simulate`` runs one price series slot by slot; ``simulate_batch`` runs E
+series as (E, T) arrays, stepping every row's level together, and gives
+each row the same bits as ``simulate``.
 
 Units: prices are currency per unit of energy, demands and storage levels are
 energy.  The store is lossless with unit efficiency and no per-slot charge or
@@ -154,4 +158,121 @@ def simulate(instance, prices, policy, *, realized_demand=None) -> Trajectory:
         levels=levels,
         total_cost=total_cost,
         clamped_slots=tuple(clamped),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class TrajectoryBatch:
+    """Realized runs of one policy on E price series, one row per series.
+
+    Row e holds the same bits as ``simulate`` gives for series e.
+    ``clamped[e]`` marks the slots whose purchase was clamped, so
+    ``clamped[e].sum()`` is row e's clamp count.
+    """
+
+    prices: np.ndarray  # (E, T)
+    purchases: np.ndarray  # (E, T)
+    levels: np.ndarray  # (E, T+1), levels[:, 0] is the initial fill
+    total_cost: np.ndarray  # (E,)
+    clamped: np.ndarray  # (E, T) bool
+
+
+def max_first(a, b):
+    """Elementwise builtin ``max(a, b)``: ``a`` unless ``b > a``.
+
+    ``np.maximum`` may pick either of two equal values (0.0 and -0.0);
+    this keeps the builtin's choice, so batched code matches the
+    per-slot code bit for bit.
+    """
+    return np.where(b > a, b, a)
+
+
+def min_first(a, b):
+    """Elementwise builtin ``min(a, b)``: ``a`` unless ``b < a``."""
+    return np.where(b < a, b, a)
+
+
+def feasible_purchase_ranges(spec: StorageSpec, levels, demand):
+    """``feasible_purchase_range`` for every row of ``levels``, bit for bit.
+
+    ``demand`` is one value or one per row.  An empty interval raises
+    InfeasibleSlotError for the first such row.
+    """
+    cap = spec.capacity
+    q_lo = max_first(0.0, demand - min_first(levels, cap))
+    q_hi = demand + min_first(cap - levels, cap)
+    bad = q_lo > q_hi + ENERGY_TOL
+    if np.any(bad):
+        e = int(np.argmax(bad))
+        level = float(np.broadcast_to(levels, bad.shape)[e])
+        d = float(np.broadcast_to(demand, bad.shape)[e])
+        raise InfeasibleSlotError(
+            f"no feasible purchase: need >= {float(q_lo[e])}, can buy <= {float(q_hi[e])} "
+            f"(level={level}, demand={d})"
+        )
+    return q_lo, max_first(q_hi, q_lo)
+
+
+def price_rows(prices, horizon: int) -> np.ndarray:
+    """Validate an (E, >= horizon) price array; a read-only copy of its first T columns."""
+    prices = np.asarray(prices, dtype=float)
+    if prices.ndim != 2:
+        raise ValueError("prices must be two-dimensional (episodes, slots)")
+    if prices.size and not np.all(np.isfinite(prices)):
+        raise ValueError("prices contains non-finite values")
+    if prices.shape[1] < horizon:
+        raise ValueError(f"need at least {horizon} prices, got {prices.shape[1]}")
+    rows = np.array(prices[:, :horizon])
+    rows.flags.writeable = False
+    return rows
+
+
+def demand_rows(realized_demand, episodes: int, horizon: int) -> np.ndarray:
+    """Validate one realized demand row per episode."""
+    demand = np.asarray(realized_demand, dtype=float)
+    if demand.shape != (episodes, horizon):
+        raise ValueError(f"realized_demand must have shape {(episodes, horizon)}")
+    if not np.all(np.isfinite(demand)) or np.any(demand < 0):
+        raise ValueError("realized demand entries must be finite and >= 0")
+    return demand
+
+
+def simulate_batch(instance, prices, policy, realized_demand=None) -> TrajectoryBatch:
+    """``simulate`` for E price series at once, stepping ``levels[E]`` together.
+
+    The policy's ``decide_batch(t, levels, prices, instance)`` gets every
+    row's level and observed price and returns one purchase per row.
+    ``realized_demand``, when given, is one (E, T) row per series.  Each
+    row's cost is one ``np.dot``, so every row equals ``simulate`` on that
+    series bit for bit.
+    """
+    T = instance.horizon
+    prices = price_rows(prices, T)
+    E = prices.shape[0]
+    demand = None if realized_demand is None else demand_rows(realized_demand, E, T)
+
+    spec = instance.storage
+    level = np.full(E, spec.initial_level)
+    purchases = np.empty((E, T))
+    levels = np.empty((E, T + 1))
+    levels[:, 0] = level
+    clamped = np.empty((E, T), dtype=bool)
+    for t in range(T):
+        d = instance.demand[t] if demand is None else demand[:, t]
+        q_lo, q_hi = feasible_purchase_ranges(spec, level, d)
+        q = np.asarray(policy.decide_batch(t, level, prices[:, t], instance), dtype=float)
+        if not np.all(np.isfinite(q)):
+            raise ValueError(f"policy returned non-finite purchase at slot {t}")
+        q_used = min_first(max_first(q, q_lo), q_hi)
+        clamped[:, t] = np.abs(q_used - q) > ENERGY_TOL
+        level = level + q_used - d
+        purchases[:, t] = q_used
+        levels[:, t + 1] = level
+
+    total_cost = np.array([np.dot(prices[e], purchases[e]) for e in range(E)], dtype=float)
+    for arr in (purchases, levels, total_cost, clamped):
+        arr.flags.writeable = False
+    return TrajectoryBatch(
+        prices=prices, purchases=purchases, levels=levels,
+        total_cost=total_cost, clamped=clamped,
     )

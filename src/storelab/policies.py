@@ -16,7 +16,14 @@ from typing import Callable
 import numpy as np
 
 from .estimation import EstimateReport, EstimationError, estimate
-from .model import Instance, StorageSpec, feasible_purchase_range
+from .model import (
+    Instance,
+    StorageSpec,
+    feasible_purchase_range,
+    feasible_purchase_ranges,
+    max_first,
+    min_first,
+)
 from .prices import Normal
 
 
@@ -26,12 +33,19 @@ class Policy:
     ``decide`` maps (slot, storage level, observed price, instance) to a
     purchase; the engine clamps it into the feasible range.  A policy that
     defines ``observe`` is passed each slot's price after the slot, so it
-    can accumulate price history.
+    can accumulate price history.  ``decide_batch`` takes one level and one
+    price per row and returns one purchase per row, equal bit for bit to
+    ``decide`` on each row; ``simulate_batch`` drives it.
     """
 
     policy_id = "policy"
 
     def decide(self, t: int, level: float, price: float, instance: Instance) -> float:
+        raise NotImplementedError
+
+    def decide_batch(
+        self, t: int, levels: np.ndarray, prices: np.ndarray, instance: Instance
+    ) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -41,34 +55,47 @@ class ThresholdPolicy(Policy):
     At a price <= threshold the policy buys the demand plus whatever tops
     the store up to ``fill_target`` (the full capacity by default); above
     the threshold it moves toward an empty store, buying only what the
-    store cannot cover.
+    store cannot cover.  ``threshold`` may also be one value per row, for
+    ``decide_batch`` only.
     """
 
-    def __init__(self, threshold: float, fill_target: float | None = None,
+    def __init__(self, threshold, fill_target: float | None = None,
                  policy_id: str = "threshold") -> None:
-        if not (threshold > 0) or not math.isfinite(threshold):
+        values = np.asarray(threshold, dtype=float)
+        if values.ndim > 1 or not (np.all(values > 0) and np.all(np.isfinite(values))):
             raise ValueError(f"threshold must be finite and > 0, got {threshold}")
         if fill_target is not None and not (0.0 <= fill_target < math.inf):
             raise ValueError(f"fill target must be finite and >= 0, got {fill_target}")
-        self.threshold = float(threshold)
+        self.threshold = float(values) if values.ndim == 0 else values
         self.fill_target = fill_target
         self.policy_id = policy_id
 
+    def _target_full(self, spec: StorageSpec) -> float:
+        if self.fill_target is None:
+            return spec.capacity
+        if self.fill_target > spec.capacity + 1e-9:
+            raise ValueError(
+                f"fill target {self.fill_target} exceeds capacity {spec.capacity}"
+            )
+        return self.fill_target
+
     def decide(self, t, level, price, instance):
         spec = instance.storage
-        if self.fill_target is None:
-            target_full = spec.capacity
-        else:
-            target_full = self.fill_target
-            if target_full > spec.capacity + 1e-9:
-                raise ValueError(
-                    f"fill target {target_full} exceeds capacity {spec.capacity}"
-                )
+        target_full = self._target_full(spec)
         d = float(instance.demand[t])
         q_lo, q_hi = feasible_purchase_range(spec, level, d)
         target = target_full if price <= self.threshold else 0.0
         want = d + target - level
         return min(max(want, q_lo), q_hi)
+
+    def decide_batch(self, t, levels, prices, instance):
+        spec = instance.storage
+        target_full = self._target_full(spec)
+        d = instance.demand[t]
+        q_lo, q_hi = feasible_purchase_ranges(spec, levels, d)
+        target = np.where(prices <= self.threshold, target_full, 0.0)
+        want = d + target - levels
+        return min_first(max_first(want, q_lo), q_hi)
 
 
 def linear_budget(threshold: float, upper: float, lower: float, capacity: float) -> float:
@@ -202,6 +229,62 @@ def argmin_purchase(
     return min(max(pick - level + demand, q_lo), q_hi)
 
 
+def interp_rows(x: np.ndarray, grid: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(x[e], grid, fp[e])`` for every row e, bit for bit.
+
+    ``x`` is (E, m); ``fp`` is (E, len(grid)) or one shared row.  The same
+    arithmetic as numpy's interp: a point on the grid (or beyond its ends)
+    takes the grid value, any other the slope times its offset from the
+    grid point below, plus that point's value.  Values must be finite.
+    """
+    n = grid.size
+    rows = fp.reshape(-1, n)
+    if n == 1:
+        return np.broadcast_to(rows, x.shape)
+    x = np.minimum(np.maximum(x, grid[0]), grid[-1])
+    j = np.minimum(np.searchsorted(grid, x, side="right"), n - 1) - 1
+    if rows.shape[0] > 1:
+        j_flat = j + (n * np.arange(x.shape[0]))[:, None]
+    else:
+        j_flat = j
+    x0, x1 = grid[j], grid[j + 1]
+    y0, y1 = rows.take(j_flat), rows.take(j_flat + 1)
+    inner = (y1 - y0) / (x1 - x0) * (x - x0) + y0
+    return np.where(x == x1, y1, np.where(x == x0, y0, inner))
+
+
+def argmin_purchases(
+    grid: np.ndarray,
+    v_next: np.ndarray,
+    spec: StorageSpec,
+    levels: np.ndarray,
+    demand,
+    prices: np.ndarray,
+) -> np.ndarray:
+    """``argmin_purchase`` for every row, bit for bit.
+
+    ``v_next`` is one shared row or one row per level, ``demand`` one value
+    or one per row.  Grid points outside a row's feasible next levels cost
+    +inf; the pick is the first minimum in ``argmin_purchase``'s candidate
+    order: lower endpoint, grid points, upper endpoint.
+    """
+    q_lo, q_hi = feasible_purchase_ranges(spec, levels, demand)
+    cap = spec.capacity
+    s_lo = min_first(max_first(levels + q_lo - demand, 0.0), cap)
+    s_hi = min_first(max_first(levels + q_hi - demand, 0.0), cap)
+    v_lo, v_hi = interp_rows(np.stack((s_lo, s_hi), axis=1), grid, v_next).T
+    cost_lo = prices * (s_lo - levels + demand) + v_lo
+    cost_hi = prices * (s_hi - levels + demand) + v_hi
+    d = demand if np.ndim(demand) == 0 else demand[:, None]
+    grid_cost = prices[:, None] * (grid - levels[:, None] + d) + v_next
+    grid_cost[(grid < s_lo[:, None]) | (grid > s_hi[:, None])] = np.inf
+    j = np.argmin(grid_cost, axis=1)
+    cost_grid = grid_cost[np.arange(j.size), j]
+    pick = np.where(cost_grid <= cost_hi, grid[j], s_hi)
+    pick = np.where((cost_lo <= cost_grid) & (cost_lo <= cost_hi), s_lo, pick)
+    return min_first(max_first(pick - levels + demand, q_lo), q_hi)
+
+
 class DpPolicy(Policy):
     """Greedy policy against a value table, acting on the observed price."""
 
@@ -210,15 +293,27 @@ class DpPolicy(Policy):
     def __init__(self, table: ValueTable) -> None:
         self.table = table
 
-    def decide(self, t, level, price, instance):
+    def _check_slot(self, t: int) -> None:
         table = self.table
         if t >= table.horizon:
             raise IndexError(f"slot {t} beyond table horizon {table.horizon}")
         if t < table.first_slot:
             raise IndexError(f"slot {t} before table first slot {table.first_slot}")
+
+    def decide(self, t, level, price, instance):
+        table = self.table
+        self._check_slot(t)
         return argmin_purchase(
             table.grid, table.values[t + 1], instance.storage, level,
             float(instance.demand[t]), price,
+        )
+
+    def decide_batch(self, t, levels, prices, instance):
+        table = self.table
+        self._check_slot(t)
+        return argmin_purchases(
+            table.grid, table.values[t + 1], instance.storage, levels,
+            instance.demand[t], prices,
         )
 
 

@@ -1,0 +1,272 @@
+"""The batched engine against the per-slot engine, bit for bit.
+
+``simulate_batch``, ``decide_batch``, ``interp_rows`` and ``offline_costs``
+replace per-episode loops in the runners, so every row they return must
+carry the same bits as the per-slot ``simulate``, ``np.interp`` and the
+per-episode grid oracle kept in ``conftest.py``.  Comparisons use
+``.tobytes()``, so a -0.0 in place of 0.0 shows.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from storelab import (
+    ExperimentConfig,
+    InfeasibleSlotError,
+    Instance,
+    Normal,
+    Policy,
+    StorageSpec,
+    ThresholdPolicy,
+    DpPolicy,
+    build_value_table,
+    feasible_purchase_range,
+    generate,
+    offline_optimal,
+    simulate,
+)
+from storelab import metrics
+from storelab.config import build_instance, build_model
+from storelab.experiments import run_policy_compare
+from storelab.metrics import offline_costs
+from storelab.model import feasible_purchase_ranges, simulate_batch
+from storelab.policies import backward_step, interp_rows, storage_grid
+from storelab.seeds import stream
+
+from conftest import reference_offline_optimal
+
+PRICES = st.one_of(
+    st.sampled_from((-0.0, 0.0, 1.0, 4.0, 8.0, 16.0)),
+    st.floats(-5.0, 25.0, allow_subnormal=False),
+)
+# -0.0 passes every ">= 0" check, so demands, capacities and fills may carry it
+DEMANDS = st.one_of(
+    st.sampled_from((-0.0, 0.0, 0.5, 1.0)), st.floats(0.0, 3.0, allow_subnormal=False)
+)
+
+
+@st.composite
+def batch_cases(draw):
+    """An instance (off-grid capacity and demands, s0 > 0, zero capacity) and E price rows."""
+    T = draw(st.integers(1, 6))
+    capacity = draw(st.one_of(
+        st.sampled_from((-0.0, 0.0, 1.0, 2.5, 5.0)), st.floats(0.05, 6.0, allow_subnormal=False)
+    ))
+    s0 = draw(st.one_of(
+        st.just(-0.0), st.sampled_from((0.0, 0.5, 1.0)).map(lambda f: f * capacity),
+        st.floats(0.0, 1.0).map(lambda f: f * capacity),
+    ))
+    demand = draw(st.lists(DEMANDS, min_size=T, max_size=T))
+    instance = Instance(T, np.asarray(demand), StorageSpec(capacity, s0))
+    E = draw(st.integers(1, 5))
+    prices = np.asarray(draw(st.lists(
+        st.lists(PRICES, min_size=T, max_size=T), min_size=E, max_size=E
+    )))
+    realized = None
+    if draw(st.booleans()):
+        noise = np.asarray(draw(st.lists(
+            st.floats(-0.5, 0.5), min_size=E * T, max_size=E * T
+        ))).reshape(E, T)
+        realized = instance.demand * (1.0 + noise)
+    return instance, prices, realized
+
+
+def _assert_rows_match(batch, refs):
+    assert len(refs) == batch.total_cost.shape[0]
+    for e, ref in enumerate(refs):
+        assert batch.prices[e].tobytes() == ref.prices.tobytes()
+        assert batch.purchases[e].tobytes() == ref.purchases.tobytes()
+        assert batch.levels[e].tobytes() == ref.levels.tobytes()
+        assert batch.total_cost[e].tobytes() == np.float64(ref.total_cost).tobytes()
+        assert tuple(np.flatnonzero(batch.clamped[e]).tolist()) == ref.clamped_slots
+
+
+def _per_slot(instance, prices, policies, realized):
+    return [
+        simulate(instance, prices[e], policies[e],
+                 realized_demand=None if realized is None else realized[e])
+        for e in range(prices.shape[0])
+    ]
+
+
+class TestInterpRows:
+    @given(
+        st.sampled_from((0.0, 1.0, 2.5, 5.0, 0.7)), st.integers(2, 30), st.integers(1, 4),
+        st.integers(1, 5), st.booleans(), st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_np_interp(self, capacity, grid_size, rows, points, shared, seed):
+        rng = np.random.default_rng(seed)
+        grid = storage_grid(capacity, grid_size)
+        fp = np.round(rng.uniform(-50.0, 50.0, (1 if shared else rows, grid.size)), 1)
+        on_grid = grid[rng.integers(0, grid.size, (rows, points))]
+        off_grid = rng.uniform(0.0, capacity, (rows, points))
+        x = np.where(rng.random((rows, points)) < 0.5, on_grid, off_grid)
+        got = interp_rows(x, grid, fp if not shared else fp[0])
+        for e in range(rows):
+            assert got[e].tobytes() == np.interp(x[e], grid, fp[0 if shared else e]).tobytes()
+
+
+class TestSimulateBatch:
+    @given(batch_cases(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_threshold_rows_match_simulate(self, case, data):
+        instance, prices, realized = case
+        theta = data.draw(st.one_of(st.sampled_from((1.0, 4.0, 8.0)), st.floats(0.1, 20.0)))
+        batch = simulate_batch(instance, prices, ThresholdPolicy(theta), realized_demand=realized)
+        refs = _per_slot(instance, prices, [ThresholdPolicy(theta)] * len(prices), realized)
+        _assert_rows_match(batch, refs)
+
+    @given(batch_cases(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_per_row_threshold_rows_match_simulate(self, case, data):
+        instance, prices, realized = case
+        thetas = np.asarray(data.draw(st.lists(
+            st.one_of(st.sampled_from((1.0, 4.0, 8.0)), st.floats(0.1, 20.0)),
+            min_size=len(prices), max_size=len(prices),
+        )))
+        batch = simulate_batch(instance, prices, ThresholdPolicy(thetas), realized_demand=realized)
+        refs = _per_slot(instance, prices, [ThresholdPolicy(t) for t in thetas], realized)
+        _assert_rows_match(batch, refs)
+
+    @given(batch_cases(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_budgeted_rows_match_simulate(self, case, data):
+        instance, prices, realized = case
+        theta = data.draw(st.floats(0.1, 20.0))
+        target = instance.storage.capacity * data.draw(st.floats(0.0, 1.0))
+        policy = ThresholdPolicy(theta, fill_target=target, policy_id="budgeted")
+        batch = simulate_batch(instance, prices, policy, realized_demand=realized)
+        _assert_rows_match(batch, _per_slot(instance, prices, [policy] * len(prices), realized))
+
+    @given(batch_cases(), st.integers(2, 20), st.integers(1, 9), st.floats(1.0, 12.0),
+           st.floats(0.5, 6.0))
+    @settings(max_examples=100, deadline=None)
+    def test_dp_rows_match_simulate(self, case, grid_size, atoms, mu, sigma):
+        instance, prices, realized = case
+        policy = DpPolicy(build_value_table(instance, Normal(mu, sigma), grid_size, atoms))
+        batch = simulate_batch(instance, prices, policy, realized_demand=realized)
+        _assert_rows_match(batch, _per_slot(instance, prices, [policy] * len(prices), realized))
+
+
+class TestOfflineCosts:
+    @given(batch_cases(), st.integers(2, 25), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_hindsight_step_rows_match_backward_step(self, case, grid_size, seed):
+        instance, prices, realized = case
+        spec = instance.storage
+        grid = storage_grid(spec.capacity, grid_size)
+        rng = np.random.default_rng(seed)
+        v_next = np.round(rng.uniform(-30.0, 30.0, (len(prices), grid.size)), 1)
+        zeros = rng.random(v_next.shape) < 0.3
+        v_next[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+        demand = instance.demand[0] if realized is None else realized[:, 0]
+        demand = np.broadcast_to(demand, (len(prices),))
+        got = metrics._hindsight_step(grid, v_next, demand, spec, prices[:, 0])
+        for e in range(len(prices)):
+            ref = backward_step(grid, v_next[e], float(demand[e]), spec,
+                                np.asarray([prices[e, 0]]), np.ones(1))
+            assert got[e].tobytes() == ref.tobytes()
+
+    @given(batch_cases(), st.integers(2, 25))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_reference_oracle(self, case, grid_size):
+        instance, prices, realized = case
+        batch = offline_costs(instance, prices, grid_size, realized_demand=realized)
+        refs = []
+        for e in range(len(prices)):
+            demand = instance.demand if realized is None else realized[e]
+            oracle_instance = Instance(instance.horizon, demand, instance.storage)
+            refs.append(reference_offline_optimal(oracle_instance, prices[e], grid_size))
+        _assert_rows_match(batch, refs)
+
+    @given(batch_cases(), st.integers(2, 25))
+    @settings(max_examples=60, deadline=None)
+    def test_offline_optimal_is_the_one_row_case(self, case, grid_size):
+        instance, prices, _ = case
+        got = offline_optimal(instance, prices[0], grid_size)
+        ref = reference_offline_optimal(instance, prices[0], grid_size)
+        assert got.purchases.tobytes() == ref.purchases.tobytes()
+        assert got.levels.tobytes() == ref.levels.tobytes()
+        assert np.float64(got.total_cost).tobytes() == np.float64(ref.total_cost).tobytes()
+        assert got.clamped_slots == ref.clamped_slots
+
+    @given(batch_cases(), st.sampled_from((1, 2, 3)))
+    @settings(max_examples=60, deadline=None)
+    def test_block_split_does_not_change_rows(self, case, block):
+        instance, prices, realized = case
+        whole = offline_costs(instance, prices, 10, realized_demand=realized)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "ORACLE_BLOCK", block)
+            split = offline_costs(instance, prices, 10, realized_demand=realized)
+        for name in ("prices", "purchases", "levels", "total_cost", "clamped"):
+            assert getattr(split, name).tobytes() == getattr(whole, name).tobytes()
+
+    def test_rows_cross_a_default_block(self, reference_instance):
+        prices = generate(Normal(10.0, 2.0), 24 * 40, stream(17)).reshape(40, 24)
+        batch = offline_costs(reference_instance, prices, 100)
+        refs = [reference_offline_optimal(reference_instance, p, 100) for p in prices]
+        _assert_rows_match(batch, refs)
+
+
+class _NanPolicy(Policy):
+    def decide(self, t, level, price, instance):
+        return math.nan
+
+    def decide_batch(self, t, levels, prices, instance):
+        return np.full(levels.shape, math.nan)
+
+
+def _message(fn, error=ValueError):
+    with pytest.raises(error) as info:
+        fn()
+    return str(info.value)
+
+
+class TestErrorPaths:
+    def test_fill_target_above_capacity(self):
+        inst = Instance.constant(2, 1.0, StorageSpec(1.0))
+        policy = ThresholdPolicy(5.0, fill_target=2.0)
+        prices = np.ones((3, 2))
+        assert _message(lambda: simulate_batch(inst, prices, policy)) == _message(
+            lambda: simulate(inst, prices[0], policy)
+        )
+
+    def test_non_finite_purchase(self):
+        inst = Instance.constant(2, 1.0, StorageSpec(1.0))
+        prices = np.ones((3, 2))
+        got = _message(lambda: simulate_batch(inst, prices, _NanPolicy()))
+        assert got == _message(lambda: simulate(inst, prices[0], _NanPolicy()))
+        assert got == "policy returned non-finite purchase at slot 0"
+
+    def test_infeasible_slot(self):
+        spec = StorageSpec(1.0)
+        levels = np.array([0.5, 3.0, 4.0])
+        got = _message(lambda: feasible_purchase_ranges(spec, levels, 1.0), InfeasibleSlotError)
+        assert got == _message(lambda: feasible_purchase_range(spec, 3.0, 1.0), InfeasibleSlotError)
+        inst = Instance.constant(2, 1.0, spec)
+        dp = DpPolicy(build_value_table(inst, Normal(10.0, 2.0), 10, 5))
+        prices = np.full(3, 10.0)
+        got = _message(lambda: dp.decide_batch(0, levels, prices, inst), InfeasibleSlotError)
+        assert got == _message(lambda: dp.decide(0, 3.0, 10.0, inst), InfeasibleSlotError)
+
+    def test_nonpositive_opt_cost_in_policy_compare(self, tmp_path):
+        # prices N(3, 2^2) go negative, so some episode's oracle cost is <= 0
+        config = ExperimentConfig(
+            kind="policy-compare", mu=3.0, sigma=2.0, T=8, B=2.0, G=20, K=11,
+            episodes=40, seed=5, out=str(tmp_path / "pc.csv"),
+        )
+        instance, model = build_instance(config), build_model(config)
+        expected = None
+        for e in range(config.episodes):
+            prices = generate(model, config.T, stream(config.seed, 1, e))
+            opt = reference_offline_optimal(instance, prices, config.G).total_cost
+            if opt <= 0:
+                expected = f"competitive ratio undefined for opt_cost={opt}"
+                break
+        assert expected is not None
+        assert _message(lambda: run_policy_compare(config)) == expected

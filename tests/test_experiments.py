@@ -1,15 +1,27 @@
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import storelab.experiments as experiments
 import storelab.metrics as metrics
-from storelab import ExperimentConfig, Normal, bound_violation_probability, estimate, generate
+from storelab import (
+    EstimationError,
+    ExperimentConfig,
+    MetricRow,
+    Normal,
+    ThresholdPolicy,
+    bound_violation_probability,
+    competitive_ratio,
+    estimate,
+    generate,
+    resample,
+    simulate,
+)
 from storelab.cli import main
-from storelab.config import load_history
+from storelab.config import build_instance, build_model, load_history
 from storelab.experiments import (
     ADAPTIVE_HEADER,
     RELAX_HEADER,
@@ -23,10 +35,61 @@ from storelab.experiments import (
     summary_path,
 )
 from storelab.metrics import METRIC_HEADER
+from storelab.seeds import stream
+
+from conftest import reference_offline_optimal
 
 
 def _no_rounds(*args):
     raise AssertionError("a round ran")
+
+
+def _field_reprs(row):
+    return tuple(repr(getattr(row, f.name)) for f in fields(row))
+
+
+def _reference_violation_rows(config, history, n):
+    """The violation rows for one n, one round and one episode at a time.
+
+    The per-slot ``simulate`` and the per-episode reference oracle score
+    each series; the estimate, series and aggregates follow the runner's
+    definition.
+    """
+    instance, eval_model = build_instance(config), build_model(config)
+    T = instance.horizon
+    rows = []
+    for r in range(config.rounds):
+        held_out = history[n:] if config.eval_source == "held-out" else None
+        pool = history if held_out is None else history[:n]
+        sample = resample(pool, n, stream(config.seed, 0, r), mode=config.resample_mode)
+        try:
+            report = estimate(sample, config.alpha, conservative=config.conservative,
+                              clamp_nonpositive_lower=config.clamp_m)
+        except EstimationError:
+            continue
+        policy = ThresholdPolicy(report.threshold)
+        alg_costs, opt_costs, crs = (np.empty(config.eval_episodes) for _ in range(3))
+        for e in range(config.eval_episodes):
+            rng = stream(config.seed, 1, r, e)
+            if held_out is not None:
+                start = int(rng.integers(0, held_out.size - T + 1))
+                prices = held_out[start : start + T]
+            else:
+                prices = eval_model.draw(rng, T)
+            if config.clamp_eval_to_bounds:
+                prices = np.clip(prices, report.lower_bound, report.upper_bound)
+            alg_costs[e] = simulate(instance, prices, policy).total_cost
+            opt_costs[e] = reference_offline_optimal(instance, prices, config.G).total_cost
+            crs[e] = competitive_ratio(alg_costs[e], opt_costs[e])
+        round_cr = float(crs.max() if config.verdict == "any" else crs.mean())
+        rows.append(MetricRow(
+            round=r, n=n, policy_id="threshold",
+            alg_cost=float(alg_costs.mean()), opt_cost=float(opt_costs.mean()),
+            cr=round_cr, cr_bound=report.ratio_bound, violated=bool(round_cr > report.ratio_bound),
+            regret=float((alg_costs - opt_costs).mean()), theta_hat=report.threshold,
+            seed=config.seed,
+        ))
+    return rows
 
 
 def small_config(tmp_path, **kw):
@@ -110,23 +173,61 @@ class TestRunViolationCurve:
         assert reports == [bound_violation_probability(config, history, n) for n in (5, 20)]
 
     def test_oracle_scores_each_stream_once(self, tmp_path, monkeypatch):
-        calls = []
-        oracle = metrics.offline_optimal
+        scored = []
+        oracle = metrics.offline_costs
 
-        def counting_oracle(*args, **kwargs):
-            calls.append(1)
-            return oracle(*args, **kwargs)
+        def counting_oracle(instance, prices, *args, **kwargs):
+            scored.append(len(prices))
+            return oracle(instance, prices, *args, **kwargs)
 
-        monkeypatch.setattr(metrics, "offline_optimal", counting_oracle)
+        monkeypatch.setattr(metrics, "offline_costs", counting_oracle)
         config = small_config(tmp_path, kind="violation-curve", n_grid=(40, 5, 20),
                               rounds=5, eval_episodes=3)
         reports = run_violation_curve(config)
-        # model-drawn, unclamped series do not depend on n
-        assert len(calls) == 5 * 3
+        # model-drawn, unclamped series do not depend on n: one oracle batch
+        # over the 5 x 3 distinct series
+        assert scored == [5 * 3]
         history = load_history(config)
         assert [r.rows for r in reports] == [
             bound_violation_probability(config, history, n).rows for n in (5, 20, 40)
         ]
+
+    def test_each_series_is_drawn_once(self, tmp_path, monkeypatch):
+        draws = []
+        draw = Normal.draw
+
+        def counting_draw(self, rng, length):
+            draws.append(length)
+            return draw(self, rng, length)
+
+        monkeypatch.setattr(Normal, "draw", counting_draw)
+        config = small_config(tmp_path, kind="violation-curve", n_grid=(40, 5, 20),
+                              rounds=5, eval_episodes=3, clamp_eval_to_bounds=True)
+        run_violation_curve(config)
+        # one synthesized history, then each (round, episode) series once for
+        # every n, clipped per n
+        assert draws == [config.history_size] + [config.T] * (5 * 3)
+
+    @pytest.mark.parametrize("mode", [
+        dict(),
+        dict(eval_source="held-out", resample_mode="prefix", history_size=300),
+        dict(clamp_eval_to_bounds=True),
+        dict(verdict="mean"),
+        dict(mu=7.0, sigma=2.5, clamp_lo=0.5, clamp_hi=14.0, clamp_m=False, history_size=400),
+    ], ids=["default", "held-out", "clamped-eval", "mean-verdict", "estimation-failures"])
+    def test_rows_match_per_slot_reference(self, tmp_path, mode):
+        # every field of every row, against the per-slot simulate and the
+        # per-episode reference oracle
+        config = small_config(tmp_path, kind="violation-curve", n_grid=(3, 8, 60),
+                              rounds=6, eval_episodes=3, **mode)
+        reports = run_violation_curve(config, workers=2)
+        history = load_history(config)
+        for report in reports:
+            expected = _reference_violation_rows(config, history, report.n)
+            assert [_field_reprs(r) for r in report.rows] == [_field_reprs(r) for r in expected]
+            assert report.failures == config.rounds - len(expected)
+        if mode.get("clamp_m") is False:
+            assert any(r.failures for r in reports)
 
     @pytest.mark.parametrize("mode", [
         dict(eval_source="held-out", resample_mode="prefix", history_size=300),
@@ -248,20 +349,44 @@ class TestRunAdaptive:
         assert math.isfinite(rows[0].regret_vs_offline)
 
     def test_oracle_scores_each_stream_once(self, tmp_path, monkeypatch):
-        calls = []
-        oracle = experiments.offline_optimal
+        scored = []
+        oracle = experiments.offline_costs
 
-        def counting_oracle(*args, **kwargs):
-            calls.append(1)
-            return oracle(*args, **kwargs)
+        def counting_oracle(instance, prices, *args, **kwargs):
+            scored.append(len(prices))
+            return oracle(instance, prices, *args, **kwargs)
 
-        monkeypatch.setattr(experiments, "offline_optimal", counting_oracle)
+        monkeypatch.setattr(experiments, "offline_costs", counting_oracle)
         for warmups, refreshes in (((10,), (math.inf,)), ((10, 30, 50), (math.inf, 2.0))):
-            calls.clear()
+            scored.clear()
             config = small_config(tmp_path, kind="adaptive", rounds=3, episodes=4,
                                   warmup_grid=warmups, refresh_grid=refreshes)
             run_adaptive_convergence(config)
-            assert len(calls) == 3 * 4
+            assert sum(scored) == 3 * 4
+
+    def test_one_fan_out_draws_each_stream_once(self, tmp_path, monkeypatch):
+        draws, pools = [], []
+        generate_ = experiments.generate
+        pool = experiments.ProcessPoolExecutor
+
+        def counting_generate(model, length, seed):
+            draws.append(length)
+            return generate_(model, length, seed)
+
+        def counting_pool(*args, **kwargs):
+            pools.append(1)
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "generate", counting_generate)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", counting_pool)
+        config = small_config(tmp_path, kind="adaptive", rounds=4, episodes=3,
+                              warmup_grid=(10, 30), refresh_grid=(math.inf, 2.0))
+        serial = run_adaptive_convergence(config)
+        # 4 x 3 episode streams and 2 warmups per round, whatever the grid
+        assert sorted(draws) == [config.T] * 12 + [10] * 4 + [30] * 4
+        assert pools == []
+        assert run_adaptive_convergence(config, workers=2) == serial
+        assert pools == [1]
 
     def test_worker_invariance(self, tmp_path):
         c1 = small_config(tmp_path, kind="adaptive", rounds=4, episodes=3,
@@ -317,6 +442,24 @@ class TestRunRelaxation:
         config = small_config(tmp_path, kind="relax", model="ar1")
         with pytest.raises(ConfigError, match="model"):
             run_relaxation(config)
+
+
+@pytest.mark.parametrize("kind, runner, kw", [
+    ("violation-curve", run_violation_curve, dict(rounds=7, clamp_eval_to_bounds=True)),
+    ("relax", run_relaxation, dict(scenarios=("baseline", "demand-noise"), eta=0.3, episodes=11)),
+    ("adaptive", run_adaptive_convergence, dict(rounds=3, episodes=4, refresh_grid=(math.inf, 2.0))),
+])
+def test_batch_rows_do_not_change_output(tmp_path, monkeypatch, kind, runner, kw):
+    # the runners score at most BATCH_ROWS episodes per batch; where the
+    # batches split must not show in the output
+    config = small_config(tmp_path, kind=kind, **kw)
+    runner(config)
+    whole = (tmp_path / "out.csv").read_bytes()
+    for rows in (1, 5):
+        monkeypatch.setattr(metrics, "BATCH_ROWS", rows)
+        monkeypatch.setattr(experiments, "BATCH_ROWS", rows)
+        runner(config)
+        assert (tmp_path / "out.csv").read_bytes() == whole
 
 
 class TestCli:

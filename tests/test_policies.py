@@ -24,7 +24,13 @@ from storelab import (
     simulate,
 )
 from storelab import policies
-from storelab.policies import DpFamily, argmin_purchase, linear_budget, storage_grid
+from storelab.policies import (
+    DpFamily,
+    argmin_purchase,
+    argmin_purchases,
+    linear_budget,
+    storage_grid,
+)
 
 
 def _inst(T=1, demand=1.0, B=1.0, s0=0.0):
@@ -236,6 +242,15 @@ class TestArgminPurchase:
     @settings(max_examples=300, deadline=None)
     def test_matches_deduplicated_candidates(self, case):
         assert argmin_purchase(*case) == _argmin_purchase_unique(*case)
+
+    @given(_argmin_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_batch_matches_scalar_bit_for_bit(self, case):
+        grid, v_next, spec, level, demand, price = case
+        want = np.float64(argmin_purchase(*case)).tobytes()
+        for v in (v_next, v_next[None, :]):  # one shared row, one row per level
+            got = argmin_purchases(grid, v, spec, np.array([level]), demand, np.array([price]))
+            assert got.tobytes() == want
 
 
 class TestDpPolicy:
