@@ -219,6 +219,9 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("warmup_grid", "every warmup size must be >= 2")
     if any(not (r >= 1) for r in config.refresh_grid):
         raise ConfigError("refresh_grid", "every refresh stride must be >= 1 (inf allowed)")
+    fractional = [r for r in config.refresh_grid if math.isfinite(r) and r != int(r)]
+    if fractional:
+        raise ConfigError("refresh_grid", f"refresh strides must be whole slots, got {fractional}")
     unknown = [s for s in config.scenarios if s not in SCENARIOS]
     if unknown:
         raise ConfigError("scenarios", f"unknown scenarios {unknown}, expected {SCENARIOS}")

@@ -14,9 +14,10 @@ grid, and an adaptive sweep one fan-out over rounds that covers every
 warmup x refresh grid point, so one pool serves each run.
 
 Inside a chunk, episodes are scored as (E, T) price arrays, at most
-``BATCH_ROWS`` at a time: one ``simulate_batch`` per true-parameter policy
-and one ``offline_costs`` batch for the oracle.  The adaptive policy
-re-estimates per episode, so it stays on the per-slot ``simulate``.
+``BATCH_ROWS`` at a time: one ``simulate_batch`` per policy and one
+``offline_costs`` batch for the oracle.  An adaptive policy runs one
+round's episodes as rows: each row re-estimates from its own observed
+prices, and the warmup's base policy is built once for all of them.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ from .metrics import (
     violation_rounds,
     write_metric_rows,
 )
-from .model import Instance, simulate, simulate_batch
+from .model import Instance, simulate_batch
+from .model import simulate  # noqa: F401  (a name bench/tracer.py wraps)
 from .policies import (
     AdaptivePolicy,
     DpFamily,
@@ -333,19 +335,21 @@ def _adaptive_chunk(
     """True-parameter DP, oracle and per-grid-point adaptive costs of ``rounds``.
 
     Each (round, episode) stream and each (warmup, round) warmup is drawn
-    once.  Costs are in (round, episode) order; the adaptive ones come one
-    array per warmup x refresh grid point, warmups sorted, refreshes in
-    config order.
+    once.  One adaptive policy per (warmup, round, refresh) scores that
+    round's episodes as batch rows, so its base policy is built once.
+    Costs are in (round, episode) order; the adaptive ones come one array
+    per warmup x refresh grid point, warmups sorted, refreshes in config
+    order.
     """
     T = instance.horizon
     streams = [
-        [generate(model, T, stream(config.seed, 4, r, e)) for e in range(config.episodes)]
+        np.array([generate(model, T, stream(config.seed, 4, r, e)) for e in range(config.episodes)])
         for r in rounds
     ]
-    flat = [p for round_streams in streams for p in round_streams]
+    flat = np.concatenate(streams)
     true_costs, oracle_costs = [], []
     for start in range(0, len(flat), BATCH_ROWS):
-        prices = np.array(flat[start : start + BATCH_ROWS])
+        prices = flat[start : start + BATCH_ROWS]
         true_costs.append(simulate_batch(instance, prices, true_policy).total_cost)
         oracle_costs.append(offline_costs(instance, prices, config.G).total_cost)
     if config.family == "dp":
@@ -358,17 +362,16 @@ def _adaptive_chunk(
         for refresh in config.refresh_grid:
             stride = None if math.isinf(refresh) else int(refresh)
             costs = []
-            for warmup, round_streams in zip(warmups, streams):
+            for warmup, round_prices in zip(warmups, streams):
                 policy = AdaptivePolicy(
                     family, warmup, stride,
                     alpha=config.alpha, conservative=config.conservative,
                     clamp_nonpositive_lower=config.clamp_m,
                 )
-                for episode_prices in round_streams:
-                    if stride is not None:
-                        policy.reset()
-                    costs.append(simulate(instance, episode_prices, policy).total_cost)
-            adaptive_costs.append(np.asarray(costs))
+                for start in range(0, len(round_prices), BATCH_ROWS):
+                    prices = round_prices[start : start + BATCH_ROWS]
+                    costs.append(simulate_batch(instance, prices, policy).total_cost)
+            adaptive_costs.append(np.concatenate(costs))
     return np.concatenate(true_costs), np.concatenate(oracle_costs), adaptive_costs
 
 

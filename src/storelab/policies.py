@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
+from . import special
 from .estimation import EstimateReport, EstimationError, estimate
 from .model import (
     Instance,
@@ -24,7 +26,7 @@ from .model import (
     max_first,
     min_first,
 )
-from .prices import Normal
+from .prices import Normal, as_series
 
 
 class Policy:
@@ -166,12 +168,29 @@ def backward_step(
     return weights @ (atoms[:, None] * (demand - grid[None, :]) + best)
 
 
+def _midpoint_probs(count: int) -> np.ndarray:
+    return (np.arange(count) + 0.5) / count
+
+
+@lru_cache(maxsize=None)
+def _standard_normal_atoms(count: int) -> np.ndarray:
+    """Read-only standard-normal quantiles at the ``count`` midpoints."""
+    z = np.asarray([special.normal_quantile(float(p)) for p in _midpoint_probs(count)])
+    z.flags.writeable = False
+    return z
+
+
 def quantile_atoms(model, count: int) -> np.ndarray:
-    """Equal-weight quantile-midpoint price atoms: quantiles (j - 0.5) / count."""
+    """Equal-weight quantile-midpoint price atoms: quantiles (j - 0.5) / count.
+
+    A ``Normal`` model's atoms are ``mu + sigma * z`` over the cached
+    standard-normal midpoints, the same arithmetic as ``Normal.quantile``.
+    """
     if count < 1:
         raise ValueError(f"need at least one atom, got {count}")
-    probs = (np.arange(count) + 0.5) / count
-    return np.asarray([model.quantile(float(p)) for p in probs], dtype=float)
+    if isinstance(model, Normal):
+        return model.mu + model.sigma * _standard_normal_atoms(count)
+    return np.asarray([model.quantile(float(p)) for p in _midpoint_probs(count)], dtype=float)
 
 
 def build_value_table(
@@ -348,12 +367,18 @@ class AdaptivePolicy(Policy):
     """Re-estimates price statistics from accumulated history.
 
     Wraps a policy family ((estimate report, first slot) -> policy that
-    acts from that slot on).  Prices observed during the run join the
-    warmup history; every ``refresh_stride`` observed slots the estimates
-    and the base policy are rebuilt at the current slot.  A failed refresh
-    keeps the previous policy and is recorded in ``events``.  The engine
-    passes each slot's price to ``observe``.  One instance drives one
-    trajectory; use ``reset`` between episodes.
+    acts from that slot on).  The base policy is built once, from the
+    warmup.  Prices observed during the run join the warmup history; every
+    ``refresh_stride`` observed slots the estimates and the policy are
+    rebuilt at the current slot.  A failed refresh keeps the previous
+    policy and is recorded in ``events``.  The engine passes each slot's
+    price to ``observe``.  One instance drives one trajectory; use
+    ``reset`` between episodes.
+
+    ``decide_batch`` drives one trajectory per row instead: a call at slot
+    0 starts every row from the base policy, and a refresh re-estimates
+    each row from the warmup plus that row's observed prices.  Its events
+    name the row.
     """
 
     policy_id = "adaptive"
@@ -368,6 +393,7 @@ class AdaptivePolicy(Policy):
         conservative: bool = False,
         clamp_nonpositive_lower: bool = False,
     ) -> None:
+        """Raises EstimationError when the warmup itself gives no estimate."""
         if refresh_stride is not None and refresh_stride < 1:
             raise ValueError(f"refresh stride must be >= 1, got {refresh_stride}")
         self.family = family
@@ -375,45 +401,75 @@ class AdaptivePolicy(Policy):
         self.alpha = alpha
         self.conservative = conservative
         self.clamp_nonpositive_lower = clamp_nonpositive_lower
-        self._warmup = [float(v) for v in np.asarray(warmup, dtype=float)]
-        if len(self._warmup) < 2:
+        self._warmup = as_series(warmup, "warmup")
+        if self._warmup.size < 2:
             raise ValueError("need a warmup of at least 2 prices")
+        self._base = self._rebuild(self._warmup, 0)
         self.reset()
 
     def reset(self) -> None:
-        """Restore the history to the warmup and rebuild the base policy.
-
-        Raises EstimationError when the warmup itself gives no estimate.
-        """
-        self.history = list(self._warmup)
+        """Restore the history to the warmup and the policy to the base one."""
+        self.history = self._warmup.tolist()
         self.events: list[str] = []
         self._since_refresh = 0
-        self._current = self._rebuild(0)
+        self._current = self._base
 
     def decide(self, t, level, price, instance):
         stride = self.refresh_stride
         if stride is not None and self._since_refresh >= stride:
-            self._try_refresh(t)
+            self._since_refresh = 0
+            self._current = self._refreshed(self._current, self.history, t, "")
         return self._current.decide(t, level, price, instance)
 
     def observe(self, price: float) -> None:
         self.history.append(float(price))
         self._since_refresh += 1
 
-    def _rebuild(self, first_slot: int) -> Policy:
+    def decide_batch(self, t, levels, prices, instance):
+        if t == 0:
+            self.events = []
+            self._rows = [self._base] * levels.size
+            self._observed = np.empty((levels.size, instance.horizon))
+        stride = self.refresh_stride
+        if stride is not None and t > 0 and t % stride == 0:
+            rows = self._rows
+            for e, row in enumerate(rows):
+                history = np.concatenate((self._warmup, self._observed[e, :t]))
+                rows[e] = self._refreshed(row, history, t, f"row {e}: ")
+        q = self._decide_rows(t, levels, prices, instance)
+        self._observed[:, t] = prices
+        return q
+
+    def _decide_rows(self, t, levels, prices, instance):
+        rows = self._rows
+        first = rows[0]
+        if all(row is first for row in rows):
+            return first.decide_batch(t, levels, prices, instance)
+        if isinstance(first, DpPolicy):
+            v_next = np.stack([row.table.values[t + 1] for row in rows])
+            return argmin_purchases(
+                first.table.grid, v_next, instance.storage, levels, instance.demand[t], prices,
+            )
+        if isinstance(first, ThresholdPolicy):  # ThresholdFamily's rules fill to capacity
+            thresholds = ThresholdPolicy(np.array([row.threshold for row in rows]))
+            return thresholds.decide_batch(t, levels, prices, instance)
+        raise TypeError(f"no row-wise decide for {type(first).__name__} rows")
+
+    def _rebuild(self, history, first_slot: int) -> Policy:
         report = estimate(
-            self.history,
+            history,
             self.alpha,
             conservative=self.conservative,
             clamp_nonpositive_lower=self.clamp_nonpositive_lower,
         )
         return self.family(report, first_slot)
 
-    def _try_refresh(self, t: int) -> None:
-        self._since_refresh = 0
+    def _refreshed(self, current: Policy, history, t: int, label: str) -> Policy:
+        """The policy rebuilt from ``history`` at slot t, or ``current`` if that fails."""
         try:
-            self._current = self._rebuild(t)
+            return self._rebuild(history, t)
         except EstimationError as exc:
             self.events.append(
-                f"refresh failed at n={len(self.history)} ({exc}); kept previous policy"
+                f"{label}refresh failed at n={len(history)} ({exc}); kept previous policy"
             )
+            return current

@@ -15,12 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from storelab import (
+    AdaptivePolicy,
+    DpFamily,
+    EstimationError,
     ExperimentConfig,
     InfeasibleSlotError,
     Instance,
     Normal,
     Policy,
     StorageSpec,
+    ThresholdFamily,
     ThresholdPolicy,
     DpPolicy,
     build_value_table,
@@ -151,6 +155,85 @@ class TestSimulateBatch:
         policy = DpPolicy(build_value_table(instance, Normal(mu, sigma), grid_size, atoms))
         batch = simulate_batch(instance, prices, policy, realized_demand=realized)
         _assert_rows_match(batch, _per_slot(instance, prices, [policy] * len(prices), realized))
+
+
+def _adaptive_rows_match(instance, prices, realized, adaptive):
+    """Each batch row equals a per-slot run of the reset policy; returns the batch events."""
+    batch = simulate_batch(instance, prices, adaptive, realized_demand=realized)
+    events = list(adaptive.events)
+    refs, ref_events = [], []
+    for e in range(len(prices)):
+        adaptive.reset()
+        refs.append(simulate(instance, prices[e], adaptive,
+                             realized_demand=None if realized is None else realized[e]))
+        ref_events.append(adaptive.events)
+    _assert_rows_match(batch, refs)
+    for e, expected in enumerate(ref_events):
+        label = f"row {e}: "
+        assert [m[len(label):] for m in events if m.startswith(label)] == expected
+    return events
+
+
+class TestAdaptiveBatch:
+    @given(batch_cases(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_reset_per_slot_runs(self, case, data):
+        instance, prices, realized = case
+        T = instance.horizon
+        if data.draw(st.booleans(), label="dp"):
+            family = DpFamily(instance, data.draw(st.integers(2, 12)), data.draw(st.integers(1, 7)))
+        else:
+            family = ThresholdFamily()
+        stride = data.draw(st.sampled_from((1, 2, max(T - 1, 1), None)), label="stride")
+        warmup = data.draw(st.lists(st.floats(8.0, 12.0), min_size=2, max_size=6), label="warmup")
+        clamp = data.draw(st.booleans(), label="clamp")
+        conservative = clamp and data.draw(st.booleans(), label="conservative")
+        # unclamped, the wide price rows make some refreshes fail and not others
+        adaptive = AdaptivePolicy(family, warmup, stride, conservative=conservative,
+                                  clamp_nonpositive_lower=clamp)
+        _adaptive_rows_match(instance, prices, realized, adaptive)
+
+    @given(st.integers(4, 8), st.integers(2, 8), st.floats(1.0, 4.0), st.booleans(),
+           st.sampled_from((1, 2)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_rows_refresh_apart(self, T, E, capacity, dp, stride, seed):
+        # prices near the warmup mean, with wild slots that make every later
+        # unclamped refresh of that row fail, so rows hold distinct policies
+        rng = np.random.default_rng(seed)
+        instance = Instance.constant(T, 1.0, StorageSpec(capacity))
+        spread = rng.choice([0.5, 3.0, 60.0], size=(E, T), p=[0.45, 0.45, 0.1])
+        prices = 10.0 + spread * rng.standard_normal((E, T))
+        warmup = 10.0 + rng.standard_normal(int(rng.integers(2, 8)))
+        family = DpFamily(instance, 20, 9) if dp else ThresholdFamily()
+        try:
+            adaptive = AdaptivePolicy(family, warmup, stride)
+        except EstimationError:
+            return
+        _adaptive_rows_match(instance, prices, None, adaptive)
+
+    @pytest.mark.parametrize("family", ["dp", "threshold"])
+    def test_failed_refresh_events_name_the_rows(self, family):
+        inst = Instance.constant(4, 1.0, StorageSpec(2.0))
+        calm = [10.0, 10.4, 9.8, 10.1]
+        wild = [500.0, -480.0, 510.0, 10.0]
+        prices = np.array([calm, wild, calm, wild, calm])
+        policy_family = DpFamily(inst, 10, 5) if family == "dp" else ThresholdFamily()
+        adaptive = AdaptivePolicy(policy_family, [10.0, 10.5, 9.5, 10.2], refresh_stride=1)
+        events = _adaptive_rows_match(inst, prices, None, adaptive)
+        # the wild rows fail at every refresh (slots 1, 2, 3), the calm rows never
+        assert sorted({m.split(":")[0] for m in events}) == ["row 1", "row 3"]
+        assert len(events) == 2 * 3
+        assert all("refresh failed" in m for m in events)
+
+    def test_rows_of_other_policies_have_no_row_wise_decide(self):
+        class BuyNothing(Policy):
+            def decide_batch(self, t, levels, prices, instance):
+                return np.zeros(levels.shape)
+
+        inst = Instance.constant(3, 1.0, StorageSpec(1.0))
+        adaptive = AdaptivePolicy(lambda report, first_slot: BuyNothing(), [10.0, 10.5], 1)
+        with pytest.raises(TypeError, match="BuyNothing"):
+            simulate_batch(inst, np.array([[10.0, 11.0, 9.0], [10.0, 12.0, 9.0]]), adaptive)
 
 
 class TestOfflineCosts:

@@ -95,6 +95,13 @@ class TestValidation:
             with pytest.raises(ConfigError, match=field):
                 parse_config(line + "\n")
 
+    def test_fractional_refresh_stride_rejected(self):
+        # the runner would run stride int(2.5) = 2 under the label 2.5
+        for grid in ("2.5", "2.5,2", "inf,1.0001"):
+            with pytest.raises(ConfigError, match="refresh_grid"):
+                parse_config(f"kind=adaptive\nrefresh_grid={grid}\n")
+        assert parse_config("kind=adaptive\nrefresh_grid=2.0,inf\n").refresh_grid == (2.0, math.inf)
+
     def test_clamp_bounds_must_pair(self):
         with pytest.raises(ConfigError, match="clamp_lo"):
             parse_config("clamp_lo=4.0\n")

@@ -44,6 +44,10 @@ def _no_rounds(*args):
     raise AssertionError("a round ran")
 
 
+def _no_per_slot_simulate(*args, **kwargs):
+    raise AssertionError("the runner called the per-slot simulate")
+
+
 def _field_reprs(row):
     return tuple(repr(getattr(row, f.name)) for f in fields(row))
 
@@ -388,6 +392,34 @@ class TestRunAdaptive:
         assert run_adaptive_convergence(config, workers=2) == serial
         assert pools == [1]
 
+    def test_each_value_table_is_built_once(self, tmp_path, monkeypatch):
+        import storelab.policies as policies
+
+        builds, estimates = [], []
+        build, estimate_ = policies.build_value_table, policies.estimate
+
+        def counting_build(*args, **kwargs):
+            builds.append(1)
+            return build(*args, **kwargs)
+
+        def counting_estimate(*args, **kwargs):
+            estimates.append(1)
+            return estimate_(*args, **kwargs)
+
+        monkeypatch.setattr(policies, "build_value_table", counting_build)
+        monkeypatch.setattr(experiments, "build_value_table", counting_build)
+        monkeypatch.setattr(policies, "estimate", counting_estimate)
+        monkeypatch.setattr(experiments, "simulate", _no_per_slot_simulate)
+        config = small_config(tmp_path, kind="adaptive", rounds=3, episodes=4,
+                              warmup_grid=(10, 30), refresh_grid=(math.inf, 2.0))
+        run_adaptive_convergence(config)
+        # one base table per (warmup, round, stride); stride 2 at T=6 refreshes
+        # every episode at slots 2 and 4; plus the true-parameter table
+        bases = 2 * 3 * 2
+        refreshes = 2 * 3 * 4 * 2
+        assert len(estimates) == bases + refreshes
+        assert len(builds) == 1 + bases + refreshes
+
     def test_worker_invariance(self, tmp_path):
         c1 = small_config(tmp_path, kind="adaptive", rounds=4, episodes=3,
                           warmup_grid=(10, 30), out=str(tmp_path / "a1.csv"))
@@ -478,6 +510,13 @@ class TestCli:
         code = main(["policy-compare", "--set", "alpha=nope", "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert "alpha" in capsys.readouterr().err
+
+    def test_fractional_refresh_stride_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        code = main(["adaptive", "--set", "refresh_grid=2.5,2", "--out", str(out)])
+        assert code == 1
+        assert "refresh_grid" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["policy-compare", "violation-curve", "relax"])
     def test_zero_demand_exits_1_before_any_episode(self, tmp_path, capsys, command):

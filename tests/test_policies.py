@@ -29,6 +29,7 @@ from storelab.policies import (
     argmin_purchase,
     argmin_purchases,
     linear_budget,
+    quantile_atoms,
     storage_grid,
 )
 
@@ -115,6 +116,14 @@ class TestBudgetedThreshold:
 
 
 class TestValueTable:
+    @given(st.floats(-1e3, 1e3), st.floats(1e-12, 1e3), st.integers(1, 60))
+    @settings(max_examples=500, deadline=None)
+    def test_normal_atoms_equal_per_atom_quantiles(self, mu, sigma, count):
+        model = Normal(mu, sigma)
+        probs = (np.arange(count) + 0.5) / count
+        expected = np.asarray([model.quantile(float(p)) for p in probs])
+        assert quantile_atoms(model, count).tobytes() == expected.tobytes()
+
     def test_single_slot_value_is_mean_price(self):
         inst = _inst(T=1, demand=1.0, B=1.0)
         K = 51
@@ -349,6 +358,15 @@ class TestAdaptivePolicy:
         assert len(estimate_reports) == 1  # only the initial estimate succeeded
         static = simulate(inst, prices, ThresholdPolicy(theta_before))
         assert np.array_equal(traj.purchases, static.purchases)
+
+    def test_failed_refresh_keeps_the_last_refreshed_policy(self, estimate_reports):
+        warmup = [10.0, 10.5, 9.5, 10.2]
+        inst = Instance.constant(4, 1.0, StorageSpec(1.0))
+        prices = np.array([10.3, 9.9, 500.0, 10.0])
+        adaptive = AdaptivePolicy(ThresholdFamily(), warmup, refresh_stride=1)
+        simulate(inst, prices, adaptive)
+        assert len(adaptive.events) == 1 and "n=7" in adaptive.events[0]
+        assert adaptive._current.threshold == estimate(warmup + [10.3, 9.9]).threshold
 
     def test_short_warmup_without_prior_rejected(self):
         with pytest.raises(ValueError):
