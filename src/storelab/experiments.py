@@ -17,7 +17,8 @@ Inside a chunk, episodes are scored as (E, T) price arrays, at most
 ``BATCH_ROWS`` at a time: one ``simulate_batch`` per policy and one
 ``offline_costs`` batch for the oracle.  An adaptive policy runs one
 round's episodes as rows: each row re-estimates from its own observed
-prices, and the warmup's base policy is built once for all of them.
+prices, and the warmup's base policy is built once for all of them and
+for every refresh stride.
 """
 
 from __future__ import annotations
@@ -335,11 +336,11 @@ def _adaptive_chunk(
     """True-parameter DP, oracle and per-grid-point adaptive costs of ``rounds``.
 
     Each (round, episode) stream and each (warmup, round) warmup is drawn
-    once.  One adaptive policy per (warmup, round, refresh) scores that
-    round's episodes as batch rows, so its base policy is built once.
-    Costs are in (round, episode) order; the adaptive ones come one array
-    per warmup x refresh grid point, warmups sorted, refreshes in config
-    order.
+    once.  One adaptive policy per (warmup, round) builds its base policy
+    once and scores that round's episodes as batch rows at every refresh
+    stride.  Costs are in (round, episode) order; the adaptive ones come
+    one array per warmup x refresh grid point, warmups sorted, refreshes in
+    config order.
     """
     T = instance.horizon
     streams = [
@@ -356,22 +357,22 @@ def _adaptive_chunk(
         family = DpFamily(instance, config.G, config.K)
     else:
         family = ThresholdFamily()
+    strides = [None if math.isinf(refresh) else int(refresh) for refresh in config.refresh_grid]
     adaptive_costs = []
     for wi, warmup_size in enumerate(sorted(config.warmup_grid)):
-        warmups = [generate(model, warmup_size, stream(config.seed, 3, wi, r)) for r in rounds]
-        for refresh in config.refresh_grid:
-            stride = None if math.isinf(refresh) else int(refresh)
-            costs = []
-            for warmup, round_prices in zip(warmups, streams):
-                policy = AdaptivePolicy(
-                    family, warmup, stride,
-                    alpha=config.alpha, conservative=config.conservative,
-                    clamp_nonpositive_lower=config.clamp_m,
-                )
+        costs = [[] for _ in strides]
+        for r, round_prices in zip(rounds, streams):
+            warmup = generate(model, warmup_size, stream(config.seed, 3, wi, r))
+            policy = AdaptivePolicy(
+                family, warmup, alpha=config.alpha, conservative=config.conservative,
+                clamp_nonpositive_lower=config.clamp_m,
+            )
+            for stride, stride_costs in zip(strides, costs):
+                policy.refresh_stride = stride
                 for start in range(0, len(round_prices), BATCH_ROWS):
                     prices = round_prices[start : start + BATCH_ROWS]
-                    costs.append(simulate_batch(instance, prices, policy).total_cost)
-            adaptive_costs.append(np.concatenate(costs))
+                    stride_costs.append(simulate_batch(instance, prices, policy).total_cost)
+        adaptive_costs.extend(np.concatenate(c) for c in costs)
     return np.concatenate(true_costs), np.concatenate(oracle_costs), adaptive_costs
 
 

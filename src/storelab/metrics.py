@@ -4,12 +4,13 @@ The offline oracle is the purchase DP with each episode's realized price as
 its single atom per slot, so its cost is exact whenever demands, capacity,
 and the initial fill are multiples of the grid step.  ``offline_costs``
 scores E episodes at once: a row-wise Bellman step fills a (T+1, E, G+1)
-value cube, and ``simulate_batch`` runs the greedy rule that reads each
-row's own value rows.  Rows go through in blocks of ``ORACLE_BLOCK``, which
-bounds the cube's memory; every row's result is the same bits whatever
-block it lands in, and ``offline_optimal`` is the one-row case.  The
-brute-force oracle enumerates purchase lattices on tiny instances and
-exists only to validate the others.
+value cube, and ``simulate_batch``, the one simulation engine, runs the
+greedy rule that reads each row's own value rows.  Rows go through in
+blocks of ``ORACLE_BLOCK``, which bounds the cube's memory; every row's
+result is the same bits whatever block it lands in, and
+``offline_optimal`` is the one-row case.  The brute-force oracle
+enumerates purchase lattices on tiny instances and exists only to
+validate the others.
 
 A violation chunk estimates its (round, n) pairs and scores them together,
 ``BATCH_ROWS`` evaluation series at a time: one threshold batch and one
@@ -31,6 +32,7 @@ from .model import (
     TrajectoryBatch,
     demand_rows,
     feasible_purchase_range,
+    one_row,
     price_rows,
     simulate,  # noqa: F401  (a name bench/tracer.py wraps)
     simulate_batch,
@@ -175,19 +177,8 @@ def offline_costs(
 
 
 def offline_optimal(instance: Instance, prices, grid_size: int = 100) -> Trajectory:
-    """Hindsight-optimal trajectory by deterministic backward DP on a grid."""
-    prices = np.asarray(prices, dtype=float)
-    T = instance.horizon
-    if prices.size < T:
-        raise ValueError(f"need at least {T} prices, got {prices.size}")
-    batch = offline_costs(instance, prices[None, :], grid_size)
-    return Trajectory(
-        prices=batch.prices[0],
-        purchases=batch.purchases[0],
-        levels=batch.levels[0],
-        total_cost=float(batch.total_cost[0]),
-        clamped_slots=tuple(np.flatnonzero(batch.clamped[0]).tolist()),
-    )
+    """Hindsight-optimal trajectory of one price series: the one-row ``offline_costs``."""
+    return one_row(offline_costs, instance, prices, grid_size)
 
 
 def brute_force_optimal(instance: Instance, prices, q_step: float) -> float:

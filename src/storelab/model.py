@@ -1,8 +1,8 @@
-"""One-shot load serving: storage dynamics, feasibility, and the simulation engines.
+"""One-shot load serving: storage dynamics, feasibility, and the simulation engine.
 
-``simulate`` runs one price series slot by slot; ``simulate_batch`` runs E
-series as (E, T) arrays, stepping every row's level together, and gives
-each row the same bits as ``simulate``.
+``simulate_batch`` runs E price series as (E, T) arrays, stepping every
+row's level together; it is the one loop over slots that drives a policy.
+``simulate`` is its one-row case.
 
 Units: prices are currency per unit of energy, demands and storage levels are
 energy.  The store is lossless with unit efficiency and no per-slot charge or
@@ -102,70 +102,10 @@ def feasible_purchase_range(
     return q_lo, max(q_hi, q_lo)
 
 
-def simulate(instance, prices, policy, *, realized_demand=None) -> Trajectory:
-    """Drive a policy over a price realization, slot by slot.
-
-    The policy sees (slot, level, observed price, instance) and returns a
-    purchase, which is clamped into the feasible range (clamps are recorded).
-    When ``realized_demand`` is given it drives the dynamics and feasibility
-    while the policy still acts on the nominal instance.  A policy that
-    defines ``observe`` (the adaptive one) is passed the price after every
-    slot.
-    """
-    prices = as_series(prices, "prices")
-    T = instance.horizon
-    if prices.size < T:
-        raise ValueError(f"need at least {T} prices, got {prices.size}")
-    if realized_demand is None:
-        demand = instance.demand
-    else:
-        demand = np.asarray(realized_demand, dtype=float)
-        if demand.shape != (T,):
-            raise ValueError("realized_demand must match the horizon")
-        if not np.all(np.isfinite(demand)) or np.any(demand < 0):
-            raise ValueError("realized demand entries must be finite and >= 0")
-
-    spec = instance.storage
-    observe = getattr(policy, "observe", None)
-    level = spec.initial_level
-    purchases = np.empty(T)
-    levels = np.empty(T + 1)
-    levels[0] = level
-    clamped: list[int] = []
-    for t in range(T):
-        p = float(prices[t])
-        d = float(demand[t])
-        q_lo, q_hi = feasible_purchase_range(spec, level, d)
-        q = float(policy.decide(t, level, p, instance))
-        if not np.isfinite(q):
-            raise ValueError(f"policy returned non-finite purchase at slot {t}")
-        q_used = min(max(q, q_lo), q_hi)
-        if abs(q_used - q) > ENERGY_TOL:
-            clamped.append(t)
-        level = level + q_used - d
-        purchases[t] = q_used
-        levels[t + 1] = level
-        if observe is not None:
-            observe(p)
-
-    used_prices = prices[:T]
-    total_cost = float(np.dot(used_prices, purchases))
-    purchases.flags.writeable = False
-    levels.flags.writeable = False
-    return Trajectory(
-        prices=used_prices,
-        purchases=purchases,
-        levels=levels,
-        total_cost=total_cost,
-        clamped_slots=tuple(clamped),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class TrajectoryBatch:
     """Realized runs of one policy on E price series, one row per series.
 
-    Row e holds the same bits as ``simulate`` gives for series e.
     ``clamped[e]`` marks the slots whose purchase was clamped, so
     ``clamped[e].sum()`` is row e's clamp count.
     """
@@ -181,8 +121,8 @@ def max_first(a, b):
     """Elementwise builtin ``max(a, b)``: ``a`` unless ``b > a``.
 
     ``np.maximum`` may pick either of two equal values (0.0 and -0.0);
-    this keeps the builtin's choice, so batched code matches the
-    per-slot code bit for bit.
+    this keeps the builtin's choice, so batched code matches scalar
+    code bit for bit.
     """
     return np.where(b > a, b, a)
 
@@ -238,13 +178,15 @@ def demand_rows(realized_demand, episodes: int, horizon: int) -> np.ndarray:
 
 
 def simulate_batch(instance, prices, policy, realized_demand=None) -> TrajectoryBatch:
-    """``simulate`` for E price series at once, stepping ``levels[E]`` together.
+    """Drive a policy over E price series at once, stepping ``levels[E]`` together.
 
     The policy's ``decide_batch(t, levels, prices, instance)`` gets every
-    row's level and observed price and returns one purchase per row.
-    ``realized_demand``, when given, is one (E, T) row per series.  Each
-    row's cost is one ``np.dot``, so every row equals ``simulate`` on that
-    series bit for bit.
+    row's level and observed price and returns one purchase per row, which
+    is clamped into the feasible range (clamps are recorded).
+    ``realized_demand``, when given, is one (E, T) row per series; it
+    drives the dynamics and feasibility while the policy still acts on the
+    nominal instance.  Each row's cost is one ``np.dot``, so a row's bits
+    do not depend on the other rows.
     """
     T = instance.horizon
     prices = price_rows(prices, T)
@@ -276,3 +218,33 @@ def simulate_batch(instance, prices, policy, realized_demand=None) -> Trajectory
         prices=prices, purchases=purchases, levels=levels,
         total_cost=total_cost, clamped=clamped,
     )
+
+
+def one_row(engine, instance, prices, rule, realized_demand=None) -> Trajectory:
+    """Row 0 of ``engine(instance, [prices], rule, realized_demand)`` as a Trajectory.
+
+    ``engine`` is a batch engine (``simulate_batch`` or ``offline_costs``)
+    and ``prices`` one series of at least T prices.
+    """
+    prices = as_series(prices, "prices")
+    T = instance.horizon
+    if prices.size < T:
+        raise ValueError(f"need at least {T} prices, got {prices.size}")
+    batch = engine(instance, prices[None, :], rule, realized_demand)
+    return Trajectory(
+        prices=batch.prices[0],
+        purchases=batch.purchases[0],
+        levels=batch.levels[0],
+        total_cost=float(batch.total_cost[0]),
+        clamped_slots=tuple(np.flatnonzero(batch.clamped[0]).tolist()),
+    )
+
+
+def simulate(instance, prices, policy, *, realized_demand=None) -> Trajectory:
+    """Drive a policy over one price series: the one-row ``simulate_batch``.
+
+    ``realized_demand``, when given, is one length-T row.
+    """
+    if realized_demand is not None:
+        realized_demand = np.reshape(realized_demand, (1, -1))
+    return one_row(simulate_batch, instance, prices, policy, realized_demand)

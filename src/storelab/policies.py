@@ -5,6 +5,10 @@ below its threshold (the boundary price counts as cheap) and serves from
 storage otherwise.  The DP policy minimizes expected cost by backward
 induction on a storage grid, integrating the price with equal-weight
 quantile-midpoint atoms, and acts on the observed price each slot.
+
+Each policy implements one rule, ``decide_batch``, which ``simulate_batch``
+drives with one level and one price per row; ``decide`` is its one-row
+case, and ``argmin_purchase`` the one-row ``argmin_purchases``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .estimation import EstimateReport, EstimationError, estimate
 from .model import (
     Instance,
     StorageSpec,
-    feasible_purchase_range,
+    feasible_purchase_range,  # noqa: F401  (a name bench/tracer.py wraps)
     feasible_purchase_ranges,
     max_first,
     min_first,
@@ -30,20 +34,18 @@ from .prices import Normal, as_series
 
 
 class Policy:
-    """Per-slot purchase rule driven by the simulation engine.
+    """Purchase rule driven by the simulation engine, one slot at a time.
 
-    ``decide`` maps (slot, storage level, observed price, instance) to a
-    purchase; the engine clamps it into the feasible range.  A policy that
-    defines ``observe`` is passed each slot's price after the slot, so it
-    can accumulate price history.  ``decide_batch`` takes one level and one
-    price per row and returns one purchase per row, equal bit for bit to
-    ``decide`` on each row; ``simulate_batch`` drives it.
+    ``decide_batch`` maps (slot, storage levels, observed prices, instance)
+    to one purchase per row; the engine clamps each into its feasible
+    range.  ``decide`` is the one-row case.
     """
 
     policy_id = "policy"
 
     def decide(self, t: int, level: float, price: float, instance: Instance) -> float:
-        raise NotImplementedError
+        q = self.decide_batch(t, np.array([float(level)]), np.array([float(price)]), instance)
+        return float(q[0])
 
     def decide_batch(
         self, t: int, levels: np.ndarray, prices: np.ndarray, instance: Instance
@@ -57,8 +59,7 @@ class ThresholdPolicy(Policy):
     At a price <= threshold the policy buys the demand plus whatever tops
     the store up to ``fill_target`` (the full capacity by default); above
     the threshold it moves toward an empty store, buying only what the
-    store cannot cover.  ``threshold`` may also be one value per row, for
-    ``decide_batch`` only.
+    store cannot cover.  ``threshold`` may also be one value per row.
     """
 
     def __init__(self, threshold, fill_target: float | None = None,
@@ -80,15 +81,6 @@ class ThresholdPolicy(Policy):
                 f"fill target {self.fill_target} exceeds capacity {spec.capacity}"
             )
         return self.fill_target
-
-    def decide(self, t, level, price, instance):
-        spec = instance.storage
-        target_full = self._target_full(spec)
-        d = float(instance.demand[t])
-        q_lo, q_hi = feasible_purchase_range(spec, level, d)
-        target = target_full if price <= self.threshold else 0.0
-        want = d + target - level
-        return min(max(want, q_lo), q_hi)
 
     def decide_batch(self, t, levels, prices, instance):
         spec = instance.storage
@@ -221,33 +213,6 @@ def build_value_table(
     return ValueTable(grid=grid, values=values, first_slot=first_slot)
 
 
-def argmin_purchase(
-    grid: np.ndarray,
-    v_next: np.ndarray,
-    spec: StorageSpec,
-    level: float,
-    demand: float,
-    price: float,
-) -> float:
-    """Purchase minimizing price * q + interpolated next value.
-
-    Candidates are the feasible grid next-levels plus the exact endpoint
-    levels; ties resolve toward the smaller purchase.
-    """
-    q_lo, q_hi = feasible_purchase_range(spec, level, demand)
-    cap = spec.capacity
-    s_lo = min(max(level + q_lo - demand, 0.0), cap)
-    s_hi = min(max(level + q_hi - demand, 0.0), cap)
-    i0 = int(np.searchsorted(grid, s_lo, side="left"))
-    i1 = int(np.searchsorted(grid, s_hi, side="right"))
-    # Already non-decreasing (grid[i0] >= s_lo, grid[i1 - 1] <= s_hi); a repeated
-    # level costs the same, so argmin picks the same level as over unique values.
-    cands = np.concatenate(([s_lo], grid[i0:i1], [s_hi]))
-    costs = price * (cands - level + demand) + np.interp(cands, grid, v_next)
-    pick = float(cands[int(np.argmin(costs))])
-    return min(max(pick - level + demand, q_lo), q_hi)
-
-
 def interp_rows(x: np.ndarray, grid: np.ndarray, fp: np.ndarray) -> np.ndarray:
     """``np.interp(x[e], grid, fp[e])`` for every row e, bit for bit.
 
@@ -280,12 +245,14 @@ def argmin_purchases(
     demand,
     prices: np.ndarray,
 ) -> np.ndarray:
-    """``argmin_purchase`` for every row, bit for bit.
+    """Purchase minimizing price * q + interpolated next value, for every row.
 
-    ``v_next`` is one shared row or one row per level, ``demand`` one value
-    or one per row.  Grid points outside a row's feasible next levels cost
-    +inf; the pick is the first minimum in ``argmin_purchase``'s candidate
-    order: lower endpoint, grid points, upper endpoint.
+    Candidates are the feasible grid next-levels plus the exact endpoint
+    levels; ties resolve toward the smaller purchase.  ``v_next`` is one
+    shared row or one row per level, ``demand`` one value or one per row.
+    Grid points outside a row's feasible next levels cost +inf; the pick is
+    the first minimum in candidate order: lower endpoint, grid points,
+    upper endpoint.
     """
     q_lo, q_hi = feasible_purchase_ranges(spec, levels, demand)
     cap = spec.capacity
@@ -304,6 +271,14 @@ def argmin_purchases(
     return min_first(max_first(pick - levels + demand, q_lo), q_hi)
 
 
+def argmin_purchase(grid, v_next, spec: StorageSpec, level: float, demand: float,
+                    price: float) -> float:
+    """The one-row ``argmin_purchases``."""
+    q = argmin_purchases(grid, v_next, spec, np.array([float(level)]), demand,
+                         np.array([float(price)]))
+    return float(q[0])
+
+
 class DpPolicy(Policy):
     """Greedy policy against a value table, acting on the observed price."""
 
@@ -312,24 +287,12 @@ class DpPolicy(Policy):
     def __init__(self, table: ValueTable) -> None:
         self.table = table
 
-    def _check_slot(self, t: int) -> None:
+    def decide_batch(self, t, levels, prices, instance):
         table = self.table
         if t >= table.horizon:
             raise IndexError(f"slot {t} beyond table horizon {table.horizon}")
         if t < table.first_slot:
             raise IndexError(f"slot {t} before table first slot {table.first_slot}")
-
-    def decide(self, t, level, price, instance):
-        table = self.table
-        self._check_slot(t)
-        return argmin_purchase(
-            table.grid, table.values[t + 1], instance.storage, level,
-            float(instance.demand[t]), price,
-        )
-
-    def decide_batch(self, t, levels, prices, instance):
-        table = self.table
-        self._check_slot(t)
         return argmin_purchases(
             table.grid, table.values[t + 1], instance.storage, levels,
             instance.demand[t], prices,
@@ -368,17 +331,14 @@ class AdaptivePolicy(Policy):
 
     Wraps a policy family ((estimate report, first slot) -> policy that
     acts from that slot on).  The base policy is built once, from the
-    warmup.  Prices observed during the run join the warmup history; every
-    ``refresh_stride`` observed slots the estimates and the policy are
-    rebuilt at the current slot.  A failed refresh keeps the previous
-    policy and is recorded in ``events``.  The engine passes each slot's
-    price to ``observe``.  One instance drives one trajectory; use
-    ``reset`` between episodes.
-
-    ``decide_batch`` drives one trajectory per row instead: a call at slot
-    0 starts every row from the base policy, and a refresh re-estimates
-    each row from the warmup plus that row's observed prices.  Its events
-    name the row.
+    warmup, and serves every run; ``refresh_stride`` may change between
+    runs.  Each row drives one trajectory, and its slots must come in
+    order from slot 0: a call at slot 0 starts every row from the base
+    policy.  The prices a row observes join the warmup history; every
+    ``refresh_stride`` slots each row's estimates and policy are rebuilt
+    at the current slot from that row's history.  A failed refresh keeps
+    the row's previous policy and is recorded in ``events``, which name
+    the row.
     """
 
     policy_id = "adaptive"
@@ -394,8 +354,6 @@ class AdaptivePolicy(Policy):
         clamp_nonpositive_lower: bool = False,
     ) -> None:
         """Raises EstimationError when the warmup itself gives no estimate."""
-        if refresh_stride is not None and refresh_stride < 1:
-            raise ValueError(f"refresh stride must be >= 1, got {refresh_stride}")
         self.family = family
         self.refresh_stride = refresh_stride
         self.alpha = alpha
@@ -405,37 +363,32 @@ class AdaptivePolicy(Policy):
         if self._warmup.size < 2:
             raise ValueError("need a warmup of at least 2 prices")
         self._base = self._rebuild(self._warmup, 0)
-        self.reset()
-
-    def reset(self) -> None:
-        """Restore the history to the warmup and the policy to the base one."""
-        self.history = self._warmup.tolist()
         self.events: list[str] = []
-        self._since_refresh = 0
-        self._current = self._base
-
-    def decide(self, t, level, price, instance):
-        stride = self.refresh_stride
-        if stride is not None and self._since_refresh >= stride:
-            self._since_refresh = 0
-            self._current = self._refreshed(self._current, self.history, t, "")
-        return self._current.decide(t, level, price, instance)
-
-    def observe(self, price: float) -> None:
-        self.history.append(float(price))
-        self._since_refresh += 1
+        self._rows: list[Policy] | None = None
 
     def decide_batch(self, t, levels, prices, instance):
+        stride = self.refresh_stride
         if t == 0:
+            if stride is not None and stride < 1:
+                raise ValueError(f"refresh stride must be >= 1, got {stride}")
             self.events = []
             self._rows = [self._base] * levels.size
             self._observed = np.empty((levels.size, instance.horizon))
-        stride = self.refresh_stride
+        elif self._rows is None:
+            raise ValueError(
+                f"adaptive policy asked to decide slot {t} before slot 0; "
+                "its slots must run in order from slot 0"
+            )
         if stride is not None and t > 0 and t % stride == 0:
-            rows = self._rows
-            for e, row in enumerate(rows):
+            for e in range(len(self._rows)):
                 history = np.concatenate((self._warmup, self._observed[e, :t]))
-                rows[e] = self._refreshed(row, history, t, f"row {e}: ")
+                try:
+                    self._rows[e] = self._rebuild(history, t)
+                except EstimationError as exc:
+                    self.events.append(
+                        f"row {e}: refresh failed at n={history.size} ({exc}); "
+                        "kept previous policy"
+                    )
         q = self._decide_rows(t, levels, prices, instance)
         self._observed[:, t] = prices
         return q
@@ -463,13 +416,3 @@ class AdaptivePolicy(Policy):
             clamp_nonpositive_lower=self.clamp_nonpositive_lower,
         )
         return self.family(report, first_slot)
-
-    def _refreshed(self, current: Policy, history, t: int, label: str) -> Policy:
-        """The policy rebuilt from ``history`` at slot t, or ``current`` if that fails."""
-        try:
-            return self._rebuild(history, t)
-        except EstimationError as exc:
-            self.events.append(
-                f"{label}refresh failed at n={len(history)} ({exc}); kept previous policy"
-            )
-            return current

@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
 
-from storelab import Instance, Policy, StorageSpec, simulate
-from storelab.policies import argmin_purchase, backward_step, storage_grid
+from storelab import (
+    AdaptivePolicy,
+    DpPolicy,
+    EstimationError,
+    Instance,
+    StorageSpec,
+    ThresholdPolicy,
+    Trajectory,
+    ValueTable,
+    feasible_purchase_range,
+)
+from storelab.model import ENERGY_TOL
+from storelab.policies import backward_step, storage_grid
+
 
 # Reference instance used across the experiment-facing tests:
-# 24 unit-demand slots, a 5-unit store starting empty, prices N(10, 2^2).
-REF_MU = 10.0
-REF_SIGMA = 2.0
-
-
+# 24 unit-demand slots, a 5-unit store starting empty.
 @pytest.fixture(scope="session")
 def reference_instance() -> Instance:
     return Instance.constant(24, 1.0, StorageSpec(capacity=5.0, initial_level=0.0))
@@ -36,20 +44,101 @@ def random_aligned_instance(rng: np.random.Generator, step: float = 0.25):
     return Instance(T, demand, StorageSpec(capacity=B, initial_level=s0))
 
 
-class _HindsightGreedy(Policy):
-    """Greedy forward pass against per-slot value tables built from known prices."""
+# -- scalar references for the batched engine -------------------------------
+# Python-float code, one slot and one series at a time, that every row of
+# ``simulate_batch``, ``decide_batch``, ``argmin_purchases`` and
+# ``offline_costs`` must match bit for bit.
 
-    policy_id = "offline"
 
-    def __init__(self, grid: np.ndarray, values: np.ndarray) -> None:
-        self.grid = grid
-        self.values = values
+def reference_argmin_purchase(grid, v_next, spec, level, demand, price, dedupe=False):
+    """Purchase minimizing price * q + interpolated next value, for one level.
+
+    Candidates are the feasible grid next-levels plus the exact endpoint
+    levels (deduplicated with ``np.unique`` if ``dedupe``); ties resolve
+    toward the smaller purchase.
+    """
+    q_lo, q_hi = feasible_purchase_range(spec, level, demand)
+    cap = spec.capacity
+    s_lo = min(max(level + q_lo - demand, 0.0), cap)
+    s_hi = min(max(level + q_hi - demand, 0.0), cap)
+    i0 = int(np.searchsorted(grid, s_lo, side="left"))
+    i1 = int(np.searchsorted(grid, s_hi, side="right"))
+    # Already non-decreasing (grid[i0] >= s_lo, grid[i1 - 1] <= s_hi); a repeated
+    # level costs the same, so argmin picks the same level as over unique values.
+    cands = np.concatenate(([s_lo], grid[i0:i1], [s_hi]))
+    cands = np.unique(cands) if dedupe else cands
+    costs = price * (cands - level + demand) + np.interp(cands, grid, v_next)
+    pick = float(cands[int(np.argmin(costs))])
+    return min(max(pick - level + demand, q_lo), q_hi)
+
+
+def reference_decide(policy, t, level, price, instance) -> float:
+    """The scalar rule of a threshold or DP policy; any other policy's own ``decide``."""
+    spec = instance.storage
+    d = float(instance.demand[t])
+    if isinstance(policy, ThresholdPolicy):
+        q_lo, q_hi = feasible_purchase_range(spec, level, d)
+        target = policy._target_full(spec) if price <= policy.threshold else 0.0
+        return min(max(d + target - level, q_lo), q_hi)
+    if isinstance(policy, DpPolicy):
+        table = policy.table
+        return reference_argmin_purchase(table.grid, table.values[t + 1], spec, level, d, price)
+    return policy.decide(t, level, price, instance)
+
+
+class ReferenceAdaptive:
+    """An AdaptivePolicy's schedule for one series: its history grows by a price each slot.
+
+    Every ``refresh_stride`` slots the policy is rebuilt from the history;
+    a failed rebuild keeps the previous one and is logged in ``events``.
+    """
+
+    def __init__(self, adaptive: AdaptivePolicy) -> None:
+        self.adaptive = adaptive
+        self.current = adaptive._base
+        self.history = adaptive._warmup.tolist()
+        self.events: list[str] = []
 
     def decide(self, t, level, price, instance):
-        return argmin_purchase(
-            self.grid, self.values[t + 1], instance.storage, level,
-            float(instance.demand[t]), price,
-        )
+        stride = self.adaptive.refresh_stride
+        if stride is not None and t > 0 and t % stride == 0:
+            try:
+                self.current = self.adaptive._rebuild(self.history, t)
+            except EstimationError as exc:
+                self.events.append(
+                    f"refresh failed at n={len(self.history)} ({exc}); kept previous policy"
+                )
+        self.history.append(float(price))
+        return reference_decide(self.current, t, level, price, instance)
+
+
+def reference_simulate(instance, prices, policy, realized_demand=None) -> Trajectory:
+    """The per-slot engine: one series, Python floats, ``reference_decide`` each slot."""
+    prices = np.asarray(prices, dtype=float)
+    T = instance.horizon
+    demand = instance.demand if realized_demand is None else realized_demand
+    spec = instance.storage
+    level = spec.initial_level
+    purchases = np.empty(T)
+    levels = np.empty(T + 1)
+    levels[0] = level
+    clamped = []
+    for t in range(T):
+        d = float(demand[t])
+        q_lo, q_hi = feasible_purchase_range(spec, level, d)
+        q = float(reference_decide(policy, t, level, float(prices[t]), instance))
+        if not np.isfinite(q):
+            raise ValueError(f"policy returned non-finite purchase at slot {t}")
+        q_used = min(max(q, q_lo), q_hi)
+        if abs(q_used - q) > ENERGY_TOL:
+            clamped.append(t)
+        level = level + q_used - d
+        purchases[t] = q_used
+        levels[t + 1] = level
+    return Trajectory(
+        prices=prices[:T], purchases=purchases, levels=levels,
+        total_cost=float(np.dot(prices[:T], purchases)), clamped_slots=tuple(clamped),
+    )
 
 
 def reference_offline_optimal(instance: Instance, prices, grid_size: int = 100):
@@ -60,8 +149,6 @@ def reference_offline_optimal(instance: Instance, prices, grid_size: int = 100):
     """
     prices = np.asarray(prices, dtype=float)
     T = instance.horizon
-    if prices.size < T:
-        raise ValueError(f"need at least {T} prices, got {prices.size}")
     spec = instance.storage
     grid = storage_grid(spec.capacity, grid_size)
     values = np.zeros((T + 1, grid.size))
@@ -71,4 +158,4 @@ def reference_offline_optimal(instance: Instance, prices, grid_size: int = 100):
             grid, values[t + 1], float(instance.demand[t]), spec,
             np.asarray([float(prices[t])]), one,
         )
-    return simulate(instance, prices, _HindsightGreedy(grid, values))
+    return reference_simulate(instance, prices, DpPolicy(ValueTable(grid, values)))

@@ -1,10 +1,11 @@
-"""The batched engine against the per-slot engine, bit for bit.
+"""The batched engine against the scalar references, bit for bit.
 
 ``simulate_batch``, ``decide_batch``, ``interp_rows`` and ``offline_costs``
-replace per-episode loops in the runners, so every row they return must
-carry the same bits as the per-slot ``simulate``, ``np.interp`` and the
-per-episode grid oracle kept in ``conftest.py``.  Comparisons use
-``.tobytes()``, so a -0.0 in place of 0.0 shows.
+are the only engine, so every row they return must carry the same bits as
+``np.interp`` and the per-slot references kept in ``conftest.py``
+(``reference_simulate``, ``reference_argmin_purchase``,
+``reference_offline_optimal``).  Comparisons use ``.tobytes()``, so a -0.0
+in place of 0.0 shows.
 """
 
 import math
@@ -31,7 +32,6 @@ from storelab import (
     feasible_purchase_range,
     generate,
     offline_optimal,
-    simulate,
 )
 from storelab import metrics
 from storelab.config import build_instance, build_model
@@ -41,7 +41,12 @@ from storelab.model import feasible_purchase_ranges, simulate_batch
 from storelab.policies import backward_step, interp_rows, storage_grid
 from storelab.seeds import stream
 
-from conftest import reference_offline_optimal
+from conftest import (
+    ReferenceAdaptive,
+    reference_decide,
+    reference_offline_optimal,
+    reference_simulate,
+)
 
 PRICES = st.one_of(
     st.sampled_from((-0.0, 0.0, 1.0, 4.0, 8.0, 16.0)),
@@ -91,8 +96,8 @@ def _assert_rows_match(batch, refs):
 
 def _per_slot(instance, prices, policies, realized):
     return [
-        simulate(instance, prices[e], policies[e],
-                 realized_demand=None if realized is None else realized[e])
+        reference_simulate(instance, prices[e], policies[e],
+                           realized_demand=None if realized is None else realized[e])
         for e in range(prices.shape[0])
     ]
 
@@ -158,26 +163,20 @@ class TestSimulateBatch:
 
 
 def _adaptive_rows_match(instance, prices, realized, adaptive):
-    """Each batch row equals a per-slot run of the reset policy; returns the batch events."""
+    """Each batch row equals the per-slot reference run; returns the batch events."""
     batch = simulate_batch(instance, prices, adaptive, realized_demand=realized)
-    events = list(adaptive.events)
-    refs, ref_events = [], []
-    for e in range(len(prices)):
-        adaptive.reset()
-        refs.append(simulate(instance, prices[e], adaptive,
-                             realized_demand=None if realized is None else realized[e]))
-        ref_events.append(adaptive.events)
-    _assert_rows_match(batch, refs)
-    for e, expected in enumerate(ref_events):
+    refs = [ReferenceAdaptive(adaptive) for _ in prices]
+    _assert_rows_match(batch, _per_slot(instance, prices, refs, realized))
+    for e, ref in enumerate(refs):
         label = f"row {e}: "
-        assert [m[len(label):] for m in events if m.startswith(label)] == expected
-    return events
+        assert [m[len(label):] for m in adaptive.events if m.startswith(label)] == ref.events
+    return adaptive.events
 
 
 class TestAdaptiveBatch:
     @given(batch_cases(), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_rows_match_reset_per_slot_runs(self, case, data):
+    def test_rows_match_per_slot_reference(self, case, data):
         instance, prices, realized = case
         T = instance.horizon
         if data.draw(st.booleans(), label="dp"):
@@ -297,9 +296,6 @@ class TestOfflineCosts:
 
 
 class _NanPolicy(Policy):
-    def decide(self, t, level, price, instance):
-        return math.nan
-
     def decide_batch(self, t, levels, prices, instance):
         return np.full(levels.shape, math.nan)
 
@@ -316,14 +312,14 @@ class TestErrorPaths:
         policy = ThresholdPolicy(5.0, fill_target=2.0)
         prices = np.ones((3, 2))
         assert _message(lambda: simulate_batch(inst, prices, policy)) == _message(
-            lambda: simulate(inst, prices[0], policy)
+            lambda: reference_simulate(inst, prices[0], policy)
         )
 
     def test_non_finite_purchase(self):
         inst = Instance.constant(2, 1.0, StorageSpec(1.0))
         prices = np.ones((3, 2))
         got = _message(lambda: simulate_batch(inst, prices, _NanPolicy()))
-        assert got == _message(lambda: simulate(inst, prices[0], _NanPolicy()))
+        assert got == _message(lambda: reference_simulate(inst, prices[0], _NanPolicy()))
         assert got == "policy returned non-finite purchase at slot 0"
 
     def test_infeasible_slot(self):
@@ -335,7 +331,7 @@ class TestErrorPaths:
         dp = DpPolicy(build_value_table(inst, Normal(10.0, 2.0), 10, 5))
         prices = np.full(3, 10.0)
         got = _message(lambda: dp.decide_batch(0, levels, prices, inst), InfeasibleSlotError)
-        assert got == _message(lambda: dp.decide(0, 3.0, 10.0, inst), InfeasibleSlotError)
+        assert got == _message(lambda: reference_decide(dp, 0, 3.0, 10.0, inst), InfeasibleSlotError)
 
     def test_nonpositive_opt_cost_in_policy_compare(self, tmp_path):
         # prices N(3, 2^2) go negative, so some episode's oracle cost is <= 0

@@ -18,7 +18,6 @@ from storelab import (
     estimate,
     generate,
     resample,
-    simulate,
 )
 from storelab.cli import main
 from storelab.config import build_instance, build_model, load_history
@@ -37,15 +36,15 @@ from storelab.experiments import (
 from storelab.metrics import METRIC_HEADER
 from storelab.seeds import stream
 
-from conftest import reference_offline_optimal
+from conftest import reference_offline_optimal, reference_simulate
 
 
 def _no_rounds(*args):
     raise AssertionError("a round ran")
 
 
-def _no_per_slot_simulate(*args, **kwargs):
-    raise AssertionError("the runner called the per-slot simulate")
+def _no_one_row_simulate(*args, **kwargs):
+    raise AssertionError("the runner called the one-row simulate")
 
 
 def _field_reprs(row):
@@ -55,7 +54,7 @@ def _field_reprs(row):
 def _reference_violation_rows(config, history, n):
     """The violation rows for one n, one round and one episode at a time.
 
-    The per-slot ``simulate`` and the per-episode reference oracle score
+    ``reference_simulate`` and the per-episode reference oracle score
     each series; the estimate, series and aggregates follow the runner's
     definition.
     """
@@ -82,7 +81,7 @@ def _reference_violation_rows(config, history, n):
                 prices = eval_model.draw(rng, T)
             if config.clamp_eval_to_bounds:
                 prices = np.clip(prices, report.lower_bound, report.upper_bound)
-            alg_costs[e] = simulate(instance, prices, policy).total_cost
+            alg_costs[e] = reference_simulate(instance, prices, policy).total_cost
             opt_costs[e] = reference_offline_optimal(instance, prices, config.G).total_cost
             crs[e] = competitive_ratio(alg_costs[e], opt_costs[e])
         round_cr = float(crs.max() if config.verdict == "any" else crs.mean())
@@ -220,7 +219,7 @@ class TestRunViolationCurve:
         dict(mu=7.0, sigma=2.5, clamp_lo=0.5, clamp_hi=14.0, clamp_m=False, history_size=400),
     ], ids=["default", "held-out", "clamped-eval", "mean-verdict", "estimation-failures"])
     def test_rows_match_per_slot_reference(self, tmp_path, mode):
-        # every field of every row, against the per-slot simulate and the
+        # every field of every row, against reference_simulate and the
         # per-episode reference oracle
         config = small_config(tmp_path, kind="violation-curve", n_grid=(3, 8, 60),
                               rounds=6, eval_episodes=3, **mode)
@@ -409,13 +408,14 @@ class TestRunAdaptive:
         monkeypatch.setattr(policies, "build_value_table", counting_build)
         monkeypatch.setattr(experiments, "build_value_table", counting_build)
         monkeypatch.setattr(policies, "estimate", counting_estimate)
-        monkeypatch.setattr(experiments, "simulate", _no_per_slot_simulate)
+        monkeypatch.setattr(experiments, "simulate", _no_one_row_simulate)
         config = small_config(tmp_path, kind="adaptive", rounds=3, episodes=4,
                               warmup_grid=(10, 30), refresh_grid=(math.inf, 2.0))
         run_adaptive_convergence(config)
-        # one base table per (warmup, round, stride); stride 2 at T=6 refreshes
-        # every episode at slots 2 and 4; plus the true-parameter table
-        bases = 2 * 3 * 2
+        # one base table per (warmup, round), shared by both strides; stride 2
+        # at T=6 refreshes every episode at slots 2 and 4; plus the
+        # true-parameter table
+        bases = 2 * 3
         refreshes = 2 * 3 * 4 * 2
         assert len(estimates) == bases + refreshes
         assert len(builds) == 1 + bases + refreshes

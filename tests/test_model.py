@@ -22,8 +22,8 @@ class FixedPlanPolicy(Policy):
     def __init__(self, plan) -> None:
         self.plan = np.asarray(plan, dtype=float)
 
-    def decide(self, t, level, price, instance):
-        return float(self.plan[t])
+    def decide_batch(self, t, levels, prices, instance):
+        return np.full(levels.shape, self.plan[t])
 
 
 class TestFeasiblePurchaseRange:

@@ -33,6 +33,8 @@ from storelab.policies import (
     storage_grid,
 )
 
+from conftest import reference_argmin_purchase
+
 
 def _inst(T=1, demand=1.0, B=1.0, s0=0.0):
     return Instance.constant(T, demand, StorageSpec(capacity=B, initial_level=s0))
@@ -216,20 +218,6 @@ def _enumerate_online_optimum(inst, step=0.5):
     return 0.5 * (value(0, spec.initial_level, 1.0) + value(0, spec.initial_level, 3.0))
 
 
-def _argmin_purchase_unique(grid, v_next, spec, level, demand, price):
-    """Reference argmin_purchase that deduplicates the candidate levels with np.unique."""
-    q_lo, q_hi = feasible_purchase_range(spec, level, demand)
-    cap = spec.capacity
-    s_lo = min(max(level + q_lo - demand, 0.0), cap)
-    s_hi = min(max(level + q_hi - demand, 0.0), cap)
-    i0 = int(np.searchsorted(grid, s_lo, side="left"))
-    i1 = int(np.searchsorted(grid, s_hi, side="right"))
-    cands = np.unique(np.concatenate(([s_lo], grid[i0:i1], [s_hi])))
-    costs = price * (cands - level + demand) + np.interp(cands, grid, v_next)
-    pick = float(cands[int(np.argmin(costs))])
-    return min(max(pick - level + demand, q_lo), q_hi)
-
-
 @st.composite
 def _argmin_cases(draw):
     capacity = draw(st.sampled_from((0.0, 1.0, 2.5, 5.0)))
@@ -250,13 +238,14 @@ class TestArgminPurchase:
     @given(_argmin_cases())
     @settings(max_examples=300, deadline=None)
     def test_matches_deduplicated_candidates(self, case):
-        assert argmin_purchase(*case) == _argmin_purchase_unique(*case)
+        assert argmin_purchase(*case) == reference_argmin_purchase(*case, dedupe=True)
 
     @given(_argmin_cases())
     @settings(max_examples=300, deadline=None)
     def test_batch_matches_scalar_bit_for_bit(self, case):
         grid, v_next, spec, level, demand, price = case
-        want = np.float64(argmin_purchase(*case)).tobytes()
+        want = np.float64(reference_argmin_purchase(*case)).tobytes()
+        assert np.float64(argmin_purchase(*case)).tobytes() == want
         for v in (v_next, v_next[None, :]):  # one shared row, one row per level
             got = argmin_purchases(grid, v, spec, np.array([level]), demand, np.array([price]))
             assert got.tobytes() == want
@@ -366,26 +355,41 @@ class TestAdaptivePolicy:
         adaptive = AdaptivePolicy(ThresholdFamily(), warmup, refresh_stride=1)
         simulate(inst, prices, adaptive)
         assert len(adaptive.events) == 1 and "n=7" in adaptive.events[0]
-        assert adaptive._current.threshold == estimate(warmup + [10.3, 9.9]).threshold
+        assert adaptive._rows[0].threshold == estimate(warmup + [10.3, 9.9]).threshold
 
     def test_short_warmup_without_prior_rejected(self):
         with pytest.raises(ValueError):
             AdaptivePolicy(ThresholdFamily(), [10.0], refresh_stride=1)
+
+    def test_zero_refresh_stride_rejected(self):
+        adaptive = AdaptivePolicy(ThresholdFamily(), [10.0, 10.5, 9.5], refresh_stride=0)
+        with pytest.raises(ValueError, match="refresh stride must be >= 1, got 0"):
+            simulate(_inst(T=2), [10.0, 10.0], adaptive)
 
     def test_failed_initial_estimation_raises(self):
         # the three-sigma lower bound of the warmup is negative and unclamped
         with pytest.raises(EstimationError):
             AdaptivePolicy(ThresholdFamily(), [10.0, -10.0, 10.0])
 
-    def test_reset_restores_warmup(self):
+    def test_rerun_starts_from_the_warmup(self):
+        # slot 0 restarts every row from the base policy; no reset in between
         warmup = generate(Normal(10.0, 2.0), 100, seed=9)
         adaptive = AdaptivePolicy(ThresholdFamily(), warmup, refresh_stride=2)
         inst = Instance.constant(6, 1.0, StorageSpec(2.0))
         prices = generate(Normal(10.0, 2.0), 6, seed=10)
         first = simulate(inst, prices, adaptive).purchases
-        adaptive.reset()
         second = simulate(inst, prices, adaptive).purchases
-        assert np.array_equal(first, second)
+        assert first.tobytes() == second.tobytes()
+
+    def test_slot_after_zero_needs_slot_zero_first(self):
+        adaptive = AdaptivePolicy(ThresholdFamily(), [10.0, 10.5, 9.5], refresh_stride=1)
+        inst = Instance.constant(3, 1.0, StorageSpec(1.0))
+        with pytest.raises(ValueError, match="slot 2 before slot 0"):
+            adaptive.decide(2, 0.0, 10.0, inst)
+        with pytest.raises(ValueError, match="in order from slot 0"):
+            adaptive.decide_batch(1, np.zeros(2), np.full(2, 10.0), inst)
+        adaptive.decide(0, 0.0, 10.0, inst)
+        assert adaptive.decide(1, 1.0, 10.0, inst) >= 0.0
 
     def test_dp_family_builds_value_tables(self):
         inst = Instance.constant(4, 1.0, StorageSpec(2.0))
@@ -421,5 +425,5 @@ class TestAdaptivePolicy:
             partial = AdaptivePolicy(DpFamily(inst, 20, 11), warmup, refresh_stride=stride)
             full = AdaptivePolicy(FullTableFamily(inst, 20, 11), warmup, refresh_stride=stride)
             a = simulate(inst, prices, partial)
-            assert partial._current.table.first_slot == last_refresh
+            assert partial._rows[0].table.first_slot == last_refresh
             assert a.purchases.tobytes() == simulate(inst, prices, full).purchases.tobytes()
