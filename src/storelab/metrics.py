@@ -5,9 +5,12 @@ its single atom per slot, so its cost is exact whenever demands, capacity,
 and the initial fill are multiples of the grid step.  ``offline_costs``
 scores E episodes at once: a row-wise Bellman step fills a (T+1, E, G+1)
 value cube, and ``simulate_batch``, the one simulation engine, runs the
-greedy rule that reads each row's own value rows.  Rows go through in
-blocks of ``ORACLE_BLOCK``, which bounds the cube's memory; every row's
-result is the same bits whatever block it lands in, and
+greedy rule that reads each row's own value rows.  The step prices a
+``policies.SlotGeometry``, the part of the slot that no price changes,
+built once per distinct slot demand: one shared by every row under the
+instance's demand, one row per series under a realized demand.  Rows go
+through in blocks of ``ORACLE_BLOCK``, which bounds the cube's memory;
+every row's result is the same bits whatever block it lands in, and
 ``offline_optimal`` is the one-row case.  The brute-force oracle
 enumerates purchase lattices on tiny instances and exists only to
 validate the others.
@@ -42,10 +45,10 @@ from .policies import (
     argmin_purchase,  # noqa: F401  (a name bench/tracer.py wraps)
     argmin_purchases,
     backward_step,  # noqa: F401  (a name bench/tracer.py wraps)
-    interp_rows,
+    slot_sweep,
     storage_grid,
 )
-from .prices import resample
+from .prices import as_series, resample
 from .seeds import stream
 
 METRIC_HEADER = "round,n,policy_id,alg_cost,opt_cost,cr,cr_bound,violated,regret,theta_hat,seed"
@@ -98,24 +101,18 @@ def write_metric_rows(path, rows) -> None:
 ORACLE_BLOCK = 32  # rows per oracle value cube: (T+1) x 32 x (G+1) floats
 
 
-def _hindsight_step(grid, v_next, demand, spec, prices) -> np.ndarray:
+def _hindsight_step(geometry, v_next, prices) -> np.ndarray:
     """``backward_step`` with row e's own price as its single atom, for every row.
 
-    ``v_next`` is (E, G+1), ``demand`` and ``prices`` are (E,).  The same
-    elementwise arithmetic as ``backward_step``; its ``weights @`` with the
-    one unit weight adds 0.0, which the final ``+ 0.0`` repeats.
+    ``v_next`` is (E, G+1) and ``prices`` (E,); the geometry holds the
+    slot's demand, one for every row or one per row.  The same elementwise
+    arithmetic as ``backward_step``; its ``weights @`` with the one unit
+    weight adds 0.0, which the final ``+ 0.0`` repeats.
     """
-    cap = spec.capacity
-    d = demand[:, None]
     p = prices[:, None]
-    q_lo = np.maximum(0.0, d - np.minimum(grid, cap))
-    s_lo = np.clip(grid + (q_lo - d), 0.0, cap)
-    v_lo = interp_rows(s_lo, grid, v_next)
-    shifted = p * grid + v_next
-    suffix = np.minimum.accumulate(shifted[:, ::-1], axis=1)[:, ::-1]
-    idx = np.searchsorted(grid, s_lo, side="left") + (grid.size * np.arange(len(p)))[:, None]
-    best = np.minimum(suffix.take(idx), p * s_lo + v_lo)
-    return p * (d - grid) + best + 0.0
+    return geometry.min_costs(
+        v_next, p * geometry.grid_reversed, p * geometry.s_lo, p * geometry.to_serve
+    ) + 0.0
 
 
 class _HindsightRule:
@@ -126,12 +123,12 @@ class _HindsightRule:
     def __init__(self, grid: np.ndarray, values: np.ndarray, demand: np.ndarray) -> None:
         self.grid = grid
         self.values = values  # (T+1, E, G+1)
-        self.demand = demand  # (E, T)
+        self.demand = demand  # (T,), or (E, T) per row
 
     def decide_batch(self, t, levels, prices, instance):
         return argmin_purchases(
             self.grid, self.values[t + 1], instance.storage, levels,
-            self.demand[:, t], prices,
+            self.demand[..., t], prices,
         )
 
 
@@ -147,23 +144,22 @@ def offline_costs(
     T = instance.horizon
     prices = price_rows(prices, T)
     E = prices.shape[0]
-    if realized_demand is None:
-        demand = np.broadcast_to(instance.demand, (E, T))
-    else:
-        demand = demand_rows(realized_demand, E, T)
-    spec = instance.storage
-    grid = storage_grid(spec.capacity, grid_size)
+    per_row = realized_demand is not None
+    demand = demand_rows(realized_demand, E, T) if per_row else instance.demand
+    capacity = instance.storage.capacity
+    grid = storage_grid(capacity, grid_size)
     cube = np.zeros((T + 1, min(E, ORACLE_BLOCK), grid.size))  # row T stays zero
     parts = []
     for start in range(0, E, ORACLE_BLOCK):
         block = slice(start, start + ORACLE_BLOCK)
-        p, d = prices[block], demand[block]
+        p = prices[block]
+        d = demand[block] if per_row else demand
         values = cube[:, : p.shape[0]]
-        for t in range(T - 1, -1, -1):
-            values[t] = _hindsight_step(grid, values[t + 1], d[:, t], spec, p[:, t])
+        for t, geometry in slot_sweep(grid, capacity, d):
+            values[t] = _hindsight_step(geometry, values[t + 1], p[:, t])
         parts.append(simulate_batch(
             instance, p, _HindsightRule(grid, values, d),
-            realized_demand=None if realized_demand is None else d,
+            realized_demand=d if per_row else None,
         ))
     if len(parts) == 1:
         return parts[0]
@@ -294,6 +290,7 @@ def violation_rounds(
     T = instance.horizon
     E = config.eval_episodes
     held = config.eval_source == "held-out"
+    history = as_series(history, "history")  # once per chunk; resample indexes it as is
     rows_by_n: list[list[MetricRow]] = [[] for _ in ns]
     failures = [0] * len(ns)
     scored = []  # (index into ns, round, estimate report)

@@ -4,7 +4,10 @@ The threshold policy buys and fills the store whenever the price is at or
 below its threshold (the boundary price counts as cheap) and serves from
 storage otherwise.  The DP policy minimizes expected cost by backward
 induction on a storage grid, integrating the price with equal-weight
-quantile-midpoint atoms, and acts on the observed price each slot.
+quantile-midpoint atoms, and acts on the observed price each slot.  Each
+backward step prices a ``SlotGeometry``, the part of the step fixed by the
+grid, the capacity and the slot's demand; a sweep builds one per distinct
+demand, and the hindsight oracle in ``metrics`` steps through the same one.
 
 Each policy implements one rule, ``decide_batch``, which ``simulate_batch``
 drives with one level and one price per row; ``decide`` is its one-row
@@ -132,32 +135,142 @@ def storage_grid(capacity: float, grid_size: int) -> np.ndarray:
     return np.linspace(0.0, capacity, grid_size + 1)
 
 
-def backward_step(
-    grid: np.ndarray,
-    v_next: np.ndarray,
-    demand: float,
-    spec: StorageSpec,
-    atoms: np.ndarray,
-    weights: np.ndarray,
-) -> np.ndarray:
+def _take_rows(x: np.ndarray, n: int, per_row: bool):
+    """(index offset, take axis) for indices into value rows of length n.
+
+    With ``per_row``, row e of the (E, m) indices reads row e of (E, n)
+    values through the flattened rows; otherwise every index reads one
+    shared row, or the same positions of every row.
+    """
+    if per_row:
+        return (n * np.arange(x.shape[0]))[:, None], None
+    return 0, -1
+
+
+class InterpBracket:
+    """Where points fall on a grid: the half of ``np.interp`` that no value row changes.
+
+    ``interp_bracket`` builds it once for a set of points; ``values_at``
+    evaluates any value rows there.  The indices are ready for ``take``
+    along ``axis``.
+    """
+
+    __slots__ = ("lo", "hi", "at", "exact", "offset", "width", "axis")
+
+    def __init__(self, lo, hi, at, exact, offset, width, axis) -> None:
+        self.lo = lo  # the grid point at or below each point
+        self.hi = hi  # the grid point above it
+        self.at = at  # the grid point a point lies on, where ``exact``
+        self.exact = exact
+        self.offset = offset  # point minus grid[lo]
+        self.width = width  # grid[hi] - grid[lo]
+        self.axis = axis
+
+    def values_at(self, fp: np.ndarray) -> np.ndarray:
+        """``np.interp`` of the points on the grid with values ``fp``, bit for bit."""
+        y0 = fp.take(self.lo, axis=self.axis)
+        y1 = fp.take(self.hi, axis=self.axis)
+        inner = (y1 - y0) / self.width * self.offset + y0
+        return np.where(self.exact, fp.take(self.at, axis=self.axis), inner)
+
+
+def interp_bracket(x: np.ndarray, grid: np.ndarray, per_row: bool) -> InterpBracket:
+    """Bracket ``x`` on ``grid`` the way numpy's interp does.
+
+    A point on the grid (or beyond its ends) takes the grid value, any
+    other the slope times its offset from the grid point below, plus that
+    point's value.  With ``per_row``, row e of an (E, m) ``x`` reads row e
+    of (E, len(grid)) values; otherwise every point reads one shared row.
+    On a one-point grid every point takes that point's value.
+    """
+    n = grid.size
+    rows, axis = _take_rows(x, n, per_row)
+    if n == 1:
+        point = np.zeros(x.shape, dtype=np.intp) + rows
+        ones = np.ones(x.shape)
+        return InterpBracket(point, point, point, ones > 0.0, ones, ones, axis)
+    x = np.minimum(np.maximum(x, grid[0]), grid[-1])
+    j = np.minimum(np.searchsorted(grid, x, side="right"), n - 1) - 1
+    x0, x1 = grid[j], grid[j + 1]
+    on_hi = x == x1
+    lo = j + rows
+    return InterpBracket(lo, lo + 1, lo + on_hi, on_hi | (x == x0), x - x0, x1 - x0, axis)
+
+
+class SlotGeometry:
+    """The price-free half of one slot's Bellman step on a storage grid.
+
+    For the slot's demand d and every grid level s, the lowest feasible
+    next level is s_lo = clip(s + max(0, d - min(s, C)) - d, 0, C).  The
+    store can always fill to capacity C within a slot, so the feasible
+    next levels are [s_lo, C], and a purchase p (d - s) + p s' splits
+    into a part fixed by s and a part fixed by s'.  ``demand`` is one
+    value, which gives (G+1,) arrays that every price row shares, or one
+    value per row, which gives (E, G+1) arrays whose rows read their own
+    value rows.
+    """
+
+    def __init__(self, grid: np.ndarray, capacity: float, demand) -> None:
+        demand = np.asarray(demand, dtype=float)
+        d = demand[..., None]
+        q_lo = np.maximum(0.0, d - np.minimum(grid, capacity))
+        self.grid_reversed = grid[::-1]
+        self.s_lo = np.clip(grid + (q_lo - d), 0.0, capacity)
+        self.to_serve = d - grid
+        per_row = demand.ndim > 0
+        self.lo_bracket = interp_bracket(self.s_lo, grid, per_row)
+        rows, self.axis = _take_rows(self.s_lo, grid.size, per_row)
+        # s_lo's place in the suffix minima, which run over the reversed next-level axis
+        self.suffix_at = rows + (grid.size - 1 - np.searchsorted(grid, self.s_lo, side="left"))
+
+    def min_costs(self, v_next, grid_costs, lo_costs, serve_costs) -> np.ndarray:
+        """Each price row's cheapest purchase cost plus next value, at every level s.
+
+        The cost terms are one price per row times this geometry's arrays:
+        ``grid_costs`` times the reversed grid, ``lo_costs`` times s_lo and
+        ``serve_costs`` times d - grid.  The minimum over the grid next
+        levels in [s_lo, C] is a suffix minimum; the exact endpoint s_lo
+        is one more candidate.
+        """
+        suffix = np.minimum.accumulate(grid_costs + v_next[..., ::-1], axis=-1)
+        at_lo = lo_costs + self.lo_bracket.values_at(v_next)
+        return serve_costs + np.minimum(suffix.take(self.suffix_at, axis=self.axis), at_lo)
+
+
+def slot_sweep(grid, capacity: float, demand: np.ndarray, first_slot: int = 0, prepare=None):
+    """Yield (t, slot) for t = T-1 down to ``first_slot``: a backward sweep's geometries.
+
+    ``demand`` is (T,) or one row per series, (E, T).  One ``SlotGeometry``
+    (passed through ``prepare``, when given) serves every slot with the
+    same demand; it is built at the last such slot and let go after the
+    first, so the sweep holds only the demands still to come.
+    """
+    T = demand.shape[-1]
+    keys = [demand[..., t].tobytes() for t in range(T)]
+    first = {}
+    for t in range(first_slot, T):
+        first.setdefault(keys[t], t)
+    live = {}
+    for t in range(T - 1, first_slot - 1, -1):
+        slot = live.get(keys[t])
+        if slot is None:
+            slot = SlotGeometry(grid, capacity, demand[..., t])
+            slot = live[keys[t]] = slot if prepare is None else prepare(slot)
+        if first[keys[t]] == t:
+            del live[keys[t]]
+        yield t, slot
+
+
+def backward_step(geometry: SlotGeometry, v_next: np.ndarray, atom_costs, weights) -> np.ndarray:
     """One Bellman step of the purchase DP.
 
-    For every grid level and price atom, minimizes price * purchase plus
+    For every grid level and price atom, minimizes atom * purchase plus
     the interpolated next value over candidate next levels: every feasible
-    grid point plus the exact lower feasibility endpoint.  The store can
-    always fill to capacity within a slot, so the feasible next levels are
-    [s_lo, capacity], and splitting the cost as p (d - s) + (p s' + V(s'))
-    turns the scan into suffix minima over the next-level axis.
+    grid point plus the exact lower feasibility endpoint, then takes the
+    weighted mean over atoms.  ``atom_costs`` are the atoms times the
+    geometry's arrays (see ``SlotGeometry.min_costs``).
     """
-    cap = spec.capacity
-    q_lo = np.maximum(0.0, demand - np.minimum(grid, cap))
-    s_lo = np.clip(grid + (q_lo - demand), 0.0, cap)
-    v_lo = np.interp(s_lo, grid, v_next)
-    shifted = atoms[:, None] * grid[None, :] + v_next[None, :]  # (K, G+1) over s'
-    suffix = np.minimum.accumulate(shifted[:, ::-1], axis=1)[:, ::-1]
-    idx = np.searchsorted(grid, s_lo, side="left")
-    best = np.minimum(suffix[:, idx], atoms[:, None] * s_lo[None, :] + v_lo[None, :])
-    return weights @ (atoms[:, None] * (demand - grid[None, :]) + best)
+    return weights @ geometry.min_costs(v_next, *atom_costs)
 
 
 def _midpoint_probs(count: int) -> np.ndarray:
@@ -199,15 +312,19 @@ def build_value_table(
     T = instance.horizon
     if not (0 <= first_slot <= T):
         raise ValueError(f"first slot must lie in [0, {T}], got {first_slot}")
-    spec = instance.storage
-    grid = storage_grid(spec.capacity, grid_size)
-    atoms = quantile_atoms(model, atom_count)
+    capacity = instance.storage.capacity
+    grid = storage_grid(capacity, grid_size)
+    atoms = quantile_atoms(model, atom_count)[:, None]
     weights = np.full(atom_count, 1.0 / atom_count)
+    grid_costs = atoms * grid[::-1]  # next levels reversed: suffix minima run forward
+
+    def priced(geometry):
+        return geometry, (grid_costs, atoms * geometry.s_lo, atoms * geometry.to_serve)
+
     values = np.zeros((T + 1, grid.size))
-    for t in range(T - 1, first_slot - 1, -1):
-        values[t] = backward_step(
-            grid, values[t + 1], float(instance.demand[t]), spec, atoms, weights
-        )
+    for t, (geometry, atom_costs) in slot_sweep(grid, capacity, instance.demand, first_slot,
+                                                priced):
+        values[t] = backward_step(geometry, values[t + 1], atom_costs, weights)
     grid.flags.writeable = False
     values.flags.writeable = False
     return ValueTable(grid=grid, values=values, first_slot=first_slot)
@@ -216,25 +333,12 @@ def build_value_table(
 def interp_rows(x: np.ndarray, grid: np.ndarray, fp: np.ndarray) -> np.ndarray:
     """``np.interp(x[e], grid, fp[e])`` for every row e, bit for bit.
 
-    ``x`` is (E, m); ``fp`` is (E, len(grid)) or one shared row.  The same
-    arithmetic as numpy's interp: a point on the grid (or beyond its ends)
-    takes the grid value, any other the slope times its offset from the
-    grid point below, plus that point's value.  Values must be finite.
+    ``x`` is (E, m); ``fp`` is (E, len(grid)) or one shared row.  Values
+    must be finite.
     """
-    n = grid.size
-    rows = fp.reshape(-1, n)
-    if n == 1:
-        return np.broadcast_to(rows, x.shape)
-    x = np.minimum(np.maximum(x, grid[0]), grid[-1])
-    j = np.minimum(np.searchsorted(grid, x, side="right"), n - 1) - 1
-    if rows.shape[0] > 1:
-        j_flat = j + (n * np.arange(x.shape[0]))[:, None]
-    else:
-        j_flat = j
-    x0, x1 = grid[j], grid[j + 1]
-    y0, y1 = rows.take(j_flat), rows.take(j_flat + 1)
-    inner = (y1 - y0) / (x1 - x0) * (x - x0) + y0
-    return np.where(x == x1, y1, np.where(x == x0, y0, inner))
+    rows = fp.reshape(-1, grid.size)
+    per_row = rows.shape[0] > 1
+    return interp_bracket(x, grid, per_row).values_at(rows if per_row else rows[0])
 
 
 def argmin_purchases(

@@ -206,9 +206,15 @@ def resample(history, n: int, seed, mode: str = "with-replacement") -> np.ndarra
     """Draw a size-n sample from a historical series.
 
     ``prefix`` takes the first n values, ``random-window`` a contiguous
-    random window, ``with-replacement`` an i.i.d. bootstrap sample.
+    random window, ``with-replacement`` an i.i.d. bootstrap sample.  A
+    read-only float64 series, as ``as_series``, ``generate`` and ``ingest``
+    return, is indexed as it stands; any other history is validated and
+    copied first.
     """
-    history = as_series(history, "history")
+    frozen = (isinstance(history, np.ndarray) and history.dtype == np.float64
+              and history.ndim == 1 and not history.flags.writeable)
+    if not frozen:
+        history = as_series(history, "history")
     if mode not in RESAMPLE_MODES:
         raise ValueError(f"unknown resample mode {mode!r}, expected one of {RESAMPLE_MODES}")
     if n < 1:
@@ -217,15 +223,17 @@ def resample(history, n: int, seed, mode: str = "with-replacement") -> np.ndarra
         if history.size == 0:
             raise ValueError("cannot bootstrap an empty history")
         rng = rng_from(seed)
-        idx = rng.integers(0, history.size, size=n)
-        return as_series(history[idx])
-    if n > history.size:
+        sample = history[rng.integers(0, history.size, size=n)]
+    elif n > history.size:
         raise ValueError(f"n={n} exceeds history length {history.size} for mode {mode!r}")
-    if mode == "prefix":
-        return as_series(history[:n])
-    rng = rng_from(seed)
-    start = int(rng.integers(0, history.size - n + 1))
-    return as_series(history[start : start + n])
+    elif mode == "prefix":
+        sample = history[:n].copy()
+    else:
+        rng = rng_from(seed)
+        start = int(rng.integers(0, history.size - n + 1))
+        sample = history[start : start + n].copy()
+    sample.flags.writeable = False
+    return sample
 
 
 def ingest(path) -> np.ndarray:

@@ -13,7 +13,7 @@ from storelab import (
     feasible_purchase_range,
 )
 from storelab.model import ENERGY_TOL
-from storelab.policies import backward_step, storage_grid
+from storelab.policies import storage_grid
 
 
 # Reference instance used across the experiment-facing tests:
@@ -46,8 +46,43 @@ def random_aligned_instance(rng: np.random.Generator, step: float = 0.25):
 
 # -- scalar references for the batched engine -------------------------------
 # Python-float code, one slot and one series at a time, that every row of
-# ``simulate_batch``, ``decide_batch``, ``argmin_purchases`` and
-# ``offline_costs`` must match bit for bit.
+# ``simulate_batch``, ``decide_batch``, ``argmin_purchases``,
+# ``build_value_table`` and ``offline_costs`` must match bit for bit.
+
+
+def reference_backward_step(grid, v_next, demand, spec, atoms, weights):
+    """One Bellman step of the purchase DP, every product formed afresh.
+
+    For every grid level and price atom, minimizes price * purchase plus
+    the interpolated next value over candidate next levels: every feasible
+    grid point plus the exact lower feasibility endpoint.  The store can
+    always fill to capacity within a slot, so the feasible next levels are
+    [s_lo, capacity], and splitting the cost as p (d - s) + (p s' + V(s'))
+    turns the scan into suffix minima over the next-level axis.
+    """
+    cap = spec.capacity
+    q_lo = np.maximum(0.0, demand - np.minimum(grid, cap))
+    s_lo = np.clip(grid + (q_lo - demand), 0.0, cap)
+    v_lo = np.interp(s_lo, grid, v_next)
+    shifted = atoms[:, None] * grid[None, :] + v_next[None, :]  # (K, G+1) over s'
+    suffix = np.minimum.accumulate(shifted[:, ::-1], axis=1)[:, ::-1]
+    idx = np.searchsorted(grid, s_lo, side="left")
+    best = np.minimum(suffix[:, idx], atoms[:, None] * s_lo[None, :] + v_lo[None, :])
+    return weights @ (atoms[:, None] * (demand - grid[None, :]) + best)
+
+
+def reference_value_rows(instance, atoms, grid_size, first_slot=0):
+    """``build_value_table``'s values, one ``reference_backward_step`` per slot."""
+    spec = instance.storage
+    grid = storage_grid(spec.capacity, grid_size)
+    atoms = np.asarray(atoms, dtype=float)
+    weights = np.full(atoms.size, 1.0 / atoms.size)
+    values = np.zeros((instance.horizon + 1, grid.size))
+    for t in range(instance.horizon - 1, first_slot - 1, -1):
+        values[t] = reference_backward_step(
+            grid, values[t + 1], float(instance.demand[t]), spec, atoms, weights
+        )
+    return values
 
 
 def reference_argmin_purchase(grid, v_next, spec, level, demand, price, dedupe=False):
@@ -154,7 +189,7 @@ def reference_offline_optimal(instance: Instance, prices, grid_size: int = 100):
     values = np.zeros((T + 1, grid.size))
     one = np.ones(1)
     for t in range(T - 1, -1, -1):
-        values[t] = backward_step(
+        values[t] = reference_backward_step(
             grid, values[t + 1], float(instance.demand[t]), spec,
             np.asarray([float(prices[t])]), one,
         )

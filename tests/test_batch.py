@@ -38,14 +38,16 @@ from storelab.config import build_instance, build_model
 from storelab.experiments import run_policy_compare
 from storelab.metrics import offline_costs
 from storelab.model import feasible_purchase_ranges, simulate_batch
-from storelab.policies import backward_step, interp_rows, storage_grid
+from storelab.policies import SlotGeometry, interp_rows, storage_grid
 from storelab.seeds import stream
 
 from conftest import (
     ReferenceAdaptive,
+    reference_backward_step,
     reference_decide,
     reference_offline_optimal,
     reference_simulate,
+    reference_value_rows,
 )
 
 PRICES = st.one_of(
@@ -235,6 +237,44 @@ class TestAdaptiveBatch:
             simulate_batch(inst, np.array([[10.0, 11.0, 9.0], [10.0, 12.0, 9.0]]), adaptive)
 
 
+class _Atoms:
+    """A price model whose quantile-midpoint atoms are the given values, in order."""
+
+    def __init__(self, atoms) -> None:
+        self.atoms = atoms
+
+    def quantile(self, p: float) -> float:
+        return self.atoms[int(p * len(self.atoms))]
+
+
+@st.composite
+def table_cases(draw):
+    """A DP instance whose slots carry varying demands, 0 and above capacity among them."""
+    T = draw(st.integers(1, 6))
+    capacity = draw(st.one_of(
+        st.sampled_from((-0.0, 0.0, 1.0, 2.5)), st.floats(0.05, 6.0, allow_subnormal=False)
+    ))
+    demand = draw(st.lists(st.one_of(
+        DEMANDS, st.just(abs(capacity) + 1.0), st.floats(0.0, 9.0, allow_subnormal=False)
+    ), min_size=T, max_size=T))
+    s0 = capacity * draw(st.sampled_from((0.0, 0.5, 1.0)))
+    atoms = draw(st.lists(st.one_of(
+        st.sampled_from((-0.0, 0.0, -3.0, 2.0)), st.floats(-20.0, 20.0, allow_subnormal=False)
+    ), min_size=1, max_size=9))
+    return Instance(T, np.asarray(demand), StorageSpec(capacity, s0)), atoms
+
+
+class TestValueTable:
+    @given(table_cases(), st.integers(2, 25), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_reference_steps(self, case, grid_size, data):
+        instance, atoms = case
+        first_slot = data.draw(st.integers(0, instance.horizon), label="first_slot")
+        table = build_value_table(instance, _Atoms(atoms), grid_size, len(atoms), first_slot)
+        ref = reference_value_rows(instance, atoms, grid_size, first_slot)
+        assert table.values.tobytes() == ref.tobytes()
+
+
 class TestOfflineCosts:
     @given(batch_cases(), st.integers(2, 25), st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
@@ -246,12 +286,14 @@ class TestOfflineCosts:
         v_next = np.round(rng.uniform(-30.0, 30.0, (len(prices), grid.size)), 1)
         zeros = rng.random(v_next.shape) < 0.3
         v_next[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+        # one demand that every row shares, or one per row
         demand = instance.demand[0] if realized is None else realized[:, 0]
+        geometry = SlotGeometry(grid, spec.capacity, demand)
+        got = metrics._hindsight_step(geometry, v_next, prices[:, 0])
         demand = np.broadcast_to(demand, (len(prices),))
-        got = metrics._hindsight_step(grid, v_next, demand, spec, prices[:, 0])
         for e in range(len(prices)):
-            ref = backward_step(grid, v_next[e], float(demand[e]), spec,
-                                np.asarray([prices[e, 0]]), np.ones(1))
+            ref = reference_backward_step(grid, v_next[e], float(demand[e]), spec,
+                                          np.asarray([prices[e, 0]]), np.ones(1))
             assert got[e].tobytes() == ref.tobytes()
 
     @given(batch_cases(), st.integers(2, 25))

@@ -1,14 +1,19 @@
-"""The benchmark's bindings and configs still fit the package.
+"""The benchmark's bindings, configs and outputs still fit the package.
 
 ``bench/tracer.py`` rebinds each ``(module, attribute)`` it lists with
 ``setattr``; a refactor that renames or moves one of them would make the
 traced run fail or silently lose a layer.  ``bench/run.py`` writes each
 workload's config to a file that the runner parses; a stricter validation
-would make every benchmark run fail.  These tests pin both.
+would make every benchmark run fail.  Every timed or traced run must
+reproduce the CSV digest that ``bench/digests.json`` records for its
+seed, so an engine change that moves one bit of a workload's output fails
+here first.  These tests pin all three.
 """
 
+import hashlib
 import importlib
 import importlib.util
+import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -30,6 +35,9 @@ def _load_bench(name):
 
 tracer = _load_bench("tracer")
 bench_run = _load_bench("run")
+bench_child = _load_bench("child")
+
+DIGEST_SEEDS = (3, 7, 22)
 
 
 def _storelab(module):
@@ -52,10 +60,24 @@ def test_process_pool_binding_resolves():
     assert _storelab("experiments").ProcessPoolExecutor is ProcessPoolExecutor
 
 
-@pytest.mark.parametrize("seed", [3, 7, 22])
+def _workload_config(workload, seed, out):
+    # the same key=value lines bench/run.py writes for its child process
+    config = {**bench_run.WORKLOADS[workload].config, "seed": str(seed), "out": str(out)}
+    return parse_config("".join(f"{k}={v}\n" for k, v in config.items()))
+
+
+@pytest.mark.parametrize("seed", DIGEST_SEEDS)
 @pytest.mark.parametrize("workload", sorted(bench_run.WORKLOADS))
 def test_workload_config_parses(workload, seed):
-    # the same key=value lines bench/run.py writes for its child process
-    config = {**bench_run.WORKLOADS[workload].config, "seed": str(seed), "out": "out.csv"}
-    parsed = parse_config("".join(f"{k}={v}\n" for k, v in config.items()))
+    parsed = _workload_config(workload, seed, "out.csv")
     assert parsed.kind == bench_run.WORKLOADS[workload].config["kind"]
+
+
+@pytest.mark.parametrize("seed", DIGEST_SEEDS)
+@pytest.mark.parametrize("workload", sorted(bench_run.WORKLOADS))
+def test_workload_output_matches_recorded_digest(workload, seed, tmp_path):
+    out = tmp_path / "out.csv"
+    config = _workload_config(workload, seed, out)
+    bench_child.RUNNERS[bench_run.WORKLOADS[workload].runner](config, workers=1)
+    recorded = json.loads(bench_run.DIGESTS.read_text(encoding="utf-8"))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == recorded[workload][str(seed)]

@@ -16,6 +16,8 @@ from storelab import (
     resample,
     write_series,
 )
+from storelab import prices
+from storelab.prices import RESAMPLE_MODES, as_series
 
 
 class TestGenerate:
@@ -129,6 +131,21 @@ class TestResample:
         a = resample(history, 20, seed=9, mode="with-replacement")
         b = resample(history, 20, seed=9, mode="with-replacement")
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("history", [[1.0, math.nan, 3.0], np.array([1.0, math.inf, 3.0])])
+    @pytest.mark.parametrize("mode", RESAMPLE_MODES)
+    def test_unfrozen_history_is_validated(self, history, mode):
+        with pytest.raises(ValueError, match="history contains non-finite values"):
+            resample(history, 2, seed=0, mode=mode)
+
+    @pytest.mark.parametrize("mode", RESAMPLE_MODES)
+    def test_frozen_series_is_indexed_as_it_stands(self, mode, monkeypatch):
+        history = as_series(np.arange(50.0))
+        expected = resample(np.arange(50.0), 10, seed=4, mode=mode)
+        monkeypatch.setattr(prices, "as_series", None)  # a second validation would fail
+        sample = resample(history, 10, seed=4, mode=mode)
+        assert sample.tobytes() == expected.tobytes()
+        assert not sample.flags.writeable and not np.shares_memory(sample, history)
 
 
 class TestIngest:
