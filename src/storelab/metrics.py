@@ -7,9 +7,9 @@ scores E episodes at once: a row-wise Bellman step fills a (T+1, E, G+1)
 value cube, and ``simulate_batch``, the one simulation engine, runs the
 greedy rule that reads each row's own value rows.  The step prices a
 ``policies.SlotGeometry``, the part of the slot that no price changes,
-built once per distinct slot demand: one shared by every row under the
-instance's demand, one row per series under a realized demand.  Rows go
-through in blocks of ``ORACLE_BLOCK``, which bounds the cube's memory;
+built again only where the slot demand changes: one shared by every row
+under the instance's demand, one row per series under a realized demand.
+Rows go through in blocks of ``ORACLE_BLOCK``, which bounds the cube's memory;
 every row's result is the same bits whatever block it lands in, and
 ``offline_optimal`` is the one-row case.  The brute-force oracle
 enumerates purchase lattices on tiny instances and exists only to
@@ -48,7 +48,8 @@ from .policies import (
     slot_sweep,
     storage_grid,
 )
-from .prices import as_series, resample
+from .prices import _resample as resample  # trusts its input; violation_rounds validates it
+from .prices import as_series
 from .seeds import stream
 
 METRIC_HEADER = "round,n,policy_id,alg_cost,opt_cost,cr,cr_bound,violated,regret,theta_hat,seed"

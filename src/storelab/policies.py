@@ -6,8 +6,9 @@ storage otherwise.  The DP policy minimizes expected cost by backward
 induction on a storage grid, integrating the price with equal-weight
 quantile-midpoint atoms, and acts on the observed price each slot.  Each
 backward step prices a ``SlotGeometry``, the part of the step fixed by the
-grid, the capacity and the slot's demand; a sweep builds one per distinct
-demand, and the hindsight oracle in ``metrics`` steps through the same one.
+grid, the capacity and the slot's demand; a sweep builds a new one only
+where the demand changes from one slot to the next, and the hindsight
+oracle in ``metrics`` steps through the same one.
 
 Each policy implements one rule, ``decide_batch``, which ``simulate_batch``
 drives with one level and one price per row; ``decide`` is its one-row
@@ -237,28 +238,19 @@ class SlotGeometry:
         return serve_costs + np.minimum(suffix.take(self.suffix_at, axis=self.axis), at_lo)
 
 
-def slot_sweep(grid, capacity: float, demand: np.ndarray, first_slot: int = 0, prepare=None):
-    """Yield (t, slot) for t = T-1 down to ``first_slot``: a backward sweep's geometries.
+def slot_sweep(grid, capacity: float, demand: np.ndarray, first_slot: int = 0):
+    """Yield (t, geometry) for t = T-1 down to ``first_slot``: a backward sweep's geometries.
 
-    ``demand`` is (T,) or one row per series, (E, T).  One ``SlotGeometry``
-    (passed through ``prepare``, when given) serves every slot with the
-    same demand; it is built at the last such slot and let go after the
-    first, so the sweep holds only the demands still to come.
+    ``demand`` is (T,) or one row per series, (E, T).  A slot whose demand
+    equals the next slot's reuses that slot's ``SlotGeometry``, so the
+    sweep holds one geometry at a time.
     """
-    T = demand.shape[-1]
-    keys = [demand[..., t].tobytes() for t in range(T)]
-    first = {}
-    for t in range(first_slot, T):
-        first.setdefault(keys[t], t)
-    live = {}
-    for t in range(T - 1, first_slot - 1, -1):
-        slot = live.get(keys[t])
-        if slot is None:
-            slot = SlotGeometry(grid, capacity, demand[..., t])
-            slot = live[keys[t]] = slot if prepare is None else prepare(slot)
-        if first[keys[t]] == t:
-            del live[keys[t]]
-        yield t, slot
+    key = geometry = None
+    for t in range(demand.shape[-1] - 1, first_slot - 1, -1):
+        d = demand[..., t]
+        if d.tobytes() != key:
+            key, geometry = d.tobytes(), SlotGeometry(grid, capacity, d)
+        yield t, geometry
 
 
 def backward_step(geometry: SlotGeometry, v_next: np.ndarray, atom_costs, weights) -> np.ndarray:
@@ -317,13 +309,12 @@ def build_value_table(
     atoms = quantile_atoms(model, atom_count)[:, None]
     weights = np.full(atom_count, 1.0 / atom_count)
     grid_costs = atoms * grid[::-1]  # next levels reversed: suffix minima run forward
-
-    def priced(geometry):
-        return geometry, (grid_costs, atoms * geometry.s_lo, atoms * geometry.to_serve)
-
     values = np.zeros((T + 1, grid.size))
-    for t, (geometry, atom_costs) in slot_sweep(grid, capacity, instance.demand, first_slot,
-                                                priced):
+    priced = None
+    for t, geometry in slot_sweep(grid, capacity, instance.demand, first_slot):
+        if geometry is not priced:
+            priced = geometry
+            atom_costs = (grid_costs, atoms * geometry.s_lo, atoms * geometry.to_serve)
         values[t] = backward_step(geometry, values[t + 1], atom_costs, weights)
     grid.flags.writeable = False
     values.flags.writeable = False

@@ -206,15 +206,14 @@ def resample(history, n: int, seed, mode: str = "with-replacement") -> np.ndarra
     """Draw a size-n sample from a historical series.
 
     ``prefix`` takes the first n values, ``random-window`` a contiguous
-    random window, ``with-replacement`` an i.i.d. bootstrap sample.  A
-    read-only float64 series, as ``as_series``, ``generate`` and ``ingest``
-    return, is indexed as it stands; any other history is validated and
-    copied first.
+    random window, ``with-replacement`` an i.i.d. bootstrap sample.  The
+    history is validated with ``as_series`` first.
     """
-    frozen = (isinstance(history, np.ndarray) and history.dtype == np.float64
-              and history.ndim == 1 and not history.flags.writeable)
-    if not frozen:
-        history = as_series(history, "history")
+    return _resample(as_series(history, "history"), n, seed, mode)
+
+
+def _resample(history: np.ndarray, n: int, seed, mode: str) -> np.ndarray:
+    """``resample`` of a series ``as_series`` has already validated, indexed as it stands."""
     if mode not in RESAMPLE_MODES:
         raise ValueError(f"unknown resample mode {mode!r}, expected one of {RESAMPLE_MODES}")
     if n < 1:

@@ -132,18 +132,28 @@ class TestResample:
         b = resample(history, 20, seed=9, mode="with-replacement")
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("history", [[1.0, math.nan, 3.0], np.array([1.0, math.inf, 3.0])])
+    @pytest.mark.parametrize("writeable", [True, False])
+    @pytest.mark.parametrize("as_list", [True, False])
     @pytest.mark.parametrize("mode", RESAMPLE_MODES)
-    def test_unfrozen_history_is_validated(self, history, mode):
+    def test_non_finite_history_is_rejected(self, writeable, as_list, mode):
+        for bad in (math.nan, math.inf):
+            history = np.array([1.0, bad, 3.0])
+            history.flags.writeable = writeable
+            with pytest.raises(ValueError, match="history contains non-finite values"):
+                resample(history.tolist() if as_list else history, 2, seed=0, mode=mode)
+
+    def test_read_only_buffer_with_nan_is_rejected(self):
+        history = np.frombuffer(np.array([1.0, math.nan, 3.0]).tobytes())
+        assert not history.flags.writeable
         with pytest.raises(ValueError, match="history contains non-finite values"):
-            resample(history, 2, seed=0, mode=mode)
+            resample(history, 2, seed=0)
 
     @pytest.mark.parametrize("mode", RESAMPLE_MODES)
-    def test_frozen_series_is_indexed_as_it_stands(self, mode, monkeypatch):
+    def test_validated_series_is_indexed_as_it_stands(self, mode, monkeypatch):
         history = as_series(np.arange(50.0))
         expected = resample(np.arange(50.0), 10, seed=4, mode=mode)
         monkeypatch.setattr(prices, "as_series", None)  # a second validation would fail
-        sample = resample(history, 10, seed=4, mode=mode)
+        sample = prices._resample(history, 10, seed=4, mode=mode)
         assert sample.tobytes() == expected.tobytes()
         assert not sample.flags.writeable and not np.shares_memory(sample, history)
 
