@@ -5,10 +5,11 @@ its single atom per slot, so its cost is exact whenever demands, capacity,
 and the initial fill are multiples of the grid step.  ``offline_costs``
 scores E episodes at once: a row-wise Bellman step fills a (T+1, E, G+1)
 value cube, and ``simulate_batch``, the one simulation engine, runs the
-greedy rule that reads each row's own value rows.  The step prices a
-``policies.SlotGeometry``, the part of the slot that no price changes,
-built again only where the slot demand changes: one shared by every row
-under the instance's demand, one row per series under a realized demand.
+greedy rule that reads each row's own value rows.  The step takes suffix
+minima over a ``policies.SlotGeometry``, the part of the slot that no
+price changes, built again only where the slot demand changes: one shared
+by every row under the instance's demand, one row per series under a
+realized demand.
 Rows go through in blocks of ``ORACLE_BLOCK``, which bounds the cube's memory;
 every row's result is the same bits whatever block it lands in, and
 ``offline_optimal`` is the one-row case.  The brute-force oracle
@@ -103,12 +104,13 @@ ORACLE_BLOCK = 32  # rows per oracle value cube: (T+1) x 32 x (G+1) floats
 
 
 def _hindsight_step(geometry, v_next, prices) -> np.ndarray:
-    """``backward_step`` with row e's own price as its single atom, for every row.
+    """The DP's Bellman step with row e's own price as its single atom, for every row.
 
     ``v_next`` is (E, G+1) and ``prices`` (E,); the geometry holds the
-    slot's demand, one for every row or one per row.  The same elementwise
-    arithmetic as ``backward_step``; its ``weights @`` with the one unit
-    weight adds 0.0, which the final ``+ 0.0`` repeats.
+    slot's demand, one for every row or one per row.  The minimum over the
+    candidate next levels is a suffix minimum, exact for any ``v_next``,
+    and the final ``+ 0.0`` turns a -0.0 into the 0.0 that a weighted sum
+    with the one unit weight gives.
     """
     p = prices[:, None]
     return geometry.min_costs(

@@ -5,10 +5,13 @@ below its threshold (the boundary price counts as cheap) and serves from
 storage otherwise.  The DP policy minimizes expected cost by backward
 induction on a storage grid, integrating the price with equal-weight
 quantile-midpoint atoms, and acts on the observed price each slot.  Each
-backward step prices a ``SlotGeometry``, the part of the step fixed by the
-grid, the capacity and the slot's demand; a sweep builds a new one only
-where the demand changes from one slot to the next, and the hindsight
-oracle in ``metrics`` steps through the same one.
+value row is convex in the level, so each backward step moves every atom
+to its base-stock level, the grid point where the row's slope reaches
+minus the atom, and sums over the sorted atoms.  A step reads a
+``SlotGeometry``, the part of the step fixed by the grid, the capacity and
+the slot's demand; a sweep builds a new one only where the demand changes
+from one slot to the next, and the hindsight oracle in ``metrics`` steps
+through the same one by suffix minima.
 
 Each policy implements one rule, ``decide_batch``, which ``simulate_batch``
 drives with one level and one price per row; ``decide`` is its one-row
@@ -205,10 +208,12 @@ class SlotGeometry:
     next level is s_lo = clip(s + max(0, d - min(s, C)) - d, 0, C).  The
     store can always fill to capacity C within a slot, so the feasible
     next levels are [s_lo, C], and a purchase p (d - s) + p s' splits
-    into a part fixed by s and a part fixed by s'.  ``demand`` is one
-    value, which gives (G+1,) arrays that every price row shares, or one
-    value per row, which gives (E, G+1) arrays whose rows read their own
-    value rows.
+    into a part fixed by s and a part fixed by s'.  ``lo_index`` is L,
+    the first grid index at or above s_lo: the DP's ``backward_step``
+    compares it with each atom's base-stock index, and the oracle's
+    ``min_costs`` reads the suffix minima there.  ``demand`` is one value,
+    which gives (G+1,) arrays that every price row shares, or one value per
+    row, which gives (E, G+1) arrays whose rows read their own value rows.
     """
 
     def __init__(self, grid: np.ndarray, capacity: float, demand) -> None:
@@ -218,16 +223,19 @@ class SlotGeometry:
         self.grid_reversed = grid[::-1]
         self.s_lo = np.clip(grid + (q_lo - d), 0.0, capacity)
         self.to_serve = d - grid
+        self.grid = grid
+        self.steps = grid[1:] - grid[:-1]
         per_row = demand.ndim > 0
         self.lo_bracket = interp_bracket(self.s_lo, grid, per_row)
         rows, self.axis = _take_rows(self.s_lo, grid.size, per_row)
+        self.lo_index = np.searchsorted(grid, self.s_lo, side="left")
         # s_lo's place in the suffix minima, which run over the reversed next-level axis
-        self.suffix_at = rows + (grid.size - 1 - np.searchsorted(grid, self.s_lo, side="left"))
+        self.suffix_at = rows + (grid.size - 1 - self.lo_index)
 
     def min_costs(self, v_next, grid_costs, lo_costs, serve_costs) -> np.ndarray:
         """Each price row's cheapest purchase cost plus next value, at every level s.
 
-        The cost terms are one price per row times this geometry's arrays:
+        The hindsight oracle's step; it needs no convex ``v_next``.  The cost terms are one price per row times this geometry's arrays:
         ``grid_costs`` times the reversed grid, ``lo_costs`` times s_lo and
         ``serve_costs`` times d - grid.  The minimum over the grid next
         levels in [s_lo, C] is a suffix minimum; the exact endpoint s_lo
@@ -253,16 +261,55 @@ def slot_sweep(grid, capacity: float, demand: np.ndarray, first_slot: int = 0):
         yield t, geometry
 
 
-def backward_step(geometry: SlotGeometry, v_next: np.ndarray, atom_costs, weights) -> np.ndarray:
-    """One Bellman step of the purchase DP.
+class AtomSums:
+    """A DP table's price atoms, sorted ascending, and the weight sums its steps read.
 
-    For every grid level and price atom, minimizes atom * purchase plus
-    the interpolated next value over candidate next levels: every feasible
-    grid point plus the exact lower feasibility endpoint, then takes the
-    weighted mean over atoms.  ``atom_costs`` are the atoms times the
-    geometry's arrays (see ``SlotGeometry.min_costs``).
+    Every atom weighs 1/K.  ``tail_w[m]`` and ``tail_wp[m]`` sum the
+    weights, and the weights times the atoms, of atoms m..K-1; both end in
+    an exact 0.0, and ``tail_wp[0]`` is the mean price.  Sorting makes the
+    table independent of the order the atoms come in.
     """
-    return weights @ geometry.min_costs(v_next, *atom_costs)
+
+    def __init__(self, atoms) -> None:
+        self.atoms = np.sort(np.asarray(atoms, dtype=float))
+        self.neg_atoms = -self.atoms  # the slope each atom's base-stock level reaches
+        self.weight = 1.0 / self.atoms.size
+        self.tail_w = _suffix_sums(np.full(self.atoms.size, self.weight))
+        self.tail_wp = _suffix_sums(self.weight * self.atoms)
+
+
+def _suffix_sums(x: np.ndarray) -> np.ndarray:
+    out = np.zeros(x.size + 1)
+    out[:-1] = np.cumsum(x[::-1])[::-1]
+    return out
+
+
+def backward_step(geometry: SlotGeometry, v_next: np.ndarray, atoms: AtomSums) -> np.ndarray:
+    """One Bellman step of the purchase DP, by the atoms' base-stock levels.
+
+    Each grid level s pays atom p for its purchase, p (d - s) + p s', and
+    moves to the next level s' in [s_lo, C] that minimizes p s' + V(s'),
+    V the interpolated ``v_next``; the row is the weighted mean over atoms.
+    ``v_next`` must be convex (every row this step builds is), so p s' +
+    V(s') is convex and its minimum over the grid is at the base-stock
+    index J, the first grid point whose right slope of V reaches -p.  The
+    slopes are forced non-decreasing to absorb rounding.  J falls as p
+    rises, so the atoms whose J reaches L, the first grid index at or
+    above s_lo, are the m cheapest, and they take grid[J]; the rest take
+    the exact endpoint s_lo.  Sums over the sorted atoms give every level's
+    row in O(K log G + G log K).
+    """
+    slopes = np.maximum.accumulate((v_next[1:] - v_next[:-1]) / geometry.steps)
+    best = np.searchsorted(slopes, atoms.neg_atoms)  # J, non-increasing over the atoms
+    m = np.searchsorted(-best, -geometry.lo_index, side="right")  # atoms whose J reaches L
+    head = np.zeros(best.size + 1)
+    np.cumsum(atoms.weight * (atoms.atoms * geometry.grid[best] + v_next[best]), out=head[1:])
+    return (
+        atoms.tail_wp[0] * geometry.to_serve
+        + head[m]
+        + geometry.s_lo * atoms.tail_wp[m]
+        + geometry.lo_bracket.values_at(v_next) * atoms.tail_w[m]
+    )
 
 
 def _midpoint_probs(count: int) -> np.ndarray:
@@ -296,8 +343,10 @@ def build_value_table(
 ) -> ValueTable:
     """Backward induction over the horizon for a price model.
 
-    Only slots first_slot..T-1 are stepped.  values[t] depends on
-    values[t + 1] alone, so those rows equal a full build bit for bit.
+    One ``backward_step`` per slot, from atoms sorted once per table; the
+    order the model gives its atoms in does not change a bit.  Only slots
+    first_slot..T-1 are stepped.  values[t] depends on values[t + 1]
+    alone, so those rows equal a full build bit for bit.
     """
     if grid_size < 2:
         raise ValueError(f"grid size must be >= 2, got {grid_size}")
@@ -306,16 +355,10 @@ def build_value_table(
         raise ValueError(f"first slot must lie in [0, {T}], got {first_slot}")
     capacity = instance.storage.capacity
     grid = storage_grid(capacity, grid_size)
-    atoms = quantile_atoms(model, atom_count)[:, None]
-    weights = np.full(atom_count, 1.0 / atom_count)
-    grid_costs = atoms * grid[::-1]  # next levels reversed: suffix minima run forward
+    atoms = AtomSums(quantile_atoms(model, atom_count))
     values = np.zeros((T + 1, grid.size))
-    priced = None
     for t, geometry in slot_sweep(grid, capacity, instance.demand, first_slot):
-        if geometry is not priced:
-            priced = geometry
-            atom_costs = (grid_costs, atoms * geometry.s_lo, atoms * geometry.to_serve)
-        values[t] = backward_step(geometry, values[t + 1], atom_costs, weights)
+        values[t] = backward_step(geometry, values[t + 1], atoms)
     grid.flags.writeable = False
     values.flags.writeable = False
     return ValueTable(grid=grid, values=values, first_slot=first_slot)

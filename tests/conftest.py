@@ -46,8 +46,10 @@ def random_aligned_instance(rng: np.random.Generator, step: float = 0.25):
 
 # -- scalar references for the batched engine -------------------------------
 # Python-float code, one slot and one series at a time, that every row of
-# ``simulate_batch``, ``decide_batch``, ``argmin_purchases``,
-# ``build_value_table`` and ``offline_costs`` must match bit for bit.
+# ``simulate_batch``, ``decide_batch``, ``argmin_purchases`` and
+# ``offline_costs`` must match bit for bit.  ``build_value_table`` sums its
+# base-stock step in another order and matches ``reference_value_rows``
+# within the bound that ``tests/test_batch.py`` states.
 
 
 def reference_backward_step(grid, v_next, demand, spec, atoms, weights):

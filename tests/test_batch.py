@@ -5,7 +5,8 @@ are the only engine, so every row they return must carry the same bits as
 ``np.interp`` and the per-slot references kept in ``conftest.py``
 (``reference_simulate``, ``reference_argmin_purchase``,
 ``reference_offline_optimal``).  Comparisons use ``.tobytes()``, so a -0.0
-in place of 0.0 shows.
+in place of 0.0 shows.  The DP value table is the one stated exception:
+its base-stock step matches ``reference_value_rows`` within ``VALUE_RTOL``.
 """
 
 import math
@@ -264,6 +265,16 @@ def table_cases(draw):
     return Instance(T, np.asarray(demand), StorageSpec(capacity, s0)), atoms
 
 
+# The base-stock step sums over the sorted atoms in another order than the
+# candidate scan of ``reference_backward_step``; the largest difference
+# measured over three runs of 3000 ``table_cases`` draws is 1.1e-14 x
+# max(1, |ref|).
+VALUE_RTOL = 1e-12
+# Rounding leaves a built row's slopes falling by up to 2.5e-15 x
+# max(1, max |v|) / smallest grid step over the same draws.
+SLOPE_RTOL = 1e-12
+
+
 class TestValueTable:
     @given(table_cases(), st.integers(2, 25), st.data())
     @settings(max_examples=200, deadline=None)
@@ -272,7 +283,27 @@ class TestValueTable:
         first_slot = data.draw(st.integers(0, instance.horizon), label="first_slot")
         table = build_value_table(instance, _Atoms(atoms), grid_size, len(atoms), first_slot)
         ref = reference_value_rows(instance, atoms, grid_size, first_slot)
-        assert table.values.tobytes() == ref.tobytes()
+        assert np.all(np.abs(table.values - ref) <= VALUE_RTOL * np.maximum(1.0, np.abs(ref)))
+
+    @given(table_cases(), st.integers(2, 25))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_are_convex(self, case, grid_size):
+        # the base-stock step's precondition on the row it reads
+        instance, atoms = case
+        table = build_value_table(instance, _Atoms(atoms), grid_size, len(atoms))
+        steps = np.diff(table.grid)
+        slopes = np.diff(table.values, axis=1) / steps
+        tol = SLOPE_RTOL * max(1.0, np.abs(table.values).max()) / steps.min(initial=1.0)
+        assert np.all(np.diff(slopes, axis=1) >= -tol)
+
+    @given(table_cases(), st.integers(2, 25), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_atom_order_does_not_matter(self, case, grid_size, data):
+        instance, atoms = case
+        shuffled = data.draw(st.permutations(atoms), label="shuffled")
+        table = build_value_table(instance, _Atoms(shuffled), grid_size, len(atoms))
+        ordered = build_value_table(instance, _Atoms(sorted(atoms)), grid_size, len(atoms))
+        assert table.values.tobytes() == ordered.values.tobytes()
 
 
 class TestOfflineCosts:

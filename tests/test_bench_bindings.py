@@ -7,7 +7,8 @@ workload's config to a file that the runner parses; a stricter validation
 would make every benchmark run fail.  Every timed or traced run must
 reproduce the CSV digest that ``bench/digests.json`` records for its
 seed, so an engine change that moves one bit of a workload's output fails
-here first.  These tests pin all three.
+here first; by default at three seeds, and under ``-m slow`` at every
+(workload, seed) the file records.  These tests pin all three.
 """
 
 import hashlib
@@ -38,6 +39,7 @@ bench_run = _load_bench("run")
 bench_child = _load_bench("child")
 
 DIGEST_SEEDS = (3, 7, 22)
+RECORDED = json.loads(bench_run.DIGESTS.read_text(encoding="utf-8"))
 
 
 def _storelab(module):
@@ -73,11 +75,21 @@ def test_workload_config_parses(workload, seed):
     assert parsed.kind == bench_run.WORKLOADS[workload].config["kind"]
 
 
+def _assert_digest_reproduces(workload, seed, out):
+    config = _workload_config(workload, seed, out)
+    bench_child.RUNNERS[bench_run.WORKLOADS[workload].runner](config, workers=1)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORDED[workload][str(seed)]
+
+
 @pytest.mark.parametrize("seed", DIGEST_SEEDS)
 @pytest.mark.parametrize("workload", sorted(bench_run.WORKLOADS))
 def test_workload_output_matches_recorded_digest(workload, seed, tmp_path):
-    out = tmp_path / "out.csv"
-    config = _workload_config(workload, seed, out)
-    bench_child.RUNNERS[bench_run.WORKLOADS[workload].runner](config, workers=1)
-    recorded = json.loads(bench_run.DIGESTS.read_text(encoding="utf-8"))
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == recorded[workload][str(seed)]
+    _assert_digest_reproduces(workload, seed, tmp_path / "out.csv")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workload, seed", [
+    (workload, int(seed)) for workload, seeds in sorted(RECORDED.items()) for seed in seeds
+])
+def test_every_recorded_digest_reproduces(workload, seed, tmp_path):
+    _assert_digest_reproduces(workload, seed, tmp_path / "out.csv")
