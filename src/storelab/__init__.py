@@ -52,6 +52,7 @@ from .policies import (
     ThresholdPolicy,
     ValueTable,
     build_value_table,
+    build_value_tables,
 )
 from .metrics import (
     MetricRow,
@@ -100,6 +101,7 @@ __all__ = [
     "bound_violation_probability",
     "brute_force_optimal",
     "build_value_table",
+    "build_value_tables",
     "competitive_ratio",
     "estimate",
     "feasible_purchase_range",

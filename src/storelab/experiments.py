@@ -17,8 +17,9 @@ Inside a chunk, episodes are scored as (E, T) price arrays, at most
 ``BATCH_ROWS`` at a time: one ``simulate_batch`` per policy and one
 ``offline_costs`` batch for the oracle.  An adaptive policy runs one
 round's episodes as rows: each row re-estimates from its own observed
-prices, and the warmup's base policy is built once for all of them and
-for every refresh stride.
+prices, one family call per refresh slot rebuilds every row (one stacked
+DP value table), and the warmup's base policy is built once for all of
+them and for every refresh stride.
 """
 
 from __future__ import annotations

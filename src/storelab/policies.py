@@ -11,7 +11,14 @@ minus the atom, and sums over the sorted atoms.  A step reads a
 ``SlotGeometry``, the part of the step fixed by the grid, the capacity and
 the slot's demand; a sweep builds a new one only where the demand changes
 from one slot to the next, and the hindsight oracle in ``metrics`` steps
-through the same one by suffix minima.
+through the same one by suffix minima.  The step is row-wise: one sweep
+builds a stacked table, one value row per price model, and every row
+equals its model's own table bit for bit.
+
+A policy family maps a list of estimate reports and a first slot to one
+policy that serves one batch row per report; the adaptive policy keeps a
+report per row and rebuilds every row with one family call per refresh
+slot.
 
 Each policy implements one rule, ``decide_batch``, which ``simulate_batch``
 drives with one level and one price per row; ``decide`` is its one-row
@@ -120,7 +127,8 @@ class ValueTable:
 
     values[t, i] is the pre-price expected cost of serving slots t..T-1
     optimally starting from storage grid[i]; values[T] is identically zero.
-    Only rows first_slot..T are built; the rows before it are zero.
+    A stacked table holds one such row per price model, values[t, e, i].
+    Only slots first_slot..T are built; the slots before it are zero.
     """
 
     grid: np.ndarray
@@ -173,9 +181,13 @@ class InterpBracket:
     def values_at(self, fp: np.ndarray) -> np.ndarray:
         """``np.interp`` of the points on the grid with values ``fp``, bit for bit."""
         y0 = fp.take(self.lo, axis=self.axis)
-        y1 = fp.take(self.hi, axis=self.axis)
-        inner = (y1 - y0) / self.width * self.offset + y0
-        return np.where(self.exact, fp.take(self.at, axis=self.axis), inner)
+        out = fp.take(self.hi, axis=self.axis)
+        out -= y0
+        out /= self.width
+        out *= self.offset
+        out += y0
+        np.copyto(out, fp.take(self.at, axis=self.axis), where=self.exact)
+        return out
 
 
 def interp_bracket(x: np.ndarray, grid: np.ndarray, per_row: bool) -> InterpBracket:
@@ -262,54 +274,78 @@ def slot_sweep(grid, capacity: float, demand: np.ndarray, first_slot: int = 0):
 
 
 class AtomSums:
-    """A DP table's price atoms, sorted ascending, and the weight sums its steps read.
+    """A stacked DP table's price atoms, each row sorted ascending, and the sums its steps read.
 
-    Every atom weighs 1/K.  ``tail_w[m]`` and ``tail_wp[m]`` sum the
-    weights, and the weights times the atoms, of atoms m..K-1; both end in
-    an exact 0.0, and ``tail_wp[0]`` is the mean price.  Sorting makes the
-    table independent of the order the atoms come in.
+    ``atoms`` is (E, K): K atoms for each of E tables, every atom weighing
+    1/K.  ``tail_w[e, m]`` and ``tail_wp[e, m]`` sum the weights, and the
+    weights times row e's atoms, of atoms m..K-1; both end in an exact
+    0.0, and ``mean`` (``tail_wp[:, :1]``) is each row's mean price.  A
+    step reads them flattened: ``row_ends[e]`` is the flat index of row
+    e's last sum.  Sorting makes each table independent of the order its
+    atoms come in.
     """
 
     def __init__(self, atoms) -> None:
-        self.atoms = np.sort(np.asarray(atoms, dtype=float))
+        self.atoms = np.sort(np.asarray(atoms, dtype=float), axis=-1)
         self.neg_atoms = -self.atoms  # the slope each atom's base-stock level reaches
-        self.weight = 1.0 / self.atoms.size
-        self.tail_w = _suffix_sums(np.full(self.atoms.size, self.weight))
+        rows, count = self.atoms.shape
+        self.weight = 1.0 / count
+        self.tail_w = _suffix_sums(np.full(self.atoms.shape, self.weight))
         self.tail_wp = _suffix_sums(self.weight * self.atoms)
+        self.mean = self.tail_wp[:, :1]
+        self.row_ends = [(count + 1) * e + count for e in range(rows)]
 
 
 def _suffix_sums(x: np.ndarray) -> np.ndarray:
-    out = np.zeros(x.size + 1)
-    out[:-1] = np.cumsum(x[::-1])[::-1]
+    """Suffix sums along the last axis, with an exact 0.0 appended."""
+    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    out[..., :-1] = np.add.accumulate(x[..., ::-1], axis=-1)[..., ::-1]
     return out
 
 
 def backward_step(geometry: SlotGeometry, v_next: np.ndarray, atoms: AtomSums) -> np.ndarray:
-    """One Bellman step of the purchase DP, by the atoms' base-stock levels.
+    """One Bellman step of the purchase DP, by the atoms' base-stock levels, row by row.
 
-    Each grid level s pays atom p for its purchase, p (d - s) + p s', and
-    moves to the next level s' in [s_lo, C] that minimizes p s' + V(s'),
-    V the interpolated ``v_next``; the row is the weighted mean over atoms.
-    ``v_next`` must be convex (every row this step builds is), so p s' +
-    V(s') is convex and its minimum over the grid is at the base-stock
-    index J, the first grid point whose right slope of V reaches -p.  The
-    slopes are forced non-decreasing to absorb rounding.  J falls as p
-    rises, so the atoms whose J reaches L, the first grid index at or
-    above s_lo, are the m cheapest, and they take grid[J]; the rest take
-    the exact endpoint s_lo.  Sums over the sorted atoms give every level's
-    row in O(K log G + G log K).
+    ``v_next`` is (E, G+1), one value row per row of ``atoms``, and
+    ``geometry`` is built for one demand per row, so its arrays are
+    (E, G+1) too; the result is the (E, G+1) new rows.  Each grid level s
+    pays atom p for its purchase, p (d - s) + p s', and moves to the next
+    level s' in [s_lo, C] that minimizes p s' + V(s'), V the interpolated
+    value row; the new value is the weighted mean over the row's atoms.
+    Each value row must be convex (every row this step builds is), so
+    p s' + V(s') is convex and its minimum over the grid is at the
+    base-stock index J, the first grid point whose right slope of V
+    reaches -p.  The slopes are forced non-decreasing to absorb rounding.
+    J falls as p rises, so the atoms whose J reaches L, the first grid
+    index at or above s_lo, are the m cheapest, and they take grid[J]; the
+    rest take the exact endpoint s_lo.  Sums over the sorted atoms give
+    every level's value in O(K log G + G log K) per row.  J and m are
+    integer ranks found row by row and the rest is element-wise, so each
+    row carries the bits a one-row step gives it.
     """
-    slopes = np.maximum.accumulate((v_next[1:] - v_next[:-1]) / geometry.steps)
-    best = np.searchsorted(slopes, atoms.neg_atoms)  # J, non-increasing over the atoms
-    m = np.searchsorted(-best, -geometry.lo_index, side="right")  # atoms whose J reaches L
-    head = np.zeros(best.size + 1)
-    np.cumsum(atoms.weight * (atoms.atoms * geometry.grid[best] + v_next[best]), out=head[1:])
-    return (
-        atoms.tail_wp[0] * geometry.to_serve
-        + head[m]
-        + geometry.s_lo * atoms.tail_wp[m]
-        + geometry.lo_bracket.values_at(v_next) * atoms.tail_w[m]
-    )
+    slopes = v_next[:, 1:] - v_next[:, :-1]
+    np.divide(slopes, geometry.steps, out=slopes)
+    np.maximum.accumulate(slopes, axis=-1, out=slopes)
+    best = np.empty(atoms.atoms.shape, dtype=np.intp)  # J, non-increasing along each row
+    terms = np.empty(atoms.atoms.shape)
+    at = np.empty(v_next.shape, dtype=np.intp)  # per level, the flat index of row e's sums at m
+    for e, row_end in enumerate(atoms.row_ends):
+        j = slopes[e].searchsorted(atoms.neg_atoms[e])
+        best[e] = j
+        terms[e] = v_next[e].take(j)
+        # m, the atoms whose J reaches L, is K less the atoms whose J falls short of it
+        at[e] = row_end - j[::-1].searchsorted(geometry.lo_index[e])
+    terms += atoms.atoms * geometry.grid[best]
+    terms *= atoms.weight
+    head = np.zeros(atoms.tail_wp.shape)
+    np.add.accumulate(terms, axis=-1, out=head[:, 1:])
+    out = atoms.mean * geometry.to_serve
+    out += head.take(at)
+    out += geometry.s_lo * atoms.tail_wp.take(at)
+    at_lo = geometry.lo_bracket.values_at(v_next)
+    at_lo *= atoms.tail_w.take(at)
+    out += at_lo
+    return out
 
 
 def _midpoint_probs(count: int) -> np.ndarray:
@@ -337,16 +373,23 @@ def quantile_atoms(model, count: int) -> np.ndarray:
     return np.asarray([model.quantile(float(p)) for p in _midpoint_probs(count)], dtype=float)
 
 
-def build_value_table(
-    instance: Instance, model, grid_size: int = 100, atom_count: int = 51,
+TABLE_BLOCK = 32  # rows per stacked-table sweep: bounds its (rows, G+1) geometry and temporaries
+
+
+def build_value_tables(
+    instance: Instance, models, grid_size: int = 100, atom_count: int = 51,
     first_slot: int = 0,
 ) -> ValueTable:
-    """Backward induction over the horizon for a price model.
+    """Backward induction over the horizon for several price models at once.
 
-    One ``backward_step`` per slot, from atoms sorted once per table; the
-    order the model gives its atoms in does not change a bit.  Only slots
-    first_slot..T-1 are stepped.  values[t] depends on values[t + 1]
-    alone, so those rows equal a full build bit for bit.
+    Returns a stacked table, values of shape (T+1, E, G+1) with row e for
+    ``models[e]``: one row-wise ``backward_step`` per slot, from atoms
+    sorted once per table, so the order a model gives its atoms in does
+    not change a bit, and each row equals ``build_value_table`` for its
+    own model bit for bit.  Rows go through in blocks of ``TABLE_BLOCK``,
+    each its own sweep, and a row's bits do not depend on its block.  Only
+    slots first_slot..T-1 are stepped.  values[t] depends on values[t + 1]
+    alone, so those slots equal a full build bit for bit.
     """
     if grid_size < 2:
         raise ValueError(f"grid size must be >= 2, got {grid_size}")
@@ -355,13 +398,26 @@ def build_value_table(
         raise ValueError(f"first slot must lie in [0, {T}], got {first_slot}")
     capacity = instance.storage.capacity
     grid = storage_grid(capacity, grid_size)
-    atoms = AtomSums(quantile_atoms(model, atom_count))
-    values = np.zeros((T + 1, grid.size))
-    for t, geometry in slot_sweep(grid, capacity, instance.demand, first_slot):
-        values[t] = backward_step(geometry, values[t + 1], atoms)
+    values = np.zeros((T + 1, len(models), grid.size))
+    for start in range(0, len(models), TABLE_BLOCK):
+        block = models[start : start + TABLE_BLOCK]
+        atoms = AtomSums([quantile_atoms(model, atom_count) for model in block])
+        rows = values[:, start : start + len(block)]
+        demand = instance.demand[None].repeat(len(block), axis=0)  # one demand row per table row
+        for t, geometry in slot_sweep(grid, capacity, demand, first_slot):
+            rows[t] = backward_step(geometry, rows[t + 1], atoms)
     grid.flags.writeable = False
     values.flags.writeable = False
     return ValueTable(grid=grid, values=values, first_slot=first_slot)
+
+
+def build_value_table(
+    instance: Instance, model, grid_size: int = 100, atom_count: int = 51,
+    first_slot: int = 0,
+) -> ValueTable:
+    """The one-model ``build_value_tables``: values of shape (T+1, G+1)."""
+    table = build_value_tables(instance, [model], grid_size, atom_count, first_slot)
+    return ValueTable(grid=table.grid, values=table.values[:, 0], first_slot=first_slot)
 
 
 def interp_rows(x: np.ndarray, grid: np.ndarray, fp: np.ndarray) -> np.ndarray:
@@ -418,7 +474,11 @@ def argmin_purchase(grid, v_next, spec: StorageSpec, level: float, demand: float
 
 
 class DpPolicy(Policy):
-    """Greedy policy against a value table, acting on the observed price."""
+    """Greedy policy against a value table, acting on the observed price.
+
+    A one-model table serves every row; a stacked table of E models serves
+    E rows, row e from its own value row.
+    """
 
     policy_id = "dp"
 
@@ -431,35 +491,42 @@ class DpPolicy(Policy):
             raise IndexError(f"slot {t} beyond table horizon {table.horizon}")
         if t < table.first_slot:
             raise IndexError(f"slot {t} before table first slot {table.first_slot}")
+        v_next = table.values[t + 1]
+        if v_next.ndim > 1 and v_next.shape[0] not in (1, levels.size):
+            raise ValueError(
+                f"a stacked value table of {v_next.shape[0]} rows cannot serve "
+                f"{levels.size} rows"
+            )
         return argmin_purchases(
-            table.grid, table.values[t + 1], instance.storage, levels,
-            instance.demand[t], prices,
+            table.grid, v_next, instance.storage, levels, instance.demand[t], prices,
         )
 
 
 class ThresholdFamily:
-    """Builds a threshold policy from an estimate report."""
+    """Builds one threshold rule per estimate report, as one row-wise threshold policy."""
 
-    def __call__(self, report: EstimateReport, first_slot: int) -> Policy:
-        return ThresholdPolicy(report.threshold)
+    def __call__(self, reports: list[EstimateReport], first_slot: int) -> Policy:
+        return ThresholdPolicy(np.array([report.threshold for report in reports]))
 
 
 @dataclass(frozen=True, eq=False)
 class DpFamily:
-    """Builds a DP policy from an estimate report via a fitted normal model.
+    """Builds one DP policy over a stacked value table, one fitted normal model per report.
 
-    The policy acts from slot ``first_slot`` on, so only those rows of its
-    value table are built.
+    The policy acts from slot ``first_slot`` on, so only those slots of
+    its value table are built, all rows in one sweep.
     """
 
     instance: Instance
     grid_size: int = 100
     atom_count: int = 51
 
-    def __call__(self, report: EstimateReport, first_slot: int) -> Policy:
-        model = Normal(report.stats.mean, max(report.stats.sample_std, 1e-12))
-        table = build_value_table(
-            self.instance, model, self.grid_size, self.atom_count, first_slot
+    def __call__(self, reports: list[EstimateReport], first_slot: int) -> Policy:
+        models = [
+            Normal(report.stats.mean, max(report.stats.sample_std, 1e-12)) for report in reports
+        ]
+        table = build_value_tables(
+            self.instance, models, self.grid_size, self.atom_count, first_slot
         )
         return DpPolicy(table)
 
@@ -467,23 +534,26 @@ class DpFamily:
 class AdaptivePolicy(Policy):
     """Re-estimates price statistics from accumulated history.
 
-    Wraps a policy family ((estimate report, first slot) -> policy that
-    acts from that slot on).  The base policy is built once, from the
-    warmup, and serves every run; ``refresh_stride`` may change between
-    runs.  Each row drives one trajectory, and its slots must come in
-    order from slot 0: a call at slot 0 starts every row from the base
-    policy.  The prices a row observes join the warmup history; every
-    ``refresh_stride`` slots each row's estimates and policy are rebuilt
-    at the current slot from that row's history.  A failed refresh keeps
-    the row's previous policy and is recorded in ``events``, which name
-    the row.
+    Wraps a policy family: (estimate reports, first slot) -> one policy
+    that acts from that slot on and serves one batch row per report; a
+    policy built from one report serves every row alike.  The base policy
+    is built once, from the warmup's report, and serves every run;
+    ``refresh_stride`` may change between runs.  Each row drives one
+    trajectory, and its slots must come in order from slot 0: a call at
+    slot 0 starts every row from the base policy.  The prices a row
+    observes join the warmup history; every ``refresh_stride`` slots each
+    row's report is re-estimated from that row's history, and one family
+    call rebuilds every row's policy at the current slot.  A row whose
+    estimate fails keeps its previous report, which rebuilt at the later
+    slot gives the decisions its previous policy gave; the failure is
+    recorded in ``events``, which name the row.
     """
 
     policy_id = "adaptive"
 
     def __init__(
         self,
-        family: Callable[[EstimateReport, int], Policy],
+        family: Callable[[list[EstimateReport], int], Policy],
         warmup,
         refresh_stride: int | None = None,
         *,
@@ -500,9 +570,10 @@ class AdaptivePolicy(Policy):
         self._warmup = as_series(warmup, "warmup")
         if self._warmup.size < 2:
             raise ValueError("need a warmup of at least 2 prices")
-        self._base = self._rebuild(self._warmup, 0)
+        self._base_report = self._estimate(self._warmup)
+        self._base = family([self._base_report], 0)
         self.events: list[str] = []
-        self._rows: list[Policy] | None = None
+        self._reports: list[EstimateReport] | None = None
 
     def decide_batch(self, t, levels, prices, instance):
         stride = self.refresh_stride
@@ -510,47 +581,37 @@ class AdaptivePolicy(Policy):
             if stride is not None and stride < 1:
                 raise ValueError(f"refresh stride must be >= 1, got {stride}")
             self.events = []
-            self._rows = [self._base] * levels.size
+            self._reports = [self._base_report] * levels.size
+            self._policy = self._base
             self._observed = np.empty((levels.size, instance.horizon))
-        elif self._rows is None:
+        elif self._reports is None:
             raise ValueError(
                 f"adaptive policy asked to decide slot {t} before slot 0; "
                 "its slots must run in order from slot 0"
             )
         if stride is not None and t > 0 and t % stride == 0:
-            for e in range(len(self._rows)):
-                history = np.concatenate((self._warmup, self._observed[e, :t]))
-                try:
-                    self._rows[e] = self._rebuild(history, t)
-                except EstimationError as exc:
-                    self.events.append(
-                        f"row {e}: refresh failed at n={history.size} ({exc}); "
-                        "kept previous policy"
-                    )
-        q = self._decide_rows(t, levels, prices, instance)
+            self._refresh(t)
+        q = self._policy.decide_batch(t, levels, prices, instance)
         self._observed[:, t] = prices
         return q
 
-    def _decide_rows(self, t, levels, prices, instance):
-        rows = self._rows
-        first = rows[0]
-        if all(row is first for row in rows):
-            return first.decide_batch(t, levels, prices, instance)
-        if isinstance(first, DpPolicy):
-            v_next = np.stack([row.table.values[t + 1] for row in rows])
-            return argmin_purchases(
-                first.table.grid, v_next, instance.storage, levels, instance.demand[t], prices,
-            )
-        if isinstance(first, ThresholdPolicy):  # ThresholdFamily's rules fill to capacity
-            thresholds = ThresholdPolicy(np.array([row.threshold for row in rows]))
-            return thresholds.decide_batch(t, levels, prices, instance)
-        raise TypeError(f"no row-wise decide for {type(first).__name__} rows")
+    def _refresh(self, t: int) -> None:
+        for e in range(len(self._reports)):
+            history = np.concatenate((self._warmup, self._observed[e, :t]))
+            try:
+                self._reports[e] = self._estimate(history)
+            except EstimationError as exc:
+                self.events.append(
+                    f"row {e}: refresh failed at n={history.size} ({exc}); "
+                    "kept previous policy"
+                )
+        self._policy = None  # drop the previous generation before building the next
+        self._policy = self.family(self._reports, t)
 
-    def _rebuild(self, history, first_slot: int) -> Policy:
-        report = estimate(
+    def _estimate(self, history) -> EstimateReport:
+        return estimate(
             history,
             self.alpha,
             conservative=self.conservative,
             clamp_nonpositive_lower=self.clamp_nonpositive_lower,
         )
-        return self.family(report, first_slot)

@@ -10,6 +10,7 @@ from storelab import (
     ThresholdPolicy,
     Trajectory,
     ValueTable,
+    estimate,
     feasible_purchase_range,
 )
 from storelab.model import ENERGY_TOL
@@ -117,17 +118,19 @@ def reference_decide(policy, t, level, price, instance) -> float:
         q_lo, q_hi = feasible_purchase_range(spec, level, d)
         target = policy._target_full(spec) if price <= policy.threshold else 0.0
         return min(max(d + target - level, q_lo), q_hi)
-    if isinstance(policy, DpPolicy):
+    if isinstance(policy, DpPolicy):  # a one-model table, or a stacked table of one row
         table = policy.table
-        return reference_argmin_purchase(table.grid, table.values[t + 1], spec, level, d, price)
+        v_next = table.values[t + 1].reshape(table.grid.size)
+        return reference_argmin_purchase(table.grid, v_next, spec, level, d, price)
     return policy.decide(t, level, price, instance)
 
 
 class ReferenceAdaptive:
     """An AdaptivePolicy's schedule for one series: its history grows by a price each slot.
 
-    Every ``refresh_stride`` slots the policy is rebuilt from the history;
-    a failed rebuild keeps the previous one and is logged in ``events``.
+    Every ``refresh_stride`` slots the policy is rebuilt from the history,
+    as the family's one-row policy from the slot on; a failed estimate
+    keeps the previous policy and is logged in ``events``.
     """
 
     def __init__(self, adaptive: AdaptivePolicy) -> None:
@@ -137,10 +140,15 @@ class ReferenceAdaptive:
         self.events: list[str] = []
 
     def decide(self, t, level, price, instance):
-        stride = self.adaptive.refresh_stride
+        adaptive = self.adaptive
+        stride = adaptive.refresh_stride
         if stride is not None and t > 0 and t % stride == 0:
             try:
-                self.current = self.adaptive._rebuild(self.history, t)
+                report = estimate(
+                    self.history, adaptive.alpha, conservative=adaptive.conservative,
+                    clamp_nonpositive_lower=adaptive.clamp_nonpositive_lower,
+                )
+                self.current = adaptive.family([report], t)
             except EstimationError as exc:
                 self.events.append(
                     f"refresh failed at n={len(self.history)} ({exc}); kept previous policy"

@@ -30,11 +30,13 @@ from storelab import (
     ThresholdPolicy,
     DpPolicy,
     build_value_table,
+    build_value_tables,
+    estimate,
     feasible_purchase_range,
     generate,
     offline_optimal,
 )
-from storelab import metrics
+from storelab import metrics, policies
 from storelab.config import build_instance, build_model
 from storelab.experiments import run_policy_compare
 from storelab.metrics import offline_costs
@@ -227,15 +229,27 @@ class TestAdaptiveBatch:
         assert len(events) == 2 * 3
         assert all("refresh failed" in m for m in events)
 
-    def test_rows_of_other_policies_have_no_row_wise_decide(self):
+    def test_custom_family_gets_one_report_per_row(self):
+        built, served = [], []
+
         class BuyNothing(Policy):
+            def __init__(self, reports) -> None:
+                self.reports = reports
+
             def decide_batch(self, t, levels, prices, instance):
+                served.append((t, len(self.reports), levels.size))
                 return np.zeros(levels.shape)
 
+        def family(reports, first_slot):
+            built.append((first_slot, [report.stats.n for report in reports]))
+            return BuyNothing(reports)
+
         inst = Instance.constant(3, 1.0, StorageSpec(1.0))
-        adaptive = AdaptivePolicy(lambda report, first_slot: BuyNothing(), [10.0, 10.5], 1)
-        with pytest.raises(TypeError, match="BuyNothing"):
-            simulate_batch(inst, np.array([[10.0, 11.0, 9.0], [10.0, 12.0, 9.0]]), adaptive)
+        adaptive = AdaptivePolicy(family, [10.0, 10.5], 1)
+        simulate_batch(inst, np.array([[10.0, 11.0, 9.0], [10.0, 12.0, 9.0]]), adaptive)
+        # the base policy, built from the warmup's one report, serves both rows
+        assert built == [(0, [2]), (1, [3, 3]), (2, [4, 4])]
+        assert served == [(0, 1, 2), (1, 2, 2), (2, 2, 2)]
 
 
 class _Atoms:
@@ -246,6 +260,11 @@ class _Atoms:
 
     def quantile(self, p: float) -> float:
         return self.atoms[int(p * len(self.atoms))]
+
+
+ATOMS = st.one_of(
+    st.sampled_from((-0.0, 0.0, -3.0, 2.0)), st.floats(-20.0, 20.0, allow_subnormal=False)
+)
 
 
 @st.composite
@@ -259,9 +278,7 @@ def table_cases(draw):
         DEMANDS, st.just(abs(capacity) + 1.0), st.floats(0.0, 9.0, allow_subnormal=False)
     ), min_size=T, max_size=T))
     s0 = capacity * draw(st.sampled_from((0.0, 0.5, 1.0)))
-    atoms = draw(st.lists(st.one_of(
-        st.sampled_from((-0.0, 0.0, -3.0, 2.0)), st.floats(-20.0, 20.0, allow_subnormal=False)
-    ), min_size=1, max_size=9))
+    atoms = draw(st.lists(ATOMS, min_size=1, max_size=9))
     return Instance(T, np.asarray(demand), StorageSpec(capacity, s0)), atoms
 
 
@@ -304,6 +321,95 @@ class TestValueTable:
         table = build_value_table(instance, _Atoms(shuffled), grid_size, len(atoms))
         ordered = build_value_table(instance, _Atoms(sorted(atoms)), grid_size, len(atoms))
         assert table.values.tobytes() == ordered.values.tobytes()
+
+
+def _more_atom_rows(data, atoms, max_rows=6):
+    """The case's atoms plus up to ``max_rows`` - 1 more rows of as many atoms."""
+    extra = data.draw(st.lists(
+        st.lists(ATOMS, min_size=len(atoms), max_size=len(atoms)), max_size=max_rows - 1
+    ), label="extra rows")
+    return [atoms] + extra
+
+
+class TestValueTables:
+    @given(table_cases(), st.integers(2, 25), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_one_model_tables(self, case, grid_size, data):
+        instance, atoms = case
+        rows = _more_atom_rows(data, atoms)
+        first_slot = data.draw(st.integers(0, instance.horizon), label="first_slot")
+        block = data.draw(st.sampled_from((1, 2, 3, policies.TABLE_BLOCK)), label="block")
+        models = [_Atoms(row) for row in rows]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(policies, "TABLE_BLOCK", block)
+            stacked = build_value_tables(instance, models, grid_size, len(atoms), first_slot)
+        assert stacked.values.shape == (instance.horizon + 1, len(rows), stacked.grid.size)
+        for e, model in enumerate(models):
+            one = build_value_table(instance, model, grid_size, len(atoms), first_slot)
+            assert stacked.grid.tobytes() == one.grid.tobytes()
+            assert stacked.values[:, e].tobytes() == one.values.tobytes()
+
+    def test_rows_cross_a_default_block(self, reference_instance):
+        models = [Normal(8.0 + 0.1 * e, 2.0) for e in range(policies.TABLE_BLOCK + 8)]
+        stacked = build_value_tables(reference_instance, models, 10, 5, first_slot=6)
+        for e, model in enumerate(models):
+            one = build_value_table(reference_instance, model, 10, 5, first_slot=6)
+            assert stacked.values[:, e].tobytes() == one.values.tobytes()
+
+    @given(table_cases(), st.integers(2, 25), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_permuting_the_models_permutes_the_rows(self, case, grid_size, data):
+        instance, atoms = case
+        rows = _more_atom_rows(data, atoms)
+        order = data.draw(st.permutations(range(len(rows))), label="order")
+        table = build_value_tables(instance, [_Atoms(r) for r in rows], grid_size, len(atoms))
+        permuted = build_value_tables(
+            instance, [_Atoms(rows[i]) for i in order], grid_size, len(atoms)
+        )
+        assert permuted.values.tobytes() == table.values[:, order].tobytes()
+
+    @given(st.integers(1, 8), st.integers(1, 6), st.floats(0.0, 4.0, allow_subnormal=False),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_kept_report_rebuilt_later_keeps_its_rows(self, T, E, capacity, data):
+        # an adaptive refresh rebuilds a row whose estimate failed from its
+        # old report at the later slot, beside rows with fresh reports
+        instance = Instance.constant(T, 1.0, StorageSpec(capacity))
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+
+        def reports(count):
+            return [
+                estimate(rng.normal(10.0, 2.0, int(rng.integers(3, 30))),
+                         clamp_nonpositive_lower=True)
+                for _ in range(count)
+            ]
+
+        first = data.draw(st.integers(0, T), label="first")
+        later = data.draw(st.integers(first, T), label="later")
+        kept = data.draw(st.lists(st.booleans(), min_size=E, max_size=E), label="kept")
+        old, fresh = reports(E), reports(E)
+        new = [o if k else f for o, f, k in zip(old, fresh, kept)]
+        family = DpFamily(instance, 12, 7)
+        before = family(old, first).table.values
+        after = family(new, later).table.values
+        for e in np.flatnonzero(kept):
+            assert after[later:, e].tobytes() == before[later:, e].tobytes()
+
+    def test_stacked_table_serves_one_row_per_model(self):
+        inst = Instance.constant(3, 1.0, StorageSpec(2.0))
+        models = [Normal(9.0, 2.0), Normal(10.0, 2.0), Normal(11.0, 2.0)]
+        stacked = DpPolicy(build_value_tables(inst, models, 10, 5))
+        one = DpPolicy(build_value_tables(inst, models[:1], 10, 5))
+        levels, prices = np.array([0.0, 1.0, 2.0]), np.full(3, 10.0)
+        q = stacked.decide_batch(0, levels, prices, inst)
+        for e, model in enumerate(models):
+            row = DpPolicy(build_value_table(inst, model, 10, 5))
+            assert q[e] == row.decide(0, levels[e], prices[e], inst)
+        # a one-model table serves any number of rows; a stacked one only its own count
+        assert one.decide_batch(0, levels[:2], prices[:2], inst).shape == (2,)
+        with pytest.raises(ValueError, match="3 rows cannot serve 2 rows"):
+            stacked.decide_batch(0, levels[:2], prices[:2], inst)
 
 
 class TestOfflineCosts:

@@ -395,7 +395,7 @@ class TestRunAdaptive:
         import storelab.policies as policies
 
         builds, estimates = [], []
-        build, estimate_ = policies.build_value_table, policies.estimate
+        build, estimate_ = policies.build_value_tables, policies.estimate
 
         def counting_build(*args, **kwargs):
             builds.append(1)
@@ -405,20 +405,20 @@ class TestRunAdaptive:
             estimates.append(1)
             return estimate_(*args, **kwargs)
 
-        monkeypatch.setattr(policies, "build_value_table", counting_build)
-        monkeypatch.setattr(experiments, "build_value_table", counting_build)
+        monkeypatch.setattr(policies, "build_value_tables", counting_build)
         monkeypatch.setattr(policies, "estimate", counting_estimate)
         monkeypatch.setattr(experiments, "simulate", _no_one_row_simulate)
         config = small_config(tmp_path, kind="adaptive", rounds=3, episodes=4,
                               warmup_grid=(10, 30), refresh_grid=(math.inf, 2.0))
         run_adaptive_convergence(config)
-        # one base table per (warmup, round), shared by both strides; stride 2
-        # at T=6 refreshes every episode at slots 2 and 4; plus the
-        # true-parameter table
+        # one one-row base table per (warmup, round), shared by both strides;
+        # stride 2 at T=6 re-estimates every episode at slots 2 and 4, and
+        # each of those slots builds one stacked table for the round's four
+        # episodes; plus the true-parameter table
         bases = 2 * 3
-        refreshes = 2 * 3 * 4 * 2
-        assert len(estimates) == bases + refreshes
-        assert len(builds) == 1 + bases + refreshes
+        refresh_slots = 2 * 3 * 2
+        assert len(estimates) == bases + refresh_slots * 4
+        assert len(builds) == 1 + bases + refresh_slots
 
     def test_worker_invariance(self, tmp_path):
         c1 = small_config(tmp_path, kind="adaptive", rounds=4, episodes=3,

@@ -348,14 +348,21 @@ class TestAdaptivePolicy:
         static = simulate(inst, prices, ThresholdPolicy(theta_before))
         assert np.array_equal(traj.purchases, static.purchases)
 
-    def test_failed_refresh_keeps_the_last_refreshed_policy(self, estimate_reports):
+    def test_failed_refresh_keeps_the_last_refreshed_policy(self):
+        built = []
+
+        def family(reports, first_slot):
+            built.append((first_slot, [report.threshold for report in reports]))
+            return ThresholdFamily()(reports, first_slot)
+
         warmup = [10.0, 10.5, 9.5, 10.2]
         inst = Instance.constant(4, 1.0, StorageSpec(1.0))
         prices = np.array([10.3, 9.9, 500.0, 10.0])
-        adaptive = AdaptivePolicy(ThresholdFamily(), warmup, refresh_stride=1)
+        adaptive = AdaptivePolicy(family, warmup, refresh_stride=1)
         simulate(inst, prices, adaptive)
         assert len(adaptive.events) == 1 and "n=7" in adaptive.events[0]
-        assert adaptive._rows[0].threshold == estimate(warmup + [10.3, 9.9]).threshold
+        # the failed refresh at slot 3 rebuilds the row from its slot-2 report
+        assert built[-1] == (3, [estimate(warmup + [10.3, 9.9]).threshold])
 
     def test_short_warmup_without_prior_rejected(self):
         with pytest.raises(ValueError):
@@ -414,16 +421,24 @@ class TestAdaptivePolicy:
         assert np.isfinite(traj.total_cost)
 
     def test_dp_refresh_builds_only_remaining_rows(self):
+        tables = []
+
+        class RecordingFamily(DpFamily):
+            def __call__(self, reports, first_slot):
+                policy = super().__call__(reports, first_slot)
+                tables.append(policy.table)
+                return policy
+
         class FullTableFamily(DpFamily):
-            def __call__(self, report, first_slot):
-                return super().__call__(report, 0)
+            def __call__(self, reports, first_slot):
+                return super().__call__(reports, 0)
 
         inst = Instance.constant(12, 1.0, StorageSpec(3.0))
         warmup = generate(Normal(10.0, 2.0), 40, seed=16)
         prices = generate(Normal(10.0, 2.0), 12, seed=17)
         for stride, last_refresh in ((1, 11), (5, 10)):
-            partial = AdaptivePolicy(DpFamily(inst, 20, 11), warmup, refresh_stride=stride)
+            partial = AdaptivePolicy(RecordingFamily(inst, 20, 11), warmup, refresh_stride=stride)
             full = AdaptivePolicy(FullTableFamily(inst, 20, 11), warmup, refresh_stride=stride)
             a = simulate(inst, prices, partial)
-            assert partial._rows[0].table.first_slot == last_refresh
+            assert tables[-1].first_slot == last_refresh
             assert a.purchases.tobytes() == simulate(inst, prices, full).purchases.tobytes()
