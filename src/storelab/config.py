@@ -15,6 +15,7 @@ import numpy as np
 
 from .estimation import model_bounds
 from .model import ENERGY_TOL, Instance, StorageSpec
+from .policies import storage_grid
 from .prices import AR1, RESAMPLE_MODES, Clamped, LogNormal, Normal, ingest
 
 KINDS = ("estimate", "violation-curve", "policy-compare", "adaptive", "relax")
@@ -198,6 +199,11 @@ def validate_config(config: ExperimentConfig) -> None:
             raise ConfigError(name, f"must be >= 1, got {getattr(config, name)}")
     if config.G < 2:
         raise ConfigError("G", f"grid size must be >= 2, got {config.G}")
+    # every DP step divides by the grid steps, so none may round to 0
+    if config.B > 0 and not np.all(np.diff(storage_grid(config.B, config.G)) > 0):
+        raise ConfigError(
+            "B", f"capacity {config.B!r} is too small for a {config.G}-step storage grid"
+        )
     if config.K < 1:
         raise ConfigError("K", f"atom count must be >= 1, got {config.K}")
     if config.resample_mode not in RESAMPLE_MODES:

@@ -259,6 +259,35 @@ def _compare_chunk(
     return rows
 
 
+def _quantiles(values, qs) -> list[float]:
+    """``float(np.quantile(values, q))`` for each q, bit for bit.
+
+    numpy's default linear rule: the virtual index v = (n-1)·q falls
+    between the order statistics a and b at i = floor(v) and i + 1, and
+    g = v - i interpolates them from the nearer end, as numpy's ``_lerp``
+    does.  At or past the last index numpy reads the last value for both,
+    with i = -1.  Each q partitions a copy of the values at numpy's own
+    indices, so even the sign of a zero comes out as numpy's; a NaN
+    partitions last and is the result.  ``np.quantile`` itself imports
+    ``numpy.ma`` on first use.
+    """
+    x = np.asarray(values, dtype=float)
+    last = x.size - 1
+    out = []
+    for q in qs:
+        v = last * q
+        i = -1 if v >= last else math.floor(v)
+        j = -1 if i == -1 else i + 1
+        part = np.partition(x, sorted({0, -1, i, j})).tolist()
+        if math.isnan(part[-1]):
+            out.append(part[-1])
+            continue
+        a, b, g = part[i], part[j], v - i
+        diff = b - a
+        out.append(b - diff * (1.0 - g) if g >= 0.5 else a + diff * g)
+    return out
+
+
 def _compare_core(
     config: ExperimentConfig,
     eval_model,
@@ -279,13 +308,13 @@ def _compare_core(
         opt = np.asarray([r.opt_cost for r in sub])
         crs = np.asarray([r.cr for r in sub])
         reg = regret(alg, opt)
+        cr_p50, cr_p95 = _quantiles(crs, (0.50, 0.95))
         summaries.append(
             PolicySummary(
                 scenario=scenario, policy_id=policy_id,
                 mean_cost=float(alg.mean()), regret=reg.mean,
                 regret_stderr=reg.stderr,
-                cr_p50=float(np.quantile(crs, 0.50)),
-                cr_p95=float(np.quantile(crs, 0.95)),
+                cr_p50=cr_p50, cr_p95=cr_p95,
                 cr_max=float(crs.max()),
             )
         )

@@ -3,16 +3,16 @@
 The offline oracle is the purchase DP with each episode's realized price as
 its single atom per slot, so its cost is exact whenever demands, capacity,
 and the initial fill are multiples of the grid step.  ``offline_costs``
-scores E episodes at once: a row-wise Bellman step fills a (T+1, E, G+1)
-value cube, and ``simulate_batch``, the one simulation engine, runs the
-greedy rule that reads each row's own value rows.  The step takes suffix
-minima over a ``policies.SlotGeometry``, the part of the slot that no
-price changes, built again only where the slot demand changes: one shared
-by every row under the instance's demand, one row per series under a
-realized demand.
-Rows go through in blocks of ``ORACLE_BLOCK``, which bounds the cube's memory;
-every row's result is the same bits whatever block it lands in, and
-``offline_optimal`` is the one-row case.  The brute-force oracle
+scores E episodes at once: a row-wise Bellman step fills a (T, E, G+1)
+value cube, the value after each slot, and ``simulate_batch``, the one
+simulation engine, runs the greedy rule that reads each row's own value
+rows.  The step takes suffix minima over a ``policies.SlotGeometry``, the
+part of the slot that no price changes, built again only where the slot
+demand changes: one shared by every row under the instance's demand, one
+row per series under a realized demand.  Rows go through in the fewest
+equal blocks whose value rows fit in ``ORACLE_BYTES``, which bounds the
+cube's memory; every row's result is the same bits whatever block it lands
+in, and ``offline_optimal`` is the one-row case.  The brute-force oracle
 enumerates purchase lattices on tiny instances and exists only to
 validate the others.
 
@@ -100,7 +100,7 @@ def write_metric_rows(path, rows) -> None:
     )
 
 
-ORACLE_BLOCK = 32  # rows per oracle value cube: (T+1) x 32 x (G+1) floats
+ORACLE_BYTES = 1 << 21  # bytes of one sweep's value rows: rows x T x (G+1) floats
 
 
 def _hindsight_step(geometry, v_next, prices) -> np.ndarray:
@@ -125,12 +125,12 @@ class _HindsightRule:
 
     def __init__(self, grid: np.ndarray, values: np.ndarray, demand: np.ndarray) -> None:
         self.grid = grid
-        self.values = values  # (T+1, E, G+1)
+        self.values = values  # (T, E, G+1): values[t] is the value after slot t
         self.demand = demand  # (T,), or (E, T) per row
 
     def decide_batch(self, t, levels, prices, instance):
         return argmin_purchases(
-            self.grid, self.values[t + 1], instance.storage, levels,
+            self.grid, self.values[t], instance.storage, levels,
             self.demand[..., t], prices,
         )
 
@@ -142,7 +142,9 @@ def offline_costs(
 
     ``realized_demand`` (one (E, T) row per series) replaces the instance's
     demand for the oracle.  Row e equals ``offline_optimal`` on series e
-    bit for bit; rows go through in blocks of ``ORACLE_BLOCK``.
+    bit for bit.  Rows go through in the fewest equal blocks whose
+    T x (G+1) value rows fit in ``ORACLE_BYTES``.  The sweep stops at slot
+    1, because the greedy pass reads only the value after each slot.
     """
     T = instance.horizon
     prices = price_rows(prices, T)
@@ -151,15 +153,17 @@ def offline_costs(
     demand = demand_rows(realized_demand, E, T) if per_row else instance.demand
     capacity = instance.storage.capacity
     grid = storage_grid(capacity, grid_size)
-    cube = np.zeros((T + 1, min(E, ORACLE_BLOCK), grid.size))  # row T stays zero
+    fit = max(1, ORACLE_BYTES // (T * grid.size * 8))
+    blocks = max(1, -(-E // fit))
+    edges = np.linspace(0, E, blocks + 1).astype(int)  # as ``_map_chunks`` splits episodes
+    cube = np.zeros((T, -(-E // blocks), grid.size))  # row T-1 stays zero
     parts = []
-    for start in range(0, E, ORACLE_BLOCK):
-        block = slice(start, start + ORACLE_BLOCK)
-        p = prices[block]
-        d = demand[block] if per_row else demand
-        values = cube[:, : p.shape[0]]
-        for t, geometry in slot_sweep(grid, capacity, d):
-            values[t] = _hindsight_step(geometry, values[t + 1], p[:, t])
+    for start, stop in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        p = prices[start:stop]
+        d = demand[start:stop] if per_row else demand
+        values = cube[:, : stop - start]
+        for t, geometry in slot_sweep(grid, capacity, d, first_slot=1):
+            values[t - 1] = _hindsight_step(geometry, values[t], p[:, t])
         parts.append(simulate_batch(
             instance, p, _HindsightRule(grid, values, d),
             realized_demand=d if per_row else None,

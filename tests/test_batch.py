@@ -10,6 +10,7 @@ its base-stock step matches ``reference_value_rows`` within ``VALUE_RTOL``.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -461,17 +462,59 @@ class TestOfflineCosts:
     def test_block_split_does_not_change_rows(self, case, block):
         instance, prices, realized = case
         whole = offline_costs(instance, prices, 10, realized_demand=realized)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metrics, "ORACLE_BLOCK", block)
-            split = offline_costs(instance, prices, 10, realized_demand=realized)
-        for name in ("prices", "purchases", "levels", "total_cost", "clamped"):
-            assert getattr(split, name).tobytes() == getattr(whole, name).tobytes()
+        split, sizes = _split_costs(instance, prices, 10, realized, block)
+        # the fewest blocks of at most ``block`` rows, balanced to within one row
+        assert sum(sizes) == len(prices)
+        assert len(sizes) == -(-len(prices) // block)
+        assert max(sizes) <= block and max(sizes) - min(sizes) <= 1
+        _assert_same_batch(split, whole)
+
+    def test_uneven_split_is_balanced(self, reference_instance):
+        prices = generate(Normal(10.0, 2.0), 24 * 7, stream(5)).reshape(7, 24)
+        whole = offline_costs(reference_instance, prices, 10)
+        split, sizes = _split_costs(reference_instance, prices, 10, None, 3)
+        assert sizes == [2, 2, 3]
+        _assert_same_batch(split, whole)
 
     def test_rows_cross_a_default_block(self, reference_instance):
-        prices = generate(Normal(10.0, 2.0), 24 * 40, stream(17)).reshape(40, 24)
+        rows = 120  # 108 rows of 24 x 101 values fit in ORACLE_BYTES
+        assert rows * 24 * 101 * 8 > metrics.ORACLE_BYTES
+        prices = generate(Normal(10.0, 2.0), 24 * rows, stream(17)).reshape(rows, 24)
         batch = offline_costs(reference_instance, prices, 100)
         refs = [reference_offline_optimal(reference_instance, p, 100) for p in prices]
         _assert_rows_match(batch, refs)
+
+    def test_memory_stays_bounded(self, reference_instance):
+        # the value cube is one block's, not E rows'; the (E, T) results stay small
+        prices = generate(Normal(10.0, 2.0), 24 * 1024, stream(23)).reshape(1024, 24)
+        tracemalloc.start()
+        try:
+            offline_costs(reference_instance, prices, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * metrics.ORACLE_BYTES
+
+
+def _split_costs(instance, prices, grid_size, realized, block):
+    """``offline_costs`` with a byte budget of ``block`` value rows, and its block sizes."""
+    grid = storage_grid(instance.storage.capacity, grid_size)
+    sizes = []
+
+    def recording(instance, prices, rule, realized_demand=None):
+        sizes.append(len(prices))
+        return simulate_batch(instance, prices, rule, realized_demand=realized_demand)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "ORACLE_BYTES", block * instance.horizon * grid.size * 8)
+        mp.setattr(metrics, "simulate_batch", recording)
+        split = offline_costs(instance, prices, grid_size, realized_demand=realized)
+    return split, sizes
+
+
+def _assert_same_batch(got, want):
+    for name in ("prices", "purchases", "levels", "total_cost", "clamped"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 class _NanPolicy(Policy):

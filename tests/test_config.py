@@ -157,6 +157,13 @@ class TestValidation:
         parse_config("kind=policy-compare\nclamp_m=true\nmu=5.0\n")
         parse_config("kind=violation-curve\nclamp_m=false\nmu=5.0\n")
 
+    def test_capacity_needs_nonzero_grid_steps(self):
+        # 5e-324 / 10 rounds to 0, so the grid repeats level 0
+        with pytest.raises(ConfigError, match="B"):
+            parse_config("B=5e-324\nG=10\n")
+        parse_config("B=1e-300\nG=10\n")
+        parse_config("B=0.0\ns0=0.0\nkind=adaptive\n")
+
     def test_relax_ar1_scenario_needs_valid_phi(self):
         with pytest.raises(ConfigError, match="phi"):
             parse_config("kind=relax\nphi=1.5\n")

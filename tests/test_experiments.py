@@ -1,9 +1,14 @@
 import math
 import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import storelab.experiments as experiments
 import storelab.metrics as metrics
@@ -310,6 +315,46 @@ class TestRunPolicyCompare:
         assert by_id["dp"].mean_cost <= by_id["threshold"].mean_cost
 
 
+# few distinct values, signed zeros and infinities, so order statistics tie
+QUANTILE_VALUES = st.one_of(
+    st.sampled_from((-0.0, 0.0, 1.0, 1.5, math.inf, -math.inf)),
+    st.floats(-1e6, 1e6, allow_subnormal=False),
+)
+
+
+class TestSummaryQuantiles:
+    @given(
+        st.lists(QUANTILE_VALUES, min_size=1, max_size=300),
+        st.lists(st.floats(0.0, 1.0), max_size=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_match_np_quantile(self, values, drawn):
+        x = np.asarray(values)
+        qs = [0.5, 0.95, *drawn]
+        with np.errstate(invalid="ignore"):  # np.quantile between two infinities
+            want = [float(np.quantile(x, q)) for q in qs]
+        got = experiments._quantiles(x, qs)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_relax_and_policy_compare_do_not_import_numpy_ma(self, tmp_path):
+        # a fresh interpreter: pytest or hypothesis may have imported numpy.ma here
+        tiny = "'--set', 'T=4', '--set', 'B=1.0', '--set', 'episodes=5', '--set', 'G=10'"
+        code = (
+            "import sys\n"
+            "from storelab.cli import main\n"
+            f"assert main(['relax', {tiny}, '--out', {str(tmp_path / 'r.csv')!r}]) == 0\n"
+            f"assert main(['policy-compare', {tiny}, '--out', {str(tmp_path / 'p.csv')!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(experiments.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.splitlines()[-1] == "False"
+
+
 class TestRunAdaptive:
     def test_rows_and_header(self, tmp_path):
         config = small_config(
@@ -605,6 +650,17 @@ class TestCli:
         ])
         assert code == 2
         assert "run failed" in capsys.readouterr().err
+
+    def test_capacity_whose_grid_steps_round_to_zero_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        code = main([
+            "policy-compare", "--seed", "3", "--set", "T=4", "--set", "B=5e-324",
+            "--set", "rounds=2", "--set", "G=10", "--set", "K=5", "--set", "n_grid=10",
+            "--set", "history_size=200", "--out", str(out),
+        ])
+        assert code == 1
+        assert "configuration error: B:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_env_seed_honored_and_flag_wins(self, tmp_path, monkeypatch):
         # the estimate record depends on the seed through the synthesized history
