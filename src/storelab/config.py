@@ -250,6 +250,12 @@ def validate_config(config: ExperimentConfig) -> None:
             f"total demand {total!r} does not exceed the initial fill s0={config.s0!r}, "
             f"so {config.kind}'s competitive ratios are undefined",
         )
+    if config.kind == "adaptive" and not config.clamp_m:
+        raise ConfigError(
+            "clamp_m",
+            "adaptive needs clamp_m=true: a warmup estimate with a lower price bound <= 0 "
+            "has no earlier report to fall back on",
+        )
     # the true-parameter threshold policies need a positive lower price bound
     if config.kind == "policy-compare":
         policy_models = {"model": build_model(config)}

@@ -11,9 +11,10 @@ minus the atom, and sums over the sorted atoms.  A step reads a
 ``SlotGeometry``, the part of the step fixed by the grid, the capacity and
 the slot's demand; a sweep builds a new one only where the demand changes
 from one slot to the next, and the hindsight oracle in ``metrics`` steps
-through the same one by suffix minima.  The step is row-wise: one sweep
-builds a stacked table, one value row per price model, and every row
-equals its model's own table bit for bit.
+through the same one by ``SlotGeometry.min_costs``.  Both sweeps split
+their rows by ``sweep_blocks``.  The DP step is row-wise: one sweep builds
+a stacked table, one value row per price model, and every row equals its
+model's own table bit for bit.
 
 A policy family maps a list of estimate reports and a first slot to one
 policy that serves one batch row per report; the adaptive policy keeps a
@@ -225,7 +226,7 @@ class SlotGeometry:
     compares it with each atom's base-stock index, and the oracle's
     ``min_costs`` reads the suffix minima there.  ``demand`` is one value,
     which gives (G+1,) arrays that every price row shares, or one value per
-    row, which gives (E, G+1) arrays whose rows read their own value rows.
+    row (the oracle under a realized demand), which gives (E, G+1) arrays.
     """
 
     def __init__(self, grid: np.ndarray, capacity: float, demand) -> None:
@@ -244,26 +245,27 @@ class SlotGeometry:
         # s_lo's place in the suffix minima, which run over the reversed next-level axis
         self.suffix_at = rows + (grid.size - 1 - self.lo_index)
 
-    def min_costs(self, v_next, grid_costs, lo_costs, serve_costs) -> np.ndarray:
-        """Each price row's cheapest purchase cost plus next value, at every level s.
+    def min_costs(self, v_next: np.ndarray, prices: np.ndarray) -> np.ndarray:
+        """The hindsight oracle's Bellman step, row e's price ``prices[e]`` its one atom.
 
-        The hindsight oracle's step; it needs no convex ``v_next``.  The cost terms are one price per row times this geometry's arrays:
-        ``grid_costs`` times the reversed grid, ``lo_costs`` times s_lo and
-        ``serve_costs`` times d - grid.  The minimum over the grid next
-        levels in [s_lo, C] is a suffix minimum; the exact endpoint s_lo
-        is one more candidate.
+        ``v_next`` is (E, G+1) and need not be convex: the minimum of
+        p s' + V(s') over the grid next levels in [s_lo, C] is a suffix
+        minimum, and the exact endpoint s_lo is one more candidate.  The
+        final ``+ 0.0`` turns a -0.0 into the 0.0 a one-atom mean gives.
         """
-        suffix = np.minimum.accumulate(grid_costs + v_next[..., ::-1], axis=-1)
-        at_lo = lo_costs + self.lo_bracket.values_at(v_next)
-        return serve_costs + np.minimum(suffix.take(self.suffix_at, axis=self.axis), at_lo)
+        p = prices[:, None]
+        suffix = np.minimum.accumulate(p * self.grid_reversed + v_next[..., ::-1], axis=-1)
+        at_lo = p * self.s_lo + self.lo_bracket.values_at(v_next)
+        lowest = np.minimum(suffix.take(self.suffix_at, axis=self.axis), at_lo)
+        return p * self.to_serve + lowest + 0.0
 
 
 def slot_sweep(grid, capacity: float, demand: np.ndarray, first_slot: int = 0):
     """Yield (t, geometry) for t = T-1 down to ``first_slot``: a backward sweep's geometries.
 
-    ``demand`` is (T,) or one row per series, (E, T).  A slot whose demand
-    equals the next slot's reuses that slot's ``SlotGeometry``, so the
-    sweep holds one geometry at a time.
+    ``demand`` is (T,), shared by every row, or one row per series, (E, T).
+    A slot whose demand equals the next slot's reuses that slot's
+    ``SlotGeometry``, so the sweep holds one geometry at a time.
     """
     key = geometry = None
     for t in range(demand.shape[-1] - 1, first_slot - 1, -1):
@@ -306,12 +308,12 @@ def _suffix_sums(x: np.ndarray) -> np.ndarray:
 def backward_step(geometry: SlotGeometry, v_next: np.ndarray, atoms: AtomSums) -> np.ndarray:
     """One Bellman step of the purchase DP, by the atoms' base-stock levels, row by row.
 
-    ``v_next`` is (E, G+1), one value row per row of ``atoms``, and
-    ``geometry`` is built for one demand per row, so its arrays are
-    (E, G+1) too; the result is the (E, G+1) new rows.  Each grid level s
-    pays atom p for its purchase, p (d - s) + p s', and moves to the next
-    level s' in [s_lo, C] that minimizes p s' + V(s'), V the interpolated
-    value row; the new value is the weighted mean over the row's atoms.
+    ``v_next`` is (E, G+1), one value row per row of ``atoms``; every row
+    plans for the nominal demand, so all share the (G+1,) ``geometry``, and
+    the result is the (E, G+1) new rows.  Each grid level s pays atom p for
+    its purchase, p (d - s) + p s', and moves to the next level s' in
+    [s_lo, C] that minimizes p s' + V(s'), V the interpolated value row;
+    the new value is the weighted mean over the row's atoms.
     Each value row must be convex (every row this step builds is), so
     p s' + V(s') is convex and its minimum over the grid is at the
     base-stock index J, the first grid point whose right slope of V
@@ -334,7 +336,7 @@ def backward_step(geometry: SlotGeometry, v_next: np.ndarray, atoms: AtomSums) -
         best[e] = j
         terms[e] = v_next[e].take(j)
         # m, the atoms whose J reaches L, is K less the atoms whose J falls short of it
-        at[e] = row_end - j[::-1].searchsorted(geometry.lo_index[e])
+        at[e] = row_end - j[::-1].searchsorted(geometry.lo_index)
     terms += atoms.atoms * geometry.grid[best]
     terms *= atoms.weight
     head = np.zeros(atoms.tail_wp.shape)
@@ -373,7 +375,18 @@ def quantile_atoms(model, count: int) -> np.ndarray:
     return np.asarray([model.quantile(float(p)) for p in _midpoint_probs(count)], dtype=float)
 
 
-TABLE_BLOCK = 32  # rows per stacked-table sweep: bounds its (rows, G+1) geometry and temporaries
+SWEEP_BYTES = 1 << 21  # bytes of one backward sweep's value rows: rows x T x (G+1) floats
+
+
+def sweep_blocks(rows: int, horizon: int, width: int) -> list[tuple[int, int]]:
+    """(start, stop) of the fewest equal blocks whose rows x horizon x width floats fit.
+
+    The edges are ``np.linspace``'s, as ``experiments._map_chunks`` splits
+    episodes; a row too big for ``SWEEP_BYTES`` is a block alone.
+    """
+    fit = max(1, SWEEP_BYTES // (horizon * width * 8))
+    edges = np.linspace(0, rows, -(-rows // fit) + 1).astype(int).tolist()
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def build_value_tables(
@@ -386,8 +399,8 @@ def build_value_tables(
     ``models[e]``: one row-wise ``backward_step`` per slot, from atoms
     sorted once per table, so the order a model gives its atoms in does
     not change a bit, and each row equals ``build_value_table`` for its
-    own model bit for bit.  Rows go through in blocks of ``TABLE_BLOCK``,
-    each its own sweep, and a row's bits do not depend on its block.  Only
+    own model bit for bit.  Rows go through in ``sweep_blocks``, each its
+    own sweep, and a row's bits do not depend on its block.  Only
     slots first_slot..T-1 are stepped.  values[t] depends on values[t + 1]
     alone, so those slots equal a full build bit for bit.
     """
@@ -399,12 +412,10 @@ def build_value_tables(
     capacity = instance.storage.capacity
     grid = storage_grid(capacity, grid_size)
     values = np.zeros((T + 1, len(models), grid.size))
-    for start in range(0, len(models), TABLE_BLOCK):
-        block = models[start : start + TABLE_BLOCK]
-        atoms = AtomSums([quantile_atoms(model, atom_count) for model in block])
-        rows = values[:, start : start + len(block)]
-        demand = instance.demand[None].repeat(len(block), axis=0)  # one demand row per table row
-        for t, geometry in slot_sweep(grid, capacity, demand, first_slot):
+    for start, stop in sweep_blocks(len(models), T, grid.size):
+        atoms = AtomSums([quantile_atoms(model, atom_count) for model in models[start:stop]])
+        rows = values[:, start:stop]
+        for t, geometry in slot_sweep(grid, capacity, instance.demand, first_slot):
             rows[t] = backward_step(geometry, rows[t + 1], atoms)
     grid.flags.writeable = False
     values.flags.writeable = False

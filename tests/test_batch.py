@@ -339,10 +339,10 @@ class TestValueTables:
         instance, atoms = case
         rows = _more_atom_rows(data, atoms)
         first_slot = data.draw(st.integers(0, instance.horizon), label="first_slot")
-        block = data.draw(st.sampled_from((1, 2, 3, policies.TABLE_BLOCK)), label="block")
+        block = data.draw(st.sampled_from((1, 2, 3, 108)), label="block")
         models = [_Atoms(row) for row in rows]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(policies, "TABLE_BLOCK", block)
+            mp.setattr(policies, "SWEEP_BYTES", _sweep_bytes(instance, grid_size, block))
             stacked = build_value_tables(instance, models, grid_size, len(atoms), first_slot)
         assert stacked.values.shape == (instance.horizon + 1, len(rows), stacked.grid.size)
         for e, model in enumerate(models):
@@ -351,11 +351,48 @@ class TestValueTables:
             assert stacked.values[:, e].tobytes() == one.values.tobytes()
 
     def test_rows_cross_a_default_block(self, reference_instance):
-        models = [Normal(8.0 + 0.1 * e, 2.0) for e in range(policies.TABLE_BLOCK + 8)]
-        stacked = build_value_tables(reference_instance, models, 10, 5, first_slot=6)
+        rows = 120  # 108 rows of 24 x 101 values fit in SWEEP_BYTES
+        assert rows * 24 * 101 * 8 > policies.SWEEP_BYTES
+        models = [Normal(8.0 + 0.01 * e, 2.0) for e in range(rows)]
+        stacked = build_value_tables(reference_instance, models, 100, 5, first_slot=6)
         for e, model in enumerate(models):
-            one = build_value_table(reference_instance, model, 10, 5, first_slot=6)
+            one = build_value_table(reference_instance, model, 100, 5, first_slot=6)
             assert stacked.values[:, e].tobytes() == one.values.tobytes()
+
+    def test_no_models_give_an_empty_table(self, reference_instance):
+        table = build_value_tables(reference_instance, [], 100, 5)
+        assert table.values.shape == (25, 0, 101)
+
+    @pytest.mark.parametrize("demand, built", [
+        ([1.0] * 6, 1),
+        ([1.0, 1.0, 2.0, 2.0, 2.0, 0.5], 3),  # one geometry per run of equal demands
+        ([1.0, 2.0, 1.0, 2.0, 1.0, 2.0], 6),
+    ])
+    def test_one_geometry_per_demand_change(self, monkeypatch, demand, built):
+        # every row plans for the nominal demand, so eight rows share each geometry
+        shapes = []
+
+        def counting(grid, capacity, d):
+            geometry = SlotGeometry(grid, capacity, d)
+            shapes.append(geometry.s_lo.shape)
+            return geometry
+
+        monkeypatch.setattr(policies, "SlotGeometry", counting)
+        instance = Instance(6, np.asarray(demand), StorageSpec(2.5))
+        models = [Normal(8.0 + e, 2.0) for e in range(8)]
+        build_value_tables(instance, models, 10, 5)
+        assert shapes == [(11,)] * built
+
+    def test_memory_stays_bounded(self, reference_instance):
+        # beyond the table itself, one block's atoms, geometry and temporaries
+        models = [Normal(8.0 + 0.001 * e, 2.0) for e in range(1024)]
+        tracemalloc.start()
+        try:
+            table = build_value_tables(reference_instance, models, 100, 51)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - table.values.nbytes < policies.SWEEP_BYTES
 
     @given(table_cases(), st.integers(2, 25), st.data())
     @settings(max_examples=100, deadline=None)
@@ -427,7 +464,7 @@ class TestOfflineCosts:
         # one demand that every row shares, or one per row
         demand = instance.demand[0] if realized is None else realized[:, 0]
         geometry = SlotGeometry(grid, spec.capacity, demand)
-        got = metrics._hindsight_step(geometry, v_next, prices[:, 0])
+        got = geometry.min_costs(v_next, prices[:, 0])
         demand = np.broadcast_to(demand, (len(prices),))
         for e in range(len(prices)):
             ref = reference_backward_step(grid, v_next[e], float(demand[e]), spec,
@@ -476,9 +513,15 @@ class TestOfflineCosts:
         assert sizes == [2, 2, 3]
         _assert_same_batch(split, whole)
 
+    def test_sweep_blocks_are_the_fewest_that_fit(self):
+        assert policies.sweep_blocks(108, 24, 101) == [(0, 108)]
+        assert policies.sweep_blocks(109, 24, 101) == [(0, 54), (54, 109)]
+        assert policies.sweep_blocks(3, 24, 10**6) == [(0, 1), (1, 2), (2, 3)]
+        assert policies.sweep_blocks(0, 24, 101) == []
+
     def test_rows_cross_a_default_block(self, reference_instance):
-        rows = 120  # 108 rows of 24 x 101 values fit in ORACLE_BYTES
-        assert rows * 24 * 101 * 8 > metrics.ORACLE_BYTES
+        rows = 120  # 108 rows of 24 x 101 values fit in SWEEP_BYTES
+        assert rows * 24 * 101 * 8 > policies.SWEEP_BYTES
         prices = generate(Normal(10.0, 2.0), 24 * rows, stream(17)).reshape(rows, 24)
         batch = offline_costs(reference_instance, prices, 100)
         refs = [reference_offline_optimal(reference_instance, p, 100) for p in prices]
@@ -493,12 +536,16 @@ class TestOfflineCosts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * metrics.ORACLE_BYTES
+        assert peak < 2 * policies.SWEEP_BYTES
+
+
+def _sweep_bytes(instance, grid_size, rows):
+    """A ``SWEEP_BYTES`` that fits ``rows`` value rows of the instance's sweeps."""
+    return rows * instance.horizon * storage_grid(instance.storage.capacity, grid_size).size * 8
 
 
 def _split_costs(instance, prices, grid_size, realized, block):
     """``offline_costs`` with a byte budget of ``block`` value rows, and its block sizes."""
-    grid = storage_grid(instance.storage.capacity, grid_size)
     sizes = []
 
     def recording(instance, prices, rule, realized_demand=None):
@@ -506,7 +553,7 @@ def _split_costs(instance, prices, grid_size, realized, block):
         return simulate_batch(instance, prices, rule, realized_demand=realized_demand)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metrics, "ORACLE_BYTES", block * instance.horizon * grid.size * 8)
+        mp.setattr(policies, "SWEEP_BYTES", _sweep_bytes(instance, grid_size, block))
         mp.setattr(metrics, "simulate_batch", recording)
         split = offline_costs(instance, prices, grid_size, realized_demand=realized)
     return split, sizes

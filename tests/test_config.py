@@ -37,7 +37,8 @@ class TestRoundTrip:
             "policy-compare": mu - 3.0 * sigma,
             "relax": mu - 3.0 * AR1(mu, sigma, config.phi).marginal_std,
         }.get(kind, math.inf)
-        if not clamp and lower <= 0.0:
+        # an adaptive warmup's estimate has no earlier report to fall back on
+        if not clamp and (kind == "adaptive" or lower <= 0.0):
             with pytest.raises(ConfigError, match="clamp_m"):
                 parse_config(render_config(config))
         else:
@@ -156,6 +157,12 @@ class TestValidation:
             parse_config("kind=policy-compare\nclamp_m=false\nmu=5.0\nclamp_lo=4\nclamp_hi=16\n")
         parse_config("kind=policy-compare\nclamp_m=true\nmu=5.0\n")
         parse_config("kind=violation-curve\nclamp_m=false\nmu=5.0\n")
+
+    def test_adaptive_needs_clamp_m(self):
+        # a warmup whose unclamped lower bound is <= 0 has no earlier report to keep
+        with pytest.raises(ConfigError, match="clamp_m"):
+            parse_config("kind=adaptive\nclamp_m=false\n")
+        parse_config("kind=adaptive\nclamp_m=true\n")
 
     def test_capacity_needs_nonzero_grid_steps(self):
         # 5e-324 / 10 rounds to 0, so the grid repeats level 0

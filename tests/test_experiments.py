@@ -595,6 +595,20 @@ class TestCli:
         assert "clamp_m" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_adaptive_unclamped_exits_1_before_any_round(self, tmp_path, capsys):
+        # the warmup of 10 draws from N(7, 2^2) estimates a lower bound of -0.306
+        out = tmp_path / "a.csv"
+        code = main([
+            "adaptive", "--seed", "3", "--set", "T=8", "--set", "B=2.0", "--set", "rounds=3",
+            "--set", "G=20", "--set", "K=9", "--set", "episodes=6",
+            "--set", "warmup_grid=10,40", "--set", "refresh_grid=inf,1,2",
+            "--set", "clamp_m=false", "--set", "mu=7.0", "--set", "sigma=2.0",
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert "clamp_m" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_policy_compare_unclamped_nonpositive_bound_exits_1_before_any_episode(
         self, tmp_path, capsys
     ):

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy import stats as st
 
 from storelab import (
     ConfigError,
@@ -22,7 +24,8 @@ from storelab import (
     simulate,
 )
 from storelab import experiments
-from storelab.metrics import METRIC_HEADER, write_metric_rows
+from storelab.metrics import METRIC_HEADER, offline_costs, write_metric_rows
+from storelab.seeds import stream
 
 from conftest import random_aligned_instance
 
@@ -60,6 +63,23 @@ class TestOfflineOptimal:
                 alg = simulate(reference_instance, prices, pol).total_cost
                 assert alg >= opt - 1e-9
                 assert competitive_ratio(alg, opt) >= 1.0 - 1e-9
+
+    def test_mean_cost_matches_the_exact_expectation(self, reference_instance):
+        # With capacity 5, unit demand and an empty start, slot t's unit is
+        # bought at the cheapest of the last min(t + 1, 6) prices, so with
+        # i.i.d. N(10, 2^2) prices E[OPT] = sum_{k=1..6} E[min of k] +
+        # 18 E[min of 6].  The grid (step 0.05) holds every level exactly.
+        def expected_min(k):
+            def integrand(x):
+                return x * k * st.norm.pdf(x, 10.0, 2.0) * st.norm.sf(x, 10.0, 2.0) ** (k - 1)
+            return integrate.quad(integrand, -np.inf, np.inf)[0]
+
+        exact = sum(expected_min(k) for k in range(1, 7)) + 18 * expected_min(6)
+        assert exact == pytest.approx(184.6405, abs=1e-4)
+        prices = generate(Normal(10.0, 2.0), 24 * 2000, stream(11)).reshape(2000, 24)
+        costs = offline_costs(reference_instance, prices, 100).total_cost
+        stderr = costs.std(ddof=1) / np.sqrt(costs.size)
+        assert abs(costs.mean() - exact) < 4.0 * stderr
 
     def test_short_price_series_rejected(self):
         inst = Instance.constant(3, 1.0, StorageSpec(1.0))
