@@ -75,7 +75,7 @@ class ExperimentConfig:
     scenarios: tuple[str, ...] = SCENARIOS
     eta: float = 0.2
     # numerics
-    G: int = 100
+    G: int = 100  # the hindsight oracle's storage grid steps; the DP has no grid option
     K: int = 51
     # run control
     seed: int = 20260809
@@ -199,7 +199,7 @@ def validate_config(config: ExperimentConfig) -> None:
             raise ConfigError(name, f"must be >= 1, got {getattr(config, name)}")
     if config.G < 2:
         raise ConfigError("G", f"grid size must be >= 2, got {config.G}")
-    # every DP step divides by the grid steps, so none may round to 0
+    # the oracle interpolates over its G-step grid, so no step may round to 0
     if config.B > 0 and not np.all(np.diff(storage_grid(config.B, config.G)) > 0):
         raise ConfigError(
             "B", f"capacity {config.B!r} is too small for a {config.G}-step storage grid"

@@ -208,7 +208,7 @@ def _true_parameter_policies(config: ExperimentConfig, instance: Instance, polic
     """Threshold, budgeted-threshold, and DP policies from true model parameters."""
     upper, lower = model_bounds(policy_model, config.clamp_m)
     theta = threshold_price(upper, lower)
-    table = build_value_table(instance, policy_model, config.G, config.K)
+    table = build_value_table(instance, policy_model, config.K)
     policies = (
         ThresholdPolicy(theta),
         ThresholdPolicy(
@@ -384,7 +384,7 @@ def _adaptive_chunk(
         true_costs.append(simulate_batch(instance, prices, true_policy).total_cost)
         oracle_costs.append(offline_costs(instance, prices, config.G).total_cost)
     if config.family == "dp":
-        family = DpFamily(instance, config.G, config.K)
+        family = DpFamily(instance, config.K)
     else:
         family = ThresholdFamily()
     strides = [None if math.isinf(refresh) else int(refresh) for refresh in config.refresh_grid]
@@ -420,7 +420,7 @@ def run_adaptive_convergence(
     """
     instance = build_instance(config)
     model = build_model(config)
-    true_policy = DpPolicy(build_value_table(instance, model, config.G, config.K))
+    true_policy = DpPolicy(build_value_table(instance, model, config.K))
     chunk = partial(_adaptive_chunk, config, instance, model, true_policy)
     parts = _map_chunks(chunk, config.rounds, workers)
     true_costs = np.concatenate([p[0] for p in parts])

@@ -135,7 +135,8 @@ def offline_costs(
     demand = demand_rows(realized_demand, E, T) if per_row else instance.demand
     capacity = instance.storage.capacity
     grid = storage_grid(capacity, grid_size)
-    blocks = sweep_blocks(E, T, grid.size)
+    # no rows still make one empty block, which the engine turns into empty rows
+    blocks = sweep_blocks(E, T, grid.size, 1) or [(0, 0)]
     cube = np.zeros((T + 1, max(stop - start for start, stop in blocks), grid.size))
     parts = []
     for start, stop in blocks:

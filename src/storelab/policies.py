@@ -3,18 +3,21 @@
 The threshold policy buys and fills the store whenever the price is at or
 below its threshold (the boundary price counts as cheap) and serves from
 storage otherwise.  The DP policy minimizes expected cost by backward
-induction on a storage grid, integrating the price with equal-weight
+induction on the instance's ``breakpoint_lattice``, the storage levels
+where a value row can bend, integrating the price with equal-weight
 quantile-midpoint atoms, and acts on the observed price each slot.  Each
-value row is convex in the level, so each backward step moves every atom
-to its base-stock level, the grid point where the row's slope reaches
-minus the atom, and sums over the sorted atoms.  A step reads a
+value row is convex and linear between the lattice points, so the table
+is exact for its atoms, and each backward step moves every atom to its
+base-stock level, the lattice point where the row's slope reaches minus
+the atom, and sums over the sorted atoms.  A step reads a
 ``SlotGeometry``, the part of the step fixed by the grid, the capacity and
 the slot's demand; a sweep builds a new one only where the demand changes
 from one slot to the next, and the hindsight oracle in ``metrics`` steps
-through the same one by ``SlotGeometry.min_costs``.  Both sweeps split
-their rows by ``sweep_blocks``.  The DP step is row-wise: one sweep builds
-a stacked table, one value row per price model, and every row equals its
-model's own table bit for bit.
+through the same one, on its own ``storage_grid``, by
+``SlotGeometry.min_costs``.  Both sweeps split their rows by
+``sweep_blocks``.  The DP step is row-wise: one sweep builds a stacked
+table, one value row per price model, and every row equals its model's
+own table bit for bit.
 
 A policy family maps a list of estimate reports and a first slot to one
 policy that serves one batch row per report; the adaptive policy keeps a
@@ -38,6 +41,7 @@ import numpy as np
 from . import special
 from .estimation import EstimateReport, EstimationError, estimate
 from .model import (
+    ENERGY_TOL,
     Instance,
     StorageSpec,
     feasible_purchase_range,  # noqa: F401  (a name bench/tracer.py wraps)
@@ -124,11 +128,13 @@ def linear_budget(threshold: float, upper: float, lower: float, capacity: float)
 
 @dataclass(frozen=True, eq=False)
 class ValueTable:
-    """Expected optimal cost-to-go on a storage grid.
+    """Expected optimal cost-to-go on a grid of W storage levels.
 
     values[t, i] is the pre-price expected cost of serving slots t..T-1
     optimally starting from storage grid[i]; values[T] is identically zero.
-    A stacked table holds one such row per price model, values[t, e, i].
+    A table is (T+1, W); ``build_value_tables`` puts it on the instance's
+    ``breakpoint_lattice``.  A stacked table holds one such row per price
+    model, values[t, e, i], (T+1, E, W).
     Only slots first_slot..T are built; the slots before it are zero.
     """
 
@@ -142,10 +148,38 @@ class ValueTable:
 
 
 def storage_grid(capacity: float, grid_size: int) -> np.ndarray:
-    """Equally spaced storage levels; a zero-capacity store collapses to one point."""
+    """The hindsight oracle's equally spaced storage levels; a zero-capacity store is one point."""
     if capacity <= 0.0:
         return np.zeros(1)
     return np.linspace(0.0, capacity, grid_size + 1)
+
+
+def breakpoint_lattice(capacity: float, demand) -> np.ndarray:
+    """The storage levels where a DP value row can bend: 0, C and the demand's window sums below C.
+
+    The value after the last slot is flat.  A backward step at slot t
+    reads the next row from the lowest feasible next level max(s - d_t, 0),
+    so a row linear between the points B_{t+1} becomes one linear between
+    B_t = {d_t + b : b in B_{t+1} or b = 0} within (0, C); the expectation
+    over prices keeps those points.  Every row of a table is therefore
+    linear between the union of the B_t with 0 and C, and its values there
+    are exact for its atoms.  Each B_t is built from B_{t+1}, so equal window sums carry
+    equal bits.  A point closer than ``ENERGY_TOL`` to the last one kept
+    merges into it, and 0 and C always stay.  A zero-capacity store is the
+    one level 0.  The lattice depends on the capacity and demand alone.
+    """
+    if capacity <= 0.0:
+        return np.zeros(1)
+    bends, found = set(), set()
+    for d in np.asarray(demand, dtype=float)[::-1].tolist():
+        bends = {x for x in (d + b for b in (*bends, 0.0)) if 0.0 < x < capacity}
+        found |= bends
+    levels = [0.0]
+    for x in sorted(found):
+        if x - levels[-1] >= ENERGY_TOL and capacity - x >= ENERGY_TOL:
+            levels.append(x)
+    levels.append(float(capacity))
+    return np.array(levels)
 
 
 def _take_rows(x: np.ndarray, n: int, per_row: bool):
@@ -215,7 +249,7 @@ def interp_bracket(x: np.ndarray, grid: np.ndarray, per_row: bool) -> InterpBrac
 
 
 class SlotGeometry:
-    """The price-free half of one slot's Bellman step on a storage grid.
+    """The price-free half of one slot's Bellman step on a grid of W storage levels.
 
     For the slot's demand d and every grid level s, the lowest feasible
     next level is s_lo = clip(s + max(0, d - min(s, C)) - d, 0, C).  The
@@ -225,8 +259,8 @@ class SlotGeometry:
     the first grid index at or above s_lo: the DP's ``backward_step``
     compares it with each atom's base-stock index, and the oracle's
     ``min_costs`` reads the suffix minima there.  ``demand`` is one value,
-    which gives (G+1,) arrays that every price row shares, or one value per
-    row (the oracle under a realized demand), which gives (E, G+1) arrays.
+    which gives (W,) arrays that every price row shares, or one value per
+    row (the oracle under a realized demand), which gives (E, W) arrays.
     """
 
     def __init__(self, grid: np.ndarray, capacity: float, demand) -> None:
@@ -248,7 +282,7 @@ class SlotGeometry:
     def min_costs(self, v_next: np.ndarray, prices: np.ndarray) -> np.ndarray:
         """The hindsight oracle's Bellman step, row e's price ``prices[e]`` its one atom.
 
-        ``v_next`` is (E, G+1) and need not be convex: the minimum of
+        ``v_next`` is (E, W) and need not be convex: the minimum of
         p s' + V(s') over the grid next levels in [s_lo, C] is a suffix
         minimum, and the exact endpoint s_lo is one more candidate.  The
         final ``+ 0.0`` turns a -0.0 into the 0.0 a one-atom mean gives.
@@ -308,9 +342,9 @@ def _suffix_sums(x: np.ndarray) -> np.ndarray:
 def backward_step(geometry: SlotGeometry, v_next: np.ndarray, atoms: AtomSums) -> np.ndarray:
     """One Bellman step of the purchase DP, by the atoms' base-stock levels, row by row.
 
-    ``v_next`` is (E, G+1), one value row per row of ``atoms``; every row
-    plans for the nominal demand, so all share the (G+1,) ``geometry``, and
-    the result is the (E, G+1) new rows.  Each grid level s pays atom p for
+    ``v_next`` is (E, W), one value row per row of ``atoms``; every row
+    plans for the nominal demand, so all share the (W,) ``geometry``, and
+    the result is the (E, W) new rows.  Each grid level s pays atom p for
     its purchase, p (d - s) + p s', and moves to the next level s' in
     [s_lo, C] that minimizes p s' + V(s'), V the interpolated value row;
     the new value is the weighted mean over the row's atoms.
@@ -375,44 +409,46 @@ def quantile_atoms(model, count: int) -> np.ndarray:
     return np.asarray([model.quantile(float(p)) for p in _midpoint_probs(count)], dtype=float)
 
 
-SWEEP_BYTES = 1 << 21  # bytes of one backward sweep's value rows: rows x T x (G+1) floats
+SWEEP_BYTES = 1 << 21  # bytes of one block of a backward sweep's rows
+STEP_ARRAYS = 10  # (rows, K) float arrays a DP step's atom sums and temporaries hold at once
 
 
-def sweep_blocks(rows: int, horizon: int, width: int) -> list[tuple[int, int]]:
-    """(start, stop) of the fewest equal blocks whose rows x horizon x width floats fit.
+def sweep_blocks(rows: int, horizon: int, width: int, atoms: int) -> list[tuple[int, int]]:
+    """(start, stop) of the fewest equal blocks of rows that fit ``SWEEP_BYTES``.
 
-    The edges are ``np.linspace``'s, as ``experiments._map_chunks`` splits
-    episodes; a row too big for ``SWEEP_BYTES`` is a block alone.
+    A row costs its value floats, ``horizon`` x ``width``, and the
+    ``STEP_ARRAYS`` rows of ``atoms`` floats that a DP step holds per table
+    row (the oracle's one price per row is one atom).  The edges are
+    ``np.linspace``'s, as ``experiments._map_chunks`` splits episodes; a row
+    too big for ``SWEEP_BYTES`` is a block alone.
     """
-    fit = max(1, SWEEP_BYTES // (horizon * width * 8))
+    fit = max(1, SWEEP_BYTES // (8 * (horizon * width + STEP_ARRAYS * atoms)))
     edges = np.linspace(0, rows, -(-rows // fit) + 1).astype(int).tolist()
     return list(zip(edges[:-1], edges[1:]))
 
 
 def build_value_tables(
-    instance: Instance, models, grid_size: int = 100, atom_count: int = 51,
-    first_slot: int = 0,
+    instance: Instance, models, atom_count: int = 51, first_slot: int = 0,
 ) -> ValueTable:
     """Backward induction over the horizon for several price models at once.
 
-    Returns a stacked table, values of shape (T+1, E, G+1) with row e for
-    ``models[e]``: one row-wise ``backward_step`` per slot, from atoms
-    sorted once per table, so the order a model gives its atoms in does
-    not change a bit, and each row equals ``build_value_table`` for its
-    own model bit for bit.  Rows go through in ``sweep_blocks``, each its
-    own sweep, and a row's bits do not depend on its block.  Only
-    slots first_slot..T-1 are stepped.  values[t] depends on values[t + 1]
-    alone, so those slots equal a full build bit for bit.
+    Returns a stacked table on the instance's ``breakpoint_lattice`` of W
+    levels, values of shape (T+1, E, W) with row e for ``models[e]``: one
+    row-wise ``backward_step`` per slot, from atoms sorted once per table,
+    so the order a model gives its atoms in does not change a bit, and
+    each row equals ``build_value_table`` for its own model bit for bit.
+    Rows go through in ``sweep_blocks``, each its own sweep, and a row's
+    bits do not depend on its block.  Only slots first_slot..T-1 are
+    stepped.  values[t] depends on values[t + 1] alone, and the lattice on
+    the instance alone, so those slots equal a full build bit for bit.
     """
-    if grid_size < 2:
-        raise ValueError(f"grid size must be >= 2, got {grid_size}")
     T = instance.horizon
     if not (0 <= first_slot <= T):
         raise ValueError(f"first slot must lie in [0, {T}], got {first_slot}")
     capacity = instance.storage.capacity
-    grid = storage_grid(capacity, grid_size)
+    grid = breakpoint_lattice(capacity, instance.demand)
     values = np.zeros((T + 1, len(models), grid.size))
-    for start, stop in sweep_blocks(len(models), T, grid.size):
+    for start, stop in sweep_blocks(len(models), T, grid.size, atom_count):
         atoms = AtomSums([quantile_atoms(model, atom_count) for model in models[start:stop]])
         rows = values[:, start:stop]
         for t, geometry in slot_sweep(grid, capacity, instance.demand, first_slot):
@@ -423,11 +459,10 @@ def build_value_tables(
 
 
 def build_value_table(
-    instance: Instance, model, grid_size: int = 100, atom_count: int = 51,
-    first_slot: int = 0,
+    instance: Instance, model, atom_count: int = 51, first_slot: int = 0,
 ) -> ValueTable:
-    """The one-model ``build_value_tables``: values of shape (T+1, G+1)."""
-    table = build_value_tables(instance, [model], grid_size, atom_count, first_slot)
+    """The one-model ``build_value_tables``: values of shape (T+1, W)."""
+    table = build_value_tables(instance, [model], atom_count, first_slot)
     return ValueTable(grid=table.grid, values=table.values[:, 0], first_slot=first_slot)
 
 
@@ -438,7 +473,7 @@ def interp_rows(x: np.ndarray, grid: np.ndarray, fp: np.ndarray) -> np.ndarray:
     must be finite.
     """
     rows = fp.reshape(-1, grid.size)
-    per_row = rows.shape[0] > 1
+    per_row = rows.shape[0] != 1
     return interp_bracket(x, grid, per_row).values_at(rows if per_row else rows[0])
 
 
@@ -529,17 +564,13 @@ class DpFamily:
     """
 
     instance: Instance
-    grid_size: int = 100
     atom_count: int = 51
 
     def __call__(self, reports: list[EstimateReport], first_slot: int) -> Policy:
         models = [
             Normal(report.stats.mean, max(report.stats.sample_std, 1e-12)) for report in reports
         ]
-        table = build_value_tables(
-            self.instance, models, self.grid_size, self.atom_count, first_slot
-        )
-        return DpPolicy(table)
+        return DpPolicy(build_value_tables(self.instance, models, self.atom_count, first_slot))
 
 
 class AdaptivePolicy(Policy):

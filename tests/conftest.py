@@ -74,10 +74,9 @@ def reference_backward_step(grid, v_next, demand, spec, atoms, weights):
     return weights @ (atoms[:, None] * (demand - grid[None, :]) + best)
 
 
-def reference_value_rows(instance, atoms, grid_size, first_slot=0):
-    """``build_value_table``'s values, one ``reference_backward_step`` per slot."""
+def reference_value_rows(instance, atoms, grid, first_slot=0):
+    """``build_value_table``'s values on ``grid``, one ``reference_backward_step`` per slot."""
     spec = instance.storage
-    grid = storage_grid(spec.capacity, grid_size)
     atoms = np.asarray(atoms, dtype=float)
     weights = np.full(atoms.size, 1.0 / atoms.size)
     values = np.zeros((instance.horizon + 1, grid.size))

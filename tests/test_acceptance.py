@@ -157,7 +157,7 @@ class TestCriterion6OracleEquivalence:
 
     def test_dp_matches_exhaustive_enumeration(self):
         inst = Instance(3, np.ones(3), StorageSpec(1.0))
-        table = build_value_table(inst, Empirical([1.0, 3.0]), grid_size=100, atom_count=10)
+        table = build_value_table(inst, Empirical([1.0, 3.0]), atom_count=10)
         step = 0.5
 
         def value(t, level, price):
@@ -185,7 +185,7 @@ class TestCriterion6OracleEquivalence:
 
 class TestCriterion7DpDominance:
     def test_dominance_and_positive_regret(self):
-        table = build_value_table(REFERENCE, Normal(10.0, 2.0), 100, 51)
+        table = build_value_table(REFERENCE, Normal(10.0, 2.0), 51)
         dp = DpPolicy(table)
         thb = ThresholdPolicy(8.0)  # sqrt((10+6)(10-6)) from the true parameters
         prices = np.array([

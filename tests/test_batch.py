@@ -42,7 +42,9 @@ from storelab.config import build_instance, build_model
 from storelab.experiments import run_policy_compare
 from storelab.metrics import offline_costs
 from storelab.model import feasible_purchase_ranges, simulate_batch
-from storelab.policies import SlotGeometry, interp_rows, storage_grid
+from storelab.policies import (
+    SlotGeometry, breakpoint_lattice, interp_rows, quantile_atoms, storage_grid,
+)
 from storelab.seeds import stream
 
 from conftest import (
@@ -158,12 +160,11 @@ class TestSimulateBatch:
         batch = simulate_batch(instance, prices, policy, realized_demand=realized)
         _assert_rows_match(batch, _per_slot(instance, prices, [policy] * len(prices), realized))
 
-    @given(batch_cases(), st.integers(2, 20), st.integers(1, 9), st.floats(1.0, 12.0),
-           st.floats(0.5, 6.0))
+    @given(batch_cases(), st.integers(1, 9), st.floats(1.0, 12.0), st.floats(0.5, 6.0))
     @settings(max_examples=100, deadline=None)
-    def test_dp_rows_match_simulate(self, case, grid_size, atoms, mu, sigma):
+    def test_dp_rows_match_simulate(self, case, atoms, mu, sigma):
         instance, prices, realized = case
-        policy = DpPolicy(build_value_table(instance, Normal(mu, sigma), grid_size, atoms))
+        policy = DpPolicy(build_value_table(instance, Normal(mu, sigma), atoms))
         batch = simulate_batch(instance, prices, policy, realized_demand=realized)
         _assert_rows_match(batch, _per_slot(instance, prices, [policy] * len(prices), realized))
 
@@ -186,7 +187,7 @@ class TestAdaptiveBatch:
         instance, prices, realized = case
         T = instance.horizon
         if data.draw(st.booleans(), label="dp"):
-            family = DpFamily(instance, data.draw(st.integers(2, 12)), data.draw(st.integers(1, 7)))
+            family = DpFamily(instance, data.draw(st.integers(1, 7)))
         else:
             family = ThresholdFamily()
         stride = data.draw(st.sampled_from((1, 2, max(T - 1, 1), None)), label="stride")
@@ -209,7 +210,7 @@ class TestAdaptiveBatch:
         spread = rng.choice([0.5, 3.0, 60.0], size=(E, T), p=[0.45, 0.45, 0.1])
         prices = 10.0 + spread * rng.standard_normal((E, T))
         warmup = 10.0 + rng.standard_normal(int(rng.integers(2, 8)))
-        family = DpFamily(instance, 20, 9) if dp else ThresholdFamily()
+        family = DpFamily(instance, 9) if dp else ThresholdFamily()
         try:
             adaptive = AdaptivePolicy(family, warmup, stride)
         except EstimationError:
@@ -222,7 +223,7 @@ class TestAdaptiveBatch:
         calm = [10.0, 10.4, 9.8, 10.1]
         wild = [500.0, -480.0, 510.0, 10.0]
         prices = np.array([calm, wild, calm, wild, calm])
-        policy_family = DpFamily(inst, 10, 5) if family == "dp" else ThresholdFamily()
+        policy_family = DpFamily(inst, 5) if family == "dp" else ThresholdFamily()
         adaptive = AdaptivePolicy(policy_family, [10.0, 10.5, 9.5, 10.2], refresh_stride=1)
         events = _adaptive_rows_match(inst, prices, None, adaptive)
         # the wild rows fail at every refresh (slots 1, 2, 3), the calm rows never
@@ -294,34 +295,48 @@ SLOPE_RTOL = 1e-12
 
 
 class TestValueTable:
-    @given(table_cases(), st.integers(2, 25), st.data())
+    @given(table_cases(), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_rows_match_reference_steps(self, case, grid_size, data):
+    def test_rows_match_reference_steps(self, case, data):
         instance, atoms = case
         first_slot = data.draw(st.integers(0, instance.horizon), label="first_slot")
-        table = build_value_table(instance, _Atoms(atoms), grid_size, len(atoms), first_slot)
-        ref = reference_value_rows(instance, atoms, grid_size, first_slot)
+        table = build_value_table(instance, _Atoms(atoms), len(atoms), first_slot)
+        lattice = breakpoint_lattice(instance.storage.capacity, instance.demand)
+        assert table.grid.tobytes() == lattice.tobytes()
+        ref = reference_value_rows(instance, atoms, lattice, first_slot)
         assert np.all(np.abs(table.values - ref) <= VALUE_RTOL * np.maximum(1.0, np.abs(ref)))
 
-    @given(table_cases(), st.integers(2, 25))
+    @given(table_cases())
     @settings(max_examples=200, deadline=None)
-    def test_rows_are_convex(self, case, grid_size):
+    def test_rows_are_convex(self, case):
         # the base-stock step's precondition on the row it reads
         instance, atoms = case
-        table = build_value_table(instance, _Atoms(atoms), grid_size, len(atoms))
+        table = build_value_table(instance, _Atoms(atoms), len(atoms))
         steps = np.diff(table.grid)
         slopes = np.diff(table.values, axis=1) / steps
         tol = SLOPE_RTOL * max(1.0, np.abs(table.values).max()) / steps.min(initial=1.0)
         assert np.all(np.diff(slopes, axis=1) >= -tol)
 
-    @given(table_cases(), st.integers(2, 25), st.data())
+    @given(table_cases(), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_atom_order_does_not_matter(self, case, grid_size, data):
+    def test_atom_order_does_not_matter(self, case, data):
         instance, atoms = case
         shuffled = data.draw(st.permutations(atoms), label="shuffled")
-        table = build_value_table(instance, _Atoms(shuffled), grid_size, len(atoms))
-        ordered = build_value_table(instance, _Atoms(sorted(atoms)), grid_size, len(atoms))
+        table = build_value_table(instance, _Atoms(shuffled), len(atoms))
+        ordered = build_value_table(instance, _Atoms(sorted(atoms)), len(atoms))
         assert table.values.tobytes() == ordered.values.tobytes()
+
+
+    def test_bench_table_equals_the_grid_table_at_integer_levels(self, reference_instance):
+        # values the CSV digests cannot see: on the default instance the
+        # lattice is 0, 1, ..., 5, every 20th point of the 100-step grid
+        model = Normal(10.0, 2.0)
+        table = build_value_table(reference_instance, model, 51)
+        assert table.grid.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        grid = storage_grid(5.0, 100)
+        assert grid[::20].tobytes() == table.grid.tobytes()
+        ref = reference_value_rows(reference_instance, quantile_atoms(model, 51), grid)[:, ::20]
+        assert np.all(np.abs(table.values - ref) <= VALUE_RTOL * np.maximum(1.0, np.abs(ref)))
 
 
 def _more_atom_rows(data, atoms, max_rows=6):
@@ -333,35 +348,37 @@ def _more_atom_rows(data, atoms, max_rows=6):
 
 
 class TestValueTables:
-    @given(table_cases(), st.integers(2, 25), st.data())
+    @given(table_cases(), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_rows_equal_one_model_tables(self, case, grid_size, data):
+    def test_rows_equal_one_model_tables(self, case, data):
         instance, atoms = case
         rows = _more_atom_rows(data, atoms)
         first_slot = data.draw(st.integers(0, instance.horizon), label="first_slot")
         block = data.draw(st.sampled_from((1, 2, 3, 108)), label="block")
         models = [_Atoms(row) for row in rows]
+        width = breakpoint_lattice(instance.storage.capacity, instance.demand).size
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(policies, "SWEEP_BYTES", _sweep_bytes(instance, grid_size, block))
-            stacked = build_value_tables(instance, models, grid_size, len(atoms), first_slot)
-        assert stacked.values.shape == (instance.horizon + 1, len(rows), stacked.grid.size)
+            mp.setattr(policies, "SWEEP_BYTES", _sweep_bytes(instance, width, len(atoms), block))
+            stacked = build_value_tables(instance, models, len(atoms), first_slot)
+        assert stacked.values.shape == (instance.horizon + 1, len(rows), width)
         for e, model in enumerate(models):
-            one = build_value_table(instance, model, grid_size, len(atoms), first_slot)
+            one = build_value_table(instance, model, len(atoms), first_slot)
             assert stacked.grid.tobytes() == one.grid.tobytes()
             assert stacked.values[:, e].tobytes() == one.values.tobytes()
 
     def test_rows_cross_a_default_block(self, reference_instance):
-        rows = 120  # 108 rows of 24 x 101 values fit in SWEEP_BYTES
-        assert rows * 24 * 101 * 8 > policies.SWEEP_BYTES
+        # 400 rows of 24 x 6 values and 51 atoms fit in SWEEP_BYTES
+        rows = 420
+        assert policies.sweep_blocks(rows, 24, 6, 51) == [(0, 210), (210, 420)]
         models = [Normal(8.0 + 0.01 * e, 2.0) for e in range(rows)]
-        stacked = build_value_tables(reference_instance, models, 100, 5, first_slot=6)
+        stacked = build_value_tables(reference_instance, models, 51, first_slot=6)
         for e, model in enumerate(models):
-            one = build_value_table(reference_instance, model, 100, 5, first_slot=6)
+            one = build_value_table(reference_instance, model, 51, first_slot=6)
             assert stacked.values[:, e].tobytes() == one.values.tobytes()
 
     def test_no_models_give_an_empty_table(self, reference_instance):
-        table = build_value_tables(reference_instance, [], 100, 5)
-        assert table.values.shape == (25, 0, 101)
+        table = build_value_tables(reference_instance, [], 5)
+        assert table.values.shape == (25, 0, 6)  # the lattice 0, 1, ..., 5
 
     @pytest.mark.parametrize("demand, built", [
         ([1.0] * 6, 1),
@@ -380,30 +397,28 @@ class TestValueTables:
         monkeypatch.setattr(policies, "SlotGeometry", counting)
         instance = Instance(6, np.asarray(demand), StorageSpec(2.5))
         models = [Normal(8.0 + e, 2.0) for e in range(8)]
-        build_value_tables(instance, models, 10, 5)
-        assert shapes == [(11,)] * built
+        width = build_value_tables(instance, models, 5).grid.size
+        assert shapes == [(width,)] * built
 
     def test_memory_stays_bounded(self, reference_instance):
         # beyond the table itself, one block's atoms, geometry and temporaries
         models = [Normal(8.0 + 0.001 * e, 2.0) for e in range(1024)]
         tracemalloc.start()
         try:
-            table = build_value_tables(reference_instance, models, 100, 51)
+            table = build_value_tables(reference_instance, models, 51)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak - table.values.nbytes < policies.SWEEP_BYTES
 
-    @given(table_cases(), st.integers(2, 25), st.data())
+    @given(table_cases(), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_permuting_the_models_permutes_the_rows(self, case, grid_size, data):
+    def test_permuting_the_models_permutes_the_rows(self, case, data):
         instance, atoms = case
         rows = _more_atom_rows(data, atoms)
         order = data.draw(st.permutations(range(len(rows))), label="order")
-        table = build_value_tables(instance, [_Atoms(r) for r in rows], grid_size, len(atoms))
-        permuted = build_value_tables(
-            instance, [_Atoms(rows[i]) for i in order], grid_size, len(atoms)
-        )
+        table = build_value_tables(instance, [_Atoms(r) for r in rows], len(atoms))
+        permuted = build_value_tables(instance, [_Atoms(rows[i]) for i in order], len(atoms))
         assert permuted.values.tobytes() == table.values[:, order].tobytes()
 
     @given(st.integers(1, 8), st.integers(1, 6), st.floats(0.0, 4.0, allow_subnormal=False),
@@ -428,7 +443,7 @@ class TestValueTables:
         kept = data.draw(st.lists(st.booleans(), min_size=E, max_size=E), label="kept")
         old, fresh = reports(E), reports(E)
         new = [o if k else f for o, f, k in zip(old, fresh, kept)]
-        family = DpFamily(instance, 12, 7)
+        family = DpFamily(instance, 7)
         before = family(old, first).table.values
         after = family(new, later).table.values
         for e in np.flatnonzero(kept):
@@ -437,12 +452,12 @@ class TestValueTables:
     def test_stacked_table_serves_one_row_per_model(self):
         inst = Instance.constant(3, 1.0, StorageSpec(2.0))
         models = [Normal(9.0, 2.0), Normal(10.0, 2.0), Normal(11.0, 2.0)]
-        stacked = DpPolicy(build_value_tables(inst, models, 10, 5))
-        one = DpPolicy(build_value_tables(inst, models[:1], 10, 5))
+        stacked = DpPolicy(build_value_tables(inst, models, 5))
+        one = DpPolicy(build_value_tables(inst, models[:1], 5))
         levels, prices = np.array([0.0, 1.0, 2.0]), np.full(3, 10.0)
         q = stacked.decide_batch(0, levels, prices, inst)
         for e, model in enumerate(models):
-            row = DpPolicy(build_value_table(inst, model, 10, 5))
+            row = DpPolicy(build_value_table(inst, model, 5))
             assert q[e] == row.decide(0, levels[e], prices[e], inst)
         # a one-model table serves any number of rows; a stacked one only its own count
         assert one.decide_batch(0, levels[:2], prices[:2], inst).shape == (2,)
@@ -514,14 +529,26 @@ class TestOfflineCosts:
         _assert_same_batch(split, whole)
 
     def test_sweep_blocks_are_the_fewest_that_fit(self):
-        assert policies.sweep_blocks(108, 24, 101) == [(0, 108)]
-        assert policies.sweep_blocks(109, 24, 101) == [(0, 54), (54, 109)]
-        assert policies.sweep_blocks(3, 24, 10**6) == [(0, 1), (1, 2), (2, 3)]
-        assert policies.sweep_blocks(0, 24, 101) == []
+        # the oracle's rows: 24 x 101 values and one price atom
+        assert policies.sweep_blocks(107, 24, 101, 1) == [(0, 107)]
+        assert policies.sweep_blocks(108, 24, 101, 1) == [(0, 54), (54, 108)]
+        # the DP's rows on the lattice 0, 1, ..., 5: 24 x 6 values and 51 atoms
+        assert policies.sweep_blocks(400, 24, 6, 51) == [(0, 400)]
+        assert policies.sweep_blocks(401, 24, 6, 51) == [(0, 200), (200, 401)]
+        assert policies.sweep_blocks(3, 24, 10**6, 1) == [(0, 1), (1, 2), (2, 3)]
+        assert policies.sweep_blocks(0, 24, 101, 1) == []
+
+    def test_no_rows_give_empty_rows(self):
+        instance = Instance.constant(4, 1.0, StorageSpec(2.0))
+        for realized in (None, np.zeros((0, 4))):
+            batch = offline_costs(instance, np.zeros((0, 4)), 10, realized_demand=realized)
+            assert batch.prices.shape == batch.purchases.shape == batch.clamped.shape == (0, 4)
+            assert batch.levels.shape == (0, 5)
+            assert batch.total_cost.shape == (0,)
 
     def test_rows_cross_a_default_block(self, reference_instance):
-        rows = 120  # 108 rows of 24 x 101 values fit in SWEEP_BYTES
-        assert rows * 24 * 101 * 8 > policies.SWEEP_BYTES
+        rows = 120  # 107 rows of 24 x 101 values fit in SWEEP_BYTES
+        assert len(policies.sweep_blocks(rows, 24, 101, 1)) == 2
         prices = generate(Normal(10.0, 2.0), 24 * rows, stream(17)).reshape(rows, 24)
         batch = offline_costs(reference_instance, prices, 100)
         refs = [reference_offline_optimal(reference_instance, p, 100) for p in prices]
@@ -539,9 +566,9 @@ class TestOfflineCosts:
         assert peak < 2 * policies.SWEEP_BYTES
 
 
-def _sweep_bytes(instance, grid_size, rows):
-    """A ``SWEEP_BYTES`` that fits ``rows`` value rows of the instance's sweeps."""
-    return rows * instance.horizon * storage_grid(instance.storage.capacity, grid_size).size * 8
+def _sweep_bytes(instance, width, atoms, rows):
+    """A ``SWEEP_BYTES`` that fits ``rows`` rows of a sweep over ``width`` levels and ``atoms``."""
+    return rows * 8 * (instance.horizon * width + policies.STEP_ARRAYS * atoms)
 
 
 def _split_costs(instance, prices, grid_size, realized, block):
@@ -553,7 +580,8 @@ def _split_costs(instance, prices, grid_size, realized, block):
         return simulate_batch(instance, prices, rule, realized_demand=realized_demand)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(policies, "SWEEP_BYTES", _sweep_bytes(instance, grid_size, block))
+        width = storage_grid(instance.storage.capacity, grid_size).size
+        mp.setattr(policies, "SWEEP_BYTES", _sweep_bytes(instance, width, 1, block))
         mp.setattr(metrics, "simulate_batch", recording)
         split = offline_costs(instance, prices, grid_size, realized_demand=realized)
     return split, sizes
@@ -597,7 +625,7 @@ class TestErrorPaths:
         got = _message(lambda: feasible_purchase_ranges(spec, levels, 1.0), InfeasibleSlotError)
         assert got == _message(lambda: feasible_purchase_range(spec, 3.0, 1.0), InfeasibleSlotError)
         inst = Instance.constant(2, 1.0, spec)
-        dp = DpPolicy(build_value_table(inst, Normal(10.0, 2.0), 10, 5))
+        dp = DpPolicy(build_value_table(inst, Normal(10.0, 2.0), 5))
         prices = np.full(3, 10.0)
         got = _message(lambda: dp.decide_batch(0, levels, prices, inst), InfeasibleSlotError)
         assert got == _message(lambda: reference_decide(dp, 0, 3.0, 10.0, inst), InfeasibleSlotError)

@@ -54,7 +54,7 @@ class TestOfflineOptimal:
 
     def test_oracle_never_beaten_by_policies(self, reference_instance):
         rng = np.random.default_rng(5)
-        table = build_value_table(reference_instance, Normal(10.0, 2.0), 100, 21)
+        table = build_value_table(reference_instance, Normal(10.0, 2.0), 21)
         policies = [ThresholdPolicy(8.0), DpPolicy(table)]
         for _ in range(20):
             prices = rng.normal(10.0, 2.0, 24)

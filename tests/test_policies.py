@@ -24,16 +24,22 @@ from storelab import (
     simulate,
 )
 from storelab import policies
+from storelab.model import ENERGY_TOL
 from storelab.policies import (
     DpFamily,
     argmin_purchase,
     argmin_purchases,
+    breakpoint_lattice,
     linear_budget,
     quantile_atoms,
     storage_grid,
 )
 
-from conftest import reference_argmin_purchase
+from conftest import reference_argmin_purchase, reference_value_rows
+
+# The lattice table against a reference on another grid that holds every
+# bend: both exact, so only rounding parts them (1.3e-15 relative measured).
+EXACT_RTOL = 1e-12
 
 
 def _inst(T=1, demand=1.0, B=1.0, s0=0.0):
@@ -129,50 +135,90 @@ class TestValueTable:
     def test_single_slot_value_is_mean_price(self):
         inst = _inst(T=1, demand=1.0, B=1.0)
         K = 51
-        table = build_value_table(inst, Normal(10.0, 2.0), grid_size=50, atom_count=K)
+        table = build_value_table(inst, Normal(10.0, 2.0), atom_count=K)
         assert table.values[0, 0] == pytest.approx(10.0, abs=3 * 2.0 / K)
 
     def test_degenerate_prices_make_timing_irrelevant(self):
         inst = Instance.constant(5, 1.0, StorageSpec(2.0, initial_level=1.5))
-        table = build_value_table(inst, Normal(7.0, 1e-12), grid_size=40, atom_count=11)
+        table = build_value_table(inst, Normal(7.0, 1e-12), atom_count=11)
         expected = 7.0 * (5.0 - 1.5)
-        idx = int(np.searchsorted(table.grid, 1.5))
-        assert table.grid[idx] == pytest.approx(1.5)
-        assert table.values[0, idx] == pytest.approx(expected, rel=1e-6)
+        # 1.5 lies between the lattice points 1 and 2, where the row is linear
+        assert table.grid.tolist() == [0.0, 1.0, 2.0]
+        assert np.interp(1.5, table.grid, table.values[0]) == pytest.approx(expected, rel=1e-6)
 
     def test_terminal_row_is_zero(self):
         inst = _inst(T=3, B=1.0)
-        table = build_value_table(inst, Normal(5.0, 1.0), 20, 11)
+        table = build_value_table(inst, Normal(5.0, 1.0), 11)
         assert np.all(table.values[-1] == 0.0)
 
     def test_values_nonincreasing_in_storage(self):
         inst = Instance(6, np.array([1.0, 0.0, 2.0, 1.0, 0.5, 1.0]), StorageSpec(3.0))
-        table = build_value_table(inst, Normal(10.0, 3.0), 60, 21)
+        table = build_value_table(inst, Normal(10.0, 3.0), 21)
         assert np.all(np.diff(table.values, axis=1) <= 1e-9)
 
     def test_values_finite_and_nonnegative_for_positive_prices(self):
         inst = _inst(T=4, B=2.0)
-        table = build_value_table(inst, Empirical([1.0, 2.0, 5.0]), 30, 12)
+        table = build_value_table(inst, Empirical([1.0, 2.0, 5.0]), 12)
         assert np.all(np.isfinite(table.values))
         assert np.all(table.values >= -1e-12)
 
     def test_quadrature_convergence(self, reference_instance):
         model = Normal(10.0, 2.0)
-        v51 = build_value_table(reference_instance, model, 100, 51).values[0, 0]
-        v201 = build_value_table(reference_instance, model, 100, 201).values[0, 0]
+        v51 = build_value_table(reference_instance, model, 51).values[0, 0]
+        v201 = build_value_table(reference_instance, model, 201).values[0, 0]
         assert abs(v201 - v51) / v51 < 0.002
 
-    def test_grid_convergence(self, reference_instance):
+    def test_off_grid_capacity_is_exact(self):
+        # C = 5.03 lies off the 100-step grid, whose table overstates V_0 by
+        # about 0.07; the 503-step grid holds every bend (0, 1, ..., 5, C) up
+        # to rounding, so its reference is exact, and so is the lattice table
+        inst = Instance.constant(24, 1.0, StorageSpec(5.03))
         model = Normal(10.0, 2.0)
-        v100 = build_value_table(reference_instance, model, 100, 51).values[0, 0]
-        v400 = build_value_table(reference_instance, model, 400, 51).values[0, 0]
-        assert abs(v400 - v100) / v100 < 0.005
+        atoms = quantile_atoms(model, 51)
+        table = build_value_table(inst, model, 51)
+        assert table.grid.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 5.03]
+        fine = reference_value_rows(inst, atoms, storage_grid(5.03, 503))[0, 0]
+        assert table.values[0, 0] == pytest.approx(fine, rel=EXACT_RTOL)
+        coarse = reference_value_rows(inst, atoms, storage_grid(5.03, 100))[0, 0]
+        assert coarse - fine > 0.05
+
+    def test_window_sums_a_rounding_apart_merge(self):
+        # 0.3 and 0.1 + 0.2 lie 5.6e-17 apart: one lattice point, so no slope
+        # divides by a rounding error
+        inst = Instance(3, np.array([0.3, 0.1, 0.2]), StorageSpec(1.0))
+        model = Normal(10.0, 2.0)
+        table = build_value_table(inst, model, 51)
+        assert table.grid.tolist() == [0.0, 0.1, 0.2, 0.3, 0.4, 0.3 + (0.1 + 0.2), 1.0]
+        assert np.all(np.isfinite(np.diff(table.values, axis=1) / np.diff(table.grid)))
+        atoms = quantile_atoms(model, 51)
+        ref = reference_value_rows(inst, atoms, table.grid)
+        assert np.all(np.abs(table.values - ref) <= EXACT_RTOL * np.maximum(1.0, np.abs(ref)))
+        fine = storage_grid(1.0, 1000)
+        ref = reference_value_rows(inst, atoms, fine)
+        got = np.array([np.interp(fine, table.grid, row) for row in table.values])
+        assert np.all(np.abs(got - ref) <= EXACT_RTOL * np.maximum(1.0, np.abs(ref)))
+
+    @given(st.integers(1, 40), st.floats(0.01, 5.0), st.floats(0.0, 50.0),
+           st.lists(st.floats(0.0, 5.0), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_lattice_width_is_bounded(self, T, d, capacity, demand):
+        constant = breakpoint_lattice(capacity, np.full(T, d))
+        assert constant.size <= min(T, math.ceil(capacity / d)) + 2
+        lattice = breakpoint_lattice(capacity, demand)
+        assert lattice.size <= len(demand) * (len(demand) + 1) // 2 + 2
+        for grid in (constant, lattice):
+            if capacity == 0.0:
+                assert grid.tolist() == [0.0]
+                continue
+            assert grid[0] == 0.0 and grid[-1] == capacity
+            assert np.all(np.diff(grid[:-1]) >= ENERGY_TOL)
+            assert grid.size == 2 or capacity - grid[-2] >= ENERGY_TOL
 
     def test_partial_build_matches_full_rows_bit_for_bit(self):
         inst = Instance(6, np.array([1.0, 0.0, 2.0, 1.0, 0.5, 1.0]), StorageSpec(3.0, 1.0))
-        full = build_value_table(inst, Normal(10.0, 3.0), 40, 21)
+        full = build_value_table(inst, Normal(10.0, 3.0), 21)
         for k in (0, 1, 3, 5, 6):
-            part = build_value_table(inst, Normal(10.0, 3.0), 40, 21, first_slot=k)
+            part = build_value_table(inst, Normal(10.0, 3.0), 21, first_slot=k)
             assert part.first_slot == k
             assert part.values[k:].tobytes() == full.values[k:].tobytes()
             assert not part.values[:k].any()
@@ -181,20 +227,20 @@ class TestValueTable:
         inst = _inst(T=3)
         for k in (-1, 4):
             with pytest.raises(ValueError, match="first slot"):
-                build_value_table(inst, Normal(5.0, 1.0), 10, 5, first_slot=k)
+                build_value_table(inst, Normal(5.0, 1.0), 5, first_slot=k)
 
     def test_rebuild_is_bit_identical(self):
-        inst = _inst(T=2, B=1.0)
-        table = build_value_table(inst, Normal(5.0, 1.0), 4, 5)
-        assert table.values.shape == (3, 5)  # (T+1) rows of G+1 grid points
-        again = build_value_table(_inst(T=2, B=1.0), Normal(5.0, 1.0), 4, 5)
+        inst = _inst(T=2, demand=0.25, B=1.0)
+        table = build_value_table(inst, Normal(5.0, 1.0), 5)
+        assert table.values.shape == (3, 4)  # (T+1) rows of the lattice 0, 0.25, 0.5, 1
+        again = build_value_table(_inst(T=2, demand=0.25, B=1.0), Normal(5.0, 1.0), 5)
         assert again.values.tobytes() == table.values.tobytes()
 
 
 def _two_atom_setup():
     inst = Instance(3, np.ones(3), StorageSpec(1.0))
     model = Empirical([1.0, 3.0])
-    table = build_value_table(inst, model, grid_size=100, atom_count=10)
+    table = build_value_table(inst, model, atom_count=10)
     return inst, table
 
 
@@ -267,7 +313,7 @@ class TestDpPolicy:
 
     def test_final_slot_buys_only_the_shortfall(self):
         inst = Instance.constant(4, 1.0, StorageSpec(3.0))
-        table = build_value_table(inst, Normal(10.0, 2.0), 30, 11)
+        table = build_value_table(inst, Normal(10.0, 2.0), 11)
         pol = DpPolicy(table)
         for price in (0.5, 5.0, 50.0):
             assert pol.decide(3, 0.25, price, inst) == pytest.approx(0.75)
@@ -275,7 +321,7 @@ class TestDpPolicy:
 
     def test_degenerate_model_matches_offline_on_constant_prices(self):
         inst = Instance.constant(6, 1.0, StorageSpec(2.0))
-        table = build_value_table(inst, Normal(4.0, 1e-12), 40, 11)
+        table = build_value_table(inst, Normal(4.0, 1e-12), 11)
         prices = np.full(6, 4.0)
         dp_cost = simulate(inst, prices, DpPolicy(table)).total_cost
         off_cost = offline_optimal(inst, prices, 40).total_cost
@@ -288,7 +334,7 @@ class TestDpPolicy:
 
     def test_slot_before_first_slot(self):
         inst = Instance.constant(4, 1.0, StorageSpec(2.0))
-        pol = DpPolicy(build_value_table(inst, Normal(10.0, 2.0), 20, 11, first_slot=2))
+        pol = DpPolicy(build_value_table(inst, Normal(10.0, 2.0), 11, first_slot=2))
         with pytest.raises(IndexError):
             pol.decide(1, 0.0, 10.0, inst)
         assert pol.decide(2, 0.0, 10.0, inst) >= 0.0
@@ -401,7 +447,7 @@ class TestAdaptivePolicy:
     def test_dp_family_builds_value_tables(self):
         inst = Instance.constant(4, 1.0, StorageSpec(2.0))
         warmup = generate(Normal(10.0, 2.0), 200, seed=12)
-        adaptive = AdaptivePolicy(DpFamily(inst, grid_size=20, atom_count=11), warmup)
+        adaptive = AdaptivePolicy(DpFamily(inst, atom_count=11), warmup)
         prices = generate(Normal(10.0, 2.0), 4, seed=13)
         traj = simulate(inst, prices, adaptive)
         assert traj.total_cost > 0
@@ -411,7 +457,7 @@ class TestAdaptivePolicy:
         inst = Instance.constant(8, 1.0, StorageSpec(2.0))
         warmup = generate(Normal(10.0, 2.0), 30, seed=14)
         adaptive = AdaptivePolicy(
-            DpFamily(inst, grid_size=20, atom_count=11), warmup, refresh_stride=3
+            DpFamily(inst, atom_count=11), warmup, refresh_stride=3
         )
         prices = generate(Normal(10.0, 2.0), 8, seed=15)
         traj = simulate(inst, prices, adaptive)
@@ -437,8 +483,8 @@ class TestAdaptivePolicy:
         warmup = generate(Normal(10.0, 2.0), 40, seed=16)
         prices = generate(Normal(10.0, 2.0), 12, seed=17)
         for stride, last_refresh in ((1, 11), (5, 10)):
-            partial = AdaptivePolicy(RecordingFamily(inst, 20, 11), warmup, refresh_stride=stride)
-            full = AdaptivePolicy(FullTableFamily(inst, 20, 11), warmup, refresh_stride=stride)
+            partial = AdaptivePolicy(RecordingFamily(inst, 11), warmup, refresh_stride=stride)
+            full = AdaptivePolicy(FullTableFamily(inst, 11), warmup, refresh_stride=stride)
             a = simulate(inst, prices, partial)
             assert tables[-1].first_slot == last_refresh
             assert a.purchases.tobytes() == simulate(inst, prices, full).purchases.tobytes()
