@@ -295,36 +295,35 @@ def scenario_policy_model(config: ExperimentConfig, scenario: str) -> Normal:
     return Normal(config.mu, config.sigma)
 
 
+def _demand_entry(raw: str, where: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError("demand", f"{where}: cannot parse demand from {raw!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError("demand", f"{where}: demand must be finite and >= 0, got {raw!r}")
+    return value
+
+
 def _parse_demand_spec(spec: str, horizon: int) -> np.ndarray:
     head, _, tail = spec.partition(":")
     if head == "constant":
-        try:
-            value = float(tail)
-        except ValueError:
-            raise ConfigError("demand", f"bad constant demand {tail!r}") from None
-        if value < 0:
-            raise ConfigError("demand", f"demand must be >= 0, got {value}")
-        return np.full(horizon, value)
+        return np.full(horizon, _demand_entry(tail, "constant demand"))
     if head == "vector":
-        try:
-            values = np.asarray([float(tok) for tok in tail.split(",") if tok.strip()])
-        except ValueError:
-            raise ConfigError("demand", f"bad demand vector {tail!r}") from None
-        if values.size != horizon:
-            raise ConfigError(
-                "demand", f"vector length {values.size} does not match horizon {horizon}"
-            )
-        return values
-    if head == "file":
+        entries = [(tok, "demand vector") for tok in tail.split(",") if tok.strip()]
+    elif head == "file":
         if not Path(tail).is_file():
             raise ConfigError("demand", f"missing demand file: {tail}")
-        values = np.asarray(ingest(tail))
-        if values.size != horizon:
-            raise ConfigError(
-                "demand", f"file has {values.size} values, horizon is {horizon}"
-            )
-        return values
-    raise ConfigError("demand", f"unknown demand spec {spec!r} (constant:|vector:|file:)")
+        lines = Path(tail).read_text(encoding="utf-8").splitlines()
+        entries = [
+            (line, f"demand file {tail}:{n}") for n, line in enumerate(lines, 1) if line.strip()
+        ]
+    else:
+        raise ConfigError("demand", f"unknown demand spec {spec!r} (constant:|vector:|file:)")
+    values = np.array([_demand_entry(raw, where) for raw, where in entries], dtype=float)
+    if values.size != horizon:
+        raise ConfigError("demand", f"{head} demand has {values.size} values, horizon is {horizon}")
+    return values
 
 
 def build_instance(config: ExperimentConfig) -> Instance:

@@ -15,7 +15,10 @@ warmup x refresh grid point, so one pool serves each run.
 
 Inside a chunk, episodes are scored as (E, T) price arrays, at most
 ``BATCH_ROWS`` at a time: one ``simulate_batch`` per policy and one
-``offline_costs`` batch for the oracle.  An adaptive policy runs one
+``offline_costs`` batch for the oracle.  A policy comparison (policy-compare,
+or one relax scenario) keeps the costs as arrays and takes all its ratios
+with one element-wise ``competitive_ratio`` call; only policy-compare
+builds per-episode ``MetricRow`` records, to write them.  An adaptive policy runs one
 round's episodes as rows: each row re-estimates from its own observed
 prices, one family call per refresh slot rebuilds every row (one stacked
 DP value table), and the warmup's base policy is built once for all of
@@ -75,6 +78,7 @@ from .prices import AR1, LogNormal, generate
 from .seeds import stream
 
 VIOLATION_HEADER = "n,p_hat,stderr,violations,failures,rounds"
+POLICY_IDS = ("threshold", "budgeted", "dp")  # in _true_parameter_policies' order
 SUMMARY_HEADER = "policy_id,mean_cost,regret,regret_stderr,cr_p50,cr_p95,cr_max"
 RELAX_HEADER = "scenario," + SUMMARY_HEADER
 ADAPTIVE_HEADER = (
@@ -208,25 +212,24 @@ def _true_parameter_policies(config: ExperimentConfig, instance: Instance, polic
     """Threshold, budgeted-threshold, and DP policies from true model parameters."""
     upper, lower = model_bounds(policy_model, config.clamp_m)
     theta = threshold_price(upper, lower)
-    table = build_value_table(instance, policy_model, config.K)
-    policies = (
+    return (
         ThresholdPolicy(theta),
         ThresholdPolicy(
             theta, fill_target=linear_budget(theta, upper, lower, instance.storage.capacity),
             policy_id="budgeted",
         ),
-        DpPolicy(table),
+        DpPolicy(build_value_table(instance, policy_model, config.K)),
     )
-    return policies, theta, math.sqrt(upper / lower)
 
 
 def _compare_chunk(
     config: ExperimentConfig, instance: Instance, eval_model, policy_model, eta: float,
     episodes: range,
-) -> list[MetricRow]:
-    policies, theta, bound = _true_parameter_policies(config, instance, policy_model)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle costs (E,) and the true-parameter policies' costs (3, E) of ``episodes``."""
+    policies = _true_parameter_policies(config, instance, policy_model)
     T = instance.horizon
-    rows: list[MetricRow] = []
+    opt_costs, alg_costs = [], []
     for start in range(0, len(episodes), BATCH_ROWS):
         batch = episodes[start : start + BATCH_ROWS]
         prices = np.array([generate(eval_model, T, stream(config.seed, 1, e)) for e in batch])
@@ -236,27 +239,14 @@ def _compare_chunk(
                 instance.demand * (1.0 + stream(config.seed, 2, e).uniform(-eta, eta, T))
                 for e in batch
             ])
-        opt_costs = offline_costs(
-            instance, prices, config.G, realized_demand=realized
-        ).total_cost.tolist()
-        alg_costs = [
-            simulate_batch(instance, prices, policy, realized_demand=realized).total_cost.tolist()
+        opt_costs.append(
+            offline_costs(instance, prices, config.G, realized_demand=realized).total_cost
+        )
+        alg_costs.append([
+            simulate_batch(instance, prices, policy, realized_demand=realized).total_cost
             for policy in policies
-        ]
-        for k, e in enumerate(batch):
-            opt = opt_costs[k]
-            for policy, costs in zip(policies, alg_costs):
-                alg = costs[k]
-                cr = competitive_ratio(alg, opt)
-                rows.append(
-                    MetricRow(
-                        round=e, n=0, policy_id=policy.policy_id,
-                        alg_cost=alg, opt_cost=opt, cr=cr, cr_bound=bound,
-                        violated=bool(cr > bound), regret=alg - opt,
-                        theta_hat=theta, seed=config.seed,
-                    )
-                )
-    return rows
+        ])
+    return np.concatenate(opt_costs), np.concatenate(alg_costs, axis=1)
 
 
 def _quantiles(values, qs) -> list[float]:
@@ -295,30 +285,27 @@ def _compare_core(
     eta: float,
     scenario: str,
     workers: int,
-) -> tuple[list[MetricRow], list[PolicySummary]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[PolicySummary]]:
+    """Oracle costs (E,), policy costs and ratios (3, E), and one summary per policy."""
     chunk = partial(_compare_chunk, config, build_instance(config), eval_model, policy_model, eta)
-    rows: list[MetricRow] = []
-    for chunk_rows in _map_chunks(chunk, config.episodes, workers):
-        rows.extend(chunk_rows)
-    rows.sort(key=lambda r: (r.n, r.round, r.policy_id))
+    parts = _map_chunks(chunk, config.episodes, workers)
+    opt = np.concatenate([opt for opt, _ in parts])
+    alg = np.concatenate([alg for _, alg in parts], axis=1)
+    crs = competitive_ratio(alg, opt)
     summaries = []
-    for policy_id in ("threshold", "budgeted", "dp"):
-        sub = [r for r in rows if r.policy_id == policy_id]
-        alg = np.asarray([r.alg_cost for r in sub])
-        opt = np.asarray([r.opt_cost for r in sub])
-        crs = np.asarray([r.cr for r in sub])
-        reg = regret(alg, opt)
-        cr_p50, cr_p95 = _quantiles(crs, (0.50, 0.95))
+    for policy_id, alg_k, crs_k in zip(POLICY_IDS, alg, crs):
+        reg = regret(alg_k, opt)
+        cr_p50, cr_p95 = _quantiles(crs_k, (0.50, 0.95))
         summaries.append(
             PolicySummary(
                 scenario=scenario, policy_id=policy_id,
-                mean_cost=float(alg.mean()), regret=reg.mean,
+                mean_cost=float(alg_k.mean()), regret=reg.mean,
                 regret_stderr=reg.stderr,
                 cr_p50=cr_p50, cr_p95=cr_p95,
-                cr_max=float(crs.max()),
+                cr_max=float(crs_k.max()),
             )
         )
-    return rows, summaries
+    return opt, alg, crs, summaries
 
 
 def run_policy_compare(
@@ -326,7 +313,18 @@ def run_policy_compare(
 ) -> tuple[list[MetricRow], list[PolicySummary]]:
     """Threshold, budgeted-threshold, and DP policies against the hindsight oracle."""
     model = build_model(config)
-    rows, summaries = _compare_core(config, model, model, 0.0, "baseline", workers)
+    opt, alg, crs, summaries = _compare_core(config, model, model, 0.0, "baseline", workers)
+    upper, lower = model_bounds(model, config.clamp_m)
+    theta, bound = threshold_price(upper, lower), math.sqrt(upper / lower)
+    rows = [
+        MetricRow(
+            round=e, n=0, policy_id=policy_id, alg_cost=a, opt_cost=o, cr=cr,
+            cr_bound=bound, violated=cr > bound, regret=a - o, theta_hat=theta, seed=config.seed,
+        )
+        for policy_id, alg_k, crs_k in zip(POLICY_IDS, alg.tolist(), crs.tolist())
+        for e, (a, o, cr) in enumerate(zip(alg_k, opt.tolist(), crs_k))
+    ]
+    rows.sort(key=lambda r: (r.round, r.policy_id))
     write_metric_rows(config.out, rows)
     _write_csv(
         summary_path(config.out),
@@ -468,27 +466,21 @@ def _scenario_setup(config: ExperimentConfig, scenario: str):
     raise ConfigError("scenarios", f"unknown scenario {scenario!r}")
 
 
-def run_relaxation(
-    config: ExperimentConfig, workers: int = 1
-) -> tuple[dict[str, list[MetricRow]], list[PolicySummary]]:
+def run_relaxation(config: ExperimentConfig, workers: int = 1) -> list[PolicySummary]:
     """Re-run the policy comparison under relaxed assumptions.
 
     Scenarios: serially correlated prices (ar1), a skewed price law while
     policies assume the normal one (lognormal), and multiplicative demand
     noise revealed at decision time (demand-noise).  Episode price streams
-    are shared across scenarios.
+    are shared across scenarios.  Returns three summaries per scenario, in
+    scenario order; no per-episode record is built.
     """
     if config.model != "normal":
         raise ConfigError("model", "relaxation scenarios are defined for the normal model")
-    rows_by_scenario: dict[str, list[MetricRow]] = {}
     summaries: list[PolicySummary] = []
     for scenario in config.scenarios:
         eval_model, policy_model, eta = _scenario_setup(config, scenario)
-        rows, scenario_summaries = _compare_core(
-            config, eval_model, policy_model, eta, scenario, workers
-        )
-        rows_by_scenario[scenario] = rows
-        summaries.extend(scenario_summaries)
+        summaries.extend(_compare_core(config, eval_model, policy_model, eta, scenario, workers)[3])
     _write_csv(
         config.out,
         RELAX_HEADER,
@@ -498,4 +490,4 @@ def run_relaxation(
             for s in summaries
         ],
     )
-    return rows_by_scenario, summaries
+    return summaries

@@ -212,10 +212,16 @@ def brute_force_optimal(instance: Instance, prices, q_step: float) -> float:
     return result
 
 
-def competitive_ratio(alg_cost: float, opt_cost: float) -> float:
-    """Online cost divided by hindsight-optimal cost on the same prices."""
-    if opt_cost <= 0:
-        raise ValueError(f"competitive ratio undefined for opt_cost={opt_cost}")
+def competitive_ratio(alg_cost, opt_cost):
+    """Online cost divided by hindsight-optimal cost on the same prices, element-wise.
+
+    Raises at the first nonpositive oracle cost in row-major order.
+    """
+    bad = np.flatnonzero(np.asarray(opt_cost) <= 0)
+    if bad.size:
+        raise ValueError(
+            f"competitive ratio undefined for opt_cost={np.ravel(opt_cost)[bad[0]].item()}"
+        )
     return alg_cost / opt_cost
 
 
@@ -324,18 +330,14 @@ def _score_rounds(config, instance, ns, scored, series, rows_by_n) -> None:
     E = config.eval_episodes
     prices = np.array(series)
     thresholds = np.repeat([report.threshold for *_, report in scored], E)
-    alg = simulate_batch(instance, prices, ThresholdPolicy(thresholds)).total_cost
+    alg = simulate_batch(instance, prices, ThresholdPolicy(thresholds)).total_cost.reshape(-1, E)
     series_id: dict[bytes, int] = {}
     which = np.array([series_id.setdefault(row.tobytes(), len(series_id)) for row in prices])
     first = np.unique(which, return_index=True)[1]
-    opt = offline_costs(instance, prices[first], config.G).total_cost[which]
-    for k, (i, r, report) in enumerate(scored):
-        alg_costs = alg[k * E : (k + 1) * E]
-        opt_costs = opt[k * E : (k + 1) * E]
-        crs = np.array([
-            competitive_ratio(a, o) for a, o in zip(alg_costs.tolist(), opt_costs.tolist())
-        ])
-        round_cr = float(crs.max() if config.verdict == "any" else crs.mean())
+    opt = offline_costs(instance, prices[first], config.G).total_cost[which].reshape(-1, E)
+    crs = competitive_ratio(alg, opt)
+    for (i, r, report), alg_costs, opt_costs, round_crs in zip(scored, alg, opt, crs):
+        round_cr = float(round_crs.max() if config.verdict == "any" else round_crs.mean())
         bound = report.ratio_bound
         rows_by_n[i].append(MetricRow(
             round=r,

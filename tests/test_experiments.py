@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from dataclasses import fields, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ from storelab.experiments import (
 )
 from storelab.metrics import METRIC_HEADER
 from storelab.seeds import stream
+from storelab.special import normal_cdf, normal_pdf
 
 from conftest import reference_offline_optimal, reference_simulate
 
@@ -98,6 +100,36 @@ def _reference_violation_rows(config, history, n):
             seed=config.seed,
         ))
     return rows
+
+
+EXPECTED_OPT = 184.6405  # E[OPT] at the default instance; see test_metrics
+
+
+def _exact_threshold_cost(T, capacity, demand, mu, sigma, theta, fill):
+    """Expected cost of a threshold rule: constant demand, i.i.d. N(mu, sigma^2) prices.
+
+    A price <= theta tops the store up to ``fill`` after serving the slot,
+    a higher one buys only what the store cannot cover, so the levels form
+    a finite set and the expectation is a T-step recursion over them, with
+    E[p; p <= theta] = mu Phi(z) - sigma phi(z) at z = (theta - mu) / sigma.
+    """
+    z = (theta - mu) / sigma
+    p_cheap = normal_cdf(z)
+    cheap = mu * p_cheap - sigma * normal_pdf(z)  # E[p; p <= theta]
+    dear = mu - cheap  # E[p; p > theta]
+
+    @lru_cache(maxsize=None)
+    def cost_to_go(t, level):
+        if t == T:
+            return 0.0
+        q_lo, q_hi = max(0.0, demand - level), demand + capacity - level
+        q_cheap = min(max(demand + fill - level, q_lo), q_hi)
+        return (
+            cheap * q_cheap + p_cheap * cost_to_go(t + 1, level + q_cheap - demand)
+            + dear * q_lo + (1.0 - p_cheap) * cost_to_go(t + 1, level + q_lo - demand)
+        )
+
+    return cost_to_go(0, 0.0)
 
 
 def small_config(tmp_path, **kw):
@@ -308,6 +340,26 @@ class TestRunPolicyCompare:
         run_policy_compare(c2, workers=2)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_threshold_rules_match_their_exact_expected_cost(self, tmp_path):
+        # the default instance: T=24, C=5, unit demand, N(10, 2^2) prices,
+        # theta = 8, and the budgeted rule's fill target 5 * (16 - 8) / 12
+        config = ExperimentConfig(kind="policy-compare", episodes=400, seed=41,
+                                  out=str(tmp_path / "pc.csv"))
+        rows, summaries = run_policy_compare(config)
+        exact = {
+            "threshold": _exact_threshold_cost(24, 5.0, 1.0, 10.0, 2.0, 8.0, 5.0),
+            "budgeted": _exact_threshold_cost(24, 5.0, 1.0, 10.0, 2.0, 8.0, 10.0 / 3.0),
+        }
+        assert exact["threshold"] == pytest.approx(215.7775, abs=1e-4)
+        assert exact["budgeted"] == pytest.approx(217.8960, abs=1e-4)
+        by_id = {s.policy_id: s for s in summaries}
+        for policy_id, cost in exact.items():
+            alg = np.array([r.alg_cost for r in rows if r.policy_id == policy_id])
+            stderr = alg.std(ddof=1) / math.sqrt(alg.size)
+            summary = by_id[policy_id]
+            assert abs(summary.mean_cost - cost) < 4.0 * stderr
+            assert abs(summary.regret - (cost - EXPECTED_OPT)) < 4.0 * summary.regret_stderr
+
     def test_dp_beats_threshold_here(self, tmp_path):
         config = small_config(tmp_path, kind="policy-compare", episodes=60)
         _, summaries = run_policy_compare(config)
@@ -477,15 +529,21 @@ class TestRunAdaptive:
 class TestRunRelaxation:
     def test_null_scenario_reproduces_baseline(self, tmp_path):
         cfg_pc = small_config(tmp_path, kind="policy-compare", out=str(tmp_path / "pc.csv"))
-        rows_pc, _ = run_policy_compare(cfg_pc)
+        _, summaries_pc = run_policy_compare(cfg_pc)
         cfg_rx = replace(cfg_pc, kind="relax", scenarios=("baseline",), out=str(tmp_path / "rx.csv"))
-        rows_by, _ = run_relaxation(cfg_rx)
-        assert rows_by["baseline"] == rows_pc
+        assert run_relaxation(cfg_rx) == summaries_pc
+        pc_lines = summary_path(cfg_pc.out).read_text().splitlines()[1:]
+        rx_lines = (tmp_path / "rx.csv").read_text().splitlines()[1:]
+        assert rx_lines == ["baseline," + line for line in pc_lines]
 
     def test_all_scenarios_emit_rows(self, tmp_path):
         config = small_config(tmp_path, kind="relax", episodes=6, phi=0.8)
-        rows_by, summaries = run_relaxation(config)
-        assert set(rows_by) == {"baseline", "ar1", "lognormal", "demand-noise"}
+        summaries = run_relaxation(config)
+        assert [(s.scenario, s.policy_id) for s in summaries] == [
+            (scenario, policy_id)
+            for scenario in ("baseline", "ar1", "lognormal", "demand-noise")
+            for policy_id in ("threshold", "budgeted", "dp")
+        ]
         lines = (tmp_path / "out.csv").read_text().splitlines()
         assert lines[0] == RELAX_HEADER
         assert len(lines) == 1 + 4 * 3
@@ -499,7 +557,7 @@ class TestRunRelaxation:
             tmp_path, kind="relax", episodes=150,
             scenarios=("baseline", "lognormal"),
         )
-        _, summaries = run_relaxation(config)
+        summaries = run_relaxation(config)
         by = {(s.scenario, s.policy_id): s for s in summaries}
         base = by[("baseline", "dp")]
         skew = by[("lognormal", "dp")]
@@ -510,8 +568,30 @@ class TestRunRelaxation:
 
     def test_demand_noise_needs_eta(self, tmp_path):
         config = small_config(tmp_path, kind="relax", scenarios=("demand-noise",), eta=0.3, episodes=5)
-        rows_by, _ = run_relaxation(config)
-        assert len(rows_by["demand-noise"]) == 15
+        summaries = run_relaxation(config)
+        assert [s.policy_id for s in summaries] == ["threshold", "budgeted", "dp"]
+        for s in summaries:
+            assert s.scenario == "demand-noise"
+            values = [getattr(s, f.name) for f in fields(s)][2:]
+            assert all(math.isfinite(v) for v in values), s
+
+    def test_one_ratio_call_per_scenario_and_no_records(self, tmp_path, monkeypatch):
+        shapes = []
+        ratio = experiments.competitive_ratio
+
+        def counting_ratio(alg, opt):
+            shapes.append((np.shape(alg), np.shape(opt)))
+            return ratio(alg, opt)
+
+        def no_record(*args, **kwargs):
+            raise AssertionError("relax built a MetricRow")
+
+        monkeypatch.setattr(experiments, "competitive_ratio", counting_ratio)
+        monkeypatch.setattr(experiments, "MetricRow", no_record)
+        monkeypatch.setattr(metrics, "MetricRow", no_record)
+        config = small_config(tmp_path, kind="relax", episodes=6, phi=0.8)
+        assert len(run_relaxation(config)) == 4 * 3
+        assert shapes == [((3, 6), (6,))] * 4
 
     def test_relax_requires_normal_model(self, tmp_path):
         from storelab import ConfigError
@@ -569,6 +649,29 @@ class TestCli:
         code = main([command, "--set", "demand=constant:0", "--out", str(out)])
         assert code == 1
         assert "demand" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, file_text, message", [
+        ("file", "1.0\nabc\n1.0\n", "demand file {path}:2: cannot parse demand from 'abc'"),
+        ("file", "1.0\n1.0\nnan\n", "demand file {path}:3: demand must be finite and >= 0"),
+        ("file", "1.0\n-0.5\n1.0\n", "demand file {path}:2: demand must be finite and >= 0"),
+        ("vector:1,-1,1", None, "demand vector: demand must be finite and >= 0, got '-1'"),
+        ("vector:1,inf,1", None, "demand vector: demand must be finite and >= 0, got 'inf'"),
+        ("constant:nan", None, "constant demand: demand must be finite and >= 0, got 'nan'"),
+    ], ids=["file-unparsable", "file-nan", "file-negative", "vector-negative", "vector-inf",
+            "constant-nan"])
+    def test_malformed_demand_exits_1(self, tmp_path, capsys, spec, file_text, message):
+        path = tmp_path / "demand.txt"
+        if file_text is not None:
+            path.write_text(file_text)
+            spec = f"file:{path}"
+        out = tmp_path / "d.csv"
+        code = main(["policy-compare", "--set", "T=3", "--set", f"demand={spec}",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: demand: " + message.format(path=path))
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["policy-compare", "violation-curve", "relax"])

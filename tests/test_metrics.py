@@ -119,6 +119,29 @@ class TestRatioAndRegret:
         with pytest.raises(ValueError):
             competitive_ratio(1.0, 0.0)
 
+    def test_arrays_give_the_scalar_division_bits(self):
+        rng = np.random.default_rng(17)
+        alg = rng.uniform(0.1, 400.0, (3, 64))
+        opt = rng.uniform(0.1, 400.0, 64)
+        want = np.array([
+            [competitive_ratio(a, o) for a, o in zip(row, opt.tolist())] for row in alg.tolist()
+        ])
+        got = competitive_ratio(alg, opt)
+        assert got.shape == (3, 64)
+        assert got.tobytes() == want.tobytes()
+        assert type(competitive_ratio(3.0, 2.0)) is float
+
+    def test_arrays_raise_at_the_first_nonpositive_cost_in_row_major_order(self):
+        opt = np.array([[2.0, 5.0, -0.25], [0.0, -3.5, 1.0]])  # -0.25 comes first
+        with pytest.raises(ValueError) as scalar:
+            competitive_ratio(1.0, -0.25)
+        with pytest.raises(ValueError) as batch:
+            competitive_ratio(np.ones((2, 3)), opt)
+        assert str(batch.value) == str(scalar.value)
+        assert str(batch.value) == "competitive ratio undefined for opt_cost=-0.25"
+        with pytest.raises(ValueError, match=r"opt_cost=0\.0$"):
+            competitive_ratio(np.ones((3, 4)), np.array([1.0, 0.0, -2.0, 3.0]))
+
     def test_regret_identical_vectors(self):
         report = regret([5.0, 7.0], [5.0, 7.0])
         assert report.mean == 0.0
