@@ -18,11 +18,15 @@ Inside a chunk, episodes are scored as (E, T) price arrays, at most
 ``offline_costs`` batch for the oracle.  A policy comparison (policy-compare,
 or one relax scenario) keeps the costs as arrays and takes all its ratios
 with one element-wise ``competitive_ratio`` call; only policy-compare
-builds per-episode ``MetricRow`` records, to write them.  An adaptive policy runs one
-round's episodes as rows: each row re-estimates from its own observed
-prices, one family call per refresh slot rebuilds every row (one stacked
-DP value table), and the warmup's base policy is built once for all of
-them and for every refresh stride.
+builds per-episode ``MetricRow`` records, to write them.  An adaptive chunk
+steps every (warmup, round, episode) of its rounds as rows of one
+adaptive policy per block of rows, with one ``simulate_batch`` call per
+refresh stride: each row re-estimates from its own warmup and observed
+prices, one family call per refresh slot rebuilds every row of the
+block (one stacked DP value table), and the block's base policy, one
+table row per distinct warmup, is built once for every refresh stride.
+A block holds at most ``BATCH_ROWS`` rows, and no more than one round's
+episodes when a larger refresh table would exceed ``SWEEP_BYTES``.
 """
 
 from __future__ import annotations
@@ -69,8 +73,10 @@ from .policies import (
     AdaptivePolicy,
     DpFamily,
     DpPolicy,
+    SWEEP_BYTES,
     ThresholdFamily,
     ThresholdPolicy,
+    breakpoint_lattice,
     build_value_table,
     linear_budget,
 )
@@ -358,17 +364,34 @@ class AdaptiveRow:
     stderr_vs_offline: float
 
 
+def _adaptive_block_rows(instance: Instance, episodes: int) -> int:
+    """Rows per adaptive block: at most ``BATCH_ROWS``, and a stacked table within ``SWEEP_BYTES``.
+
+    A DP refresh table holds (T+1) x W floats per row, W the instance's
+    ``breakpoint_lattice``.  A block takes as many rows as fit
+    ``SWEEP_BYTES`` that way, but never fewer than one round's episodes
+    (capped at ``BATCH_ROWS``), so a table too big for ``SWEEP_BYTES`` holds
+    no more rows than one round's.
+    """
+    width = breakpoint_lattice(instance.storage.capacity, instance.demand).size
+    fit = SWEEP_BYTES // (8 * (instance.horizon + 1) * width)
+    return min(BATCH_ROWS, max(fit, episodes))
+
+
 def _adaptive_chunk(
     config: ExperimentConfig, instance: Instance, model, true_policy: DpPolicy, rounds: range,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """True-parameter DP, oracle and per-grid-point adaptive costs of ``rounds``.
 
     Each (round, episode) stream and each (warmup, round) warmup is drawn
-    once.  One adaptive policy per (warmup, round) builds its base policy
-    once and scores that round's episodes as batch rows at every refresh
-    stride.  Costs are in (round, episode) order; the adaptive ones come
-    one array per warmup x refresh grid point, warmups sorted, refreshes in
-    config order.
+    once.  The adaptive rows are every (warmup, round, episode) of the
+    chunk, in that order, in blocks of ``_adaptive_block_rows``; a block
+    draws the warmups of its rows when it runs.  One adaptive policy per
+    block estimates each of those warmups once, builds its base policy
+    once, and steps every row of the block in one ``simulate_batch`` per
+    refresh stride.  Costs are in (round, episode) order; the adaptive
+    ones come one array per warmup x refresh grid point, warmups sorted,
+    refreshes in config order.
     """
     T = instance.horizon
     streams = [
@@ -386,21 +409,34 @@ def _adaptive_chunk(
     else:
         family = ThresholdFamily()
     strides = [None if math.isinf(refresh) else int(refresh) for refresh in config.refresh_grid]
-    adaptive_costs = []
-    for wi, warmup_size in enumerate(sorted(config.warmup_grid)):
-        costs = [[] for _ in strides]
-        for r, round_prices in zip(rounds, streams):
-            warmup = generate(model, warmup_size, stream(config.seed, 3, wi, r))
-            policy = AdaptivePolicy(
-                family, warmup, alpha=config.alpha, conservative=config.conservative,
-                clamp_nonpositive_lower=config.clamp_m,
+    warmup_sizes = sorted(config.warmup_grid)
+    costs = np.empty((len(warmup_sizes), len(strides), len(flat)))
+    total = len(warmup_sizes) * len(flat)
+    block = _adaptive_block_rows(instance, config.episodes)
+    drawn: dict[int, np.ndarray] = {}  # (warmup, round) group -> its warmup
+    for start in range(0, total, block):
+        rows = np.arange(start, min(start + block, total))
+        groups = rows // config.episodes  # warmup index x len(rounds) + round index
+        first = int(groups[0])
+        # a group split by the block edge keeps the warmup the last block drew
+        drawn = {
+            g: drawn[g] if g in drawn else generate(
+                model, warmup_sizes[g // len(rounds)],
+                stream(config.seed, 3, g // len(rounds), rounds[g % len(rounds)]),
             )
-            for stride, stride_costs in zip(strides, costs):
-                policy.refresh_stride = stride
-                for start in range(0, len(round_prices), BATCH_ROWS):
-                    prices = round_prices[start : start + BATCH_ROWS]
-                    stride_costs.append(simulate_batch(instance, prices, policy).total_cost)
-        adaptive_costs.extend(np.concatenate(c) for c in costs)
+            for g in range(first, int(groups[-1]) + 1)
+        }
+        policy = AdaptivePolicy(
+            family, list(drawn.values()), warmup_rows=groups - first, alpha=config.alpha,
+            conservative=config.conservative, clamp_nonpositive_lower=config.clamp_m,
+        )
+        warmup_index, series = np.divmod(rows, len(flat))
+        for si, stride in enumerate(strides):
+            policy.refresh_stride = stride
+            costs[warmup_index, si, series] = simulate_batch(
+                instance, flat[series], policy
+            ).total_cost
+    adaptive_costs = list(costs.reshape(-1, len(flat)))
     return np.concatenate(true_costs), np.concatenate(oracle_costs), adaptive_costs
 
 

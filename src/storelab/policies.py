@@ -20,9 +20,10 @@ table, one value row per price model, and every row equals its model's
 own table bit for bit.
 
 A policy family maps a list of estimate reports and a first slot to one
-policy that serves one batch row per report; the adaptive policy keeps a
-report per row and rebuilds every row with one family call per refresh
-slot.
+policy that serves one batch row per report; the DP family gives equal
+fitted models one table row.  The adaptive policy serves rows that each
+start from a warmup, keeps a report per row, and rebuilds every row with
+one family call per refresh slot.
 
 Each policy implements one rule, ``decide_batch``, which ``simulate_batch``
 drives with one level and one price per row; ``decide`` is its one-row
@@ -523,13 +524,15 @@ class DpPolicy(Policy):
     """Greedy policy against a value table, acting on the observed price.
 
     A one-model table serves every row; a stacked table of E models serves
-    E rows, row e from its own value row.
+    E rows, row e from its own value row, or, given ``rows``, batch row e
+    from value row ``rows[e]``.
     """
 
     policy_id = "dp"
 
-    def __init__(self, table: ValueTable) -> None:
+    def __init__(self, table: ValueTable, rows: np.ndarray | None = None) -> None:
         self.table = table
+        self.rows = rows
 
     def decide_batch(self, t, levels, prices, instance):
         table = self.table
@@ -538,6 +541,8 @@ class DpPolicy(Policy):
         if t < table.first_slot:
             raise IndexError(f"slot {t} before table first slot {table.first_slot}")
         v_next = table.values[t + 1]
+        if self.rows is not None:
+            v_next = v_next[self.rows]
         if v_next.ndim > 1 and v_next.shape[0] not in (1, levels.size):
             raise ValueError(
                 f"a stacked value table of {v_next.shape[0]} rows cannot serve "
@@ -559,18 +564,28 @@ class ThresholdFamily:
 class DpFamily:
     """Builds one DP policy over a stacked value table, one fitted normal model per report.
 
-    The policy acts from slot ``first_slot`` on, so only those slots of
-    its value table are built, all rows in one sweep.
+    Reports that fit the same model, bit for bit, share one table row, so
+    rows that start from one warmup cost one row of the sweep; the policy
+    sends each batch row to its report's table row.  The policy acts from
+    slot ``first_slot`` on, so only those slots of its value table are
+    built, all rows in one sweep.
     """
 
     instance: Instance
     atom_count: int = 51
 
     def __call__(self, reports: list[EstimateReport], first_slot: int) -> Policy:
-        models = [
-            Normal(report.stats.mean, max(report.stats.sample_std, 1e-12)) for report in reports
-        ]
-        return DpPolicy(build_value_tables(self.instance, models, self.atom_count, first_slot))
+        models, rows, index = [], [], {}
+        for report in reports:
+            mu, sigma = report.stats.mean, max(report.stats.sample_std, 1e-12)
+            key = (float(mu).hex(), float(sigma).hex())
+            if key not in index:
+                index[key] = len(models)
+                models.append(Normal(mu, sigma))
+            rows.append(index[key])
+        table = build_value_tables(self.instance, models, self.atom_count, first_slot)
+        # one model serves every row alike, and E distinct models are rows 0..E-1
+        return DpPolicy(table, None if len(models) in (1, len(rows)) else np.array(rows))
 
 
 class AdaptivePolicy(Policy):
@@ -578,17 +593,22 @@ class AdaptivePolicy(Policy):
 
     Wraps a policy family: (estimate reports, first slot) -> one policy
     that acts from that slot on and serves one batch row per report; a
-    policy built from one report serves every row alike.  The base policy
-    is built once, from the warmup's report, and serves every run;
-    ``refresh_stride`` may change between runs.  Each row drives one
-    trajectory, and its slots must come in order from slot 0: a call at
-    slot 0 starts every row from the base policy.  The prices a row
-    observes join the warmup history; every ``refresh_stride`` slots each
-    row's report is re-estimated from that row's history, and one family
-    call rebuilds every row's policy at the current slot.  A row whose
-    estimate fails keeps its previous report, which rebuilt at the later
-    slot gives the decisions its previous policy gave; the failure is
-    recorded in ``events``, which name the row.
+    policy built from one report serves every row alike.  Every row starts
+    from a warmup history: ``warmup`` is one price series that any number
+    of rows share, or, given ``warmup_rows``, a sequence of series, and
+    batch row e starts from ``warmup[warmup_rows[e]]``; a run then has
+    ``len(warmup_rows)`` rows.  Each warmup is estimated once, and the base
+    policy is built once from those reports (the one warmup's report, or
+    one report per row) and serves every run; ``refresh_stride`` may change
+    between runs.  Each row drives one trajectory, and its slots must come
+    in order from slot 0: a call at slot 0 starts every row from the base
+    policy.  The prices a row observes join its own warmup; every
+    ``refresh_stride`` slots each row's report is re-estimated from that
+    row's history, and one family call rebuilds every row's policy at the
+    current slot.  A row whose estimate fails keeps its previous report,
+    which rebuilt at the later slot gives the decisions its previous policy
+    gave; the failure is recorded in ``events``, which name the row.  Rows
+    share no state, so a row's decisions do not depend on the other rows.
     """
 
     policy_id = "adaptive"
@@ -599,21 +619,31 @@ class AdaptivePolicy(Policy):
         warmup,
         refresh_stride: int | None = None,
         *,
+        warmup_rows=None,
         alpha: float = 0.05,
         conservative: bool = False,
         clamp_nonpositive_lower: bool = False,
     ) -> None:
-        """Raises EstimationError when the warmup itself gives no estimate."""
+        """Raises EstimationError when a warmup itself gives no estimate."""
         self.family = family
         self.refresh_stride = refresh_stride
         self.alpha = alpha
         self.conservative = conservative
         self.clamp_nonpositive_lower = clamp_nonpositive_lower
-        self._warmup = as_series(warmup, "warmup")
-        if self._warmup.size < 2:
+        warmups = [warmup] if warmup_rows is None else list(warmup)
+        self._warmups = [as_series(w, "warmup") for w in warmups]
+        if not self._warmups or min(w.size for w in self._warmups) < 2:
             raise ValueError("need a warmup of at least 2 prices")
-        self._base_report = self._estimate(self._warmup)
-        self._base = family([self._base_report], 0)
+        self._warmup_reports = [self._estimate(w) for w in self._warmups]
+        if warmup_rows is None:
+            self._warmup_rows = None
+            base_reports = self._warmup_reports
+        else:
+            self._warmup_rows = [int(i) for i in warmup_rows]
+            if not all(0 <= i < len(self._warmups) for i in self._warmup_rows):
+                raise ValueError(f"warmup rows must index the {len(self._warmups)} warmups")
+            base_reports = [self._warmup_reports[i] for i in self._warmup_rows]
+        self._base = family(base_reports, 0)
         self.events: list[str] = []
         self._reports: list[EstimateReport] | None = None
 
@@ -622,8 +652,15 @@ class AdaptivePolicy(Policy):
         if t == 0:
             if stride is not None and stride < 1:
                 raise ValueError(f"refresh stride must be >= 1, got {stride}")
+            rows = [0] * levels.size if self._warmup_rows is None else self._warmup_rows
+            if len(rows) != levels.size:
+                raise ValueError(
+                    f"an adaptive policy over {len(rows)} warmup rows "
+                    f"cannot serve {levels.size} rows"
+                )
             self.events = []
-            self._reports = [self._base_report] * levels.size
+            self._reports = [self._warmup_reports[i] for i in rows]
+            self._row_warmups = [self._warmups[i] for i in rows]
             self._policy = self._base
             self._observed = np.empty((levels.size, instance.horizon))
         elif self._reports is None:
@@ -638,8 +675,8 @@ class AdaptivePolicy(Policy):
         return q
 
     def _refresh(self, t: int) -> None:
-        for e in range(len(self._reports)):
-            history = np.concatenate((self._warmup, self._observed[e, :t]))
+        for e, warmup in enumerate(self._row_warmups):
+            history = np.concatenate((warmup, self._observed[e, :t]))
             try:
                 self._reports[e] = self._estimate(history)
             except EstimationError as exc:

@@ -1,20 +1,26 @@
+import math
+
 import numpy as np
 import pytest
 
 from storelab import (
     AdaptivePolicy,
+    DpFamily,
     DpPolicy,
     EstimationError,
     Instance,
     StorageSpec,
+    ThresholdFamily,
     ThresholdPolicy,
     Trajectory,
     ValueTable,
     estimate,
     feasible_purchase_range,
+    generate,
 )
-from storelab.model import ENERGY_TOL
+from storelab.model import ENERGY_TOL, simulate_batch
 from storelab.policies import storage_grid
+from storelab.seeds import stream
 
 
 # Reference instance used across the experiment-facing tests:
@@ -135,7 +141,7 @@ class ReferenceAdaptive:
     def __init__(self, adaptive: AdaptivePolicy) -> None:
         self.adaptive = adaptive
         self.current = adaptive._base
-        self.history = adaptive._warmup.tolist()
+        self.history = adaptive._warmups[0].tolist()
         self.events: list[str] = []
 
     def decide(self, t, level, price, instance):
@@ -154,6 +160,36 @@ class ReferenceAdaptive:
                 )
         self.history.append(float(price))
         return reference_decide(self.current, t, level, price, instance)
+
+
+def reference_adaptive_costs(config, instance, model, rounds) -> list[np.ndarray]:
+    """The adaptive runner's costs over ``rounds``, one ``AdaptivePolicy`` per (warmup, round).
+
+    Each policy starts from its round's warmup and steps that round's
+    episodes as batch rows, once per refresh stride.  The arrays come in
+    the runner's order: one per warmup x refresh grid point, warmups
+    sorted, refreshes in config order, episodes in (round, episode) order.
+    """
+    T = instance.horizon
+    family = DpFamily(instance, config.K) if config.family == "dp" else ThresholdFamily()
+    strides = [None if math.isinf(refresh) else int(refresh) for refresh in config.refresh_grid]
+    costs = []
+    for wi, warmup_size in enumerate(sorted(config.warmup_grid)):
+        per_stride = [[] for _ in strides]
+        for r in rounds:
+            prices = np.array([
+                generate(model, T, stream(config.seed, 4, r, e)) for e in range(config.episodes)
+            ])
+            policy = AdaptivePolicy(
+                family, generate(model, warmup_size, stream(config.seed, 3, wi, r)),
+                alpha=config.alpha, conservative=config.conservative,
+                clamp_nonpositive_lower=config.clamp_m,
+            )
+            for stride, out in zip(strides, per_stride):
+                policy.refresh_stride = stride
+                out.append(simulate_batch(instance, prices, policy).total_cost)
+        costs.extend(np.concatenate(out) for out in per_stride)
+    return costs
 
 
 def reference_simulate(instance, prices, policy, realized_demand=None) -> Trajectory:

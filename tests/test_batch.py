@@ -67,7 +67,7 @@ DEMANDS = st.one_of(
 
 
 @st.composite
-def batch_cases(draw):
+def batch_cases(draw, min_rows=1):
     """An instance (off-grid capacity and demands, s0 > 0, zero capacity) and E price rows."""
     T = draw(st.integers(1, 6))
     capacity = draw(st.one_of(
@@ -79,7 +79,7 @@ def batch_cases(draw):
     ))
     demand = draw(st.lists(DEMANDS, min_size=T, max_size=T))
     instance = Instance(T, np.asarray(demand), StorageSpec(capacity, s0))
-    E = draw(st.integers(1, 5))
+    E = draw(st.integers(min_rows, 5))
     prices = np.asarray(draw(st.lists(
         st.lists(PRICES, min_size=T, max_size=T), min_size=E, max_size=E
     )))
@@ -169,18 +169,94 @@ class TestSimulateBatch:
         _assert_rows_match(batch, _per_slot(instance, prices, [policy] * len(prices), realized))
 
 
+def _row_events(events, e):
+    label = f"row {e}: "
+    return [m[len(label):] for m in events if m.startswith(label)]
+
+
 def _adaptive_rows_match(instance, prices, realized, adaptive):
     """Each batch row equals the per-slot reference run; returns the batch events."""
     batch = simulate_batch(instance, prices, adaptive, realized_demand=realized)
     refs = [ReferenceAdaptive(adaptive) for _ in prices]
     _assert_rows_match(batch, _per_slot(instance, prices, refs, realized))
     for e, ref in enumerate(refs):
-        label = f"row {e}: "
-        assert [m[len(label):] for m in adaptive.events if m.startswith(label)] == ref.events
+        assert _row_events(adaptive.events, e) == ref.events
     return adaptive.events
 
 
+def _rows_match_one_policy_per_warmup(instance, prices, realized, family, warmups, rows,
+                                      stride, **kw):
+    """Rows of one policy over several warmups equal one policy per warmup; returns the events."""
+    stacked = AdaptivePolicy(family, warmups, stride, warmup_rows=rows, **kw)
+    batch = simulate_batch(instance, prices, stacked, realized_demand=realized)
+    for w, warmup in enumerate(warmups):
+        mine = np.flatnonzero(rows == w)
+        alone = AdaptivePolicy(family, warmup, stride, **kw)
+        ref = simulate_batch(instance, prices[mine], alone,
+                             realized_demand=None if realized is None else realized[mine])
+        for name in ("purchases", "levels", "total_cost", "clamped"):
+            assert getattr(batch, name)[mine].tobytes() == getattr(ref, name).tobytes()
+        for i, e in enumerate(mine):
+            assert _row_events(stacked.events, e) == _row_events(alone.events, i)
+    return stacked.events
+
+
 class TestAdaptiveBatch:
+    @given(batch_cases(min_rows=2), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_of_several_warmups_match_one_policy_per_warmup(self, case, data):
+        instance, prices, realized = case
+        E = prices.shape[0]
+        if data.draw(st.booleans(), label="dp"):
+            family = DpFamily(instance, data.draw(st.integers(1, 7)))
+        else:
+            family = ThresholdFamily()
+        stride = data.draw(st.sampled_from((1, 2, None)), label="stride")
+        warmups = data.draw(st.lists(
+            st.lists(st.floats(8.0, 12.0), min_size=2, max_size=6), min_size=2, max_size=E,
+        ), label="warmups")
+        # every warmup serves a row, and the rows of one warmup need not be adjacent
+        rows = np.array(data.draw(st.lists(
+            st.integers(0, len(warmups) - 1), min_size=E, max_size=E,
+        ), label="rows"))
+        rows[data.draw(st.permutations(range(E)), label="order")[:len(warmups)]] = range(
+            len(warmups)
+        )
+        clamp = data.draw(st.booleans(), label="clamp")
+        conservative = clamp and data.draw(st.booleans(), label="conservative")
+        # unclamped, the wide price rows make some refreshes fail and not others
+        _rows_match_one_policy_per_warmup(
+            instance, prices, realized, family, warmups, rows, stride,
+            conservative=conservative, clamp_nonpositive_lower=clamp,
+        )
+
+    @pytest.mark.parametrize("family", ["dp", "threshold"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_failed_refreshes_of_several_warmups_name_the_rows(self, family, stride):
+        inst = Instance.constant(4, 1.0, StorageSpec(2.0))
+        calm = [10.0, 10.4, 9.8, 10.1]
+        wild = [500.0, -480.0, 510.0, 10.0]
+        prices = np.array([calm, wild, wild, calm, calm, wild])
+        warmups = [[10.0, 10.5, 9.5, 10.2], [12.0, 11.0, 12.5, 11.5, 12.2]]
+        rows = np.array([1, 0, 1, 0, 1, 0])
+        policy_family = DpFamily(inst, 5) if family == "dp" else ThresholdFamily()
+        events = _rows_match_one_policy_per_warmup(
+            inst, prices, None, policy_family, warmups, rows, stride,
+        )
+        # the wild rows fail at every refresh, the calm rows never
+        assert sorted({m.split(":")[0] for m in events}) == ["row 1", "row 2", "row 5"]
+        assert len(events) == 3 * len(range(stride, 4, stride))
+
+    def test_warmup_rows_fix_the_row_count(self):
+        inst = Instance.constant(3, 1.0, StorageSpec(1.0))
+        warmups = [[10.0, 10.5, 9.5], [11.0, 11.5]]
+        with pytest.raises(ValueError, match="must index the 2 warmups"):
+            AdaptivePolicy(ThresholdFamily(), warmups, 1, warmup_rows=[0, 2])
+        adaptive = AdaptivePolicy(ThresholdFamily(), warmups, 1, warmup_rows=[0, 1, 1])
+        with pytest.raises(ValueError, match="over 3 warmup rows cannot serve 2 rows"):
+            simulate_batch(inst, np.full((2, 3), 10.0), adaptive)
+        assert simulate_batch(inst, np.full((3, 3), 10.0), adaptive).total_cost.shape == (3,)
+
     @given(batch_cases(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_rows_match_per_slot_reference(self, case, data):
@@ -463,6 +539,26 @@ class TestValueTables:
         assert one.decide_batch(0, levels[:2], prices[:2], inst).shape == (2,)
         with pytest.raises(ValueError, match="3 rows cannot serve 2 rows"):
             stacked.decide_batch(0, levels[:2], prices[:2], inst)
+
+    def test_dp_family_builds_one_row_per_distinct_model(self):
+        inst = Instance.constant(4, 1.0, StorageSpec(2.0))
+        a = estimate([10.0, 10.5, 9.5, 10.2], clamp_nonpositive_lower=True)
+        b = estimate([12.0, 11.0, 12.5], clamp_nonpositive_lower=True)
+        a_again = estimate([10.0, 10.5, 9.5, 10.2], clamp_nonpositive_lower=True)
+        family = DpFamily(inst, 7)
+        policy = family([a, b, a_again, b, a], 1)
+        # equal fitted models share a table row, whichever report object they come from
+        assert policy.table.values.shape[1] == 2
+        assert policy.rows.tolist() == [0, 1, 0, 1, 0]
+        levels = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+        prices = np.array([9.0, 10.0, 11.0, 12.0, 10.5])
+        q = policy.decide_batch(1, levels, prices, inst)
+        for e, report in enumerate([a, b, a, b, a]):
+            alone = family([report], 1)
+            assert q[e] == alone.decide(1, levels[e], prices[e], inst)
+        # one model, or as many models as rows, needs no row map
+        assert family([a, a_again], 0).rows is None
+        assert family([a, b], 0).rows is None
 
 
 class TestOfflineCosts:

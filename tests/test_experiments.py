@@ -488,11 +488,14 @@ class TestRunAdaptive:
         assert run_adaptive_convergence(config, workers=2) == serial
         assert pools == [1]
 
-    def test_each_value_table_is_built_once(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _count_work(tmp_path, monkeypatch, batch_rows):
+        """(estimates, value-table builds, warmup draw sizes) of one small adaptive run."""
         import storelab.policies as policies
 
-        builds, estimates = [], []
+        builds, estimates, draws = [], [], []
         build, estimate_ = policies.build_value_tables, policies.estimate
+        generate_ = experiments.generate
 
         def counting_build(*args, **kwargs):
             builds.append(1)
@@ -502,20 +505,107 @@ class TestRunAdaptive:
             estimates.append(1)
             return estimate_(*args, **kwargs)
 
+        def counting_generate(model, length, seed):
+            draws.append(length)
+            return generate_(model, length, seed)
+
         monkeypatch.setattr(policies, "build_value_tables", counting_build)
         monkeypatch.setattr(policies, "estimate", counting_estimate)
+        monkeypatch.setattr(experiments, "generate", counting_generate)
         monkeypatch.setattr(experiments, "simulate", _no_one_row_simulate)
+        monkeypatch.setattr(experiments, "BATCH_ROWS", batch_rows)
         config = small_config(tmp_path, kind="adaptive", rounds=3, episodes=4,
                               warmup_grid=(10, 30), refresh_grid=(math.inf, 2.0))
         run_adaptive_convergence(config)
-        # one one-row base table per (warmup, round), shared by both strides;
-        # stride 2 at T=6 re-estimates every episode at slots 2 and 4, and
-        # each of those slots builds one stacked table for the round's four
-        # episodes; plus the true-parameter table
-        bases = 2 * 3
-        refresh_slots = 2 * 3 * 2
-        assert len(estimates) == bases + refresh_slots * 4
-        assert len(builds) == 1 + bases + refresh_slots
+        return len(estimates), len(builds), sorted(d for d in draws if d != config.T)
+
+    def test_each_value_table_is_built_once(self, tmp_path, monkeypatch):
+        estimates, builds, draws = self._count_work(tmp_path, monkeypatch, 1024)
+        # 2 warmups x 3 rounds x 4 episodes = 24 adaptive rows in one block.
+        # The block estimates its six warmups once each and builds one base
+        # table over them, shared by both strides; stride 2 at T=6
+        # re-estimates every row at slots 2 and 4, and each of those slots
+        # builds one stacked table; plus the true-parameter table
+        assert estimates == 6 + 24 * 2
+        assert builds == 1 + 1 + 2
+        assert draws == [10] * 3 + [30] * 3
+
+    def test_each_block_builds_its_own_tables(self, tmp_path, monkeypatch):
+        estimates, builds, draws = self._count_work(tmp_path, monkeypatch, 10)
+        # blocks of rows 0-9, 10-19 and 20-23: the (warmup, round) group of
+        # rows 8-11 lies in the first two, and each of them estimates its
+        # warmup, but the warmup is drawn once
+        assert estimates == 7 + 24 * 2
+        assert builds == 1 + 3 * (1 + 2)
+        assert draws == [10] * 3 + [30] * 3
+
+    @pytest.mark.parametrize("kw", [
+        dict(family="dp", refresh_grid=(math.inf, 2.0, 1.0)),
+        dict(family="threshold", refresh_grid=(math.inf, 2.0, 1.0)),
+        dict(family="dp", refresh_grid=(3.0,), conservative=True, warmup_grid=(5, 40, 12)),
+        dict(family="dp", refresh_grid=(2.0,), s0=0.5,
+             demand="vector:1.0,0.5,1.5,0.0,1.2,0.8"),
+    ])
+    @pytest.mark.parametrize("batch_rows", [1024, 3])
+    def test_costs_match_one_policy_per_warmup_and_round(self, tmp_path, monkeypatch, kw,
+                                                         batch_rows):
+        from storelab import DpPolicy, build_value_table
+
+        from conftest import reference_adaptive_costs
+
+        config = small_config(tmp_path, kind="adaptive", rounds=4, episodes=4, **kw)
+        instance, model = build_instance(config), build_model(config)
+        true_policy = DpPolicy(build_value_table(instance, model, config.K))
+        monkeypatch.setattr(experiments, "BATCH_ROWS", batch_rows)
+        rounds = range(1, 4)  # a chunk that does not start at round 0
+        got = experiments._adaptive_chunk(config, instance, model, true_policy, rounds)[2]
+        want = reference_adaptive_costs(config, instance, model, rounds)
+        assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+
+    @pytest.mark.parametrize("family", ["dp", "threshold"])
+    def test_blocks_and_workers_do_not_change_output(self, tmp_path, monkeypatch, family):
+        config = small_config(tmp_path, kind="adaptive", family=family, rounds=5, episodes=4,
+                              warmup_grid=(10, 30), refresh_grid=(math.inf, 2.0))
+        run_adaptive_convergence(config)
+        whole = (tmp_path / "out.csv").read_bytes()
+        # 1, 2 and 3 rows per block split (warmup, round) groups of 4 rows
+        for rows in (1, 2, 3):
+            monkeypatch.setattr(experiments, "BATCH_ROWS", rows)
+            run_adaptive_convergence(config)
+            assert (tmp_path / "out.csv").read_bytes() == whole
+        monkeypatch.undo()
+        # 5 rounds make uneven chunks: 2 + 3 at two workers, 1 + 2 + 2 at three
+        for workers in (1, 2, 3):
+            run_adaptive_convergence(config, workers=workers)
+            assert (tmp_path / "out.csv").read_bytes() == whole
+
+    def test_wide_lattice_blocks_keep_tables_to_one_round(self, tmp_path):
+        import tracemalloc
+
+        from storelab.policies import SWEEP_BYTES, breakpoint_lattice
+
+        rng = np.random.default_rng(5)
+        T = 48
+        demand = "vector:" + ",".join(f"{d:.3f}" for d in rng.uniform(0.2, 2.0, T))
+        config = small_config(tmp_path, kind="adaptive", T=T, B=50.0, demand=demand,
+                              rounds=2, episodes=6, warmup_grid=(10, 50),
+                              refresh_grid=(16.0,))
+        instance = build_instance(config)
+        width = breakpoint_lattice(instance.storage.capacity, instance.demand).size
+        row_bytes = 8 * (T + 1) * width
+        assert width > 1000 and 6 * row_bytes > SWEEP_BYTES
+        # a table of a round's six rows exceeds SWEEP_BYTES, so a block is one round
+        assert experiments._adaptive_block_rows(instance, config.episodes) == 6
+        tracemalloc.start()
+        try:
+            run_adaptive_convergence(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one round's refresh table, the block's one-row base table and the
+        # true-parameter table, and sweep temporaries within SWEEP_BYTES; one
+        # table of all 24 rows would be 24 rows alone
+        assert peak < (6 + 2) * row_bytes + SWEEP_BYTES
 
     def test_worker_invariance(self, tmp_path):
         c1 = small_config(tmp_path, kind="adaptive", rounds=4, episodes=3,
