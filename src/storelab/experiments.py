@@ -13,20 +13,21 @@ violation curve is one fan-out over rounds that covers every n of the
 grid, and an adaptive sweep one fan-out over rounds that covers every
 warmup x refresh grid point, so one pool serves each run.
 
-Inside a chunk, episodes are scored as (E, T) price arrays, at most
-``BATCH_ROWS`` at a time: one ``simulate_batch`` per policy and one
-``offline_costs`` batch for the oracle.  A policy comparison (policy-compare,
-or one relax scenario) keeps the costs as arrays and takes all its ratios
-with one element-wise ``competitive_ratio`` call; only policy-compare
-builds per-episode ``MetricRow`` records, to write them.  An adaptive chunk
-steps every (warmup, round, episode) of its rounds as rows of one
-adaptive policy per block of rows, with one ``simulate_batch`` call per
-refresh stride: each row re-estimates from its own warmup and observed
-prices, one family call per refresh slot rebuilds every row of the
-block (one stacked DP value table), and the block's base policy, one
-table row per distinct warmup, is built once for every refresh stride.
-A block holds at most ``BATCH_ROWS`` rows, and no more than one round's
-episodes when a larger refresh table would exceed ``SWEEP_BYTES``.
+Inside a chunk, episodes are scored as (E, T) price arrays.  The
+true-parameter policies and the oracle take at most ``BATCH_ROWS`` at a
+time: one ``simulate_batch`` per policy and one ``offline_costs`` batch.
+A policy comparison (policy-compare, or one relax scenario) keeps the
+costs as arrays and takes all its ratios with one element-wise
+``competitive_ratio`` call; only policy-compare builds per-episode
+``MetricRow`` records, to write them.  An adaptive chunk steps every
+(warmup, round, episode) of its rounds as rows of one adaptive policy per
+block, with one ``simulate_batch`` call per refresh stride: each row
+re-estimates from its own warmup and observed prices, one family call per
+refresh slot rebuilds every row of the block (one stacked DP value
+table), and the block's base policy, one table row per distinct warmup,
+is built once for every refresh stride.  A block is whole (warmup, round)
+groups, as many as ``sweep_blocks`` fits by their refresh tables; a group
+too big for that is a block alone.
 """
 
 from __future__ import annotations
@@ -73,12 +74,12 @@ from .policies import (
     AdaptivePolicy,
     DpFamily,
     DpPolicy,
-    SWEEP_BYTES,
     ThresholdFamily,
     ThresholdPolicy,
     breakpoint_lattice,
     build_value_table,
     linear_budget,
+    sweep_blocks,
 )
 from .prices import AR1, LogNormal, generate
 from .seeds import stream
@@ -364,20 +365,6 @@ class AdaptiveRow:
     stderr_vs_offline: float
 
 
-def _adaptive_block_rows(instance: Instance, episodes: int) -> int:
-    """Rows per adaptive block: at most ``BATCH_ROWS``, and a stacked table within ``SWEEP_BYTES``.
-
-    A DP refresh table holds (T+1) x W floats per row, W the instance's
-    ``breakpoint_lattice``.  A block takes as many rows as fit
-    ``SWEEP_BYTES`` that way, but never fewer than one round's episodes
-    (capped at ``BATCH_ROWS``), so a table too big for ``SWEEP_BYTES`` holds
-    no more rows than one round's.
-    """
-    width = breakpoint_lattice(instance.storage.capacity, instance.demand).size
-    fit = SWEEP_BYTES // (8 * (instance.horizon + 1) * width)
-    return min(BATCH_ROWS, max(fit, episodes))
-
-
 def _adaptive_chunk(
     config: ExperimentConfig, instance: Instance, model, true_policy: DpPolicy, rounds: range,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
@@ -385,20 +372,20 @@ def _adaptive_chunk(
 
     Each (round, episode) stream and each (warmup, round) warmup is drawn
     once.  The adaptive rows are every (warmup, round, episode) of the
-    chunk, in that order, in blocks of ``_adaptive_block_rows``; a block
-    draws the warmups of its rows when it runs.  One adaptive policy per
-    block estimates each of those warmups once, builds its base policy
-    once, and steps every row of the block in one ``simulate_batch`` per
-    refresh stride.  Costs are in (round, episode) order; the adaptive
-    ones come one array per warmup x refresh grid point, warmups sorted,
-    refreshes in config order.
+    chunk, in that order, in blocks of whole (warmup, round) groups cut by
+    ``sweep_blocks``: a group's refresh table holds (T+1) x W floats per
+    episode, W the instance's ``breakpoint_lattice``.  A block draws its
+    groups' warmups when it runs, and one adaptive policy per block
+    estimates each of them once, builds its base policy once, and steps
+    every row of the block in one ``simulate_batch`` per refresh stride.
+    Costs are in (round, episode) order; the adaptive ones come one array
+    per warmup x refresh grid point, warmups sorted, refreshes in config
+    order.
     """
     T = instance.horizon
-    streams = [
-        np.array([generate(model, T, stream(config.seed, 4, r, e)) for e in range(config.episodes)])
-        for r in rounds
-    ]
-    flat = np.concatenate(streams)
+    E = config.episodes
+    flat = np.array([generate(model, T, stream(config.seed, 4, r, e))
+                     for r in rounds for e in range(E)])
     true_costs, oracle_costs = [], []
     for start in range(0, len(flat), BATCH_ROWS):
         prices = flat[start : start + BATCH_ROWS]
@@ -410,33 +397,26 @@ def _adaptive_chunk(
         family = ThresholdFamily()
     strides = [None if math.isinf(refresh) else int(refresh) for refresh in config.refresh_grid]
     warmup_sizes = sorted(config.warmup_grid)
-    costs = np.empty((len(warmup_sizes), len(strides), len(flat)))
-    total = len(warmup_sizes) * len(flat)
-    block = _adaptive_block_rows(instance, config.episodes)
-    drawn: dict[int, np.ndarray] = {}  # (warmup, round) group -> its warmup
-    for start in range(0, total, block):
-        rows = np.arange(start, min(start + block, total))
-        groups = rows // config.episodes  # warmup index x len(rounds) + round index
-        first = int(groups[0])
-        # a group split by the block edge keeps the warmup the last block drew
-        drawn = {
-            g: drawn[g] if g in drawn else generate(
-                model, warmup_sizes[g // len(rounds)],
-                stream(config.seed, 3, g // len(rounds), rounds[g % len(rounds)]),
-            )
-            for g in range(first, int(groups[-1]) + 1)
-        }
+    groups = len(warmup_sizes) * len(rounds)  # group g is warmup g // len(rounds)
+    costs = np.empty((len(strides), groups * E))
+    width = breakpoint_lattice(instance.storage.capacity, instance.demand).size
+    for first, stop in sweep_blocks(groups, T + 1, width * E, 0):
+        warmups = [
+            generate(model, warmup_sizes[g // len(rounds)],
+                     stream(config.seed, 3, g // len(rounds), rounds[g % len(rounds)]))
+            for g in range(first, stop)
+        ]
         policy = AdaptivePolicy(
-            family, list(drawn.values()), warmup_rows=groups - first, alpha=config.alpha,
+            family, warmups, np.repeat(np.arange(stop - first), E), alpha=config.alpha,
             conservative=config.conservative, clamp_nonpositive_lower=config.clamp_m,
         )
-        warmup_index, series = np.divmod(rows, len(flat))
+        rows = np.arange(first * E, stop * E)
+        prices = flat[rows % len(flat)]
         for si, stride in enumerate(strides):
             policy.refresh_stride = stride
-            costs[warmup_index, si, series] = simulate_batch(
-                instance, flat[series], policy
-            ).total_cost
-    adaptive_costs = list(costs.reshape(-1, len(flat)))
+            costs[si, rows] = simulate_batch(instance, prices, policy).total_cost
+    adaptive_costs = list(costs.reshape(len(strides), len(warmup_sizes), -1).swapaxes(0, 1)
+                          .reshape(-1, len(flat)))
     return np.concatenate(true_costs), np.concatenate(oracle_costs), adaptive_costs
 
 

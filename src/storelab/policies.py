@@ -22,8 +22,9 @@ own table bit for bit.
 A policy family maps a list of estimate reports and a first slot to one
 policy that serves one batch row per report; the DP family gives equal
 fitted models one table row.  The adaptive policy serves rows that each
-start from a warmup, keeps a report per row, and rebuilds every row with
-one family call per refresh slot.
+start from one of its warmups, named by a row map fixed when it is built,
+keeps a report per row, and rebuilds every row with one family call per
+refresh slot.
 
 Each policy implements one rule, ``decide_batch``, which ``simulate_batch``
 drives with one level and one price per row; ``decide`` is its one-row
@@ -584,31 +585,28 @@ class DpFamily:
                 models.append(Normal(mu, sigma))
             rows.append(index[key])
         table = build_value_tables(self.instance, models, self.atom_count, first_slot)
-        # one model serves every row alike, and E distinct models are rows 0..E-1
-        return DpPolicy(table, None if len(models) in (1, len(rows)) else np.array(rows))
+        return DpPolicy(table, np.array(rows))
 
 
 class AdaptivePolicy(Policy):
     """Re-estimates price statistics from accumulated history.
 
     Wraps a policy family: (estimate reports, first slot) -> one policy
-    that acts from that slot on and serves one batch row per report; a
-    policy built from one report serves every row alike.  Every row starts
-    from a warmup history: ``warmup`` is one price series that any number
-    of rows share, or, given ``warmup_rows``, a sequence of series, and
-    batch row e starts from ``warmup[warmup_rows[e]]``; a run then has
-    ``len(warmup_rows)`` rows.  Each warmup is estimated once, and the base
-    policy is built once from those reports (the one warmup's report, or
-    one report per row) and serves every run; ``refresh_stride`` may change
-    between runs.  Each row drives one trajectory, and its slots must come
-    in order from slot 0: a call at slot 0 starts every row from the base
-    policy.  The prices a row observes join its own warmup; every
-    ``refresh_stride`` slots each row's report is re-estimated from that
-    row's history, and one family call rebuilds every row's policy at the
-    current slot.  A row whose estimate fails keeps its previous report,
-    which rebuilt at the later slot gives the decisions its previous policy
-    gave; the failure is recorded in ``events``, which name the row.  Rows
-    share no state, so a row's decisions do not depend on the other rows.
+    that acts from that slot on and serves one batch row per report.
+    ``warmups`` is a sequence of price series, and batch row e starts
+    from ``warmups[warmup_rows[e]]``, so a run has ``len(warmup_rows)``
+    rows.  Each warmup is estimated once, and the base policy is built
+    once, from one report per row, and serves every run;
+    ``refresh_stride`` may change between runs.  Each row drives one
+    trajectory, and its slots must come in order from slot 0: a call at
+    slot 0 starts every row from the base policy.  The prices a row
+    observes join its own warmup; every ``refresh_stride`` slots each
+    row's report is re-estimated from that row's history, and one family
+    call rebuilds every row's policy at the current slot.  A row whose
+    estimate fails keeps its previous report, which rebuilt at the later
+    slot gives the decisions its previous policy gave; the failure is
+    recorded in ``events``, which name the row.  Rows share no state, so
+    a row's decisions do not depend on the other rows.
     """
 
     policy_id = "adaptive"
@@ -616,10 +614,10 @@ class AdaptivePolicy(Policy):
     def __init__(
         self,
         family: Callable[[list[EstimateReport], int], Policy],
-        warmup,
+        warmups,
+        warmup_rows,
         refresh_stride: int | None = None,
         *,
-        warmup_rows=None,
         alpha: float = 0.05,
         conservative: bool = False,
         clamp_nonpositive_lower: bool = False,
@@ -630,20 +628,14 @@ class AdaptivePolicy(Policy):
         self.alpha = alpha
         self.conservative = conservative
         self.clamp_nonpositive_lower = clamp_nonpositive_lower
-        warmups = [warmup] if warmup_rows is None else list(warmup)
         self._warmups = [as_series(w, "warmup") for w in warmups]
         if not self._warmups or min(w.size for w in self._warmups) < 2:
             raise ValueError("need a warmup of at least 2 prices")
+        self._warmup_rows = [int(i) for i in warmup_rows]
+        if not all(0 <= i < len(self._warmups) for i in self._warmup_rows):
+            raise ValueError(f"warmup rows must index the {len(self._warmups)} warmups")
         self._warmup_reports = [self._estimate(w) for w in self._warmups]
-        if warmup_rows is None:
-            self._warmup_rows = None
-            base_reports = self._warmup_reports
-        else:
-            self._warmup_rows = [int(i) for i in warmup_rows]
-            if not all(0 <= i < len(self._warmups) for i in self._warmup_rows):
-                raise ValueError(f"warmup rows must index the {len(self._warmups)} warmups")
-            base_reports = [self._warmup_reports[i] for i in self._warmup_rows]
-        self._base = family(base_reports, 0)
+        self._base = family([self._warmup_reports[i] for i in self._warmup_rows], 0)
         self.events: list[str] = []
         self._reports: list[EstimateReport] | None = None
 
@@ -652,15 +644,13 @@ class AdaptivePolicy(Policy):
         if t == 0:
             if stride is not None and stride < 1:
                 raise ValueError(f"refresh stride must be >= 1, got {stride}")
-            rows = [0] * levels.size if self._warmup_rows is None else self._warmup_rows
-            if len(rows) != levels.size:
+            if len(self._warmup_rows) != levels.size:
                 raise ValueError(
-                    f"an adaptive policy over {len(rows)} warmup rows "
+                    f"an adaptive policy over {len(self._warmup_rows)} warmup rows "
                     f"cannot serve {levels.size} rows"
                 )
             self.events = []
-            self._reports = [self._warmup_reports[i] for i in rows]
-            self._row_warmups = [self._warmups[i] for i in rows]
+            self._reports = [self._warmup_reports[i] for i in self._warmup_rows]
             self._policy = self._base
             self._observed = np.empty((levels.size, instance.horizon))
         elif self._reports is None:
@@ -675,8 +665,8 @@ class AdaptivePolicy(Policy):
         return q
 
     def _refresh(self, t: int) -> None:
-        for e, warmup in enumerate(self._row_warmups):
-            history = np.concatenate((warmup, self._observed[e, :t]))
+        for e, w in enumerate(self._warmup_rows):
+            history = np.concatenate((self._warmups[w], self._observed[e, :t]))
             try:
                 self._reports[e] = self._estimate(history)
             except EstimationError as exc:

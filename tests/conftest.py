@@ -131,29 +131,32 @@ def reference_decide(policy, t, level, price, instance) -> float:
 
 
 class ReferenceAdaptive:
-    """An AdaptivePolicy's schedule for one series: its history grows by a price each slot.
+    """An AdaptivePolicy's schedule for batch row ``row``: its history grows by a price a slot.
 
+    The row starts from its own warmup, as the family's one-row policy.
     Every ``refresh_stride`` slots the policy is rebuilt from the history,
     as the family's one-row policy from the slot on; a failed estimate
     keeps the previous policy and is logged in ``events``.
     """
 
-    def __init__(self, adaptive: AdaptivePolicy) -> None:
+    def __init__(self, adaptive: AdaptivePolicy, row: int) -> None:
         self.adaptive = adaptive
-        self.current = adaptive._base
-        self.history = adaptive._warmups[0].tolist()
+        self.history = adaptive._warmups[adaptive._warmup_rows[row]].tolist()
+        self.current = adaptive.family([self._estimate()], 0)
         self.events: list[str] = []
 
-    def decide(self, t, level, price, instance):
+    def _estimate(self):
         adaptive = self.adaptive
-        stride = adaptive.refresh_stride
+        return estimate(
+            self.history, adaptive.alpha, conservative=adaptive.conservative,
+            clamp_nonpositive_lower=adaptive.clamp_nonpositive_lower,
+        )
+
+    def decide(self, t, level, price, instance):
+        stride = self.adaptive.refresh_stride
         if stride is not None and t > 0 and t % stride == 0:
             try:
-                report = estimate(
-                    self.history, adaptive.alpha, conservative=adaptive.conservative,
-                    clamp_nonpositive_lower=adaptive.clamp_nonpositive_lower,
-                )
-                self.current = adaptive.family([report], t)
+                self.current = self.adaptive.family([self._estimate()], t)
             except EstimationError as exc:
                 self.events.append(
                     f"refresh failed at n={len(self.history)} ({exc}); kept previous policy"
@@ -165,10 +168,11 @@ class ReferenceAdaptive:
 def reference_adaptive_costs(config, instance, model, rounds) -> list[np.ndarray]:
     """The adaptive runner's costs over ``rounds``, one ``AdaptivePolicy`` per (warmup, round).
 
-    Each policy starts from its round's warmup and steps that round's
-    episodes as batch rows, once per refresh stride.  The arrays come in
-    the runner's order: one per warmup x refresh grid point, warmups
-    sorted, refreshes in config order, episodes in (round, episode) order.
+    Each policy starts every row from its round's warmup and steps that
+    round's episodes as batch rows, once per refresh stride.  The arrays
+    come in the runner's order: one per warmup x refresh grid point,
+    warmups sorted, refreshes in config order, episodes in (round, episode)
+    order.
     """
     T = instance.horizon
     family = DpFamily(instance, config.K) if config.family == "dp" else ThresholdFamily()
@@ -181,9 +185,9 @@ def reference_adaptive_costs(config, instance, model, rounds) -> list[np.ndarray
                 generate(model, T, stream(config.seed, 4, r, e)) for e in range(config.episodes)
             ])
             policy = AdaptivePolicy(
-                family, generate(model, warmup_size, stream(config.seed, 3, wi, r)),
-                alpha=config.alpha, conservative=config.conservative,
-                clamp_nonpositive_lower=config.clamp_m,
+                family, [generate(model, warmup_size, stream(config.seed, 3, wi, r))],
+                np.zeros(config.episodes, int), alpha=config.alpha,
+                conservative=config.conservative, clamp_nonpositive_lower=config.clamp_m,
             )
             for stride, out in zip(strides, per_stride):
                 policy.refresh_stride = stride

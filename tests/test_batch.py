@@ -177,7 +177,7 @@ def _row_events(events, e):
 def _adaptive_rows_match(instance, prices, realized, adaptive):
     """Each batch row equals the per-slot reference run; returns the batch events."""
     batch = simulate_batch(instance, prices, adaptive, realized_demand=realized)
-    refs = [ReferenceAdaptive(adaptive) for _ in prices]
+    refs = [ReferenceAdaptive(adaptive, e) for e in range(len(prices))]
     _assert_rows_match(batch, _per_slot(instance, prices, refs, realized))
     for e, ref in enumerate(refs):
         assert _row_events(adaptive.events, e) == ref.events
@@ -187,11 +187,11 @@ def _adaptive_rows_match(instance, prices, realized, adaptive):
 def _rows_match_one_policy_per_warmup(instance, prices, realized, family, warmups, rows,
                                       stride, **kw):
     """Rows of one policy over several warmups equal one policy per warmup; returns the events."""
-    stacked = AdaptivePolicy(family, warmups, stride, warmup_rows=rows, **kw)
+    stacked = AdaptivePolicy(family, warmups, rows, stride, **kw)
     batch = simulate_batch(instance, prices, stacked, realized_demand=realized)
     for w, warmup in enumerate(warmups):
         mine = np.flatnonzero(rows == w)
-        alone = AdaptivePolicy(family, warmup, stride, **kw)
+        alone = AdaptivePolicy(family, [warmup], np.zeros(mine.size, int), stride, **kw)
         ref = simulate_batch(instance, prices[mine], alone,
                              realized_demand=None if realized is None else realized[mine])
         for name in ("purchases", "levels", "total_cost", "clamped"):
@@ -251,8 +251,8 @@ class TestAdaptiveBatch:
         inst = Instance.constant(3, 1.0, StorageSpec(1.0))
         warmups = [[10.0, 10.5, 9.5], [11.0, 11.5]]
         with pytest.raises(ValueError, match="must index the 2 warmups"):
-            AdaptivePolicy(ThresholdFamily(), warmups, 1, warmup_rows=[0, 2])
-        adaptive = AdaptivePolicy(ThresholdFamily(), warmups, 1, warmup_rows=[0, 1, 1])
+            AdaptivePolicy(ThresholdFamily(), warmups, [0, 2], 1)
+        adaptive = AdaptivePolicy(ThresholdFamily(), warmups, [0, 1, 1], 1)
         with pytest.raises(ValueError, match="over 3 warmup rows cannot serve 2 rows"):
             simulate_batch(inst, np.full((2, 3), 10.0), adaptive)
         assert simulate_batch(inst, np.full((3, 3), 10.0), adaptive).total_cost.shape == (3,)
@@ -271,8 +271,8 @@ class TestAdaptiveBatch:
         clamp = data.draw(st.booleans(), label="clamp")
         conservative = clamp and data.draw(st.booleans(), label="conservative")
         # unclamped, the wide price rows make some refreshes fail and not others
-        adaptive = AdaptivePolicy(family, warmup, stride, conservative=conservative,
-                                  clamp_nonpositive_lower=clamp)
+        adaptive = AdaptivePolicy(family, [warmup], np.zeros(len(prices), int), stride,
+                                  conservative=conservative, clamp_nonpositive_lower=clamp)
         _adaptive_rows_match(instance, prices, realized, adaptive)
 
     @given(st.integers(4, 8), st.integers(2, 8), st.floats(1.0, 4.0), st.booleans(),
@@ -288,7 +288,7 @@ class TestAdaptiveBatch:
         warmup = 10.0 + rng.standard_normal(int(rng.integers(2, 8)))
         family = DpFamily(instance, 9) if dp else ThresholdFamily()
         try:
-            adaptive = AdaptivePolicy(family, warmup, stride)
+            adaptive = AdaptivePolicy(family, [warmup], np.zeros(E, int), stride)
         except EstimationError:
             return
         _adaptive_rows_match(instance, prices, None, adaptive)
@@ -300,7 +300,8 @@ class TestAdaptiveBatch:
         wild = [500.0, -480.0, 510.0, 10.0]
         prices = np.array([calm, wild, calm, wild, calm])
         policy_family = DpFamily(inst, 5) if family == "dp" else ThresholdFamily()
-        adaptive = AdaptivePolicy(policy_family, [10.0, 10.5, 9.5, 10.2], refresh_stride=1)
+        adaptive = AdaptivePolicy(policy_family, [[10.0, 10.5, 9.5, 10.2]], [0] * 5,
+                                  refresh_stride=1)
         events = _adaptive_rows_match(inst, prices, None, adaptive)
         # the wild rows fail at every refresh (slots 1, 2, 3), the calm rows never
         assert sorted({m.split(":")[0] for m in events}) == ["row 1", "row 3"]
@@ -323,11 +324,11 @@ class TestAdaptiveBatch:
             return BuyNothing(reports)
 
         inst = Instance.constant(3, 1.0, StorageSpec(1.0))
-        adaptive = AdaptivePolicy(family, [10.0, 10.5], 1)
+        adaptive = AdaptivePolicy(family, [[10.0, 10.5]], [0, 0], 1)
         simulate_batch(inst, np.array([[10.0, 11.0, 9.0], [10.0, 12.0, 9.0]]), adaptive)
-        # the base policy, built from the warmup's one report, serves both rows
-        assert built == [(0, [2]), (1, [3, 3]), (2, [4, 4])]
-        assert served == [(0, 1, 2), (1, 2, 2), (2, 2, 2)]
+        # the base policy is built from one report per row, both the warmup's
+        assert built == [(0, [2, 2]), (1, [3, 3]), (2, [4, 4])]
+        assert served == [(0, 2, 2), (1, 2, 2), (2, 2, 2)]
 
 
 class _Atoms:
@@ -556,9 +557,9 @@ class TestValueTables:
         for e, report in enumerate([a, b, a, b, a]):
             alone = family([report], 1)
             assert q[e] == alone.decide(1, levels[e], prices[e], inst)
-        # one model, or as many models as rows, needs no row map
-        assert family([a, a_again], 0).rows is None
-        assert family([a, b], 0).rows is None
+        # every policy maps its rows, to one row or to as many rows as models
+        assert family([a, a_again], 0).rows.tolist() == [0, 0]
+        assert family([a, b], 0).rows.tolist() == [0, 1]
 
 
 class TestOfflineCosts:

@@ -132,6 +132,16 @@ def _exact_threshold_cost(T, capacity, demand, mu, sigma, theta, fill):
     return cost_to_go(0, 0.0)
 
 
+def _groups_per_block(monkeypatch, config, groups):
+    """Set ``SWEEP_BYTES`` so an adaptive block holds ``groups`` (warmup, round) groups."""
+    import storelab.policies as policies
+
+    instance = build_instance(config)
+    width = policies.breakpoint_lattice(instance.storage.capacity, instance.demand).size
+    group_bytes = 8 * (config.T + 1) * width * config.episodes
+    monkeypatch.setattr(policies, "SWEEP_BYTES", groups * group_bytes)
+
+
 def small_config(tmp_path, **kw):
     base = dict(
         T=6, B=2.0, s0=0.0, G=20, K=11,
@@ -489,10 +499,17 @@ class TestRunAdaptive:
         assert pools == [1]
 
     @staticmethod
-    def _count_work(tmp_path, monkeypatch, batch_rows):
-        """(estimates, value-table builds, warmup draw sizes) of one small adaptive run."""
+    def _count_work(tmp_path, monkeypatch, groups=None):
+        """(estimates, value-table builds, warmup draw sizes) of one small adaptive run.
+
+        ``groups``, if given, is the (warmup, round) groups per adaptive block.
+        """
         import storelab.policies as policies
 
+        config = small_config(tmp_path, kind="adaptive", rounds=3, episodes=4,
+                              warmup_grid=(10, 30), refresh_grid=(math.inf, 2.0))
+        if groups is not None:
+            _groups_per_block(monkeypatch, config, groups)
         builds, estimates, draws = [], [], []
         build, estimate_ = policies.build_value_tables, policies.estimate
         generate_ = experiments.generate
@@ -513,14 +530,11 @@ class TestRunAdaptive:
         monkeypatch.setattr(policies, "estimate", counting_estimate)
         monkeypatch.setattr(experiments, "generate", counting_generate)
         monkeypatch.setattr(experiments, "simulate", _no_one_row_simulate)
-        monkeypatch.setattr(experiments, "BATCH_ROWS", batch_rows)
-        config = small_config(tmp_path, kind="adaptive", rounds=3, episodes=4,
-                              warmup_grid=(10, 30), refresh_grid=(math.inf, 2.0))
         run_adaptive_convergence(config)
         return len(estimates), len(builds), sorted(d for d in draws if d != config.T)
 
     def test_each_value_table_is_built_once(self, tmp_path, monkeypatch):
-        estimates, builds, draws = self._count_work(tmp_path, monkeypatch, 1024)
+        estimates, builds, draws = self._count_work(tmp_path, monkeypatch)
         # 2 warmups x 3 rounds x 4 episodes = 24 adaptive rows in one block.
         # The block estimates its six warmups once each and builds one base
         # table over them, shared by both strides; stride 2 at T=6
@@ -531,11 +545,11 @@ class TestRunAdaptive:
         assert draws == [10] * 3 + [30] * 3
 
     def test_each_block_builds_its_own_tables(self, tmp_path, monkeypatch):
-        estimates, builds, draws = self._count_work(tmp_path, monkeypatch, 10)
-        # blocks of rows 0-9, 10-19 and 20-23: the (warmup, round) group of
-        # rows 8-11 lies in the first two, and each of them estimates its
-        # warmup, but the warmup is drawn once
-        assert estimates == 7 + 24 * 2
+        estimates, builds, draws = self._count_work(tmp_path, monkeypatch, groups=2)
+        # three blocks of two (warmup, round) groups: a block estimates the
+        # warmups of its own groups, so each warmup is drawn and estimated
+        # once however many blocks there are
+        assert estimates == 6 + 24 * 2
         assert builds == 1 + 3 * (1 + 2)
         assert draws == [10] * 3 + [30] * 3
 
@@ -558,8 +572,12 @@ class TestRunAdaptive:
         true_policy = DpPolicy(build_value_table(instance, model, config.K))
         monkeypatch.setattr(experiments, "BATCH_ROWS", batch_rows)
         rounds = range(1, 4)  # a chunk that does not start at round 0
-        got = experiments._adaptive_chunk(config, instance, model, true_policy, rounds)[2]
         want = reference_adaptive_costs(config, instance, model, rounds)
+        got = experiments._adaptive_chunk(config, instance, model, true_policy, rounds)[2]
+        assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+        # and with one (warmup, round) group per adaptive block
+        _groups_per_block(monkeypatch, config, 1)
+        got = experiments._adaptive_chunk(config, instance, model, true_policy, rounds)[2]
         assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
 
     @pytest.mark.parametrize("family", ["dp", "threshold"])
@@ -568,9 +586,9 @@ class TestRunAdaptive:
                               warmup_grid=(10, 30), refresh_grid=(math.inf, 2.0))
         run_adaptive_convergence(config)
         whole = (tmp_path / "out.csv").read_bytes()
-        # 1, 2 and 3 rows per block split (warmup, round) groups of 4 rows
-        for rows in (1, 2, 3):
-            monkeypatch.setattr(experiments, "BATCH_ROWS", rows)
+        # 1, 2 and 3 of the 10 (warmup, round) groups per block
+        for groups in (1, 2, 3):
+            _groups_per_block(monkeypatch, config, groups)
             run_adaptive_convergence(config)
             assert (tmp_path / "out.csv").read_bytes() == whole
         monkeypatch.undo()
@@ -582,7 +600,7 @@ class TestRunAdaptive:
     def test_wide_lattice_blocks_keep_tables_to_one_round(self, tmp_path):
         import tracemalloc
 
-        from storelab.policies import SWEEP_BYTES, breakpoint_lattice
+        from storelab.policies import SWEEP_BYTES, breakpoint_lattice, sweep_blocks
 
         rng = np.random.default_rng(5)
         T = 48
@@ -594,15 +612,19 @@ class TestRunAdaptive:
         width = breakpoint_lattice(instance.storage.capacity, instance.demand).size
         row_bytes = 8 * (T + 1) * width
         assert width > 1000 and 6 * row_bytes > SWEEP_BYTES
-        # a table of a round's six rows exceeds SWEEP_BYTES, so a block is one round
-        assert experiments._adaptive_block_rows(instance, config.episodes) == 6
+        # a table of one (warmup, round) group's six rows exceeds SWEEP_BYTES,
+        # so each of the 2 x 2 groups is a block alone
+        groups = len(config.warmup_grid) * config.rounds
+        assert sweep_blocks(groups, T + 1, width * config.episodes, 0) == [
+            (g, g + 1) for g in range(groups)
+        ]
         tracemalloc.start()
         try:
             run_adaptive_convergence(config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one round's refresh table, the block's one-row base table and the
+        # one group's refresh table, the block's one-row base table and the
         # true-parameter table, and sweep temporaries within SWEEP_BYTES; one
         # table of all 24 rows would be 24 rows alone
         assert peak < (6 + 2) * row_bytes + SWEEP_BYTES

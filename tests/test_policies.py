@@ -360,7 +360,7 @@ class TestAdaptivePolicy:
         warmup = generate(Normal(10.0, 2.0), 500, seed=1)
         inst = Instance.constant(12, 1.0, StorageSpec(3.0))
         prices = generate(Normal(10.0, 2.0), 12, seed=2)
-        adaptive = AdaptivePolicy(ThresholdFamily(), warmup, refresh_stride=None)
+        adaptive = AdaptivePolicy(ThresholdFamily(), [warmup], [0], refresh_stride=None)
         static = ThresholdPolicy(estimate(warmup, 0.05).threshold)
         a = simulate(inst, prices, adaptive)
         b = simulate(inst, prices, static)
@@ -371,7 +371,7 @@ class TestAdaptivePolicy:
         warmup = generate(Normal(10.0, 2.0), 50, seed=3)
         inst = Instance.constant(8, 1.0, StorageSpec(2.0))
         prices = generate(Normal(10.0, 2.0), 8, seed=4)
-        adaptive = AdaptivePolicy(ThresholdFamily(), warmup, refresh_stride=1)
+        adaptive = AdaptivePolicy(ThresholdFamily(), [warmup], [0], refresh_stride=1)
         simulate(inst, prices, adaptive)
         got = [r.threshold for r in estimate_reports]
         expected = [estimate(warmup, 0.05).threshold]
@@ -386,7 +386,7 @@ class TestAdaptivePolicy:
         inst = Instance.constant(3, 1.0, StorageSpec(1.0))
         # wild prices push the three-sigma lower bound negative on every refresh
         prices = np.array([500.0, -480.0, 510.0])
-        adaptive = AdaptivePolicy(ThresholdFamily(), warmup, refresh_stride=1)
+        adaptive = AdaptivePolicy(ThresholdFamily(), [warmup], [0], refresh_stride=1)
         theta_before = estimate_reports[0].threshold
         traj = simulate(inst, prices, adaptive)
         assert sum("refresh failed" in event for event in adaptive.events) == 2
@@ -404,7 +404,7 @@ class TestAdaptivePolicy:
         warmup = [10.0, 10.5, 9.5, 10.2]
         inst = Instance.constant(4, 1.0, StorageSpec(1.0))
         prices = np.array([10.3, 9.9, 500.0, 10.0])
-        adaptive = AdaptivePolicy(family, warmup, refresh_stride=1)
+        adaptive = AdaptivePolicy(family, [warmup], [0], refresh_stride=1)
         simulate(inst, prices, adaptive)
         assert len(adaptive.events) == 1 and "n=7" in adaptive.events[0]
         # the failed refresh at slot 3 rebuilds the row from its slot-2 report
@@ -412,22 +412,29 @@ class TestAdaptivePolicy:
 
     def test_short_warmup_without_prior_rejected(self):
         with pytest.raises(ValueError):
-            AdaptivePolicy(ThresholdFamily(), [10.0], refresh_stride=1)
+            AdaptivePolicy(ThresholdFamily(), [[10.0]], [0], refresh_stride=1)
+
+    def test_bare_price_series_as_warmups_rejected(self):
+        # warmups is a sequence of series: a bare series reads as scalar warmups
+        with pytest.raises(ValueError, match="warmup must be one-dimensional"):
+            AdaptivePolicy(ThresholdFamily(), [10.0, 10.5, 9.5], [0])
+        with pytest.raises(ValueError, match="warmup must be one-dimensional"):
+            AdaptivePolicy(ThresholdFamily(), np.array([10.0, 10.5, 9.5]), [0])
 
     def test_zero_refresh_stride_rejected(self):
-        adaptive = AdaptivePolicy(ThresholdFamily(), [10.0, 10.5, 9.5], refresh_stride=0)
+        adaptive = AdaptivePolicy(ThresholdFamily(), [[10.0, 10.5, 9.5]], [0], refresh_stride=0)
         with pytest.raises(ValueError, match="refresh stride must be >= 1, got 0"):
             simulate(_inst(T=2), [10.0, 10.0], adaptive)
 
     def test_failed_initial_estimation_raises(self):
         # the three-sigma lower bound of the warmup is negative and unclamped
         with pytest.raises(EstimationError):
-            AdaptivePolicy(ThresholdFamily(), [10.0, -10.0, 10.0])
+            AdaptivePolicy(ThresholdFamily(), [[10.0, -10.0, 10.0]], [0])
 
     def test_rerun_starts_from_the_warmup(self):
         # slot 0 restarts every row from the base policy; no reset in between
         warmup = generate(Normal(10.0, 2.0), 100, seed=9)
-        adaptive = AdaptivePolicy(ThresholdFamily(), warmup, refresh_stride=2)
+        adaptive = AdaptivePolicy(ThresholdFamily(), [warmup], [0], refresh_stride=2)
         inst = Instance.constant(6, 1.0, StorageSpec(2.0))
         prices = generate(Normal(10.0, 2.0), 6, seed=10)
         first = simulate(inst, prices, adaptive).purchases
@@ -435,7 +442,7 @@ class TestAdaptivePolicy:
         assert first.tobytes() == second.tobytes()
 
     def test_slot_after_zero_needs_slot_zero_first(self):
-        adaptive = AdaptivePolicy(ThresholdFamily(), [10.0, 10.5, 9.5], refresh_stride=1)
+        adaptive = AdaptivePolicy(ThresholdFamily(), [[10.0, 10.5, 9.5]], [0], refresh_stride=1)
         inst = Instance.constant(3, 1.0, StorageSpec(1.0))
         with pytest.raises(ValueError, match="slot 2 before slot 0"):
             adaptive.decide(2, 0.0, 10.0, inst)
@@ -447,7 +454,7 @@ class TestAdaptivePolicy:
     def test_dp_family_builds_value_tables(self):
         inst = Instance.constant(4, 1.0, StorageSpec(2.0))
         warmup = generate(Normal(10.0, 2.0), 200, seed=12)
-        adaptive = AdaptivePolicy(DpFamily(inst, atom_count=11), warmup)
+        adaptive = AdaptivePolicy(DpFamily(inst, atom_count=11), [warmup], [0])
         prices = generate(Normal(10.0, 2.0), 4, seed=13)
         traj = simulate(inst, prices, adaptive)
         assert traj.total_cost > 0
@@ -457,7 +464,7 @@ class TestAdaptivePolicy:
         inst = Instance.constant(8, 1.0, StorageSpec(2.0))
         warmup = generate(Normal(10.0, 2.0), 30, seed=14)
         adaptive = AdaptivePolicy(
-            DpFamily(inst, atom_count=11), warmup, refresh_stride=3
+            DpFamily(inst, atom_count=11), [warmup], [0], refresh_stride=3
         )
         prices = generate(Normal(10.0, 2.0), 8, seed=15)
         traj = simulate(inst, prices, adaptive)
@@ -483,8 +490,10 @@ class TestAdaptivePolicy:
         warmup = generate(Normal(10.0, 2.0), 40, seed=16)
         prices = generate(Normal(10.0, 2.0), 12, seed=17)
         for stride, last_refresh in ((1, 11), (5, 10)):
-            partial = AdaptivePolicy(RecordingFamily(inst, 11), warmup, refresh_stride=stride)
-            full = AdaptivePolicy(FullTableFamily(inst, 11), warmup, refresh_stride=stride)
+            partial = AdaptivePolicy(RecordingFamily(inst, 11), [warmup], [0],
+                                     refresh_stride=stride)
+            full = AdaptivePolicy(FullTableFamily(inst, 11), [warmup], [0],
+                                  refresh_stride=stride)
             a = simulate(inst, prices, partial)
             assert tables[-1].first_slot == last_refresh
             assert a.purchases.tobytes() == simulate(inst, prices, full).purchases.tobytes()
