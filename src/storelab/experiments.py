@@ -6,16 +6,17 @@ index path), so runs are reproducible and byte-identical for any worker
 count; output rows are canonically ordered before writing.
 
 Fan-out: a runner splits each index range (rounds or episodes) into
-contiguous chunks, one per worker.  Every chunk runs one module-level
-function with the frozen config and the objects the runner built once
-bound by ``functools.partial``; results are merged in chunk order.  A
-violation curve is one fan-out over rounds that covers every n of the
-grid, and an adaptive sweep one fan-out over rounds that covers every
-warmup x refresh grid point, so one pool serves each run.
+contiguous chunks, at least one per worker, and more where one chunk's
+price series would not fit ``policies.SWEEP_BYTES`` (through
+``sweep_blocks``).  Every chunk runs one module-level function with the
+frozen config and the objects the runner built once bound by
+``functools.partial``; results are merged in chunk order.  A violation
+curve is one fan-out over rounds that covers every n of the grid, and an
+adaptive sweep one fan-out over rounds that covers every warmup x refresh
+grid point, so one pool serves each run, and none at one worker.
 
-Inside a chunk, episodes are scored as (E, T) price arrays.  The
-true-parameter policies and the oracle take at most ``BATCH_ROWS`` at a
-time: one ``simulate_batch`` per policy and one ``offline_costs`` batch.
+A chunk is one batch: its episodes are scored as one (E, T) price array,
+with one ``simulate_batch`` per policy and one ``offline_costs`` call.
 A policy comparison (policy-compare, or one relax scenario) keeps the
 costs as arrays and takes all its ratios with one element-wise
 ``competitive_ratio`` call; only policy-compare builds per-episode
@@ -57,7 +58,6 @@ from .estimation import (
     threshold_price,
 )
 from .metrics import (
-    BATCH_ROWS,
     MetricRow,
     ViolationReport,
     _write_csv,
@@ -94,17 +94,21 @@ ADAPTIVE_HEADER = (
 )
 
 
-def _map_chunks(fn, count: int, workers: int) -> list:
-    """fn(chunk) for contiguous chunks of range(count), one per worker, in order.
+def _map_chunks(fn, count: int, workers: int, horizon: int, series: int) -> list:
+    """fn(chunk) for contiguous chunks of range(count), in order.
 
-    A single chunk runs in this process; more run in a process pool.
+    A unit of the range holds ``series`` price series of ``horizon`` floats.
+    There are at least ``workers`` chunks, and more where ``sweep_blocks``
+    needs them for one chunk's series to fit ``SWEEP_BYTES``.  With one
+    worker, or one chunk, every chunk runs in this process; otherwise all
+    of them go through one pool of up to ``workers`` processes.
     """
-    parts = max(1, min(workers, count))
-    bounds = np.linspace(0, count, parts + 1).astype(int)
-    chunks = [range(bounds[i], bounds[i + 1]) for i in range(parts) if bounds[i] < bounds[i + 1]]
-    if len(chunks) <= 1:
+    parts = max(len(sweep_blocks(count, horizon, series, 0)), min(workers, count))
+    bounds = np.linspace(0, count, parts + 1).astype(int).tolist()
+    chunks = [range(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
+    if workers <= 1 or len(chunks) <= 1:
         return [fn(chunk) for chunk in chunks]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
         return list(pool.map(fn, chunks))
 
 
@@ -157,7 +161,7 @@ def _violation_reports(
             f"for mode {config.resample_mode!r}",
         )
     chunk = partial(violation_rounds, config, instance, build_model(config), history, tuple(ns))
-    parts = _map_chunks(chunk, config.rounds, workers)
+    parts = _map_chunks(chunk, config.rounds, workers, config.T, len(ns) * config.eval_episodes)
     reports = []
     for i, n in enumerate(ns):
         rows = tuple(row for part_rows, _ in parts for row in part_rows[i])
@@ -236,24 +240,19 @@ def _compare_chunk(
     """Oracle costs (E,) and the true-parameter policies' costs (3, E) of ``episodes``."""
     policies = _true_parameter_policies(config, instance, policy_model)
     T = instance.horizon
-    opt_costs, alg_costs = [], []
-    for start in range(0, len(episodes), BATCH_ROWS):
-        batch = episodes[start : start + BATCH_ROWS]
-        prices = np.array([generate(eval_model, T, stream(config.seed, 1, e)) for e in batch])
-        realized = None
-        if eta > 0.0:
-            realized = np.array([
-                instance.demand * (1.0 + stream(config.seed, 2, e).uniform(-eta, eta, T))
-                for e in batch
-            ])
-        opt_costs.append(
-            offline_costs(instance, prices, config.G, realized_demand=realized).total_cost
-        )
-        alg_costs.append([
-            simulate_batch(instance, prices, policy, realized_demand=realized).total_cost
-            for policy in policies
+    prices = np.array([generate(eval_model, T, stream(config.seed, 1, e)) for e in episodes])
+    realized = None
+    if eta > 0.0:
+        realized = np.array([
+            instance.demand * (1.0 + stream(config.seed, 2, e).uniform(-eta, eta, T))
+            for e in episodes
         ])
-    return np.concatenate(opt_costs), np.concatenate(alg_costs, axis=1)
+    opt_costs = offline_costs(instance, prices, config.G, realized_demand=realized)
+    alg_costs = np.array([
+        simulate_batch(instance, prices, policy, realized_demand=realized).total_cost
+        for policy in policies
+    ])
+    return opt_costs, alg_costs
 
 
 def _quantiles(values, qs) -> list[float]:
@@ -295,7 +294,7 @@ def _compare_core(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[PolicySummary]]:
     """Oracle costs (E,), policy costs and ratios (3, E), and one summary per policy."""
     chunk = partial(_compare_chunk, config, build_instance(config), eval_model, policy_model, eta)
-    parts = _map_chunks(chunk, config.episodes, workers)
+    parts = _map_chunks(chunk, config.episodes, workers, config.T, 1)
     opt = np.concatenate([opt for opt, _ in parts])
     alg = np.concatenate([alg for _, alg in parts], axis=1)
     crs = competitive_ratio(alg, opt)
@@ -386,11 +385,8 @@ def _adaptive_chunk(
     E = config.episodes
     flat = np.array([generate(model, T, stream(config.seed, 4, r, e))
                      for r in rounds for e in range(E)])
-    true_costs, oracle_costs = [], []
-    for start in range(0, len(flat), BATCH_ROWS):
-        prices = flat[start : start + BATCH_ROWS]
-        true_costs.append(simulate_batch(instance, prices, true_policy).total_cost)
-        oracle_costs.append(offline_costs(instance, prices, config.G).total_cost)
+    true_costs = simulate_batch(instance, flat, true_policy).total_cost
+    oracle_costs = offline_costs(instance, flat, config.G)
     if config.family == "dp":
         family = DpFamily(instance, config.K)
     else:
@@ -417,7 +413,7 @@ def _adaptive_chunk(
             costs[si, rows] = simulate_batch(instance, prices, policy).total_cost
     adaptive_costs = list(costs.reshape(len(strides), len(warmup_sizes), -1).swapaxes(0, 1)
                           .reshape(-1, len(flat)))
-    return np.concatenate(true_costs), np.concatenate(oracle_costs), adaptive_costs
+    return true_costs, oracle_costs, adaptive_costs
 
 
 def run_adaptive_convergence(
@@ -436,7 +432,7 @@ def run_adaptive_convergence(
     model = build_model(config)
     true_policy = DpPolicy(build_value_table(instance, model, config.K))
     chunk = partial(_adaptive_chunk, config, instance, model, true_policy)
-    parts = _map_chunks(chunk, config.rounds, workers)
+    parts = _map_chunks(chunk, config.rounds, workers, config.T, config.episodes)
     true_costs = np.concatenate([p[0] for p in parts])
     oracle_costs = np.concatenate([p[1] for p in parts])
     grid = [(w, refresh) for w in sorted(config.warmup_grid) for refresh in config.refresh_grid]

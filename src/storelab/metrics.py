@@ -3,22 +3,22 @@
 The offline oracle is the purchase DP with each episode's realized price as
 its single atom per slot, so its cost is exact whenever demands, capacity,
 and the initial fill are multiples of the grid step.  ``offline_costs``
-scores E episodes at once: ``policies.SlotGeometry.min_costs`` fills a
-(T+1, E, G+1) value cube indexed as a ``ValueTable``'s, and
-``simulate_batch``, the one simulation engine, runs the greedy rule that
-reads each row's own value rows.  The geometry, the part of the slot that
-no price changes, is built again only where the slot demand changes: one
-shared by every row under the instance's demand, one row per series under
-a realized demand.  Rows go through in the DP table's
-``policies.sweep_blocks``, which bound the cube's memory; every row's
-result is the same bits whatever block it lands in, and
-``offline_optimal`` is the one-row case.  The brute-force oracle
+scores E episodes at once and returns their (E,) costs; it takes its rows
+in the DP table's ``policies.sweep_blocks``, which bound the value cube's
+memory.  Each block is one ``_hindsight_block``:
+``policies.SlotGeometry.min_costs`` fills a (T+1, rows, G+1) value cube
+indexed as a ``ValueTable``'s, and ``simulate_batch``, the one simulation
+engine, runs the greedy rule that reads each row's own value rows.  The
+geometry, the part of the slot that no price changes, is built again only
+where the slot demand changes: one shared by every row under the
+instance's demand, one row per series under a realized demand.  Every
+row's result is the same bits whatever block it lands in, and
+``offline_optimal`` is one row of a block.  The brute-force oracle
 enumerates purchase lattices on tiny instances and exists only to
 validate the others.
 
-A violation chunk estimates its (round, n) pairs and scores them together,
-``BATCH_ROWS`` evaluation series at a time: one threshold batch and one
-oracle batch over the distinct series.
+A violation chunk estimates its (round, n) pairs and scores them together:
+one threshold batch and one oracle batch over the distinct series.
 """
 
 from __future__ import annotations
@@ -118,51 +118,49 @@ class _HindsightRule:
         )
 
 
+def _hindsight_block(
+    instance: Instance, prices: np.ndarray, grid: np.ndarray, realized_demand=None
+) -> TrajectoryBatch:
+    """Hindsight-optimal trajectories of one block of rows: the grid sweep, then the greedy pass.
+
+    The sweep stops at slot 1, because the greedy pass reads only the
+    value after each slot; row T of the value cube stays zero.
+    """
+    T = instance.horizon
+    demand = instance.demand if realized_demand is None else realized_demand
+    values = np.zeros((T + 1, prices.shape[0], grid.size))
+    for t, geometry in slot_sweep(grid, instance.storage.capacity, demand, first_slot=1):
+        values[t] = geometry.min_costs(values[t + 1], prices[:, t])
+    return simulate_batch(instance, prices, _HindsightRule(grid, values, demand), realized_demand)
+
+
 def offline_costs(
     instance: Instance, prices, grid_size: int = 100, realized_demand=None
-) -> TrajectoryBatch:
-    """Hindsight-optimal trajectories of E price series by backward DP on a grid.
+) -> np.ndarray:
+    """Hindsight-optimal costs of E price series by backward DP on a grid: a read-only (E,) array.
 
     ``realized_demand`` (one (E, T) row per series) replaces the instance's
     demand for the oracle.  Row e equals ``offline_optimal`` on series e
-    bit for bit.  Rows go through in ``sweep_blocks``, and the sweep stops
-    at slot 1, because the greedy pass reads only the value after each slot.
+    bit for bit.  Rows go through ``_hindsight_block`` in ``sweep_blocks``.
     """
     T = instance.horizon
     prices = price_rows(prices, T)
     E = prices.shape[0]
-    per_row = realized_demand is not None
-    demand = demand_rows(realized_demand, E, T) if per_row else instance.demand
-    capacity = instance.storage.capacity
-    grid = storage_grid(capacity, grid_size)
-    # no rows still make one empty block, which the engine turns into empty rows
-    blocks = sweep_blocks(E, T, grid.size, 1) or [(0, 0)]
-    cube = np.zeros((T + 1, max(stop - start for start, stop in blocks), grid.size))
-    parts = []
-    for start, stop in blocks:
-        p = prices[start:stop]
-        d = demand[start:stop] if per_row else demand
-        values = cube[:, : stop - start]  # row T stays zero, row 0 is never built
-        for t, geometry in slot_sweep(grid, capacity, d, first_slot=1):
-            values[t] = geometry.min_costs(values[t + 1], p[:, t])
-        parts.append(simulate_batch(
-            instance, p, _HindsightRule(grid, values, d),
-            realized_demand=d if per_row else None,
-        ))
-    if len(parts) == 1:
-        return parts[0]
-    joined = {
-        name: np.concatenate([getattr(part, name) for part in parts]) for name in
-        ("prices", "purchases", "levels", "total_cost", "clamped")
-    }
-    for arr in joined.values():
-        arr.flags.writeable = False
-    return TrajectoryBatch(**joined)
+    demand = None if realized_demand is None else demand_rows(realized_demand, E, T)
+    grid = storage_grid(instance.storage.capacity, grid_size)
+    costs = np.empty(E)
+    for start, stop in sweep_blocks(E, T, grid.size, 1):
+        block_demand = None if demand is None else demand[start:stop]
+        block = _hindsight_block(instance, prices[start:stop], grid, block_demand)
+        costs[start:stop] = block.total_cost
+    costs.flags.writeable = False
+    return costs
 
 
 def offline_optimal(instance: Instance, prices, grid_size: int = 100) -> Trajectory:
-    """Hindsight-optimal trajectory of one price series: the one-row ``offline_costs``."""
-    return one_row(offline_costs, instance, prices, grid_size)
+    """Hindsight-optimal trajectory of one price series: one row of ``_hindsight_block``."""
+    grid = storage_grid(instance.storage.capacity, grid_size)
+    return one_row(_hindsight_block, instance, prices, grid)
 
 
 def brute_force_optimal(instance: Instance, prices, q_step: float) -> float:
@@ -258,9 +256,6 @@ class ViolationReport:
     rows: tuple[MetricRow, ...] = field(repr=False, default=())
 
 
-BATCH_ROWS = 1024  # episodes per runner batch: bounds (rows x (G+1)) temporaries and held series
-
-
 def violation_rounds(
     config: ExperimentConfig, instance: Instance, eval_model, history: np.ndarray,
     ns, round_indices,
@@ -277,15 +272,13 @@ def violation_rounds(
     with ``eval_source=held-out`` from windows of the history after its
     first n records, which form the estimation pool.  Rounds whose
     estimation fails are counted, not dropped.  The estimated (round, n)
-    pairs are scored together, whenever their series reach ``BATCH_ROWS``
-    and at the end of the chunk: one threshold batch with one threshold
-    per row, and one oracle batch over the distinct series.
+    pairs of the chunk are scored together: one threshold batch with one
+    threshold per row, and one oracle batch over the distinct series.
     """
     T = instance.horizon
     E = config.eval_episodes
     held = config.eval_source == "held-out"
     history = as_series(history, "history")  # once per chunk; resample indexes it as is
-    rows_by_n: list[list[MetricRow]] = [[] for _ in ns]
     failures = [0] * len(ns)
     scored = []  # (index into ns, round, estimate report)
     series = []  # E price series per scored (round, n)
@@ -317,24 +310,16 @@ def violation_rounds(
                 windows = [np.clip(p, report.lower_bound, report.upper_bound) for p in windows]
             scored.append((i, r, report))
             series.extend(windows)
-        if len(series) >= BATCH_ROWS:
-            _score_rounds(config, instance, ns, scored, series, rows_by_n)
-            scored, series = [], []
-    if scored:
-        _score_rounds(config, instance, ns, scored, series, rows_by_n)
-    return rows_by_n, failures
-
-
-def _score_rounds(config, instance, ns, scored, series, rows_by_n) -> None:
-    """Append one MetricRow per scored (round, n) to ``rows_by_n``."""
-    E = config.eval_episodes
+    rows_by_n: list[list[MetricRow]] = [[] for _ in ns]
+    if not scored:
+        return rows_by_n, failures
     prices = np.array(series)
     thresholds = np.repeat([report.threshold for *_, report in scored], E)
     alg = simulate_batch(instance, prices, ThresholdPolicy(thresholds)).total_cost.reshape(-1, E)
     series_id: dict[bytes, int] = {}
     which = np.array([series_id.setdefault(row.tobytes(), len(series_id)) for row in prices])
     first = np.unique(which, return_index=True)[1]
-    opt = offline_costs(instance, prices[first], config.G).total_cost[which].reshape(-1, E)
+    opt = offline_costs(instance, prices[first], config.G)[which].reshape(-1, E)
     crs = competitive_ratio(alg, opt)
     for (i, r, report), alg_costs, opt_costs, round_crs in zip(scored, alg, opt, crs):
         round_cr = float(round_crs.max() if config.verdict == "any" else round_crs.mean())
@@ -352,3 +337,4 @@ def _score_rounds(config, instance, ns, scored, series, rows_by_n) -> None:
             theta_hat=report.threshold,
             seed=config.seed,
         ))
+    return rows_by_n, failures

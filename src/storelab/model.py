@@ -220,17 +220,18 @@ def simulate_batch(instance, prices, policy, realized_demand=None) -> Trajectory
     )
 
 
-def one_row(engine, instance, prices, rule, realized_demand=None) -> Trajectory:
-    """Row 0 of ``engine(instance, [prices], rule, realized_demand)`` as a Trajectory.
+def one_row(engine, instance, prices, *args) -> Trajectory:
+    """Row 0 of ``engine(instance, [prices], *args)`` as a Trajectory.
 
-    ``engine`` is a batch engine (``simulate_batch`` or ``offline_costs``)
+    ``engine`` is a batch engine, ``simulate_batch`` with its policy and
+    realized demand or the hindsight oracle's one-block pass with its grid,
     and ``prices`` one series of at least T prices.
     """
     prices = as_series(prices, "prices")
     T = instance.horizon
     if prices.size < T:
         raise ValueError(f"need at least {T} prices, got {prices.size}")
-    batch = engine(instance, prices[None, :], rule, realized_demand)
+    batch = engine(instance, prices[None, :], *args)
     return Trajectory(
         prices=batch.prices[0],
         purchases=batch.purchases[0],

@@ -420,9 +420,10 @@ def sweep_blocks(rows: int, horizon: int, width: int, atoms: int) -> list[tuple[
 
     A row costs its value floats, ``horizon`` x ``width``, and the
     ``STEP_ARRAYS`` rows of ``atoms`` floats that a DP step holds per table
-    row (the oracle's one price per row is one atom).  The edges are
-    ``np.linspace``'s, as ``experiments._map_chunks`` splits episodes; a row
-    too big for ``SWEEP_BYTES`` is a block alone.
+    row (the oracle's one price per row is one atom); a runner chunk's row
+    is a round or episode of ``width`` price series and no atoms.  The
+    edges are ``np.linspace``'s; a row too big for ``SWEEP_BYTES`` is a
+    block alone.
     """
     fit = max(1, SWEEP_BYTES // (8 * (horizon * width + STEP_ARRAYS * atoms)))
     edges = np.linspace(0, rows, -(-rows // fit) + 1).astype(int).tolist()

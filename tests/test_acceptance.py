@@ -32,6 +32,7 @@ from storelab import (
     simulate,
     simulate_batch,
 )
+from storelab import policies
 from storelab.experiments import (
     run_adaptive_convergence,
     run_estimate,
@@ -134,7 +135,7 @@ class TestCriterion5CompetitiveRatioGuarantee:
         model = Clamped(Normal(10.0, 2.0), lower, upper)
         prices = np.array([generate(model, REFERENCE.horizon, stream(5501, i)) for i in range(2000)])
         alg = simulate_batch(REFERENCE, prices, ThresholdPolicy(theta)).total_cost
-        opt = offline_costs(REFERENCE, prices, 100).total_cost
+        opt = offline_costs(REFERENCE, prices, 100)
         crs = alg / opt
         assert np.all(crs <= bound), f"series {int(np.argmax(crs))}: CR {crs.max()} exceeds {bound}"
         assert np.all(crs >= 1.0 - 1e-9)
@@ -193,7 +194,7 @@ class TestCriterion7DpDominance:
         ])
         dp_costs = simulate_batch(REFERENCE, prices, dp).total_cost
         thb_costs = simulate_batch(REFERENCE, prices, thb).total_cost
-        opt_costs = offline_costs(REFERENCE, prices, 100).total_cost
+        opt_costs = offline_costs(REFERENCE, prices, 100)
         dp_mean = float(np.mean(dp_costs))
         thb_mean = float(np.mean(thb_costs))
         assert dp_mean <= thb_mean * 1.005, f"dp {dp_mean} vs thb {thb_mean}"
@@ -245,11 +246,18 @@ class TestCriterion9AdaptiveConvergence:
 
 
 class TestCriterion10Determinism:
-    def test_byte_identical_across_workers_and_reruns(self, tmp_path):
+    def test_byte_identical_across_workers_and_reruns(self, tmp_path, monkeypatch):
         # family=dp with stride 3 < T exercises the adaptive reference pass
-        # and the partial value-table rebuilds.  40 policy-compare and relax
-        # episodes put the oracle's 32-row block boundary at a different row
-        # for 1, 2 and 3 workers (one chunk of 40, two of 20, 13 + 13 + 14).
+        # and the partial value-table rebuilds.  A sweep budget of six oracle
+        # rows (8 x 21 values and one price atom each) puts the oracle's
+        # block edges of the 40 policy-compare and relax episodes at
+        # different rows for 1, 2 and 3 workers: one chunk of 40 in blocks
+        # at 5, 11, 17, ..., 34; two chunks of 20 in blocks of 5; chunks
+        # 13 + 13 + 14 in blocks at 4, 8, 13, 17, 21, 26, 30, 35.
+        monkeypatch.setattr(policies, "SWEEP_BYTES", 6 * 8 * (8 * 21 + policies.STEP_ARRAYS))
+        assert [policies.sweep_blocks(rows, 8, 21, 1)[0] for rows in (40, 20, 13, 14)] == [
+            (0, 5), (0, 5), (0, 4), (0, 4)
+        ]
         base = ExperimentConfig(
             T=8, B=2.0, G=20, K=11, rounds=8, eval_episodes=2, episodes=12,
             n_grid=(5, 25), warmup_grid=(10, 50), refresh_grid=(math.inf, 3.0),

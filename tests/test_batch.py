@@ -41,7 +41,7 @@ from storelab import metrics, policies
 from storelab.config import build_instance, build_model
 from storelab.experiments import run_policy_compare
 from storelab.metrics import offline_costs
-from storelab.model import feasible_purchase_ranges, simulate_batch
+from storelab.model import TrajectoryBatch, feasible_purchase_ranges, simulate_batch
 from storelab.policies import (
     SlotGeometry, breakpoint_lattice, interp_rows, quantile_atoms, storage_grid,
 )
@@ -587,13 +587,16 @@ class TestOfflineCosts:
     @settings(max_examples=150, deadline=None)
     def test_rows_match_reference_oracle(self, case, grid_size):
         instance, prices, realized = case
-        batch = offline_costs(instance, prices, grid_size, realized_demand=realized)
+        costs, blocks = _oracle_blocks(instance, prices, grid_size, realized)
         refs = []
         for e in range(len(prices)):
             demand = instance.demand if realized is None else realized[e]
             oracle_instance = Instance(instance.horizon, demand, instance.storage)
             refs.append(reference_offline_optimal(oracle_instance, prices[e], grid_size))
+        batch = _joined(blocks)
         _assert_rows_match(batch, refs)
+        assert costs.shape == (len(prices),) and not costs.flags.writeable
+        assert costs.tobytes() == batch.total_cost.tobytes()
 
     @given(batch_cases(), st.integers(2, 25))
     @settings(max_examples=60, deadline=None)
@@ -610,20 +613,23 @@ class TestOfflineCosts:
     @settings(max_examples=60, deadline=None)
     def test_block_split_does_not_change_rows(self, case, block):
         instance, prices, realized = case
-        whole = offline_costs(instance, prices, 10, realized_demand=realized)
-        split, sizes = _split_costs(instance, prices, 10, realized, block)
+        whole, whole_blocks = _oracle_blocks(instance, prices, 10, realized)
+        split, split_blocks = _oracle_blocks(instance, prices, 10, realized, block)
+        sizes = [len(b.total_cost) for b in split_blocks]
         # the fewest blocks of at most ``block`` rows, balanced to within one row
         assert sum(sizes) == len(prices)
         assert len(sizes) == -(-len(prices) // block)
         assert max(sizes) <= block and max(sizes) - min(sizes) <= 1
-        _assert_same_batch(split, whole)
+        _assert_same_batch(_joined(split_blocks), _joined(whole_blocks))
+        assert split.tobytes() == whole.tobytes()
 
     def test_uneven_split_is_balanced(self, reference_instance):
         prices = generate(Normal(10.0, 2.0), 24 * 7, stream(5)).reshape(7, 24)
-        whole = offline_costs(reference_instance, prices, 10)
-        split, sizes = _split_costs(reference_instance, prices, 10, None, 3)
-        assert sizes == [2, 2, 3]
-        _assert_same_batch(split, whole)
+        whole, whole_blocks = _oracle_blocks(reference_instance, prices, 10, None)
+        split, split_blocks = _oracle_blocks(reference_instance, prices, 10, None, 3)
+        assert [len(b.total_cost) for b in split_blocks] == [2, 2, 3]
+        _assert_same_batch(_joined(split_blocks), _joined(whole_blocks))
+        assert split.tobytes() == whole.tobytes()
 
     def test_sweep_blocks_are_the_fewest_that_fit(self):
         # the oracle's rows: 24 x 101 values and one price atom
@@ -637,8 +643,12 @@ class TestOfflineCosts:
 
     def test_no_rows_give_empty_rows(self):
         instance = Instance.constant(4, 1.0, StorageSpec(2.0))
+        grid = storage_grid(2.0, 10)
         for realized in (None, np.zeros((0, 4))):
-            batch = offline_costs(instance, np.zeros((0, 4)), 10, realized_demand=realized)
+            costs = offline_costs(instance, np.zeros((0, 4)), 10, realized_demand=realized)
+            assert costs.shape == (0,) and costs.dtype == float and not costs.flags.writeable
+            # the block pass itself turns no rows into empty rows
+            batch = metrics._hindsight_block(instance, np.zeros((0, 4)), grid, realized)
             assert batch.prices.shape == batch.purchases.shape == batch.clamped.shape == (0, 4)
             assert batch.levels.shape == (0, 5)
             assert batch.total_cost.shape == (0,)
@@ -647,12 +657,14 @@ class TestOfflineCosts:
         rows = 120  # 107 rows of 24 x 101 values fit in SWEEP_BYTES
         assert len(policies.sweep_blocks(rows, 24, 101, 1)) == 2
         prices = generate(Normal(10.0, 2.0), 24 * rows, stream(17)).reshape(rows, 24)
-        batch = offline_costs(reference_instance, prices, 100)
+        costs, blocks = _oracle_blocks(reference_instance, prices, 100, None)
+        assert len(blocks) == 2
         refs = [reference_offline_optimal(reference_instance, p, 100) for p in prices]
-        _assert_rows_match(batch, refs)
+        _assert_rows_match(_joined(blocks), refs)
+        assert costs.tobytes() == _joined(blocks).total_cost.tobytes()
 
     def test_memory_stays_bounded(self, reference_instance):
-        # the value cube is one block's, not E rows'; the (E, T) results stay small
+        # the value cube is one block's, not E rows'; the result is E costs
         prices = generate(Normal(10.0, 2.0), 24 * 1024, stream(23)).reshape(1024, 24)
         tracemalloc.start()
         try:
@@ -668,20 +680,32 @@ def _sweep_bytes(instance, width, atoms, rows):
     return rows * 8 * (instance.horizon * width + policies.STEP_ARRAYS * atoms)
 
 
-def _split_costs(instance, prices, grid_size, realized, block):
-    """``offline_costs`` with a byte budget of ``block`` value rows, and its block sizes."""
-    sizes = []
+def _oracle_blocks(instance, prices, grid_size, realized, block=None):
+    """``offline_costs`` and the trajectories of its blocks' greedy passes, in order.
+
+    ``block``, if given, is a byte budget of that many value rows.
+    """
+    blocks = []
 
     def recording(instance, prices, rule, realized_demand=None):
-        sizes.append(len(prices))
-        return simulate_batch(instance, prices, rule, realized_demand=realized_demand)
+        blocks.append(simulate_batch(instance, prices, rule, realized_demand=realized_demand))
+        return blocks[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        width = storage_grid(instance.storage.capacity, grid_size).size
-        mp.setattr(policies, "SWEEP_BYTES", _sweep_bytes(instance, width, 1, block))
+        if block is not None:
+            width = storage_grid(instance.storage.capacity, grid_size).size
+            mp.setattr(policies, "SWEEP_BYTES", _sweep_bytes(instance, width, 1, block))
         mp.setattr(metrics, "simulate_batch", recording)
-        split = offline_costs(instance, prices, grid_size, realized_demand=realized)
-    return split, sizes
+        costs = offline_costs(instance, prices, grid_size, realized_demand=realized)
+    return costs, blocks
+
+
+def _joined(blocks):
+    """One TrajectoryBatch of the rows of ``blocks``, in order."""
+    return TrajectoryBatch(**{
+        name: np.concatenate([getattr(b, name) for b in blocks])
+        for name in ("prices", "purchases", "levels", "total_cost", "clamped")
+    })
 
 
 def _assert_same_batch(got, want):

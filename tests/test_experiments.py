@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import storelab.experiments as experiments
 import storelab.metrics as metrics
+import storelab.policies as policies
 from storelab import (
     EstimationError,
     ExperimentConfig,
@@ -134,12 +135,24 @@ def _exact_threshold_cost(T, capacity, demand, mu, sigma, theta, fill):
 
 def _groups_per_block(monkeypatch, config, groups):
     """Set ``SWEEP_BYTES`` so an adaptive block holds ``groups`` (warmup, round) groups."""
-    import storelab.policies as policies
-
     instance = build_instance(config)
     width = policies.breakpoint_lattice(instance.storage.capacity, instance.demand).size
     group_bytes = 8 * (config.T + 1) * width * config.episodes
     monkeypatch.setattr(policies, "SWEEP_BYTES", groups * group_bytes)
+
+
+def _units_per_chunk(monkeypatch, config, units):
+    """Set ``SWEEP_BYTES`` so a runner chunk holds ``units`` rounds or episodes.
+
+    A unit holds T floats per relax or policy-compare episode,
+    len(n_grid) x eval_episodes series of T per violation round, and
+    episodes series of T per adaptive round.
+    """
+    series = {
+        "violation-curve": len(config.n_grid) * config.eval_episodes,
+        "adaptive": config.episodes,
+    }.get(config.kind, 1)
+    monkeypatch.setattr(policies, "SWEEP_BYTES", units * 8 * config.T * series)
 
 
 def small_config(tmp_path, **kw):
@@ -570,7 +583,10 @@ class TestRunAdaptive:
         config = small_config(tmp_path, kind="adaptive", rounds=4, episodes=4, **kw)
         instance, model = build_instance(config), build_model(config)
         true_policy = DpPolicy(build_value_table(instance, model, config.K))
-        monkeypatch.setattr(experiments, "BATCH_ROWS", batch_rows)
+        # a sweep budget of ``batch_rows`` oracle rows (T x (G+1) values, one atom)
+        width = policies.storage_grid(instance.storage.capacity, config.G).size
+        monkeypatch.setattr(policies, "SWEEP_BYTES",
+                            batch_rows * 8 * (config.T * width + policies.STEP_ARRAYS))
         rounds = range(1, 4)  # a chunk that does not start at round 0
         want = reference_adaptive_costs(config, instance, model, rounds)
         got = experiments._adaptive_chunk(config, instance, model, true_policy, rounds)[2]
@@ -719,16 +735,66 @@ class TestRunRelaxation:
     ("adaptive", run_adaptive_convergence, dict(rounds=3, episodes=4, refresh_grid=(math.inf, 2.0))),
 ])
 def test_batch_rows_do_not_change_output(tmp_path, monkeypatch, kind, runner, kw):
-    # the runners score at most BATCH_ROWS episodes per batch; where the
-    # batches split must not show in the output
+    # a runner chunk is one batch, of as many rounds or episodes as fit the
+    # sweep budget; where the chunks split must not show in the output
     config = small_config(tmp_path, kind=kind, **kw)
     runner(config)
     whole = (tmp_path / "out.csv").read_bytes()
+    units = config.rounds if kind in ("violation-curve", "adaptive") else config.episodes
+    fan_outs = len(config.scenarios) if kind == "relax" else 1
+    chunk_fn = {"violation-curve": "violation_rounds", "relax": "_compare_chunk",
+                "adaptive": "_adaptive_chunk"}[kind]
+    chunks, pools = [], []
+    fn, pool = getattr(experiments, chunk_fn), experiments.ProcessPoolExecutor
+
+    def recording(*args):
+        chunks.append(args[-1])
+        return fn(*args)
+
+    def counting_pool(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", counting_pool)
     for rows in (1, 5):
-        monkeypatch.setattr(metrics, "BATCH_ROWS", rows)
-        monkeypatch.setattr(experiments, "BATCH_ROWS", rows)
+        _units_per_chunk(monkeypatch, config, rows)
+        chunks.clear()
+        monkeypatch.setattr(experiments, chunk_fn, recording)
         runner(config)
         assert (tmp_path / "out.csv").read_bytes() == whole
+        # the fewest contiguous chunks of at most ``rows`` units, all run in
+        # this process
+        assert [i for c in chunks for i in c] == list(range(units)) * fan_outs
+        assert len(chunks) == -(-units // rows) * fan_outs
+        assert max(len(c) for c in chunks) <= rows
+        monkeypatch.setattr(experiments, chunk_fn, fn)  # a pool pickles it by name
+        runner(config, workers=2)
+        assert (tmp_path / "out.csv").read_bytes() == whole
+    # one pool of two processes per fan-out, at two workers only
+    assert pools == [2] * 2 * fan_outs
+
+
+def test_relax_memory_does_not_grow_with_episodes_beyond_cost_arrays(tmp_path, monkeypatch):
+    import tracemalloc
+
+    config = ExperimentConfig(kind="relax", scenarios=("baseline",), G=10, seed=3,
+                              out=str(tmp_path / "r.csv"))
+    run_relaxation(replace(config, episodes=8))  # first-call caches out of the peaks
+    # chunks of 256 episodes of 24 prices; the oracle's blocks hold 22 rows
+    _units_per_chunk(monkeypatch, config, 256)
+    peaks = []
+    for episodes in (512, 1536):
+        tracemalloc.start()
+        try:
+            run_relaxation(replace(config, episodes=episodes))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the runner keeps (E,) oracle costs, (3, E) policy costs and ratios, their
+    # per-chunk parts and the summaries' (E,) temporaries: under 32 floats an
+    # episode.  Holding every episode's prices and trajectories at once would
+    # take over 100.
+    assert peaks[1] - peaks[0] < 32 * 8 * (1536 - 512)
 
 
 class TestCli:

@@ -77,7 +77,7 @@ class TestOfflineOptimal:
         exact = sum(expected_min(k) for k in range(1, 7)) + 18 * expected_min(6)
         assert exact == pytest.approx(184.6405, abs=1e-4)
         prices = generate(Normal(10.0, 2.0), 24 * 2000, stream(11)).reshape(2000, 24)
-        costs = offline_costs(reference_instance, prices, 100).total_cost
+        costs = offline_costs(reference_instance, prices, 100)
         stderr = costs.std(ddof=1) / np.sqrt(costs.size)
         assert abs(costs.mean() - exact) < 4.0 * stderr
 
