@@ -11,15 +11,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    apply_overrides,
-    load_config,
-    validate_config,
-)
+from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
 from .estimation import EstimationError
 from .experiments import (
     run_adaptive_convergence,
@@ -60,31 +53,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    if args.config is not None:
-        config = load_config(args.config)
-    else:
-        config = ExperimentConfig()
-    overrides = {}
+    """The config file or the defaults, with one override of the subcommand's
+    kind, each --set pair, then the STORELAB_SEED seed, then --seed/--out."""
+    config = ExperimentConfig() if args.config is None else load_config(args.config)
+    overrides = {"kind": args.command}
     for item in args.overrides:
         if "=" not in item:
             raise ConfigError("--set", f"expected KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value
-    config = replace(config, kind=args.command)
-    if overrides:
-        config = apply_overrides(config, overrides)
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None and args.seed is None:
         try:
-            config = replace(config, seed=int(env_seed))
+            overrides["seed"] = str(int(env_seed))
         except ValueError:
             raise ConfigError(SEED_ENV_VAR, f"not an integer: {env_seed!r}") from None
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        overrides["seed"] = str(args.seed)
     if args.out is not None:
-        config = replace(config, out=args.out)
-    validate_config(config)
-    return config
+        overrides["out"] = args.out
+    return apply_overrides(config, overrides)
 
 
 def main(argv=None) -> int:

@@ -1,8 +1,10 @@
 """Experiment configuration: a flat key=value text format with validation.
 
 Every knob of every experiment kind lives in one dataclass so a single
-parser and renderer cover all subcommands.  ``parse_config(render_config(c))``
-returns an equal config for every valid config.
+parser and renderer cover all subcommands.  A config validates itself
+when it is built, parsed, overridden or replaced, so every config that
+exists is valid and ``parse_config(render_config(c))`` returns an equal
+config for every one of them.
 """
 
 from __future__ import annotations
@@ -81,6 +83,9 @@ class ExperimentConfig:
     seed: int = 20260809
     out: str = "report.csv"
 
+    def __post_init__(self) -> None:
+        validate_config(self)
+
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}  # annotation strings
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -139,9 +144,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in _FIELD_TYPES:
             raise ConfigError(key, "unknown configuration key")
         values[key] = _coerce(key, raw)
-    config = ExperimentConfig(**values)
-    validate_config(config)
-    return config
+    return ExperimentConfig(**values)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -164,9 +167,7 @@ def apply_overrides(config: ExperimentConfig, overrides: dict[str, str]) -> Expe
         if key not in _FIELD_TYPES:
             raise ConfigError(key, "unknown configuration key")
         values[key] = _coerce(key, raw)
-    updated = replace(config, **values)
-    validate_config(updated)
-    return updated
+    return replace(config, **values)
 
 
 def validate_config(config: ExperimentConfig) -> None:
@@ -175,6 +176,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("kind", f"must be one of {KINDS}, got {config.kind!r}")
     if config.model not in MODELS:
         raise ConfigError("model", f"must be one of {MODELS}, got {config.model!r}")
+    if config.kind == "relax" and config.model != "normal":
+        raise ConfigError("model", "relaxation scenarios are defined for the normal model")
     if not (0.0 < config.alpha < 1.0):
         raise ConfigError("alpha", f"must lie in (0, 1), got {config.alpha}")
     if config.model in ("normal", "ar1") and not config.sigma > 0:
@@ -231,6 +234,8 @@ def validate_config(config: ExperimentConfig) -> None:
     unknown = [s for s in config.scenarios if s not in SCENARIOS]
     if unknown:
         raise ConfigError("scenarios", f"unknown scenarios {unknown}, expected {SCENARIOS}")
+    if config.kind == "relax" and "lognormal" in config.scenarios and not config.mu > 0:
+        raise ConfigError("mu", f"the lognormal scenario needs a mean mu > 0, got {config.mu}")
     if config.kind in ("violation-curve", "estimate") and config.history is not None:
         if not Path(config.history).is_file():
             raise ConfigError("history", f"missing history file: {config.history}")
@@ -259,10 +264,8 @@ def validate_config(config: ExperimentConfig) -> None:
     # the true-parameter threshold policies need a positive lower price bound
     if config.kind == "policy-compare":
         policy_models = {"model": build_model(config)}
-    elif config.kind == "relax" and config.model == "normal":
-        policy_models = {
-            f"scenario {s!r}": scenario_policy_model(config, s) for s in config.scenarios
-        }
+    elif config.kind == "relax":
+        policy_models = {f"scenario {s!r}": scenario_models(config, s)[1] for s in config.scenarios}
     else:
         policy_models = {}
     for label, policy_model in policy_models.items():
@@ -288,11 +291,21 @@ def build_model(config: ExperimentConfig):
     return base
 
 
-def scenario_policy_model(config: ExperimentConfig, scenario: str) -> Normal:
-    """Normal model the relax policies assume: the AR(1) marginal under ``ar1``."""
+def scenario_models(config: ExperimentConfig, scenario: str) -> tuple[object, Normal, float]:
+    """A relax scenario's (price model, normal model the policies assume, eta).
+
+    The prices are serially correlated under ``ar1`` (the policies assume
+    its normal marginal), lognormal with the normal model's mean and
+    standard deviation under ``lognormal``, and the demand is noisy at
+    level ``eta`` under ``demand-noise``.
+    """
+    assumed = Normal(config.mu, config.sigma)
     if scenario == "ar1":
-        return Normal(config.mu, AR1(config.mu, config.sigma, config.phi).marginal_std)
-    return Normal(config.mu, config.sigma)
+        prices = AR1(config.mu, config.sigma, config.phi)
+        return prices, Normal(config.mu, prices.marginal_std), 0.0
+    if scenario == "lognormal":
+        return LogNormal.from_moments(config.mu, config.sigma), assumed, 0.0
+    return assumed, assumed, config.eta if scenario == "demand-noise" else 0.0
 
 
 def _demand_entry(raw: str, where: str) -> float:

@@ -6,14 +6,15 @@ index path), so runs are reproducible and byte-identical for any worker
 count; output rows are canonically ordered before writing.
 
 Fan-out: a runner splits each index range (rounds or episodes) into
-contiguous chunks, at least one per worker, and more where one chunk's
-price series would not fit ``policies.SWEEP_BYTES`` (through
-``sweep_blocks``).  Every chunk runs one module-level function with the
-frozen config and the objects the runner built once bound by
-``functools.partial``; results are merged in chunk order.  A violation
-curve is one fan-out over rounds that covers every n of the grid, and an
-adaptive sweep one fan-out over rounds that covers every warmup x refresh
-grid point, so one pool serves each run, and none at one worker.
+contiguous chunks, at least one per worker, and more where what one
+chunk holds, ``CHUNK_ARRAYS`` arrays per price series, would not fit
+``policies.SWEEP_BYTES`` (through ``sweep_blocks``).  Every chunk runs one
+module-level function with the frozen config and the objects the runner
+built once bound by ``functools.partial``; results are merged in chunk
+order.  A violation curve is one fan-out over rounds that covers every n
+of the grid, and an adaptive sweep one fan-out over rounds that covers
+every warmup x refresh grid point, so one pool serves each run, and none
+at one worker.
 
 A chunk is one batch: its episodes are scored as one (E, T) price array,
 with one ``simulate_batch`` per policy and one ``offline_costs`` call.
@@ -47,8 +48,7 @@ from .config import (
     build_instance,
     build_model,
     load_history,
-    scenario_policy_model,
-    validate_config,
+    scenario_models,
 )
 from .estimation import (
     EstimateReport,
@@ -81,11 +81,10 @@ from .policies import (
     linear_budget,
     sweep_blocks,
 )
-from .prices import AR1, LogNormal, generate
+from .prices import generate
 from .seeds import stream
 
 VIOLATION_HEADER = "n,p_hat,stderr,violations,failures,rounds"
-POLICY_IDS = ("threshold", "budgeted", "dp")  # in _true_parameter_policies' order
 SUMMARY_HEADER = "policy_id,mean_cost,regret,regret_stderr,cr_p50,cr_p95,cr_max"
 RELAX_HEADER = "scenario," + SUMMARY_HEADER
 ADAPTIVE_HEADER = (
@@ -94,16 +93,26 @@ ADAPTIVE_HEADER = (
 )
 
 
-def _map_chunks(fn, count: int, workers: int, horizon: int, series: int) -> list:
+# (T,) float arrays a chunk holds per price series: the series, the rows it
+# is stacked from, and simulate_batch's price copy, purchases and levels
+CHUNK_ARRAYS = 5
+
+
+def _map_chunks(
+    fn, count: int, workers: int, horizon: int, series: int, demand_rows: int = 0
+) -> list:
     """fn(chunk) for contiguous chunks of range(count), in order.
 
-    A unit of the range holds ``series`` price series of ``horizon`` floats.
-    There are at least ``workers`` chunks, and more where ``sweep_blocks``
-    needs them for one chunk's series to fit ``SWEEP_BYTES``.  With one
-    worker, or one chunk, every chunk runs in this process; otherwise all
-    of them go through one pool of up to ``workers`` processes.
+    A unit of the range holds ``series`` price series of ``horizon`` floats,
+    each ``CHUNK_ARRAYS`` arrays of that size, and ``demand_rows`` realized
+    demand rows.  There are at least ``workers`` chunks, and more where
+    ``sweep_blocks`` needs them for what one chunk holds to fit
+    ``SWEEP_BYTES``.  With one worker, or one chunk, every chunk runs in
+    this process; otherwise all of them go through one pool of up to
+    ``workers`` processes.
     """
-    parts = max(len(sweep_blocks(count, horizon, series, 0)), min(workers, count))
+    width = series * CHUNK_ARRAYS + demand_rows
+    parts = max(len(sweep_blocks(count, horizon, width, 0)), min(workers, count))
     bounds = np.linspace(0, count, parts + 1).astype(int).tolist()
     chunks = [range(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
     if workers <= 1 or len(chunks) <= 1:
@@ -143,7 +152,6 @@ def _violation_reports(
     The checks run once for the whole grid, before any round; the rounds
     are then fanned out once, and each chunk covers every n.
     """
-    validate_config(config)
     if min(ns) < 2:
         raise ValueError(f"sample size must be >= 2, got {min(ns)}")
     history = np.asarray(history, dtype=float)
@@ -234,11 +242,10 @@ def _true_parameter_policies(config: ExperimentConfig, instance: Instance, polic
 
 
 def _compare_chunk(
-    config: ExperimentConfig, instance: Instance, eval_model, policy_model, eta: float,
+    config: ExperimentConfig, instance: Instance, eval_model, policies, eta: float,
     episodes: range,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle costs (E,) and the true-parameter policies' costs (3, E) of ``episodes``."""
-    policies = _true_parameter_policies(config, instance, policy_model)
+    """Oracle costs (E,) and the policies' costs (len(policies), E) of ``episodes``."""
     T = instance.horizon
     prices = np.array([generate(eval_model, T, stream(config.seed, 1, e)) for e in episodes])
     realized = None
@@ -292,19 +299,25 @@ def _compare_core(
     scenario: str,
     workers: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[PolicySummary]]:
-    """Oracle costs (E,), policy costs and ratios (3, E), and one summary per policy."""
-    chunk = partial(_compare_chunk, config, build_instance(config), eval_model, policy_model, eta)
-    parts = _map_chunks(chunk, config.episodes, workers, config.T, 1)
+    """Oracle costs (E,), policy costs and ratios (3, E), and one summary per policy.
+
+    The true-parameter policies, a DP value table among them, are built
+    once here and bound to every chunk.
+    """
+    instance = build_instance(config)
+    policies = _true_parameter_policies(config, instance, policy_model)
+    chunk = partial(_compare_chunk, config, instance, eval_model, policies, eta)
+    parts = _map_chunks(chunk, config.episodes, workers, config.T, 1, int(eta > 0.0))
     opt = np.concatenate([opt for opt, _ in parts])
     alg = np.concatenate([alg for _, alg in parts], axis=1)
     crs = competitive_ratio(alg, opt)
     summaries = []
-    for policy_id, alg_k, crs_k in zip(POLICY_IDS, alg, crs):
+    for policy, alg_k, crs_k in zip(policies, alg, crs):
         reg = regret(alg_k, opt)
         cr_p50, cr_p95 = _quantiles(crs_k, (0.50, 0.95))
         summaries.append(
             PolicySummary(
-                scenario=scenario, policy_id=policy_id,
+                scenario=scenario, policy_id=policy.policy_id,
                 mean_cost=float(alg_k.mean()), regret=reg.mean,
                 regret_stderr=reg.stderr,
                 cr_p50=cr_p50, cr_p95=cr_p95,
@@ -324,10 +337,10 @@ def run_policy_compare(
     theta, bound = threshold_price(upper, lower), math.sqrt(upper / lower)
     rows = [
         MetricRow(
-            round=e, n=0, policy_id=policy_id, alg_cost=a, opt_cost=o, cr=cr,
+            round=e, n=0, policy_id=summary.policy_id, alg_cost=a, opt_cost=o, cr=cr,
             cr_bound=bound, violated=cr > bound, regret=a - o, theta_hat=theta, seed=config.seed,
         )
-        for policy_id, alg_k, crs_k in zip(POLICY_IDS, alg.tolist(), crs.tolist())
+        for summary, alg_k, crs_k in zip(summaries, alg.tolist(), crs.tolist())
         for e, (a, o, cr) in enumerate(zip(alg_k, opt.tolist(), crs_k))
     ]
     rows.sort(key=lambda r: (r.round, r.policy_id))
@@ -465,19 +478,6 @@ def run_adaptive_convergence(
 # relaxations
 
 
-def _scenario_setup(config: ExperimentConfig, scenario: str):
-    policy_model = scenario_policy_model(config, scenario)
-    if scenario == "baseline":
-        return policy_model, policy_model, 0.0
-    if scenario == "ar1":
-        return AR1(config.mu, config.sigma, config.phi), policy_model, 0.0
-    if scenario == "lognormal":
-        return LogNormal.from_moments(config.mu, config.sigma), policy_model, 0.0
-    if scenario == "demand-noise":
-        return policy_model, policy_model, config.eta
-    raise ConfigError("scenarios", f"unknown scenario {scenario!r}")
-
-
 def run_relaxation(config: ExperimentConfig, workers: int = 1) -> list[PolicySummary]:
     """Re-run the policy comparison under relaxed assumptions.
 
@@ -487,11 +487,9 @@ def run_relaxation(config: ExperimentConfig, workers: int = 1) -> list[PolicySum
     are shared across scenarios.  Returns three summaries per scenario, in
     scenario order; no per-episode record is built.
     """
-    if config.model != "normal":
-        raise ConfigError("model", "relaxation scenarios are defined for the normal model")
     summaries: list[PolicySummary] = []
     for scenario in config.scenarios:
-        eval_model, policy_model, eta = _scenario_setup(config, scenario)
+        eval_model, policy_model, eta = scenario_models(config, scenario)
         summaries.extend(_compare_core(config, eval_model, policy_model, eta, scenario, workers)[3])
     _write_csv(
         config.out,

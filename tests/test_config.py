@@ -1,10 +1,13 @@
 import math
+import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from storelab import AR1, Clamped, ConfigError, ExperimentConfig, Normal, parse_config, render_config
+import storelab.config as config_module
 from storelab.config import apply_overrides, build_instance, build_model, load_config
 
 
@@ -27,7 +30,7 @@ class TestRoundTrip:
     )
     @settings(max_examples=60, deadline=None)
     def test_random_configs(self, kind, mu, sigma, T, alpha, rounds, n_grid, refresh, clamp, seed):
-        config = ExperimentConfig(
+        values = dict(
             kind=kind, mu=mu, sigma=sigma, T=T, alpha=alpha, rounds=rounds,
             n_grid=tuple(n_grid), refresh_grid=(refresh,), clamp_m=clamp, seed=seed,
             B=float(T), s0=float(T) / 2,
@@ -35,13 +38,14 @@ class TestRoundTrip:
         # the unclamped true-parameter lower bound; relax's ar1 scenario has the widest law
         lower = {
             "policy-compare": mu - 3.0 * sigma,
-            "relax": mu - 3.0 * AR1(mu, sigma, config.phi).marginal_std,
+            "relax": mu - 3.0 * AR1(mu, sigma, ExperimentConfig.phi).marginal_std,
         }.get(kind, math.inf)
         # an adaptive warmup's estimate has no earlier report to fall back on
         if not clamp and (kind == "adaptive" or lower <= 0.0):
             with pytest.raises(ConfigError, match="clamp_m"):
-                parse_config(render_config(config))
+                ExperimentConfig(**values)
         else:
+            config = ExperimentConfig(**values)
             assert parse_config(render_config(config)) == config
 
     def test_comments_and_blank_lines(self):
@@ -181,6 +185,46 @@ class TestValidation:
             parse_config(
                 "kind=violation-curve\nresample_mode=prefix\nhistory_size=100\nn_grid=10,1000\n"
             )
+
+
+class TestEveryConfigIsValid:
+    @pytest.mark.parametrize("values, field", [
+        (dict(kind="adaptive", G=1), "G"),
+        (dict(kind="adaptive", clamp_m=False), "clamp_m"),
+        (dict(episodes=0), "episodes"),
+        (dict(kind="relax", model="ar1"), "model"),
+        (dict(kind="relax", scenarios=("lognormal",), mu=-1.0), "mu"),
+    ])
+    def test_constructor_validates(self, values, field):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**values)
+        assert err.value.field == field
+
+    def test_replace_validates(self):
+        with pytest.raises(ConfigError) as err:
+            replace(ExperimentConfig(), alpha=2.0)
+        assert err.value.field == "alpha"
+
+    def test_mean_checked_only_for_the_relax_lognormal_scenario(self):
+        ExperimentConfig(kind="relax", scenarios=("baseline",), mu=-1.0)
+        ExperimentConfig(kind="policy-compare", model="lognormal", mu=-1.0)
+
+    def test_each_way_in_validates_once_and_unpickling_not_again(self, monkeypatch, tmp_path):
+        calls = []
+        validate = config_module.validate_config
+        monkeypatch.setattr(config_module, "validate_config",
+                            lambda config: calls.append(config) or validate(config))
+        path = tmp_path / "c.cfg"
+        path.write_text("kind=relax\nepisodes=7\n")
+        config = load_config(path)
+        overridden = apply_overrides(config, {"episodes": "8", "seed": "3"})
+        assert len(calls) == 2 and calls == [config, overridden]
+
+        def refuse(config):
+            raise AssertionError("an unpickled config was validated again")
+
+        monkeypatch.setattr(config_module, "validate_config", refuse)
+        assert pickle.loads(pickle.dumps(overridden)) == overridden
 
 
 class TestOverrides:

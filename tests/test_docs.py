@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import storelab
-from storelab import cli
+from storelab import cli, parse_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,6 +16,13 @@ def test_readme_quick_start_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {"__name__": "readme"})
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_readme_example_config_parses():
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    assert len(blocks) == 1
+    config = parse_config(blocks[0])
+    assert (config.kind, config.out) == ("violation-curve", "curve.csv")
 
 
 def test_every_public_name_resolves_once():

@@ -26,6 +26,7 @@ from storelab import (
     generate,
     resample,
 )
+from storelab import cli
 from storelab.cli import main
 from storelab.config import build_instance, build_model, load_history
 from storelab.experiments import (
@@ -144,15 +145,20 @@ def _groups_per_block(monkeypatch, config, groups):
 def _units_per_chunk(monkeypatch, config, units):
     """Set ``SWEEP_BYTES`` so a runner chunk holds ``units`` rounds or episodes.
 
-    A unit holds T floats per relax or policy-compare episode,
-    len(n_grid) x eval_episodes series of T per violation round, and
-    episodes series of T per adaptive round.
+    A unit holds ``CHUNK_ARRAYS`` arrays of T floats per price series: one
+    series per relax or policy-compare episode, len(n_grid) x eval_episodes
+    per violation round, and episodes per adaptive round.  A relax episode
+    under demand noise also holds its realized demand row; the budget fits
+    ``units`` of those, and as many of the noiseless ones while ``units``
+    is below ``CHUNK_ARRAYS``.
     """
     series = {
         "violation-curve": len(config.n_grid) * config.eval_episodes,
         "adaptive": config.episodes,
     }.get(config.kind, 1)
-    monkeypatch.setattr(policies, "SWEEP_BYTES", units * 8 * config.T * series)
+    demand_rows = int(config.kind == "relax" and "demand-noise" in config.scenarios)
+    width = series * experiments.CHUNK_ARRAYS + demand_rows
+    monkeypatch.setattr(policies, "SWEEP_BYTES", units * 8 * config.T * width)
 
 
 def small_config(tmp_path, **kw):
@@ -724,9 +730,23 @@ class TestRunRelaxation:
     def test_relax_requires_normal_model(self, tmp_path):
         from storelab import ConfigError
 
-        config = small_config(tmp_path, kind="relax", model="ar1")
         with pytest.raises(ConfigError, match="model"):
-            run_relaxation(config)
+            small_config(tmp_path, kind="relax", model="ar1")
+
+    def test_true_parameter_policies_built_once_per_scenario(self, tmp_path, monkeypatch):
+        # one DP value table per scenario, however many chunks it spans
+        calls = []
+        build = experiments.build_value_table
+
+        def counting_build(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "build_value_table", counting_build)
+        config = small_config(tmp_path, kind="relax", episodes=9)
+        _units_per_chunk(monkeypatch, config, 2)
+        run_relaxation(config)
+        assert len(calls) == len(config.scenarios)
 
 
 @pytest.mark.parametrize("kind, runner, kw", [
@@ -756,7 +776,7 @@ def test_batch_rows_do_not_change_output(tmp_path, monkeypatch, kind, runner, kw
         return pool(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", counting_pool)
-    for rows in (1, 5):
+    for rows in (1, 4):
         _units_per_chunk(monkeypatch, config, rows)
         chunks.clear()
         monkeypatch.setattr(experiments, chunk_fn, recording)
@@ -795,6 +815,32 @@ def test_relax_memory_does_not_grow_with_episodes_beyond_cost_arrays(tmp_path, m
     # episode.  Holding every episode's prices and trajectories at once would
     # take over 100.
     assert peaks[1] - peaks[0] < 32 * 8 * (1536 - 512)
+
+
+def test_relax_chunks_are_bounded_by_what_they_hold(tmp_path, monkeypatch):
+    import tracemalloc
+
+    config = ExperimentConfig(kind="relax", scenarios=("baseline",), G=10, seed=3,
+                              out=str(tmp_path / "r.csv"))
+    whole = {}
+    for episodes in (8, 512, 2048):
+        run_relaxation(replace(config, episodes=episodes))  # 8: first-call caches out of the peaks
+        whole[episodes] = (tmp_path / "r.csv").read_bytes()
+    # a chunk's series and trajectories fit 256 KiB: 273 episodes of 24 prices
+    monkeypatch.setattr(policies, "SWEEP_BYTES", 1 << 18)
+    peaks = []
+    for episodes in (512, 2048):
+        tracemalloc.start()
+        try:
+            run_relaxation(replace(config, episodes=episodes))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "r.csv").read_bytes() == whole[episodes]
+    # past two chunks the peak grows by the runner's cost arrays alone, about
+    # 8 floats an episode.  Counting a chunk by its price series alone lets
+    # it grow to 1365 episodes here, and the peak by about 50 floats an episode.
+    assert peaks[1] - peaks[0] < 16 * 8 * (2048 - 512)
 
 
 class TestCli:
@@ -974,6 +1020,32 @@ class TestCli:
 
     def test_bad_env_seed_exits_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("STORELAB_SEED", "not-a-number")
-        code = main(["estimate", "--out", str(tmp_path / "x.csv")])
+        for command in ("estimate", "relax"):
+            code = main([command, "--out", str(tmp_path / "x.csv")])
+            assert code == 1
+            assert "STORELAB_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, field", [
+        (["model=lognormal"], "model"),
+        (["scenarios=lognormal", "mu=-1"], "mu"),
+    ])
+    def test_relax_config_errors_exit_1_before_any_episode(
+        self, tmp_path, capsys, overrides, field
+    ):
+        out = tmp_path / "r.csv"
+        code = main(["relax", *(a for o in overrides for a in ("--set", o)), "--out", str(out)])
         assert code == 1
-        assert "STORELAB_SEED" in capsys.readouterr().err
+        assert f"configuration error: {field}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flags_win_over_set_and_env(self, tmp_path, monkeypatch):
+        # kind, then --set, then STORELAB_SEED, then --seed and --out
+        seen = []
+        monkeypatch.setitem(cli._SUBCOMMANDS, "estimate", lambda config, workers: seen.append(config))
+        monkeypatch.setenv("STORELAB_SEED", "5")
+        out = str(tmp_path / "flag.csv")
+        assert main(["estimate", "--set", "seed=4", "--set", "out=set.csv", "--set", "mu=9",
+                     "--out", out]) == 0
+        assert main(["estimate", "--set", "kind=adaptive", "--seed", "6"]) == 0
+        assert [(c.kind, c.seed, c.out, c.mu) for c in seen] == [
+            ("estimate", 5, out, 9.0), ("adaptive", 6, "report.csv", 10.0)]
