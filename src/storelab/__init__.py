@@ -58,7 +58,6 @@ from .metrics import (
     MetricRow,
     RegretReport,
     ViolationReport,
-    brute_force_optimal,
     competitive_ratio,
     offline_costs,
     offline_optimal,
@@ -99,7 +98,6 @@ __all__ = [
     "ValueTable",
     "ViolationReport",
     "bound_violation_probability",
-    "brute_force_optimal",
     "build_value_table",
     "build_value_tables",
     "competitive_ratio",

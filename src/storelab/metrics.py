@@ -1,21 +1,14 @@
 """Hindsight oracles, competitive ratio, regret, and bound-violation rounds.
 
-The offline oracle is the purchase DP with each episode's realized price as
-its single atom per slot, so its cost is exact whenever demands, capacity,
-and the initial fill are multiples of the grid step.  ``offline_costs``
-scores E episodes at once and returns their (E,) costs; it takes its rows
-in the DP table's ``policies.sweep_blocks``, which bound the value cube's
-memory.  Each block is one ``_hindsight_block``:
-``policies.SlotGeometry.min_costs`` fills a (T+1, rows, G+1) value cube
-indexed as a ``ValueTable``'s, and ``simulate_batch``, the one simulation
-engine, runs the greedy rule that reads each row's own value rows.  The
-geometry, the part of the slot that no price changes, is built again only
-where the slot demand changes: one shared by every row under the
-instance's demand, one row per series under a realized demand.  Every
-row's result is the same bits whatever block it lands in, and
-``offline_optimal`` is one row of a block.  The brute-force oracle
-enumerates purchase lattices on tiny instances and exists only to
-validate the others.
+The offline oracle is a value table like any other: ``hindsight_table``
+runs the purchase DP with each episode's realized price as its one atom
+per slot, by ``policies.SlotGeometry.min_costs``, and ``DpPolicy`` is its
+greedy rule, so its cost is exact whenever demands, capacity, and the
+initial fill are multiples of the grid step.  ``offline_costs`` scores E
+episodes at once through ``simulate_batch`` and returns their (E,) costs;
+it takes its rows in the DP table's ``policies.sweep_blocks``, which bound
+the value cube's memory.  Every row's result is the same bits whatever
+block it lands in, and ``offline_optimal`` is the one-row ``simulate``.
 
 A violation chunk estimates its (round, n) pairs and scores them together:
 one threshold batch and one oracle batch over the distinct series.
@@ -33,18 +26,16 @@ from .estimation import EstimationError, estimate
 from .model import (
     Instance,
     Trajectory,
-    TrajectoryBatch,
     demand_rows,
-    feasible_purchase_range,
-    one_row,
     price_rows,
-    simulate,  # noqa: F401  (a name bench/tracer.py wraps)
+    simulate,
     simulate_batch,
 )
 from .policies import (
+    DpPolicy,
     ThresholdPolicy,
+    ValueTable,
     argmin_purchase,  # noqa: F401  (a name bench/tracer.py wraps)
-    argmin_purchases,
     backward_step,  # noqa: F401  (a name bench/tracer.py wraps)
     slot_sweep,
     storage_grid,
@@ -101,37 +92,19 @@ def write_metric_rows(path, rows) -> None:
     )
 
 
-class _HindsightRule:
-    """Greedy forward pass against each row's own value rows, for ``simulate_batch``."""
+def hindsight_table(
+    instance: Instance, prices: np.ndarray, grid: np.ndarray, demand
+) -> ValueTable:
+    """The hindsight oracle's value table for E price series: row e's price its one atom per slot.
 
-    policy_id = "offline"
-
-    def __init__(self, grid: np.ndarray, values: np.ndarray, demand: np.ndarray) -> None:
-        self.grid = grid
-        self.values = values  # (T+1, E, G+1): values[t] is the value before slot t
-        self.demand = demand  # (T,), or (E, T) per row
-
-    def decide_batch(self, t, levels, prices, instance):
-        return argmin_purchases(
-            self.grid, self.values[t + 1], instance.storage, levels,
-            self.demand[..., t], prices,
-        )
-
-
-def _hindsight_block(
-    instance: Instance, prices: np.ndarray, grid: np.ndarray, realized_demand=None
-) -> TrajectoryBatch:
-    """Hindsight-optimal trajectories of one block of rows: the grid sweep, then the greedy pass.
-
-    The sweep stops at slot 1, because the greedy pass reads only the
-    value after each slot; row T of the value cube stays zero.
+    ``prices`` is (E, T) and ``demand`` the demand the rows plan for, (T,)
+    or one (E, T) row per series.  The backward sweep fills the
+    (T+1, E, G+1) values by ``SlotGeometry.min_costs``.
     """
-    T = instance.horizon
-    demand = instance.demand if realized_demand is None else realized_demand
-    values = np.zeros((T + 1, prices.shape[0], grid.size))
-    for t, geometry in slot_sweep(grid, instance.storage.capacity, demand, first_slot=1):
+    values = np.zeros((instance.horizon + 1, prices.shape[0], grid.size))
+    for t, geometry in slot_sweep(grid, instance.storage.capacity, demand):
         values[t] = geometry.min_costs(values[t + 1], prices[:, t])
-    return simulate_batch(instance, prices, _HindsightRule(grid, values, demand), realized_demand)
+    return ValueTable(grid, values, demand)
 
 
 def offline_costs(
@@ -141,7 +114,8 @@ def offline_costs(
 
     ``realized_demand`` (one (E, T) row per series) replaces the instance's
     demand for the oracle.  Row e equals ``offline_optimal`` on series e
-    bit for bit.  Rows go through ``_hindsight_block`` in ``sweep_blocks``.
+    bit for bit.  Rows go through in ``sweep_blocks``, each block one
+    ``hindsight_table`` that ``DpPolicy`` acts on.
     """
     T = instance.horizon
     prices = price_rows(prices, T)
@@ -150,64 +124,26 @@ def offline_costs(
     grid = storage_grid(instance.storage.capacity, grid_size)
     costs = np.empty(E)
     for start, stop in sweep_blocks(E, T, grid.size, 1):
-        block_demand = None if demand is None else demand[start:stop]
-        block = _hindsight_block(instance, prices[start:stop], grid, block_demand)
-        costs[start:stop] = block.total_cost
+        rows = prices[start:stop]
+        realized = None if demand is None else demand[start:stop]
+        plan = instance.demand if realized is None else realized
+        # one expression, so one block's table is alive at a time
+        costs[start:stop] = simulate_batch(
+            instance, rows, DpPolicy(hindsight_table(instance, rows, grid, plan)), realized,
+        ).total_cost
     costs.flags.writeable = False
     return costs
 
 
 def offline_optimal(instance: Instance, prices, grid_size: int = 100) -> Trajectory:
-    """Hindsight-optimal trajectory of one price series: one row of ``_hindsight_block``."""
-    grid = storage_grid(instance.storage.capacity, grid_size)
-    return one_row(_hindsight_block, instance, prices, grid)
-
-
-def brute_force_optimal(instance: Instance, prices, q_step: float) -> float:
-    """Exact minimum cost over purchase sequences on the q_step lattice.
-
-    Exponential enumeration; guarded to T <= 6 and at most 12 lattice steps
-    per slot.  Used solely to validate offline_optimal and DpPolicy.
-    """
-    prices = np.asarray(prices, dtype=float)
+    """Hindsight-optimal trajectory of one price series: ``DpPolicy`` on its ``hindsight_table``."""
+    prices = as_series(prices, "prices")
     T = instance.horizon
-    if T > 6:
-        raise ValueError(f"brute force limited to T <= 6, got {T}")
-    if q_step <= 0:
-        raise ValueError("q_step must be > 0")
-    spec = instance.storage
-    q_cap = float(np.max(instance.demand)) + spec.capacity
-    if q_cap / q_step > 12 + 1e-9:
-        raise ValueError(
-            f"lattice too fine: q_max/q_step = {q_cap / q_step:.1f} exceeds 12"
-        )
-
-    demand = instance.demand
-    memo: dict[tuple[int, float], float] = {}
-
-    def best(t: int, level: float) -> float:
-        if t == T:
-            return 0.0
-        key = (t, round(level, 9))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        q_lo, q_hi = feasible_purchase_range(spec, level, float(demand[t]))
-        k_lo = math.ceil((q_lo - 1e-9) / q_step)
-        k_hi = math.floor((q_hi + 1e-9) / q_step)
-        out = math.inf
-        for k in range(max(k_lo, 0), k_hi + 1):
-            q = k * q_step
-            cost = prices[t] * q + best(t + 1, level + q - float(demand[t]))
-            if cost < out:
-                out = cost
-        memo[key] = out
-        return out
-
-    result = best(0, spec.initial_level)
-    if not math.isfinite(result):
-        raise ValueError("no feasible purchase sequence on the given lattice")
-    return result
+    if prices.size < T:
+        raise ValueError(f"need at least {T} prices, got {prices.size}")
+    grid = storage_grid(instance.storage.capacity, grid_size)
+    table = hindsight_table(instance, prices[None, :T], grid, instance.demand)
+    return simulate(instance, prices, DpPolicy(table))
 
 
 def competitive_ratio(alg_cost, opt_cost):

@@ -220,18 +220,18 @@ def simulate_batch(instance, prices, policy, realized_demand=None) -> Trajectory
     )
 
 
-def one_row(engine, instance, prices, *args) -> Trajectory:
-    """Row 0 of ``engine(instance, [prices], *args)`` as a Trajectory.
+def simulate(instance, prices, policy, *, realized_demand=None) -> Trajectory:
+    """Drive a policy over one price series of at least T prices: the one-row ``simulate_batch``.
 
-    ``engine`` is a batch engine, ``simulate_batch`` with its policy and
-    realized demand or the hindsight oracle's one-block pass with its grid,
-    and ``prices`` one series of at least T prices.
+    ``realized_demand``, when given, is one length-T row.
     """
+    if realized_demand is not None:
+        realized_demand = np.reshape(realized_demand, (1, -1))
     prices = as_series(prices, "prices")
     T = instance.horizon
     if prices.size < T:
         raise ValueError(f"need at least {T} prices, got {prices.size}")
-    batch = engine(instance, prices[None, :], *args)
+    batch = simulate_batch(instance, prices[None, :], policy, realized_demand)
     return Trajectory(
         prices=batch.prices[0],
         purchases=batch.purchases[0],
@@ -239,13 +239,3 @@ def one_row(engine, instance, prices, *args) -> Trajectory:
         total_cost=float(batch.total_cost[0]),
         clamped_slots=tuple(np.flatnonzero(batch.clamped[0]).tolist()),
     )
-
-
-def simulate(instance, prices, policy, *, realized_demand=None) -> Trajectory:
-    """Drive a policy over one price series: the one-row ``simulate_batch``.
-
-    ``realized_demand``, when given, is one length-T row.
-    """
-    if realized_demand is not None:
-        realized_demand = np.reshape(realized_demand, (1, -1))
-    return one_row(simulate_batch, instance, prices, policy, realized_demand)

@@ -17,7 +17,9 @@ through the same one, on its own ``storage_grid``, by
 ``SlotGeometry.min_costs``.  Both sweeps split their rows by
 ``sweep_blocks``.  The DP step is row-wise: one sweep builds a stacked
 table, one value row per price model, and every row equals its model's
-own table bit for bit.
+own table bit for bit.  A ``ValueTable`` carries the demand its rows plan
+for, and ``DpPolicy`` is the one greedy rule over any table: the DP's, or
+the oracle's, whose rows have one price atom each.
 
 A policy family maps a list of estimate reports and a first slot to one
 policy that serves one batch row per report; the DP family gives equal
@@ -138,11 +140,23 @@ class ValueTable:
     ``breakpoint_lattice``.  A stacked table holds one such row per price
     model, values[t, e, i], (T+1, E, W).
     Only slots first_slot..T are built; the slots before it are zero.
+    ``demand`` is the demand the rows plan for: (T,), shared by every row,
+    or (E, T), one per row of a stacked table.
     """
 
     grid: np.ndarray
     values: np.ndarray
+    demand: np.ndarray
     first_slot: int = 0
+
+    def __post_init__(self) -> None:
+        demand = np.asarray(self.demand, dtype=float)
+        rows = self.values.shape[1:-1]  # (E,) for a stacked table
+        if demand.shape not in ((self.horizon,), rows + (self.horizon,)):
+            raise ValueError(
+                f"demand of shape {demand.shape} does not fit values of shape {self.values.shape}"
+            )
+        object.__setattr__(self, "demand", demand)
 
     @property
     def horizon(self) -> int:
@@ -458,7 +472,7 @@ def build_value_tables(
             rows[t] = backward_step(geometry, rows[t + 1], atoms)
     grid.flags.writeable = False
     values.flags.writeable = False
-    return ValueTable(grid=grid, values=values, first_slot=first_slot)
+    return ValueTable(grid=grid, values=values, demand=instance.demand, first_slot=first_slot)
 
 
 def build_value_table(
@@ -466,7 +480,9 @@ def build_value_table(
 ) -> ValueTable:
     """The one-model ``build_value_tables``: values of shape (T+1, W)."""
     table = build_value_tables(instance, [model], atom_count, first_slot)
-    return ValueTable(grid=table.grid, values=table.values[:, 0], first_slot=first_slot)
+    return ValueTable(
+        grid=table.grid, values=table.values[:, 0], demand=table.demand, first_slot=first_slot,
+    )
 
 
 def interp_rows(x: np.ndarray, grid: np.ndarray, fp: np.ndarray) -> np.ndarray:
@@ -527,7 +543,8 @@ class DpPolicy(Policy):
 
     A one-model table serves every row; a stacked table of E models serves
     E rows, row e from its own value row, or, given ``rows``, batch row e
-    from value row ``rows[e]``.
+    from value row ``rows[e]``.  Each row plans for its value row's demand,
+    the table's ``demand``.
     """
 
     policy_id = "dp"
@@ -542,17 +559,17 @@ class DpPolicy(Policy):
             raise IndexError(f"slot {t} beyond table horizon {table.horizon}")
         if t < table.first_slot:
             raise IndexError(f"slot {t} before table first slot {table.first_slot}")
-        v_next = table.values[t + 1]
+        v_next, demand = table.values[t + 1], table.demand[..., t]
         if self.rows is not None:
             v_next = v_next[self.rows]
+            if demand.ndim:
+                demand = demand[self.rows]
         if v_next.ndim > 1 and v_next.shape[0] not in (1, levels.size):
             raise ValueError(
                 f"a stacked value table of {v_next.shape[0]} rows cannot serve "
                 f"{levels.size} rows"
             )
-        return argmin_purchases(
-            table.grid, v_next, instance.storage, levels, instance.demand[t], prices,
-        )
+        return argmin_purchases(table.grid, v_next, instance.storage, levels, demand, prices)
 
 
 class ThresholdFamily:

@@ -242,4 +242,54 @@ def reference_offline_optimal(instance: Instance, prices, grid_size: int = 100):
             grid, values[t + 1], float(instance.demand[t]), spec,
             np.asarray([float(prices[t])]), one,
         )
-    return reference_simulate(instance, prices, DpPolicy(ValueTable(grid, values)))
+    return reference_simulate(
+        instance, prices, DpPolicy(ValueTable(grid, values, instance.demand))
+    )
+
+
+def brute_force_optimal(instance: Instance, prices, q_step: float) -> float:
+    """Exact minimum cost over purchase sequences on the q_step lattice.
+
+    Exponential enumeration; guarded to T <= 6 and at most 12 lattice steps
+    per slot.  The scalar reference that ``offline_optimal`` and the DP
+    policy are checked against on tiny instances.
+    """
+    prices = np.asarray(prices, dtype=float)
+    T = instance.horizon
+    if T > 6:
+        raise ValueError(f"brute force limited to T <= 6, got {T}")
+    if q_step <= 0:
+        raise ValueError("q_step must be > 0")
+    spec = instance.storage
+    q_cap = float(np.max(instance.demand)) + spec.capacity
+    if q_cap / q_step > 12 + 1e-9:
+        raise ValueError(
+            f"lattice too fine: q_max/q_step = {q_cap / q_step:.1f} exceeds 12"
+        )
+
+    demand = instance.demand
+    memo: dict[tuple[int, float], float] = {}
+
+    def best(t: int, level: float) -> float:
+        if t == T:
+            return 0.0
+        key = (t, round(level, 9))
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        q_lo, q_hi = feasible_purchase_range(spec, level, float(demand[t]))
+        k_lo = math.ceil((q_lo - 1e-9) / q_step)
+        k_hi = math.floor((q_hi + 1e-9) / q_step)
+        out = math.inf
+        for k in range(max(k_lo, 0), k_hi + 1):
+            q = k * q_step
+            cost = prices[t] * q + best(t + 1, level + q - float(demand[t]))
+            if cost < out:
+                out = cost
+        memo[key] = out
+        return out
+
+    result = best(0, spec.initial_level)
+    if not math.isfinite(result):
+        raise ValueError("no feasible purchase sequence on the given lattice")
+    return result

@@ -22,7 +22,6 @@ from storelab import (
     StorageSpec,
     ThresholdPolicy,
     bound_violation_probability,
-    brute_force_optimal,
     build_value_table,
     feasible_purchase_range,
     generate,
@@ -44,7 +43,7 @@ from storelab.experiments import (
 from storelab.seeds import stream
 from storelab.special import chi2_cdf, chi2_quantile, t_cdf, t_quantile
 
-from conftest import random_aligned_instance
+from conftest import brute_force_optimal, random_aligned_instance
 
 
 def _report(criterion: str, detail: str) -> None:

@@ -40,10 +40,10 @@ from storelab import (
 from storelab import metrics, policies
 from storelab.config import build_instance, build_model
 from storelab.experiments import run_policy_compare
-from storelab.metrics import offline_costs
+from storelab.metrics import hindsight_table, offline_costs
 from storelab.model import TrajectoryBatch, feasible_purchase_ranges, simulate_batch
 from storelab.policies import (
-    SlotGeometry, breakpoint_lattice, interp_rows, quantile_atoms, storage_grid,
+    SlotGeometry, ValueTable, breakpoint_lattice, interp_rows, quantile_atoms, storage_grid,
 )
 from storelab.seeds import stream
 
@@ -541,6 +541,20 @@ class TestValueTables:
         with pytest.raises(ValueError, match="3 rows cannot serve 2 rows"):
             stacked.decide_batch(0, levels[:2], prices[:2], inst)
 
+    def test_row_map_takes_each_value_row_with_its_demand(self):
+        # a table whose rows plan for their own demands, served through a row map
+        inst = Instance.constant(3, 1.0, StorageSpec(2.0))
+        grid = storage_grid(2.0, 8)
+        prices = np.array([[9.0, 12.0, 10.0], [11.0, 8.0, 10.0]])
+        demand = np.array([[1.0, 0.5, 1.5], [0.25, 1.0, 0.75]])
+        table = hindsight_table(inst, prices, grid, demand)
+        rows = np.array([1, 0, 1])
+        levels, observed = np.array([0.5, 1.0, 2.0]), np.array([9.0, 10.0, 11.0])
+        q = DpPolicy(table, rows).decide_batch(0, levels, observed, inst)
+        for e, r in enumerate(rows):
+            alone = DpPolicy(ValueTable(grid, table.values[:, r], demand[r]))
+            assert q[e] == alone.decide(0, levels[e], observed[e], inst)
+
     def test_dp_family_builds_one_row_per_distinct_model(self):
         inst = Instance.constant(4, 1.0, StorageSpec(2.0))
         a = estimate([10.0, 10.5, 9.5, 10.2], clamp_nonpositive_lower=True)
@@ -647,8 +661,11 @@ class TestOfflineCosts:
         for realized in (None, np.zeros((0, 4))):
             costs = offline_costs(instance, np.zeros((0, 4)), 10, realized_demand=realized)
             assert costs.shape == (0,) and costs.dtype == float and not costs.flags.writeable
-            # the block pass itself turns no rows into empty rows
-            batch = metrics._hindsight_block(instance, np.zeros((0, 4)), grid, realized)
+            # the table and its greedy pass themselves turn no rows into empty rows
+            plan = instance.demand if realized is None else realized
+            table = hindsight_table(instance, np.zeros((0, 4)), grid, plan)
+            assert table.values.shape == (5, 0, grid.size)
+            batch = simulate_batch(instance, np.zeros((0, 4)), DpPolicy(table), realized)
             assert batch.prices.shape == batch.purchases.shape == batch.clamped.shape == (0, 4)
             assert batch.levels.shape == (0, 5)
             assert batch.total_cost.shape == (0,)

@@ -15,7 +15,6 @@ from storelab import (
     StorageSpec,
     ThresholdPolicy,
     bound_violation_probability,
-    brute_force_optimal,
     build_value_table,
     competitive_ratio,
     generate,
@@ -24,10 +23,11 @@ from storelab import (
     simulate,
 )
 from storelab import experiments
-from storelab.metrics import METRIC_HEADER, offline_costs, write_metric_rows
+from storelab.metrics import METRIC_HEADER, hindsight_table, offline_costs, write_metric_rows
+from storelab.policies import storage_grid
 from storelab.seeds import stream
 
-from conftest import random_aligned_instance
+from conftest import brute_force_optimal, random_aligned_instance
 
 
 class TestOfflineOptimal:
@@ -85,6 +85,42 @@ class TestOfflineOptimal:
         inst = Instance.constant(3, 1.0, StorageSpec(1.0))
         with pytest.raises(ValueError):
             offline_optimal(inst, [1.0, 2.0])
+
+
+class TestHindsightTable:
+    """The oracle's value before slot 0, read at the initial fill, is its cost.
+
+    On a grid that holds every demand, the capacity and the initial fill,
+    the table's values are the exact optimum of each series, so they must
+    agree with the greedy pass's cost to within rounding.
+    """
+
+    @staticmethod
+    def _assert_start_values_are_costs(instance, prices, grid_size, realized=None):
+        grid = storage_grid(instance.storage.capacity, grid_size)
+        demand = instance.demand if realized is None else realized
+        table = hindsight_table(instance, prices, grid, demand)
+        s0 = instance.storage.initial_level
+        start = [np.interp(s0, grid, row) for row in table.values[0]]
+        costs = offline_costs(instance, prices, grid_size, realized_demand=realized)
+        scale = np.abs(prices).mean() * np.sum(demand, axis=-1)  # a cost's size
+        assert np.all(np.abs(start - costs) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("mu", [10.0, 1.0])  # N(1, 2^2) prices go negative
+    def test_unit_demand(self, reference_instance, mu):
+        prices = generate(Normal(mu, 2.0), 24 * 256, stream(31)).reshape(256, 24)
+        self._assert_start_values_are_costs(reference_instance, prices, 100)
+
+    def test_vector_demand(self):
+        inst = Instance(6, np.array([0.5, 1.0, 0.0, 1.5, 0.25, 1.0]), StorageSpec(2.0, 0.5))
+        prices = generate(Normal(2.0, 3.0), 6 * 256, stream(32)).reshape(256, 6)
+        self._assert_start_values_are_costs(inst, prices, 8)
+
+    def test_realized_demand(self):
+        inst = Instance(6, np.array([0.5, 1.0, 0.0, 1.5, 0.25, 1.0]), StorageSpec(2.0, 0.5))
+        prices = generate(Normal(2.0, 3.0), 6 * 64, stream(33)).reshape(64, 6)
+        realized = 0.25 * np.random.default_rng(34).integers(0, 8, (64, 6))
+        self._assert_start_values_are_costs(inst, prices, 8, realized)
 
 
 class TestBruteForce:

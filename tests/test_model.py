@@ -8,10 +8,11 @@ from storelab import (
     Instance,
     Policy,
     StorageSpec,
-    brute_force_optimal,
     feasible_purchase_range,
     simulate,
 )
+
+from conftest import brute_force_optimal
 
 
 class FixedPlanPolicy(Policy):

@@ -16,6 +16,7 @@ from storelab import (
     StorageSpec,
     ThresholdFamily,
     ThresholdPolicy,
+    ValueTable,
     build_value_table,
     estimate,
     feasible_purchase_range,
@@ -131,6 +132,17 @@ class TestValueTable:
         probs = (np.arange(count) + 0.5) / count
         expected = np.asarray([model.quantile(float(p)) for p in probs])
         assert quantile_atoms(model, count).tobytes() == expected.tobytes()
+
+    def test_demand_must_fit_the_values(self):
+        grid, values = np.zeros(3), np.zeros((4, 2, 3))
+        # one shared demand row, or one per row of a stacked table
+        assert ValueTable(grid, values, [1.0, 1.0, 1.0]).demand.tolist() == [1.0] * 3
+        assert ValueTable(grid, values, np.ones((2, 3))).demand.shape == (2, 3)
+        assert ValueTable(grid, values[:, 0], np.ones(3)).demand.shape == (3,)
+        for table_values, demand in ((values, np.ones(4)), (values, np.ones((3, 3))),
+                                     (values, 1.0), (values[:, 0], np.ones((1, 3)))):
+            with pytest.raises(ValueError, match="does not fit"):
+                ValueTable(grid, table_values, demand)
 
     def test_single_slot_value_is_mean_price(self):
         inst = _inst(T=1, demand=1.0, B=1.0)
