@@ -17,7 +17,10 @@ through the same one, on its own ``storage_grid``, by
 ``SlotGeometry.min_costs``.  Both sweeps split their rows by
 ``sweep_blocks``.  The DP step is row-wise: one sweep builds a stacked
 table, one value row per price model, and every row equals its model's
-own table bit for bit.  A ``ValueTable`` carries the demand its rows plan
+own table bit for bit.  Its only loop over the rows is one sorted search
+for the base-stock indices; the count of atoms that reach each level
+comes from one histogram of those indices per row, and the sums are
+whole-array work.  A ``ValueTable`` carries the demand its rows plan
 for, and ``DpPolicy`` is the one greedy rule over any table: the DP's, or
 the oracle's, whose rows have one price atom each.
 
@@ -215,22 +218,25 @@ class InterpBracket:
 
     ``interp_bracket`` builds it once for a set of points; ``values_at``
     evaluates any value rows there.  The indices are ready for ``take``
-    along ``axis``.
+    along ``axis``.  ``on_grid`` says every point lies on a grid point.
     """
 
-    __slots__ = ("lo", "hi", "at", "exact", "offset", "width", "axis")
+    __slots__ = ("lo", "hi", "at", "exact", "on_grid", "offset", "width", "axis")
 
     def __init__(self, lo, hi, at, exact, offset, width, axis) -> None:
         self.lo = lo  # the grid point at or below each point
         self.hi = hi  # the grid point above it
         self.at = at  # the grid point a point lies on, where ``exact``
         self.exact = exact
+        self.on_grid = bool(exact.all())
         self.offset = offset  # point minus grid[lo]
         self.width = width  # grid[hi] - grid[lo]
         self.axis = axis
 
     def values_at(self, fp: np.ndarray) -> np.ndarray:
         """``np.interp`` of the points on the grid with values ``fp``, bit for bit."""
+        if self.on_grid:  # the copy below would overwrite every interpolated value
+            return fp.take(self.at, axis=self.axis)
         y0 = fp.take(self.lo, axis=self.axis)
         out = fp.take(self.hi, axis=self.axis)
         out -= y0
@@ -329,15 +335,17 @@ class AtomSums:
     """A stacked DP table's price atoms, each row sorted ascending, and the sums its steps read.
 
     ``atoms`` is (E, K): K atoms for each of E tables, every atom weighing
-    1/K.  ``tail_w[e, m]`` and ``tail_wp[e, m]`` sum the weights, and the
-    weights times row e's atoms, of atoms m..K-1; both end in an exact
-    0.0, and ``mean`` (``tail_wp[:, :1]``) is each row's mean price.  A
-    step reads them flattened: ``row_ends[e]`` is the flat index of row
-    e's last sum.  Sorting makes each table independent of the order its
-    atoms come in.
+    1/K, over value rows of ``width`` levels.  ``tail_w[e, m]`` and
+    ``tail_wp[e, m]`` sum the weights, and the weights times row e's
+    atoms, of atoms m..K-1; both end in an exact 0.0, and ``mean``
+    (``tail_wp[:, :1]``) is each row's mean price.  A step reads the
+    value rows and the sums flattened: ``level_starts`` and ``row_ends``
+    are (E, 1), the flat index of row e's first level and of its last
+    sum.  Sorting makes each table independent of the order its atoms
+    come in.
     """
 
-    def __init__(self, atoms) -> None:
+    def __init__(self, atoms, width: int) -> None:
         self.atoms = np.sort(np.asarray(atoms, dtype=float), axis=-1)
         self.neg_atoms = -self.atoms  # the slope each atom's base-stock level reaches
         rows, count = self.atoms.shape
@@ -345,7 +353,9 @@ class AtomSums:
         self.tail_w = _suffix_sums(np.full(self.atoms.shape, self.weight))
         self.tail_wp = _suffix_sums(self.weight * self.atoms)
         self.mean = self.tail_wp[:, :1]
-        self.row_ends = [(count + 1) * e + count for e in range(rows)]
+        row = np.arange(rows, dtype=np.intp)[:, None]
+        self.level_starts = width * row
+        self.row_ends = (count + 1) * row + count
 
 
 def _suffix_sums(x: np.ndarray) -> np.ndarray:
@@ -355,8 +365,35 @@ def _suffix_sums(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def base_stock_ranks(geometry: SlotGeometry, v_next: np.ndarray, atoms: AtomSums):
+    """The integer half of ``backward_step``: (J, J's flat index, at), all exact ranks.
+
+    J (E, K) is each atom's base-stock index, the first grid point whose
+    right slope of its value row reaches -p: one sorted search per row,
+    O(K log W), which counts the slopes strictly below -p.  The slopes
+    are forced non-decreasing to absorb rounding.  J falls as p rises, so
+    the atoms whose J reaches L, the first grid index at or above s_lo,
+    are a row's m cheapest; m is K less the row's atoms whose J falls
+    short of L, read at every level off one cumulative histogram of J
+    per row, O(K + W).  ``at`` (E, W) is, per level, the flat index of
+    row e's sums at m.
+    """
+    slopes = v_next[:, 1:] - v_next[:, :-1]
+    np.divide(slopes, geometry.steps, out=slopes)
+    np.maximum.accumulate(slopes, axis=-1, out=slopes)
+    best = np.empty(atoms.atoms.shape, dtype=np.intp)  # J, non-increasing along each row
+    for e in range(best.shape[0]):
+        best[e] = slopes[e].searchsorted(atoms.neg_atoms[e])
+    rows, width = v_next.shape
+    flat = best + atoms.level_starts  # J as a flat index into the value rows
+    below = np.zeros((rows, width + 1), dtype=np.intp)  # [e, L]: row e's atoms with J < L
+    counts = np.bincount(flat.ravel(), minlength=rows * width).reshape(rows, width)
+    np.add.accumulate(counts, axis=-1, out=below[:, 1:])
+    return best, flat, atoms.row_ends - below.take(geometry.lo_index, axis=-1)
+
+
 def backward_step(geometry: SlotGeometry, v_next: np.ndarray, atoms: AtomSums) -> np.ndarray:
-    """One Bellman step of the purchase DP, by the atoms' base-stock levels, row by row.
+    """One Bellman step of the purchase DP, by the atoms' base-stock levels, row-wise.
 
     ``v_next`` is (E, W), one value row per row of ``atoms``; every row
     plans for the nominal demand, so all share the (W,) ``geometry``, and
@@ -366,28 +403,16 @@ def backward_step(geometry: SlotGeometry, v_next: np.ndarray, atoms: AtomSums) -
     the new value is the weighted mean over the row's atoms.
     Each value row must be convex (every row this step builds is), so
     p s' + V(s') is convex and its minimum over the grid is at the
-    base-stock index J, the first grid point whose right slope of V
-    reaches -p.  The slopes are forced non-decreasing to absorb rounding.
-    J falls as p rises, so the atoms whose J reaches L, the first grid
-    index at or above s_lo, are the m cheapest, and they take grid[J]; the
-    rest take the exact endpoint s_lo.  Sums over the sorted atoms give
-    every level's value in O(K log G + G log K) per row.  J and m are
-    integer ranks found row by row and the rest is element-wise, so each
-    row carries the bits a one-row step gives it.
+    base-stock index J.  The m atoms whose J reaches L take grid[J], the
+    rest the exact endpoint s_lo (``base_stock_ranks``), and sums over
+    the sorted atoms give every level's value.  A step costs one sorted
+    search per row, O(K log W), and whole-array work in O(K + W) per row.
+    J and m are exact integers and the rest is element-wise, so each row
+    carries the bits a one-row step gives it.
     """
-    slopes = v_next[:, 1:] - v_next[:, :-1]
-    np.divide(slopes, geometry.steps, out=slopes)
-    np.maximum.accumulate(slopes, axis=-1, out=slopes)
-    best = np.empty(atoms.atoms.shape, dtype=np.intp)  # J, non-increasing along each row
-    terms = np.empty(atoms.atoms.shape)
-    at = np.empty(v_next.shape, dtype=np.intp)  # per level, the flat index of row e's sums at m
-    for e, row_end in enumerate(atoms.row_ends):
-        j = slopes[e].searchsorted(atoms.neg_atoms[e])
-        best[e] = j
-        terms[e] = v_next[e].take(j)
-        # m, the atoms whose J reaches L, is K less the atoms whose J falls short of it
-        at[e] = row_end - j[::-1].searchsorted(geometry.lo_index)
-    terms += atoms.atoms * geometry.grid[best]
+    best, flat, at = base_stock_ranks(geometry, v_next, atoms)
+    terms = v_next.take(flat)
+    terms += atoms.atoms * geometry.grid.take(best)
     terms *= atoms.weight
     head = np.zeros(atoms.tail_wp.shape)
     np.add.accumulate(terms, axis=-1, out=head[:, 1:])
@@ -426,7 +451,10 @@ def quantile_atoms(model, count: int) -> np.ndarray:
 
 
 SWEEP_BYTES = 1 << 21  # bytes of one block of a backward sweep's rows
-STEP_ARRAYS = 10  # (rows, K) float arrays a DP step's atom sums and temporaries hold at once
+# (rows, K) arrays a DP step holds at once: the four of its ``AtomSums``, J, J's
+# flat index and the terms, and then p grid[J] and its product, or the head sums
+# and the buffer their accumulate writes through; its (rows, W) arrays are not counted
+STEP_ARRAYS = 9
 
 
 def sweep_blocks(rows: int, horizon: int, width: int, atoms: int) -> list[tuple[int, int]]:
@@ -466,7 +494,9 @@ def build_value_tables(
     grid = breakpoint_lattice(capacity, instance.demand)
     values = np.zeros((T + 1, len(models), grid.size))
     for start, stop in sweep_blocks(len(models), T, grid.size, atom_count):
-        atoms = AtomSums([quantile_atoms(model, atom_count) for model in models[start:stop]])
+        atoms = AtomSums(
+            [quantile_atoms(model, atom_count) for model in models[start:stop]], grid.size
+        )
         rows = values[:, start:stop]
         for t, geometry in slot_sweep(grid, capacity, instance.demand, first_slot):
             rows[t] = backward_step(geometry, rows[t + 1], atoms)

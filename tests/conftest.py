@@ -56,10 +56,44 @@ def random_aligned_instance(rng: np.random.Generator, step: float = 0.25):
 # ``simulate_batch``, ``decide_batch``, ``argmin_purchases`` and
 # ``offline_costs`` must match bit for bit.  ``build_value_table`` sums its
 # base-stock step in another order and matches ``reference_value_rows``
-# within the bound that ``tests/test_batch.py`` states.
+# within the bound that ``tests/test_batch.py`` states; its step matches
+# ``reference_backward_step``, the same sums found row by row, bit for bit.
 
 
-def reference_backward_step(grid, v_next, demand, spec, atoms, weights):
+def reference_backward_step(geometry, v_next, atoms):
+    """``policies.backward_step`` with J and m found row by row: (values, J, at).
+
+    Each row searches its slopes for J, then J's reversed, non-decreasing
+    ranks for the count of atoms whose J falls short of each level's L;
+    row e's sums sit at flat index (K + 1) e + m.  The sums after that
+    are the step's own.
+    """
+    slopes = v_next[:, 1:] - v_next[:, :-1]
+    np.divide(slopes, geometry.steps, out=slopes)
+    np.maximum.accumulate(slopes, axis=-1, out=slopes)
+    best = np.empty(atoms.atoms.shape, dtype=np.intp)
+    terms = np.empty(atoms.atoms.shape)
+    at = np.empty(v_next.shape, dtype=np.intp)
+    count = atoms.atoms.shape[1]
+    for e in range(v_next.shape[0]):
+        j = slopes[e].searchsorted(atoms.neg_atoms[e])
+        best[e] = j
+        terms[e] = v_next[e].take(j)
+        at[e] = (count + 1) * e + count - j[::-1].searchsorted(geometry.lo_index)
+    terms += atoms.atoms * geometry.grid[best]
+    terms *= atoms.weight
+    head = np.zeros(atoms.tail_wp.shape)
+    np.add.accumulate(terms, axis=-1, out=head[:, 1:])
+    out = atoms.mean * geometry.to_serve
+    out += head.take(at)
+    out += geometry.s_lo * atoms.tail_wp.take(at)
+    at_lo = np.array([np.interp(geometry.s_lo, geometry.grid, row) for row in v_next])
+    at_lo *= atoms.tail_w.take(at)
+    out += at_lo
+    return out, best, at
+
+
+def reference_candidate_step(grid, v_next, demand, spec, atoms, weights):
     """One Bellman step of the purchase DP, every product formed afresh.
 
     For every grid level and price atom, minimizes price * purchase plus
@@ -81,13 +115,13 @@ def reference_backward_step(grid, v_next, demand, spec, atoms, weights):
 
 
 def reference_value_rows(instance, atoms, grid, first_slot=0):
-    """``build_value_table``'s values on ``grid``, one ``reference_backward_step`` per slot."""
+    """``build_value_table``'s values on ``grid``, one ``reference_candidate_step`` per slot."""
     spec = instance.storage
     atoms = np.asarray(atoms, dtype=float)
     weights = np.full(atoms.size, 1.0 / atoms.size)
     values = np.zeros((instance.horizon + 1, grid.size))
     for t in range(instance.horizon - 1, first_slot - 1, -1):
-        values[t] = reference_backward_step(
+        values[t] = reference_candidate_step(
             grid, values[t + 1], float(instance.demand[t]), spec, atoms, weights
         )
     return values
@@ -238,7 +272,7 @@ def reference_offline_optimal(instance: Instance, prices, grid_size: int = 100):
     values = np.zeros((T + 1, grid.size))
     one = np.ones(1)
     for t in range(T - 1, -1, -1):
-        values[t] = reference_backward_step(
+        values[t] = reference_candidate_step(
             grid, values[t + 1], float(instance.demand[t]), spec,
             np.asarray([float(prices[t])]), one,
         )

@@ -43,13 +43,15 @@ from storelab.experiments import run_policy_compare
 from storelab.metrics import hindsight_table, offline_costs
 from storelab.model import TrajectoryBatch, feasible_purchase_ranges, simulate_batch
 from storelab.policies import (
-    SlotGeometry, ValueTable, breakpoint_lattice, interp_rows, quantile_atoms, storage_grid,
+    AtomSums, SlotGeometry, ValueTable, backward_step, base_stock_ranks, breakpoint_lattice,
+    interp_rows, quantile_atoms, storage_grid,
 )
 from storelab.seeds import stream
 
 from conftest import (
     ReferenceAdaptive,
     reference_backward_step,
+    reference_candidate_step,
     reference_decide,
     reference_offline_optimal,
     reference_simulate,
@@ -113,16 +115,18 @@ def _per_slot(instance, prices, policies, realized):
 class TestInterpRows:
     @given(
         st.sampled_from((0.0, 1.0, 2.5, 5.0, 0.7)), st.integers(2, 30), st.integers(1, 4),
-        st.integers(1, 5), st.booleans(), st.integers(0, 2**32 - 1),
+        st.integers(1, 5), st.booleans(), st.sampled_from((0.5, 1.0)),
+        st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_np_interp(self, capacity, grid_size, rows, points, shared, seed):
+    def test_matches_np_interp(self, capacity, grid_size, rows, points, shared, on_share, seed):
+        # an on_share of 1.0 puts every point on the grid: values_at's one-take path
         rng = np.random.default_rng(seed)
         grid = storage_grid(capacity, grid_size)
         fp = np.round(rng.uniform(-50.0, 50.0, (1 if shared else rows, grid.size)), 1)
         on_grid = grid[rng.integers(0, grid.size, (rows, points))]
         off_grid = rng.uniform(0.0, capacity, (rows, points))
-        x = np.where(rng.random((rows, points)) < 0.5, on_grid, off_grid)
+        x = np.where(rng.random((rows, points)) < on_share, on_grid, off_grid)
         got = interp_rows(x, grid, fp if not shared else fp[0])
         for e in range(rows):
             assert got[e].tobytes() == np.interp(x[e], grid, fp[0 if shared else e]).tobytes()
@@ -362,7 +366,7 @@ def table_cases(draw):
 
 
 # The base-stock step sums over the sorted atoms in another order than the
-# candidate scan of ``reference_backward_step``; the largest difference
+# candidate scan of ``reference_candidate_step``; the largest difference
 # measured over three runs of 3000 ``table_cases`` draws is 1.1e-14 x
 # max(1, |ref|).
 VALUE_RTOL = 1e-12
@@ -424,6 +428,75 @@ def _more_atom_rows(data, atoms, max_rows=6):
     return [atoms] + extra
 
 
+def _assert_steps_match_reference(instance, models, count):
+    """Every slot of the stacked table, stepped again, against ``reference_backward_step``.
+
+    J, its flat index and ``at`` must match as integers, and the new rows
+    bit for bit, both the step's and the table's own.
+    """
+    table = build_value_tables(instance, models, count)
+    grid, capacity = table.grid, instance.storage.capacity
+    atoms = AtomSums([quantile_atoms(model, count) for model in models], grid.size)
+    rows = np.arange(len(models))[:, None]
+    for t in range(instance.horizon):
+        geometry = SlotGeometry(grid, capacity, instance.demand[t])
+        v_next = table.values[t + 1]
+        ref, ref_best, ref_at = reference_backward_step(geometry, v_next, atoms)
+        best, flat, at = base_stock_ranks(geometry, v_next, atoms)
+        assert best.tolist() == ref_best.tolist()
+        assert flat.tolist() == (ref_best + grid.size * rows).tolist()
+        assert at.tolist() == ref_at.tolist()
+        assert backward_step(geometry, v_next, atoms).tobytes() == ref.tobytes()
+        assert table.values[t].tobytes() == ref.tobytes()
+
+
+class TestBackwardStep:
+    """The whole-array step against the row-by-row ``reference_backward_step``.
+
+    ``test_rows_equal_one_model_tables`` compares stacked rows with tables
+    built by the same step, so only a reference of its own catches an
+    off-by-one that both would share.
+    """
+
+    @given(table_cases(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_steps_match_the_row_by_row_reference(self, case, data):
+        instance, atoms = case
+        rows = _more_atom_rows(data, atoms)
+        _assert_steps_match_reference(instance, [_Atoms(row) for row in rows], len(atoms))
+
+    @pytest.mark.parametrize("rows", [1, 8, 64])
+    @pytest.mark.parametrize("lattice", ["bench", "vector"])
+    def test_rows_match_the_reference(self, reference_instance, rows, lattice):
+        count = 51
+        instance = reference_instance
+        if lattice == "vector":  # window sums of U(0.2, 2) demand: more levels than atoms
+            count = 5
+            demand = np.random.default_rng(11).uniform(0.2, 2.0, 10)
+            instance = Instance(10, demand, StorageSpec(4.0, 1.0))
+            width = breakpoint_lattice(4.0, demand).size
+            assert width > 4 * count
+        models = [Normal(8.0 + 0.25 * e, 1.0 + 0.02 * e) for e in range(rows)]
+        _assert_steps_match_reference(instance, models, count)
+
+    def test_an_atom_on_minus_a_slope_counts_only_the_slopes_below(self):
+        # levels 0..3 and d = 1, so L = 0, 0, 1, 2; slopes -5, -3, -1 and -3, -2, -1
+        grid = np.array([0.0, 1.0, 2.0, 3.0])
+        geometry = SlotGeometry(grid, 3.0, 1.0)
+        assert geometry.lo_index.tolist() == [0, 0, 1, 2]
+        v_next = np.array([[9.0, 4.0, 1.0, 0.0], [6.0, 3.0, 1.0, 0.0]])
+        atoms = AtomSums([[5.0, 3.0, 1.0, 3.0], [3.0, 5.0, 2.0, 3.0]], grid.size)
+        best, flat, at = base_stock_ranks(geometry, v_next, atoms)
+        # J counts the slopes strictly below -p: an atom of 3 passes the slope -3
+        assert best.tolist() == [[2, 1, 1, 0], [1, 0, 0, 0]]
+        assert flat.tolist() == [[2, 1, 1, 0], [5, 4, 4, 4]]
+        # m = #(J >= L) per level, at row e's sums from (K + 1) e = 5 e
+        assert at.tolist() == [[4, 4, 3, 1], [9, 9, 6, 5]]
+        ref, ref_best, ref_at = reference_backward_step(geometry, v_next, atoms)
+        assert (ref_best.tolist(), ref_at.tolist()) == (best.tolist(), at.tolist())
+        assert backward_step(geometry, v_next, atoms).tobytes() == ref.tobytes()
+
+
 class TestValueTables:
     @given(table_cases(), st.data())
     @settings(max_examples=200, deadline=None)
@@ -444,9 +517,9 @@ class TestValueTables:
             assert stacked.values[:, e].tobytes() == one.values.tobytes()
 
     def test_rows_cross_a_default_block(self, reference_instance):
-        # 400 rows of 24 x 6 values and 51 atoms fit in SWEEP_BYTES
-        rows = 420
-        assert policies.sweep_blocks(rows, 24, 6, 51) == [(0, 210), (210, 420)]
+        # 434 rows of 24 x 6 values and 51 atoms fit in SWEEP_BYTES
+        rows = 440
+        assert policies.sweep_blocks(rows, 24, 6, 51) == [(0, 220), (220, 440)]
         models = [Normal(8.0 + 0.01 * e, 2.0) for e in range(rows)]
         stacked = build_value_tables(reference_instance, models, 51, first_slot=6)
         for e, model in enumerate(models):
@@ -593,7 +666,7 @@ class TestOfflineCosts:
         got = geometry.min_costs(v_next, prices[:, 0])
         demand = np.broadcast_to(demand, (len(prices),))
         for e in range(len(prices)):
-            ref = reference_backward_step(grid, v_next[e], float(demand[e]), spec,
+            ref = reference_candidate_step(grid, v_next[e], float(demand[e]), spec,
                                           np.asarray([prices[e, 0]]), np.ones(1))
             assert got[e].tobytes() == ref.tobytes()
 
@@ -650,8 +723,8 @@ class TestOfflineCosts:
         assert policies.sweep_blocks(107, 24, 101, 1) == [(0, 107)]
         assert policies.sweep_blocks(108, 24, 101, 1) == [(0, 54), (54, 108)]
         # the DP's rows on the lattice 0, 1, ..., 5: 24 x 6 values and 51 atoms
-        assert policies.sweep_blocks(400, 24, 6, 51) == [(0, 400)]
-        assert policies.sweep_blocks(401, 24, 6, 51) == [(0, 200), (200, 401)]
+        assert policies.sweep_blocks(434, 24, 6, 51) == [(0, 434)]
+        assert policies.sweep_blocks(435, 24, 6, 51) == [(0, 217), (217, 435)]
         assert policies.sweep_blocks(3, 24, 10**6, 1) == [(0, 1), (1, 2), (2, 3)]
         assert policies.sweep_blocks(0, 24, 101, 1) == []
 
