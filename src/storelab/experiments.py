@@ -12,24 +12,29 @@ chunk holds, ``CHUNK_ARRAYS`` arrays per price series, would not fit
 module-level function with the frozen config and the objects the runner
 built once bound by ``functools.partial``; results are merged in chunk
 order.  A violation curve is one fan-out over rounds that covers every n
-of the grid, and an adaptive sweep one fan-out over rounds that covers
-every warmup x refresh grid point, so one pool serves each run, and none
-at one worker.
+of the grid, an adaptive sweep one fan-out over rounds that covers every
+warmup x refresh grid point, and a policy comparison one fan-out over
+episodes that covers every scenario (relax runs its scenarios as one
+comparison, policy-compare is the one-scenario case), so one pool serves
+each run, and none at one worker.
 
-A chunk is one batch: its episodes are scored as one (E, T) price array,
-with one ``simulate_batch`` per policy and one ``offline_costs`` call.
-A policy comparison (policy-compare, or one relax scenario) keeps the
-costs as arrays and takes all its ratios with one element-wise
-``competitive_ratio`` call; only policy-compare builds per-episode
-``MetricRow`` records, to write them.  An adaptive chunk steps every
-(warmup, round, episode) of its rounds as rows of one adaptive policy per
-block, with one ``simulate_batch`` call per refresh stride: each row
-re-estimates from its own warmup and observed prices, one family call per
-refresh slot rebuilds every row of the block (one stacked DP value
-table), and the block's base policy, one table row per distinct warmup,
-is built once for every refresh stride.  A block is whole (warmup, round)
-groups, as many as ``sweep_blocks`` fits by their refresh tables; a group
-too big for that is a block alone.
+A chunk is one batch.  A comparison chunk draws each distinct price
+model's series once, stacks the rows of all scenarios, and runs each
+true-parameter policy over them in one ``simulate_batch``, with one
+``offline_costs`` call per scenario; the policies are built once per
+run, one row per distinct policy model (one stacked DP value table).  A
+comparison keeps the costs as arrays and takes each scenario's ratios
+with one element-wise ``competitive_ratio`` call; only policy-compare
+builds per-episode ``MetricRow`` records, to write them.
+
+An adaptive chunk steps every (warmup, round, episode) of its rounds as
+rows of one adaptive policy per block, with one ``simulate_batch`` call
+per refresh stride: each row re-estimates from its own warmup and
+observed prices, one family call per refresh slot rebuilds every row of
+the block (one stacked DP value table), and the block's base policy, one
+table row per distinct warmup, is built once for every refresh stride.  A
+block is whole (warmup, round) groups, as many as ``sweep_blocks`` fits by
+their refresh tables; a group too big for that is a block alone.
 """
 
 from __future__ import annotations
@@ -76,8 +81,10 @@ from .policies import (
     DpPolicy,
     ThresholdFamily,
     ThresholdPolicy,
+    ValueTable,
     breakpoint_lattice,
     build_value_table,
+    build_value_tables,
     linear_budget,
     sweep_blocks,
 )
@@ -227,39 +234,91 @@ class PolicySummary:
     cr_max: float
 
 
-def _true_parameter_policies(config: ExperimentConfig, instance: Instance, policy_model):
-    """Threshold, budgeted-threshold, and DP policies from true model parameters."""
-    upper, lower = model_bounds(policy_model, config.clamp_m)
-    theta = threshold_price(upper, lower)
-    return (
-        ThresholdPolicy(theta),
-        ThresholdPolicy(
-            theta, fill_target=linear_budget(theta, upper, lower, instance.storage.capacity),
-            policy_id="budgeted",
-        ),
-        DpPolicy(build_value_table(instance, policy_model, config.K)),
-    )
+@dataclass(frozen=True, eq=False)
+class _TruePolicies:
+    """Threshold, budgeted-threshold and DP policies from true model parameters.
+
+    One row per distinct policy model: its threshold, its budgeted fill
+    target and its row of one stacked DP value table.  ``serve(rows)``
+    gives the three policies for a batch whose row e acts on model
+    ``rows[e]``.
+    """
+
+    thresholds: np.ndarray
+    fill_targets: np.ndarray
+    table: ValueTable
+
+    @classmethod
+    def build(cls, config: ExperimentConfig, instance: Instance, models) -> _TruePolicies:
+        bounds = [model_bounds(model, config.clamp_m) for model in models]
+        thresholds = [threshold_price(upper, lower) for upper, lower in bounds]
+        capacity = instance.storage.capacity
+        fill_targets = [
+            linear_budget(theta, upper, lower, capacity)
+            for theta, (upper, lower) in zip(thresholds, bounds)
+        ]
+        return cls(np.array(thresholds), np.array(fill_targets),
+                   build_value_tables(instance, models, config.K))
+
+    def serve(self, rows: np.ndarray) -> tuple[ThresholdPolicy, ThresholdPolicy, DpPolicy]:
+        theta = self.thresholds[rows]
+        return (
+            ThresholdPolicy(theta),
+            ThresholdPolicy(theta, fill_target=self.fill_targets[rows], policy_id="budgeted"),
+            DpPolicy(self.table, rows),
+        )
+
+
+def _distinct(items) -> tuple[list, list[int]]:
+    """The distinct items, compared by ``==``, in first-seen order, and each item's index among them."""
+    unique, index = [], []
+    for item in items:
+        if item not in unique:
+            unique.append(item)
+        index.append(unique.index(item))
+    return unique, index
 
 
 def _compare_chunk(
-    config: ExperimentConfig, instance: Instance, eval_model, policies, eta: float,
-    episodes: range,
+    config: ExperimentConfig, instance: Instance, eval_models, etas, policies: _TruePolicies,
+    model_rows, episodes: range,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle costs (E,) and the policies' costs (len(policies), E) of ``episodes``."""
-    T = instance.horizon
-    prices = np.array([generate(eval_model, T, stream(config.seed, 1, e)) for e in episodes])
-    realized = None
-    if eta > 0.0:
-        realized = np.array([
+    """Oracle costs (S, E) and the three policies' costs (3, S, E) of ``episodes``.
+
+    Scenario s draws its prices from ``eval_models[s]``, with demand noise
+    at level ``etas[s]``, and its policies act on policy model
+    ``model_rows[s]``.  Each distinct price model's series are drawn once,
+    and the realized demand once per distinct eta > 0; the rows of all
+    scenarios are stacked scenario-major, the noise-free ones carrying the
+    nominal demand, and each policy runs over all of them in one
+    ``simulate_batch``.  The oracle runs once per scenario.
+    """
+    T, E = instance.horizon, len(episodes)
+    models, drawn_rows = _distinct(eval_models)
+    drawn = [np.array([generate(model, T, stream(config.seed, 1, e)) for e in episodes])
+             for model in models]
+    noise = {
+        eta: np.array([
             instance.demand * (1.0 + stream(config.seed, 2, e).uniform(-eta, eta, T))
             for e in episodes
         ])
-    opt_costs = offline_costs(instance, prices, config.G, realized_demand=realized)
+        for eta in dict.fromkeys(etas) if eta > 0.0
+    }
+    prices = np.concatenate([drawn[i] for i in drawn_rows])
+    realized = None
+    if noise:
+        nominal = np.broadcast_to(instance.demand, (E, T))
+        realized = np.concatenate([noise.get(eta, nominal) for eta in etas])
+    opt_costs = np.array([
+        offline_costs(instance, prices[s * E:(s + 1) * E], config.G,
+                      realized_demand=noise.get(eta))
+        for s, eta in enumerate(etas)
+    ])
     alg_costs = np.array([
         simulate_batch(instance, prices, policy, realized_demand=realized).total_cost
-        for policy in policies
+        for policy in policies.serve(np.repeat(model_rows, E))
     ])
-    return opt_costs, alg_costs
+    return opt_costs, alg_costs.reshape(-1, len(etas), E)
 
 
 def _quantiles(values, qs) -> list[float]:
@@ -292,39 +351,46 @@ def _quantiles(values, qs) -> list[float]:
 
 
 def _compare_core(
-    config: ExperimentConfig,
-    eval_model,
-    policy_model,
-    eta: float,
-    scenario: str,
-    workers: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[PolicySummary]]:
-    """Oracle costs (E,), policy costs and ratios (3, E), and one summary per policy.
+    config: ExperimentConfig, scenarios, workers: int,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, list[PolicySummary]]]:
+    """Per scenario: oracle costs (E,), policy costs and ratios (3, E), and one summary per policy.
 
-    The true-parameter policies, a DP value table among them, are built
-    once here and bound to every chunk.
+    ``scenarios`` holds (name, price model, policy model, eta) tuples.  The
+    true-parameter policies are built once, one row per distinct policy
+    model (a DP value table among them), and one fan-out over episodes
+    scores every scenario.  The ratios are taken per scenario, in scenario
+    order, so the first undefined one raised is the first scenario's.
     """
     instance = build_instance(config)
-    policies = _true_parameter_policies(config, instance, policy_model)
-    chunk = partial(_compare_chunk, config, instance, eval_model, policies, eta)
-    parts = _map_chunks(chunk, config.episodes, workers, config.T, 1, int(eta > 0.0))
-    opt = np.concatenate([opt for opt, _ in parts])
-    alg = np.concatenate([alg for _, alg in parts], axis=1)
-    crs = competitive_ratio(alg, opt)
-    summaries = []
-    for policy, alg_k, crs_k in zip(policies, alg, crs):
-        reg = regret(alg_k, opt)
-        cr_p50, cr_p95 = _quantiles(crs_k, (0.50, 0.95))
-        summaries.append(
-            PolicySummary(
-                scenario=scenario, policy_id=policy.policy_id,
-                mean_cost=float(alg_k.mean()), regret=reg.mean,
-                regret_stderr=reg.stderr,
-                cr_p50=cr_p50, cr_p95=cr_p95,
-                cr_max=float(crs_k.max()),
+    names, eval_models, policy_models, etas = zip(*scenarios)
+    models, model_rows = _distinct(policy_models)
+    policies = _TruePolicies.build(config, instance, models)
+    chunk = partial(_compare_chunk, config, instance, eval_models, etas, policies, model_rows)
+    noisy = any(eta > 0.0 for eta in etas)
+    parts = _map_chunks(
+        chunk, config.episodes, workers, config.T, len(scenarios), len(scenarios) * noisy
+    )
+    opt = np.concatenate([opt for opt, _ in parts], axis=-1)
+    alg = np.concatenate([alg for _, alg in parts], axis=-1)
+    policy_ids = [policy.policy_id for policy in policies.serve(model_rows)]
+    results = []
+    for s, scenario in enumerate(names):
+        crs = competitive_ratio(alg[:, s], opt[s])
+        summaries = []
+        for policy_id, alg_k, crs_k in zip(policy_ids, alg[:, s], crs):
+            reg = regret(alg_k, opt[s])
+            cr_p50, cr_p95 = _quantiles(crs_k, (0.50, 0.95))
+            summaries.append(
+                PolicySummary(
+                    scenario=scenario, policy_id=policy_id,
+                    mean_cost=float(alg_k.mean()), regret=reg.mean,
+                    regret_stderr=reg.stderr,
+                    cr_p50=cr_p50, cr_p95=cr_p95,
+                    cr_max=float(crs_k.max()),
+                )
             )
-        )
-    return opt, alg, crs, summaries
+        results.append((opt[s], alg[:, s], crs, summaries))
+    return results
 
 
 def run_policy_compare(
@@ -332,7 +398,7 @@ def run_policy_compare(
 ) -> tuple[list[MetricRow], list[PolicySummary]]:
     """Threshold, budgeted-threshold, and DP policies against the hindsight oracle."""
     model = build_model(config)
-    opt, alg, crs, summaries = _compare_core(config, model, model, 0.0, "baseline", workers)
+    [(opt, alg, crs, summaries)] = _compare_core(config, [("baseline", model, model, 0.0)], workers)
     upper, lower = model_bounds(model, config.clamp_m)
     theta, bound = threshold_price(upper, lower), math.sqrt(upper / lower)
     rows = [
@@ -484,13 +550,14 @@ def run_relaxation(config: ExperimentConfig, workers: int = 1) -> list[PolicySum
     Scenarios: serially correlated prices (ar1), a skewed price law while
     policies assume the normal one (lognormal), and multiplicative demand
     noise revealed at decision time (demand-noise).  Episode price streams
-    are shared across scenarios.  Returns three summaries per scenario, in
+    are shared across scenarios, and all of them are one comparison: one
+    fan-out over episodes.  Returns three summaries per scenario, in
     scenario order; no per-episode record is built.
     """
-    summaries: list[PolicySummary] = []
-    for scenario in config.scenarios:
-        eval_model, policy_model, eta = scenario_models(config, scenario)
-        summaries.extend(_compare_core(config, eval_model, policy_model, eta, scenario, workers)[3])
+    scenarios = [(s, *scenario_models(config, s)) for s in config.scenarios]
+    summaries = [
+        summary for *_, part in _compare_core(config, scenarios, workers) for summary in part
+    ]
     _write_csv(
         config.out,
         RELAX_HEADER,

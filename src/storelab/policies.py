@@ -85,28 +85,30 @@ class ThresholdPolicy(Policy):
     At a price <= threshold the policy buys the demand plus whatever tops
     the store up to ``fill_target`` (the full capacity by default); above
     the threshold it moves toward an empty store, buying only what the
-    store cannot cover.  ``threshold`` may also be one value per row.
+    store cannot cover.  ``threshold`` and ``fill_target`` may also be one
+    value per row.  Each fill target must be finite, at least 0 and at
+    most the capacity plus 1e-9; the first bad one is named in the error.
     """
 
-    def __init__(self, threshold, fill_target: float | None = None,
+    def __init__(self, threshold, fill_target: float | np.ndarray | None = None,
                  policy_id: str = "threshold") -> None:
         values = np.asarray(threshold, dtype=float)
         if values.ndim > 1 or not (np.all(values > 0) and np.all(np.isfinite(values))):
             raise ValueError(f"threshold must be finite and > 0, got {threshold}")
-        if fill_target is not None and not (0.0 <= fill_target < math.inf):
-            raise ValueError(f"fill target must be finite and >= 0, got {fill_target}")
         self.threshold = float(values) if values.ndim == 0 else values
-        self.fill_target = fill_target
+        self.fill_target = None if fill_target is None else _fill_targets(fill_target)
         self.policy_id = policy_id
 
-    def _target_full(self, spec: StorageSpec) -> float:
-        if self.fill_target is None:
+    def _target_full(self, spec: StorageSpec):
+        fill = self.fill_target
+        if fill is None:
             return spec.capacity
-        if self.fill_target > spec.capacity + 1e-9:
+        over = np.flatnonzero(np.ravel(fill) > spec.capacity + 1e-9)
+        if over.size:
             raise ValueError(
-                f"fill target {self.fill_target} exceeds capacity {spec.capacity}"
+                f"fill target {np.ravel(fill)[over[0]].item()} exceeds capacity {spec.capacity}"
             )
-        return self.fill_target
+        return fill
 
     def decide_batch(self, t, levels, prices, instance):
         spec = instance.storage
@@ -116,6 +118,17 @@ class ThresholdPolicy(Policy):
         target = np.where(prices <= self.threshold, target_full, 0.0)
         want = d + target - levels
         return min_first(max_first(want, q_lo), q_hi)
+
+
+def _fill_targets(fill_target):
+    """A fill target, one float or a (E,) array, each finite and >= 0."""
+    fills = np.asarray(fill_target, dtype=float)
+    if fills.ndim > 1:
+        raise ValueError(f"fill target must be one value or one per row, got shape {fills.shape}")
+    bad = np.flatnonzero(~((fills >= 0.0) & (fills < math.inf)))
+    if bad.size:
+        raise ValueError(f"fill target must be finite and >= 0, got {fills.ravel()[bad[0]].item()}")
+    return float(fills) if fills.ndim == 0 else fills
 
 
 def linear_budget(threshold: float, upper: float, lower: float, capacity: float) -> float:
@@ -297,7 +310,10 @@ class SlotGeometry:
         per_row = demand.ndim > 0
         self.lo_bracket = interp_bracket(self.s_lo, grid, per_row)
         rows, self.axis = _take_rows(self.s_lo, grid.size, per_row)
-        self.lo_index = np.searchsorted(grid, self.s_lo, side="left")
+        # L from the bracket's search: j indexes the grid point at or below s_lo,
+        # and L is j itself where s_lo lies on it, else j + 1
+        j = self.lo_bracket.lo - rows
+        self.lo_index = j if grid.size == 1 else j + 1 - (self.s_lo == grid[j])
         # s_lo's place in the suffix minima, which run over the reversed next-level axis
         self.suffix_at = rows + (grid.size - 1 - self.lo_index)
 

@@ -164,6 +164,29 @@ class TestSimulateBatch:
         batch = simulate_batch(instance, prices, policy, realized_demand=realized)
         _assert_rows_match(batch, _per_slot(instance, prices, [policy] * len(prices), realized))
 
+    @given(batch_cases(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_per_row_budgeted_rows_match_scalar_policies(self, case, data):
+        # one threshold and one fill target per row: row e is the scalar policy
+        # of its own values, with and without a realized demand
+        instance, prices, realized = case
+        E = len(prices)
+        thetas = data.draw(st.lists(st.floats(0.1, 20.0), min_size=E, max_size=E))
+        fills = data.draw(st.lists(
+            st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0), min_size=E, max_size=E,
+        ))
+        fills = [f * instance.storage.capacity for f in fills]
+        policy = ThresholdPolicy(np.array(thetas), fill_target=np.array(fills))
+        for demand in [None] if realized is None else [None, realized]:
+            batch = simulate_batch(instance, prices, policy, realized_demand=demand)
+            for e in range(E):
+                row = simulate_batch(
+                    instance, prices[e:e + 1], ThresholdPolicy(thetas[e], fill_target=fills[e]),
+                    realized_demand=None if demand is None else demand[e:e + 1],
+                )
+                for name in ("prices", "purchases", "levels", "total_cost", "clamped"):
+                    assert getattr(batch, name)[e].tobytes() == getattr(row, name)[0].tobytes()
+
     @given(batch_cases(), st.integers(1, 9), st.floats(1.0, 12.0), st.floats(0.5, 6.0))
     @settings(max_examples=100, deadline=None)
     def test_dp_rows_match_simulate(self, case, atoms, mu, sigma):
@@ -478,6 +501,47 @@ class TestBackwardStep:
             assert width > 4 * count
         models = [Normal(8.0 + 0.25 * e, 1.0 + 0.02 * e) for e in range(rows)]
         _assert_steps_match_reference(instance, models, count)
+
+    @given(
+        st.sampled_from((0.0, 1.0, 2.5, 5.0)) | st.floats(0.05, 6.0, allow_subnormal=False),
+        st.sampled_from(("lattice", "uniform")),
+        st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0, 2.5, 10.0)) | st.floats(0.0, 7.0),
+                 min_size=1, max_size=6),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lo_index_is_the_left_search_of_s_lo(self, capacity, kind, demands, per_row):
+        # L comes from the interpolation bracket's right-side search; it must
+        # be the first grid index at or above s_lo, on grid points (s_lo = 0
+        # and s_lo = C among them) and off them, on one-point grids too
+        if kind == "lattice":
+            grid = breakpoint_lattice(capacity, demands)
+        else:
+            grid = storage_grid(capacity, 4 * len(demands))
+        demand = np.array(demands) if per_row else demands[0]
+        geometry = SlotGeometry(grid, capacity, demand)
+        want = np.searchsorted(grid, geometry.s_lo, side="left")
+        assert geometry.lo_index.shape == want.shape
+        assert geometry.lo_index.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("capacity, demand, s_lo, lo_index", [
+        (3.0, 0.0, [0.0, 1.0, 2.0, 3.0], [0, 1, 2, 3]),  # every level on a grid point, C too
+        (3.0, 1.0, [0.0, 0.0, 1.0, 2.0], [0, 0, 1, 2]),
+        (3.0, 0.5, [0.0, 0.5, 1.5, 2.5], [0, 1, 2, 3]),  # off the grid: the point above
+        (3.0, 9.0, [0.0, 0.0, 0.0, 0.0], [0, 0, 0, 0]),  # all at 0
+    ])
+    def test_lo_index_on_and_off_grid_points(self, capacity, demand, s_lo, lo_index):
+        grid = np.array([0.0, 1.0, 2.0, 3.0])
+        geometry = SlotGeometry(grid, capacity, demand)
+        assert geometry.s_lo.tolist() == s_lo
+        assert geometry.lo_index.tolist() == lo_index
+        rows = SlotGeometry(grid, capacity, np.array([demand, 0.0]))  # per-row geometry
+        assert rows.lo_index.tolist() == [lo_index, [0, 1, 2, 3]]
+
+    def test_lo_index_of_a_zero_capacity_store(self):
+        for demand in (1.0, np.array([0.0, 2.0])):
+            geometry = SlotGeometry(np.zeros(1), 0.0, demand)
+            assert geometry.lo_index.tolist() == np.zeros(np.shape(geometry.s_lo), int).tolist()
 
     def test_an_atom_on_minus_a_slope_counts_only_the_slopes_below(self):
         # levels 0..3 and d = 1, so L = 0, 0, 1, 2; slopes -5, -3, -1 and -3, -2, -1

@@ -146,18 +146,18 @@ def _units_per_chunk(monkeypatch, config, units):
     """Set ``SWEEP_BYTES`` so a runner chunk holds ``units`` rounds or episodes.
 
     A unit holds ``CHUNK_ARRAYS`` arrays of T floats per price series: one
-    series per relax or policy-compare episode, len(n_grid) x eval_episodes
-    per violation round, and episodes per adaptive round.  A relax episode
-    under demand noise also holds its realized demand row; the budget fits
-    ``units`` of those, and as many of the noiseless ones while ``units``
-    is below ``CHUNK_ARRAYS``.
+    series per policy-compare episode and per relax scenario and episode,
+    len(n_grid) x eval_episodes per violation round, and episodes per
+    adaptive round.  When a relax scenario is noisy, a relax episode also
+    holds a realized demand row per scenario.
     """
+    scenarios = len(config.scenarios) if config.kind == "relax" else 1
     series = {
         "violation-curve": len(config.n_grid) * config.eval_episodes,
         "adaptive": config.episodes,
-    }.get(config.kind, 1)
-    demand_rows = int(config.kind == "relax" and "demand-noise" in config.scenarios)
-    width = series * experiments.CHUNK_ARRAYS + demand_rows
+    }.get(config.kind, scenarios)
+    noisy = config.kind == "relax" and "demand-noise" in config.scenarios and config.eta > 0.0
+    width = series * experiments.CHUNK_ARRAYS + scenarios * noisy
     monkeypatch.setattr(policies, "SWEEP_BYTES", units * 8 * config.T * width)
 
 
@@ -733,20 +733,71 @@ class TestRunRelaxation:
         with pytest.raises(ConfigError, match="model"):
             small_config(tmp_path, kind="relax", model="ar1")
 
-    def test_true_parameter_policies_built_once_per_scenario(self, tmp_path, monkeypatch):
-        # one DP value table per scenario, however many chunks it spans
+    def test_true_parameter_policies_built_once_per_run(self, tmp_path, monkeypatch):
+        # one stacked DP value table per run, however many chunks it spans, with
+        # one row per distinct policy model: N(mu, sigma) for three scenarios,
+        # and the AR(1) marginal
         calls = []
-        build = experiments.build_value_table
+        build = experiments.build_value_tables
 
-        def counting_build(*args, **kwargs):
-            calls.append(args)
-            return build(*args, **kwargs)
+        def counting_build(instance, models, *args, **kwargs):
+            calls.append(list(models))
+            return build(instance, models, *args, **kwargs)
 
-        monkeypatch.setattr(experiments, "build_value_table", counting_build)
+        monkeypatch.setattr(experiments, "build_value_tables", counting_build)
+        monkeypatch.setattr(experiments, "build_value_table", _no_rounds)
         config = small_config(tmp_path, kind="relax", episodes=9)
         _units_per_chunk(monkeypatch, config, 2)
         run_relaxation(config)
-        assert len(calls) == len(config.scenarios)
+        assert calls == [[Normal(config.mu, config.sigma),
+                          Normal(config.mu, config.sigma / math.sqrt(1.0 - config.phi ** 2))]]
+
+    def test_every_scenario_equals_its_own_run(self, tmp_path):
+        # one batch of four scenarios, bit for bit the four one-scenario runs
+        config = small_config(tmp_path, kind="relax", episodes=7, phi=0.8, eta=0.3)
+        together = run_relaxation(config)
+        alone = [
+            summary
+            for scenario in config.scenarios
+            for summary in run_relaxation(replace(config, scenarios=(scenario,)))
+        ]
+        assert [_field_reprs(s) for s in together] == [_field_reprs(s) for s in alone]
+
+    def test_scenario_order_does_not_change_rows(self, tmp_path):
+        config = small_config(tmp_path, kind="relax", episodes=7, phi=0.8, eta=0.3)
+        run_relaxation(config)
+        lines = (tmp_path / "out.csv").read_text().splitlines()
+        reordered = replace(config, scenarios=tuple(reversed(config.scenarios)),
+                            out=str(tmp_path / "reordered.csv"))
+        run_relaxation(reordered)
+        other = (tmp_path / "reordered.csv").read_text().splitlines()
+        assert other[0] == lines[0]
+        assert sorted(other[1:]) == sorted(lines[1:])
+        assert other[1:] != lines[1:]
+
+    def test_baseline_equals_policy_compare(self, tmp_path):
+        config = small_config(tmp_path, kind="relax", episodes=7, phi=0.8, eta=0.3)
+        baseline = [s for s in run_relaxation(config) if s.scenario == "baseline"]
+        _, compared = run_policy_compare(
+            replace(config, kind="policy-compare", out=str(tmp_path / "pc.csv"))
+        )
+        assert [_field_reprs(s) for s in baseline] == [_field_reprs(s) for s in compared]
+
+    def test_one_pool_per_run(self, tmp_path, monkeypatch):
+        pools = []
+        pool = experiments.ProcessPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return pool(*args, **kwargs)
+
+        config = small_config(tmp_path, kind="relax", episodes=7, phi=0.8, eta=0.3)
+        run_relaxation(config)
+        whole = (tmp_path / "out.csv").read_bytes()
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", counting_pool)
+        run_relaxation(config, workers=2)
+        assert pools == [2]
+        assert (tmp_path / "out.csv").read_bytes() == whole
 
 
 @pytest.mark.parametrize("kind, runner, kw", [
@@ -761,7 +812,6 @@ def test_batch_rows_do_not_change_output(tmp_path, monkeypatch, kind, runner, kw
     runner(config)
     whole = (tmp_path / "out.csv").read_bytes()
     units = config.rounds if kind in ("violation-curve", "adaptive") else config.episodes
-    fan_outs = len(config.scenarios) if kind == "relax" else 1
     chunk_fn = {"violation-curve": "violation_rounds", "relax": "_compare_chunk",
                 "adaptive": "_adaptive_chunk"}[kind]
     chunks, pools = [], []
@@ -784,14 +834,14 @@ def test_batch_rows_do_not_change_output(tmp_path, monkeypatch, kind, runner, kw
         assert (tmp_path / "out.csv").read_bytes() == whole
         # the fewest contiguous chunks of at most ``rows`` units, all run in
         # this process
-        assert [i for c in chunks for i in c] == list(range(units)) * fan_outs
-        assert len(chunks) == -(-units // rows) * fan_outs
+        assert [i for c in chunks for i in c] == list(range(units))
+        assert len(chunks) == -(-units // rows)
         assert max(len(c) for c in chunks) <= rows
         monkeypatch.setattr(experiments, chunk_fn, fn)  # a pool pickles it by name
         runner(config, workers=2)
         assert (tmp_path / "out.csv").read_bytes() == whole
-    # one pool of two processes per fan-out, at two workers only
-    assert pools == [2] * 2 * fan_outs
+    # one pool of two processes per run, at two workers only
+    assert pools == [2] * 2
 
 
 def test_relax_memory_does_not_grow_with_episodes_beyond_cost_arrays(tmp_path, monkeypatch):

@@ -76,6 +76,20 @@ class TestThresholdPolicy:
         with pytest.raises(ValueError, match="fill target"):
             ThresholdPolicy(5.0, fill_target=fill_target)
 
+    def test_per_row_fill_target_names_its_first_bad_value(self):
+        with pytest.raises(ValueError, match=r"^fill target must be finite and >= 0, got -2.0$"):
+            ThresholdPolicy(5.0, fill_target=np.array([1.0, -2.0, math.nan]))
+        with pytest.raises(ValueError, match="one value or one per row"):
+            ThresholdPolicy(5.0, fill_target=np.ones((2, 2)))
+
+    def test_per_row_fill_target_above_capacity_rejected(self):
+        pol = ThresholdPolicy(5.0, fill_target=np.array([1.0, 2.0 + 1e-9, 3.0]))
+        levels, prices = np.zeros(3), np.ones(3)
+        with pytest.raises(ValueError, match=r"^fill target 3.0 exceeds capacity 2.0$"):
+            pol.decide_batch(0, levels, prices, _inst(B=2.0))
+        ok = ThresholdPolicy(5.0, fill_target=np.array([1.0, 2.0 + 1e-9]))
+        assert ok.decide_batch(0, levels[:2], prices[:2], _inst(B=2.0)).tolist() == [2.0, 3.0]
+
 
 def _budgeted(theta, budget):
     return ThresholdPolicy(theta, fill_target=budget, policy_id="budgeted")
