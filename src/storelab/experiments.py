@@ -288,6 +288,7 @@ def _compare_chunk(
     Scenario s draws its prices from ``eval_models[s]``, with demand noise
     at level ``etas[s]``, and its policies act on policy model
     ``model_rows[s]``.  Each distinct price model's series are drawn once,
+    each from its episode's one generator restored to its starting state,
     and the realized demand once per distinct eta > 0; the rows of all
     scenarios are stacked scenario-major, the noise-free ones carrying the
     nominal demand, and each policy runs over all of them in one
@@ -295,8 +296,13 @@ def _compare_chunk(
     """
     T, E = instance.horizon, len(episodes)
     models, drawn_rows = _distinct(eval_models)
-    drawn = [np.array([generate(model, T, stream(config.seed, 1, e)) for e in episodes])
-             for model in models]
+    rngs = [stream(config.seed, 1, e) for e in episodes]
+    starts = [rng.bit_generator.state for rng in rngs]
+    drawn = []
+    for model in models:
+        for rng, start in zip(rngs, starts):
+            rng.bit_generator.state = start
+        drawn.append(np.array([generate(model, T, rng) for rng in rngs]))
     noise = {
         eta: np.array([
             instance.demand * (1.0 + stream(config.seed, 2, e).uniform(-eta, eta, T))

@@ -33,7 +33,10 @@ refresh slot.
 
 Each policy implements one rule, ``decide_batch``, which ``simulate_batch``
 drives with one level and one price per row; ``decide`` is its one-row
-case, and ``argmin_purchase`` the one-row ``argmin_purchases``.
+case.  The DP's rule, ``argmin_purchases`` (one row: ``argmin_purchase``),
+clips a convex value row's base-stock level for the observed price into
+the feasible next levels: in exact arithmetic the cheapest next level,
+and the smallest of any that tie.
 """
 
 from __future__ import annotations
@@ -157,7 +160,9 @@ class ValueTable:
     model, values[t, e, i], (T+1, E, W).
     Only slots first_slot..T are built; the slots before it are zero.
     ``demand`` is the demand the rows plan for: (T,), shared by every row,
-    or (E, T), one per row of a stacked table.
+    or (E, T), one per row of a stacked table.  Every row is convex in the
+    storage level, as ``DpPolicy`` needs: the rows that
+    ``build_value_tables`` and the oracle's ``hindsight_table`` build are.
     """
 
     grid: np.ndarray
@@ -531,17 +536,6 @@ def build_value_table(
     )
 
 
-def interp_rows(x: np.ndarray, grid: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """``np.interp(x[e], grid, fp[e])`` for every row e, bit for bit.
-
-    ``x`` is (E, m); ``fp`` is (E, len(grid)) or one shared row.  Values
-    must be finite.
-    """
-    rows = fp.reshape(-1, grid.size)
-    per_row = rows.shape[0] != 1
-    return interp_bracket(x, grid, per_row).values_at(rows if per_row else rows[0])
-
-
 def argmin_purchases(
     grid: np.ndarray,
     v_next: np.ndarray,
@@ -550,29 +544,28 @@ def argmin_purchases(
     demand,
     prices: np.ndarray,
 ) -> np.ndarray:
-    """Purchase minimizing price * q + interpolated next value, for every row.
+    """Purchase minimizing price * q + interpolated next value, per row, at the base-stock level.
 
-    Candidates are the feasible grid next-levels plus the exact endpoint
-    levels; ties resolve toward the smaller purchase.  ``v_next`` is one
-    shared row or one row per level, ``demand`` one value or one per row.
-    Grid points outside a row's feasible next levels cost +inf; the pick is
-    the first minimum in candidate order: lower endpoint, grid points,
-    upper endpoint.
+    Each value row must be convex, as every row of ``build_value_tables``
+    and of the oracle's ``hindsight_table`` is.  Then p s' + V(s') falls
+    up to the base-stock level grid[J] and not after it, J the count of
+    the row's segment slopes strictly below -p, so the next level is
+    grid[J] clipped into the row's feasible range [s_lo, s_hi] (s_lo on a
+    one-point grid).  In exact arithmetic this is the first minimizer of
+    a scan over s_lo, the grid points and s_hi, in that order: a tie
+    between next levels, which needs p to equal minus a slope, goes to
+    the smallest.  ``v_next`` is one shared row or one row per level,
+    ``demand`` one value or one per row.
     """
     q_lo, q_hi = feasible_purchase_ranges(spec, levels, demand)
     cap = spec.capacity
     s_lo = min_first(max_first(levels + q_lo - demand, 0.0), cap)
-    s_hi = min_first(max_first(levels + q_hi - demand, 0.0), cap)
-    v_lo, v_hi = interp_rows(np.stack((s_lo, s_hi), axis=1), grid, v_next).T
-    cost_lo = prices * (s_lo - levels + demand) + v_lo
-    cost_hi = prices * (s_hi - levels + demand) + v_hi
-    d = demand if np.ndim(demand) == 0 else demand[:, None]
-    grid_cost = prices[:, None] * (grid - levels[:, None] + d) + v_next
-    grid_cost[(grid < s_lo[:, None]) | (grid > s_hi[:, None])] = np.inf
-    j = np.argmin(grid_cost, axis=1)
-    cost_grid = grid_cost[np.arange(j.size), j]
-    pick = np.where(cost_grid <= cost_hi, grid[j], s_hi)
-    pick = np.where((cost_lo <= cost_grid) & (cost_lo <= cost_hi), s_lo, pick)
+    pick = s_lo
+    if grid.size > 1:
+        s_hi = min_first(max_first(levels + q_hi - demand, 0.0), cap)
+        slopes = (v_next[..., 1:] - v_next[..., :-1]) / (grid[1:] - grid[:-1])
+        best = np.count_nonzero(slopes < -prices[:, None], axis=-1)
+        pick = min_first(max_first(grid[best], s_lo), s_hi)
     return min_first(max_first(pick - levels + demand, q_lo), q_hi)
 
 
@@ -585,12 +578,12 @@ def argmin_purchase(grid, v_next, spec: StorageSpec, level: float, demand: float
 
 
 class DpPolicy(Policy):
-    """Greedy policy against a value table, acting on the observed price.
+    """Base-stock policy against a convex value table, acting on the observed price.
 
     A one-model table serves every row; a stacked table of E models serves
     E rows, row e from its own value row, or, given ``rows``, batch row e
     from value row ``rows[e]``.  Each row plans for its value row's demand,
-    the table's ``demand``.
+    the table's ``demand``, and buys by ``argmin_purchases``.
     """
 
     policy_id = "dp"

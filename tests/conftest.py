@@ -127,12 +127,34 @@ def reference_value_rows(instance, atoms, grid, first_slot=0):
     return values
 
 
-def reference_argmin_purchase(grid, v_next, spec, level, demand, price, dedupe=False):
-    """Purchase minimizing price * q + interpolated next value, for one level.
+def reference_base_stock_purchase(grid, v_next, spec, level, demand, price):
+    """The DP's purchase for one level: its base-stock level clipped into the feasible range.
 
-    Candidates are the feasible grid next-levels plus the exact endpoint
-    levels (deduplicated with ``np.unique`` if ``dedupe``); ties resolve
-    toward the smaller purchase.
+    J counts the segment slopes of ``v_next`` strictly below -price, and
+    the next level is grid[J] clipped into [s_lo, s_hi], or s_lo on a
+    one-point grid.  Python floats throughout; the rule that every row of
+    ``argmin_purchases`` must match bit for bit.
+    """
+    q_lo, q_hi = feasible_purchase_range(spec, level, demand)
+    cap = spec.capacity
+    s_lo = min(max(level + q_lo - demand, 0.0), cap)
+    pick = s_lo
+    g, v = grid.tolist(), v_next.tolist()
+    if len(g) > 1:
+        s_hi = min(max(level + q_hi - demand, 0.0), cap)
+        slopes = [(v[i + 1] - v[i]) / (g[i + 1] - g[i]) for i in range(len(g) - 1)]
+        best = sum(slope < -price for slope in slopes)
+        pick = min(max(g[best], s_lo), s_hi)
+    return min(max(pick - level + demand, q_lo), q_hi)
+
+
+def reference_scan(grid, v_next, spec, level, demand, price, dedupe=False):
+    """The candidate next levels of one level and what each costs: (levels, costs).
+
+    Candidates are the exact lower endpoint, the feasible grid next-levels
+    and the exact upper endpoint, in that order (deduplicated with
+    ``np.unique`` if ``dedupe``); each costs price * purchase plus the
+    interpolated next value.
     """
     q_lo, q_hi = feasible_purchase_range(spec, level, demand)
     cap = spec.capacity
@@ -144,7 +166,18 @@ def reference_argmin_purchase(grid, v_next, spec, level, demand, price, dedupe=F
     # level costs the same, so argmin picks the same level as over unique values.
     cands = np.concatenate(([s_lo], grid[i0:i1], [s_hi]))
     cands = np.unique(cands) if dedupe else cands
-    costs = price * (cands - level + demand) + np.interp(cands, grid, v_next)
+    return cands, price * (cands - level + demand) + np.interp(cands, grid, v_next)
+
+
+def reference_argmin_purchase(grid, v_next, spec, level, demand, price, dedupe=False):
+    """Purchase minimizing price * q + interpolated next value, for one level, by a scan.
+
+    The first cheapest of ``reference_scan``'s candidates, so ties resolve
+    toward the smaller purchase.  The optimality reference that the
+    base-stock rule is held to on convex rows.
+    """
+    q_lo, q_hi = feasible_purchase_range(spec, level, demand)
+    cands, costs = reference_scan(grid, v_next, spec, level, demand, price, dedupe)
     pick = float(cands[int(np.argmin(costs))])
     return min(max(pick - level + demand, q_lo), q_hi)
 
@@ -160,7 +193,7 @@ def reference_decide(policy, t, level, price, instance) -> float:
     if isinstance(policy, DpPolicy):  # a one-model table, or a stacked table of one row
         table = policy.table
         v_next = table.values[t + 1].reshape(table.grid.size)
-        return reference_argmin_purchase(table.grid, v_next, spec, level, d, price)
+        return reference_base_stock_purchase(table.grid, v_next, spec, level, d, price)
     return policy.decide(t, level, price, instance)
 
 

@@ -1,9 +1,9 @@
 """The batched engine against the scalar references, bit for bit.
 
-``simulate_batch``, ``decide_batch``, ``interp_rows`` and ``offline_costs``
+``simulate_batch``, ``decide_batch``, ``interp_bracket`` and ``offline_costs``
 are the only engine, so every row they return must carry the same bits as
 ``np.interp`` and the per-slot references kept in ``conftest.py``
-(``reference_simulate``, ``reference_argmin_purchase``,
+(``reference_simulate``, ``reference_base_stock_purchase``,
 ``reference_offline_optimal``).  Comparisons use ``.tobytes()``, so a -0.0
 in place of 0.0 shows.  The DP value table is the one stated exception:
 its base-stock step matches ``reference_value_rows`` within ``VALUE_RTOL``.
@@ -44,7 +44,7 @@ from storelab.metrics import hindsight_table, offline_costs
 from storelab.model import TrajectoryBatch, feasible_purchase_ranges, simulate_batch
 from storelab.policies import (
     AtomSums, SlotGeometry, ValueTable, backward_step, base_stock_ranks, breakpoint_lattice,
-    interp_rows, quantile_atoms, storage_grid,
+    interp_bracket, quantile_atoms, storage_grid,
 )
 from storelab.seeds import stream
 
@@ -112,7 +112,7 @@ def _per_slot(instance, prices, policies, realized):
     ]
 
 
-class TestInterpRows:
+class TestInterpBracket:
     @given(
         st.sampled_from((0.0, 1.0, 2.5, 5.0, 0.7)), st.integers(2, 30), st.integers(1, 4),
         st.integers(1, 5), st.booleans(), st.sampled_from((0.5, 1.0)),
@@ -127,7 +127,7 @@ class TestInterpRows:
         on_grid = grid[rng.integers(0, grid.size, (rows, points))]
         off_grid = rng.uniform(0.0, capacity, (rows, points))
         x = np.where(rng.random((rows, points)) < on_share, on_grid, off_grid)
-        got = interp_rows(x, grid, fp if not shared else fp[0])
+        got = interp_bracket(x, grid, not shared).values_at(fp if not shared else fp[0])
         for e in range(rows):
             assert got[e].tobytes() == np.interp(x[e], grid, fp[0 if shared else e]).tobytes()
 

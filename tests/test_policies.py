@@ -25,6 +25,7 @@ from storelab import (
     simulate,
 )
 from storelab import policies
+from storelab.metrics import hindsight_table
 from storelab.model import ENERGY_TOL
 from storelab.policies import (
     DpFamily,
@@ -36,7 +37,12 @@ from storelab.policies import (
     storage_grid,
 )
 
-from conftest import reference_argmin_purchase, reference_value_rows
+from conftest import (
+    reference_argmin_purchase,
+    reference_base_stock_purchase,
+    reference_scan,
+    reference_value_rows,
+)
 
 # The lattice table against a reference on another grid that holds every
 # bend: both exact, so only rounding parts them (1.3e-15 relative measured).
@@ -291,36 +297,150 @@ def _enumerate_online_optimum(inst, step=0.5):
 
 
 @st.composite
-def _argmin_cases(draw):
+def _argmin_cases(draw, convex=False):
+    """(grid, v_next, spec, level, demand, price) for one purchase.
+
+    With ``convex``, the row's slopes are drawn sorted, some of them equal
+    to minus the price (the next levels along those segments tie), or the
+    row is ``-price * grid`` (every next level ties); otherwise it is any
+    row.
+    """
     capacity = draw(st.sampled_from((0.0, 1.0, 2.5, 5.0)))
     grid = storage_grid(capacity, draw(st.integers(2, 30)))
     on_grid = st.sampled_from(grid.tolist())  # endpoints land exactly on grid points
     level = draw(st.one_of(on_grid, st.floats(0.0, capacity)))
     demand = draw(st.one_of(on_grid, st.floats(0.0, 2.0 * capacity + 1.0)))
-    price = draw(st.floats(0.0, 20.0))
+    price = draw(st.one_of(st.sampled_from((-0.0, 0.0)), st.floats(-5.0, 20.0)))
     if draw(st.booleans()):
         v_next = -price * grid  # every candidate (nearly) ties
+    elif convex:
+        slopes = np.sort(draw(st.lists(
+            st.one_of(st.just(-price), st.floats(-40.0, 40.0)),
+            min_size=grid.size - 1, max_size=grid.size - 1,
+        )))
+        v0 = draw(st.floats(-50.0, 50.0))
+        v_next = v0 + np.concatenate(([0.0], np.cumsum(slopes * np.diff(grid))))
     else:
         v_next = np.asarray(draw(st.lists(
             st.floats(-50.0, 50.0), min_size=grid.size, max_size=grid.size)))
     return grid, v_next, StorageSpec(capacity), level, demand, price
 
 
+@st.composite
+def _dyadic_cases(draw):
+    """A convex purchase case on a grid of step 0.25 whose every operation is exact.
+
+    Levels, demands, prices and values are multiples of 1/4 or 1/16 of
+    small size, and the slopes whole numbers, some equal to minus the
+    price, so ties between next levels are exact.
+    """
+    steps = draw(st.integers(1, 20))
+    grid = storage_grid(0.25 * steps, steps)
+    quarters = st.integers(0, steps).map(lambda k: 0.25 * k)
+    level = draw(quarters)
+    demand = draw(st.integers(0, 2 * steps + 4).map(lambda k: 0.25 * k))
+    price = 0.25 * draw(st.integers(-20, 80))
+    slopes = np.sort(draw(st.lists(
+        st.one_of(st.just(-price), st.integers(-40, 40).map(float)),
+        min_size=steps, max_size=steps,
+    )))
+    v0 = draw(st.integers(-800, 800)) / 16.0
+    v_next = v0 + np.concatenate(([0.0], np.cumsum(0.25 * slopes)))
+    return grid, v_next, StorageSpec(0.25 * steps), level, demand, price
+
+
+def _objective(grid, v_next, level, demand, price, q):
+    """What a purchase q costs now and after: price * q + V(level + q - demand)."""
+    return price * q + float(np.interp(level + q - demand, grid, v_next))
+
+
+# The base-stock pick costs the scan's minimum in exact arithmetic; rounding
+# moves the slopes it counts and the objective both.  The largest gap measured
+# over two runs of 20000 convex ``_argmin_cases`` draws is 2.2e-15 x the scale
+# in ``_objective_tol``; over two runs of 20000 rows of each real-table test
+# below it is 0.
+OBJECTIVE_RTOL = 1e-12
+
+
+def _objective_tol(grid, v_next, spec, level, demand, price):
+    """``OBJECTIVE_RTOL`` times the largest of 1, the purchase's cost bound and max |V|."""
+    scale = max(1.0, abs(price) * (spec.capacity + demand), float(np.abs(v_next).max()))
+    return OBJECTIVE_RTOL * scale
+
+
+def _assert_near_scan(grid, v_next, spec, level, demand, price):
+    """The pick's objective lies within ``_objective_tol`` of the deduplicated scan's minimum."""
+    got = argmin_purchase(grid, v_next, spec, level, demand, price)
+    want = reference_argmin_purchase(grid, v_next, spec, level, demand, price, dedupe=True)
+    gap = _objective(grid, v_next, level, demand, price, got) - _objective(
+        grid, v_next, level, demand, price, want
+    )
+    assert abs(gap) <= _objective_tol(grid, v_next, spec, level, demand, price)
+
+
 class TestArgminPurchase:
-    @given(_argmin_cases())
+    @given(_argmin_cases(convex=True))
     @settings(max_examples=300, deadline=None)
     def test_matches_deduplicated_candidates(self, case):
-        assert argmin_purchase(*case) == reference_argmin_purchase(*case, dedupe=True)
+        # wherever the scan's cheapest next level is cheaper than every other
+        # by more than the bound, the base-stock rule picks that level
+        cands, costs = reference_scan(*case, dedupe=True)
+        best = int(np.argmin(costs))
+        rivals = costs[np.arange(cands.size) != best]
+        if rivals.size == 0 or rivals.min() > costs[best] + _objective_tol(*case):
+            assert argmin_purchase(*case) == reference_argmin_purchase(*case, dedupe=True)
 
     @given(_argmin_cases())
     @settings(max_examples=300, deadline=None)
     def test_batch_matches_scalar_bit_for_bit(self, case):
+        # on any row, convex or not, the batch rule is the scalar rule
         grid, v_next, spec, level, demand, price = case
-        want = np.float64(reference_argmin_purchase(*case)).tobytes()
+        want = np.float64(reference_base_stock_purchase(*case)).tobytes()
         assert np.float64(argmin_purchase(*case)).tobytes() == want
         for v in (v_next, v_next[None, :]):  # one shared row, one row per level
             got = argmin_purchases(grid, v, spec, np.array([level]), demand, np.array([price]))
             assert got.tobytes() == want
+
+    @given(_argmin_cases(convex=True))
+    @settings(max_examples=300, deadline=None)
+    def test_convex_rows_cost_the_scans_minimum(self, case):
+        _assert_near_scan(*case)
+
+    @given(_dyadic_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_exact_rows_pick_the_scans_level(self, case):
+        # exact arithmetic: the scan's first minimum, exact ties included, so the
+        # smallest next level wins
+        want = np.float64(reference_argmin_purchase(*case)).tobytes()
+        assert np.float64(argmin_purchase(*case)).tobytes() == want
+        assert reference_argmin_purchase(*case, dedupe=True) == argmin_purchase(*case)
+
+    @given(st.integers(1, 6), st.floats(0.5, 6.0), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_dp_table_rows_cost_the_scans_minimum(self, T, capacity, atoms, seed):
+        rng = np.random.default_rng(seed)
+        inst = Instance(T, rng.uniform(0.0, 3.0, T), StorageSpec(capacity))
+        models = [Normal(mu, sigma) for mu, sigma in rng.uniform((1.0, 0.5), (12.0, 6.0), (3, 2))]
+        table = policies.build_value_tables(inst, models, atoms)
+        for t, e, price in zip(rng.integers(0, T, 20), rng.integers(0, 3, 20),
+                               rng.uniform(-5.0, 25.0, 20)):
+            level = float(rng.choice([rng.uniform(0.0, capacity), rng.choice(table.grid)]))
+            _assert_near_scan(table.grid, table.values[t + 1, e], inst.storage, level,
+                              float(inst.demand[t]), float(price))
+
+    @given(st.integers(1, 6), st.floats(0.5, 6.0), st.integers(2, 25), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_hindsight_rows_cost_the_scans_minimum(self, T, capacity, grid_size, seed):
+        rng = np.random.default_rng(seed)
+        inst = Instance.constant(T, 1.0, StorageSpec(capacity))
+        prices = rng.uniform(-5.0, 25.0, (3, T))
+        realized = rng.uniform(0.5, 1.5, (3, T))
+        grid = storage_grid(capacity, grid_size)
+        table = hindsight_table(inst, prices, grid, realized)
+        for t, e in zip(rng.integers(0, T, 20), rng.integers(0, 3, 20)):
+            level = float(rng.choice([rng.uniform(0.0, capacity), rng.choice(grid)]))
+            _assert_near_scan(grid, table.values[t + 1, e], inst.storage, level,
+                              float(realized[e, t]), float(prices[e, t]))
 
 
 class TestDpPolicy:
