@@ -4,18 +4,30 @@ From a sample of prices this module produces the classical t interval for
 the mean and chi-squared interval for the standard deviation, turns them
 into three-sigma price bounds (upper/lower), and sets the purchase
 threshold at the geometric mean of those bounds.
+
+``estimate_rows`` estimates R equal-size samples at once, as whole-array
+work over an (R, n) array, with the t and chi-squared quantiles computed
+once per (n, alpha); ``estimate`` is its one-row case.  Its row i is the
+bits the scalar functions (``sample_stats``, ``three_sigma_bounds``,
+``clamp_lower_bound``, ``threshold_price``) give for sample i, and a row
+they would reject is flagged, not raised.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .special import chi2_quantile, t_quantile
 
 CLAMP_EPS = 1e-3
+
+# floats in each (rows, n) sample array that a caller builds for one
+# ``estimate_rows`` call: a block of max(1, BLOCK_FLOATS // n) rows
+BLOCK_FLOATS = 1 << 15
 
 RECORD_FIELDS = (
     "n", "alpha", "mean", "s", "mu_lo", "mu_hi", "sigma_lo", "sigma_hi",
@@ -174,6 +186,120 @@ class EstimateReport:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class RowEstimates:
+    """``estimate`` of R size-n samples: one (R,) array per statistic.
+
+    Row i holds the bits ``estimate`` gives for sample i.  Where it would
+    raise ``NonpositiveLowerBoundError``, ``failed[i]`` is set, the
+    threshold and ratio bound read NaN, and ``error(i)`` is that error.
+    """
+
+    alpha: float
+    n: int
+    conservative: bool
+    mean: np.ndarray
+    sample_std: np.ndarray
+    upper_bound: np.ndarray
+    lower_bound: np.ndarray
+    lower_clamped: np.ndarray
+    failed: np.ndarray
+
+    @property
+    def threshold(self) -> np.ndarray:
+        """Purchase thresholds sqrt(upper * lower); NaN where ``failed``."""
+        return self._where_defined(np.multiply)
+
+    @property
+    def ratio_bound(self) -> np.ndarray:
+        """Competitive-ratio ceilings sqrt(upper / lower); NaN where ``failed``."""
+        return self._where_defined(np.divide)
+
+    def _where_defined(self, op) -> np.ndarray:
+        out = np.full(self.failed.shape, np.nan)
+        ok = ~self.failed
+        out[ok] = np.sqrt(op(self.upper_bound[ok], self.lower_bound[ok]))
+        return out
+
+    def error(self, i: int) -> NonpositiveLowerBoundError:
+        """The error ``estimate`` raises for sample i, a row that ``failed``."""
+        return NonpositiveLowerBoundError(
+            f"threshold undefined for lower bound {float(self.lower_bound[i])} <= 0; "
+            "clamp it first"
+        )
+
+    def report(self, i: int) -> EstimateReport:
+        """``estimate`` of sample i: its report, or its error raised."""
+        if self.failed[i]:
+            raise self.error(i)
+        upper, lower = float(self.upper_bound[i]), float(self.lower_bound[i])
+        return EstimateReport(
+            alpha=self.alpha,
+            stats=SampleStats(
+                n=self.n, mean=float(self.mean[i]), sample_std=float(self.sample_std[i])
+            ),
+            upper_bound=upper,
+            lower_bound=lower,
+            threshold=math.sqrt(upper * lower),
+            conservative=self.conservative,
+            lower_clamped=bool(self.lower_clamped[i]),
+        )
+
+
+@lru_cache(maxsize=256)
+def _bound_quantiles(n: int, alpha: float) -> tuple[float, float]:
+    """The t quantile of the mean interval and the chi-squared quantile of sigma's high end."""
+    return t_quantile(1.0 - alpha / 2.0, n - 1), chi2_quantile(alpha / 2.0, n - 1)
+
+
+def estimate_rows(
+    samples,
+    alpha: float = 0.05,
+    *,
+    conservative: bool = False,
+    clamp_nonpositive_lower: bool = False,
+) -> RowEstimates:
+    """``estimate`` of every row of an (R, n) array of samples, as whole-array work.
+
+    Each step is the scalar pipeline's arithmetic, in its order, on (R,)
+    arrays: the two-pass mean and sample standard deviation, the point or
+    conservative three-sigma bounds (a zero-spread row keeps its point
+    bounds) and the clamp; the threshold and the ratio bound are taken when
+    read.  A row whose lower bound ends up <= 0 is flagged in ``failed``;
+    errors that concern the whole array (a bad alpha, n < 2, a non-finite
+    value) raise as ``estimate`` raises them.
+    """
+    _check_alpha(alpha)
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("samples must be two-dimensional, one sample per row")
+    rows, n = x.shape
+    if n < 2:
+        raise EstimationError(f"need at least 2 observations, got {n}")
+    if not np.isfinite(x).all():
+        raise ValueError("sample contains non-finite values")
+    mean = np.add.reduce(x, axis=1) / n  # x.mean(axis=1), without its wrapper
+    dev = x - mean[:, None]
+    s = np.sqrt(np.add.reduce(np.square(dev, out=dev), axis=1) / (n - 1))
+    upper, lower = mean + 3.0 * s, mean - 3.0 * s
+    if conservative:
+        t_q, chi2_lo = _bound_quantiles(n, alpha)
+        half = s / math.sqrt(n) * t_q
+        sig_hi = s * math.sqrt((n - 1) / chi2_lo)
+        spread = s > 0.0
+        upper = np.where(spread, (mean + half) + 3.0 * sig_hi, upper)
+        lower = np.where(spread, (mean - half) - 3.0 * sig_hi, lower)
+    clamped = np.zeros(rows, dtype=bool)
+    if clamp_nonpositive_lower:
+        floor = CLAMP_EPS * upper
+        clamped = (upper > 0.0) & (floor > lower)
+        lower = np.where(clamped, floor, lower)
+    return RowEstimates(
+        alpha=alpha, n=n, conservative=conservative, mean=mean, sample_std=s,
+        upper_bound=upper, lower_bound=lower, lower_clamped=clamped, failed=lower <= 0.0,
+    )
+
+
 def estimate(
     data,
     alpha: float = 0.05,
@@ -181,30 +307,20 @@ def estimate(
     conservative: bool = False,
     clamp_nonpositive_lower: bool = False,
 ) -> EstimateReport:
-    """Full estimation pipeline from raw sample to threshold.
+    """Full estimation pipeline from raw sample to threshold: the one-row ``estimate_rows``.
 
     A zero-spread sample degenerates gracefully: both intervals collapse,
     the bounds coincide with the mean, and the threshold equals it.  A
     nonpositive lower bound raises unless the clamp is requested.
     """
     _check_alpha(alpha)
-    stats = sample_stats(data)
-    upper, lower = three_sigma_bounds(stats, alpha, conservative)
-    clamped = False
-    if clamp_nonpositive_lower:
-        floored = clamp_lower_bound(upper, lower)
-        clamped = floored > lower
-        lower = floored
-    theta = threshold_price(upper, lower)
-    return EstimateReport(
-        alpha=alpha,
-        stats=stats,
-        upper_bound=upper,
-        lower_bound=lower,
-        threshold=theta,
-        conservative=conservative,
-        lower_clamped=clamped,
-    )
+    arr = np.asarray(data, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError("sample must be one-dimensional")
+    return estimate_rows(
+        arr[None, :], alpha,
+        conservative=conservative, clamp_nonpositive_lower=clamp_nonpositive_lower,
+    ).report(0)
 
 
 def _check_alpha(alpha: float) -> None:

@@ -10,7 +10,9 @@ contiguous chunks, at least one per worker, and more where what one
 chunk holds, ``CHUNK_ARRAYS`` arrays per price series, would not fit
 ``policies.SWEEP_BYTES`` (through ``sweep_blocks``).  Every chunk runs one
 module-level function with the frozen config and the objects the runner
-built once bound by ``functools.partial``; results are merged in chunk
+built once bound by ``functools.partial``; a pool's initializer gives that
+function to each worker process once, so a chunk sends only its range,
+not the history or the policies again.  Results are merged in chunk
 order.  A violation curve is one fan-out over rounds that covers every n
 of the grid, an adaptive sweep one fan-out over rounds that covers every
 warmup x refresh grid point, and a policy comparison one fan-out over
@@ -116,7 +118,8 @@ def _map_chunks(
     ``sweep_blocks`` needs them for what one chunk holds to fit
     ``SWEEP_BYTES``.  With one worker, or one chunk, every chunk runs in
     this process; otherwise all of them go through one pool of up to
-    ``workers`` processes.
+    ``workers`` processes, each of which receives ``fn`` once, through the
+    pool's initializer, so only the chunk ranges are sent per chunk.
     """
     width = series * CHUNK_ARRAYS + demand_rows
     parts = max(len(sweep_blocks(count, horizon, width, 0)), min(workers, count))
@@ -124,8 +127,23 @@ def _map_chunks(
     chunks = [range(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
     if workers <= 1 or len(chunks) <= 1:
         return [fn(chunk) for chunk in chunks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-        return list(pool.map(fn, chunks))
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(chunks)), initializer=_install_chunk_fn, initargs=(fn,)
+    ) as pool:
+        return list(pool.map(_run_chunk, chunks))
+
+
+_chunk_fn = None  # in a pool's worker process: the chunk function the pool runs
+
+
+def _install_chunk_fn(fn) -> None:
+    """Pool initializer: a worker receives the chunk function, and what it binds, once."""
+    global _chunk_fn
+    _chunk_fn = fn
+
+
+def _run_chunk(chunk: range):
+    return _chunk_fn(chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +193,8 @@ def _violation_reports(
             f"n={largest} exceeds history length {history.size} "
             f"for mode {config.resample_mode!r}",
         )
+    if history.size == 0:
+        raise ConfigError("history", "cannot bootstrap an empty history")
     chunk = partial(violation_rounds, config, instance, build_model(config), history, tuple(ns))
     parts = _map_chunks(chunk, config.rounds, workers, config.T, len(ns) * config.eval_episodes)
     reports = []

@@ -10,19 +10,28 @@ it takes its rows in the DP table's ``policies.sweep_blocks``, which bound
 the value cube's memory.  Every row's result is the same bits whatever
 block it lands in, and ``offline_optimal`` is the one-row ``simulate``.
 
-A violation chunk estimates its (round, n) pairs and scores them together:
-one threshold batch and one oracle batch over the distinct series.
+A violation chunk is whole-array work over its rounds.  It estimates in
+blocks of ``BLOCK_FLOATS // max(n)`` rounds, so its bootstrap index array
+and each (rounds, n) sample hold at most ``BLOCK_FLOATS`` values: a block
+draws each round's bootstrap indices once, at the largest n, and slices
+the smaller samples from them, and each n's samples are one
+``estimate_rows`` call.  It then
+scores every estimated (round, n) pair together: one threshold batch, and
+one oracle batch over each round's series, or over the distinct series
+where they depend on n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .estimation import EstimationError, estimate
+from .estimation import estimate  # noqa: F401  (a name bench/tracer.py wraps)
+from .estimation import BLOCK_FLOATS, estimate_rows
 from .model import (
     Instance,
     Trajectory,
@@ -41,7 +50,7 @@ from .policies import (
     storage_grid,
     sweep_blocks,
 )
-from .prices import _resample as resample  # trusts its input; violation_rounds validates it
+from .prices import _resample as resample  # noqa: F401  (a name bench/tracer.py wraps)
 from .prices import as_series
 from .seeds import stream
 
@@ -192,6 +201,77 @@ class ViolationReport:
     rows: tuple[MetricRow, ...] = field(repr=False, default=())
 
 
+def _estimate_rounds(config: ExperimentConfig, history: np.ndarray, ns, rounds: list):
+    """Each (n, round)'s estimate: (4, len(ns), R) threshold, ratio bound, lower and
+    upper bound, and the (len(ns), R) mask of failed estimates.
+
+    Round r's sample of size n is what ``resample`` draws with
+    ``stream(seed, 0, r)`` from the history, or with ``eval_source=held-out``
+    from its first n records.  A with-replacement bootstrap of the whole
+    history draws max(ns) indices once per round, and the smaller samples
+    are their prefixes; a draw whose bound depends on n is made once per n,
+    from the round's one generator restored to its starting state; ``prefix``
+    draws nothing.  Rounds go in blocks of ``BLOCK_FLOATS // max(ns)``.
+    """
+    mode, held, largest = config.resample_mode, config.eval_source == "held-out", max(ns)
+    shared = mode == "with-replacement" and not held
+    values = np.empty((4, len(ns), len(rounds)))
+    failed = np.empty((len(ns), len(rounds)), dtype=bool)
+    per_block = max(1, BLOCK_FLOATS // largest)
+    for first in range(0, len(rounds), per_block):
+        block = slice(first, first + per_block)
+        rngs = [] if mode == "prefix" else [stream(config.seed, 0, r) for r in rounds[block]]
+        if shared:
+            drawn = np.array([rng.integers(0, history.size, size=largest) for rng in rngs])
+        else:
+            states = [rng.bit_generator.state for rng in rngs]
+        for i, n in enumerate(ns):
+            if shared:
+                index = drawn[:, :n]
+            elif mode == "prefix":
+                index = np.broadcast_to(np.arange(n), (len(rounds[block]), n))
+            else:
+                for rng, state in zip(rngs, states):
+                    rng.bit_generator.state = state
+                pool = n if held else history.size
+                if mode == "with-replacement":
+                    index = np.array([rng.integers(0, pool, size=n) for rng in rngs])
+                else:
+                    starts = np.array([rng.integers(0, pool - n + 1) for rng in rngs])
+                    index = starts[:, None] + np.arange(n)
+            fits = estimate_rows(
+                history[index], config.alpha,
+                conservative=config.conservative, clamp_nonpositive_lower=config.clamp_m,
+            )
+            values[:, i, block] = fits.threshold, fits.ratio_bound, fits.lower_bound, fits.upper_bound
+            failed[i, block] = fits.failed
+    return values, failed
+
+
+def _held_out_windows(
+    config: ExperimentConfig, history: np.ndarray, horizon: int, rounds, ns
+) -> np.ndarray:
+    """(S, E, T) held-out evaluation windows of S (round, n) pairs, sorted by round.
+
+    Episode e of pair s reads ``history[n + start : n + start + T]``, the
+    start drawn from ``stream(seed, 1, round, e)`` over the history after
+    its first n records.  Each (round, episode) generator is built once and
+    restored to its starting state for each n.
+    """
+    E = config.eval_episodes
+    starts = np.empty((len(rounds), E), dtype=np.int64)
+    for r, group in groupby(range(len(rounds)), key=rounds.__getitem__):
+        pairs = list(group)
+        for e in range(E):
+            rng = stream(config.seed, 1, r, e)
+            state = rng.bit_generator.state
+            for s in pairs:
+                rng.bit_generator.state = state
+                starts[s, e] = rng.integers(0, history.size - ns[s] - horizon + 1)
+    offsets = np.asarray(ns)[:, None] + starts
+    return history[offsets[..., None] + np.arange(horizon)]
+
+
 def violation_rounds(
     config: ExperimentConfig, instance: Instance, eval_model, history: np.ndarray,
     ns, round_indices,
@@ -209,68 +289,61 @@ def violation_rounds(
     first n records, which form the estimation pool.  Rounds whose
     estimation fails are counted, not dropped.  The estimated (round, n)
     pairs of the chunk are scored together: one threshold batch with one
-    threshold per row, and one oracle batch over the distinct series.
+    threshold per row, and one oracle batch, over each scored round's model
+    series, or over the distinct series where they depend on n (held-out
+    windows, or series clipped to each n's bounds).
     """
-    T = instance.horizon
-    E = config.eval_episodes
+    T, E = instance.horizon, config.eval_episodes
     held = config.eval_source == "held-out"
-    history = as_series(history, "history")  # once per chunk; resample indexes it as is
-    failures = [0] * len(ns)
-    scored = []  # (index into ns, round, estimate report)
-    series = []  # E price series per scored (round, n)
-    for r in round_indices:
-        drawn = None if held else [
-            eval_model.draw(stream(config.seed, 1, r, e), T) for e in range(E)
-        ]
-        for i, n in enumerate(ns):
-            pool = history[:n] if held else history
-            sample = resample(pool, n, stream(config.seed, 0, r), mode=config.resample_mode)
-            try:
-                report = estimate(
-                    sample, config.alpha,
-                    conservative=config.conservative,
-                    clamp_nonpositive_lower=config.clamp_m,
-                )
-            except EstimationError:
-                failures[i] += 1
-                continue
-            if held:
-                held_out = history[n:]
-                windows = []
-                for e in range(E):
-                    start = int(stream(config.seed, 1, r, e).integers(0, held_out.size - T + 1))
-                    windows.append(held_out[start : start + T])
-            else:
-                windows = drawn
-            if config.clamp_eval_to_bounds:
-                windows = [np.clip(p, report.lower_bound, report.upper_bound) for p in windows]
-            scored.append((i, r, report))
-            series.extend(windows)
+    history = as_series(history, "history")  # once per chunk; the samples index it as is
+    rounds = list(round_indices)
+    values, failed = _estimate_rounds(config, history, ns, rounds)
+    failures = failed.sum(axis=1).tolist()
     rows_by_n: list[list[MetricRow]] = [[] for _ in ns]
-    if not scored:
+    at, which = np.nonzero(~failed.T)  # the scored (round, n) pairs, round-major
+    if not at.size:
         return rows_by_n, failures
-    prices = np.array(series)
-    thresholds = np.repeat([report.threshold for *_, report in scored], E)
-    alg = simulate_batch(instance, prices, ThresholdPolicy(thresholds)).total_cost.reshape(-1, E)
-    series_id: dict[bytes, int] = {}
-    which = np.array([series_id.setdefault(row.tobytes(), len(series_id)) for row in prices])
-    first = np.unique(which, return_index=True)[1]
-    opt = offline_costs(instance, prices[first], config.G)[which].reshape(-1, E)
+    theta, bound, lower, upper = values[:, which, at]
+    if held:
+        prices = _held_out_windows(config, history, T, [rounds[a] for a in at.tolist()],
+                                   [ns[i] for i in which.tolist()])
+    else:
+        live, of_pair = np.unique(at, return_inverse=True)
+        drawn = np.array([
+            [eval_model.draw(stream(config.seed, 1, rounds[a], e), T) for e in range(E)]
+            for a in live.tolist()
+        ])
+        prices = drawn[of_pair]
+    if config.clamp_eval_to_bounds:
+        prices = np.clip(prices, lower[:, None, None], upper[:, None, None])
+    prices = prices.reshape(-1, T)
+    alg = simulate_batch(
+        instance, prices, ThresholdPolicy(np.repeat(theta, E))
+    ).total_cost.reshape(-1, E)
+    if held or config.clamp_eval_to_bounds:
+        series_id: dict[bytes, int] = {}
+        ids = np.array([series_id.setdefault(row.tobytes(), len(series_id)) for row in prices])
+        first = np.unique(ids, return_index=True)[1]
+        opt = offline_costs(instance, prices[first], config.G)[ids].reshape(-1, E)
+    else:
+        opt = offline_costs(instance, drawn.reshape(-1, T), config.G).reshape(-1, E)[of_pair]
     crs = competitive_ratio(alg, opt)
-    for (i, r, report), alg_costs, opt_costs, round_crs in zip(scored, alg, opt, crs):
-        round_cr = float(round_crs.max() if config.verdict == "any" else round_crs.mean())
-        bound = report.ratio_bound
+    round_crs = crs.max(axis=1) if config.verdict == "any" else crs.mean(axis=1)
+    for a, i, alg_cost, opt_cost, cr, cr_bound, reg, theta_hat in zip(
+        at.tolist(), which.tolist(), alg.mean(axis=1).tolist(), opt.mean(axis=1).tolist(),
+        round_crs.tolist(), bound.tolist(), (alg - opt).mean(axis=1).tolist(), theta.tolist(),
+    ):
         rows_by_n[i].append(MetricRow(
-            round=r,
+            round=rounds[a],
             n=ns[i],
             policy_id="threshold",
-            alg_cost=float(alg_costs.mean()),
-            opt_cost=float(opt_costs.mean()),
-            cr=round_cr,
-            cr_bound=bound,
-            violated=bool(round_cr > bound),
-            regret=float((alg_costs - opt_costs).mean()),
-            theta_hat=report.threshold,
+            alg_cost=alg_cost,
+            opt_cost=opt_cost,
+            cr=cr,
+            cr_bound=cr_bound,
+            violated=cr > cr_bound,
+            regret=reg,
+            theta_hat=theta_hat,
             seed=config.seed,
         ))
     return rows_by_n, failures

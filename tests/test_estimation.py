@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from storelab import (
     three_sigma_bounds,
     threshold_price,
 )
-from storelab.estimation import RECORD_FIELDS, clamp_lower_bound
+from storelab.estimation import RECORD_FIELDS, clamp_lower_bound, estimate_rows
 
 
 class TestSampleStats:
@@ -222,3 +223,75 @@ class TestEstimateReport:
         series = generate(Normal(10.0, 2.0), 10**5, seed=55)
         inside = np.mean((series >= 4.0) & (series <= 16.0))
         assert abs(inside - 0.9973) < 0.005
+
+
+def _bits(value) -> str:
+    return float(value).hex()
+
+
+def _scalar_estimate(sample, alpha, conservative, clamp):
+    """The scalar pipeline, one sample: (mean, s, upper, lower, clamped, theta, ratio bound)."""
+    stats = sample_stats(sample)
+    upper, lower = three_sigma_bounds(stats, alpha, conservative)
+    clamped = False
+    if clamp:
+        floored = clamp_lower_bound(upper, lower)
+        clamped, lower = floored > lower, floored
+    theta = threshold_price(upper, lower)
+    return stats.mean, stats.sample_std, upper, lower, clamped, theta, math.sqrt(upper / lower)
+
+
+class TestEstimateRows:
+    @given(
+        st.integers(1, 5),
+        st.one_of(st.integers(2, 40), st.integers(41, 5000)),
+        st.integers(0, 2**32 - 1),
+        st.floats(-5.0, 20.0),
+        st.sampled_from((1e-9, 0.1, 2.0, 30.0)),
+        st.lists(st.booleans(), min_size=5, max_size=5),
+        st.floats(0.01, 0.5),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_the_scalar_pipeline_bit_for_bit(
+        self, rows, n, seed, loc, scale, constant, alpha, conservative, clamp
+    ):
+        samples = loc + scale * np.random.default_rng(seed).standard_normal((rows, n))
+        for i in range(rows):
+            if constant[i]:
+                samples[i] = round(loc * 4.0) / 4.0  # zero spread
+        fits = estimate_rows(samples, alpha, conservative=conservative,
+                             clamp_nonpositive_lower=clamp)
+        assert fits.n == n
+        for i in range(rows):
+            try:
+                want = _scalar_estimate(samples[i], alpha, conservative, clamp)
+            except EstimationError as exc:
+                assert fits.failed[i]
+                assert type(fits.error(i)) is type(exc) and str(fits.error(i)) == str(exc)
+                assert np.isnan(fits.threshold[i]) and np.isnan(fits.ratio_bound[i])
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    estimate(samples[i], alpha, conservative=conservative,
+                             clamp_nonpositive_lower=clamp)
+                continue
+            assert not fits.failed[i]
+            got = (fits.mean[i], fits.sample_std[i], fits.upper_bound[i], fits.lower_bound[i],
+                   fits.lower_clamped[i], fits.threshold[i], fits.ratio_bound[i])
+            assert [_bits(v) for v in got] == [_bits(v) for v in want]
+            report = estimate(samples[i], alpha, conservative=conservative,
+                              clamp_nonpositive_lower=clamp)
+            assert report == fits.report(i)
+            assert _bits(report.ratio_bound) == _bits(want[-1])
+            if constant[i]:
+                assert fits.sample_std[i] == 0.0
+
+    def test_whole_array_errors_are_estimates(self):
+        with pytest.raises(EstimationError, match="need at least 2 observations, got 1"):
+            estimate_rows(np.ones((3, 1)))
+        with pytest.raises(ValueError, match="non-finite"):
+            estimate_rows(np.array([[1.0, 2.0], [np.nan, 1.0]]))
+        with pytest.raises(ValueError, match="alpha"):
+            estimate_rows(np.ones((2, 3)), 1.5)
+        with pytest.raises(ValueError, match="two-dimensional"):
+            estimate_rows(np.ones(3))

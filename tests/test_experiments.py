@@ -2,8 +2,9 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -283,10 +284,16 @@ class TestRunViolationCurve:
         dict(clamp_eval_to_bounds=True),
         dict(verdict="mean"),
         dict(mu=7.0, sigma=2.5, clamp_lo=0.5, clamp_hi=14.0, clamp_m=False, history_size=400),
-    ], ids=["default", "held-out", "clamped-eval", "mean-verdict", "estimation-failures"])
-    def test_rows_match_per_slot_reference(self, tmp_path, mode):
+        dict(resample_mode="random-window", history_size=300),
+        dict(eval_source="held-out", history_size=300),
+        dict(conservative=True),
+    ], ids=["default", "held-out", "clamped-eval", "mean-verdict", "estimation-failures",
+            "random-window", "held-out-bootstrap", "conservative"])
+    def test_rows_match_per_slot_reference(self, tmp_path, monkeypatch, mode):
         # every field of every row, against reference_simulate and the
-        # per-episode reference oracle
+        # per-episode reference oracle; the two chunks of three rounds
+        # estimate in blocks of two rounds, then one
+        monkeypatch.setattr(metrics, "BLOCK_FLOATS", 2 * 60)
         config = small_config(tmp_path, kind="violation-curve", n_grid=(3, 8, 60),
                               rounds=6, eval_episodes=3, **mode)
         reports = run_violation_curve(config, workers=2)
@@ -303,7 +310,8 @@ class TestRunViolationCurve:
         dict(clamp_eval_to_bounds=True),
         # estimation fails at some n but not at others in the same round
         dict(mu=7.0, sigma=2.5, clamp_lo=0.5, clamp_hi=14.0, clamp_m=False, history_size=400),
-    ], ids=["held-out", "clamped-eval", "mixed-failures"])
+        dict(eval_source="held-out", history_size=300),
+    ], ids=["held-out", "clamped-eval", "mixed-failures", "held-out-bootstrap"])
     def test_n_dependent_series_equal_per_n_reports(self, tmp_path, mode):
         config = small_config(tmp_path, kind="violation-curve", n_grid=(3, 8, 60),
                               rounds=6, eval_episodes=2, **mode)
@@ -521,6 +529,8 @@ class TestRunAdaptive:
     def _count_work(tmp_path, monkeypatch, groups=None):
         """(estimates, value-table builds, warmup draw sizes) of one small adaptive run.
 
+        An estimate is one ``estimate`` call, counted 1, or one
+        ``estimate_rows`` call, counted by its rows as a tuple (rows,).
         ``groups``, if given, is the (warmup, round) groups per adaptive block.
         """
         import storelab.policies as policies
@@ -531,6 +541,7 @@ class TestRunAdaptive:
             _groups_per_block(monkeypatch, config, groups)
         builds, estimates, draws = [], [], []
         build, estimate_ = policies.build_value_tables, policies.estimate
+        estimate_rows = policies.estimate_rows
         generate_ = experiments.generate
 
         def counting_build(*args, **kwargs):
@@ -541,25 +552,31 @@ class TestRunAdaptive:
             estimates.append(1)
             return estimate_(*args, **kwargs)
 
+        def counting_estimate_rows(samples, *args, **kwargs):
+            estimates.append((len(samples),))
+            return estimate_rows(samples, *args, **kwargs)
+
         def counting_generate(model, length, seed):
             draws.append(length)
             return generate_(model, length, seed)
 
         monkeypatch.setattr(policies, "build_value_tables", counting_build)
         monkeypatch.setattr(policies, "estimate", counting_estimate)
+        monkeypatch.setattr(policies, "estimate_rows", counting_estimate_rows)
         monkeypatch.setattr(experiments, "generate", counting_generate)
         monkeypatch.setattr(experiments, "simulate", _no_one_row_simulate)
         run_adaptive_convergence(config)
-        return len(estimates), len(builds), sorted(d for d in draws if d != config.T)
+        return estimates, len(builds), sorted(d for d in draws if d != config.T)
 
     def test_each_value_table_is_built_once(self, tmp_path, monkeypatch):
         estimates, builds, draws = self._count_work(tmp_path, monkeypatch)
         # 2 warmups x 3 rounds x 4 episodes = 24 adaptive rows in one block.
         # The block estimates its six warmups once each and builds one base
         # table over them, shared by both strides; stride 2 at T=6
-        # re-estimates every row at slots 2 and 4, and each of those slots
-        # builds one stacked table; plus the true-parameter table
-        assert estimates == 6 + 24 * 2
+        # re-estimates every row at slots 2 and 4, the 4 rows of each of the
+        # six warmups in one call, and each of those slots builds one stacked
+        # table; plus the true-parameter table
+        assert estimates == [1] * 6 + [(4,)] * (6 * 2)
         assert builds == 1 + 1 + 2
         assert draws == [10] * 3 + [30] * 3
 
@@ -568,7 +585,7 @@ class TestRunAdaptive:
         # three blocks of two (warmup, round) groups: a block estimates the
         # warmups of its own groups, so each warmup is drawn and estimated
         # once however many blocks there are
-        assert estimates == 6 + 24 * 2
+        assert Counter(estimates) == {1: 6, (4,): 6 * 2}
         assert builds == 1 + 3 * (1 + 2)
         assert draws == [10] * 3 + [30] * 3
 
@@ -599,6 +616,11 @@ class TestRunAdaptive:
         assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
         # and with one (warmup, round) group per adaptive block
         _groups_per_block(monkeypatch, config, 1)
+        got = experiments._adaptive_chunk(config, instance, model, true_policy, rounds)[2]
+        assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+        # and with refresh blocks that split a warmup's 4 rows wherever its
+        # history is longer than 33 values
+        monkeypatch.setattr(policies, "BLOCK_FLOATS", 2 * 3 * 45)
         got = experiments._adaptive_chunk(config, instance, model, true_policy, rounds)[2]
         assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
 
@@ -891,6 +913,56 @@ def test_relax_chunks_are_bounded_by_what_they_hold(tmp_path, monkeypatch):
     # 8 floats an episode.  Counting a chunk by its price series alone lets
     # it grow to 1365 episodes here, and the peak by about 50 floats an episode.
     assert peaks[1] - peaks[0] < 16 * 8 * (2048 - 512)
+
+
+def test_violation_chunk_memory_does_not_grow_with_rounds_beyond_one_block(tmp_path):
+    import tracemalloc
+
+    config = small_config(tmp_path, kind="violation-curve", T=6, G=10, eval_episodes=1,
+                          n_grid=(10, 10_000), history_size=100_000, clamp_m=True)
+    instance, model = build_instance(config), build_model(config)
+    history = load_history(config)
+    chunk = partial(metrics.violation_rounds, config, instance, model, history, (10, 10_000))
+    chunk(range(2))  # first-call caches out of the peaks
+    peaks = []
+    for rounds in (6, 60):
+        tracemalloc.start()
+        try:
+            rows, failures = chunk(range(rounds))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert [len(r) for r in rows] == [rounds, rounds] and failures == [0, 0]
+    # the bootstrap work of a block of three rounds at n = 10 000 is alive at a
+    # time: its draw, a sample and the sample's temporaries.  The rest of the
+    # chunk grows by the scored pairs' prices, costs and rows, under a
+    # kilobyte a round here; one array of the block is 256 KiB.  Drawing
+    # every round's samples at once would add over 4 MiB per array.
+    assert peaks[1] - peaks[0] < 8 * metrics.BLOCK_FLOATS
+
+
+class _PickleCountingChunk:
+    """A chunk function that counts the times this process pickles it."""
+
+    pickles = 0
+
+    def __call__(self, chunk: range) -> list[int]:
+        return [i * i for i in chunk]
+
+    def __reduce__(self):
+        type(self).pickles += 1
+        return _PickleCountingChunk, ()
+
+
+def test_each_worker_receives_the_chunk_function_once(monkeypatch):
+    # one unit per chunk: a unit of one series of SWEEP_BYTES floats fills a block alone
+    chunk = _PickleCountingChunk()
+    monkeypatch.setattr(_PickleCountingChunk, "pickles", 0)
+    parts = experiments._map_chunks(chunk, 6, 2, policies.SWEEP_BYTES, 1)
+    assert parts == [[i * i] for i in range(6)]
+    # through the pool's initializer: once per worker at most, whatever the
+    # start method, where a pickled task per chunk would send it 6 times
+    assert _PickleCountingChunk.pickles <= 2
 
 
 class TestCli:

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy import integrate
 from scipy import stats as st
 
@@ -270,6 +272,26 @@ class TestViolationProbability:
         held_out = replace(config, eval_source="held-out", resample_mode="prefix")
         with pytest.raises(ValueError, match="held-out history too short: 5 < horizon 24"):
             bound_violation_probability(held_out, history, 5)
+        with pytest.raises(ConfigError, match="cannot bootstrap an empty history"):
+            bound_violation_probability(config, [], 5)
+
+
+class TestBootstrapPrefixes:
+    @given(
+        hst.sampled_from((3, 10**5, 2**31, 2**32 + 5)),
+        hst.integers(2, 3000),
+        hst.lists(hst.integers(1, 3000), max_size=4),
+        hst.integers(0, 2**32 - 1),
+        hst.integers(0, 10**6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_prefixes_of_the_largest_draw_equal_per_n_draws(self, size, largest, more, seed, r):
+        # a violation round draws its bootstrap indices once, at the largest
+        # n, and each smaller n's sample is a prefix of that draw
+        ns = {largest, largest - 1} | {n for n in more if n <= largest}  # odd and even n
+        drawn = stream(seed, 0, r).integers(0, size, size=largest)
+        for n in ns:
+            assert np.array_equal(drawn[:n], stream(seed, 0, r).integers(0, size, size=n))
 
 
 class TestMetricRows:
