@@ -25,8 +25,8 @@ from .special import chi2_quantile, t_quantile
 
 CLAMP_EPS = 1e-3
 
-# floats in each (rows, n) sample array that a caller builds for one
-# ``estimate_rows`` call: a block of max(1, BLOCK_FLOATS // n) rows
+# floats in each (rows, n) sample array that ``metrics.violation_rounds``
+# builds for one ``estimate_rows`` call: a block of max(1, BLOCK_FLOATS // n) rows
 BLOCK_FLOATS = 1 << 15
 
 RECORD_FIELDS = (

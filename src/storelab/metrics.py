@@ -15,17 +15,15 @@ blocks of ``BLOCK_FLOATS // max(n)`` rounds, so its bootstrap index array
 and each (rounds, n) sample hold at most ``BLOCK_FLOATS`` values: a block
 draws each round's bootstrap indices once, at the largest n, and slices
 the smaller samples from them, and each n's samples are one
-``estimate_rows`` call.  It then
-scores every estimated (round, n) pair together: one threshold batch, and
-one oracle batch over each round's series, or over the distinct series
-where they depend on n.
+``estimate_rows`` call.  It then scores every estimated (round, n) pair
+together: one threshold batch and one oracle batch over the distinct
+series.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -50,7 +48,7 @@ from .policies import (
     storage_grid,
     sweep_blocks,
 )
-from .prices import _resample as resample  # noqa: F401  (a name bench/tracer.py wraps)
+from .prices import _resample as resample  # trusts its input; violation_rounds validates it
 from .prices import as_series
 from .seeds import stream
 
@@ -209,67 +207,36 @@ def _estimate_rounds(config: ExperimentConfig, history: np.ndarray, ns, rounds: 
     ``stream(seed, 0, r)`` from the history, or with ``eval_source=held-out``
     from its first n records.  A with-replacement bootstrap of the whole
     history draws max(ns) indices once per round, and the smaller samples
-    are their prefixes; a draw whose bound depends on n is made once per n,
-    from the round's one generator restored to its starting state; ``prefix``
-    draws nothing.  Rounds go in blocks of ``BLOCK_FLOATS // max(ns)``.
+    are their prefixes; every other sample is drawn by ``resample``, once
+    per (round, n).  Rounds go in blocks of ``BLOCK_FLOATS // max(ns)``.
     """
-    mode, held, largest = config.resample_mode, config.eval_source == "held-out", max(ns)
+    mode, held = config.resample_mode, config.eval_source == "held-out"
     shared = mode == "with-replacement" and not held
     values = np.empty((4, len(ns), len(rounds)))
     failed = np.empty((len(ns), len(rounds)), dtype=bool)
-    per_block = max(1, BLOCK_FLOATS // largest)
+    per_block = max(1, BLOCK_FLOATS // max(ns))
     for first in range(0, len(rounds), per_block):
         block = slice(first, first + per_block)
-        rngs = [] if mode == "prefix" else [stream(config.seed, 0, r) for r in rounds[block]]
         if shared:
-            drawn = np.array([rng.integers(0, history.size, size=largest) for rng in rngs])
-        else:
-            states = [rng.bit_generator.state for rng in rngs]
+            drawn = np.array([
+                stream(config.seed, 0, r).integers(0, history.size, size=max(ns))
+                for r in rounds[block]
+            ])
         for i, n in enumerate(ns):
             if shared:
-                index = drawn[:, :n]
-            elif mode == "prefix":
-                index = np.broadcast_to(np.arange(n), (len(rounds[block]), n))
+                samples = history[drawn[:, :n]]
             else:
-                for rng, state in zip(rngs, states):
-                    rng.bit_generator.state = state
-                pool = n if held else history.size
-                if mode == "with-replacement":
-                    index = np.array([rng.integers(0, pool, size=n) for rng in rngs])
-                else:
-                    starts = np.array([rng.integers(0, pool - n + 1) for rng in rngs])
-                    index = starts[:, None] + np.arange(n)
+                pool = history[:n] if held else history
+                samples = np.array([
+                    resample(pool, n, stream(config.seed, 0, r), mode=mode) for r in rounds[block]
+                ])
             fits = estimate_rows(
-                history[index], config.alpha,
+                samples, config.alpha,
                 conservative=config.conservative, clamp_nonpositive_lower=config.clamp_m,
             )
             values[:, i, block] = fits.threshold, fits.ratio_bound, fits.lower_bound, fits.upper_bound
             failed[i, block] = fits.failed
     return values, failed
-
-
-def _held_out_windows(
-    config: ExperimentConfig, history: np.ndarray, horizon: int, rounds, ns
-) -> np.ndarray:
-    """(S, E, T) held-out evaluation windows of S (round, n) pairs, sorted by round.
-
-    Episode e of pair s reads ``history[n + start : n + start + T]``, the
-    start drawn from ``stream(seed, 1, round, e)`` over the history after
-    its first n records.  Each (round, episode) generator is built once and
-    restored to its starting state for each n.
-    """
-    E = config.eval_episodes
-    starts = np.empty((len(rounds), E), dtype=np.int64)
-    for r, group in groupby(range(len(rounds)), key=rounds.__getitem__):
-        pairs = list(group)
-        for e in range(E):
-            rng = stream(config.seed, 1, r, e)
-            state = rng.bit_generator.state
-            for s in pairs:
-                rng.bit_generator.state = state
-                starts[s, e] = rng.integers(0, history.size - ns[s] - horizon + 1)
-    offsets = np.asarray(ns)[:, None] + starts
-    return history[offsets[..., None] + np.arange(horizon)]
 
 
 def violation_rounds(
@@ -289,9 +256,7 @@ def violation_rounds(
     first n records, which form the estimation pool.  Rounds whose
     estimation fails are counted, not dropped.  The estimated (round, n)
     pairs of the chunk are scored together: one threshold batch with one
-    threshold per row, and one oracle batch, over each scored round's model
-    series, or over the distinct series where they depend on n (held-out
-    windows, or series clipped to each n's bounds).
+    threshold per row, and one oracle batch over the distinct series.
     """
     T, E = instance.horizon, config.eval_episodes
     held = config.eval_source == "held-out"
@@ -305,28 +270,28 @@ def violation_rounds(
         return rows_by_n, failures
     theta, bound, lower, upper = values[:, which, at]
     if held:
-        prices = _held_out_windows(config, history, T, [rounds[a] for a in at.tolist()],
-                                   [ns[i] for i in which.tolist()])
+        prices = np.empty((at.size, E, T))
+        for s, (a, i) in enumerate(zip(at.tolist(), which.tolist())):
+            n = ns[i]
+            for e in range(E):
+                rng = stream(config.seed, 1, rounds[a], e)
+                start = n + int(rng.integers(0, history.size - n - T + 1))
+                prices[s, e] = history[start : start + T]
     else:
-        live, of_pair = np.unique(at, return_inverse=True)
         drawn = np.array([
-            [eval_model.draw(stream(config.seed, 1, rounds[a], e), T) for e in range(E)]
-            for a in live.tolist()
+            [eval_model.draw(stream(config.seed, 1, r, e), T) for e in range(E)] for r in rounds
         ])
-        prices = drawn[of_pair]
+        prices = drawn[at]
     if config.clamp_eval_to_bounds:
         prices = np.clip(prices, lower[:, None, None], upper[:, None, None])
     prices = prices.reshape(-1, T)
     alg = simulate_batch(
         instance, prices, ThresholdPolicy(np.repeat(theta, E))
     ).total_cost.reshape(-1, E)
-    if held or config.clamp_eval_to_bounds:
-        series_id: dict[bytes, int] = {}
-        ids = np.array([series_id.setdefault(row.tobytes(), len(series_id)) for row in prices])
-        first = np.unique(ids, return_index=True)[1]
-        opt = offline_costs(instance, prices[first], config.G)[ids].reshape(-1, E)
-    else:
-        opt = offline_costs(instance, drawn.reshape(-1, T), config.G).reshape(-1, E)[of_pair]
+    series_id: dict[bytes, int] = {}
+    ids = np.array([series_id.setdefault(row.tobytes(), len(series_id)) for row in prices])
+    first = np.unique(ids, return_index=True)[1]
+    opt = offline_costs(instance, prices[first], config.G)[ids].reshape(-1, E)
     crs = competitive_ratio(alg, opt)
     round_crs = crs.max(axis=1) if config.verdict == "any" else crs.mean(axis=1)
     for a, i, alg_cost, opt_cost, cr, cr_bound, reg, theta_hat in zip(

@@ -49,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from . import special
-from .estimation import BLOCK_FLOATS, EstimateReport, estimate, estimate_rows
+from .estimation import EstimateReport, EstimationError, estimate
 from .model import (
     ENERGY_TOL,
     Instance,
@@ -658,10 +658,8 @@ class AdaptivePolicy(Policy):
     trajectory, and its slots must come in order from slot 0: a call at
     slot 0 starts every row from the base policy.  The prices a row
     observes join its own warmup; every ``refresh_stride`` slots each
-    row's report is re-estimated from that row's history, with one
-    ``estimate_rows`` call over the rows of each warmup (in blocks whose
-    histories hold at most half of ``BLOCK_FLOATS``), and one family call
-    rebuilds every row's policy at the current slot.  A row whose
+    row's report is re-estimated from that row's history, and one family
+    call rebuilds every row's policy at the current slot.  A row whose
     estimate fails keeps its previous report, which rebuilt at the later
     slot gives the decisions its previous policy gave; the failure is
     recorded in ``events``, which name the row.  Rows share no state, so
@@ -693,13 +691,7 @@ class AdaptivePolicy(Policy):
         self._warmup_rows = [int(i) for i in warmup_rows]
         if not all(0 <= i < len(self._warmups) for i in self._warmup_rows):
             raise ValueError(f"warmup rows must index the {len(self._warmups)} warmups")
-        self._warmup_reports = [
-            estimate(w, alpha, conservative=conservative,
-                     clamp_nonpositive_lower=clamp_nonpositive_lower)
-            for w in self._warmups
-        ]
-        rows = np.array(self._warmup_rows)
-        self._rows_of_warmup = [(w, np.flatnonzero(rows == w)) for w in sorted(set(rows.tolist()))]
+        self._warmup_reports = [self._estimate(w) for w in self._warmups]
         self._base = family([self._warmup_reports[i] for i in self._warmup_rows], 0)
         self.events: list[str] = []
         self._reports: list[EstimateReport] | None = None
@@ -730,28 +722,22 @@ class AdaptivePolicy(Policy):
         return q
 
     def _refresh(self, t: int) -> None:
-        failed = {}
-        for w, rows in self._rows_of_warmup:
-            warmup = self._warmups[w]
-            n = warmup.size + t
-            # the block's history and its deviations: two arrays within BLOCK_FLOATS
-            per_block = max(1, BLOCK_FLOATS // (2 * n))
-            for first in range(0, rows.size, per_block):
-                block = rows[first : first + per_block]
-                history = np.empty((block.size, n))
-                history[:, : warmup.size] = warmup
-                history[:, warmup.size :] = self._observed[block, :t]
-                fits = estimate_rows(
-                    history, self.alpha, conservative=self.conservative,
-                    clamp_nonpositive_lower=self.clamp_nonpositive_lower,
+        for e, w in enumerate(self._warmup_rows):
+            history = np.concatenate((self._warmups[w], self._observed[e, :t]))
+            try:
+                self._reports[e] = self._estimate(history)
+            except EstimationError as exc:
+                self.events.append(
+                    f"row {e}: refresh failed at n={history.size} ({exc}); "
+                    "kept previous policy"
                 )
-                for k, e in enumerate(block.tolist()):
-                    if fits.failed[k]:
-                        failed[e] = f"refresh failed at n={n} ({fits.error(k)})"
-                    else:
-                        self._reports[e] = fits.report(k)
-        self.events.extend(
-            f"row {e}: {failed[e]}; kept previous policy" for e in sorted(failed)
-        )
         self._policy = None  # drop the previous generation before building the next
         self._policy = self.family(self._reports, t)
+
+    def _estimate(self, history) -> EstimateReport:
+        return estimate(
+            history,
+            self.alpha,
+            conservative=self.conservative,
+            clamp_nonpositive_lower=self.clamp_nonpositive_lower,
+        )

@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-from collections import Counter
 from dataclasses import fields, replace
 from functools import lru_cache, partial
 from pathlib import Path
@@ -529,8 +528,6 @@ class TestRunAdaptive:
     def _count_work(tmp_path, monkeypatch, groups=None):
         """(estimates, value-table builds, warmup draw sizes) of one small adaptive run.
 
-        An estimate is one ``estimate`` call, counted 1, or one
-        ``estimate_rows`` call, counted by its rows as a tuple (rows,).
         ``groups``, if given, is the (warmup, round) groups per adaptive block.
         """
         import storelab.policies as policies
@@ -541,7 +538,6 @@ class TestRunAdaptive:
             _groups_per_block(monkeypatch, config, groups)
         builds, estimates, draws = [], [], []
         build, estimate_ = policies.build_value_tables, policies.estimate
-        estimate_rows = policies.estimate_rows
         generate_ = experiments.generate
 
         def counting_build(*args, **kwargs):
@@ -552,31 +548,25 @@ class TestRunAdaptive:
             estimates.append(1)
             return estimate_(*args, **kwargs)
 
-        def counting_estimate_rows(samples, *args, **kwargs):
-            estimates.append((len(samples),))
-            return estimate_rows(samples, *args, **kwargs)
-
         def counting_generate(model, length, seed):
             draws.append(length)
             return generate_(model, length, seed)
 
         monkeypatch.setattr(policies, "build_value_tables", counting_build)
         monkeypatch.setattr(policies, "estimate", counting_estimate)
-        monkeypatch.setattr(policies, "estimate_rows", counting_estimate_rows)
         monkeypatch.setattr(experiments, "generate", counting_generate)
         monkeypatch.setattr(experiments, "simulate", _no_one_row_simulate)
         run_adaptive_convergence(config)
-        return estimates, len(builds), sorted(d for d in draws if d != config.T)
+        return len(estimates), len(builds), sorted(d for d in draws if d != config.T)
 
     def test_each_value_table_is_built_once(self, tmp_path, monkeypatch):
         estimates, builds, draws = self._count_work(tmp_path, monkeypatch)
         # 2 warmups x 3 rounds x 4 episodes = 24 adaptive rows in one block.
         # The block estimates its six warmups once each and builds one base
         # table over them, shared by both strides; stride 2 at T=6
-        # re-estimates every row at slots 2 and 4, the 4 rows of each of the
-        # six warmups in one call, and each of those slots builds one stacked
-        # table; plus the true-parameter table
-        assert estimates == [1] * 6 + [(4,)] * (6 * 2)
+        # re-estimates every row at slots 2 and 4, and each of those slots
+        # builds one stacked table; plus the true-parameter table
+        assert estimates == 6 + 24 * 2
         assert builds == 1 + 1 + 2
         assert draws == [10] * 3 + [30] * 3
 
@@ -585,7 +575,7 @@ class TestRunAdaptive:
         # three blocks of two (warmup, round) groups: a block estimates the
         # warmups of its own groups, so each warmup is drawn and estimated
         # once however many blocks there are
-        assert Counter(estimates) == {1: 6, (4,): 6 * 2}
+        assert estimates == 6 + 24 * 2
         assert builds == 1 + 3 * (1 + 2)
         assert draws == [10] * 3 + [30] * 3
 
@@ -616,11 +606,6 @@ class TestRunAdaptive:
         assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
         # and with one (warmup, round) group per adaptive block
         _groups_per_block(monkeypatch, config, 1)
-        got = experiments._adaptive_chunk(config, instance, model, true_policy, rounds)[2]
-        assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
-        # and with refresh blocks that split a warmup's 4 rows wherever its
-        # history is longer than 33 values
-        monkeypatch.setattr(policies, "BLOCK_FLOATS", 2 * 3 * 45)
         got = experiments._adaptive_chunk(config, instance, model, true_policy, rounds)[2]
         assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
 

@@ -488,26 +488,16 @@ class TestDpPolicy:
 
 @pytest.fixture
 def estimate_reports(monkeypatch):
-    """Every estimate report AdaptivePolicy builds a policy from, in order.
-
-    Its warmups go through ``estimate`` and its refreshes through
-    ``estimate_rows``, whose rows that did not fail are recorded.
-    """
+    """Every estimate report AdaptivePolicy builds a policy from, in order."""
     reports = []
-    original, original_rows = policies.estimate, policies.estimate_rows
+    original = policies.estimate
 
     def recording(*args, **kwargs):
         report = original(*args, **kwargs)
         reports.append(report)
         return report
 
-    def recording_rows(*args, **kwargs):
-        fits = original_rows(*args, **kwargs)
-        reports.extend(fits.report(i) for i in np.flatnonzero(~fits.failed))
-        return fits
-
     monkeypatch.setattr(policies, "estimate", recording)
-    monkeypatch.setattr(policies, "estimate_rows", recording_rows)
     return reports
 
 
