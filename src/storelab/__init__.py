@@ -55,16 +55,14 @@ from .policies import (
     build_value_tables,
 )
 from .metrics import (
-    MetricRow,
     RegretReport,
-    ViolationReport,
     competitive_ratio,
     offline_costs,
     offline_optimal,
     regret,
 )
 from .config import ConfigError, ExperimentConfig, parse_config, render_config
-from .experiments import bound_violation_probability
+from .experiments import ViolationReport, bound_violation_probability
 
 __version__ = "0.1.0"
 
@@ -84,7 +82,6 @@ __all__ = [
     "IngestError",
     "Instance",
     "LogNormal",
-    "MetricRow",
     "NonpositiveLowerBoundError",
     "Normal",
     "Policy",

@@ -25,10 +25,6 @@ from .special import chi2_quantile, t_quantile
 
 CLAMP_EPS = 1e-3
 
-# floats in each (rows, n) sample array that ``metrics.violation_rounds``
-# builds for one ``estimate_rows`` call: a block of max(1, BLOCK_FLOATS // n) rows
-BLOCK_FLOATS = 1 << 15
-
 RECORD_FIELDS = (
     "n", "alpha", "mean", "s", "mu_lo", "mu_hi", "sigma_lo", "sigma_hi",
     "m_hat", "M_hat", "theta_hat", "conservative",

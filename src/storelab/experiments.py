@@ -20,14 +20,23 @@ episodes that covers every scenario (relax runs its scenarios as one
 comparison, policy-compare is the one-scenario case), so one pool serves
 each run, and none at one worker.
 
-A chunk is one batch.  A comparison chunk draws each distinct price
-model's series once, stacks the rows of all scenarios, and runs each
-true-parameter policy over them in one ``simulate_batch``, with one
-``offline_costs`` call per scenario; the policies are built once per
-run, one row per distinct policy model (one stacked DP value table).  A
-comparison keeps the costs as arrays and takes each scenario's ratios
-with one element-wise ``competitive_ratio`` call; only policy-compare
-builds per-episode ``MetricRow`` records, to write them.
+A chunk is one batch.  A violation chunk estimates in blocks of
+``BLOCK_FLOATS // max(n)`` rounds, so its bootstrap index array and each
+(rounds, n) sample hold at most ``BLOCK_FLOATS`` values: a block draws
+each round's bootstrap indices once, at the largest n, and slices the
+smaller samples from them, and each n's samples are one ``estimate_rows``
+call.  It then scores every estimated (round, n) pair together, with one
+threshold batch and one oracle batch over the distinct series, and
+returns each n's per-round threshold, ratio bound and ratio as arrays.
+
+A comparison chunk draws each distinct price model's series once, stacks
+the rows of all scenarios, and runs each true-parameter policy over them
+in one ``simulate_batch``, with one ``offline_costs`` call per scenario;
+the policies are built once per run, one row per distinct policy model
+(one stacked DP value table).  A comparison keeps the costs as arrays
+and takes each scenario's ratios with one element-wise
+``competitive_ratio`` call; policy-compare writes its per-episode rows
+straight from those arrays.
 
 An adaptive chunk steps every (warmup, round, episode) of its rounds as
 rows of one adaptive policy per block, with one ``simulate_batch`` call
@@ -43,7 +52,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -61,19 +70,16 @@ from .estimation import (
     EstimateReport,
     RECORD_FIELDS,
     estimate,
+    estimate_rows,
     model_bounds,
     threshold_price,
 )
 from .metrics import (
-    MetricRow,
-    ViolationReport,
     _write_csv,
     competitive_ratio,
     offline_costs,
     offline_optimal,  # noqa: F401  (a name bench/tracer.py wraps)
     regret,
-    violation_rounds,
-    write_metric_rows,
 )
 from .model import Instance, simulate_batch
 from .model import simulate  # noqa: F401  (a name bench/tracer.py wraps)
@@ -90,9 +96,10 @@ from .policies import (
     linear_budget,
     sweep_blocks,
 )
-from .prices import generate
+from .prices import _resample, as_series, generate
 from .seeds import stream
 
+METRIC_HEADER = "round,n,policy_id,alg_cost,opt_cost,cr,cr_bound,violated,regret,theta_hat,seed"
 VIOLATION_HEADER = "n,p_hat,stderr,violations,failures,rounds"
 SUMMARY_HEADER = "policy_id,mean_cost,regret,regret_stderr,cr_p50,cr_p95,cr_max"
 RELAX_HEADER = "scenario," + SUMMARY_HEADER
@@ -169,6 +176,133 @@ def run_estimate(config: ExperimentConfig, workers: int = 1) -> EstimateReport:
 # violation curve
 
 
+# floats in each (rounds, n) sample array a violation chunk builds for one
+# ``estimate_rows`` call: a block of max(1, BLOCK_FLOATS // max(ns)) rounds
+BLOCK_FLOATS = 1 << 15
+
+
+@dataclass(frozen=True, eq=False)
+class ViolationReport:
+    """Bound-violation frequency for one sample size, and its rounds.
+
+    ``theta_hat``, ``cr_bound`` and ``cr`` are read-only (rounds,) arrays:
+    each round's estimated threshold, ratio bound and competitive ratio,
+    NaN at the rounds whose estimate failed.  A round violates its bound
+    when ``cr > cr_bound``.
+    """
+
+    n: int
+    rounds: int
+    violations: int
+    failures: int
+    p_hat: float
+    stderr: float
+    theta_hat: np.ndarray = field(repr=False)
+    cr_bound: np.ndarray = field(repr=False)
+    cr: np.ndarray = field(repr=False)
+
+
+def _estimate_rounds(config: ExperimentConfig, history: np.ndarray, ns, rounds: list):
+    """Each (n, round)'s estimate: (4, len(ns), R) threshold, ratio bound, lower and
+    upper bound, and the (len(ns), R) mask of failed estimates.
+
+    Round r's sample of size n is what ``resample`` draws with
+    ``stream(seed, 0, r)`` from the history, or with ``eval_source=held-out``
+    from its first n records.  A with-replacement bootstrap of the whole
+    history draws max(ns) indices once per round, and the smaller samples
+    are their prefixes; every other sample is drawn by ``resample``, once
+    per (round, n).  Rounds go in blocks of ``BLOCK_FLOATS // max(ns)``.
+    """
+    mode, held = config.resample_mode, config.eval_source == "held-out"
+    shared = mode == "with-replacement" and not held
+    values = np.empty((4, len(ns), len(rounds)))
+    failed = np.empty((len(ns), len(rounds)), dtype=bool)
+    per_block = max(1, BLOCK_FLOATS // max(ns))
+    for first in range(0, len(rounds), per_block):
+        block = slice(first, first + per_block)
+        if shared:
+            drawn = np.array([
+                stream(config.seed, 0, r).integers(0, history.size, size=max(ns))
+                for r in rounds[block]
+            ])
+        for i, n in enumerate(ns):
+            if shared:
+                samples = history[drawn[:, :n]]
+            else:
+                pool = history[:n] if held else history
+                samples = np.array([
+                    _resample(pool, n, stream(config.seed, 0, r), mode=mode) for r in rounds[block]
+                ])
+            fits = estimate_rows(
+                samples, config.alpha,
+                conservative=config.conservative, clamp_nonpositive_lower=config.clamp_m,
+            )
+            values[:, i, block] = fits.threshold, fits.ratio_bound, fits.lower_bound, fits.upper_bound
+            failed[i, block] = fits.failed
+    return values, failed
+
+
+def violation_rounds(
+    config: ExperimentConfig, instance: Instance, eval_model, history: np.ndarray,
+    ns, round_indices,
+) -> tuple[np.ndarray, list[int]]:
+    """Run a batch of violation rounds at every sample size in ``ns``.
+
+    Returns a (3, len(ns), R) array, each n's threshold, ratio bound and
+    competitive ratio per round, NaN at the rounds whose estimate failed,
+    and the failure count of each n, in the order of ``ns``.  Each round
+    is seeded by its own index, so any partition of the round indices
+    across workers reproduces the same values.
+
+    A round estimates from a size-n sample, then scores its threshold
+    policy on the config's ``eval_episodes`` evaluation series.  The series
+    come from the evaluation model (drawn once per round, for every n), or
+    with ``eval_source=held-out`` from windows of the history after its
+    first n records, which form the estimation pool.  Rounds whose
+    estimation fails are counted, not dropped.  The estimated (round, n)
+    pairs of the chunk are scored together: one threshold batch with one
+    threshold per row, and one oracle batch over the distinct series.
+    """
+    T, E = instance.horizon, config.eval_episodes
+    held = config.eval_source == "held-out"
+    history = as_series(history, "history")  # once per chunk; the samples index it as is
+    rounds = list(round_indices)
+    values, failed = _estimate_rounds(config, history, ns, rounds)
+    failures = failed.sum(axis=1).tolist()
+    out = np.full((3, len(ns), len(rounds)), np.nan)
+    at, which = np.nonzero(~failed.T)  # the scored (round, n) pairs, round-major
+    if not at.size:
+        return out, failures
+    theta, bound, lower, upper = values[:, which, at]
+    if held:
+        prices = np.empty((at.size, E, T))
+        for s, (a, i) in enumerate(zip(at.tolist(), which.tolist())):
+            n = ns[i]
+            for e in range(E):
+                rng = stream(config.seed, 1, rounds[a], e)
+                start = n + int(rng.integers(0, history.size - n - T + 1))
+                prices[s, e] = history[start : start + T]
+    else:
+        drawn = np.array([
+            [eval_model.draw(stream(config.seed, 1, r, e), T) for e in range(E)] for r in rounds
+        ])
+        prices = drawn[at]
+    if config.clamp_eval_to_bounds:
+        prices = np.clip(prices, lower[:, None, None], upper[:, None, None])
+    prices = prices.reshape(-1, T)
+    alg = simulate_batch(
+        instance, prices, ThresholdPolicy(np.repeat(theta, E))
+    ).total_cost.reshape(-1, E)
+    series_id: dict[bytes, int] = {}
+    ids = np.array([series_id.setdefault(row.tobytes(), len(series_id)) for row in prices])
+    first = np.unique(ids, return_index=True)[1]
+    opt = offline_costs(instance, prices[first], config.G)[ids].reshape(-1, E)
+    crs = competitive_ratio(alg, opt)
+    round_crs = crs.max(axis=1) if config.verdict == "any" else crs.mean(axis=1)
+    out[:, which, at] = theta, bound, round_crs
+    return out, failures
+
+
 def _violation_reports(
     config: ExperimentConfig, history, ns, workers: int
 ) -> list[ViolationReport]:
@@ -180,6 +314,9 @@ def _violation_reports(
     if min(ns) < 2:
         raise ValueError(f"sample size must be >= 2, got {min(ns)}")
     history = np.asarray(history, dtype=float)
+    if history.size == 0:
+        verb = "bootstrap" if config.resample_mode == "with-replacement" else "sample"
+        raise ConfigError("history", f"cannot {verb} an empty history")
     instance = build_instance(config)
     largest = max(ns)
     if config.eval_source == "held-out" and history.size - largest < instance.horizon:
@@ -193,20 +330,20 @@ def _violation_reports(
             f"n={largest} exceeds history length {history.size} "
             f"for mode {config.resample_mode!r}",
         )
-    if history.size == 0:
-        raise ConfigError("history", "cannot bootstrap an empty history")
     chunk = partial(violation_rounds, config, instance, build_model(config), history, tuple(ns))
     parts = _map_chunks(chunk, config.rounds, workers, config.T, len(ns) * config.eval_episodes)
+    values = np.concatenate([part for part, _ in parts], axis=-1)
+    values.flags.writeable = False
     reports = []
     for i, n in enumerate(ns):
-        rows = tuple(row for part_rows, _ in parts for row in part_rows[i])
-        violations = sum(int(r.violated) for r in rows)
+        theta_hat, cr_bound, cr = values[:, i]
+        violations = int(np.count_nonzero(cr > cr_bound))
         p_hat = violations / config.rounds
         reports.append(ViolationReport(
             n=n, rounds=config.rounds, violations=violations,
             failures=sum(part_failures[i] for _, part_failures in parts),
             p_hat=p_hat, stderr=math.sqrt(p_hat * (1.0 - p_hat) / config.rounds),
-            rows=rows,
+            theta_hat=theta_hat, cr_bound=cr_bound, cr=cr,
         ))
     return reports
 
@@ -419,24 +556,22 @@ def _compare_core(
     return results
 
 
-def run_policy_compare(
-    config: ExperimentConfig, workers: int = 1
-) -> tuple[list[MetricRow], list[PolicySummary]]:
-    """Threshold, budgeted-threshold, and DP policies against the hindsight oracle."""
+def run_policy_compare(config: ExperimentConfig, workers: int = 1) -> list[PolicySummary]:
+    """Threshold, budgeted-threshold, and DP policies against the hindsight oracle.
+
+    Writes one row per (episode, policy), in (round, policy_id) order, from
+    the (E,) oracle and (3, E) cost and ratio arrays, and the summaries.
+    """
     model = build_model(config)
     [(opt, alg, crs, summaries)] = _compare_core(config, [("baseline", model, model, 0.0)], workers)
     upper, lower = model_bounds(model, config.clamp_m)
     theta, bound = threshold_price(upper, lower), math.sqrt(upper / lower)
-    rows = [
-        MetricRow(
-            round=e, n=0, policy_id=summary.policy_id, alg_cost=a, opt_cost=o, cr=cr,
-            cr_bound=bound, violated=cr > bound, regret=a - o, theta_hat=theta, seed=config.seed,
-        )
-        for summary, alg_k, crs_k in zip(summaries, alg.tolist(), crs.tolist())
-        for e, (a, o, cr) in enumerate(zip(alg_k, opt.tolist(), crs_k))
-    ]
-    rows.sort(key=lambda r: (r.round, r.policy_id))
-    write_metric_rows(config.out, rows)
+    columns = zip([s.policy_id for s in summaries], alg.tolist(), crs.tolist(), (alg - opt).tolist())
+    _write_csv(config.out, METRIC_HEADER, sorted(
+        (e, 0, policy_id, a, o, cr, bound, int(cr > bound), reg, theta, config.seed)
+        for policy_id, alg_k, crs_k, reg_k in columns
+        for e, (a, o, cr, reg) in enumerate(zip(alg_k, opt.tolist(), crs_k, reg_k))
+    ))
     _write_csv(
         summary_path(config.out),
         SUMMARY_HEADER,
@@ -446,7 +581,7 @@ def run_policy_compare(
             for s in summaries
         ],
     )
-    return rows, summaries
+    return summaries
 
 
 def summary_path(out) -> Path:

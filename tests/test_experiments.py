@@ -12,12 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import storelab.experiments as experiments
-import storelab.metrics as metrics
 import storelab.policies as policies
 from storelab import (
+    ConfigError,
     EstimationError,
     ExperimentConfig,
-    MetricRow,
     Normal,
     ThresholdPolicy,
     bound_violation_probability,
@@ -31,6 +30,7 @@ from storelab.cli import main
 from storelab.config import build_instance, build_model, load_history
 from storelab.experiments import (
     ADAPTIVE_HEADER,
+    METRIC_HEADER,
     RELAX_HEADER,
     SUMMARY_HEADER,
     VIOLATION_HEADER,
@@ -41,7 +41,6 @@ from storelab.experiments import (
     run_violation_curve,
     summary_path,
 )
-from storelab.metrics import METRIC_HEADER
 from storelab.seeds import stream
 from storelab.special import normal_cdf, normal_pdf
 
@@ -56,20 +55,25 @@ def _no_one_row_simulate(*args, **kwargs):
     raise AssertionError("the runner called the one-row simulate")
 
 
-def _field_reprs(row):
-    return tuple(repr(getattr(row, f.name)) for f in fields(row))
+def _field_reprs(record):
+    """Each field's repr, an array's as a list: NaN matches NaN, and -0.0 only -0.0."""
+    return tuple(
+        repr(value.tolist() if isinstance(value, np.ndarray) else value)
+        for value in (getattr(record, f.name) for f in fields(record))
+    )
 
 
 def _reference_violation_rows(config, history, n):
-    """The violation rows for one n, one round and one episode at a time.
+    """One n's per-round threshold, ratio bound and ratio, one round and one episode at a time.
 
-    ``reference_simulate`` and the per-episode reference oracle score
-    each series; the estimate, series and aggregates follow the runner's
-    definition.
+    Three lists of ``config.rounds`` floats, NaN at the rounds whose
+    estimate fails.  ``reference_simulate`` and the per-episode reference
+    oracle score each series; the estimate, series and round ratio follow
+    the runner's definition.
     """
     instance, eval_model = build_instance(config), build_model(config)
     T = instance.horizon
-    rows = []
+    rows = ([], [], [])
     for r in range(config.rounds):
         held_out = history[n:] if config.eval_source == "held-out" else None
         pool = history if held_out is None else history[:n]
@@ -78,6 +82,8 @@ def _reference_violation_rows(config, history, n):
             report = estimate(sample, config.alpha, conservative=config.conservative,
                               clamp_nonpositive_lower=config.clamp_m)
         except EstimationError:
+            for column in rows:
+                column.append(math.nan)
             continue
         policy = ThresholdPolicy(report.threshold)
         alg_costs, opt_costs, crs = (np.empty(config.eval_episodes) for _ in range(3))
@@ -94,13 +100,8 @@ def _reference_violation_rows(config, history, n):
             opt_costs[e] = reference_offline_optimal(instance, prices, config.G).total_cost
             crs[e] = competitive_ratio(alg_costs[e], opt_costs[e])
         round_cr = float(crs.max() if config.verdict == "any" else crs.mean())
-        rows.append(MetricRow(
-            round=r, n=n, policy_id="threshold",
-            alg_cost=float(alg_costs.mean()), opt_cost=float(opt_costs.mean()),
-            cr=round_cr, cr_bound=report.ratio_bound, violated=bool(round_cr > report.ratio_bound),
-            regret=float((alg_costs - opt_costs).mean()), theta_hat=report.threshold,
-            seed=config.seed,
-        ))
+        for column, value in zip(rows, (report.threshold, report.ratio_bound, round_cr)):
+            column.append(value)
     return rows
 
 
@@ -232,24 +233,39 @@ class TestRunViolationCurve:
         config = small_config(tmp_path, kind="violation-curve")
         history = generate(Normal(10.0, 2.0), 500, seed=5)
         serial = bound_violation_probability(config, history, 20, workers=1)
-        assert bound_violation_probability(config, history, 20, workers=2).rows == serial.rows
-        assert len(serial.rows) == config.rounds
+        parallel = bound_violation_probability(config, history, 20, workers=2)
+        assert _field_reprs(parallel) == _field_reprs(serial)
+        assert serial.cr.shape == (config.rounds,)
 
     def test_runner_reports_equal_per_n_reports(self, tmp_path):
         config = small_config(tmp_path, kind="violation-curve", n_grid=(20, 5))
         reports = run_violation_curve(config)
         history = load_history(config)
-        assert reports == [bound_violation_probability(config, history, n) for n in (5, 20)]
+        assert [_field_reprs(r) for r in reports] == [
+            _field_reprs(bound_violation_probability(config, history, n)) for n in (5, 20)
+        ]
+
+    @pytest.mark.parametrize("source", ["model", "held-out"])
+    @pytest.mark.parametrize("mode", ["with-replacement", "prefix", "random-window"])
+    def test_empty_history_is_rejected_first(self, monkeypatch, tmp_path, mode, source):
+        # before the held-out length and the largest n are checked against it
+        monkeypatch.setattr(experiments, "violation_rounds", _no_rounds)
+        config = small_config(tmp_path, kind="violation-curve", eval_source=source,
+                              resample_mode=mode)
+        verb = "bootstrap" if mode == "with-replacement" else "sample"
+        with pytest.raises(ConfigError) as caught:
+            bound_violation_probability(config, np.array([]), 10)
+        assert str(caught.value) == f"history: cannot {verb} an empty history"
 
     def test_oracle_scores_each_stream_once(self, tmp_path, monkeypatch):
         scored = []
-        oracle = metrics.offline_costs
+        oracle = experiments.offline_costs
 
         def counting_oracle(instance, prices, *args, **kwargs):
             scored.append(len(prices))
             return oracle(instance, prices, *args, **kwargs)
 
-        monkeypatch.setattr(metrics, "offline_costs", counting_oracle)
+        monkeypatch.setattr(experiments, "offline_costs", counting_oracle)
         config = small_config(tmp_path, kind="violation-curve", n_grid=(40, 5, 20),
                               rounds=5, eval_episodes=3)
         reports = run_violation_curve(config)
@@ -257,8 +273,8 @@ class TestRunViolationCurve:
         # over the 5 x 3 distinct series
         assert scored == [5 * 3]
         history = load_history(config)
-        assert [r.rows for r in reports] == [
-            bound_violation_probability(config, history, n).rows for n in (5, 20, 40)
+        assert [_field_reprs(r) for r in reports] == [
+            _field_reprs(bound_violation_probability(config, history, n)) for n in (5, 20, 40)
         ]
 
     def test_each_series_is_drawn_once(self, tmp_path, monkeypatch):
@@ -281,26 +297,33 @@ class TestRunViolationCurve:
         dict(),
         dict(eval_source="held-out", resample_mode="prefix", history_size=300),
         dict(clamp_eval_to_bounds=True),
-        dict(verdict="mean"),
+        dict(verdict="any"),
         dict(mu=7.0, sigma=2.5, clamp_lo=0.5, clamp_hi=14.0, clamp_m=False, history_size=400),
         dict(resample_mode="random-window", history_size=300),
         dict(eval_source="held-out", history_size=300),
         dict(conservative=True),
-    ], ids=["default", "held-out", "clamped-eval", "mean-verdict", "estimation-failures",
+    ], ids=["default", "held-out", "clamped-eval", "any-verdict", "estimation-failures",
             "random-window", "held-out-bootstrap", "conservative"])
     def test_rows_match_per_slot_reference(self, tmp_path, monkeypatch, mode):
-        # every field of every row, against reference_simulate and the
-        # per-episode reference oracle; the two chunks of three rounds
-        # estimate in blocks of two rounds, then one
-        monkeypatch.setattr(metrics, "BLOCK_FLOATS", 2 * 60)
+        # every round's threshold, bound and ratio, bit for bit, against
+        # reference_simulate and the per-episode reference oracle; the two
+        # chunks of three rounds estimate in blocks of two rounds, then one
+        monkeypatch.setattr(experiments, "BLOCK_FLOATS", 2 * 60)
         config = small_config(tmp_path, kind="violation-curve", n_grid=(3, 8, 60),
                               rounds=6, eval_episodes=3, **mode)
         reports = run_violation_curve(config, workers=2)
         history = load_history(config)
         for report in reports:
             expected = _reference_violation_rows(config, history, report.n)
-            assert [_field_reprs(r) for r in report.rows] == [_field_reprs(r) for r in expected]
-            assert report.failures == config.rounds - len(expected)
+            got = (report.theta_hat, report.cr_bound, report.cr)
+            assert [repr(values.tolist()) for values in got] == [repr(values) for values in expected]
+            # NaN exactly at the failed rounds, in every array
+            failed = np.isnan(report.theta_hat)
+            for values in got:
+                assert not values.flags.writeable
+                assert np.array_equal(np.isnan(values), failed)
+            assert report.failures == np.count_nonzero(failed)
+            assert report.violations == np.count_nonzero(report.cr > report.cr_bound)
         if mode.get("clamp_m") is False:
             assert any(r.failures for r in reports)
 
@@ -316,10 +339,12 @@ class TestRunViolationCurve:
                               rounds=6, eval_episodes=2, **mode)
         reports = run_violation_curve(config)
         history = load_history(config)
-        assert reports == [bound_violation_probability(config, history, n) for n in (3, 8, 60)]
+        assert [_field_reprs(r) for r in reports] == [
+            _field_reprs(bound_violation_probability(config, history, n)) for n in (3, 8, 60)
+        ]
         if mode.get("clamp_m") is False:
             assert all(0 < r.failures < r.rounds for r in reports)
-            assert len({frozenset(row.round for row in r.rows) for r in reports}) > 1
+            assert len({frozenset(np.flatnonzero(np.isnan(r.cr)).tolist()) for r in reports}) > 1
 
     def test_held_out_evaluation_source(self, tmp_path):
         # estimation uses the first n values, evaluation windows the suffix
@@ -354,17 +379,31 @@ class TestRunPolicyCompare:
             tmp_path, kind="policy-compare", B=0.0, s0=0.0,
             mu=7.0, sigma=1e-12, episodes=4,
         )
-        rows, summaries = run_policy_compare(config)
+        summaries = run_policy_compare(config)
         for summary in summaries:
             assert summary.regret == pytest.approx(0.0, abs=1e-9)
             assert summary.cr_max == pytest.approx(1.0, abs=1e-9)
 
     def test_metric_rows_file(self, tmp_path):
-        config = small_config(tmp_path, kind="policy-compare")
-        rows, summaries = run_policy_compare(config)
+        # a tight bound, so some episodes violate it and some do not
+        config = small_config(tmp_path, kind="policy-compare", mu=10.0, sigma=0.5, episodes=20)
+        summaries = run_policy_compare(config)
         lines = (tmp_path / "out.csv").read_text().splitlines()
         assert lines[0] == METRIC_HEADER
-        assert len(lines) == 1 + 3 * config.episodes
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        ids = sorted(s.policy_id for s in summaries)
+        assert ids == ["budgeted", "dp", "threshold"]
+        assert [(int(r["round"]), r["policy_id"]) for r in rows] == [
+            (e, policy_id) for e in range(config.episodes) for policy_id in ids
+        ]
+        assert {r["violated"] for r in rows} == {"0", "1"}
+        for r in rows:
+            assert r["violated"] == str(int(float(r["cr"]) > float(r["cr_bound"])))
+            assert float(r["regret"]) == float(r["alg_cost"]) - float(r["opt_cost"])
+            assert (r["n"], r["seed"]) == ("0", str(config.seed))
+        for s in summaries:
+            costs = [float(r["alg_cost"]) for r in rows if r["policy_id"] == s.policy_id]
+            assert s.mean_cost == float(np.mean(costs))
         summary_lines = summary_path(config.out).read_text().splitlines()
         assert summary_lines[0] == SUMMARY_HEADER
         assert len(summary_lines) == 4
@@ -381,7 +420,9 @@ class TestRunPolicyCompare:
         # theta = 8, and the budgeted rule's fill target 5 * (16 - 8) / 12
         config = ExperimentConfig(kind="policy-compare", episodes=400, seed=41,
                                   out=str(tmp_path / "pc.csv"))
-        rows, summaries = run_policy_compare(config)
+        summaries = run_policy_compare(config)
+        lines = (tmp_path / "pc.csv").read_text().splitlines()
+        alg_cost = lines[0].split(",").index("alg_cost")
         exact = {
             "threshold": _exact_threshold_cost(24, 5.0, 1.0, 10.0, 2.0, 8.0, 5.0),
             "budgeted": _exact_threshold_cost(24, 5.0, 1.0, 10.0, 2.0, 8.0, 10.0 / 3.0),
@@ -390,7 +431,8 @@ class TestRunPolicyCompare:
         assert exact["budgeted"] == pytest.approx(217.8960, abs=1e-4)
         by_id = {s.policy_id: s for s in summaries}
         for policy_id, cost in exact.items():
-            alg = np.array([r.alg_cost for r in rows if r.policy_id == policy_id])
+            alg = np.array([float(line.split(",")[alg_cost]) for line in lines[1:]
+                            if line.split(",")[2] == policy_id])
             stderr = alg.std(ddof=1) / math.sqrt(alg.size)
             summary = by_id[policy_id]
             assert abs(summary.mean_cost - cost) < 4.0 * stderr
@@ -398,7 +440,7 @@ class TestRunPolicyCompare:
 
     def test_dp_beats_threshold_here(self, tmp_path):
         config = small_config(tmp_path, kind="policy-compare", episodes=60)
-        _, summaries = run_policy_compare(config)
+        summaries = run_policy_compare(config)
         by_id = {s.policy_id: s for s in summaries}
         assert by_id["dp"].mean_cost <= by_id["threshold"].mean_cost
 
@@ -670,7 +712,7 @@ class TestRunAdaptive:
 class TestRunRelaxation:
     def test_null_scenario_reproduces_baseline(self, tmp_path):
         cfg_pc = small_config(tmp_path, kind="policy-compare", out=str(tmp_path / "pc.csv"))
-        _, summaries_pc = run_policy_compare(cfg_pc)
+        summaries_pc = run_policy_compare(cfg_pc)
         cfg_rx = replace(cfg_pc, kind="relax", scenarios=("baseline",), out=str(tmp_path / "rx.csv"))
         assert run_relaxation(cfg_rx) == summaries_pc
         pc_lines = summary_path(cfg_pc.out).read_text().splitlines()[1:]
@@ -716,7 +758,7 @@ class TestRunRelaxation:
             values = [getattr(s, f.name) for f in fields(s)][2:]
             assert all(math.isfinite(v) for v in values), s
 
-    def test_one_ratio_call_per_scenario_and_no_records(self, tmp_path, monkeypatch):
+    def test_one_ratio_call_per_scenario(self, tmp_path, monkeypatch):
         shapes = []
         ratio = experiments.competitive_ratio
 
@@ -724,19 +766,12 @@ class TestRunRelaxation:
             shapes.append((np.shape(alg), np.shape(opt)))
             return ratio(alg, opt)
 
-        def no_record(*args, **kwargs):
-            raise AssertionError("relax built a MetricRow")
-
         monkeypatch.setattr(experiments, "competitive_ratio", counting_ratio)
-        monkeypatch.setattr(experiments, "MetricRow", no_record)
-        monkeypatch.setattr(metrics, "MetricRow", no_record)
         config = small_config(tmp_path, kind="relax", episodes=6, phi=0.8)
         assert len(run_relaxation(config)) == 4 * 3
         assert shapes == [((3, 6), (6,))] * 4
 
     def test_relax_requires_normal_model(self, tmp_path):
-        from storelab import ConfigError
-
         with pytest.raises(ConfigError, match="model"):
             small_config(tmp_path, kind="relax", model="ar1")
 
@@ -785,7 +820,7 @@ class TestRunRelaxation:
     def test_baseline_equals_policy_compare(self, tmp_path):
         config = small_config(tmp_path, kind="relax", episodes=7, phi=0.8, eta=0.3)
         baseline = [s for s in run_relaxation(config) if s.scenario == "baseline"]
-        _, compared = run_policy_compare(
+        compared = run_policy_compare(
             replace(config, kind="policy-compare", out=str(tmp_path / "pc.csv"))
         )
         assert [_field_reprs(s) for s in baseline] == [_field_reprs(s) for s in compared]
@@ -907,23 +942,24 @@ def test_violation_chunk_memory_does_not_grow_with_rounds_beyond_one_block(tmp_p
                           n_grid=(10, 10_000), history_size=100_000, clamp_m=True)
     instance, model = build_instance(config), build_model(config)
     history = load_history(config)
-    chunk = partial(metrics.violation_rounds, config, instance, model, history, (10, 10_000))
+    chunk = partial(experiments.violation_rounds, config, instance, model, history, (10, 10_000))
     chunk(range(2))  # first-call caches out of the peaks
     peaks = []
     for rounds in (6, 60):
         tracemalloc.start()
         try:
-            rows, failures = chunk(range(rounds))
+            values, failures = chunk(range(rounds))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert [len(r) for r in rows] == [rounds, rounds] and failures == [0, 0]
+        assert values.shape == (3, 2, rounds) and failures == [0, 0]
+        assert not np.isnan(values).any()
     # the bootstrap work of a block of three rounds at n = 10 000 is alive at a
     # time: its draw, a sample and the sample's temporaries.  The rest of the
-    # chunk grows by the scored pairs' prices, costs and rows, under a
+    # chunk grows by the scored pairs' prices, costs and ratios, under a
     # kilobyte a round here; one array of the block is 256 KiB.  Drawing
     # every round's samples at once would add over 4 MiB per array.
-    assert peaks[1] - peaks[0] < 8 * metrics.BLOCK_FLOATS
+    assert peaks[1] - peaks[0] < 8 * experiments.BLOCK_FLOATS
 
 
 class _PickleCountingChunk:

@@ -12,7 +12,6 @@ from storelab import (
     DpPolicy,
     ExperimentConfig,
     Instance,
-    MetricRow,
     Normal,
     StorageSpec,
     ThresholdPolicy,
@@ -25,7 +24,7 @@ from storelab import (
     simulate,
 )
 from storelab import experiments
-from storelab.metrics import METRIC_HEADER, hindsight_table, offline_costs, write_metric_rows
+from storelab.metrics import hindsight_table, offline_costs
 from storelab.policies import storage_grid
 from storelab.seeds import stream
 
@@ -212,10 +211,10 @@ class TestViolationProbability:
         report = bound_violation_probability(config, history, 10)
         assert report.p_hat == 0.0
         assert report.failures == 0
-        for row in report.rows:
-            assert row.cr == pytest.approx(1.0, abs=1e-9)
-            assert row.cr_bound == pytest.approx(1.0, abs=1e-9)
-            assert row.theta_hat == pytest.approx(7.0)
+        ones = [1.0] * config.rounds
+        assert report.cr.tolist() == pytest.approx(ones, abs=1e-9)
+        assert report.cr_bound.tolist() == pytest.approx(ones, abs=1e-9)
+        assert report.theta_hat.tolist() == pytest.approx([7.0] * config.rounds)
 
     def test_bounded_prices_never_violate(self):
         # the guarantee setting: evaluation prices clamped into the round's
@@ -234,7 +233,7 @@ class TestViolationProbability:
         config = violation_config(rounds=30, eval_episodes=2, seed=42, clamp_m=True)
         a = bound_violation_probability(config, history, 10)
         b = bound_violation_probability(config, history, 10)
-        assert [r.violated for r in a.rows] == [r.violated for r in b.rows]
+        assert (a.cr > a.cr_bound).tolist() == (b.cr > b.cr_bound).tolist()
         assert a.p_hat == b.p_hat
 
     def test_failures_counted_not_dropped(self):
@@ -243,7 +242,7 @@ class TestViolationProbability:
         config = violation_config(rounds=40, eval_episodes=1, seed=52, clamp_m=False)
         report = bound_violation_probability(config, history, 5)
         assert report.failures > 0
-        assert len(report.rows) == report.rounds - report.failures
+        assert np.count_nonzero(np.isnan(report.cr)) == report.failures
 
     def test_held_out_evaluation(self):
         history = generate(Normal(10.0, 2.0), 500, seed=61)
@@ -254,7 +253,7 @@ class TestViolationProbability:
         report = bound_violation_probability(config, history, 100)
         assert report.rounds == 10
         # prefix estimation from the first 100 values is round-independent
-        thetas = {r.theta_hat for r in report.rows}
+        thetas = set(report.theta_hat.tolist())
         assert len(thetas) == 1
 
     def test_parameter_validation(self, monkeypatch):
@@ -292,18 +291,3 @@ class TestBootstrapPrefixes:
         drawn = stream(seed, 0, r).integers(0, size, size=largest)
         for n in ns:
             assert np.array_equal(drawn[:n], stream(seed, 0, r).integers(0, size, size=n))
-
-
-class TestMetricRows:
-    def test_csv_header_and_order(self, tmp_path):
-        rows = [
-            MetricRow(2, 10, "dp", 3.0, 2.0, 1.5, 2.0, False, 1.0, 8.0, 7),
-            MetricRow(1, 10, "dp", 3.0, 2.0, 1.5, 2.0, True, 1.0, 8.0, 7),
-        ]
-        out = tmp_path / "rows.csv"
-        write_metric_rows(out, rows)
-        lines = out.read_text().splitlines()
-        assert lines[0] == METRIC_HEADER
-        assert lines[1].startswith("1,10,dp")
-        assert lines[2].startswith("2,10,dp")
-        assert ",1," in lines[1]  # violated flag serialized as 0/1
