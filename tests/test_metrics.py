@@ -291,3 +291,25 @@ class TestBootstrapPrefixes:
         drawn = stream(seed, 0, r).integers(0, size, size=largest)
         for n in ns:
             assert np.array_equal(drawn[:n], stream(seed, 0, r).integers(0, size, size=n))
+
+
+class TestMetricRows:
+    def test_csv_header_and_order(self, tmp_path):
+        # a tight bound, so some episodes violate it and some do not
+        config = ExperimentConfig(
+            kind="policy-compare", T=6, B=2.0, s0=0.0, G=20, K=11,
+            mu=10.0, sigma=0.5, episodes=20, seed=123, out=str(tmp_path / "rows.csv"),
+        )
+        summaries = experiments.run_policy_compare(config)
+        lines = (tmp_path / "rows.csv").read_text().splitlines()
+        assert lines[0] == experiments.METRIC_HEADER
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        ids = sorted(s.policy_id for s in summaries)
+        assert ids == ["budgeted", "dp", "threshold"]
+        assert [(int(r["round"]), r["policy_id"]) for r in rows] == [
+            (e, policy_id) for e in range(config.episodes) for policy_id in ids
+        ]
+        # the violated flag is serialized as 0/1
+        assert {r["violated"] for r in rows} == {"0", "1"}
+        for r in rows:
+            assert r["violated"] == str(int(float(r["cr"]) > float(r["cr_bound"])))
