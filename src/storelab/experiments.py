@@ -129,7 +129,7 @@ def _map_chunks(
     pool's initializer, so only the chunk ranges are sent per chunk.
     """
     width = series * CHUNK_ARRAYS + demand_rows
-    parts = max(len(sweep_blocks(count, horizon, width, 0)), min(workers, count))
+    parts = max(len(sweep_blocks(count, horizon * width)), min(workers, count))
     bounds = np.linspace(0, count, parts + 1).astype(int).tolist()
     chunks = [range(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
     if workers <= 1 or len(chunks) <= 1:
@@ -636,7 +636,7 @@ def _adaptive_chunk(
     groups = len(warmup_sizes) * len(rounds)  # group g is warmup g // len(rounds)
     costs = np.empty((len(strides), groups * E))
     width = breakpoint_lattice(instance.storage.capacity, instance.demand).size
-    for first, stop in sweep_blocks(groups, T + 1, width * E, 0):
+    for first, stop in sweep_blocks(groups, (T + 1) * width * E):
         warmups = [
             generate(model, warmup_sizes[g // len(rounds)],
                      stream(config.seed, 3, g // len(rounds), rounds[g % len(rounds)]))

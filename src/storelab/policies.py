@@ -12,17 +12,18 @@ base-stock level, the lattice point where the row's slope reaches minus
 the atom, and sums over the sorted atoms.  A step reads a
 ``SlotGeometry``, the part of the step fixed by the grid, the capacity and
 the slot's demand; a sweep builds a new one only where the demand changes
-from one slot to the next, and the hindsight oracle in ``metrics`` steps
-through the same one, on its own ``storage_grid``, by
-``SlotGeometry.min_costs``.  Both sweeps split their rows by
-``sweep_blocks``.  The DP step is row-wise: one sweep builds a stacked
-table, one value row per price model, and every row equals its model's
-own table bit for bit.  Its only loop over the rows is one sorted search
-for the base-stock indices; the count of atoms that reach each level
-comes from one histogram of those indices per row, and the sums are
-whole-array work.  A ``ValueTable`` carries the demand its rows plan
-for, and ``DpPolicy`` is the one greedy rule over any table: the DP's, or
-the oracle's, whose rows have one price atom each.
+from one slot to the next.  The hindsight oracle in ``metrics`` steps
+through the same geometry, on its own ``storage_grid``, by
+``SlotGeometry.min_costs``: its value rows are level-major, (W, E), one
+grid level per row, and their suffix minima come from a log-step scan
+(``suffix_minima``).  Both sweeps split their rows by ``sweep_blocks``.
+The DP step is row-wise: one sweep builds a stacked table, one value row
+per price model, and every row equals its model's own table bit for bit.
+Its only loop over the rows is one sorted search for the base-stock
+indices; the count of atoms that reach each level comes from one
+histogram of those indices per row, and the sums are whole-array work.
+A ``ValueTable`` carries the demand its rows plan for, and ``DpPolicy``
+is the greedy rule over any such table.
 
 A policy family maps a list of estimate reports and a first slot to one
 policy that serves one batch row per report; the DP family gives equal
@@ -33,10 +34,12 @@ refresh slot.
 
 Each policy implements one rule, ``decide_batch``, which ``simulate_batch``
 drives with one level and one price per row; ``decide`` is its one-row
-case.  The DP's rule, ``argmin_purchases`` (one row: ``argmin_purchase``),
-clips a convex value row's base-stock level for the observed price into
-the feasible next levels: in exact arithmetic the cheapest next level,
-and the smallest of any that tie.
+case.  The DP's rule takes two steps: ``base_stock_index`` counts a convex
+value row's slopes below minus the observed price, J, and
+``clip_purchases`` clips the base-stock level grid[J] into the feasible
+next levels (one row: ``argmin_purchase``).  In exact arithmetic that is
+the cheapest next level, and the smallest of any that tie.  The oracle's
+sweep records J itself, so its greedy rule takes only the second step.
 """
 
 from __future__ import annotations
@@ -162,7 +165,7 @@ class ValueTable:
     ``demand`` is the demand the rows plan for: (T,), shared by every row,
     or (E, T), one per row of a stacked table.  Every row is convex in the
     storage level, as ``DpPolicy`` needs: the rows that
-    ``build_value_tables`` and the oracle's ``hindsight_table`` build are.
+    ``build_value_tables`` builds are, and so are the grid oracle's.
     """
 
     grid: np.ndarray
@@ -219,73 +222,85 @@ def breakpoint_lattice(capacity: float, demand) -> np.ndarray:
     return np.array(levels)
 
 
-def _take_rows(x: np.ndarray, n: int, per_row: bool):
-    """(index offset, take axis) for indices into value rows of length n.
-
-    With ``per_row``, row e of the (E, m) indices reads row e of (E, n)
-    values through the flattened rows; otherwise every index reads one
-    shared row, or the same positions of every row.
-    """
-    if per_row:
-        return (n * np.arange(x.shape[0]))[:, None], None
-    return 0, -1
-
-
 class InterpBracket:
     """Where points fall on a grid: the half of ``np.interp`` that no value row changes.
 
     ``interp_bracket`` builds it once for a set of points; ``values_at``
-    evaluates any value rows there.  The indices are ready for ``take``
-    along ``axis``.  ``on_grid`` says every point lies on a grid point.
+    evaluates any level-major value rows there.  ``above`` reads the first
+    grid point at or above each point, and ``at`` the grid point a point
+    lies on, where it lies on one; only the ``off`` points, off every grid
+    point, interpolate, between ``lo`` and ``hi``.  The indices are ready
+    for ``take`` along ``axis``, and ``off`` for the result's rows, or its
+    flat positions when ``axis`` is None.
     """
 
-    __slots__ = ("lo", "hi", "at", "exact", "on_grid", "offset", "width", "axis")
+    __slots__ = ("above", "at", "off", "lo", "hi", "offset", "width", "axis")
 
-    def __init__(self, lo, hi, at, exact, offset, width, axis) -> None:
-        self.lo = lo  # the grid point at or below each point
+    def __init__(self, above, at, off, lo, hi, offset, width, axis) -> None:
+        self.above = above
+        self.at = at
+        self.off = off
+        self.lo = lo  # the grid point below each off point
         self.hi = hi  # the grid point above it
-        self.at = at  # the grid point a point lies on, where ``exact``
-        self.exact = exact
-        self.on_grid = bool(exact.all())
         self.offset = offset  # point minus grid[lo]
         self.width = width  # grid[hi] - grid[lo]
         self.axis = axis
 
     def values_at(self, fp: np.ndarray) -> np.ndarray:
-        """``np.interp`` of the points on the grid with values ``fp``, bit for bit."""
-        if self.on_grid:  # the copy below would overwrite every interpolated value
-            return fp.take(self.at, axis=self.axis)
-        y0 = fp.take(self.lo, axis=self.axis)
-        out = fp.take(self.hi, axis=self.axis)
-        out -= y0
-        out /= self.width
-        out *= self.offset
-        out += y0
-        np.copyto(out, fp.take(self.at, axis=self.axis), where=self.exact)
+        """``np.interp`` of the points on the grid with level-major values ``fp``, bit for bit.
+
+        A shared bracket reads (W,) values, or (W, E) values, one row per
+        grid level; a per-row bracket reads column e of (W, E) values.
+        """
+        out = fp.take(self.at, axis=self.axis)
+        if self.off.size:
+            y0 = fp.take(self.lo, axis=self.axis)
+            y = fp.take(self.hi, axis=self.axis)
+            y -= y0
+            points = y.T  # the off-grid points on the last axis
+            points /= self.width
+            points *= self.offset
+            y += y0
+            rows = out if self.axis == 0 else out.reshape(-1)  # a per-row ``off`` is flat
+            rows[self.off] = y
         return out
 
 
 def interp_bracket(x: np.ndarray, grid: np.ndarray, per_row: bool) -> InterpBracket:
-    """Bracket ``x`` on ``grid`` the way numpy's interp does.
+    """Bracket ``x``, within the grid's span, on ``grid`` the way numpy's interp does.
 
-    A point on the grid (or beyond its ends) takes the grid value, any
-    other the slope times its offset from the grid point below, plus that
-    point's value.  With ``per_row``, row e of an (E, m) ``x`` reads row e
-    of (E, len(grid)) values; otherwise every point reads one shared row.
-    On a one-point grid every point takes that point's value.
+    A point on a grid point takes its value, any other the slope times its
+    offset from the grid point below, plus that point's value.  ``x`` is
+    (m,), and every point reads the same grid rows; or, with ``per_row``,
+    (m, E), and column e reads column e of (W, E) values.  The search
+    then runs over the transpose, one column's points after another, which
+    are sorted queries where a column ascends.  On a one-point grid every
+    point takes that point's value.
     """
+    x = np.asarray(x, dtype=float)
+    stride, axis = (x.shape[-1], None) if per_row else (1, 0)
+    columns = np.arange(stride) if per_row else 0
     n = grid.size
-    rows, axis = _take_rows(x, n, per_row)
     if n == 1:
-        point = np.zeros(x.shape, dtype=np.intp) + rows
-        ones = np.ones(x.shape)
-        return InterpBracket(point, point, point, ones > 0.0, ones, ones, axis)
-    x = np.minimum(np.maximum(x, grid[0]), grid[-1])
-    j = np.minimum(np.searchsorted(grid, x, side="right"), n - 1) - 1
-    x0, x1 = grid[j], grid[j + 1]
+        at = np.zeros(x.shape, dtype=np.intp) + columns
+        return InterpBracket(at, at, at.ravel()[:0], at[:0], at[:0], x[:0], x[:0], axis)
+    if per_row:
+        below = np.searchsorted(grid[:-1], np.ascontiguousarray(x.T), side="right").T.copy()
+    else:
+        below = np.searchsorted(grid[:-1], x, side="right")
+    below -= 1
+    x0, x1 = grid.take(below), grid[1:].take(below)
+    on_lo = x == x0
     on_hi = x == x1
-    lo = j + rows
-    return InterpBracket(lo, lo + 1, lo + on_hi, on_hi | (x == x0), x - x0, x1 - x0, axis)
+    at = below + on_hi
+    at *= stride
+    at += columns
+    off = np.flatnonzero(~(on_lo | on_hi))
+    lo = at.take(off)  # an off point reads no grid point above it
+    above = at.copy()
+    above.reshape(-1)[off] += stride
+    x0 = x0.take(off)
+    return InterpBracket(above, at, off, lo, lo + stride, x.take(off) - x0, x1.take(off) - x0, axis)
 
 
 class SlotGeometry:
@@ -300,41 +315,61 @@ class SlotGeometry:
     compares it with each atom's base-stock index, and the oracle's
     ``min_costs`` reads the suffix minima there.  ``demand`` is one value,
     which gives (W,) arrays that every price row shares, or one value per
-    row (the oracle under a realized demand), which gives (E, W) arrays.
+    row (the oracle under a realized demand), which gives level-major
+    (W, E) arrays, one column per row; L is then read flat from (W, E)
+    rows, L x E + column.
     """
 
     def __init__(self, grid: np.ndarray, capacity: float, demand) -> None:
-        demand = np.asarray(demand, dtype=float)
-        d = demand[..., None]
-        q_lo = np.maximum(0.0, d - np.minimum(grid, capacity))
-        self.grid_reversed = grid[::-1]
-        self.s_lo = np.clip(grid + (q_lo - d), 0.0, capacity)
-        self.to_serve = d - grid
+        d = np.asarray(demand, dtype=float)
+        per_row = d.ndim > 0
+        levels = grid[:, None] if per_row else grid
+        q_lo = np.maximum(0.0, d - np.minimum(levels, capacity))
+        self.s_lo = np.clip(levels + (q_lo - d), 0.0, capacity)
+        self.to_serve = d - levels
         self.grid = grid
         self.steps = grid[1:] - grid[:-1]
-        per_row = demand.ndim > 0
         self.lo_bracket = interp_bracket(self.s_lo, grid, per_row)
-        rows, self.axis = _take_rows(self.s_lo, grid.size, per_row)
-        # L from the bracket's search: j indexes the grid point at or below s_lo,
-        # and L is j itself where s_lo lies on it, else j + 1
-        j = self.lo_bracket.lo - rows
-        self.lo_index = j if grid.size == 1 else j + 1 - (self.s_lo == grid[j])
-        # s_lo's place in the suffix minima, which run over the reversed next-level axis
-        self.suffix_at = rows + (grid.size - 1 - self.lo_index)
+        self.lo_index = self.lo_bracket.above
 
     def min_costs(self, v_next: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        """The hindsight oracle's Bellman step, row e's price ``prices[e]`` its one atom.
+        """The hindsight oracle's Bellman step, column e's price ``prices[e]`` its one atom.
 
-        ``v_next`` is (E, W) and need not be convex: the minimum of
-        p s' + V(s') over the grid next levels in [s_lo, C] is a suffix
-        minimum, and the exact endpoint s_lo is one more candidate.  The
-        final ``+ 0.0`` turns a -0.0 into the 0.0 a one-atom mean gives.
+        ``v_next`` is level-major, (W, E), and need not be convex: the
+        minimum of p s' + V(s') over the grid next levels in [s_lo, C] is
+        a suffix minimum, and the exact endpoint s_lo is one more
+        candidate.  A minimum is exact, so the log-step scan gives the
+        bits of any other order, up to the sign of a zero; the final
+        ``+ 0.0`` turns a -0.0 into the 0.0 a one-atom mean gives.
         """
-        p = prices[:, None]
-        suffix = np.minimum.accumulate(p * self.grid_reversed + v_next[..., ::-1], axis=-1)
-        at_lo = p * self.s_lo + self.lo_bracket.values_at(v_next)
-        lowest = np.minimum(suffix.take(self.suffix_at, axis=self.axis), at_lo)
-        return p * self.to_serve + lowest + 0.0
+        column = (self.grid.size, -1)
+        scan = self.grid.reshape(column) * prices
+        scan += v_next
+        lowest = suffix_minima(scan).take(self.lo_index, axis=self.lo_bracket.axis)
+        at_lo = self.s_lo.reshape(column) * prices
+        at_lo += self.lo_bracket.values_at(v_next)
+        np.minimum(lowest, at_lo, out=lowest)
+        out = self.to_serve.reshape(column) * prices
+        out += lowest
+        out += 0.0
+        return out
+
+
+def suffix_minima(a: np.ndarray) -> np.ndarray:
+    """Minima of a[i:] along the first axis, in ceil(log2(len(a))) whole-array passes.
+
+    A log-step (Hillis-Steele) scan: after the pass of shift k each row
+    holds the minimum of the 2k rows from it on.  The passes alternate
+    between ``a`` and one buffer, and either may hold the result.
+    """
+    spare = np.empty_like(a)
+    shift = 1
+    while shift < len(a):
+        np.minimum(a[:-shift], a[shift:], out=spare[:-shift])
+        spare[-shift:] = a[-shift:]
+        a, spare = spare, a
+        shift *= 2
+    return a
 
 
 def slot_sweep(grid, capacity: float, demand: np.ndarray, first_slot: int = 0):
@@ -348,6 +383,7 @@ def slot_sweep(grid, capacity: float, demand: np.ndarray, first_slot: int = 0):
     for t in range(demand.shape[-1] - 1, first_slot - 1, -1):
         d = demand[..., t]
         if d.tobytes() != key:
+            geometry = None  # one geometry alive at a time, if the caller keeps none
             key, geometry = d.tobytes(), SlotGeometry(grid, capacity, d)
         yield t, geometry
 
@@ -440,7 +476,7 @@ def backward_step(geometry: SlotGeometry, v_next: np.ndarray, atoms: AtomSums) -
     out = atoms.mean * geometry.to_serve
     out += head.take(at)
     out += geometry.s_lo * atoms.tail_wp.take(at)
-    at_lo = geometry.lo_bracket.values_at(v_next)
+    at_lo = geometry.lo_bracket.values_at(v_next.T).T
     at_lo *= atoms.tail_w.take(at)
     out += at_lo
     return out
@@ -474,21 +510,24 @@ def quantile_atoms(model, count: int) -> np.ndarray:
 SWEEP_BYTES = 1 << 21  # bytes of one block of a backward sweep's rows
 # (rows, K) arrays a DP step holds at once: the four of its ``AtomSums``, J, J's
 # flat index and the terms, and then p grid[J] and its product, or the head sums
-# and the buffer their accumulate writes through; its (rows, W) arrays are not counted
+# and the buffer their accumulate writes through
 STEP_ARRAYS = 9
+# (rows, W) arrays a DP step holds at once beside its input rows: its new rows,
+# the slopes, J's histogram and its prefix counts, ``at``, the takes of the sums,
+# and the endpoint values with the level-major copy of the input their take reads
+STEP_LEVELS = 8
 
 
-def sweep_blocks(rows: int, horizon: int, width: int, atoms: int) -> list[tuple[int, int]]:
-    """(start, stop) of the fewest equal blocks of rows that fit ``SWEEP_BYTES``.
+def sweep_blocks(rows: int, row_floats: int) -> list[tuple[int, int]]:
+    """(start, stop) of the fewest equal blocks of rows of ``row_floats`` floats that fit ``SWEEP_BYTES``.
 
-    A row costs its value floats, ``horizon`` x ``width``, and the
-    ``STEP_ARRAYS`` rows of ``atoms`` floats that a DP step holds per table
-    row (the oracle's one price per row is one atom); a runner chunk's row
-    is a round or episode of ``width`` price series and no atoms.  The
-    edges are ``np.linspace``'s; a row too big for ``SWEEP_BYTES`` is a
-    block alone.
+    A DP table's row counts its T x W values, ``STEP_ARRAYS`` rows of K
+    atom floats and ``STEP_LEVELS`` rows of W floats; the hindsight
+    oracle's, ``metrics.oracle_row_floats``; a runner chunk's row, the
+    price series of one round or episode.  The edges are
+    ``np.linspace``'s; a row too big for ``SWEEP_BYTES`` is a block alone.
     """
-    fit = max(1, SWEEP_BYTES // (8 * (horizon * width + STEP_ARRAYS * atoms)))
+    fit = max(1, SWEEP_BYTES // (8 * row_floats))
     edges = np.linspace(0, rows, -(-rows // fit) + 1).astype(int).tolist()
     return list(zip(edges[:-1], edges[1:]))
 
@@ -514,7 +553,8 @@ def build_value_tables(
     capacity = instance.storage.capacity
     grid = breakpoint_lattice(capacity, instance.demand)
     values = np.zeros((T + 1, len(models), grid.size))
-    for start, stop in sweep_blocks(len(models), T, grid.size, atom_count):
+    row_floats = (T + STEP_LEVELS) * grid.size + STEP_ARRAYS * atom_count
+    for start, stop in sweep_blocks(len(models), row_floats):
         atoms = AtomSums(
             [quantile_atoms(model, atom_count) for model in models[start:stop]], grid.size
         )
@@ -536,45 +576,48 @@ def build_value_table(
     )
 
 
-def argmin_purchases(
-    grid: np.ndarray,
-    v_next: np.ndarray,
-    spec: StorageSpec,
-    levels: np.ndarray,
-    demand,
-    prices: np.ndarray,
-) -> np.ndarray:
-    """Purchase minimizing price * q + interpolated next value, per row, at the base-stock level.
+def base_stock_index(grid: np.ndarray, v_next: np.ndarray, prices: np.ndarray) -> np.ndarray:
+    """J per row: the count of the value row's segment slopes strictly below -p.
 
-    Each value row must be convex, as every row of ``build_value_tables``
-    and of the oracle's ``hindsight_table`` is.  Then p s' + V(s') falls
-    up to the base-stock level grid[J] and not after it, J the count of
-    the row's segment slopes strictly below -p, so the next level is
-    grid[J] clipped into the row's feasible range [s_lo, s_hi] (s_lo on a
-    one-point grid).  In exact arithmetic this is the first minimizer of
-    a scan over s_lo, the grid points and s_hi, in that order: a tie
-    between next levels, which needs p to equal minus a slope, goes to
-    the smallest.  ``v_next`` is one shared row or one row per level,
-    ``demand`` one value or one per row.
+    ``v_next`` is level-major: one (W,) row that every price shares, or
+    (W, E), column e for ``prices[e]``.  On a convex row p s' + V(s')
+    falls up to grid[J] and not after it, so grid[J] is the row's
+    base-stock level for price p.
+    """
+    v = v_next.reshape(grid.size, -1)
+    slopes = v[1:] - v[:-1]
+    slopes /= (grid[1:] - grid[:-1])[:, None]
+    return np.count_nonzero(slopes < -prices, axis=0)
+
+
+def clip_purchases(
+    grid: np.ndarray, best: np.ndarray, spec: StorageSpec, levels: np.ndarray, demand,
+) -> np.ndarray:
+    """The purchase that moves each row to grid[J] clipped into its feasible next levels.
+
+    The next level is ``grid[best]`` clipped into the row's feasible range
+    [s_lo, s_hi] (s_lo on a one-point grid, where ``best`` is not read).
+    With J from ``base_stock_index`` on a convex row this is, in exact
+    arithmetic, the first minimizer of a scan over s_lo, the grid points
+    and s_hi, in that order: a tie between next levels, which needs p to
+    equal minus a slope, goes to the smallest.  ``demand`` is one value or
+    one per row.
     """
     q_lo, q_hi = feasible_purchase_ranges(spec, levels, demand)
     cap = spec.capacity
-    s_lo = min_first(max_first(levels + q_lo - demand, 0.0), cap)
-    pick = s_lo
+    pick = min_first(max_first(levels + q_lo - demand, 0.0), cap)
     if grid.size > 1:
         s_hi = min_first(max_first(levels + q_hi - demand, 0.0), cap)
-        slopes = (v_next[..., 1:] - v_next[..., :-1]) / (grid[1:] - grid[:-1])
-        best = np.count_nonzero(slopes < -prices[:, None], axis=-1)
-        pick = min_first(max_first(grid[best], s_lo), s_hi)
+        pick = min_first(max_first(grid[best], pick), s_hi)
     return min_first(max_first(pick - levels + demand, q_lo), q_hi)
 
 
 def argmin_purchase(grid, v_next, spec: StorageSpec, level: float, demand: float,
                     price: float) -> float:
-    """The one-row ``argmin_purchases``."""
-    q = argmin_purchases(grid, v_next, spec, np.array([float(level)]), demand,
-                         np.array([float(price)]))
-    return float(q[0])
+    """The one-row DP purchase: ``clip_purchases`` at the ``base_stock_index`` of one row."""
+    prices = np.array([float(price)])
+    best = base_stock_index(grid, np.asarray(v_next, dtype=float), prices)
+    return float(clip_purchases(grid, best, spec, np.array([float(level)]), demand)[0])
 
 
 class DpPolicy(Policy):
@@ -583,7 +626,8 @@ class DpPolicy(Policy):
     A one-model table serves every row; a stacked table of E models serves
     E rows, row e from its own value row, or, given ``rows``, batch row e
     from value row ``rows[e]``.  Each row plans for its value row's demand,
-    the table's ``demand``, and buys by ``argmin_purchases``.
+    the table's ``demand``, and buys by ``clip_purchases`` at the
+    ``base_stock_index`` of that row for the observed price.
     """
 
     policy_id = "dp"
@@ -608,7 +652,8 @@ class DpPolicy(Policy):
                 f"a stacked value table of {v_next.shape[0]} rows cannot serve "
                 f"{levels.size} rows"
             )
-        return argmin_purchases(table.grid, v_next, instance.storage, levels, demand, prices)
+        best = base_stock_index(table.grid, v_next.T, prices)
+        return clip_purchases(table.grid, best, instance.storage, levels, demand)
 
 
 class ThresholdFamily:

@@ -292,6 +292,29 @@ def reference_simulate(instance, prices, policy, realized_demand=None) -> Trajec
     )
 
 
+def hindsight_table(instance: Instance, prices, grid, demand) -> ValueTable:
+    """The grid oracle's value table for E price series, row e's price its one atom per slot.
+
+    ``prices`` is (E, T) and ``demand`` the demand the rows plan for, (T,)
+    or one (E, T) row per series.  One ``reference_candidate_step`` per
+    row and slot fills the (T+1, E, W) values, and ``DpPolicy`` is its
+    greedy rule: the reference for ``metrics.hindsight_indices``, which
+    keeps only each slot's base-stock index.
+    """
+    prices = np.asarray(prices, dtype=float)
+    T = instance.horizon
+    rows = np.broadcast_to(np.asarray(demand, dtype=float), (prices.shape[0], T))
+    values = np.zeros((T + 1, prices.shape[0], grid.size))
+    one = np.ones(1)
+    for e in range(prices.shape[0]):
+        for t in range(T - 1, -1, -1):
+            values[t, e] = reference_candidate_step(
+                grid, values[t + 1, e], float(rows[e, t]), instance.storage,
+                np.asarray([float(prices[e, t])]), one,
+            )
+    return ValueTable(grid, values, demand)
+
+
 def reference_offline_optimal(instance: Instance, prices, grid_size: int = 100):
     """The per-episode grid oracle: T scalar backward steps, then a per-slot greedy pass.
 
@@ -299,16 +322,9 @@ def reference_offline_optimal(instance: Instance, prices, grid_size: int = 100):
     bit for bit.
     """
     prices = np.asarray(prices, dtype=float)
-    T = instance.horizon
-    spec = instance.storage
-    grid = storage_grid(spec.capacity, grid_size)
-    values = np.zeros((T + 1, grid.size))
-    one = np.ones(1)
-    for t in range(T - 1, -1, -1):
-        values[t] = reference_candidate_step(
-            grid, values[t + 1], float(instance.demand[t]), spec,
-            np.asarray([float(prices[t])]), one,
-        )
+    grid = storage_grid(instance.storage.capacity, grid_size)
+    table = hindsight_table(instance, prices[None, :instance.horizon], grid, instance.demand)
+    values = table.values[:, 0]
     return reference_simulate(
         instance, prices, DpPolicy(ValueTable(grid, values, instance.demand))
     )

@@ -40,6 +40,7 @@ from storelab.experiments import (
     run_violation_curve,
     summary_path,
 )
+from storelab.metrics import oracle_row_floats
 from storelab.seeds import stream
 from storelab.special import chi2_cdf, chi2_quantile, t_cdf, t_quantile
 
@@ -248,13 +249,15 @@ class TestCriterion10Determinism:
     def test_byte_identical_across_workers_and_reruns(self, tmp_path, monkeypatch):
         # family=dp with stride 3 < T exercises the adaptive reference pass
         # and the partial value-table rebuilds.  A sweep budget of six oracle
-        # rows (8 x 21 values and one price atom each) puts the oracle's
-        # block edges of the 40 policy-compare and relax episodes at
-        # different rows for 1, 2 and 3 workers: one chunk of 40 in blocks
-        # at 5, 11, 17, ..., 34; two chunks of 20 in blocks of 5; chunks
-        # 13 + 13 + 14 in blocks at 4, 8, 13, 17, 21, 26, 30, 35.
-        monkeypatch.setattr(policies, "SWEEP_BYTES", 6 * 8 * (8 * 21 + policies.STEP_ARRAYS))
-        assert [policies.sweep_blocks(rows, 8, 21, 1)[0] for rows in (40, 20, 13, 14)] == [
+        # rows (T = 8, G = 20, shared demand) puts the oracle's block edges
+        # of the 40 policy-compare and relax episodes at different rows for
+        # 1, 2 and 3 workers: one chunk of 40 in blocks at 5, 11, 17, ..., 34;
+        # two chunks of 20 in blocks of 5; chunks 13 + 13 + 14 in blocks at
+        # 4, 8, 13, 17, 21, 26, 30, 35.  Relax's demand-noise rows, a few
+        # times bigger, take blocks of one or two rows.
+        row_floats = oracle_row_floats(8, 21, False)
+        monkeypatch.setattr(policies, "SWEEP_BYTES", 6 * 8 * row_floats)
+        assert [policies.sweep_blocks(rows, row_floats)[0] for rows in (40, 20, 13, 14)] == [
             (0, 5), (0, 5), (0, 4), (0, 4)
         ]
         base = ExperimentConfig(

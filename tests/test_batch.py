@@ -40,16 +40,17 @@ from storelab import (
 from storelab import metrics, policies
 from storelab.config import build_instance, build_model
 from storelab.experiments import run_policy_compare
-from storelab.metrics import hindsight_table, offline_costs
+from storelab.metrics import hindsight_indices, offline_costs, oracle_row_floats
 from storelab.model import TrajectoryBatch, feasible_purchase_ranges, simulate_batch
 from storelab.policies import (
-    AtomSums, SlotGeometry, ValueTable, backward_step, base_stock_ranks, breakpoint_lattice,
-    interp_bracket, quantile_atoms, storage_grid,
+    AtomSums, SlotGeometry, ValueTable, backward_step, base_stock_index, base_stock_ranks,
+    breakpoint_lattice, interp_bracket, quantile_atoms, storage_grid,
 )
 from storelab.seeds import stream
 
 from conftest import (
     ReferenceAdaptive,
+    hindsight_table,
     reference_backward_step,
     reference_candidate_step,
     reference_decide,
@@ -114,22 +115,32 @@ def _per_slot(instance, prices, policies, realized):
 
 class TestInterpBracket:
     @given(
-        st.sampled_from((0.0, 1.0, 2.5, 5.0, 0.7)), st.integers(2, 30), st.integers(1, 4),
+        st.sampled_from((0.0, 1.0, 2.5, 5.0, 0.7)), st.integers(1, 30), st.integers(1, 4),
         st.integers(1, 5), st.booleans(), st.sampled_from((0.5, 1.0)),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_np_interp(self, capacity, grid_size, rows, points, shared, on_share, seed):
-        # an on_share of 1.0 puts every point on the grid: values_at's one-take path
+        # values are level-major, (W, rows); a shared bracket reads the same
+        # points in every column, a per-row one column e's own points.  An
+        # on_share of 1.0 puts every point on the grid: values_at's one-take path
         rng = np.random.default_rng(seed)
         grid = storage_grid(capacity, grid_size)
-        fp = np.round(rng.uniform(-50.0, 50.0, (1 if shared else rows, grid.size)), 1)
-        on_grid = grid[rng.integers(0, grid.size, (rows, points))]
-        off_grid = rng.uniform(0.0, capacity, (rows, points))
-        x = np.where(rng.random((rows, points)) < on_share, on_grid, off_grid)
-        got = interp_bracket(x, grid, not shared).values_at(fp if not shared else fp[0])
+        fp = np.round(rng.uniform(-50.0, 50.0, (grid.size, rows)), 1)
+        fp[rng.random(fp.shape) < 0.2] = -0.0
+        on_grid = grid[rng.integers(0, grid.size, (points, rows))]
+        off_grid = rng.uniform(0.0, capacity, (points, rows))
+        x = np.where(rng.random((points, rows)) < on_share, on_grid, off_grid)
+        if shared:
+            x = x[:, 0]
+            bracket = interp_bracket(x, grid, False)
+            assert bracket.values_at(fp[:, 0]).tobytes() == np.interp(x, grid, fp[:, 0]).tobytes()
+        else:
+            bracket = interp_bracket(x, grid, True)
+        got = bracket.values_at(fp)
         for e in range(rows):
-            assert got[e].tobytes() == np.interp(x[e], grid, fp[0 if shared else e]).tobytes()
+            want = np.interp(x if shared else x[:, e], grid, fp[:, e])
+            assert got[:, e].tobytes() == want.tobytes()
 
 
 class TestSimulateBatch:
@@ -521,6 +532,9 @@ class TestBackwardStep:
         demand = np.array(demands) if per_row else demands[0]
         geometry = SlotGeometry(grid, capacity, demand)
         want = np.searchsorted(grid, geometry.s_lo, side="left")
+        if per_row:  # L read flat from level-major (W, E) rows: L x E + column
+            assert geometry.s_lo.shape == (grid.size, len(demands))
+            want = want * len(demands) + np.arange(len(demands))
         assert geometry.lo_index.shape == want.shape
         assert geometry.lo_index.tolist() == want.tolist()
 
@@ -536,12 +550,14 @@ class TestBackwardStep:
         assert geometry.s_lo.tolist() == s_lo
         assert geometry.lo_index.tolist() == lo_index
         rows = SlotGeometry(grid, capacity, np.array([demand, 0.0]))  # per-row geometry
-        assert rows.lo_index.tolist() == [lo_index, [0, 1, 2, 3]]
+        assert rows.s_lo.T.tolist() == [s_lo, [0.0, 1.0, 2.0, 3.0]]
+        # level-major, read flat: L x 2 + column
+        assert rows.lo_index.T.tolist() == [[2 * j for j in lo_index], [1, 3, 5, 7]]
 
     def test_lo_index_of_a_zero_capacity_store(self):
-        for demand in (1.0, np.array([0.0, 2.0])):
-            geometry = SlotGeometry(np.zeros(1), 0.0, demand)
-            assert geometry.lo_index.tolist() == np.zeros(np.shape(geometry.s_lo), int).tolist()
+        assert SlotGeometry(np.zeros(1), 0.0, 1.0).lo_index.tolist() == [0]
+        # per row, each column reads its own one level
+        assert SlotGeometry(np.zeros(1), 0.0, np.array([0.0, 2.0])).lo_index.tolist() == [[0, 1]]
 
     def test_an_atom_on_minus_a_slope_counts_only_the_slopes_below(self):
         # levels 0..3 and d = 1, so L = 0, 0, 1, 2; slopes -5, -3, -1 and -3, -2, -1
@@ -581,9 +597,10 @@ class TestValueTables:
             assert stacked.values[:, e].tobytes() == one.values.tobytes()
 
     def test_rows_cross_a_default_block(self, reference_instance):
-        # 434 rows of 24 x 6 values and 51 atoms fit in SWEEP_BYTES
+        # 402 rows of (24 + 8) x 6 values and temporaries and 9 x 51 atom floats fit
         rows = 440
-        assert policies.sweep_blocks(rows, 24, 6, 51) == [(0, 220), (220, 440)]
+        row_floats = (24 + policies.STEP_LEVELS) * 6 + policies.STEP_ARRAYS * 51
+        assert policies.sweep_blocks(rows, row_floats) == [(0, 220), (220, 440)]
         models = [Normal(8.0 + 0.01 * e, 2.0) for e in range(rows)]
         stacked = build_value_tables(reference_instance, models, 51, first_slot=6)
         for e, model in enumerate(models):
@@ -624,6 +641,35 @@ class TestValueTables:
         finally:
             tracemalloc.stop()
         assert peak - table.values.nbytes < policies.SWEEP_BYTES
+
+    def test_a_wide_lattice_block_fits_its_budget(self, monkeypatch):
+        # U(0.2, 2) vector demand puts 302 levels on the lattice, many more than
+        # the 51 atoms, so a step's (rows, W) temporaries outweigh its atom
+        # arrays.  A block's value rows and all it holds beside the table must
+        # fit SWEEP_BYTES; counting T x W values and the atoms alone, 34 rows
+        # fill a block and overshoot it by about a fifth.
+        demand = np.random.default_rng(0).uniform(0.2, 2.0, 24)
+        instance = Instance(24, demand, StorageSpec(30.0))
+        width = breakpoint_lattice(30.0, demand).size
+        assert width == 302
+        blocks = []
+
+        def recording(atoms, levels):
+            blocks.append(len(atoms))
+            return AtomSums(atoms, levels)
+
+        monkeypatch.setattr(policies, "AtomSums", recording)
+        models = [Normal(8.0 + 0.01 * e, 2.0) for e in range(68)]
+        build_value_tables(instance, models[:2], 51)  # first-call caches out of the peak
+        blocks.clear()
+        tracemalloc.start()
+        try:
+            table = build_value_tables(instance, models, 51)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_values = max(blocks) * 8 * instance.horizon * width
+        assert peak - table.values.nbytes + block_values <= policies.SWEEP_BYTES
 
     @given(table_cases(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -727,12 +773,36 @@ class TestOfflineCosts:
         # one demand that every row shares, or one per row
         demand = instance.demand[0] if realized is None else realized[:, 0]
         geometry = SlotGeometry(grid, spec.capacity, demand)
-        got = geometry.min_costs(v_next, prices[:, 0])
+        # level-major: column e holds row e's values
+        got = geometry.min_costs(np.ascontiguousarray(v_next.T), prices[:, 0])
+        assert got.shape == (grid.size, len(prices))
         demand = np.broadcast_to(demand, (len(prices),))
         for e in range(len(prices)):
             ref = reference_candidate_step(grid, v_next[e], float(demand[e]), spec,
                                           np.asarray([prices[e, 0]]), np.ones(1))
-            assert got[e].tobytes() == ref.tobytes()
+            assert got[:, e].tobytes() == ref.tobytes()
+
+    @given(batch_cases(), st.integers(1, 25), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_indices_are_the_reference_tables_counts(self, case, grid_size, clamped):
+        # J[t, e] is the count of values[t + 1] slopes below -p that DpPolicy
+        # makes on the reference table.  Clamped prices sit at whole values,
+        # where slopes of a grid of quarter steps tie with minus the price
+        instance, prices, realized = case
+        if clamped:
+            prices = np.maximum(np.round(prices), 4.0)
+        grid = storage_grid(instance.storage.capacity, grid_size)
+        plan = instance.demand if realized is None else realized
+        best = hindsight_indices(instance, prices, grid, plan)
+        table = hindsight_table(instance, prices, grid, plan)
+        assert best.shape == (instance.horizon, len(prices))
+        for t in range(instance.horizon):
+            for e in range(len(prices)):
+                g, v = grid.tolist(), table.values[t + 1, e].tolist()
+                slopes = [(v[i + 1] - v[i]) / (g[i + 1] - g[i]) for i in range(len(g) - 1)]
+                assert best[t, e] == sum(slope < -prices[e, t] for slope in slopes)
+            got = base_stock_index(grid, table.values[t + 1].T, prices[:, t])
+            assert got.tolist() == best[t].tolist()
 
     @given(batch_cases(), st.integers(2, 25))
     @settings(max_examples=150, deadline=None)
@@ -783,14 +853,21 @@ class TestOfflineCosts:
         assert split.tobytes() == whole.tobytes()
 
     def test_sweep_blocks_are_the_fewest_that_fit(self):
-        # the oracle's rows: 24 x 101 values and one price atom
-        assert policies.sweep_blocks(107, 24, 101, 1) == [(0, 107)]
-        assert policies.sweep_blocks(108, 24, 101, 1) == [(0, 54), (54, 108)]
-        # the DP's rows on the lattice 0, 1, ..., 5: 24 x 6 values and 51 atoms
-        assert policies.sweep_blocks(434, 24, 6, 51) == [(0, 434)]
-        assert policies.sweep_blocks(435, 24, 6, 51) == [(0, 217), (217, 435)]
-        assert policies.sweep_blocks(3, 24, 10**6, 1) == [(0, 1), (1, 2), (2, 3)]
-        assert policies.sweep_blocks(0, 24, 101, 1) == []
+        # the oracle's rows at T = 24, G = 100: 8 x 101 level floats and 5 x 24
+        # slot floats a row, and 10 x 101 more per row under a realized demand
+        shared, per_row = oracle_row_floats(24, 101, False), oracle_row_floats(24, 101, True)
+        assert (shared, per_row) == (928, 1938)
+        assert policies.sweep_blocks(282, shared) == [(0, 282)]
+        assert policies.sweep_blocks(283, shared) == [(0, 141), (141, 283)]
+        assert policies.sweep_blocks(135, per_row) == [(0, 135)]
+        assert policies.sweep_blocks(136, per_row) == [(0, 68), (68, 136)]
+        # the DP's rows on the lattice 0, 1, ..., 5: (24 + 8) x 6 values and
+        # temporaries, and 9 x 51 atom floats
+        dp = (24 + policies.STEP_LEVELS) * 6 + policies.STEP_ARRAYS * 51
+        assert policies.sweep_blocks(402, dp) == [(0, 402)]
+        assert policies.sweep_blocks(403, dp) == [(0, 201), (201, 403)]
+        assert policies.sweep_blocks(3, 10**6) == [(0, 1), (1, 2), (2, 3)]
+        assert policies.sweep_blocks(0, shared) == []
 
     def test_no_rows_give_empty_rows(self):
         instance = Instance.constant(4, 1.0, StorageSpec(2.0))
@@ -798,24 +875,39 @@ class TestOfflineCosts:
         for realized in (None, np.zeros((0, 4))):
             costs = offline_costs(instance, np.zeros((0, 4)), 10, realized_demand=realized)
             assert costs.shape == (0,) and costs.dtype == float and not costs.flags.writeable
-            # the table and its greedy pass themselves turn no rows into empty rows
+            # the sweep and its greedy pass themselves turn no rows into empty rows
             plan = instance.demand if realized is None else realized
-            table = hindsight_table(instance, np.zeros((0, 4)), grid, plan)
-            assert table.values.shape == (5, 0, grid.size)
-            batch = simulate_batch(instance, np.zeros((0, 4)), DpPolicy(table), realized)
+            best = hindsight_indices(instance, np.zeros((0, 4)), grid, plan)
+            assert best.shape == (4, 0)
+            rule = metrics._HindsightRule(grid, best, plan)
+            batch = simulate_batch(instance, np.zeros((0, 4)), rule, realized)
             assert batch.prices.shape == batch.purchases.shape == batch.clamped.shape == (0, 4)
             assert batch.levels.shape == (0, 5)
             assert batch.total_cost.shape == (0,)
 
     def test_rows_cross_a_default_block(self, reference_instance):
-        rows = 120  # 107 rows of 24 x 101 values fit in SWEEP_BYTES
-        assert len(policies.sweep_blocks(rows, 24, 101, 1)) == 2
+        rows = 300  # 282 rows of the oracle fit in SWEEP_BYTES at T = 24, G = 100
+        assert len(policies.sweep_blocks(rows, oracle_row_floats(24, 101, False))) == 2
         prices = generate(Normal(10.0, 2.0), 24 * rows, stream(17)).reshape(rows, 24)
         costs, blocks = _oracle_blocks(reference_instance, prices, 100, None)
         assert len(blocks) == 2
         refs = [reference_offline_optimal(reference_instance, p, 100) for p in prices]
         _assert_rows_match(_joined(blocks), refs)
         assert costs.tobytes() == _joined(blocks).total_cost.tobytes()
+
+    def test_a_violation_chunk_is_one_sweep(self, monkeypatch, reference_instance):
+        # a violation chunk's 150 distinct rows at T = 24, G = 100 fit one
+        # block; a (T+1, E, G+1) value cube would fill SWEEP_BYTES at 107 rows
+        sweeps = []
+
+        def counting(instance, prices, grid, demand):
+            sweeps.append(prices.shape[0])
+            return hindsight_indices(instance, prices, grid, demand)
+
+        monkeypatch.setattr(metrics, "hindsight_indices", counting)
+        prices = generate(Normal(10.0, 2.0), 24 * 150, stream(19)).reshape(150, 24)
+        offline_costs(reference_instance, prices, 100)
+        assert sweeps == [150]
 
     def test_memory_stays_bounded(self, reference_instance):
         # the value cube is one block's, not E rows'; the result is E costs
@@ -830,14 +922,15 @@ class TestOfflineCosts:
 
 
 def _sweep_bytes(instance, width, atoms, rows):
-    """A ``SWEEP_BYTES`` that fits ``rows`` rows of a sweep over ``width`` levels and ``atoms``."""
-    return rows * 8 * (instance.horizon * width + policies.STEP_ARRAYS * atoms)
+    """A ``SWEEP_BYTES`` that fits ``rows`` rows of a DP sweep over ``width`` levels and ``atoms``."""
+    row_floats = (instance.horizon + policies.STEP_LEVELS) * width
+    return rows * 8 * (row_floats + policies.STEP_ARRAYS * atoms)
 
 
 def _oracle_blocks(instance, prices, grid_size, realized, block=None):
     """``offline_costs`` and the trajectories of its blocks' greedy passes, in order.
 
-    ``block``, if given, is a byte budget of that many value rows.
+    ``block``, if given, is a byte budget of that many oracle rows.
     """
     blocks = []
 
@@ -848,7 +941,8 @@ def _oracle_blocks(instance, prices, grid_size, realized, block=None):
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             width = storage_grid(instance.storage.capacity, grid_size).size
-            mp.setattr(policies, "SWEEP_BYTES", _sweep_bytes(instance, width, 1, block))
+            row_floats = oracle_row_floats(instance.horizon, width, realized is not None)
+            mp.setattr(policies, "SWEEP_BYTES", block * 8 * row_floats)
         mp.setattr(metrics, "simulate_batch", recording)
         costs = offline_costs(instance, prices, grid_size, realized_demand=realized)
     return costs, blocks

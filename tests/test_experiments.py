@@ -41,6 +41,7 @@ from storelab.experiments import (
     run_violation_curve,
     summary_path,
 )
+from storelab.metrics import oracle_row_floats
 from storelab.seeds import stream
 from storelab.special import normal_cdf, normal_pdf
 
@@ -631,10 +632,10 @@ class TestRunAdaptive:
         config = small_config(tmp_path, kind="adaptive", rounds=4, episodes=4, **kw)
         instance, model = build_instance(config), build_model(config)
         true_policy = DpPolicy(build_value_table(instance, model, config.K))
-        # a sweep budget of ``batch_rows`` oracle rows (T x (G+1) values, one atom)
+        # a sweep budget of ``batch_rows`` oracle rows
         width = policies.storage_grid(instance.storage.capacity, config.G).size
         monkeypatch.setattr(policies, "SWEEP_BYTES",
-                            batch_rows * 8 * (config.T * width + policies.STEP_ARRAYS))
+                            batch_rows * 8 * oracle_row_floats(config.T, width, False))
         rounds = range(1, 4)  # a chunk that does not start at round 0
         want = reference_adaptive_costs(config, instance, model, rounds)
         got = experiments._adaptive_chunk(config, instance, model, true_policy, rounds)[2]
@@ -679,7 +680,7 @@ class TestRunAdaptive:
         # a table of one (warmup, round) group's six rows exceeds SWEEP_BYTES,
         # so each of the 2 x 2 groups is a block alone
         groups = len(config.warmup_grid) * config.rounds
-        assert sweep_blocks(groups, T + 1, width * config.episodes, 0) == [
+        assert sweep_blocks(groups, (T + 1) * width * config.episodes) == [
             (g, g + 1) for g in range(groups)
         ]
         tracemalloc.start()

@@ -24,11 +24,11 @@ from storelab import (
     simulate,
 )
 from storelab import experiments
-from storelab.metrics import hindsight_table, offline_costs
+from storelab.metrics import offline_costs
 from storelab.policies import storage_grid
 from storelab.seeds import stream
 
-from conftest import brute_force_optimal, random_aligned_instance
+from conftest import brute_force_optimal, hindsight_table, random_aligned_instance
 
 
 class TestOfflineOptimal:

@@ -25,19 +25,20 @@ from storelab import (
     simulate,
 )
 from storelab import policies
-from storelab.metrics import hindsight_table
 from storelab.model import ENERGY_TOL
 from storelab.policies import (
     DpFamily,
     argmin_purchase,
-    argmin_purchases,
+    base_stock_index,
     breakpoint_lattice,
+    clip_purchases,
     linear_budget,
     quantile_atoms,
     storage_grid,
 )
 
 from conftest import (
+    hindsight_table,
     reference_argmin_purchase,
     reference_base_stock_purchase,
     reference_scan,
@@ -397,8 +398,10 @@ class TestArgminPurchase:
         grid, v_next, spec, level, demand, price = case
         want = np.float64(reference_base_stock_purchase(*case)).tobytes()
         assert np.float64(argmin_purchase(*case)).tobytes() == want
-        for v in (v_next, v_next[None, :]):  # one shared row, one row per level
-            got = argmin_purchases(grid, v, spec, np.array([level]), demand, np.array([price]))
+        prices = np.array([price])
+        for v in (v_next, v_next[:, None]):  # one shared row, one level-major column per row
+            best = base_stock_index(grid, v, prices)
+            got = clip_purchases(grid, best, spec, np.array([level]), demand)
             assert got.tobytes() == want
 
     @given(_argmin_cases(convex=True))
