@@ -34,6 +34,11 @@ class ConfigError(ValueError):
     def __init__(self, field: str, message: str) -> None:
         super().__init__(f"{field}: {message}")
         self.field = field
+        self.message = message
+
+    def __reduce__(self):
+        # pickle as (field, message), so the error survives a fan-out worker's pipe
+        return type(self), (self.field, self.message)
 
 
 @dataclass(frozen=True)

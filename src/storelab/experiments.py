@@ -10,15 +10,17 @@ contiguous chunks, at least one per worker, and more where what one
 chunk holds, ``CHUNK_ARRAYS`` arrays per price series, would not fit
 ``policies.SWEEP_BYTES`` (through ``sweep_blocks``).  Every chunk runs one
 module-level function with the frozen config and the objects the runner
-built once bound by ``functools.partial``; a pool's initializer gives that
-function to each worker process once, so a chunk sends only its range,
-not the history or the policies again.  Results are merged in chunk
-order.  A violation curve is one fan-out over rounds that covers every n
-of the grid, an adaptive sweep one fan-out over rounds that covers every
-warmup x refresh grid point, and a policy comparison one fan-out over
-episodes that covers every scenario (relax runs its scenarios as one
-comparison, policy-compare is the one-scenario case), so one pool serves
-each run, and none at one worker.
+built once bound by ``functools.partial``.  A fan-out is a fork-join: the
+calling process runs one share of the chunks itself and starts one worker
+process per other share, which receives that function and its share once,
+as process arguments, so the history and the policies are not sent per
+chunk.  Results are merged in chunk order.  A violation curve is one
+fan-out over rounds that covers every n of the grid, an adaptive sweep one
+fan-out over rounds that covers every warmup x refresh grid point, and a
+policy comparison one fan-out over episodes that covers every scenario
+(relax runs its scenarios as one comparison, policy-compare is the
+one-scenario case), so a run starts at most workers - 1 processes, and
+none at one worker.
 
 A chunk is one batch.  A violation chunk estimates in blocks of
 ``BLOCK_FLOATS // max(n)`` rounds, so its bootstrap index array and each
@@ -51,7 +53,8 @@ their refresh tables; a group too big for that is a block alone.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401  (a name bench/tracer.py wraps)
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -124,33 +127,73 @@ def _map_chunks(
     demand rows.  There are at least ``workers`` chunks, and more where
     ``sweep_blocks`` needs them for what one chunk holds to fit
     ``SWEEP_BYTES``.  With one worker, or one chunk, every chunk runs in
-    this process; otherwise all of them go through one pool of up to
-    ``workers`` processes, each of which receives ``fn`` once, through the
-    pool's initializer, so only the chunk ranges are sent per chunk.
+    this process.  Otherwise the chunks are dealt round-robin into
+    min(workers, chunks) shares, share i being ``chunks[i::shares]``: this
+    process runs share 0 while one worker process per other share, started
+    with ``fn`` and its share as process arguments, runs that share and
+    sends its results back over a pipe.  A share stops at its first failing
+    chunk, and the error raised is the first failing chunk's in chunk
+    order, as at one worker.
     """
     width = series * CHUNK_ARRAYS + demand_rows
     parts = max(len(sweep_blocks(count, horizon * width)), min(workers, count))
     bounds = np.linspace(0, count, parts + 1).astype(int).tolist()
     chunks = [range(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
-    if workers <= 1 or len(chunks) <= 1:
+    shares = min(workers, len(chunks))
+    if shares <= 1:
         return [fn(chunk) for chunk in chunks]
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(chunks)), initializer=_install_chunk_fn, initargs=(fn,)
-    ) as pool:
-        return list(pool.map(_run_chunk, chunks))
+    procs, pipes = [], []
+    try:
+        for i in range(1, shares):
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(
+                target=_send_share, args=(fn, chunks[i::shares], sender), daemon=True
+            )
+            proc.start()
+            sender.close()  # so a worker that dies leaves its pipe at EOF
+            procs.append(proc)
+            pipes.append(receiver)
+        replies = [_run_share(fn, chunks[0::shares])]
+        for proc, receiver in zip(procs, pipes):
+            try:
+                replies.append(receiver.recv())
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"a fan-out worker exited with code {proc.exitcode} before sending its results"
+                ) from None
+        # share i stops at its chunk len(results), chunk len(results) * shares + i of all
+        failures = [
+            (len(results) * shares + i, error)
+            for i, (results, error) in enumerate(replies) if error is not None
+        ]
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc, receiver in zip(procs, pipes):
+            proc.join()
+            receiver.close()
+    return [replies[k % shares][0][k // shares] for k in range(len(chunks))]
 
 
-_chunk_fn = None  # in a pool's worker process: the chunk function the pool runs
+def _run_share(fn, share: list) -> tuple[list, Exception | None]:
+    """fn over a share's chunks in order, up to the first that raises: the results, and its error."""
+    results = []
+    for chunk in share:
+        try:
+            results.append(fn(chunk))
+        except Exception as error:
+            return results, error
+    return results, None
 
 
-def _install_chunk_fn(fn) -> None:
-    """Pool initializer: a worker receives the chunk function, and what it binds, once."""
-    global _chunk_fn
-    _chunk_fn = fn
-
-
-def _run_chunk(chunk: range):
-    return _chunk_fn(chunk)
+def _send_share(fn, share: list, sender) -> None:
+    """A fan-out worker process: run its share and send back what ``_run_share`` returns."""
+    sender.send(_run_share(fn, share))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +295,8 @@ def violation_rounds(
     competitive ratio per round, NaN at the rounds whose estimate failed,
     and the failure count of each n, in the order of ``ns``.  Each round
     is seeded by its own index, so any partition of the round indices
-    across workers reproduces the same values.
+    across workers reproduces the same values.  ``history`` is indexed as
+    given: the caller validates it, as ``as_series`` does.
 
     A round estimates from a size-n sample, then scores its threshold
     policy on the config's ``eval_episodes`` evaluation series.  The series
@@ -265,7 +309,6 @@ def violation_rounds(
     """
     T, E = instance.horizon, config.eval_episodes
     held = config.eval_source == "held-out"
-    history = as_series(history, "history")  # once per chunk; the samples index it as is
     rounds = list(round_indices)
     values, failed = _estimate_rounds(config, history, ns, rounds)
     failures = failed.sum(axis=1).tolist()
@@ -308,8 +351,9 @@ def _violation_reports(
 ) -> list[ViolationReport]:
     """One ViolationReport per sample size in ``ns``, in that order.
 
-    The checks run once for the whole grid, before any round; the rounds
-    are then fanned out once, and each chunk covers every n.
+    The checks run once for the whole grid, before any round, and the
+    history is validated once, with ``as_series``; the rounds are then
+    fanned out once, and each chunk covers every n.
     """
     if min(ns) < 2:
         raise ValueError(f"sample size must be >= 2, got {min(ns)}")
@@ -330,6 +374,7 @@ def _violation_reports(
             f"n={largest} exceeds history length {history.size} "
             f"for mode {config.resample_mode!r}",
         )
+    history = as_series(history, "history")  # once per run; every chunk indexes it as given
     chunk = partial(violation_rounds, config, instance, build_model(config), history, tuple(ns))
     parts = _map_chunks(chunk, config.rounds, workers, config.T, len(ns) * config.eval_episodes)
     values = np.concatenate([part for part, _ in parts], axis=-1)

@@ -1,7 +1,10 @@
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import fields, replace
 from functools import lru_cache, partial
 from pathlib import Path
@@ -136,6 +139,32 @@ def _exact_threshold_cost(T, capacity, demand, mu, sigma, theta, fill):
     return cost_to_go(0, 0.0)
 
 
+class _FanOutLog:
+    """What the runners' fan-outs do in this process.
+
+    ``own_shares`` holds (pid, chunks) for each share the calling process
+    runs itself, one per fan-out at more than one worker (at one worker
+    the chunks run with no share); ``started`` counts the worker processes
+    it starts.  ``Process.start`` is wrapped on its class, so the process
+    objects stay picklable under any start method.
+    """
+
+    def __init__(self, monkeypatch):
+        self.own_shares, self.started = [], 0
+        run_share, start = experiments._run_share, multiprocessing.process.BaseProcess.start
+
+        def recording_share(fn, share):
+            self.own_shares.append((os.getpid(), list(share)))
+            return run_share(fn, share)
+
+        def counting_start(process):
+            self.started += 1
+            start(process)
+
+        monkeypatch.setattr(experiments, "_run_share", recording_share)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+
+
 def _groups_per_block(monkeypatch, config, groups):
     """Set ``SWEEP_BYTES`` so an adaptive block holds ``groups`` (warmup, round) groups."""
     instance = build_instance(config)
@@ -237,6 +266,24 @@ class TestRunViolationCurve:
         parallel = bound_violation_probability(config, history, 20, workers=2)
         assert _field_reprs(parallel) == _field_reprs(serial)
         assert serial.cr.shape == (config.rounds,)
+
+    def test_history_is_checked_once_before_the_fan_out(self, tmp_path, monkeypatch):
+        config = small_config(tmp_path, kind="violation-curve")
+        history = generate(Normal(10.0, 2.0), 500, seed=5)
+        fan_outs = _FanOutLog(monkeypatch)
+        bad = history.copy()
+        bad[7] = math.nan
+        with pytest.raises(ValueError, match="history contains non-finite values"):
+            bound_violation_probability(config, bad, 20, workers=2)
+        assert (fan_outs.own_shares, fan_outs.started) == ([], 0)
+        # the empty history's ConfigError still comes first
+        with pytest.raises(ConfigError, match="cannot bootstrap an empty history"):
+            bound_violation_probability(config, [], 20, workers=2)
+        # a list is validated into the same series as the array
+        as_array = bound_violation_probability(config, history, 20, workers=2)
+        as_list = bound_violation_probability(config, history.tolist(), 20, workers=2)
+        assert _field_reprs(as_list) == _field_reprs(as_array)
+        assert fan_outs.started == 2
 
     def test_runner_reports_equal_per_n_reports(self, tmp_path):
         config = small_config(tmp_path, kind="violation-curve", n_grid=(20, 5))
@@ -537,28 +584,25 @@ class TestRunAdaptive:
             assert sum(scored) == 3 * 4
 
     def test_one_fan_out_draws_each_stream_once(self, tmp_path, monkeypatch):
-        draws, pools = [], []
+        draws = []
         generate_ = experiments.generate
-        pool = experiments.ProcessPoolExecutor
 
         def counting_generate(model, length, seed):
             draws.append(length)
             return generate_(model, length, seed)
 
-        def counting_pool(*args, **kwargs):
-            pools.append(1)
-            return pool(*args, **kwargs)
-
         monkeypatch.setattr(experiments, "generate", counting_generate)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", counting_pool)
+        fan_outs = _FanOutLog(monkeypatch)
         config = small_config(tmp_path, kind="adaptive", rounds=4, episodes=3,
                               warmup_grid=(10, 30), refresh_grid=(math.inf, 2.0))
         serial = run_adaptive_convergence(config)
         # 4 x 3 episode streams and 2 warmups per round, whatever the grid
         assert sorted(draws) == [config.T] * 12 + [10] * 4 + [30] * 4
-        assert pools == []
+        assert (fan_outs.own_shares, fan_outs.started) == ([], 0)
         assert run_adaptive_convergence(config, workers=2) == serial
-        assert pools == [1]
+        # one fan-out: this process runs chunk 0, one worker process the other
+        assert fan_outs.own_shares == [(os.getpid(), [range(0, 2)])]
+        assert fan_outs.started == 1
 
     @staticmethod
     def _count_work(tmp_path, monkeypatch, groups=None):
@@ -819,20 +863,16 @@ class TestRunRelaxation:
         )
         assert [_field_reprs(s) for s in baseline] == [_field_reprs(s) for s in compared]
 
-    def test_one_pool_per_run(self, tmp_path, monkeypatch):
-        pools = []
-        pool = experiments.ProcessPoolExecutor
-
-        def counting_pool(*args, **kwargs):
-            pools.append(kwargs["max_workers"])
-            return pool(*args, **kwargs)
-
+    def test_one_fan_out_per_run(self, tmp_path, monkeypatch):
         config = small_config(tmp_path, kind="relax", episodes=7, phi=0.8, eta=0.3)
         run_relaxation(config)
         whole = (tmp_path / "out.csv").read_bytes()
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", counting_pool)
+        fan_outs = _FanOutLog(monkeypatch)
         run_relaxation(config, workers=2)
-        assert pools == [2]
+        # every scenario in one fan-out: this process runs chunk 0, one worker
+        # process the other
+        assert fan_outs.own_shares == [(os.getpid(), [range(0, 3)])]
+        assert fan_outs.started == 1
         assert (tmp_path / "out.csv").read_bytes() == whole
 
 
@@ -850,18 +890,14 @@ def test_batch_rows_do_not_change_output(tmp_path, monkeypatch, kind, runner, kw
     units = config.rounds if kind in ("violation-curve", "adaptive") else config.episodes
     chunk_fn = {"violation-curve": "violation_rounds", "relax": "_compare_chunk",
                 "adaptive": "_adaptive_chunk"}[kind]
-    chunks, pools = [], []
-    fn, pool = getattr(experiments, chunk_fn), experiments.ProcessPoolExecutor
+    chunks = []
+    fn = getattr(experiments, chunk_fn)
 
     def recording(*args):
         chunks.append(args[-1])
         return fn(*args)
 
-    def counting_pool(*args, **kwargs):
-        pools.append(kwargs["max_workers"])
-        return pool(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", counting_pool)
+    fan_outs = _FanOutLog(monkeypatch)
     for rows in (1, 4):
         _units_per_chunk(monkeypatch, config, rows)
         chunks.clear()
@@ -873,11 +909,16 @@ def test_batch_rows_do_not_change_output(tmp_path, monkeypatch, kind, runner, kw
         assert [i for c in chunks for i in c] == list(range(units))
         assert len(chunks) == -(-units // rows)
         assert max(len(c) for c in chunks) <= rows
-        monkeypatch.setattr(experiments, chunk_fn, fn)  # a pool pickles it by name
+        monkeypatch.setattr(experiments, chunk_fn, fn)  # a spawned worker unpickles it by name
         runner(config, workers=2)
         assert (tmp_path / "out.csv").read_bytes() == whole
-    # one pool of two processes per run, at two workers only
-    assert pools == [2] * 2
+        # one fan-out: this process runs the even chunks from chunk 0, one
+        # worker process the odd ones (one chunk at one worker is two at two)
+        pid, share = fan_outs.own_shares[-1]
+        assert pid == os.getpid() and share[0].start == 0
+        assert len(chunks) == 1 or share == chunks[0::2]
+    # one fan-out and one worker process per run, at two workers only
+    assert len(fan_outs.own_shares) == fan_outs.started == 2
 
 
 def test_relax_memory_does_not_grow_with_episodes_beyond_cost_arrays(tmp_path, monkeypatch):
@@ -975,9 +1016,78 @@ def test_each_worker_receives_the_chunk_function_once(monkeypatch):
     monkeypatch.setattr(_PickleCountingChunk, "pickles", 0)
     parts = experiments._map_chunks(chunk, 6, 2, policies.SWEEP_BYTES, 1)
     assert parts == [[i * i] for i in range(6)]
-    # through the pool's initializer: once per worker at most, whatever the
-    # start method, where a pickled task per chunk would send it 6 times
-    assert _PickleCountingChunk.pickles <= 2
+    # as an argument of the one worker process: once at most, whatever the
+    # start method (a forked worker inherits it unpickled), where a pickled
+    # task per chunk would send it 3 times
+    assert _PickleCountingChunk.pickles <= 1
+
+
+class _FailingChunk:
+    """A chunk function of one-unit chunks that fails at the units it names.
+
+    At unit ``exits_at`` its process exits with code 3, sending nothing; at
+    unit ``hangs_at`` it sleeps for ten minutes; at a unit of ``raises_at``
+    it raises a ``ConfigError`` naming the unit.
+    """
+
+    def __init__(self, raises_at=(), exits_at=None, hangs_at=None):
+        self.raises_at, self.exits_at, self.hangs_at = raises_at, exits_at, hangs_at
+
+    def __call__(self, chunk: range) -> list[int]:
+        if chunk.start == self.exits_at:
+            os._exit(3)
+        if chunk.start == self.hangs_at:
+            time.sleep(600)
+        if chunk.start in self.raises_at:
+            raise ConfigError("unit", f"chunk {chunk.start} failed")
+        return list(chunk)
+
+
+@pytest.fixture
+def fan_out_deadline():
+    """Fail the test with a TimeoutError if it runs past 60 s: a fan-out that hangs fails."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the fan-out did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+# six chunks of one unit: this process runs units 0, 2 and 4, one worker
+# process units 1, 3 and 5 (a unit of one SWEEP_BYTES series fills a block)
+@pytest.mark.parametrize("raises_at", [(2,), (3,), (3, 4), (1, 2), (0, 5)],
+                         ids=["caller", "worker", "worker-first", "worker-first-early",
+                              "caller-first"])
+def test_a_failing_chunk_raises_what_one_worker_raises(fan_out_deadline, raises_at):
+    chunk = _FailingChunk(raises_at)
+    with pytest.raises(ConfigError) as serial:
+        experiments._map_chunks(chunk, 6, 1, policies.SWEEP_BYTES, 1)
+    with pytest.raises(ConfigError) as fanned:
+        experiments._map_chunks(chunk, 6, 2, policies.SWEEP_BYTES, 1)
+    # the first failing chunk's error, in chunk order, with its type and fields
+    assert str(fanned.value) == str(serial.value) == f"unit: chunk {min(raises_at)} failed"
+    assert fanned.value.field == "unit"
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_raises(fan_out_deadline):
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        experiments._map_chunks(_FailingChunk(exits_at=3), 6, 2, policies.SWEEP_BYTES, 1)
+    assert multiprocessing.active_children() == []
+    # at three workers the other worker, still in its chunk, is ended with it
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        experiments._map_chunks(
+            _FailingChunk(exits_at=1, hangs_at=2), 6, 3, policies.SWEEP_BYTES, 1
+        )
+    assert multiprocessing.active_children() == []
+    # a failure in this process's own share ends the workers it started too
+    with pytest.raises(ConfigError, match="chunk 0 failed"):
+        experiments._map_chunks(_FailingChunk((0,)), 6, 3, policies.SWEEP_BYTES, 1)
+    assert multiprocessing.active_children() == []
 
 
 class TestCli:
