@@ -225,8 +225,13 @@ def validate_config(config: ExperimentConfig) -> None:
     if not (0.0 <= config.eta < 1.0):
         raise ConfigError("eta", f"demand-noise level must lie in [0, 1), got {config.eta}")
     for name in ("n_grid", "warmup_grid", "refresh_grid", "scenarios"):
-        if not getattr(config, name):
+        grid = getattr(config, name)
+        if not grid:
             raise ConfigError(name, "grid must be nonempty")
+        repeated = sorted({v for v in grid if grid.count(v) > 1})
+        if repeated:
+            # each entry is one output row, so a repeat writes two rows of one key
+            raise ConfigError(name, f"grid entries must be distinct, got {repeated} repeated")
     if any(n < 2 for n in config.n_grid):
         raise ConfigError("n_grid", "every sample size must be >= 2")
     if any(w < 2 for w in config.warmup_grid):
@@ -244,6 +249,11 @@ def validate_config(config: ExperimentConfig) -> None:
     if config.kind in ("violation-curve", "estimate") and config.history is not None:
         if not Path(config.history).is_file():
             raise ConfigError("history", f"missing history file: {config.history}")
+    if config.kind == "estimate" and config.history is None and config.history_size < 2:
+        raise ConfigError(
+            "history_size",
+            f"estimate needs a synthesized history of >= 2 prices, got {config.history_size}",
+        )
     if config.history is None and config.kind in ("violation-curve",):
         # synthesized history must accommodate prefix/window draws
         if config.resample_mode != "with-replacement":

@@ -25,11 +25,6 @@ from .special import chi2_quantile, t_quantile
 
 CLAMP_EPS = 1e-3
 
-RECORD_FIELDS = (
-    "n", "alpha", "mean", "s", "mu_lo", "mu_hi", "sigma_lo", "sigma_hi",
-    "m_hat", "M_hat", "theta_hat", "conservative",
-)
-
 
 class EstimationError(ValueError):
     """Base class for estimation failures."""
@@ -163,7 +158,7 @@ class EstimateReport:
         return math.sqrt(self.upper_bound / self.lower_bound)
 
     def to_record(self) -> dict:
-        """Flat record with the documented serialization keys."""
+        """Flat record: the estimate CSV's columns, in order, and their values."""
         mu_lo, mu_hi = self.mu_interval
         sigma_lo, sigma_hi = self.sigma_interval
         return {

@@ -10,17 +10,20 @@ contiguous chunks, at least one per worker, and more where what one
 chunk holds, ``CHUNK_ARRAYS`` arrays per price series, would not fit
 ``policies.SWEEP_BYTES`` (through ``sweep_blocks``).  Every chunk runs one
 module-level function with the frozen config and the objects the runner
-built once bound by ``functools.partial``.  A fan-out is a fork-join: the
-calling process runs one share of the chunks itself and starts one worker
-process per other share, which receives that function and its share once,
-as process arguments, so the history and the policies are not sent per
-chunk.  Results are merged in chunk order.  A violation curve is one
-fan-out over rounds that covers every n of the grid, an adaptive sweep one
-fan-out over rounds that covers every warmup x refresh grid point, and a
-policy comparison one fan-out over episodes that covers every scenario
-(relax runs its scenarios as one comparison, policy-compare is the
-one-scenario case), so a run starts at most workers - 1 processes, and
-none at one worker.
+built once bound by ``functools.partial``, and returns a tuple of arrays
+whose last axis runs over its units.  A fan-out is a fork-join over
+min(workers, chunks) contiguous shares of the chunks, at every worker
+count: the calling process runs the first share itself and starts one
+worker process per other share, which receives that function and its
+share once, as process arguments, so the history and the policies are not
+sent per chunk.  The fan-out joins each of the chunks' arrays along its
+last axis, in chunk order, so a runner reads whole-range arrays.  A
+violation curve is one fan-out over rounds that covers every n of the
+grid, an adaptive sweep one fan-out over rounds that covers every warmup
+x refresh grid point, and a policy comparison one fan-out over episodes
+that covers every scenario (relax runs its scenarios as one comparison,
+policy-compare is the one-scenario case), so a run starts at most
+workers - 1 processes, and none at one worker.
 
 A chunk is one batch.  A violation chunk estimates in blocks of
 ``BLOCK_FLOATS // max(n)`` rounds, so its bootstrap index array and each
@@ -71,14 +74,12 @@ from .config import (
 )
 from .estimation import (
     EstimateReport,
-    RECORD_FIELDS,
     estimate,
     estimate_rows,
     model_bounds,
     threshold_price,
 )
 from .metrics import (
-    _write_csv,
     competitive_ratio,
     offline_costs,
     offline_optimal,  # noqa: F401  (a name bench/tracer.py wraps)
@@ -112,63 +113,84 @@ ADAPTIVE_HEADER = (
 )
 
 
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """Write a header line and one comma-joined line per row (floats via repr)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _write_records(path, header: str, records) -> None:
+    """One line per record, each column the record's attribute of that header name."""
+    names = header.split(",")
+    _write_csv(path, header, [[getattr(record, name) for name in names] for record in records])
+
+
 # (T,) float arrays a chunk holds per price series: the series, the rows it
 # is stacked from, and simulate_batch's price copy, purchases and levels
 CHUNK_ARRAYS = 5
 
 
+def _split(items, parts: int) -> list:
+    """``items`` cut into ``parts`` contiguous slices at ``np.linspace`` edges."""
+    edges = np.linspace(0, len(items), parts + 1).astype(int).tolist()
+    return [items[start:stop] for start, stop in zip(edges[:-1], edges[1:])]
+
+
 def _map_chunks(
     fn, count: int, workers: int, horizon: int, series: int, demand_rows: int = 0
-) -> list:
-    """fn(chunk) for contiguous chunks of range(count), in order.
+) -> tuple[np.ndarray, ...]:
+    """fn over contiguous chunks of range(count), its arrays joined in chunk order.
 
-    A unit of the range holds ``series`` price series of ``horizon`` floats,
-    each ``CHUNK_ARRAYS`` arrays of that size, and ``demand_rows`` realized
-    demand rows.  There are at least ``workers`` chunks, and more where
-    ``sweep_blocks`` needs them for what one chunk holds to fit
-    ``SWEEP_BYTES``.  With one worker, or one chunk, every chunk runs in
-    this process.  Otherwise the chunks are dealt round-robin into
-    min(workers, chunks) shares, share i being ``chunks[i::shares]``: this
-    process runs share 0 while one worker process per other share, started
-    with ``fn`` and its share as process arguments, runs that share and
-    sends its results back over a pipe.  A share stops at its first failing
-    chunk, and the error raised is the first failing chunk's in chunk
-    order, as at one worker.
+    ``fn(chunk)`` returns a tuple of arrays whose last axis runs over the
+    chunk's units, and array i of the result is every chunk's array i
+    concatenated along that axis.  A unit holds ``series`` price series of
+    ``horizon`` floats, each ``CHUNK_ARRAYS`` arrays of that size, and
+    ``demand_rows`` realized demand rows.  There are at least ``workers``
+    chunks, and more where ``sweep_blocks`` needs them for what one chunk
+    holds to fit ``SWEEP_BYTES``.  The chunks are cut into min(workers,
+    chunks) contiguous shares: this process runs share 0 while one worker
+    process per other share, started with ``fn`` and its share as process
+    arguments, runs that share and sends its results back over a pipe.  A
+    share stops at its first failing chunk, so the first reply that holds
+    an error holds the first failing chunk's, as at one worker.
     """
     width = series * CHUNK_ARRAYS + demand_rows
     parts = max(len(sweep_blocks(count, horizon * width)), min(workers, count))
-    bounds = np.linspace(0, count, parts + 1).astype(int).tolist()
-    chunks = [range(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
-    shares = min(workers, len(chunks))
-    if shares <= 1:
-        return [fn(chunk) for chunk in chunks]
+    chunks = _split(range(count), parts)
+    shares = _split(chunks, min(workers, len(chunks)))
     procs, pipes = [], []
     try:
-        for i in range(1, shares):
+        for share in shares[1:]:
             receiver, sender = multiprocessing.Pipe(duplex=False)
             proc = multiprocessing.Process(
-                target=_send_share, args=(fn, chunks[i::shares], sender), daemon=True
+                target=_send_share, args=(fn, share, sender), daemon=True
             )
             proc.start()
             sender.close()  # so a worker that dies leaves its pipe at EOF
             procs.append(proc)
             pipes.append(receiver)
-        replies = [_run_share(fn, chunks[0::shares])]
+        results, error = _run_share(fn, shares[0])
         for proc, receiver in zip(procs, pipes):
+            if error is not None:
+                break
             try:
-                replies.append(receiver.recv())
+                more, error = receiver.recv()
             except EOFError:
                 proc.join()
                 raise RuntimeError(
                     f"a fan-out worker exited with code {proc.exitcode} before sending its results"
                 ) from None
-        # share i stops at its chunk len(results), chunk len(results) * shares + i of all
-        failures = [
-            (len(results) * shares + i, error)
-            for i, (results, error) in enumerate(replies) if error is not None
-        ]
-        if failures:
-            raise min(failures, key=lambda failure: failure[0])[1]
+            results += more
+        if error is not None:
+            raise error
     except BaseException:
         for proc in procs:
             proc.terminate()
@@ -177,7 +199,7 @@ def _map_chunks(
         for proc, receiver in zip(procs, pipes):
             proc.join()
             receiver.close()
-    return [replies[k % shares][0][k // shares] for k in range(len(chunks))]
+    return tuple(np.concatenate(arrays, axis=-1) for arrays in zip(*results))
 
 
 def _run_share(fn, share: list) -> tuple[list, Exception | None]:
@@ -210,7 +232,7 @@ def run_estimate(config: ExperimentConfig, workers: int = 1) -> EstimateReport:
         clamp_nonpositive_lower=config.clamp_m,
     )
     record = report.to_record()
-    _write_csv(config.out, ",".join(RECORD_FIELDS), [tuple(record[k] for k in RECORD_FIELDS)])
+    _write_csv(config.out, ",".join(record), [record.values()])
     print(f"theta_hat={report.threshold!r} cr_bound={report.ratio_bound!r}")
     return report
 
@@ -288,22 +310,23 @@ def _estimate_rounds(config: ExperimentConfig, history: np.ndarray, ns, rounds: 
 def violation_rounds(
     config: ExperimentConfig, instance: Instance, eval_model, history: np.ndarray,
     ns, round_indices,
-) -> tuple[np.ndarray, list[int]]:
+) -> tuple[np.ndarray]:
     """Run a batch of violation rounds at every sample size in ``ns``.
 
-    Returns a (3, len(ns), R) array, each n's threshold, ratio bound and
-    competitive ratio per round, NaN at the rounds whose estimate failed,
-    and the failure count of each n, in the order of ``ns``.  Each round
-    is seeded by its own index, so any partition of the round indices
-    across workers reproduces the same values.  ``history`` is indexed as
-    given: the caller validates it, as ``as_series`` does.
+    Returns ``(values,)``, a (3, len(ns), R) array of each n's threshold,
+    ratio bound and competitive ratio per round, in the order of ``ns``,
+    NaN at the rounds whose estimate failed: an n's failures are its NaN
+    thresholds.  Each round is seeded by its own index, so any partition
+    of the round indices across workers reproduces the same values.
+    ``history`` is indexed as given: the caller validates it, as
+    ``as_series`` does.
 
     A round estimates from a size-n sample, then scores its threshold
     policy on the config's ``eval_episodes`` evaluation series.  The series
     come from the evaluation model (drawn once per round, for every n), or
     with ``eval_source=held-out`` from windows of the history after its
     first n records, which form the estimation pool.  Rounds whose
-    estimation fails are counted, not dropped.  The estimated (round, n)
+    estimation fails stay in the arrays, as NaN.  The estimated (round, n)
     pairs of the chunk are scored together: one threshold batch with one
     threshold per row, and one oracle batch over the distinct series.
     """
@@ -311,11 +334,10 @@ def violation_rounds(
     held = config.eval_source == "held-out"
     rounds = list(round_indices)
     values, failed = _estimate_rounds(config, history, ns, rounds)
-    failures = failed.sum(axis=1).tolist()
     out = np.full((3, len(ns), len(rounds)), np.nan)
     at, which = np.nonzero(~failed.T)  # the scored (round, n) pairs, round-major
     if not at.size:
-        return out, failures
+        return (out,)
     theta, bound, lower, upper = values[:, which, at]
     if held:
         prices = np.empty((at.size, E, T))
@@ -343,7 +365,7 @@ def violation_rounds(
     crs = competitive_ratio(alg, opt)
     round_crs = crs.max(axis=1) if config.verdict == "any" else crs.mean(axis=1)
     out[:, which, at] = theta, bound, round_crs
-    return out, failures
+    return (out,)
 
 
 def _violation_reports(
@@ -376,8 +398,7 @@ def _violation_reports(
         )
     history = as_series(history, "history")  # once per run; every chunk indexes it as given
     chunk = partial(violation_rounds, config, instance, build_model(config), history, tuple(ns))
-    parts = _map_chunks(chunk, config.rounds, workers, config.T, len(ns) * config.eval_episodes)
-    values = np.concatenate([part for part, _ in parts], axis=-1)
+    (values,) = _map_chunks(chunk, config.rounds, workers, config.T, len(ns) * config.eval_episodes)
     values.flags.writeable = False
     reports = []
     for i, n in enumerate(ns):
@@ -386,7 +407,7 @@ def _violation_reports(
         p_hat = violations / config.rounds
         reports.append(ViolationReport(
             n=n, rounds=config.rounds, violations=violations,
-            failures=sum(part_failures[i] for _, part_failures in parts),
+            failures=int(np.isnan(theta_hat).sum()),
             p_hat=p_hat, stderr=math.sqrt(p_hat * (1.0 - p_hat) / config.rounds),
             theta_hat=theta_hat, cr_bound=cr_bound, cr=cr,
         ))
@@ -412,11 +433,7 @@ def bound_violation_probability(
 def run_violation_curve(config: ExperimentConfig, workers: int = 1) -> list[ViolationReport]:
     """Bound-violation probability for every sample size in the n grid."""
     reports = _violation_reports(config, load_history(config), sorted(config.n_grid), workers)
-    _write_csv(
-        config.out,
-        VIOLATION_HEADER,
-        [(r.n, r.p_hat, r.stderr, r.violations, r.failures, r.rounds) for r in reports],
-    )
+    _write_records(config.out, VIOLATION_HEADER, reports)
     return reports
 
 
@@ -575,11 +592,9 @@ def _compare_core(
     policies = _TruePolicies.build(config, instance, models)
     chunk = partial(_compare_chunk, config, instance, eval_models, etas, policies, model_rows)
     noisy = any(eta > 0.0 for eta in etas)
-    parts = _map_chunks(
+    opt, alg = _map_chunks(
         chunk, config.episodes, workers, config.T, len(scenarios), len(scenarios) * noisy
     )
-    opt = np.concatenate([opt for opt, _ in parts], axis=-1)
-    alg = np.concatenate([alg for _, alg in parts], axis=-1)
     policy_ids = [policy.policy_id for policy in policies.serve(model_rows)]
     results = []
     for s, scenario in enumerate(names):
@@ -617,15 +632,7 @@ def run_policy_compare(config: ExperimentConfig, workers: int = 1) -> list[Polic
         for policy_id, alg_k, crs_k, reg_k in columns
         for e, (a, o, cr, reg) in enumerate(zip(alg_k, opt.tolist(), crs_k, reg_k))
     ))
-    _write_csv(
-        summary_path(config.out),
-        SUMMARY_HEADER,
-        [
-            (s.policy_id, s.mean_cost, s.regret, s.regret_stderr,
-             s.cr_p50, s.cr_p95, s.cr_max)
-            for s in summaries
-        ],
-    )
+    _write_records(summary_path(config.out), SUMMARY_HEADER, summaries)
     return summaries
 
 
@@ -651,7 +658,7 @@ class AdaptiveRow:
 
 def _adaptive_chunk(
     config: ExperimentConfig, instance: Instance, model, true_policy: DpPolicy, rounds: range,
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """True-parameter DP, oracle and per-grid-point adaptive costs of ``rounds``.
 
     Each (round, episode) stream and each (warmup, round) warmup is drawn
@@ -662,9 +669,9 @@ def _adaptive_chunk(
     groups' warmups when it runs, and one adaptive policy per block
     estimates each of them once, builds its base policy once, and steps
     every row of the block in one ``simulate_batch`` per refresh stride.
-    Costs are in (round, episode) order; the adaptive ones come one array
-    per warmup x refresh grid point, warmups sorted, refreshes in config
-    order.
+    Costs are (R·E,) arrays in (round, episode) order; the adaptive ones are
+    one (grid, R·E) array, a row per warmup x refresh grid point, warmups
+    sorted, refreshes in config order.
     """
     T = instance.horizon
     E = config.episodes
@@ -696,8 +703,8 @@ def _adaptive_chunk(
         for si, stride in enumerate(strides):
             policy.refresh_stride = stride
             costs[si, rows] = simulate_batch(instance, prices, policy).total_cost
-    adaptive_costs = list(costs.reshape(len(strides), len(warmup_sizes), -1).swapaxes(0, 1)
-                          .reshape(-1, len(flat)))
+    adaptive_costs = (costs.reshape(len(strides), len(warmup_sizes), -1).swapaxes(0, 1)
+                      .reshape(-1, len(flat)))
     return true_costs, oracle_costs, adaptive_costs
 
 
@@ -717,13 +724,12 @@ def run_adaptive_convergence(
     model = build_model(config)
     true_policy = DpPolicy(build_value_table(instance, model, config.K))
     chunk = partial(_adaptive_chunk, config, instance, model, true_policy)
-    parts = _map_chunks(chunk, config.rounds, workers, config.T, config.episodes)
-    true_costs = np.concatenate([p[0] for p in parts])
-    oracle_costs = np.concatenate([p[1] for p in parts])
+    true_costs, oracle_costs, adaptive = _map_chunks(
+        chunk, config.rounds, workers, config.T, config.episodes
+    )
     grid = [(w, refresh) for w in sorted(config.warmup_grid) for refresh in config.refresh_grid]
     rows = []
-    for k, (warmup, refresh) in enumerate(grid):
-        adaptive_costs = np.concatenate([p[2][k] for p in parts])
+    for (warmup, refresh), adaptive_costs in zip(grid, adaptive):
         vs_dp = regret(adaptive_costs, true_costs)
         vs_off = regret(adaptive_costs, oracle_costs)
         rows.append(
@@ -734,15 +740,7 @@ def run_adaptive_convergence(
                 regret_vs_offline=vs_off.mean, stderr_vs_offline=vs_off.stderr,
             )
         )
-    _write_csv(
-        config.out,
-        ADAPTIVE_HEADER,
-        [
-            (r.warmup, r.refresh, r.mean_cost, r.regret_vs_dp, r.stderr_vs_dp,
-             r.regret_vs_offline, r.stderr_vs_offline)
-            for r in rows
-        ],
-    )
+    _write_records(config.out, ADAPTIVE_HEADER, rows)
     return rows
 
 
@@ -764,13 +762,5 @@ def run_relaxation(config: ExperimentConfig, workers: int = 1) -> list[PolicySum
     summaries = [
         summary for *_, part in _compare_core(config, scenarios, workers) for summary in part
     ]
-    _write_csv(
-        config.out,
-        RELAX_HEADER,
-        [
-            (s.scenario, s.policy_id, s.mean_cost, s.regret, s.regret_stderr,
-             s.cr_p50, s.cr_p95, s.cr_max)
-            for s in summaries
-        ],
-    )
+    _write_records(config.out, RELAX_HEADER, summaries)
     return summaries

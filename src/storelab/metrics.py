@@ -45,20 +45,6 @@ from .prices import resample  # noqa: F401  (a name bench/tracer.py wraps)
 from .prices import as_series
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path, header: str, rows) -> None:
-    """Write a header line and one comma-joined line per row (floats via repr)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 # (W,) columns of floats the oracle's sweep holds per row: the next and new
 # values, the scan and its buffer, the slopes, and the endpoint values
 ORACLE_LEVELS = 8

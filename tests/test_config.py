@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from storelab import AR1, Clamped, ConfigError, ExperimentConfig, Normal, parse_config, render_config
 import storelab.config as config_module
+from storelab.cli import main
 from storelab.config import apply_overrides, build_instance, build_model, load_config
 
 
@@ -40,8 +41,12 @@ class TestRoundTrip:
             "policy-compare": mu - 3.0 * sigma,
             "relax": mu - 3.0 * AR1(mu, sigma, ExperimentConfig.phi).marginal_std,
         }.get(kind, math.inf)
+        # a repeated grid entry would write two rows of one key
+        if len(set(n_grid)) < len(n_grid):
+            with pytest.raises(ConfigError, match="n_grid"):
+                ExperimentConfig(**values)
         # an adaptive warmup's estimate has no earlier report to fall back on
-        if not clamp and (kind == "adaptive" or lower <= 0.0):
+        elif not clamp and (kind == "adaptive" or lower <= 0.0):
             with pytest.raises(ConfigError, match="clamp_m"):
                 ExperimentConfig(**values)
         else:
@@ -106,6 +111,41 @@ class TestValidation:
             with pytest.raises(ConfigError, match="refresh_grid"):
                 parse_config(f"kind=adaptive\nrefresh_grid={grid}\n")
         assert parse_config("kind=adaptive\nrefresh_grid=2.0,inf\n").refresh_grid == (2.0, math.inf)
+
+    @pytest.mark.parametrize("field, grid", [
+        ("n_grid", "10,100,10"),
+        ("warmup_grid", "10,10"),
+        ("refresh_grid", "inf,6,inf"),
+        ("refresh_grid", "2,2.0"),
+        ("scenarios", "baseline,ar1,baseline"),
+    ])
+    def test_repeated_grid_entry_rejected(self, field, grid):
+        # each entry is one output row, so a repeat would write two rows of one key
+        with pytest.raises(ConfigError, match="distinct") as err:
+            parse_config(f"{field}={grid}\n")
+        assert err.value.field == field
+
+    def test_estimate_needs_two_synthesized_prices(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            parse_config("kind=estimate\nhistory_size=1\n")
+        assert err.value.field == "history_size"
+        assert parse_config("kind=estimate\nhistory_size=2\n").history_size == 2
+        # the synthesized history's size is not read beside a history file
+        path = tmp_path / "h.csv"
+        path.write_text("10.0\n11.0\n")
+        parse_config(f"kind=estimate\nhistory_size=1\nhistory={path}\n")
+        parse_config("kind=policy-compare\nhistory_size=1\n")
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("adaptive", "warmup_grid", "10,10"),
+        ("violation-curve", "n_grid", "10,10"),
+        ("estimate", "history_size", "1"),
+    ])
+    def test_ambiguous_or_undefined_run_exits_1(self, tmp_path, capsys, command, key, value):
+        out = tmp_path / "x.csv"
+        assert main([command, "--set", f"{key}={value}", "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_clamp_bounds_must_pair(self):
         with pytest.raises(ConfigError, match="clamp_lo"):

@@ -143,8 +143,8 @@ class _FanOutLog:
     """What the runners' fan-outs do in this process.
 
     ``own_shares`` holds (pid, chunks) for each share the calling process
-    runs itself, one per fan-out at more than one worker (at one worker
-    the chunks run with no share); ``started`` counts the worker processes
+    runs itself, one per fan-out at every worker count (at one worker the
+    one share holds every chunk); ``started`` counts the worker processes
     it starts.  ``Process.start`` is wrapped on its class, so the process
     objects stay picklable under any start method.
     """
@@ -598,10 +598,11 @@ class TestRunAdaptive:
         serial = run_adaptive_convergence(config)
         # 4 x 3 episode streams and 2 warmups per round, whatever the grid
         assert sorted(draws) == [config.T] * 12 + [10] * 4 + [30] * 4
-        assert (fan_outs.own_shares, fan_outs.started) == ([], 0)
+        # one worker: this process runs the one share, of every chunk
+        assert (fan_outs.own_shares, fan_outs.started) == ([(os.getpid(), [range(0, 4)])], 0)
         assert run_adaptive_convergence(config, workers=2) == serial
         # one fan-out: this process runs chunk 0, one worker process the other
-        assert fan_outs.own_shares == [(os.getpid(), [range(0, 2)])]
+        assert fan_outs.own_shares[1:] == [(os.getpid(), [range(0, 2)])]
         assert fan_outs.started == 1
 
     @staticmethod
@@ -865,13 +866,14 @@ class TestRunRelaxation:
 
     def test_one_fan_out_per_run(self, tmp_path, monkeypatch):
         config = small_config(tmp_path, kind="relax", episodes=7, phi=0.8, eta=0.3)
+        fan_outs = _FanOutLog(monkeypatch)
         run_relaxation(config)
         whole = (tmp_path / "out.csv").read_bytes()
-        fan_outs = _FanOutLog(monkeypatch)
         run_relaxation(config, workers=2)
-        # every scenario in one fan-out: this process runs chunk 0, one worker
-        # process the other
-        assert fan_outs.own_shares == [(os.getpid(), [range(0, 3)])]
+        # every scenario in one fan-out per run: at one worker this process
+        # runs the one chunk, at two chunk 0 while one worker process runs
+        # the other
+        assert fan_outs.own_shares == [(os.getpid(), [range(0, 7)]), (os.getpid(), [range(0, 3)])]
         assert fan_outs.started == 1
         assert (tmp_path / "out.csv").read_bytes() == whole
 
@@ -912,13 +914,13 @@ def test_batch_rows_do_not_change_output(tmp_path, monkeypatch, kind, runner, kw
         monkeypatch.setattr(experiments, chunk_fn, fn)  # a spawned worker unpickles it by name
         runner(config, workers=2)
         assert (tmp_path / "out.csv").read_bytes() == whole
-        # one fan-out: this process runs the even chunks from chunk 0, one
-        # worker process the odd ones (one chunk at one worker is two at two)
+        # one fan-out: this process runs the first half of the chunks, one
+        # worker process the rest (one chunk at one worker is two at two)
         pid, share = fan_outs.own_shares[-1]
         assert pid == os.getpid() and share[0].start == 0
-        assert len(chunks) == 1 or share == chunks[0::2]
-    # one fan-out and one worker process per run, at two workers only
-    assert len(fan_outs.own_shares) == fan_outs.started == 2
+        assert len(chunks) == 1 or share == chunks[:len(chunks) // 2]
+    # one fan-out per run, and one worker process per run at two workers
+    assert len(fan_outs.own_shares) == 4 and fan_outs.started == 2
 
 
 def test_relax_memory_does_not_grow_with_episodes_beyond_cost_arrays(tmp_path, monkeypatch):
@@ -983,11 +985,12 @@ def test_violation_chunk_memory_does_not_grow_with_rounds_beyond_one_block(tmp_p
     for rounds in (6, 60):
         tracemalloc.start()
         try:
-            values, failures = chunk(range(rounds))
+            (values,) = chunk(range(rounds))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert values.shape == (3, 2, rounds) and failures == [0, 0]
+        # no round failed: no threshold reads NaN
+        assert values.shape == (3, 2, rounds)
         assert not np.isnan(values).any()
     # the bootstrap work of a block of three rounds at n = 10 000 is alive at a
     # time: its draw, a sample and the sample's temporaries.  The rest of the
@@ -1002,8 +1005,8 @@ class _PickleCountingChunk:
 
     pickles = 0
 
-    def __call__(self, chunk: range) -> list[int]:
-        return [i * i for i in chunk]
+    def __call__(self, chunk: range) -> tuple[np.ndarray]:
+        return (np.array([i * i for i in chunk]),)
 
     def __reduce__(self):
         type(self).pickles += 1
@@ -1014,8 +1017,8 @@ def test_each_worker_receives_the_chunk_function_once(monkeypatch):
     # one unit per chunk: a unit of one series of SWEEP_BYTES floats fills a block alone
     chunk = _PickleCountingChunk()
     monkeypatch.setattr(_PickleCountingChunk, "pickles", 0)
-    parts = experiments._map_chunks(chunk, 6, 2, policies.SWEEP_BYTES, 1)
-    assert parts == [[i * i] for i in range(6)]
+    (squares,) = experiments._map_chunks(chunk, 6, 2, policies.SWEEP_BYTES, 1)
+    assert squares.tolist() == [i * i for i in range(6)]
     # as an argument of the one worker process: once at most, whatever the
     # start method (a forked worker inherits it unpickled), where a pickled
     # task per chunk would send it 3 times
@@ -1027,20 +1030,26 @@ class _FailingChunk:
 
     At unit ``exits_at`` its process exits with code 3, sending nothing; at
     unit ``hangs_at`` it sleeps for ten minutes; at a unit of ``raises_at``
-    it raises a ``ConfigError`` naming the unit.
+    it raises a ``ConfigError`` naming the unit.  Should the exit unit run
+    in the process that built the chunk function, the test's own, it
+    raises an ``AssertionError`` instead, so a misplaced case fails by name
+    and does not end the test run.
     """
 
     def __init__(self, raises_at=(), exits_at=None, hangs_at=None):
         self.raises_at, self.exits_at, self.hangs_at = raises_at, exits_at, hangs_at
+        self.home = os.getpid()
 
-    def __call__(self, chunk: range) -> list[int]:
+    def __call__(self, chunk: range) -> tuple[np.ndarray]:
         if chunk.start == self.exits_at:
+            if os.getpid() == self.home:
+                raise AssertionError(f"exit chunk {chunk.start} ran in the calling process")
             os._exit(3)
         if chunk.start == self.hangs_at:
             time.sleep(600)
         if chunk.start in self.raises_at:
             raise ConfigError("unit", f"chunk {chunk.start} failed")
-        return list(chunk)
+        return (np.array(chunk),)
 
 
 @pytest.fixture
@@ -1057,17 +1066,45 @@ def fan_out_deadline():
     signal.signal(signal.SIGALRM, previous)
 
 
-# six chunks of one unit: this process runs units 0, 2 and 4, one worker
-# process units 1, 3 and 5 (a unit of one SWEEP_BYTES series fills a block)
-@pytest.mark.parametrize("raises_at", [(2,), (3,), (3, 4), (1, 2), (0, 5)],
-                         ids=["caller", "worker", "worker-first", "worker-first-early",
-                              "caller-first"])
-def test_a_failing_chunk_raises_what_one_worker_raises(fan_out_deadline, raises_at):
+def _units_and_pids(chunk: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A (1, k) and a (k,) array of a chunk's units, and the pid that ran each unit, (k,)."""
+    units = np.array(chunk)
+    return units[None, :] * 10, units * units, np.full(units.size, os.getpid())
+
+
+# six chunks of one unit (a unit of one SWEEP_BYTES series fills a block)
+@pytest.mark.parametrize("workers, runs", [
+    (1, [6]), (2, [3, 3]), (3, [2, 2, 2]), (4, [1, 2, 1, 2]),
+])
+def test_chunk_arrays_join_in_chunk_order(fan_out_deadline, workers, runs):
+    tens, squares, pids = experiments._map_chunks(
+        _units_and_pids, 6, workers, policies.SWEEP_BYTES, 1
+    )
+    # each array joined along its last axis: the one-worker result
+    units = np.arange(6)
+    assert tens.tolist() == [(units * 10).tolist()]
+    assert squares.tolist() == (units * units).tolist()
+    # each share is a contiguous run of chunks in one process, this process's first
+    starts = np.flatnonzero(np.diff(pids, prepend=-1))
+    assert np.diff([*starts, 6]).tolist() == runs
+    assert pids[0] == os.getpid() and len(set(pids.tolist())) == len(runs)
+    assert multiprocessing.active_children() == []
+
+
+# six chunks of one unit: at 2 workers this process runs units 0-2 and one
+# worker process units 3-5; at 4 workers the shares are 0, 1-2, 3 and 4-5,
+# so a worker's failure can come before another worker's
+@pytest.mark.parametrize("workers, raises_at", [
+    (2, (2,)), (2, (3,)), (2, (0, 5)), (2, (4, 5)),
+    (4, (2, 3)), (4, (1, 5)), (4, (5, 1, 3)), (4, (4, 0)),
+], ids=["caller", "worker", "caller-first", "worker-twice",
+        "worker-first", "worker-first-early", "three-workers", "caller-first-of-four"])
+def test_a_failing_chunk_raises_what_one_worker_raises(fan_out_deadline, workers, raises_at):
     chunk = _FailingChunk(raises_at)
     with pytest.raises(ConfigError) as serial:
         experiments._map_chunks(chunk, 6, 1, policies.SWEEP_BYTES, 1)
     with pytest.raises(ConfigError) as fanned:
-        experiments._map_chunks(chunk, 6, 2, policies.SWEEP_BYTES, 1)
+        experiments._map_chunks(chunk, 6, workers, policies.SWEEP_BYTES, 1)
     # the first failing chunk's error, in chunk order, with its type and fields
     assert str(fanned.value) == str(serial.value) == f"unit: chunk {min(raises_at)} failed"
     assert fanned.value.field == "unit"
@@ -1078,10 +1115,11 @@ def test_a_worker_that_dies_raises(fan_out_deadline):
     with pytest.raises(RuntimeError, match="exited with code 3"):
         experiments._map_chunks(_FailingChunk(exits_at=3), 6, 2, policies.SWEEP_BYTES, 1)
     assert multiprocessing.active_children() == []
-    # at three workers the other worker, still in its chunk, is ended with it
+    # at three workers (shares 0-1, 2-3 and 4-5) the other worker, still in
+    # its chunk, is ended with it
     with pytest.raises(RuntimeError, match="exited with code 3"):
         experiments._map_chunks(
-            _FailingChunk(exits_at=1, hangs_at=2), 6, 3, policies.SWEEP_BYTES, 1
+            _FailingChunk(exits_at=2, hangs_at=4), 6, 3, policies.SWEEP_BYTES, 1
         )
     assert multiprocessing.active_children() == []
     # a failure in this process's own share ends the workers it started too
