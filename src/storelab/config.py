@@ -246,14 +246,15 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("scenarios", f"unknown scenarios {unknown}, expected {SCENARIOS}")
     if config.kind == "relax" and "lognormal" in config.scenarios and not config.mu > 0:
         raise ConfigError("mu", f"the lognormal scenario needs a mean mu > 0, got {config.mu}")
-    if config.kind in ("violation-curve", "estimate") and config.history is not None:
-        if not Path(config.history).is_file():
+    if config.kind in ("violation-curve", "estimate"):
+        if config.history is not None and not Path(config.history).is_file():
             raise ConfigError("history", f"missing history file: {config.history}")
-    if config.kind == "estimate" and config.history is None and config.history_size < 2:
-        raise ConfigError(
-            "history_size",
-            f"estimate needs a synthesized history of >= 2 prices, got {config.history_size}",
-        )
+        if config.history is None and config.history_size < 2:
+            raise ConfigError(
+                "history_size",
+                f"{config.kind} needs a synthesized history of >= 2 prices, "
+                f"got {config.history_size}",
+            )
     if config.history is None and config.kind in ("violation-curve",):
         # synthesized history must accommodate prefix/window draws
         if config.resample_mode != "with-replacement":

@@ -5,12 +5,13 @@ the mean and chi-squared interval for the standard deviation, turns them
 into three-sigma price bounds (upper/lower), and sets the purchase
 threshold at the geometric mean of those bounds.
 
+``estimate`` is the scalar pipeline on one sample: ``sample_stats``,
+``three_sigma_bounds``, ``clamp_lower_bound`` and ``threshold_price``.
 ``estimate_rows`` estimates R equal-size samples at once, as whole-array
-work over an (R, n) array, with the t and chi-squared quantiles computed
-once per (n, alpha); ``estimate`` is its one-row case.  Its row i is the
-bits the scalar functions (``sample_stats``, ``three_sigma_bounds``,
-``clamp_lower_bound``, ``threshold_price``) give for sample i, and a row
-they would reject is flagged, not raised.
+work over an (R, n) array: its row i is the bits ``estimate`` gives for
+sample i, and a row that ``estimate`` would reject is flagged, not
+raised.  The t and chi-squared quantiles of every interval and bound are
+computed once per (n, alpha) and cached.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def sample_stats(data) -> SampleStats:
 def mu_interval(stats: SampleStats, alpha: float) -> tuple[float, float]:
     """Two-sided (1-alpha) interval for the mean: mean +- s/sqrt(n) t_{1-alpha/2}."""
     _check_alpha(alpha)
-    half = stats.sample_std / math.sqrt(stats.n) * t_quantile(1.0 - alpha / 2.0, stats.n - 1)
+    half = stats.sample_std / math.sqrt(stats.n) * _bound_quantiles(stats.n, alpha)[0]
     return stats.mean - half, stats.mean + half
 
 
@@ -79,9 +80,8 @@ def sigma_interval(stats: SampleStats, alpha: float) -> tuple[float, float]:
     if stats.sample_std <= 0.0:
         raise DegenerateSpreadError("sigma interval undefined at zero sample spread")
     df = stats.n - 1
-    lo = stats.sample_std * math.sqrt(df / chi2_quantile(1.0 - alpha / 2.0, df))
-    hi = stats.sample_std * math.sqrt(df / chi2_quantile(alpha / 2.0, df))
-    return lo, hi
+    _, chi2_hi, chi2_lo = _bound_quantiles(stats.n, alpha)
+    return stats.sample_std * math.sqrt(df / chi2_hi), stats.sample_std * math.sqrt(df / chi2_lo)
 
 
 def three_sigma_bounds(
@@ -182,13 +182,10 @@ class RowEstimates:
     """``estimate`` of R size-n samples: one (R,) array per statistic.
 
     Row i holds the bits ``estimate`` gives for sample i.  Where it would
-    raise ``NonpositiveLowerBoundError``, ``failed[i]`` is set, the
-    threshold and ratio bound read NaN, and ``error(i)`` is that error.
+    raise ``NonpositiveLowerBoundError``, ``failed[i]`` is set and the
+    threshold and ratio bound read NaN.
     """
 
-    alpha: float
-    n: int
-    conservative: bool
     mean: np.ndarray
     sample_std: np.ndarray
     upper_bound: np.ndarray
@@ -212,35 +209,16 @@ class RowEstimates:
         out[ok] = np.sqrt(op(self.upper_bound[ok], self.lower_bound[ok]))
         return out
 
-    def error(self, i: int) -> NonpositiveLowerBoundError:
-        """The error ``estimate`` raises for sample i, a row that ``failed``."""
-        return NonpositiveLowerBoundError(
-            f"threshold undefined for lower bound {float(self.lower_bound[i])} <= 0; "
-            "clamp it first"
-        )
-
-    def report(self, i: int) -> EstimateReport:
-        """``estimate`` of sample i: its report, or its error raised."""
-        if self.failed[i]:
-            raise self.error(i)
-        upper, lower = float(self.upper_bound[i]), float(self.lower_bound[i])
-        return EstimateReport(
-            alpha=self.alpha,
-            stats=SampleStats(
-                n=self.n, mean=float(self.mean[i]), sample_std=float(self.sample_std[i])
-            ),
-            upper_bound=upper,
-            lower_bound=lower,
-            threshold=math.sqrt(upper * lower),
-            conservative=self.conservative,
-            lower_clamped=bool(self.lower_clamped[i]),
-        )
-
 
 @lru_cache(maxsize=256)
-def _bound_quantiles(n: int, alpha: float) -> tuple[float, float]:
-    """The t quantile of the mean interval and the chi-squared quantile of sigma's high end."""
-    return t_quantile(1.0 - alpha / 2.0, n - 1), chi2_quantile(alpha / 2.0, n - 1)
+def _bound_quantiles(n: int, alpha: float) -> tuple[float, float, float]:
+    """t(1-alpha/2), chi2(1-alpha/2) and chi2(alpha/2) at n - 1 degrees of freedom."""
+    df = n - 1
+    return (
+        t_quantile(1.0 - alpha / 2.0, df),
+        chi2_quantile(1.0 - alpha / 2.0, df),
+        chi2_quantile(alpha / 2.0, df),
+    )
 
 
 def estimate_rows(
@@ -252,13 +230,14 @@ def estimate_rows(
 ) -> RowEstimates:
     """``estimate`` of every row of an (R, n) array of samples, as whole-array work.
 
-    Each step is the scalar pipeline's arithmetic, in its order, on (R,)
-    arrays: the two-pass mean and sample standard deviation, the point or
-    conservative three-sigma bounds (a zero-spread row keeps its point
-    bounds) and the clamp; the threshold and the ratio bound are taken when
-    read.  A row whose lower bound ends up <= 0 is flagged in ``failed``;
-    errors that concern the whole array (a bad alpha, n < 2, a non-finite
-    value) raise as ``estimate`` raises them.
+    Row i equals ``estimate(samples[i])``, bit for bit: each step is the
+    scalar pipeline's arithmetic, in its order, on (R,) arrays: the
+    two-pass mean and sample standard deviation, the point or conservative
+    three-sigma bounds (a zero-spread row keeps its point bounds) and the
+    clamp; the threshold and the ratio bound are taken when read.  A row
+    whose lower bound ends up <= 0, where ``estimate`` raises, is flagged
+    in ``failed``; errors that concern the whole array (a bad alpha,
+    n < 2, a non-finite value) raise as ``estimate`` raises them.
     """
     _check_alpha(alpha)
     x = np.asarray(samples, dtype=float)
@@ -274,7 +253,7 @@ def estimate_rows(
     s = np.sqrt(np.add.reduce(np.square(dev, out=dev), axis=1) / (n - 1))
     upper, lower = mean + 3.0 * s, mean - 3.0 * s
     if conservative:
-        t_q, chi2_lo = _bound_quantiles(n, alpha)
+        t_q, _, chi2_lo = _bound_quantiles(n, alpha)
         half = s / math.sqrt(n) * t_q
         sig_hi = s * math.sqrt((n - 1) / chi2_lo)
         spread = s > 0.0
@@ -286,8 +265,8 @@ def estimate_rows(
         clamped = (upper > 0.0) & (floor > lower)
         lower = np.where(clamped, floor, lower)
     return RowEstimates(
-        alpha=alpha, n=n, conservative=conservative, mean=mean, sample_std=s,
-        upper_bound=upper, lower_bound=lower, lower_clamped=clamped, failed=lower <= 0.0,
+        mean=mean, sample_std=s, upper_bound=upper, lower_bound=lower,
+        lower_clamped=clamped, failed=lower <= 0.0,
     )
 
 
@@ -298,20 +277,24 @@ def estimate(
     conservative: bool = False,
     clamp_nonpositive_lower: bool = False,
 ) -> EstimateReport:
-    """Full estimation pipeline from raw sample to threshold: the one-row ``estimate_rows``.
+    """Full estimation pipeline from raw sample to threshold.
 
     A zero-spread sample degenerates gracefully: both intervals collapse,
     the bounds coincide with the mean, and the threshold equals it.  A
     nonpositive lower bound raises unless the clamp is requested.
     """
     _check_alpha(alpha)
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("sample must be one-dimensional")
-    return estimate_rows(
-        arr[None, :], alpha,
-        conservative=conservative, clamp_nonpositive_lower=clamp_nonpositive_lower,
-    ).report(0)
+    stats = sample_stats(data)
+    upper, lower = three_sigma_bounds(stats, alpha, conservative)
+    clamped = False
+    if clamp_nonpositive_lower:
+        floored = clamp_lower_bound(upper, lower)
+        clamped, lower = floored > lower, floored
+    return EstimateReport(
+        alpha=alpha, stats=stats, upper_bound=upper, lower_bound=lower,
+        threshold=threshold_price(upper, lower), conservative=conservative,
+        lower_clamped=clamped,
+    )
 
 
 def _check_alpha(alpha: float) -> None:

@@ -94,6 +94,7 @@ from .policies import (
     ThresholdFamily,
     ThresholdPolicy,
     ValueTable,
+    _distinct,
     breakpoint_lattice,
     build_value_table,
     build_value_tables,
@@ -269,7 +270,8 @@ class ViolationReport:
 
 def _estimate_rounds(config: ExperimentConfig, history: np.ndarray, ns, rounds: list):
     """Each (n, round)'s estimate: (4, len(ns), R) threshold, ratio bound, lower and
-    upper bound, and the (len(ns), R) mask of failed estimates.
+    upper bound, and the (len(ns), R) mask of failed estimates: those that
+    ``estimate`` rejects and those of a zero-spread sample.
 
     Round r's sample of size n is what ``resample`` draws with
     ``stream(seed, 0, r)`` from the history, or with ``eval_source=held-out``
@@ -303,7 +305,9 @@ def _estimate_rounds(config: ExperimentConfig, history: np.ndarray, ns, rounds: 
                 conservative=config.conservative, clamp_nonpositive_lower=config.clamp_m,
             )
             values[:, i, block] = fits.threshold, fits.ratio_bound, fits.lower_bound, fits.upper_bound
-            failed[i, block] = fits.failed
+            # a zero-spread sample's bounds collapse to its one price, so its
+            # ratio bound of 1 is no estimate: the round counts as failed
+            failed[i, block] = fits.failed | (fits.sample_std == 0.0)
     return values, failed
 
 
@@ -423,9 +427,10 @@ def bound_violation_probability(
     estimates the threshold and the ratio bound, runs the threshold policy
     on fresh evaluation series (never on the estimation sample), and
     compares the round's competitive ratio (mean over episodes, or the
-    worst episode) against the bound.  Rounds whose estimation fails are
-    counted in ``failures``, not dropped.  This is the violation curve's
-    body for the one-point grid ``(n,)``.
+    worst episode) against the bound.  Rounds whose estimation fails, or
+    whose sample has zero spread, are counted in ``failures``, not
+    dropped.  This is the violation curve's body for the one-point grid
+    ``(n,)``.
     """
     return _violation_reports(config, history, (n,), workers)[0]
 
@@ -486,16 +491,6 @@ class _TruePolicies:
             ThresholdPolicy(theta, fill_target=self.fill_targets[rows], policy_id="budgeted"),
             DpPolicy(self.table, rows),
         )
-
-
-def _distinct(items) -> tuple[list, list[int]]:
-    """The distinct items, compared by ``==``, in first-seen order, and each item's index among them."""
-    unique, index = [], []
-    for item in items:
-        if item not in unique:
-            unique.append(item)
-        index.append(unique.index(item))
-    return unique, index
 
 
 def _compare_chunk(

@@ -656,6 +656,22 @@ class DpPolicy(Policy):
         return clip_purchases(table.grid, best, instance.storage, levels, demand)
 
 
+def _distinct(items, key=None) -> tuple[list, list[int]]:
+    """The distinct items in first-seen order, and each item's index among them.
+
+    Items are the same when their keys (by default the items themselves)
+    hash and compare equal.
+    """
+    index, unique, rows = {}, [], []
+    for item in items:
+        k = item if key is None else key(item)
+        if k not in index:
+            index[k] = len(unique)
+            unique.append(item)
+        rows.append(index[k])
+    return unique, rows
+
+
 class ThresholdFamily:
     """Builds one threshold rule per estimate report, as one row-wise threshold policy."""
 
@@ -678,14 +694,9 @@ class DpFamily:
     atom_count: int = 51
 
     def __call__(self, reports: list[EstimateReport], first_slot: int) -> Policy:
-        models, rows, index = [], [], {}
-        for report in reports:
-            mu, sigma = report.stats.mean, max(report.stats.sample_std, 1e-12)
-            key = (float(mu).hex(), float(sigma).hex())
-            if key not in index:
-                index[key] = len(models)
-                models.append(Normal(mu, sigma))
-            rows.append(index[key])
+        fits = [(report.stats.mean, max(report.stats.sample_std, 1e-12)) for report in reports]
+        unique, rows = _distinct(fits, key=lambda fit: tuple(float(v).hex() for v in fit))
+        models = [Normal(mu, sigma) for mu, sigma in unique]
         table = build_value_tables(self.instance, models, self.atom_count, first_slot)
         return DpPolicy(table, np.array(rows))
 

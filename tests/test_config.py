@@ -136,10 +136,21 @@ class TestValidation:
         parse_config(f"kind=estimate\nhistory_size=1\nhistory={path}\n")
         parse_config("kind=policy-compare\nhistory_size=1\n")
 
+    def test_violation_curve_needs_two_synthesized_prices(self, tmp_path):
+        # every sample of a one-price history has zero spread, so no round estimates
+        with pytest.raises(ConfigError, match="violation-curve needs") as err:
+            parse_config("kind=violation-curve\nhistory_size=1\n")
+        assert err.value.field == "history_size"
+        assert parse_config("kind=violation-curve\nhistory_size=2\n").history_size == 2
+        path = tmp_path / "h.csv"
+        path.write_text("10.0\n11.0\n")
+        parse_config(f"kind=violation-curve\nhistory_size=1\nhistory={path}\n")
+
     @pytest.mark.parametrize("command, key, value", [
         ("adaptive", "warmup_grid", "10,10"),
         ("violation-curve", "n_grid", "10,10"),
         ("estimate", "history_size", "1"),
+        ("violation-curve", "history_size", "1"),
     ])
     def test_ambiguous_or_undefined_run_exits_1(self, tmp_path, capsys, command, key, value):
         out = tmp_path / "x.csv"

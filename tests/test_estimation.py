@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from storelab import (
     three_sigma_bounds,
     threshold_price,
 )
+from storelab import estimation
 from storelab.estimation import clamp_lower_bound, estimate_rows
 
 
@@ -266,28 +266,59 @@ class TestEstimateRows:
                 samples[i] = round(loc * 4.0) / 4.0  # zero spread
         fits = estimate_rows(samples, alpha, conservative=conservative,
                              clamp_nonpositive_lower=clamp)
-        assert fits.n == n
+        threshold, ratio_bound = fits.threshold, fits.ratio_bound
         for i in range(rows):
             try:
                 want = _scalar_estimate(samples[i], alpha, conservative, clamp)
             except EstimationError as exc:
                 assert fits.failed[i]
-                assert type(fits.error(i)) is type(exc) and str(fits.error(i)) == str(exc)
-                assert np.isnan(fits.threshold[i]) and np.isnan(fits.ratio_bound[i])
-                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                assert repr(float(fits.lower_bound[i])) in str(exc)
+                assert np.isnan(threshold[i]) and np.isnan(ratio_bound[i])
+                with pytest.raises(EstimationError) as err:
                     estimate(samples[i], alpha, conservative=conservative,
                              clamp_nonpositive_lower=clamp)
+                assert type(err.value) is type(exc) and str(err.value) == str(exc)
                 continue
             assert not fits.failed[i]
             got = (fits.mean[i], fits.sample_std[i], fits.upper_bound[i], fits.lower_bound[i],
-                   fits.lower_clamped[i], fits.threshold[i], fits.ratio_bound[i])
+                   fits.lower_clamped[i], threshold[i], ratio_bound[i])
             assert [_bits(v) for v in got] == [_bits(v) for v in want]
+            # every field of the one-row estimate is row i's
             report = estimate(samples[i], alpha, conservative=conservative,
                               clamp_nonpositive_lower=clamp)
-            assert report == fits.report(i)
-            assert _bits(report.ratio_bound) == _bits(want[-1])
+            assert (report.alpha, report.stats.n, report.conservative) == (alpha, n, conservative)
+            assert report.lower_clamped is bool(fits.lower_clamped[i])
+            fields = (report.stats.mean, report.stats.sample_std, report.upper_bound,
+                      report.lower_bound, report.lower_clamped, report.threshold,
+                      report.ratio_bound)
+            assert [_bits(v) for v in fields] == [_bits(v) for v in got]
             if constant[i]:
                 assert fits.sample_std[i] == 0.0
+
+    def test_conservative_estimates_invert_each_quantile_once(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            inverse = getattr(estimation, name)
+
+            def quantile(p, df):
+                calls.append((name, p, df))
+                return inverse(p, df)
+            return quantile
+
+        for name in ("t_quantile", "chi2_quantile"):
+            monkeypatch.setattr(estimation, name, counted(name))
+        estimation._bound_quantiles.cache_clear()
+        rng = np.random.default_rng(12)
+        alpha = 0.1
+        for _ in range(5):
+            report = estimate(rng.normal(10.0, 2.0, 30), alpha, conservative=True)
+            _ = report.mu_interval, report.sigma_interval  # read through the cache too
+        assert calls == [
+            ("t_quantile", 1.0 - alpha / 2.0, 29),
+            ("chi2_quantile", 1.0 - alpha / 2.0, 29),
+            ("chi2_quantile", alpha / 2.0, 29),
+        ]
 
     def test_whole_array_errors_are_estimates(self):
         with pytest.raises(EstimationError, match="need at least 2 observations, got 1"):

@@ -71,9 +71,9 @@ def _reference_violation_rows(config, history, n):
     """One n's per-round threshold, ratio bound and ratio, one round and one episode at a time.
 
     Three lists of ``config.rounds`` floats, NaN at the rounds whose
-    estimate fails.  ``reference_simulate`` and the per-episode reference
-    oracle score each series; the estimate, series and round ratio follow
-    the runner's definition.
+    estimate fails or whose sample has zero spread.  ``reference_simulate``
+    and the per-episode reference oracle score each series; the estimate,
+    series and round ratio follow the runner's definition.
     """
     instance, eval_model = build_instance(config), build_model(config)
     T = instance.horizon
@@ -86,6 +86,8 @@ def _reference_violation_rows(config, history, n):
             report = estimate(sample, config.alpha, conservative=config.conservative,
                               clamp_nonpositive_lower=config.clamp_m)
         except EstimationError:
+            report = None
+        if report is None or report.stats.sample_std == 0.0:
             for column in rows:
                 column.append(math.nan)
             continue
@@ -393,6 +395,30 @@ class TestRunViolationCurve:
         if mode.get("clamp_m") is False:
             assert all(0 < r.failures < r.rounds for r in reports)
             assert len({frozenset(np.flatnonzero(np.isnan(r.cr)).tolist()) for r in reports}) > 1
+
+    def test_constant_history_fails_every_round(self, tmp_path):
+        # a zero-spread sample's bounds collapse to its one price: a ratio
+        # bound of 1 is no estimate, so the round is a failure, not a violation
+        history = tmp_path / "constant.csv"
+        history.write_text("3.0\n" * 5)
+        config = small_config(tmp_path, kind="violation-curve", history=str(history),
+                              n_grid=(3,), rounds=4)
+        (report,) = run_violation_curve(config)
+        assert (report.failures, report.violations, report.p_hat) == (4, 0, 0.0)
+        assert np.isnan(report.theta_hat).all()
+        assert (tmp_path / "out.csv").read_text().splitlines()[1] == "3,0.0,0.0,0,4,4"
+
+    def test_two_price_bootstrap_fails_its_zero_spread_rounds(self, tmp_path):
+        history = tmp_path / "two.csv"
+        history.write_text("9.0\n11.0\n")
+        config = small_config(tmp_path, kind="violation-curve", history=str(history),
+                              n_grid=(2, 3), rounds=8)
+        reports = run_violation_curve(config, workers=2)
+        for report in reports:
+            expected = _reference_violation_rows(config, load_history(config), report.n)
+            got = (report.theta_hat, report.cr_bound, report.cr)
+            assert [repr(values.tolist()) for values in got] == [repr(values) for values in expected]
+            assert 0 < report.failures < report.rounds
 
     def test_held_out_evaluation_source(self, tmp_path):
         # estimation uses the first n values, evaluation windows the suffix
