@@ -38,9 +38,7 @@ from .estimation import (
     SampleStats,
     estimate,
     mu_interval,
-    sample_stats,
     sigma_interval,
-    three_sigma_bounds,
     threshold_price,
 )
 from .policies import (
@@ -109,11 +107,9 @@ __all__ = [
     "regret",
     "render_config",
     "resample",
-    "sample_stats",
     "sigma_interval",
     "simulate",
     "simulate_batch",
-    "three_sigma_bounds",
     "threshold_price",
     "write_series",
 ]

@@ -5,13 +5,13 @@ the mean and chi-squared interval for the standard deviation, turns them
 into three-sigma price bounds (upper/lower), and sets the purchase
 threshold at the geometric mean of those bounds.
 
-``estimate`` is the scalar pipeline on one sample: ``sample_stats``,
-``three_sigma_bounds``, ``clamp_lower_bound`` and ``threshold_price``.
-``estimate_rows`` estimates R equal-size samples at once, as whole-array
-work over an (R, n) array: its row i is the bits ``estimate`` gives for
-sample i, and a row that ``estimate`` would reject is flagged, not
-raised.  The t and chi-squared quantiles of every interval and bound are
-computed once per (n, alpha) and cached.
+``estimate_rows`` is the one estimation pipeline: it estimates R
+equal-size samples at once, as whole-array work over an (R, n) array, and
+flags a row whose lower bound is <= 0 rather than raising.  ``estimate``
+is its one-row case, as an ``EstimateReport`` that raises
+``threshold_price``'s error where the row fails.  The t and chi-squared
+quantiles of every interval and bound are computed once per (n, alpha)
+and cached.
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ import numpy as np
 from .special import chi2_quantile, t_quantile
 
 CLAMP_EPS = 1e-3
+
+# floats in one sample array passed to ``estimate_rows``: callers estimate
+# their rows in blocks of max(1, BLOCK_FLOATS // n) size-n samples
+BLOCK_FLOATS = 1 << 15
 
 
 class EstimationError(ValueError):
@@ -48,21 +52,6 @@ class SampleStats:
     sample_std: float
 
 
-def sample_stats(data) -> SampleStats:
-    """Two-pass mean and sample standard deviation."""
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("sample must be one-dimensional")
-    n = arr.size
-    if n < 2:
-        raise EstimationError(f"need at least 2 observations, got {n}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sample contains non-finite values")
-    mean = float(arr.mean())
-    s = math.sqrt(float(np.sum((arr - mean) ** 2)) / (n - 1))
-    return SampleStats(n=n, mean=mean, sample_std=s)
-
-
 def mu_interval(stats: SampleStats, alpha: float) -> tuple[float, float]:
     """Two-sided (1-alpha) interval for the mean: mean +- s/sqrt(n) t_{1-alpha/2}."""
     _check_alpha(alpha)
@@ -82,23 +71,6 @@ def sigma_interval(stats: SampleStats, alpha: float) -> tuple[float, float]:
     df = stats.n - 1
     _, chi2_hi, chi2_lo = _bound_quantiles(stats.n, alpha)
     return stats.sample_std * math.sqrt(df / chi2_hi), stats.sample_std * math.sqrt(df / chi2_lo)
-
-
-def three_sigma_bounds(
-    stats: SampleStats, alpha: float = 0.05, conservative: bool = False
-) -> tuple[float, float]:
-    """Estimated (upper, lower) price bounds mean +- 3 sigma.
-
-    Point mode plugs in the sample statistics directly.  Conservative mode
-    widens both bounds using the (1-alpha) interval endpoints: the upper
-    bound takes the high ends of both intervals, the lower bound the low
-    end of the mean interval minus three times the high sigma end.
-    """
-    if not conservative or stats.sample_std <= 0.0:
-        return stats.mean + 3.0 * stats.sample_std, stats.mean - 3.0 * stats.sample_std
-    mu_lo, mu_hi = mu_interval(stats, alpha)
-    _, sig_hi = sigma_interval(stats, alpha)
-    return mu_hi + 3.0 * sig_hi, mu_lo - 3.0 * sig_hi
 
 
 def threshold_price(upper: float, lower: float) -> float:
@@ -179,11 +151,10 @@ class EstimateReport:
 
 @dataclass(frozen=True, eq=False)
 class RowEstimates:
-    """``estimate`` of R size-n samples: one (R,) array per statistic.
+    """``estimate_rows`` of R size-n samples: one (R,) array per statistic.
 
-    Row i holds the bits ``estimate`` gives for sample i.  Where it would
-    raise ``NonpositiveLowerBoundError``, ``failed[i]`` is set and the
-    threshold and ratio bound read NaN.
+    Where a row's lower bound is <= 0, ``failed[i]`` is set and the
+    threshold and ratio bound read NaN; ``estimate`` raises there.
     """
 
     mean: np.ndarray
@@ -228,16 +199,18 @@ def estimate_rows(
     conservative: bool = False,
     clamp_nonpositive_lower: bool = False,
 ) -> RowEstimates:
-    """``estimate`` of every row of an (R, n) array of samples, as whole-array work.
+    """Estimate every row of an (R, n) array of samples, as whole-array work.
 
-    Row i equals ``estimate(samples[i])``, bit for bit: each step is the
-    scalar pipeline's arithmetic, in its order, on (R,) arrays: the
-    two-pass mean and sample standard deviation, the point or conservative
-    three-sigma bounds (a zero-spread row keeps its point bounds) and the
-    clamp; the threshold and the ratio bound are taken when read.  A row
-    whose lower bound ends up <= 0, where ``estimate`` raises, is flagged
-    in ``failed``; errors that concern the whole array (a bad alpha,
-    n < 2, a non-finite value) raise as ``estimate`` raises them.
+    Each step runs on (R,) arrays: the two-pass mean and sample standard
+    deviation; the three-sigma bounds mean +- 3 s, or in conservative mode
+    the (1-alpha) interval ends (the upper bound takes the high ends of the
+    mean and sigma intervals, the lower bound the low end of the mean
+    interval minus three times the high sigma end; a zero-spread row keeps
+    its point bounds); and the clamp, which floors a lower bound at
+    ``CLAMP_EPS`` times a positive upper bound.  The threshold and the
+    ratio bound are taken when read.  A row whose lower bound ends up <= 0
+    is flagged in ``failed``; errors that concern the whole array (a bad
+    alpha, n < 2, a non-finite value) raise.
     """
     _check_alpha(alpha)
     x = np.asarray(samples, dtype=float)
@@ -277,23 +250,22 @@ def estimate(
     conservative: bool = False,
     clamp_nonpositive_lower: bool = False,
 ) -> EstimateReport:
-    """Full estimation pipeline from raw sample to threshold.
+    """``estimate_rows`` of one sample, as a report.
 
     A zero-spread sample degenerates gracefully: both intervals collapse,
     the bounds coincide with the mean, and the threshold equals it.  A
     nonpositive lower bound raises unless the clamp is requested.
     """
-    _check_alpha(alpha)
-    stats = sample_stats(data)
-    upper, lower = three_sigma_bounds(stats, alpha, conservative)
-    clamped = False
-    if clamp_nonpositive_lower:
-        floored = clamp_lower_bound(upper, lower)
-        clamped, lower = floored > lower, floored
+    arr = np.asarray(data, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError("sample must be one-dimensional")
+    fit = estimate_rows(arr[None, :], alpha, conservative=conservative,
+                        clamp_nonpositive_lower=clamp_nonpositive_lower)
+    upper, lower = float(fit.upper_bound[0]), float(fit.lower_bound[0])
     return EstimateReport(
-        alpha=alpha, stats=stats, upper_bound=upper, lower_bound=lower,
-        threshold=threshold_price(upper, lower), conservative=conservative,
-        lower_clamped=clamped,
+        alpha=alpha, stats=SampleStats(arr.size, float(fit.mean[0]), float(fit.sample_std[0])),
+        upper_bound=upper, lower_bound=lower, threshold=threshold_price(upper, lower),
+        conservative=conservative, lower_clamped=bool(fit.lower_clamped[0]),
     )
 
 

@@ -73,6 +73,7 @@ from .config import (
     scenario_models,
 )
 from .estimation import (
+    BLOCK_FLOATS,
     EstimateReport,
     estimate,
     estimate_rows,
@@ -240,11 +241,6 @@ def run_estimate(config: ExperimentConfig, workers: int = 1) -> EstimateReport:
 
 # ---------------------------------------------------------------------------
 # violation curve
-
-
-# floats in each (rounds, n) sample array a violation chunk builds for one
-# ``estimate_rows`` call: a block of max(1, BLOCK_FLOATS // max(ns)) rounds
-BLOCK_FLOATS = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)

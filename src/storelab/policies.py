@@ -25,12 +25,12 @@ histogram of those indices per row, and the sums are whole-array work.
 A ``ValueTable`` carries the demand its rows plan for, and ``DpPolicy``
 is the greedy rule over any such table.
 
-A policy family maps a list of estimate reports and a first slot to one
-policy that serves one batch row per report; the DP family gives equal
-fitted models one table row.  The adaptive policy serves rows that each
-start from one of its warmups, named by a row map fixed when it is built,
-keeps a report per row, and rebuilds every row with one family call per
-refresh slot.
+A policy family maps ``RowEstimates``, one fitted row per batch row, and
+a first slot to one policy that serves those rows; the DP family gives
+equal fitted models one table row.  The adaptive policy serves rows that
+each start from one of its warmups, named by a row map fixed when it is
+built, keeps one fitted row per batch row, and rebuilds every row with
+one family call per refresh slot.
 
 Each policy implements one rule, ``decide_batch``, which ``simulate_batch``
 drives with one level and one price per row; ``decide`` is its one-row
@@ -45,14 +45,16 @@ sweep records J itself, so its greedy rule takes only the second step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from . import special
-from .estimation import EstimateReport, EstimationError, estimate
+from .estimation import BLOCK_FLOATS, NonpositiveLowerBoundError, RowEstimates, estimate_rows
+from .estimation import estimate  # noqa: F401  (a name bench/tracer.py wraps)
+from .estimation import threshold_price
 from .model import (
     ENERGY_TOL,
     Instance,
@@ -656,36 +658,49 @@ class DpPolicy(Policy):
         return clip_purchases(table.grid, best, instance.storage, levels, demand)
 
 
-def _distinct(items, key=None) -> tuple[list, list[int]]:
+def _distinct(items) -> tuple[list, list[int]]:
     """The distinct items in first-seen order, and each item's index among them.
 
-    Items are the same when their keys (by default the items themselves)
-    hash and compare equal.
+    Items are the same when they hash and compare equal.
     """
     index, unique, rows = {}, [], []
     for item in items:
-        k = item if key is None else key(item)
-        if k not in index:
-            index[k] = len(unique)
+        if item not in index:
+            index[item] = len(unique)
             unique.append(item)
-        rows.append(index[k])
+        rows.append(index[item])
     return unique, rows
 
 
-class ThresholdFamily:
-    """Builds one threshold rule per estimate report, as one row-wise threshold policy."""
+def _fieldwise(op, *fits: RowEstimates) -> RowEstimates:
+    """``RowEstimates`` whose every array is ``op`` of that array of each of ``fits``."""
+    return RowEstimates(**{
+        f.name: op(*(getattr(fit, f.name) for fit in fits)) for f in fields(RowEstimates)
+    })
 
-    def __call__(self, reports: list[EstimateReport], first_slot: int) -> Policy:
-        return ThresholdPolicy(np.array([report.threshold for report in reports]))
+
+def _failure(fits: RowEstimates, i: int) -> NonpositiveLowerBoundError:
+    """The error ``estimate`` raises on ``fits``' failed row i."""
+    try:
+        threshold_price(float(fits.upper_bound[i]), float(fits.lower_bound[i]))
+    except NonpositiveLowerBoundError as exc:
+        return exc
+
+
+class ThresholdFamily:
+    """Builds one threshold rule per fitted row, as one row-wise threshold policy."""
+
+    def __call__(self, fits: RowEstimates, first_slot: int) -> Policy:
+        return ThresholdPolicy(fits.threshold)
 
 
 @dataclass(frozen=True, eq=False)
 class DpFamily:
-    """Builds one DP policy over a stacked value table, one fitted normal model per report.
+    """Builds one DP policy over a stacked value table, one fitted normal model per row.
 
-    Reports that fit the same model, bit for bit, share one table row, so
+    Rows that fit the same model, bit for bit, share one table row, so
     rows that start from one warmup cost one row of the sweep; the policy
-    sends each batch row to its report's table row.  The policy acts from
+    sends each batch row to its model's table row.  The policy acts from
     slot ``first_slot`` on, so only those slots of its value table are
     built, all rows in one sweep.
     """
@@ -693,10 +708,10 @@ class DpFamily:
     instance: Instance
     atom_count: int = 51
 
-    def __call__(self, reports: list[EstimateReport], first_slot: int) -> Policy:
-        fits = [(report.stats.mean, max(report.stats.sample_std, 1e-12)) for report in reports]
-        unique, rows = _distinct(fits, key=lambda fit: tuple(float(v).hex() for v in fit))
-        models = [Normal(mu, sigma) for mu, sigma in unique]
+    def __call__(self, fits: RowEstimates, first_slot: int) -> Policy:
+        sigmas = np.maximum(fits.sample_std, 1e-12).tolist()
+        unique, rows = _distinct(zip(map(float.hex, fits.mean.tolist()), map(float.hex, sigmas)))
+        models = [Normal(float.fromhex(mu), float.fromhex(sigma)) for mu, sigma in unique]
         table = build_value_tables(self.instance, models, self.atom_count, first_slot)
         return DpPolicy(table, np.array(rows))
 
@@ -704,29 +719,31 @@ class DpFamily:
 class AdaptivePolicy(Policy):
     """Re-estimates price statistics from accumulated history.
 
-    Wraps a policy family: (estimate reports, first slot) -> one policy
-    that acts from that slot on and serves one batch row per report.
+    Wraps a policy family: (``RowEstimates``, first slot) -> one policy
+    that acts from that slot on and serves one batch row per fitted row.
     ``warmups`` is a sequence of price series, and batch row e starts
     from ``warmups[warmup_rows[e]]``, so a run has ``len(warmup_rows)``
     rows.  Each warmup is estimated once, and the base policy is built
-    once, from one report per row, and serves every run;
+    once, from one fitted row per batch row, and serves every run;
     ``refresh_stride`` may change between runs.  Each row drives one
     trajectory, and its slots must come in order from slot 0: a call at
     slot 0 starts every row from the base policy.  The prices a row
     observes join its own warmup; every ``refresh_stride`` slots each
-    row's report is re-estimated from that row's history, and one family
-    call rebuilds every row's policy at the current slot.  A row whose
-    estimate fails keeps its previous report, which rebuilt at the later
-    slot gives the decisions its previous policy gave; the failure is
-    recorded in ``events``, which name the row.  Rows share no state, so
-    a row's decisions do not depend on the other rows.
+    row's fit is re-estimated from that row's history, and one family
+    call rebuilds every row's policy at the current slot.  Histories of
+    one size are estimated together, in ``estimate_rows`` blocks of at
+    most ``BLOCK_FLOATS`` floats.  A row whose estimate fails keeps its
+    previous fit, which rebuilt at the later slot gives the decisions its
+    previous policy gave; the failure is recorded in ``events``, which
+    name the row.  Rows share no state, so a row's decisions do not depend
+    on the other rows.
     """
 
     policy_id = "adaptive"
 
     def __init__(
         self,
-        family: Callable[[list[EstimateReport], int], Policy],
+        family: Callable[[RowEstimates, int], Policy],
         warmups,
         warmup_rows,
         refresh_stride: int | None = None,
@@ -744,13 +761,16 @@ class AdaptivePolicy(Policy):
         self._warmups = [as_series(w, "warmup") for w in warmups]
         if not self._warmups or min(w.size for w in self._warmups) < 2:
             raise ValueError("need a warmup of at least 2 prices")
-        self._warmup_rows = [int(i) for i in warmup_rows]
+        self._warmup_rows = np.array([int(i) for i in warmup_rows], dtype=int)
         if not all(0 <= i < len(self._warmups) for i in self._warmup_rows):
             raise ValueError(f"warmup rows must index the {len(self._warmups)} warmups")
-        self._warmup_reports = [self._estimate(w) for w in self._warmups]
-        self._base = family([self._warmup_reports[i] for i in self._warmup_rows], 0)
+        fits = self._fit(np.arange(len(self._warmups)), 0)
+        if fits.failed.any():
+            raise _failure(fits, int(np.flatnonzero(fits.failed)[0]))
+        self._base_fits = _fieldwise(lambda a: a[self._warmup_rows], fits)
+        self._base = family(self._base_fits, 0)
         self.events: list[str] = []
-        self._reports: list[EstimateReport] | None = None
+        self._fits: RowEstimates | None = None
 
     def decide_batch(self, t, levels, prices, instance):
         stride = self.refresh_stride
@@ -763,37 +783,55 @@ class AdaptivePolicy(Policy):
                     f"cannot serve {levels.size} rows"
                 )
             self.events = []
-            self._reports = [self._warmup_reports[i] for i in self._warmup_rows]
+            self._fits = self._base_fits
             self._policy = self._base
             self._observed = np.empty((levels.size, instance.horizon))
-        elif self._reports is None:
+        elif self._fits is None:
             raise ValueError(
                 f"adaptive policy asked to decide slot {t} before slot 0; "
                 "its slots must run in order from slot 0"
             )
-        if stride is not None and t > 0 and t % stride == 0:
+        # a run of no rows has nothing to refresh
+        if stride is not None and t > 0 and t % stride == 0 and self._warmup_rows.size:
             self._refresh(t)
         q = self._policy.decide_batch(t, levels, prices, instance)
         self._observed[:, t] = prices
         return q
 
     def _refresh(self, t: int) -> None:
-        for e, w in enumerate(self._warmup_rows):
-            history = np.concatenate((self._warmups[w], self._observed[e, :t]))
-            try:
-                self._reports[e] = self._estimate(history)
-            except EstimationError as exc:
-                self.events.append(
-                    f"row {e}: refresh failed at n={history.size} ({exc}); "
-                    "kept previous policy"
-                )
+        fresh = self._fit(self._warmup_rows, t)
+        for e in np.flatnonzero(fresh.failed).tolist():
+            self.events.append(
+                f"row {e}: refresh failed at n={self._warmups[self._warmup_rows[e]].size + t} "
+                f"({_failure(fresh, e)}); kept previous policy"
+            )
+        # a failed row keeps its previous fit
+        self._fits = _fieldwise(lambda *pair: np.where(fresh.failed, *pair), self._fits, fresh)
         self._policy = None  # drop the previous generation before building the next
-        self._policy = self.family(self._reports, t)
+        self._policy = self.family(self._fits, t)
 
-    def _estimate(self, history) -> EstimateReport:
-        return estimate(
-            history,
-            self.alpha,
-            conservative=self.conservative,
-            clamp_nonpositive_lower=self.clamp_nonpositive_lower,
-        )
+    def _fit(self, owners: np.ndarray, t: int) -> RowEstimates:
+        """One fitted row per entry of ``owners``: row r's history is warmup
+        ``owners[r]``, then batch row r's first t observed prices.
+
+        Each block's samples are one array, every warmup broadcast into the
+        left columns of its rows and the observed prices in the rest.
+        """
+        sizes = np.array([w.size for w in self._warmups])[owners]
+        parts = []
+        for m in dict.fromkeys(sizes.tolist()):
+            rows = np.flatnonzero(sizes == m)
+            per_block = max(1, BLOCK_FLOATS // (m + t))
+            for first in range(0, rows.size, per_block):
+                block = rows[first:first + per_block]
+                samples = np.empty((block.size, m + t))
+                for w in dict.fromkeys(owners[block].tolist()):
+                    samples[owners[block] == w, :m] = self._warmups[w]
+                if t:
+                    samples[:, m:] = self._observed[block, :t]
+                parts.append((block, estimate_rows(
+                    samples, self.alpha, conservative=self.conservative,
+                    clamp_nonpositive_lower=self.clamp_nonpositive_lower,
+                )))
+        order = np.argsort(np.concatenate([block for block, _ in parts]))
+        return _fieldwise(lambda *arrays: np.concatenate(arrays)[order], *(fit for _, fit in parts))

@@ -18,6 +18,7 @@ from storelab import (
     feasible_purchase_range,
     generate,
 )
+from storelab.estimation import RowEstimates
 from storelab.model import ENERGY_TOL, simulate_batch
 from storelab.policies import storage_grid
 from storelab.seeds import stream
@@ -182,6 +183,18 @@ def reference_argmin_purchase(grid, v_next, spec, level, demand, price, dedupe=F
     return min(max(pick - level + demand, q_lo), q_hi)
 
 
+def fits_of(*reports) -> RowEstimates:
+    """The ``RowEstimates`` a policy family takes, one row per estimate report."""
+    return RowEstimates(
+        mean=np.array([r.stats.mean for r in reports]),
+        sample_std=np.array([r.stats.sample_std for r in reports]),
+        upper_bound=np.array([r.upper_bound for r in reports]),
+        lower_bound=np.array([r.lower_bound for r in reports]),
+        lower_clamped=np.array([r.lower_clamped for r in reports], dtype=bool),
+        failed=np.zeros(len(reports), dtype=bool),
+    )
+
+
 def reference_decide(policy, t, level, price, instance) -> float:
     """The scalar rule of a threshold or DP policy; any other policy's own ``decide``."""
     spec = instance.storage
@@ -202,14 +215,15 @@ class ReferenceAdaptive:
 
     The row starts from its own warmup, as the family's one-row policy.
     Every ``refresh_stride`` slots the policy is rebuilt from the history,
-    as the family's one-row policy from the slot on; a failed estimate
-    keeps the previous policy and is logged in ``events``.
+    one ``estimate`` of one sample, as the family's one-row policy from the
+    slot on; a failed estimate keeps the previous policy and is logged in
+    ``events``.
     """
 
     def __init__(self, adaptive: AdaptivePolicy, row: int) -> None:
         self.adaptive = adaptive
         self.history = adaptive._warmups[adaptive._warmup_rows[row]].tolist()
-        self.current = adaptive.family([self._estimate()], 0)
+        self.current = adaptive.family(fits_of(self._estimate()), 0)
         self.events: list[str] = []
 
     def _estimate(self):
@@ -223,7 +237,7 @@ class ReferenceAdaptive:
         stride = self.adaptive.refresh_stride
         if stride is not None and t > 0 and t % stride == 0:
             try:
-                self.current = self.adaptive.family([self._estimate()], t)
+                self.current = self.adaptive.family(fits_of(self._estimate()), t)
             except EstimationError as exc:
                 self.events.append(
                     f"refresh failed at n={len(self.history)} ({exc}); kept previous policy"

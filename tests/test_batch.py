@@ -10,7 +10,9 @@ its base-stock step matches ``reference_value_rows`` within ``VALUE_RTOL``.
 """
 
 import math
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,6 +52,7 @@ from storelab.seeds import stream
 
 from conftest import (
     ReferenceAdaptive,
+    fits_of,
     hindsight_table,
     reference_backward_step,
     reference_candidate_step,
@@ -239,17 +242,30 @@ def _rows_match_one_policy_per_warmup(instance, prices, realized, family, warmup
     return stacked.events
 
 
+def _warmup_error(warmups, **kw):
+    """The error ``estimate`` raises on the first warmup that gives no estimate, or None."""
+    for warmup in warmups:
+        try:
+            estimate(warmup, **kw)
+        except EstimationError as exc:
+            return exc
+    return None
+
+
 class TestAdaptiveBatch:
     @given(batch_cases(min_rows=2), st.data())
     @settings(max_examples=150, deadline=None)
     def test_rows_of_several_warmups_match_one_policy_per_warmup(self, case, data):
         instance, prices, realized = case
-        E = prices.shape[0]
+        E, T = prices.shape
         if data.draw(st.booleans(), label="dp"):
             family = DpFamily(instance, data.draw(st.integers(1, 7)))
         else:
             family = ThresholdFamily()
-        stride = data.draw(st.sampled_from((1, 2, None)), label="stride")
+        stride = data.draw(st.one_of(st.none(), st.integers(1, T)), label="stride")
+        # warmups of several sizes; a small block bound splits one warmup's
+        # rows, and one size's rows, over several ``estimate_rows`` calls
+        block_floats = data.draw(st.sampled_from((1, 8, 16, 1 << 15)), label="block_floats")
         warmups = data.draw(st.lists(
             st.lists(st.floats(8.0, 12.0), min_size=2, max_size=6), min_size=2, max_size=E,
         ), label="warmups")
@@ -260,13 +276,22 @@ class TestAdaptiveBatch:
         rows[data.draw(st.permutations(range(E)), label="order")[:len(warmups)]] = range(
             len(warmups)
         )
-        clamp = data.draw(st.booleans(), label="clamp")
-        conservative = clamp and data.draw(st.booleans(), label="conservative")
+        kw = dict(conservative=data.draw(st.booleans(), label="conservative"),
+                  clamp_nonpositive_lower=data.draw(st.booleans(), label="clamp"))
+        error = _warmup_error(warmups, **kw)
+        if error is not None:
+            # a warmup without an estimate raises the error estimate raises on it
+            with pytest.raises(type(error), match=re.escape(str(error))):
+                AdaptivePolicy(family, warmups, rows, stride, **kw)
+            return
         # unclamped, the wide price rows make some refreshes fail and not others
-        _rows_match_one_policy_per_warmup(
-            instance, prices, realized, family, warmups, rows, stride,
-            conservative=conservative, clamp_nonpositive_lower=clamp,
-        )
+        with mock.patch.object(policies, "BLOCK_FLOATS", block_floats):
+            _rows_match_one_policy_per_warmup(
+                instance, prices, realized, family, warmups, rows, stride, **kw
+            )
+            # and each row is the one-row estimate's per-slot schedule
+            _adaptive_rows_match(instance, prices, realized,
+                                 AdaptivePolicy(family, warmups, rows, stride, **kw))
 
     @pytest.mark.parametrize("family", ["dp", "threshold"])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -294,6 +319,9 @@ class TestAdaptiveBatch:
         with pytest.raises(ValueError, match="over 3 warmup rows cannot serve 2 rows"):
             simulate_batch(inst, np.full((2, 3), 10.0), adaptive)
         assert simulate_batch(inst, np.full((3, 3), 10.0), adaptive).total_cost.shape == (3,)
+        # no rows: nothing to estimate at any refresh
+        none = AdaptivePolicy(ThresholdFamily(), warmups, [], 1)
+        assert simulate_batch(inst, np.empty((0, 3)), none).total_cost.shape == (0,)
 
     @given(batch_cases(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -350,22 +378,31 @@ class TestAdaptiveBatch:
         built, served = [], []
 
         class BuyNothing(Policy):
-            def __init__(self, reports) -> None:
-                self.reports = reports
+            def __init__(self, fits) -> None:
+                self.fits = fits
 
             def decide_batch(self, t, levels, prices, instance):
-                served.append((t, len(self.reports), levels.size))
+                served.append((t, self.fits.mean.size, levels.size))
                 return np.zeros(levels.shape)
 
-        def family(reports, first_slot):
-            built.append((first_slot, [report.stats.n for report in reports]))
-            return BuyNothing(reports)
+        def family(fits, first_slot):
+            built.append((first_slot, fits.mean.tolist()))
+            return BuyNothing(fits)
 
         inst = Instance.constant(3, 1.0, StorageSpec(1.0))
         adaptive = AdaptivePolicy(family, [[10.0, 10.5]], [0, 0], 1)
         simulate_batch(inst, np.array([[10.0, 11.0, 9.0], [10.0, 12.0, 9.0]]), adaptive)
-        # the base policy is built from one report per row, both the warmup's
-        assert built == [(0, [2, 2]), (1, [3, 3]), (2, [4, 4])]
+
+        def mean(*history):
+            return estimate([10.0, 10.5, *history]).stats.mean
+
+        # the base policy is built from one fit per row, both the warmup's;
+        # each refresh fits each row's grown history
+        assert built == [
+            (0, [mean()] * 2),
+            (1, [mean(10.0)] * 2),
+            (2, [mean(10.0, 11.0), mean(10.0, 12.0)]),
+        ]
         assert served == [(0, 2, 2), (1, 2, 2), (2, 2, 2)]
 
 
@@ -704,8 +741,8 @@ class TestValueTables:
         old, fresh = reports(E), reports(E)
         new = [o if k else f for o, f, k in zip(old, fresh, kept)]
         family = DpFamily(instance, 7)
-        before = family(old, first).table.values
-        after = family(new, later).table.values
+        before = family(fits_of(*old), first).table.values
+        after = family(fits_of(*new), later).table.values
         for e in np.flatnonzero(kept):
             assert after[later:, e].tobytes() == before[later:, e].tobytes()
 
@@ -744,7 +781,7 @@ class TestValueTables:
         b = estimate([12.0, 11.0, 12.5], clamp_nonpositive_lower=True)
         a_again = estimate([10.0, 10.5, 9.5, 10.2], clamp_nonpositive_lower=True)
         family = DpFamily(inst, 7)
-        policy = family([a, b, a_again, b, a], 1)
+        policy = family(fits_of(a, b, a_again, b, a), 1)
         # equal fitted models share a table row, whichever report object they come from
         assert policy.table.values.shape[1] == 2
         assert policy.rows.tolist() == [0, 1, 0, 1, 0]
@@ -752,11 +789,11 @@ class TestValueTables:
         prices = np.array([9.0, 10.0, 11.0, 12.0, 10.5])
         q = policy.decide_batch(1, levels, prices, inst)
         for e, report in enumerate([a, b, a, b, a]):
-            alone = family([report], 1)
+            alone = family(fits_of(report), 1)
             assert q[e] == alone.decide(1, levels[e], prices[e], inst)
         # every policy maps its rows, to one row or to as many rows as models
-        assert family([a, a_again], 0).rows.tolist() == [0, 0]
-        assert family([a, b], 0).rows.tolist() == [0, 1]
+        assert family(fits_of(a, a_again), 0).rows.tolist() == [0, 0]
+        assert family(fits_of(a, b), 0).rows.tolist() == [0, 1]
 
 
 class TestOfflineCosts:

@@ -14,13 +14,16 @@ from storelab import (
     estimate,
     generate,
     mu_interval,
-    sample_stats,
     sigma_interval,
-    three_sigma_bounds,
     threshold_price,
 )
 from storelab import estimation
-from storelab.estimation import clamp_lower_bound, estimate_rows
+from storelab.estimation import CLAMP_EPS, clamp_lower_bound, estimate_rows
+
+
+def sample_stats(data) -> SampleStats:
+    """The sample statistics of ``estimate``, which clamps so that any spread estimates."""
+    return estimate(data, clamp_nonpositive_lower=True).stats
 
 
 class TestSampleStats:
@@ -31,7 +34,7 @@ class TestSampleStats:
 
     def test_two_point_closed_form(self):
         stats = sample_stats([0.0, 2.0])
-        assert stats.mean == 1.0
+        assert (stats.n, stats.mean) == (2, 1.0)
         assert stats.sample_std == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_large_sample_within_sampling_bounds(self):
@@ -49,8 +52,16 @@ class TestSampleStats:
         assert stats.sample_std == pytest.approx(float(data.std(ddof=1)), rel=1e-12)
 
     def test_too_small(self):
-        with pytest.raises(EstimationError):
+        with pytest.raises(EstimationError, match="need at least 2 observations, got 1"):
             sample_stats([1.0])
+        with pytest.raises(EstimationError, match="got 0"):
+            sample_stats([])
+
+    def test_bad_samples_rejected(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            sample_stats([[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_stats([1.0, np.inf, 2.0])
 
 
 class TestMuInterval:
@@ -118,19 +129,28 @@ class TestSigmaInterval:
 
 class TestBoundsAndThreshold:
     def test_point_mode(self):
-        assert three_sigma_bounds(SampleStats(9, 10.0, 1.0)) == (13.0, 7.0)
+        # mean 10 and s 1 exactly
+        report = estimate([9.0, 10.0, 11.0])
+        assert (report.upper_bound, report.lower_bound) == (13.0, 7.0)
 
     def test_point_mode_can_go_nonpositive(self):
-        upper, lower = three_sigma_bounds(SampleStats(9, 1.0, 1.0))
-        assert (upper, lower) == (4.0, -2.0)
+        fits = estimate_rows([[0.0, 1.0, 2.0]])
+        assert (fits.upper_bound[0], fits.lower_bound[0]) == (4.0, -2.0)
+        assert fits.failed[0]
 
     def test_conservative_widens(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
-            stats = sample_stats(rng.normal(8, 2, int(rng.integers(5, 200))))
-            pu, pl = three_sigma_bounds(stats, 0.05, conservative=False)
-            cu, cl = three_sigma_bounds(stats, 0.05, conservative=True)
-            assert cu > pu and cl < pl
+            samples = rng.normal(8, 2, (3, int(rng.integers(5, 200))))
+            point = estimate_rows(samples, 0.05, conservative=False)
+            wide = estimate_rows(samples, 0.05, conservative=True)
+            assert (wide.upper_bound > point.upper_bound).all()
+            assert (wide.lower_bound < point.lower_bound).all()
+            stats = SampleStats(samples.shape[1], point.mean[0], point.sample_std[0])
+            mu_lo, mu_hi = mu_interval(stats, 0.05)
+            _, sigma_hi = sigma_interval(stats, 0.05)
+            assert wide.upper_bound[0] == mu_hi + 3.0 * sigma_hi
+            assert wide.lower_bound[0] == mu_lo - 3.0 * sigma_hi
 
     def test_threshold_examples(self):
         assert threshold_price(4.0, 1.0) == pytest.approx(2.0, rel=1e-15)
@@ -233,15 +253,27 @@ def _bits(value) -> str:
 
 
 def _scalar_estimate(sample, alpha, conservative, clamp):
-    """The scalar pipeline, one sample: (mean, s, upper, lower, clamped, theta, ratio bound)."""
-    stats = sample_stats(sample)
-    upper, lower = three_sigma_bounds(stats, alpha, conservative)
+    """The estimate of one sample, step by step in scalars.
+
+    Returns (mean, s, upper, lower, clamped, theta, ratio bound); raises
+    ``threshold_price``'s error where the lower bound ends up <= 0.
+    """
+    x = np.asarray(sample, dtype=float)
+    n = x.size
+    mean = float(x.mean())
+    s = math.sqrt(float(np.sum((x - mean) ** 2)) / (n - 1))
+    upper, lower = mean + 3.0 * s, mean - 3.0 * s
+    if conservative and s > 0.0:
+        stats = SampleStats(n, mean, s)
+        mu_lo, mu_hi = mu_interval(stats, alpha)
+        _, sigma_hi = sigma_interval(stats, alpha)
+        upper, lower = mu_hi + 3.0 * sigma_hi, mu_lo - 3.0 * sigma_hi
     clamped = False
-    if clamp:
-        floored = clamp_lower_bound(upper, lower)
+    if clamp and upper > 0.0:
+        floored = max(lower, CLAMP_EPS * upper)
         clamped, lower = floored > lower, floored
     theta = threshold_price(upper, lower)
-    return stats.mean, stats.sample_std, upper, lower, clamped, theta, math.sqrt(upper / lower)
+    return mean, s, upper, lower, clamped, theta, math.sqrt(upper / lower)
 
 
 class TestEstimateRows:

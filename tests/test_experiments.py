@@ -533,23 +533,33 @@ class TestSummaryQuantiles:
         got = experiments._quantiles(x, qs)
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
-    def test_relax_and_policy_compare_do_not_import_numpy_ma(self, tmp_path):
-        # a fresh interpreter: pytest or hypothesis may have imported numpy.ma here
-        tiny = "'--set', 'T=4', '--set', 'B=1.0', '--set', 'episodes=5', '--set', 'G=10'"
-        code = (
-            "import sys\n"
-            "from storelab.cli import main\n"
-            f"assert main(['relax', {tiny}, '--out', {str(tmp_path / 'r.csv')!r}]) == 0\n"
-            f"assert main(['policy-compare', {tiny}, '--out', {str(tmp_path / 'p.csv')!r}]) == 0\n"
-            "print('numpy.ma' in sys.modules)\n"
-        )
+    def test_no_subcommand_imports_numpy_ma(self, tmp_path):
+        # numpy imports numpy.ma lazily, on the first call of some functions
+        # (np.quantile; np.unique without return_index), at tens of ms; a
+        # fresh interpreter, since pytest or hypothesis may have imported it here
+        tiny = ["--set", "T=4", "--set", "B=1.0", "--set", "G=10"]
+        runs = {
+            "relax": ["--set", "episodes=5"],
+            "policy-compare": ["--set", "episodes=5"],
+            "estimate": ["--set", "history_size=50", "--set", "conservative=true"],
+            "violation-curve": ["--set", "n_grid=10,100", "--set", "rounds=3",
+                                "--set", "history_size=200"],
+            "adaptive": ["--set", "warmup_grid=10,30", "--set", "refresh_grid=inf,1,2",
+                         "--set", "rounds=2", "--set", "episodes=2"],
+        }
+        code = ["import sys", "from storelab.cli import main"]
+        for command, sets in runs.items():
+            argv = [command, *tiny, *sets, "--out", str(tmp_path / f"{command}.csv")]
+            code += [f"assert main({argv!r}) == 0", f"print({command!r}, 'numpy.ma' in sys.modules)"]
         src = str(Path(experiments.__file__).parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         env = {**os.environ, "PYTHONPATH": path}
         done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", "\n".join(code)], env=env, capture_output=True, text=True,
+            check=True,
         )
-        assert done.stdout.splitlines()[-1] == "False"
+        imported = [line for line in done.stdout.splitlines() if line.endswith((" True", " False"))]
+        assert imported == [f"{command} False" for command in runs]
 
 
 class TestRunAdaptive:
@@ -633,7 +643,8 @@ class TestRunAdaptive:
 
     @staticmethod
     def _count_work(tmp_path, monkeypatch, groups=None):
-        """(estimates, value-table builds, warmup draw sizes) of one small adaptive run.
+        """(rows per estimate call, value-table builds, warmup draw sizes) of one
+        small adaptive run.
 
         ``groups``, if given, is the (warmup, round) groups per adaptive block.
         """
@@ -644,27 +655,27 @@ class TestRunAdaptive:
         if groups is not None:
             _groups_per_block(monkeypatch, config, groups)
         builds, estimates, draws = [], [], []
-        build, estimate_ = policies.build_value_tables, policies.estimate
+        build, estimate_rows = policies.build_value_tables, policies.estimate_rows
         generate_ = experiments.generate
 
         def counting_build(*args, **kwargs):
             builds.append(1)
             return build(*args, **kwargs)
 
-        def counting_estimate(*args, **kwargs):
-            estimates.append(1)
-            return estimate_(*args, **kwargs)
+        def counting_estimate(samples, *args, **kwargs):
+            estimates.append(len(samples))
+            return estimate_rows(samples, *args, **kwargs)
 
         def counting_generate(model, length, seed):
             draws.append(length)
             return generate_(model, length, seed)
 
         monkeypatch.setattr(policies, "build_value_tables", counting_build)
-        monkeypatch.setattr(policies, "estimate", counting_estimate)
+        monkeypatch.setattr(policies, "estimate_rows", counting_estimate)
         monkeypatch.setattr(experiments, "generate", counting_generate)
         monkeypatch.setattr(experiments, "simulate", _no_one_row_simulate)
         run_adaptive_convergence(config)
-        return len(estimates), len(builds), sorted(d for d in draws if d != config.T)
+        return estimates, len(builds), sorted(d for d in draws if d != config.T)
 
     def test_each_value_table_is_built_once(self, tmp_path, monkeypatch):
         estimates, builds, draws = self._count_work(tmp_path, monkeypatch)
@@ -673,7 +684,10 @@ class TestRunAdaptive:
         # table over them, shared by both strides; stride 2 at T=6
         # re-estimates every row at slots 2 and 4, and each of those slots
         # builds one stacked table; plus the true-parameter table
-        assert estimates == 6 + 24 * 2
+        assert sum(estimates) == 6 + 24 * 2
+        # one estimate_rows call per warmup size, at construction and at
+        # each refresh slot: every history here fits in one block
+        assert len(estimates) == 2 + 2 * 2
         assert builds == 1 + 1 + 2
         assert draws == [10] * 3 + [30] * 3
 
@@ -682,7 +696,10 @@ class TestRunAdaptive:
         # three blocks of two (warmup, round) groups: a block estimates the
         # warmups of its own groups, so each warmup is drawn and estimated
         # once however many blocks there are
-        assert estimates == 6 + 24 * 2
+        assert sum(estimates) == 6 + 24 * 2
+        # each block holds one round's two warmups, of two sizes: one call
+        # per size at construction and at each refresh slot
+        assert len(estimates) == 3 * (2 + 2 * 2)
         assert builds == 1 + 3 * (1 + 2)
         assert draws == [10] * 3 + [30] * 3
 

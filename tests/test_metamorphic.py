@@ -9,13 +9,16 @@ every price and every cost a run writes by 2^k exactly and leaves every
 ratio, count and flag as it was; scaling the energies (the capacity ``B``,
 the initial fill ``s0`` and the demand) by 2 scales every cost and leaves
 the prices alone.  These relations need no stored answer, so they check
-the runners even across changes that move the recorded digests.
+the runners even across changes that move the recorded digests.  A
+history file scaled value by value by 2^k does the same for the runners
+that read one.
 """
 
 import csv
 
 import pytest
 
+from storelab import Normal, generate, write_series
 from storelab.cli import main
 
 # each column's unit, as the exponents of the price and the energy scale:
@@ -88,6 +91,36 @@ def test_prices_times_a_power_of_two(tmp_path, command):
         scaled = _run(tmp_path, f"k{k}", command,
                       RUNS[command] + [f"mu={MU * scale!r}", f"sigma={SIGMA * scale!r}"])
         _assert_scaled(base, scaled, scale, 1.0)
+
+
+# runs that read a history file instead of synthesizing one; held out, a
+# violation round also scores its threshold on windows of the history
+HISTORY_RUNS = {
+    "estimate-point": ("estimate", []),
+    "estimate-conservative": ("estimate", ["conservative=true"]),
+    "violation-with-replacement": ("violation-curve", [
+        "n_grid=3,10,100", "rounds=30", "eval_source=held-out",
+        "resample_mode=with-replacement",
+    ]),
+    "violation-prefix": ("violation-curve", [
+        "n_grid=3,10,100", "rounds=30", "eval_source=held-out", "resample_mode=prefix",
+    ]),
+}
+
+
+@pytest.mark.parametrize("run", list(HISTORY_RUNS))
+def test_history_file_times_a_power_of_two(tmp_path, run):
+    command, sets = HISTORY_RUNS[run]
+    history = generate(Normal(MU, SIGMA), 500, seed=31)
+
+    def scaled_run(name, scale):
+        path = tmp_path / f"{name}.txt"
+        write_series(path, history * scale)
+        return _run(tmp_path, name, command, sets + [f"history={path}"])
+
+    base = scaled_run("base", 1.0)
+    for k in (-3, -1, 1, 3):
+        _assert_scaled(base, scaled_run(f"k{k}", 2.0**k), 2.0**k, 1.0)
 
 
 def test_energies_times_two(tmp_path):

@@ -490,18 +490,20 @@ class TestDpPolicy:
 
 
 @pytest.fixture
-def estimate_reports(monkeypatch):
-    """Every estimate report AdaptivePolicy builds a policy from, in order."""
-    reports = []
-    original = policies.estimate
+def fitted_rows(monkeypatch):
+    """Every row AdaptivePolicy estimates, in order: (n, threshold, failed)."""
+    rows = []
+    original = policies.estimate_rows
 
-    def recording(*args, **kwargs):
-        report = original(*args, **kwargs)
-        reports.append(report)
-        return report
+    def recording(samples, *args, **kwargs):
+        fits = original(samples, *args, **kwargs)
+        n = samples.shape[1]
+        rows.extend((n, theta, failed)
+                    for theta, failed in zip(fits.threshold.tolist(), fits.failed.tolist()))
+        return fits
 
-    monkeypatch.setattr(policies, "estimate", recording)
-    return reports
+    monkeypatch.setattr(policies, "estimate_rows", recording)
+    return rows
 
 
 class TestAdaptivePolicy:
@@ -516,13 +518,14 @@ class TestAdaptivePolicy:
         assert np.array_equal(a.purchases, b.purchases)
         assert a.total_cost == b.total_cost
 
-    def test_refresh_every_slot_matches_scratch_estimates(self, estimate_reports):
+    def test_refresh_every_slot_matches_scratch_estimates(self, fitted_rows):
         warmup = generate(Normal(10.0, 2.0), 50, seed=3)
         inst = Instance.constant(8, 1.0, StorageSpec(2.0))
         prices = generate(Normal(10.0, 2.0), 8, seed=4)
         adaptive = AdaptivePolicy(ThresholdFamily(), [warmup], [0], refresh_stride=1)
         simulate(inst, prices, adaptive)
-        got = [r.threshold for r in estimate_reports]
+        assert [n for n, _, _ in fitted_rows] == list(range(50, 58))
+        got = [theta for _, theta, _ in fitted_rows]
         expected = [estimate(warmup, 0.05).threshold]
         history = list(warmup)
         for t in range(7):  # refreshes happen before slots 1..7
@@ -530,25 +533,26 @@ class TestAdaptivePolicy:
             expected.append(estimate(history, 0.05).threshold)
         assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_failed_refresh_keeps_previous_policy_and_logs(self, estimate_reports):
+    def test_failed_refresh_keeps_previous_policy_and_logs(self, fitted_rows):
         warmup = [10.0, 10.5, 9.5, 10.2]
         inst = Instance.constant(3, 1.0, StorageSpec(1.0))
         # wild prices push the three-sigma lower bound negative on every refresh
         prices = np.array([500.0, -480.0, 510.0])
         adaptive = AdaptivePolicy(ThresholdFamily(), [warmup], [0], refresh_stride=1)
-        theta_before = estimate_reports[0].threshold
+        theta_before = fitted_rows[0][1]
         traj = simulate(inst, prices, adaptive)
         assert sum("refresh failed" in event for event in adaptive.events) == 2
-        assert len(estimate_reports) == 1  # only the initial estimate succeeded
+        # only the initial estimate succeeded
+        assert [failed for _, _, failed in fitted_rows] == [False, True, True]
         static = simulate(inst, prices, ThresholdPolicy(theta_before))
         assert np.array_equal(traj.purchases, static.purchases)
 
     def test_failed_refresh_keeps_the_last_refreshed_policy(self):
         built = []
 
-        def family(reports, first_slot):
-            built.append((first_slot, [report.threshold for report in reports]))
-            return ThresholdFamily()(reports, first_slot)
+        def family(fits, first_slot):
+            built.append((first_slot, fits.threshold.tolist()))
+            return ThresholdFamily()(fits, first_slot)
 
         warmup = [10.0, 10.5, 9.5, 10.2]
         inst = Instance.constant(4, 1.0, StorageSpec(1.0))
@@ -608,7 +612,7 @@ class TestAdaptivePolicy:
         traj = simulate(inst, prices, adaptive)
         assert traj.total_cost > 0
 
-    def test_dp_family_with_mid_episode_refresh(self, estimate_reports):
+    def test_dp_family_with_mid_episode_refresh(self, fitted_rows):
         # the table is rebuilt from the grown history at slots 3 and 6
         inst = Instance.constant(8, 1.0, StorageSpec(2.0))
         warmup = generate(Normal(10.0, 2.0), 30, seed=14)
@@ -617,23 +621,24 @@ class TestAdaptivePolicy:
         )
         prices = generate(Normal(10.0, 2.0), 8, seed=15)
         traj = simulate(inst, prices, adaptive)
-        assert len(estimate_reports) == 3  # initial + two refreshes
-        assert estimate_reports[1].stats.n == 33
-        assert estimate_reports[2].stats.n == 36
+        # initial + two refreshes
+        assert [(n, failed) for n, _, failed in fitted_rows] == [
+            (30, False), (33, False), (36, False),
+        ]
         assert np.isfinite(traj.total_cost)
 
     def test_dp_refresh_builds_only_remaining_rows(self):
         tables = []
 
         class RecordingFamily(DpFamily):
-            def __call__(self, reports, first_slot):
-                policy = super().__call__(reports, first_slot)
+            def __call__(self, fits, first_slot):
+                policy = super().__call__(fits, first_slot)
                 tables.append(policy.table)
                 return policy
 
         class FullTableFamily(DpFamily):
-            def __call__(self, reports, first_slot):
-                return super().__call__(reports, 0)
+            def __call__(self, fits, first_slot):
+                return super().__call__(fits, 0)
 
         inst = Instance.constant(12, 1.0, StorageSpec(3.0))
         warmup = generate(Normal(10.0, 2.0), 40, seed=16)
