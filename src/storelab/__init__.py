@@ -31,15 +31,10 @@ from .prices import (
     write_series,
 )
 from .estimation import (
-    DegenerateSpreadError,
     EstimateReport,
     EstimationError,
     NonpositiveLowerBoundError,
-    SampleStats,
     estimate,
-    mu_interval,
-    sigma_interval,
-    threshold_price,
 )
 from .policies import (
     AdaptivePolicy,
@@ -69,7 +64,6 @@ __all__ = [
     "AdaptivePolicy",
     "Clamped",
     "ConfigError",
-    "DegenerateSpreadError",
     "DpFamily",
     "DpPolicy",
     "Empirical",
@@ -84,7 +78,6 @@ __all__ = [
     "Normal",
     "Policy",
     "RegretReport",
-    "SampleStats",
     "StorageSpec",
     "ThresholdFamily",
     "ThresholdPolicy",
@@ -100,16 +93,13 @@ __all__ = [
     "feasible_purchase_range",
     "generate",
     "ingest",
-    "mu_interval",
     "offline_costs",
     "offline_optimal",
     "parse_config",
     "regret",
     "render_config",
     "resample",
-    "sigma_interval",
     "simulate",
     "simulate_batch",
-    "threshold_price",
     "write_series",
 ]

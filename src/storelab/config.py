@@ -185,6 +185,9 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("model", "relaxation scenarios are defined for the normal model")
     if not (0.0 < config.alpha < 1.0):
         raise ConfigError("alpha", f"must lie in (0, 1), got {config.alpha}")
+    for name in ("mu", "sigma", "log_mu", "log_sigma", "B"):
+        if not math.isfinite(getattr(config, name)):
+            raise ConfigError(name, f"must be finite, got {getattr(config, name)!r}")
     if config.model in ("normal", "ar1") and not config.sigma > 0:
         raise ConfigError("sigma", f"must be > 0, got {config.sigma}")
     if config.model == "lognormal" and not config.log_sigma > 0:
@@ -194,6 +197,9 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("phi", f"must lie in (-1, 1), got {config.phi}")
     if (config.clamp_lo is None) != (config.clamp_hi is None):
         raise ConfigError("clamp_lo", "clamp_lo and clamp_hi must be set together")
+    for name in ("clamp_lo", "clamp_hi"):
+        if getattr(config, name) is not None and math.isnan(getattr(config, name)):
+            raise ConfigError(name, "must not be NaN")
     if config.clamp_lo is not None and config.clamp_lo > config.clamp_hi:
         raise ConfigError("clamp_lo", "clamp_lo must not exceed clamp_hi")
     if config.T < 1:
@@ -284,8 +290,8 @@ def validate_config(config: ExperimentConfig) -> None:
         policy_models = {f"scenario {s!r}": scenario_models(config, s)[1] for s in config.scenarios}
     else:
         policy_models = {}
-    for label, policy_model in policy_models.items():
-        _, lower = model_bounds(policy_model, config.clamp_m)
+    lowers = model_bounds(policy_models.values(), config.clamp_m).lower_bound.tolist()
+    for label, lower in zip(policy_models, lowers):
         if lower <= 0.0:
             raise ConfigError(
                 "clamp_m",

@@ -8,10 +8,13 @@ threshold at the geometric mean of those bounds.
 ``estimate_rows`` is the one estimation pipeline: it estimates R
 equal-size samples at once, as whole-array work over an (R, n) array, and
 flags a row whose lower bound is <= 0 rather than raising.  ``estimate``
-is its one-row case, as an ``EstimateReport`` that raises
-``threshold_price``'s error where the row fails.  The t and chi-squared
-quantiles of every interval and bound are computed once per (n, alpha)
-and cached.
+is its one-row case, as an ``EstimateReport`` record of the estimate
+CSV's columns, and raises the row's ``NonpositiveLowerBoundError`` where
+it fails.  ``model_bounds`` bounds true price models by the same
+arithmetic, one ``RowEstimates`` row per model: one helper turns a mean
+and a standard deviation into the bounds, the clamp and the failed mask,
+and one gives the interval ends.  The t and chi-squared quantiles of
+every interval and bound are computed once per (n, alpha) and cached.
 """
 
 from __future__ import annotations
@@ -35,118 +38,29 @@ class EstimationError(ValueError):
     """Base class for estimation failures."""
 
 
-class DegenerateSpreadError(EstimationError):
-    """The sample has zero spread, so the sigma interval is undefined."""
-
-
 class NonpositiveLowerBoundError(EstimationError):
     """The lower price bound is <= 0; the threshold is undefined without a clamp."""
 
 
 @dataclass(frozen=True)
-class SampleStats:
-    """Sample size, mean, and standard deviation (n-1 denominator)."""
+class EstimateReport:
+    """``estimate`` of one sample: the estimate CSV's columns, in order, then
+    the ratio bound sqrt(M_hat / m_hat) and whether the lower bound was clamped."""
 
     n: int
-    mean: float
-    sample_std: float
-
-
-def mu_interval(stats: SampleStats, alpha: float) -> tuple[float, float]:
-    """Two-sided (1-alpha) interval for the mean: mean +- s/sqrt(n) t_{1-alpha/2}."""
-    _check_alpha(alpha)
-    half = stats.sample_std / math.sqrt(stats.n) * _bound_quantiles(stats.n, alpha)[0]
-    return stats.mean - half, stats.mean + half
-
-
-def sigma_interval(stats: SampleStats, alpha: float) -> tuple[float, float]:
-    """Two-sided (1-alpha) interval for sigma from (n-1)s^2/sigma^2 ~ chi2(n-1).
-
-    The lower endpoint uses the upper chi-squared critical point and vice
-    versa, which keeps the interval ordered.
-    """
-    _check_alpha(alpha)
-    if stats.sample_std <= 0.0:
-        raise DegenerateSpreadError("sigma interval undefined at zero sample spread")
-    df = stats.n - 1
-    _, chi2_hi, chi2_lo = _bound_quantiles(stats.n, alpha)
-    return stats.sample_std * math.sqrt(df / chi2_hi), stats.sample_std * math.sqrt(df / chi2_lo)
-
-
-def threshold_price(upper: float, lower: float) -> float:
-    """Purchase threshold at the geometric mean sqrt(upper * lower)."""
-    if upper < lower:
-        raise ValueError(f"bounds out of order: upper={upper} < lower={lower}")
-    if lower <= 0.0:
-        raise NonpositiveLowerBoundError(
-            f"threshold undefined for lower bound {lower} <= 0; clamp it first"
-        )
-    return math.sqrt(upper * lower)
-
-
-def clamp_lower_bound(upper: float, lower: float) -> float:
-    """Floor the lower bound at CLAMP_EPS times a positive upper bound."""
-    return max(lower, CLAMP_EPS * upper) if upper > 0.0 else lower
-
-
-def model_bounds(model, clamp: bool) -> tuple[float, float]:
-    """Three-sigma (upper, lower) price bounds of a model's marginal law.
-
-    With ``clamp`` the lower bound is floored as ``estimate`` floors it; a
-    nonpositive lower bound is returned as is, for the caller to reject.
-    """
-    mean, std = model.marginal_mean, model.marginal_std
-    upper, lower = mean + 3.0 * std, mean - 3.0 * std
-    return upper, clamp_lower_bound(upper, lower) if clamp else lower
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """Everything derived from one sample at one confidence level."""
-
     alpha: float
-    stats: SampleStats
-    upper_bound: float
-    lower_bound: float
-    threshold: float
-    conservative: bool
-    lower_clamped: bool = False
-
-    @property
-    def mu_interval(self) -> tuple[float, float]:
-        """(1-alpha) t interval for the mean, computed on read."""
-        return mu_interval(self.stats, self.alpha)
-
-    @property
-    def sigma_interval(self) -> tuple[float, float]:
-        """(1-alpha) chi-squared interval for sigma; (0, 0) at zero spread."""
-        if self.stats.sample_std <= 0.0:
-            return 0.0, 0.0
-        return sigma_interval(self.stats, self.alpha)
-
-    @property
-    def ratio_bound(self) -> float:
-        """Guaranteed competitive-ratio ceiling sqrt(upper / lower)."""
-        return math.sqrt(self.upper_bound / self.lower_bound)
-
-    def to_record(self) -> dict:
-        """Flat record: the estimate CSV's columns, in order, and their values."""
-        mu_lo, mu_hi = self.mu_interval
-        sigma_lo, sigma_hi = self.sigma_interval
-        return {
-            "n": self.stats.n,
-            "alpha": self.alpha,
-            "mean": self.stats.mean,
-            "s": self.stats.sample_std,
-            "mu_lo": mu_lo,
-            "mu_hi": mu_hi,
-            "sigma_lo": sigma_lo,
-            "sigma_hi": sigma_hi,
-            "m_hat": self.lower_bound,
-            "M_hat": self.upper_bound,
-            "theta_hat": self.threshold,
-            "conservative": int(self.conservative),
-        }
+    mean: float
+    s: float
+    mu_lo: float
+    mu_hi: float
+    sigma_lo: float
+    sigma_hi: float
+    m_hat: float
+    M_hat: float
+    theta_hat: float
+    conservative: int  # 0 or 1, as the CSV writes it
+    ratio_bound: float
+    lower_clamped: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,6 +88,12 @@ class RowEstimates:
         """Competitive-ratio ceilings sqrt(upper / lower); NaN where ``failed``."""
         return self._where_defined(np.divide)
 
+    def failure(self, i: int) -> NonpositiveLowerBoundError:
+        """The error of failed row i, which ``estimate`` raises."""
+        return NonpositiveLowerBoundError(
+            f"threshold undefined for lower bound {float(self.lower_bound[i])} <= 0; clamp it first"
+        )
+
     def _where_defined(self, op) -> np.ndarray:
         out = np.full(self.failed.shape, np.nan)
         ok = ~self.failed
@@ -192,6 +112,53 @@ def _bound_quantiles(n: int, alpha: float) -> tuple[float, float, float]:
     )
 
 
+def _intervals(mean, s, n: int, alpha: float):
+    """(mu_lo, mu_hi, sigma_lo, sigma_hi) of size-n samples at level 1 - alpha.
+
+    The t interval mean +- s/sqrt(n) t_{1-alpha/2}, and the interval for
+    sigma from (n-1)s^2/sigma^2 ~ chi2(n-1), whose lower end uses the upper
+    chi-squared point and vice versa; at zero spread both collapse.
+    """
+    t_q, chi2_hi, chi2_lo = _bound_quantiles(n, alpha)
+    half = s / math.sqrt(n) * t_q
+    sigma_lo, sigma_hi = s * math.sqrt((n - 1) / chi2_hi), s * math.sqrt((n - 1) / chi2_lo)
+    return mean - half, mean + half, sigma_lo, sigma_hi
+
+
+def _bounded(mean, s, clamp: bool, ends=None) -> RowEstimates:
+    """Rows of means and standard deviations, bounded and clamped.
+
+    The bounds are hi + 3 w and lo - 3 w, with (lo, hi, w) the (mean,
+    mean, s) of the three-sigma bounds, or the conservative ``ends``
+    (mu_lo, mu_hi, sigma_hi).  ``clamp`` floors a lower bound at
+    ``CLAMP_EPS`` times a positive upper bound; a row whose lower bound
+    ends up <= 0 is ``failed``.
+    """
+    lo, hi, w = (mean, mean, s) if ends is None else ends
+    upper, lower = hi + 3.0 * w, lo - 3.0 * w
+    clamped = np.zeros(mean.shape, dtype=bool)
+    if clamp:
+        floor = CLAMP_EPS * upper
+        clamped = (upper > 0.0) & (floor > lower)
+        lower = np.where(clamped, floor, lower)
+    return RowEstimates(
+        mean=mean, sample_std=s, upper_bound=upper, lower_bound=lower,
+        lower_clamped=clamped, failed=lower <= 0.0,
+    )
+
+
+def model_bounds(models, clamp: bool) -> RowEstimates:
+    """Three-sigma bounds of each model's marginal law, one row per model.
+
+    The rows are bounded, clamped with ``clamp`` and failed as
+    ``estimate_rows`` bounds an estimate, from each model's
+    ``marginal_mean`` and ``marginal_std``.
+    """
+    mean = np.array([model.marginal_mean for model in models], dtype=float)
+    std = np.array([model.marginal_std for model in models], dtype=float)
+    return _bounded(mean, std, clamp)
+
+
 def estimate_rows(
     samples,
     alpha: float = 0.05,
@@ -205,8 +172,8 @@ def estimate_rows(
     deviation; the three-sigma bounds mean +- 3 s, or in conservative mode
     the (1-alpha) interval ends (the upper bound takes the high ends of the
     mean and sigma intervals, the lower bound the low end of the mean
-    interval minus three times the high sigma end; a zero-spread row keeps
-    its point bounds); and the clamp, which floors a lower bound at
+    interval minus three times the high sigma end, which at zero spread
+    are the point bounds); and the clamp, which floors a lower bound at
     ``CLAMP_EPS`` times a positive upper bound.  The threshold and the
     ratio bound are taken when read.  A row whose lower bound ends up <= 0
     is flagged in ``failed``; errors that concern the whole array (a bad
@@ -216,7 +183,7 @@ def estimate_rows(
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
         raise ValueError("samples must be two-dimensional, one sample per row")
-    rows, n = x.shape
+    n = x.shape[1]
     if n < 2:
         raise EstimationError(f"need at least 2 observations, got {n}")
     if not np.isfinite(x).all():
@@ -224,23 +191,11 @@ def estimate_rows(
     mean = np.add.reduce(x, axis=1) / n  # x.mean(axis=1), without its wrapper
     dev = x - mean[:, None]
     s = np.sqrt(np.add.reduce(np.square(dev, out=dev), axis=1) / (n - 1))
-    upper, lower = mean + 3.0 * s, mean - 3.0 * s
+    ends = None
     if conservative:
-        t_q, _, chi2_lo = _bound_quantiles(n, alpha)
-        half = s / math.sqrt(n) * t_q
-        sig_hi = s * math.sqrt((n - 1) / chi2_lo)
-        spread = s > 0.0
-        upper = np.where(spread, (mean + half) + 3.0 * sig_hi, upper)
-        lower = np.where(spread, (mean - half) - 3.0 * sig_hi, lower)
-    clamped = np.zeros(rows, dtype=bool)
-    if clamp_nonpositive_lower:
-        floor = CLAMP_EPS * upper
-        clamped = (upper > 0.0) & (floor > lower)
-        lower = np.where(clamped, floor, lower)
-    return RowEstimates(
-        mean=mean, sample_std=s, upper_bound=upper, lower_bound=lower,
-        lower_clamped=clamped, failed=lower <= 0.0,
-    )
+        mu_lo, mu_hi, _, sigma_hi = _intervals(mean, s, n, alpha)
+        ends = mu_lo, mu_hi, sigma_hi
+    return _bounded(mean, s, clamp_nonpositive_lower, ends)
 
 
 def estimate(
@@ -261,11 +216,13 @@ def estimate(
         raise ValueError("sample must be one-dimensional")
     fit = estimate_rows(arr[None, :], alpha, conservative=conservative,
                         clamp_nonpositive_lower=clamp_nonpositive_lower)
-    upper, lower = float(fit.upper_bound[0]), float(fit.lower_bound[0])
+    if fit.failed[0]:
+        raise fit.failure(0)
+    ends = _intervals(fit.mean, fit.sample_std, arr.size, alpha)
+    columns = (fit.mean, fit.sample_std, *ends, fit.lower_bound, fit.upper_bound, fit.threshold)
     return EstimateReport(
-        alpha=alpha, stats=SampleStats(arr.size, float(fit.mean[0]), float(fit.sample_std[0])),
-        upper_bound=upper, lower_bound=lower, threshold=threshold_price(upper, lower),
-        conservative=conservative, lower_clamped=bool(fit.lower_clamped[0]),
+        arr.size, alpha, *(float(a[0]) for a in columns), int(conservative),
+        float(fit.ratio_bound[0]), bool(fit.lower_clamped[0]),
     )
 
 

@@ -38,10 +38,13 @@ A comparison chunk draws each distinct price model's series once, stacks
 the rows of all scenarios, and runs each true-parameter policy over them
 in one ``simulate_batch``, with one ``offline_costs`` call per scenario;
 the policies are built once per run, one row per distinct policy model
-(one stacked DP value table).  A comparison keeps the costs as arrays
-and takes each scenario's ratios with one element-wise
+(one stacked DP value table), with the thresholds and budgeted fill
+targets of one ``model_bounds`` call.  A comparison keeps the costs as
+arrays and takes each scenario's ratios with one element-wise
 ``competitive_ratio`` call; policy-compare writes its per-episode rows
-straight from those arrays.
+straight from those arrays, with the threshold and ratio bound of its
+model's ``model_bounds`` row.  The estimate CSV is one ``EstimateReport``,
+whose fields are its columns.
 
 An adaptive chunk steps every (warmup, round, episode) of its rounds as
 rows of one adaptive policy per block, with one ``simulate_batch`` call
@@ -78,7 +81,6 @@ from .estimation import (
     estimate,
     estimate_rows,
     model_bounds,
-    threshold_price,
 )
 from .metrics import (
     competitive_ratio,
@@ -105,6 +107,7 @@ from .policies import (
 from .prices import _resample, as_series, generate
 from .seeds import stream
 
+ESTIMATE_HEADER = "n,alpha,mean,s,mu_lo,mu_hi,sigma_lo,sigma_hi,m_hat,M_hat,theta_hat,conservative"
 METRIC_HEADER = "round,n,policy_id,alg_cost,opt_cost,cr,cr_bound,violated,regret,theta_hat,seed"
 VIOLATION_HEADER = "n,p_hat,stderr,violations,failures,rounds"
 SUMMARY_HEADER = "policy_id,mean_cost,regret,regret_stderr,cr_p50,cr_p95,cr_max"
@@ -233,9 +236,8 @@ def run_estimate(config: ExperimentConfig, workers: int = 1) -> EstimateReport:
         conservative=config.conservative,
         clamp_nonpositive_lower=config.clamp_m,
     )
-    record = report.to_record()
-    _write_csv(config.out, ",".join(record), [record.values()])
-    print(f"theta_hat={report.threshold!r} cr_bound={report.ratio_bound!r}")
+    _write_records(config.out, ESTIMATE_HEADER, [report])
+    print(f"theta_hat={report.theta_hat!r} cr_bound={report.ratio_bound!r}")
     return report
 
 
@@ -470,14 +472,12 @@ class _TruePolicies:
 
     @classmethod
     def build(cls, config: ExperimentConfig, instance: Instance, models) -> _TruePolicies:
-        bounds = [model_bounds(model, config.clamp_m) for model in models]
-        thresholds = [threshold_price(upper, lower) for upper, lower in bounds]
+        fits = model_bounds(models, config.clamp_m)
+        thresholds = fits.threshold
+        rows = zip(thresholds.tolist(), fits.upper_bound.tolist(), fits.lower_bound.tolist())
         capacity = instance.storage.capacity
-        fill_targets = [
-            linear_budget(theta, upper, lower, capacity)
-            for theta, (upper, lower) in zip(thresholds, bounds)
-        ]
-        return cls(np.array(thresholds), np.array(fill_targets),
+        fill_targets = [linear_budget(*row, capacity) for row in rows]
+        return cls(thresholds, np.array(fill_targets),
                    build_value_tables(instance, models, config.K))
 
     def serve(self, rows: np.ndarray) -> tuple[ThresholdPolicy, ThresholdPolicy, DpPolicy]:
@@ -615,8 +615,8 @@ def run_policy_compare(config: ExperimentConfig, workers: int = 1) -> list[Polic
     """
     model = build_model(config)
     [(opt, alg, crs, summaries)] = _compare_core(config, [("baseline", model, model, 0.0)], workers)
-    upper, lower = model_bounds(model, config.clamp_m)
-    theta, bound = threshold_price(upper, lower), math.sqrt(upper / lower)
+    fits = model_bounds([model], config.clamp_m)
+    theta, bound = float(fits.threshold[0]), float(fits.ratio_bound[0])
     columns = zip([s.policy_id for s in summaries], alg.tolist(), crs.tolist(), (alg - opt).tolist())
     _write_csv(config.out, METRIC_HEADER, sorted(
         (e, 0, policy_id, a, o, cr, bound, int(cr > bound), reg, theta, config.seed)

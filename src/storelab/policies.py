@@ -30,7 +30,9 @@ a first slot to one policy that serves those rows; the DP family gives
 equal fitted models one table row.  The adaptive policy serves rows that
 each start from one of its warmups, named by a row map fixed when it is
 built, keeps one fitted row per batch row, and rebuilds every row with
-one family call per refresh slot.
+one family call per refresh slot.  A warmup that gives no estimate raises,
+and a failed refresh is logged, with the error ``RowEstimates.failure``
+builds for the row, which is the error ``estimate`` raises.
 
 Each policy implements one rule, ``decide_batch``, which ``simulate_batch``
 drives with one level and one price per row; ``decide`` is its one-row
@@ -52,9 +54,8 @@ from typing import Callable
 import numpy as np
 
 from . import special
-from .estimation import BLOCK_FLOATS, NonpositiveLowerBoundError, RowEstimates, estimate_rows
+from .estimation import BLOCK_FLOATS, RowEstimates, estimate_rows
 from .estimation import estimate  # noqa: F401  (a name bench/tracer.py wraps)
-from .estimation import threshold_price
 from .model import (
     ENERGY_TOL,
     Instance,
@@ -679,14 +680,6 @@ def _fieldwise(op, *fits: RowEstimates) -> RowEstimates:
     })
 
 
-def _failure(fits: RowEstimates, i: int) -> NonpositiveLowerBoundError:
-    """The error ``estimate`` raises on ``fits``' failed row i."""
-    try:
-        threshold_price(float(fits.upper_bound[i]), float(fits.lower_bound[i]))
-    except NonpositiveLowerBoundError as exc:
-        return exc
-
-
 class ThresholdFamily:
     """Builds one threshold rule per fitted row, as one row-wise threshold policy."""
 
@@ -735,8 +728,8 @@ class AdaptivePolicy(Policy):
     most ``BLOCK_FLOATS`` floats.  A row whose estimate fails keeps its
     previous fit, which rebuilt at the later slot gives the decisions its
     previous policy gave; the failure is recorded in ``events``, which
-    name the row.  Rows share no state, so a row's decisions do not depend
-    on the other rows.
+    name the row and quote its ``RowEstimates.failure``.  Rows share no
+    state, so a row's decisions do not depend on the other rows.
     """
 
     policy_id = "adaptive"
@@ -766,7 +759,7 @@ class AdaptivePolicy(Policy):
             raise ValueError(f"warmup rows must index the {len(self._warmups)} warmups")
         fits = self._fit(np.arange(len(self._warmups)), 0)
         if fits.failed.any():
-            raise _failure(fits, int(np.flatnonzero(fits.failed)[0]))
+            raise fits.failure(int(np.flatnonzero(fits.failed)[0]))
         self._base_fits = _fieldwise(lambda a: a[self._warmup_rows], fits)
         self._base = family(self._base_fits, 0)
         self.events: list[str] = []
@@ -803,7 +796,7 @@ class AdaptivePolicy(Policy):
         for e in np.flatnonzero(fresh.failed).tolist():
             self.events.append(
                 f"row {e}: refresh failed at n={self._warmups[self._warmup_rows[e]].size + t} "
-                f"({_failure(fresh, e)}); kept previous policy"
+                f"({fresh.failure(e)}); kept previous policy"
             )
         # a failed row keeps its previous fit
         self._fits = _fieldwise(lambda *pair: np.where(fresh.failed, *pair), self._fits, fresh)

@@ -186,10 +186,10 @@ def reference_argmin_purchase(grid, v_next, spec, level, demand, price, dedupe=F
 def fits_of(*reports) -> RowEstimates:
     """The ``RowEstimates`` a policy family takes, one row per estimate report."""
     return RowEstimates(
-        mean=np.array([r.stats.mean for r in reports]),
-        sample_std=np.array([r.stats.sample_std for r in reports]),
-        upper_bound=np.array([r.upper_bound for r in reports]),
-        lower_bound=np.array([r.lower_bound for r in reports]),
+        mean=np.array([r.mean for r in reports]),
+        sample_std=np.array([r.s for r in reports]),
+        upper_bound=np.array([r.M_hat for r in reports]),
+        lower_bound=np.array([r.m_hat for r in reports]),
         lower_clamped=np.array([r.lower_clamped for r in reports], dtype=bool),
         failed=np.zeros(len(reports), dtype=bool),
     )

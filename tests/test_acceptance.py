@@ -23,6 +23,7 @@ from storelab import (
     ThresholdPolicy,
     bound_violation_probability,
     build_value_table,
+    estimate,
     feasible_purchase_range,
     generate,
     offline_costs,
@@ -32,6 +33,7 @@ from storelab import (
     simulate_batch,
 )
 from storelab import policies
+from storelab.estimation import model_bounds
 from storelab.experiments import (
     run_adaptive_convergence,
     run_estimate,
@@ -61,7 +63,7 @@ class TestCriterion1CiCoverage:
         data = rng.standard_normal((trials, n))
         means = data.mean(axis=1)
         stds = data.std(ddof=1, axis=1)
-        # identical construction to mu_interval / sigma_interval, vectorized
+        # identical construction to the estimate's interval ends, vectorized
         t_crit = t_quantile(1 - alpha / 2, n - 1)
         chi_hi = chi2_quantile(1 - alpha / 2, n - 1)
         chi_lo = chi2_quantile(alpha / 2, n - 1)
@@ -71,17 +73,13 @@ class TestCriterion1CiCoverage:
         sig_hi = stds * math.sqrt((n - 1) / chi_lo)
         sigma_cov = float(np.mean((sig_lo <= 1.0) & (1.0 <= sig_hi)))
 
-        # spot check that the vectorized construction equals the API
-        from storelab import SampleStats, mu_interval, sigma_interval
-
+        # spot check that the vectorized construction equals the estimate's
         for i in (0, 7, 42):
-            stats = SampleStats(n, float(means[i]), float(stds[i]))
-            lo, hi = mu_interval(stats, alpha)
-            assert lo == pytest.approx(means[i] - half[i], rel=1e-12)
-            assert hi == pytest.approx(means[i] + half[i], rel=1e-12)
-            slo, shi = sigma_interval(stats, alpha)
-            assert slo == pytest.approx(sig_lo[i], rel=1e-12)
-            assert shi == pytest.approx(sig_hi[i], rel=1e-12)
+            report = estimate(data[i], alpha, clamp_nonpositive_lower=True)
+            assert report.mu_lo == pytest.approx(means[i] - half[i], rel=1e-12)
+            assert report.mu_hi == pytest.approx(means[i] + half[i], rel=1e-12)
+            assert report.sigma_lo == pytest.approx(sig_lo[i], rel=1e-12)
+            assert report.sigma_hi == pytest.approx(sig_hi[i], rel=1e-12)
 
         assert 0.94 <= mu_cov <= 0.96, f"mu coverage {mu_cov}"
         assert 0.94 <= sigma_cov <= 0.96, f"sigma coverage {sigma_cov}"
@@ -113,16 +111,17 @@ class TestCriterion3ThreeSigmaMass:
 
 class TestCriterion4ThresholdIdentity:
     def test_identity_on_random_bounds(self):
-        from storelab import threshold_price
-
+        # true models whose three-sigma bounds are the drawn (upper, lower)
+        # pairs, up to rounding
         rng = stream(401)
-        worst = 0.0
-        for _ in range(1000):
-            lower = float(rng.uniform(1e-3, 1e3))
-            upper = lower * float(rng.uniform(1.0, 1e4))
-            theta = threshold_price(upper, lower)
-            rel = abs(theta * theta - upper * lower) / (upper * lower)
-            worst = max(worst, rel)
+        lower = rng.uniform(1e-3, 1e3, 1000)
+        upper = lower * rng.uniform(1.0, 1e4, 1000)
+        models = [Normal(m, s) for m, s in zip(((upper + lower) / 2).tolist(),
+                                               ((upper - lower) / 6).tolist())]
+        fits = model_bounds(models, clamp=False)
+        assert not fits.failed.any()
+        theta, product = fits.threshold, fits.upper_bound * fits.lower_bound
+        worst = float(np.max(np.abs(theta * theta - product) / product))
         assert worst <= 1e-15, f"relative error {worst}"
         _report("criterion 4 (threshold identity)", f"worst relative error {worst:.2e}")
 

@@ -394,7 +394,7 @@ class TestAdaptiveBatch:
         simulate_batch(inst, np.array([[10.0, 11.0, 9.0], [10.0, 12.0, 9.0]]), adaptive)
 
         def mean(*history):
-            return estimate([10.0, 10.5, *history]).stats.mean
+            return estimate([10.0, 10.5, *history]).mean
 
         # the base policy is built from one fit per row, both the warmup's;
         # each refresh fits each row's grown history

@@ -87,11 +87,11 @@ def _reference_violation_rows(config, history, n):
                               clamp_nonpositive_lower=config.clamp_m)
         except EstimationError:
             report = None
-        if report is None or report.stats.sample_std == 0.0:
+        if report is None or report.s == 0.0:
             for column in rows:
                 column.append(math.nan)
             continue
-        policy = ThresholdPolicy(report.threshold)
+        policy = ThresholdPolicy(report.theta_hat)
         alg_costs, opt_costs, crs = (np.empty(config.eval_episodes) for _ in range(3))
         for e in range(config.eval_episodes):
             rng = stream(config.seed, 1, r, e)
@@ -101,12 +101,12 @@ def _reference_violation_rows(config, history, n):
             else:
                 prices = eval_model.draw(rng, T)
             if config.clamp_eval_to_bounds:
-                prices = np.clip(prices, report.lower_bound, report.upper_bound)
+                prices = np.clip(prices, report.m_hat, report.M_hat)
             alg_costs[e] = reference_simulate(instance, prices, policy).total_cost
             opt_costs[e] = reference_offline_optimal(instance, prices, config.G).total_cost
             crs[e] = competitive_ratio(alg_costs[e], opt_costs[e])
         round_cr = float(crs.max() if config.verdict == "any" else crs.mean())
-        for column, value in zip(rows, (report.threshold, report.ratio_bound, round_cr)):
+        for column, value in zip(rows, (report.theta_hat, report.ratio_bound, round_cr)):
             column.append(value)
     return rows
 
@@ -211,8 +211,8 @@ class TestRunEstimate:
         history.write_text("3.0\n3.0\n3.0\n3.0\n")
         config = small_config(tmp_path, kind="estimate", history=str(history), clamp_m=True)
         report = run_estimate(config)
-        assert report.stats.sample_std == 0.0
-        assert report.threshold == 3.0
+        assert report.s == 0.0
+        assert report.theta_hat == 3.0
         lines = (tmp_path / "out.csv").read_text().splitlines()
         assert lines[0].startswith("n,alpha,mean,s,")
         assert len(lines) == 2
@@ -223,8 +223,8 @@ class TestRunEstimate:
             mu=10.0, sigma=2.0, alpha=0.05,
         )
         report = run_estimate(config)
-        assert 15.9 <= report.upper_bound <= 16.1
-        assert 3.9 <= report.lower_bound <= 4.1
+        assert 15.9 <= report.M_hat <= 16.1
+        assert 3.9 <= report.m_hat <= 4.1
 
     def test_missing_history_file_exits_1(self, tmp_path, capsys):
         code = main([
@@ -441,8 +441,8 @@ class TestRunViolationCurve:
         report = run_estimate(config)
         assert report.conservative
         point = run_estimate(replace(config, conservative=False))
-        assert report.upper_bound > point.upper_bound
-        assert report.lower_bound < point.lower_bound
+        assert report.M_hat > point.M_hat
+        assert report.m_hat < point.m_hat
 
 
 class TestRunPolicyCompare:
@@ -586,7 +586,7 @@ class TestRunAdaptive:
         from storelab.seeds import stream
 
         warmup = generate(Normal(config.mu, config.sigma), 100, stream(config.seed, 3, 0, 0))
-        static = ThresholdPolicy(estimate(warmup, 0.05, clamp_nonpositive_lower=True).threshold)
+        static = ThresholdPolicy(estimate(warmup, 0.05, clamp_nonpositive_lower=True).theta_hat)
         inst = Instance.constant(config.T, 1.0, StorageSpec(config.B))
         costs = []
         for e in range(6):
@@ -1307,6 +1307,34 @@ class TestCli:
         assert "configuration error: history:" in err
         assert f"n=10 exceeds history length 6 for mode '{mode}'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, sets, field", [
+        ("policy-compare", ["sigma=inf"], "sigma"),
+        ("relax", ["sigma=inf"], "sigma"),
+        ("policy-compare", ["clamp_lo=nan", "clamp_hi=nan"], "clamp_lo"),
+        ("policy-compare", ["clamp_lo=8", "clamp_hi=nan"], "clamp_hi"),
+        ("violation-curve", ["clamp_lo=nan", "clamp_hi=nan"], "clamp_lo"),
+        ("estimate", ["mu=nan"], "mu"),
+        ("policy-compare", ["mu=inf"], "mu"),
+        ("violation-curve", ["mu=-inf"], "mu"),
+        ("estimate", ["model=lognormal", "log_mu=nan"], "log_mu"),
+        ("policy-compare", ["model=lognormal", "log_sigma=inf"], "log_sigma"),
+        ("policy-compare", ["B=nan"], "B"),
+        ("policy-compare", ["B=inf"], "B"),
+    ])
+    def test_non_finite_model_parameter_exits_1(self, tmp_path, capsys, command, sets, field):
+        out = tmp_path / "f.csv"
+        code = main([command, "--out", str(out), *(a for kv in sets for a in ("--set", kv))])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: {field}: must ")
+        assert not out.exists()
+
+    def test_infinite_clamp_bounds_are_allowed(self, tmp_path):
+        out = tmp_path / "c.csv"
+        code = main(["policy-compare", "--set", "episodes=2", "--set", "clamp_lo=-inf",
+                     "--set", "clamp_hi=inf", "--out", str(out)])
+        assert code == 0
+        assert out.exists()
 
     def test_runtime_estimation_failure_exits_2(self, tmp_path, capsys):
         # negative-mean prices make the lower bound nonpositive; clamp disabled

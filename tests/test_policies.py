@@ -512,7 +512,7 @@ class TestAdaptivePolicy:
         inst = Instance.constant(12, 1.0, StorageSpec(3.0))
         prices = generate(Normal(10.0, 2.0), 12, seed=2)
         adaptive = AdaptivePolicy(ThresholdFamily(), [warmup], [0], refresh_stride=None)
-        static = ThresholdPolicy(estimate(warmup, 0.05).threshold)
+        static = ThresholdPolicy(estimate(warmup, 0.05).theta_hat)
         a = simulate(inst, prices, adaptive)
         b = simulate(inst, prices, static)
         assert np.array_equal(a.purchases, b.purchases)
@@ -526,11 +526,11 @@ class TestAdaptivePolicy:
         simulate(inst, prices, adaptive)
         assert [n for n, _, _ in fitted_rows] == list(range(50, 58))
         got = [theta for _, theta, _ in fitted_rows]
-        expected = [estimate(warmup, 0.05).threshold]
+        expected = [estimate(warmup, 0.05).theta_hat]
         history = list(warmup)
         for t in range(7):  # refreshes happen before slots 1..7
             history.append(float(prices[t]))
-            expected.append(estimate(history, 0.05).threshold)
+            expected.append(estimate(history, 0.05).theta_hat)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_failed_refresh_keeps_previous_policy_and_logs(self, fitted_rows):
@@ -561,7 +561,7 @@ class TestAdaptivePolicy:
         simulate(inst, prices, adaptive)
         assert len(adaptive.events) == 1 and "n=7" in adaptive.events[0]
         # the failed refresh at slot 3 rebuilds the row from its slot-2 report
-        assert built[-1] == (3, [estimate(warmup + [10.3, 9.9]).threshold])
+        assert built[-1] == (3, [estimate(warmup + [10.3, 9.9]).theta_hat])
 
     def test_short_warmup_without_prior_rejected(self):
         with pytest.raises(ValueError):
