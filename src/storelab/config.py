@@ -283,15 +283,29 @@ def validate_config(config: ExperimentConfig) -> None:
             "adaptive needs clamp_m=true: a warmup estimate with a lower price bound <= 0 "
             "has no earlier report to fall back on",
         )
-    # the true-parameter threshold policies need a positive lower price bound
+    # the true-parameter threshold policies need finite price bounds and
+    # threshold, and a positive lower price bound
     if config.kind == "policy-compare":
         policy_models = {"model": build_model(config)}
     elif config.kind == "relax":
         policy_models = {f"scenario {s!r}": scenario_models(config, s)[1] for s in config.scenarios}
     else:
         policy_models = {}
-    lowers = model_bounds(policy_models.values(), config.clamp_m).lower_bound.tolist()
-    for label, lower in zip(policy_models, lowers):
+    location = "log_mu" if config.model == "lognormal" and config.kind == "policy-compare" else "mu"
+    try:
+        with np.errstate(over="ignore"):  # an overflowing bound or threshold is reported below
+            fits = model_bounds(policy_models.values(), config.clamp_m)
+            thresholds = fits.threshold.tolist()
+    except OverflowError as err:  # ``math.exp`` of a lognormal's marginal moments
+        raise ConfigError(location, f"the price model's marginal moments overflow ({err})") from None
+    rows = zip(policy_models, fits.lower_bound.tolist(), fits.upper_bound.tolist(), thresholds)
+    for label, lower, upper, threshold in rows:
+        if not (math.isfinite(lower) and math.isfinite(upper)) or math.isinf(threshold):
+            raise ConfigError(
+                location,
+                f"{label} has price bounds [{lower!r}, {upper!r}] and threshold {threshold!r}; "
+                "they must be finite",
+            )
         if lower <= 0.0:
             raise ConfigError(
                 "clamp_m",

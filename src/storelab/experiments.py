@@ -3,7 +3,9 @@ adaptive convergence, and assumption relaxations.
 
 Every Monte Carlo unit derives its RNG stream from (master seed, fixed
 index path), so runs are reproducible and byte-identical for any worker
-count; output rows are canonically ordered before writing.
+count; output rows are canonically ordered before writing.  A chunk keys
+each of its stream sites' units at once (``seeds.KeyedStreams``) and
+draws every unit from one re-keyed generator.
 
 Fan-out: a runner splits each index range (rounds or episodes) into
 contiguous chunks, at least one per worker, and more where what one
@@ -34,9 +36,11 @@ call.  It then scores every estimated (round, n) pair together, with one
 threshold batch and one oracle batch over the distinct series, and
 returns each n's per-round threshold, ratio bound and ratio as arrays.
 
-A comparison chunk draws each distinct price model's series once, stacks
-the rows of all scenarios, and runs each true-parameter policy over them
-in one ``simulate_batch``, with one ``offline_costs`` call per scenario;
+A comparison chunk draws each distinct price model's series once (an
+AR(1) model as whole rows, ``prices.generate_rows``), stacks the rows of
+all scenarios, and runs each true-parameter policy over them in one
+``simulate_batch``, with one ``offline_costs`` call over the rows of every
+noise-free scenario and one per noisy eta;
 the policies are built once per run, one row per distinct policy model
 (one stacked DP value table), with the thresholds and budgeted fill
 targets of one ``model_bounds`` call.  A comparison keeps the costs as
@@ -104,8 +108,8 @@ from .policies import (
     linear_budget,
     sweep_blocks,
 )
-from .prices import _resample, as_series, generate
-from .seeds import stream
+from .prices import _resample, as_series, generate, generate_rows
+from .seeds import KeyedStreams
 
 ESTIMATE_HEADER = "n,alpha,mean,s,mu_lo,mu_hi,sigma_lo,sigma_hi,m_hat,M_hat,theta_hat,conservative"
 METRIC_HEADER = "round,n,policy_id,alg_cost,opt_cost,cr,cr_bound,violated,regret,theta_hat,seed"
@@ -276,28 +280,26 @@ def _estimate_rounds(config: ExperimentConfig, history: np.ndarray, ns, rounds: 
     from its first n records.  A with-replacement bootstrap of the whole
     history draws max(ns) indices once per round, and the smaller samples
     are their prefixes; every other sample is drawn by ``resample``, once
-    per (round, n).  Rounds go in blocks of ``BLOCK_FLOATS // max(ns)``.
+    per (round, n).  Every round's stream is keyed once (``KeyedStreams``),
+    and rounds go in blocks of ``BLOCK_FLOATS // max(ns)``.
     """
     mode, held = config.resample_mode, config.eval_source == "held-out"
     shared = mode == "with-replacement" and not held
     values = np.empty((4, len(ns), len(rounds)))
     failed = np.empty((len(ns), len(rounds)), dtype=bool)
     per_block = max(1, BLOCK_FLOATS // max(ns))
+    keyed = KeyedStreams(config.seed, 0, rounds)
     for first in range(0, len(rounds), per_block):
         block = slice(first, first + per_block)
+        streams = keyed[block]
         if shared:
-            drawn = np.array([
-                stream(config.seed, 0, r).integers(0, history.size, size=max(ns))
-                for r in rounds[block]
-            ])
+            drawn = np.array([rng.integers(0, history.size, size=max(ns)) for rng in streams])
         for i, n in enumerate(ns):
             if shared:
                 samples = history[drawn[:, :n]]
             else:
                 pool = history[:n] if held else history
-                samples = np.array([
-                    _resample(pool, n, stream(config.seed, 0, r), mode=mode) for r in rounds[block]
-                ])
+                samples = np.array([_resample(pool, n, rng, mode=mode) for rng in streams])
             fits = estimate_rows(
                 samples, config.alpha,
                 conservative=config.conservative, clamp_nonpositive_lower=config.clamp_m,
@@ -342,18 +344,16 @@ def violation_rounds(
         return (out,)
     theta, bound, lower, upper = values[:, which, at]
     if held:
-        prices = np.empty((at.size, E, T))
-        for s, (a, i) in enumerate(zip(at.tolist(), which.tolist())):
-            n = ns[i]
-            for e in range(E):
-                rng = stream(config.seed, 1, rounds[a], e)
-                start = n + int(rng.integers(0, history.size - n - T + 1))
-                prices[s, e] = history[start : start + T]
+        prices = np.empty((at.size * E, T))
+        sizes = np.repeat(np.asarray(ns)[which], E).tolist()
+        streams = KeyedStreams(config.seed, 1, np.asarray(rounds)[at][:, None], np.arange(E))
+        for s, (n, rng) in enumerate(zip(sizes, streams)):
+            start = n + int(rng.integers(0, history.size - n - T + 1))
+            prices[s] = history[start : start + T]
+        prices = prices.reshape(at.size, E, T)
     else:
-        drawn = np.array([
-            [eval_model.draw(stream(config.seed, 1, r, e), T) for e in range(E)] for r in rounds
-        ])
-        prices = drawn[at]
+        streams = KeyedStreams(config.seed, 1, np.asarray(rounds)[:, None], np.arange(E))
+        prices = eval_model.draw_rows(streams, T).reshape(len(rounds), E, T)[at]
     if config.clamp_eval_to_bounds:
         prices = np.clip(prices, lower[:, None, None], upper[:, None, None])
     prices = prices.reshape(-1, T)
@@ -497,27 +497,24 @@ def _compare_chunk(
 
     Scenario s draws its prices from ``eval_models[s]``, with demand noise
     at level ``etas[s]``, and its policies act on policy model
-    ``model_rows[s]``.  Each distinct price model's series are drawn once,
-    each from its episode's one generator restored to its starting state,
-    and the realized demand once per distinct eta > 0; the rows of all
-    scenarios are stacked scenario-major, the noise-free ones carrying the
-    nominal demand, and each policy runs over all of them in one
-    ``simulate_batch``.  The oracle runs once per scenario.
+    ``model_rows[s]``.  The episodes' streams are keyed once
+    (``KeyedStreams``); each distinct price model's series are drawn once,
+    every one from its episode's stream, and the realized demand once per
+    distinct eta > 0.  The rows of all scenarios are stacked
+    scenario-major, the noise-free ones carrying the nominal demand, and
+    each policy runs over all of them in one ``simulate_batch``.  The
+    oracle runs once over the rows of every noise-free scenario, and once
+    per noisy eta.
     """
     T, E = instance.horizon, len(episodes)
+    units = np.asarray(episodes)
     models, drawn_rows = _distinct(eval_models)
-    rngs = [stream(config.seed, 1, e) for e in episodes]
-    starts = [rng.bit_generator.state for rng in rngs]
-    drawn = []
-    for model in models:
-        for rng, start in zip(rngs, starts):
-            rng.bit_generator.state = start
-        drawn.append(np.array([generate(model, T, rng) for rng in rngs]))
+    price_streams = KeyedStreams(config.seed, 1, units)
+    drawn = [generate_rows(model, T, price_streams) for model in models]
+    noise_streams = KeyedStreams(config.seed, 2, units)
     noise = {
-        eta: np.array([
-            instance.demand * (1.0 + stream(config.seed, 2, e).uniform(-eta, eta, T))
-            for e in episodes
-        ])
+        eta: instance.demand * (1.0 + np.array([rng.uniform(-eta, eta, T)
+                                                for rng in noise_streams]))
         for eta in dict.fromkeys(etas) if eta > 0.0
     }
     prices = np.concatenate([drawn[i] for i in drawn_rows])
@@ -525,11 +522,16 @@ def _compare_chunk(
     if noise:
         nominal = np.broadcast_to(instance.demand, (E, T))
         realized = np.concatenate([noise.get(eta, nominal) for eta in etas])
-    opt_costs = np.array([
-        offline_costs(instance, prices[s * E:(s + 1) * E], config.G,
-                      realized_demand=noise.get(eta))
-        for s, eta in enumerate(etas)
-    ])
+    opt_costs = np.empty((len(etas), E))
+    for eta in dict.fromkeys(etas):
+        group = [s for s, other in enumerate(etas) if other == eta]
+        rows = np.concatenate([drawn[drawn_rows[s]] for s in group])
+        demand = noise.get(eta)
+        if demand is not None:
+            demand = np.tile(demand, (len(group), 1))
+        opt_costs[group] = offline_costs(
+            instance, rows, config.G, realized_demand=demand
+        ).reshape(len(group), E)
     alg_costs = np.array([
         simulate_batch(instance, prices, policy, realized_demand=realized).total_cost
         for policy in policies.serve(np.repeat(model_rows, E))
@@ -652,8 +654,8 @@ def _adaptive_chunk(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """True-parameter DP, oracle and per-grid-point adaptive costs of ``rounds``.
 
-    Each (round, episode) stream and each (warmup, round) warmup is drawn
-    once.  The adaptive rows are every (warmup, round, episode) of the
+    Each (round, episode) series and each (warmup, round) warmup is drawn
+    once, from streams keyed once per chunk and once per block.  The adaptive rows are every (warmup, round, episode) of the
     chunk, in that order, in blocks of whole (warmup, round) groups cut by
     ``sweep_blocks``: a group's refresh table holds (T+1) x W floats per
     episode, W the instance's ``breakpoint_lattice``.  A block draws its
@@ -666,8 +668,8 @@ def _adaptive_chunk(
     """
     T = instance.horizon
     E = config.episodes
-    flat = np.array([generate(model, T, stream(config.seed, 4, r, e))
-                     for r in rounds for e in range(E)])
+    units = np.asarray(rounds)
+    flat = generate_rows(model, T, KeyedStreams(config.seed, 4, units[:, None], np.arange(E)))
     true_costs = simulate_batch(instance, flat, true_policy).total_cost
     oracle_costs = offline_costs(instance, flat, config.G)
     if config.family == "dp":
@@ -679,11 +681,12 @@ def _adaptive_chunk(
     groups = len(warmup_sizes) * len(rounds)  # group g is warmup g // len(rounds)
     costs = np.empty((len(strides), groups * E))
     width = breakpoint_lattice(instance.storage.capacity, instance.demand).size
+    group = np.arange(groups)
+    warmup_streams = KeyedStreams(config.seed, 3, group // len(rounds), units[group % len(rounds)])
     for first, stop in sweep_blocks(groups, (T + 1) * width * E):
         warmups = [
-            generate(model, warmup_sizes[g // len(rounds)],
-                     stream(config.seed, 3, g // len(rounds), rounds[g % len(rounds)]))
-            for g in range(first, stop)
+            generate(model, warmup_sizes[g // len(rounds)], rng)
+            for g, rng in zip(range(first, stop), warmup_streams[first:stop])
         ]
         policy = AdaptivePolicy(
             family, warmups, np.repeat(np.arange(stop - first), E), alpha=config.alpha,

@@ -5,14 +5,17 @@ as its one atom per slot, on a grid of storage levels, so its cost is
 exact whenever demands, capacity, and the initial fill are multiples of
 the grid step.  ``hindsight_indices`` sweeps it backward one level-major
 value row at a time, by ``policies.SlotGeometry.min_costs``, and keeps
-only each slot's base-stock index J; the greedy pass clips grid[J] into
-each row's feasible next levels (``policies.clip_purchases``), the step
-``DpPolicy`` takes on a value table.  ``offline_costs`` scores E episodes
-at once through ``simulate_batch`` and returns their (E,) costs; it takes
-its rows in ``policies.sweep_blocks`` of ``oracle_row_floats`` a row.
-Every row's result is the same bits whatever block it lands in, and
-``offline_optimal`` is the one-row ``simulate``.  The runners that call
-these live in ``experiments``.
+only each slot's base-stock index J; the forward pass,
+``hindsight_pass``, clips grid[J] into each row's feasible next levels
+(``policies.clip_purchases``), the step ``DpPolicy`` takes on a value
+table.  That purchase is feasible by construction, so the pass needs no
+clamp and no clamp record, and it computes each slot's feasible range
+once.  ``offline_costs`` scores E episodes at once and returns their (E,)
+costs; it takes its rows in ``policies.sweep_blocks`` of
+``oracle_row_floats`` a row.  Every row's result is the same bits
+whatever block it lands in, and ``offline_optimal`` is the one-row pass
+as a ``Trajectory``.  The runners that call these live in
+``experiments``.
 """
 
 from __future__ import annotations
@@ -23,16 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import estimate  # noqa: F401  (a name bench/tracer.py wraps)
-from .model import (
-    Instance,
-    Trajectory,
-    demand_rows,
-    price_rows,
-    simulate,
-    simulate_batch,
-)
+from .model import Instance, Trajectory, demand_rows, price_rows
+from .model import simulate  # noqa: F401  (a name bench/tracer.py wraps)
 from .policies import (
-    Policy,
     argmin_purchase,  # noqa: F401  (a name bench/tracer.py wraps)
     backward_step,  # noqa: F401  (a name bench/tracer.py wraps)
     base_stock_index,
@@ -47,14 +43,15 @@ from .prices import as_series
 
 # (W,) columns of floats the oracle's sweep holds per row: the next and new
 # values, the scan and its buffer, the slopes, and the endpoint values
+# (tracemalloc reads 5.7)
 ORACLE_LEVELS = 8
 # and more under a realized demand, where each slot's ``SlotGeometry`` is (W, E):
-# its lowest next levels, the purchase to serve, four index arrays and the
-# interpolation offsets and widths, and what building it holds
-ROW_GEOMETRY_LEVELS = 10
-# (T,) arrays it holds per row: J, and the greedy pass's price copy,
-# purchases, levels and clamp flags
-ORACLE_SLOTS = 5
+# its lowest next levels, the purchase to serve, its ``RowBracket`` and the
+# dense interpolation's temporaries (tracemalloc reads 7.5)
+ROW_GEOMETRY_LEVELS = 8
+# (T,) arrays it holds per row: J, the price copy ``offline_costs`` takes, and
+# the forward pass's purchases and levels (tracemalloc reads 4.0)
+ORACLE_SLOTS = 4
 
 
 def oracle_row_floats(horizon: int, width: int, per_row: bool) -> int:
@@ -83,20 +80,34 @@ def hindsight_indices(instance: Instance, prices: np.ndarray, grid: np.ndarray, 
     return best
 
 
-class _HindsightRule(Policy):
-    """The oracle's greedy rule: at slot t, ``clip_purchases`` of each row's J[t]."""
+def hindsight_pass(instance: Instance, prices: np.ndarray, grid: np.ndarray, best, demand):
+    """The oracle's forward pass: read-only purchases (E, T), levels (E, T+1) and costs (E,).
 
-    policy_id = "offline"
-
-    def __init__(self, grid: np.ndarray, best: np.ndarray, demand) -> None:
-        self.grid = grid
-        self.best = best
-        self.demand = demand
-
-    def decide_batch(self, t, levels, prices, instance):
-        return clip_purchases(
-            self.grid, self.best[t], instance.storage, levels, self.demand[..., t]
-        )
+    At slot t every row buys ``clip_purchases`` at its index J[t], which
+    lies in the row's feasible range, so no clamp follows, and steps its
+    level by the purchase less the demand it plans for, (T,) or one (E, T)
+    row per series.  Each row's cost is one ``np.dot`` of its prices and
+    purchases, so a row's bits do not depend on the other rows.
+    """
+    T = instance.horizon
+    spec = instance.storage
+    E = prices.shape[0]
+    purchases = np.empty((E, T))
+    levels = np.empty((E, T + 1))
+    level = np.full(E, spec.initial_level)
+    levels[:, 0] = level
+    for t in range(T):
+        d = demand[..., t]
+        q = clip_purchases(grid, best[t], spec, level, d)
+        level = level + q - d
+        purchases[:, t] = q
+        levels[:, t + 1] = level
+    costs = np.empty(E)
+    for e in range(E):
+        costs[e] = np.dot(prices[e], purchases[e])
+    for arr in (purchases, levels, costs):
+        arr.flags.writeable = False
+    return purchases, levels, costs
 
 
 def offline_costs(
@@ -108,7 +119,7 @@ def offline_costs(
     demand for the oracle.  Row e equals ``offline_optimal`` on series e
     bit for bit.  Rows go through in ``sweep_blocks`` of
     ``oracle_row_floats`` a row, and each block is one
-    ``hindsight_indices`` sweep and one greedy pass.
+    ``hindsight_indices`` sweep and one ``hindsight_pass``.
     """
     T = instance.horizon
     prices = price_rows(prices, T)
@@ -118,10 +129,9 @@ def offline_costs(
     costs = np.empty(E)
     for start, stop in sweep_blocks(E, oracle_row_floats(T, grid.size, demand is not None)):
         rows = prices[start:stop]
-        realized = None if demand is None else demand[start:stop]
-        plan = instance.demand if realized is None else realized
-        rule = _HindsightRule(grid, hindsight_indices(instance, rows, grid, plan), plan)
-        costs[start:stop] = simulate_batch(instance, rows, rule, realized).total_cost
+        plan = instance.demand if demand is None else demand[start:stop]
+        best = hindsight_indices(instance, rows, grid, plan)
+        costs[start:stop] = hindsight_pass(instance, rows, grid, best, plan)[2]
     costs.flags.writeable = False
     return costs
 
@@ -132,9 +142,12 @@ def offline_optimal(instance: Instance, prices, grid_size: int = 100) -> Traject
     T = instance.horizon
     if prices.size < T:
         raise ValueError(f"need at least {T} prices, got {prices.size}")
+    rows = prices[None, :T]
     grid = storage_grid(instance.storage.capacity, grid_size)
-    best = hindsight_indices(instance, prices[None, :T], grid, instance.demand)
-    return simulate(instance, prices, _HindsightRule(grid, best, instance.demand))
+    best = hindsight_indices(instance, rows, grid, instance.demand)
+    purchases, levels, costs = hindsight_pass(instance, rows, grid, best, instance.demand)
+    return Trajectory(prices=rows[0], purchases=purchases[0], levels=levels[0],
+                      total_cost=float(costs[0]))
 
 
 def competitive_ratio(alg_cost, opt_cost):

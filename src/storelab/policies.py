@@ -41,7 +41,7 @@ value row's slopes below minus the observed price, J, and
 ``clip_purchases`` clips the base-stock level grid[J] into the feasible
 next levels (one row: ``argmin_purchase``).  In exact arithmetic that is
 the cheapest next level, and the smallest of any that tie.  The oracle's
-sweep records J itself, so its greedy rule takes only the second step.
+sweep records J itself, so its forward pass takes only the second step.
 """
 
 from __future__ import annotations
@@ -233,13 +233,12 @@ class InterpBracket:
     grid point at or above each point, and ``at`` the grid point a point
     lies on, where it lies on one; only the ``off`` points, off every grid
     point, interpolate, between ``lo`` and ``hi``.  The indices are ready
-    for ``take`` along ``axis``, and ``off`` for the result's rows, or its
-    flat positions when ``axis`` is None.
+    for ``take`` along axis 0.
     """
 
-    __slots__ = ("above", "at", "off", "lo", "hi", "offset", "width", "axis")
+    __slots__ = ("above", "at", "off", "lo", "hi", "offset", "width")
 
-    def __init__(self, above, at, off, lo, hi, offset, width, axis) -> None:
+    def __init__(self, above, at, off, lo, hi, offset, width) -> None:
         self.above = above
         self.at = at
         self.off = off
@@ -247,63 +246,145 @@ class InterpBracket:
         self.hi = hi  # the grid point above it
         self.offset = offset  # point minus grid[lo]
         self.width = width  # grid[hi] - grid[lo]
-        self.axis = axis
 
     def values_at(self, fp: np.ndarray) -> np.ndarray:
         """``np.interp`` of the points on the grid with level-major values ``fp``, bit for bit.
 
-        A shared bracket reads (W,) values, or (W, E) values, one row per
-        grid level; a per-row bracket reads column e of (W, E) values.
+        ``fp`` is (W,) values, or (W, E), one row per grid level, every
+        column read at the same points.
         """
-        out = fp.take(self.at, axis=self.axis)
+        out = fp.take(self.at, axis=0)
         if self.off.size:
-            y0 = fp.take(self.lo, axis=self.axis)
-            y = fp.take(self.hi, axis=self.axis)
+            y0 = fp.take(self.lo, axis=0)
+            y = fp.take(self.hi, axis=0)
             y -= y0
             points = y.T  # the off-grid points on the last axis
             points /= self.width
             points *= self.offset
             y += y0
-            rows = out if self.axis == 0 else out.reshape(-1)  # a per-row ``off`` is flat
-            rows[self.off] = y
+            out[self.off] = y
         return out
 
 
-def interp_bracket(x: np.ndarray, grid: np.ndarray, per_row: bool) -> InterpBracket:
+class RowBracket:
+    """The per-row ``InterpBracket``: column e's own points, read from column e of (W, E) values.
+
+    Every point is interpolated, from the flat index ``lo`` of the grid
+    point below it in C-ordered (W, E) values and the index one grid row
+    on; then the points on a grid point, ``on_lo`` on the one below and
+    ``on_hi`` on the one above, take that point's value.  Interpolating
+    all of them and masking costs less than indexing the off-grid subset.
+    ``above`` is the flat index of the first grid point at or above each
+    point.
+    """
+
+    __slots__ = ("above", "lo", "on_lo", "on_hi", "offset", "width")
+
+    def __init__(self, above, lo, on_lo, on_hi, offset, width) -> None:
+        self.above = above
+        self.lo = lo
+        self.on_lo = on_lo
+        self.on_hi = on_hi
+        self.offset = offset  # point minus the grid point below
+        self.width = width  # the grid step it lies in
+
+    def values_at(self, fp: np.ndarray) -> np.ndarray:
+        """``np.interp`` of each column's points on the grid with (W, E) values ``fp``, bit for bit."""
+        flat = fp.reshape(-1)
+        y0 = flat.take(self.lo)
+        if fp.shape[0] == 1:  # a one-point grid: every point is on it
+            return y0
+        y1 = flat[fp.shape[-1]:].take(self.lo)
+        y = y1 - y0
+        y /= self.width
+        y *= self.offset
+        y += y0
+        np.copyto(y, y0, where=self.on_lo)
+        np.copyto(y, y1, where=self.on_hi)
+        return y
+
+
+def interp_bracket(x: np.ndarray, grid: np.ndarray, per_row: bool):
     """Bracket ``x``, within the grid's span, on ``grid`` the way numpy's interp does.
 
     A point on a grid point takes its value, any other the slope times its
     offset from the grid point below, plus that point's value.  ``x`` is
-    (m,), and every point reads the same grid rows; or, with ``per_row``,
-    (m, E), and column e reads column e of (W, E) values.  The search
-    then runs over the transpose, one column's points after another, which
-    are sorted queries where a column ascends.  On a one-point grid every
-    point takes that point's value.
+    (m,), and every point reads the same grid rows (an ``InterpBracket``);
+    or, with ``per_row``, (m, E), and column e reads column e of (W, E)
+    values (a ``RowBracket``).  The per-row search guesses each point's
+    grid interval from the grid's mean step and corrects the guess by
+    exact comparisons with the interval's ends until none moves, so it is
+    exact on any sorted grid, and a one-step guess error, all an evenly
+    spaced grid's rounding makes, costs one correcting pass.  On a
+    one-point grid every point takes that point's value.
     """
     x = np.asarray(x, dtype=float)
-    stride, axis = (x.shape[-1], None) if per_row else (1, 0)
-    columns = np.arange(stride) if per_row else 0
-    n = grid.size
-    if n == 1:
-        at = np.zeros(x.shape, dtype=np.intp) + columns
-        return InterpBracket(at, at, at.ravel()[:0], at[:0], at[:0], x[:0], x[:0], axis)
     if per_row:
-        below = np.searchsorted(grid[:-1], np.ascontiguousarray(x.T), side="right").T.copy()
-    else:
-        below = np.searchsorted(grid[:-1], x, side="right")
+        return _row_bracket(x, grid)
+    if grid.size == 1:
+        at = np.zeros(x.shape, dtype=np.intp)
+        return InterpBracket(at, at, at[:0], at[:0], at[:0], x[:0], x[:0])
+    below = np.searchsorted(grid[:-1], x, side="right")
     below -= 1
     x0, x1 = grid.take(below), grid[1:].take(below)
     on_lo = x == x0
     on_hi = x == x1
     at = below + on_hi
-    at *= stride
-    at += columns
     off = np.flatnonzero(~(on_lo | on_hi))
     lo = at.take(off)  # an off point reads no grid point above it
     above = at.copy()
-    above.reshape(-1)[off] += stride
+    above[off] += 1
     x0 = x0.take(off)
-    return InterpBracket(above, at, off, lo, lo + stride, x.take(off) - x0, x1.take(off) - x0, axis)
+    return InterpBracket(above, at, off, lo, lo + 1, x.take(off) - x0, x1.take(off) - x0)
+
+
+def _row_bracket(x: np.ndarray, grid: np.ndarray) -> RowBracket:
+    """The per-row ``interp_bracket`` of (m, E) points."""
+    stride = x.shape[-1]
+    columns = np.arange(stride)
+    if grid.size == 1:
+        at = np.zeros(x.shape, dtype=np.intp) + columns
+        return RowBracket(at, at, np.ones(x.shape, dtype=bool), np.zeros(x.shape, dtype=bool),
+                          np.zeros(x.shape), np.ones(x.shape))
+    lo = _bracket_guess(x, grid)
+    x0 = grid.take(lo)
+    width = grid[1:].take(lo)
+    on_lo = x == x0
+    on_hi = x == width
+    width -= x0
+    lo *= stride
+    lo += columns
+    above = lo + stride
+    np.subtract(above, stride, out=above, where=on_lo)
+    return RowBracket(above, lo, on_lo, on_hi, x - x0, width)
+
+
+def _bracket_guess(x: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """``searchsorted(grid[:-1], x, side="right") - 1`` for every point, for ``interp_bracket``.
+
+    The guess is the point's offset over the mean step, clipped to the
+    W - 1 intervals; each pass then moves every point whose interval
+    starts above it down one, and every point at or past its interval's
+    end up one, the first interval open below and the last open above.
+    """
+    last = grid.size - 2
+    guess = x - grid[0]
+    guess *= last + 1
+    guess /= grid[-1] - grid[0]
+    np.floor(guess, out=guess)
+    np.clip(guess, 0, last, out=guess)
+    below = guess.astype(np.intp)
+    starts = grid[:-1].copy()
+    starts[0] = -np.inf
+    ends = grid[1:].copy()
+    ends[-1] = np.inf
+    while True:
+        down = starts.take(below) > x
+        up = ends.take(below) <= x
+        if not (down.any() or up.any()):
+            return below
+        below -= down
+        below += up
 
 
 class SlotGeometry:
@@ -334,6 +415,7 @@ class SlotGeometry:
         self.steps = grid[1:] - grid[:-1]
         self.lo_bracket = interp_bracket(self.s_lo, grid, per_row)
         self.lo_index = self.lo_bracket.above
+        self.lo_axis = None if per_row else 0  # a per-row L is a flat index
 
     def min_costs(self, v_next: np.ndarray, prices: np.ndarray) -> np.ndarray:
         """The hindsight oracle's Bellman step, column e's price ``prices[e]`` its one atom.
@@ -348,7 +430,7 @@ class SlotGeometry:
         column = (self.grid.size, -1)
         scan = self.grid.reshape(column) * prices
         scan += v_next
-        lowest = suffix_minima(scan).take(self.lo_index, axis=self.lo_bracket.axis)
+        lowest = suffix_minima(scan).take(self.lo_index, axis=self.lo_axis)
         at_lo = self.s_lo.reshape(column) * prices
         at_lo += self.lo_bracket.values_at(v_next)
         np.minimum(lowest, at_lo, out=lowest)

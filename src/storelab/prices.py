@@ -1,8 +1,11 @@
 """Synthetic price generators and ingestion of historical price files.
 
-Models expose two things: ``draw`` for sampling a series and ``quantile``
-for the marginal (for AR1: stationary) distribution, which is what the
-dynamic-programming policy integrates over.
+Models expose ``draw`` for sampling a series, ``draw_rows`` for sampling
+one series per generator as the rows of one array, and ``quantile`` for
+the marginal (for AR1: stationary) distribution, which is what the
+dynamic-programming policy integrates over.  Row e of ``draw_rows`` is
+``draw`` from generator e, bit for bit; an AR(1) model steps all its rows
+together, one column per slot.
 """
 
 from __future__ import annotations
@@ -35,8 +38,16 @@ def as_series(values, name: str = "series") -> np.ndarray:
     return arr
 
 
+class _IidRows:
+    """``draw_rows`` of a model whose ``draw`` is one whole-series numpy call."""
+
+    def draw_rows(self, rngs, length: int) -> np.ndarray:
+        """(rows, length): row e is ``draw`` from the e-th generator of ``rngs``."""
+        return np.array([self.draw(rng, length) for rng in rngs]).reshape(-1, length)
+
+
 @dataclass(frozen=True)
-class Normal:
+class Normal(_IidRows):
     """Independent draws from N(mu, sigma^2)."""
 
     mu: float
@@ -62,7 +73,7 @@ class Normal:
 
 
 @dataclass(frozen=True)
-class LogNormal:
+class LogNormal(_IidRows):
     """exp of N(log_mu, log_sigma^2); right-skewed positive prices."""
 
     log_mu: float
@@ -115,11 +126,15 @@ class AR1:
             raise ValueError(f"phi must lie in (-1, 1), got {self.phi}")
 
     def draw(self, rng: np.random.Generator, length: int) -> np.ndarray:
-        z = rng.standard_normal(length)
-        out = np.empty(length)
-        out[0] = self.mu + self.marginal_std * z[0]
+        return self.draw_rows([rng], length)[0]
+
+    def draw_rows(self, rngs, length: int) -> np.ndarray:
+        """(rows, length): each generator's innovations, then one recursion step per column."""
+        z = np.array([rng.standard_normal(length) for rng in rngs]).reshape(-1, length)
+        out = np.empty(z.shape)
+        out[:, 0] = self.mu + self.marginal_std * z[:, 0]
         for t in range(1, length):
-            out[t] = self.mu + self.phi * (out[t - 1] - self.mu) + self.sigma * z[t]
+            out[:, t] = self.mu + self.phi * (out[:, t - 1] - self.mu) + self.sigma * z[:, t]
         return out
 
     def quantile(self, p: float) -> float:
@@ -180,6 +195,9 @@ class Clamped:
     def draw(self, rng: np.random.Generator, length: int) -> np.ndarray:
         return np.clip(self.base.draw(rng, length), self.lo, self.hi)
 
+    def draw_rows(self, rngs, length: int) -> np.ndarray:
+        return np.clip(self.base.draw_rows(rngs, length), self.lo, self.hi)
+
     def quantile(self, p: float) -> float:
         return float(min(max(self.base.quantile(p), self.lo), self.hi))
 
@@ -194,12 +212,31 @@ class Clamped:
 
 def generate(model, length: int, seed) -> np.ndarray:
     """Sample a price series of the given length, deterministic per seed."""
+    _check_generated(model, length)
+    return as_series(model.draw(rng_from(seed), length))
+
+
+def generate_rows(model, length: int, rngs) -> np.ndarray:
+    """One price series per generator of ``rngs``, as the rows of one read-only array.
+
+    Row e is ``generate(model, length, rng_e)`` bit for bit, whether
+    ``rngs`` yields a generator per row or one re-keyed generator
+    (``seeds.KeyedStreams``).
+    """
+    _check_generated(model, length)
+    rows = model.draw_rows(rngs, length)
+    if rows.size and not np.all(np.isfinite(rows)):
+        raise ValueError("series contains non-finite values")
+    rows.flags.writeable = False
+    return rows
+
+
+def _check_generated(model, length: int) -> None:
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     inner = model.base if isinstance(model, Clamped) else model
     if isinstance(inner, Empirical):
         raise ValueError("empirical histories are resampled, not generated")
-    return as_series(model.draw(rng_from(seed), length))
 
 
 def resample(history, n: int, seed, mode: str = "with-replacement") -> np.ndarray:

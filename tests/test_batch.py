@@ -42,7 +42,7 @@ from storelab import (
 from storelab import metrics, policies
 from storelab.config import build_instance, build_model
 from storelab.experiments import run_policy_compare
-from storelab.metrics import hindsight_indices, offline_costs, oracle_row_floats
+from storelab.metrics import hindsight_indices, hindsight_pass, offline_costs, oracle_row_floats
 from storelab.model import TrajectoryBatch, feasible_purchase_ranges, simulate_batch
 from storelab.policies import (
     AtomSums, SlotGeometry, ValueTable, backward_step, base_stock_index, base_stock_ranks,
@@ -144,6 +144,46 @@ class TestInterpBracket:
         for e in range(rows):
             want = np.interp(x if shared else x[:, e], grid, fp[:, e])
             assert got[:, e].tobytes() == want.tobytes()
+
+    @given(
+        st.sampled_from(("even", "lattice", "uneven")), st.sampled_from((0.7, 1.0, 2.5, 5.0)),
+        st.integers(1, 30), st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_per_row_bracket_matches_np_interp_on_any_sorted_grid(
+        self, kind, capacity, size, rows, points, seed
+    ):
+        # the per-row bracket guesses each point's grid step from the mean step,
+        # corrects the guess by exact comparisons, interpolates every point and
+        # copies the grid value at on-grid points.  The points sit on grid
+        # points, at 0 and C, a tiny residue above 0, one ulp either side of a
+        # grid point, or anywhere in between; the grids are even, a demand's
+        # breakpoint lattice, or steps that differ by orders of magnitude
+        rng = np.random.default_rng(seed)
+        if kind == "even":
+            grid = storage_grid(capacity, size)
+        elif kind == "lattice":
+            grid = breakpoint_lattice(capacity, np.round(rng.uniform(0.05, capacity, size), 2))
+        else:
+            steps = rng.uniform(0.0, 1.0, size) ** 4 + 1e-6
+            grid = np.concatenate([[0.0], np.cumsum(steps)]) * (capacity / steps.sum())
+        residues = [5e-324, 1e-300, 1e-17, np.finfo(float).eps]
+        pool = np.concatenate([
+            grid, [0.0, grid[-1]], residues, np.nextafter(grid, -np.inf),
+            np.nextafter(grid, np.inf), rng.uniform(0.0, grid[-1], 8),
+        ])
+        pool = pool[(pool >= 0.0) & (pool <= grid[-1])]
+        x = rng.choice(pool, (points, rows))
+        fp = np.round(rng.uniform(-50.0, 50.0, (grid.size, rows)), 1)
+        fp[rng.random(fp.shape) < 0.2] = -0.0
+        bracket = interp_bracket(x, grid, True)
+        got = bracket.values_at(fp)
+        assert got.shape == x.shape
+        for e in range(rows):
+            assert got[:, e].tobytes() == np.interp(x[:, e], grid, fp[:, e]).tobytes()
+        # the first grid point at or above each point, flat into (W, rows) values
+        above = np.searchsorted(grid, x, side="left") * rows + np.arange(rows)
+        assert bracket.above.tolist() == above.tolist()
 
 
 class TestSimulateBatch:
@@ -890,14 +930,14 @@ class TestOfflineCosts:
         assert split.tobytes() == whole.tobytes()
 
     def test_sweep_blocks_are_the_fewest_that_fit(self):
-        # the oracle's rows at T = 24, G = 100: 8 x 101 level floats and 5 x 24
-        # slot floats a row, and 10 x 101 more per row under a realized demand
+        # the oracle's rows at T = 24, G = 100: 8 x 101 level floats and 4 x 24
+        # slot floats a row, and 8 x 101 more per row under a realized demand
         shared, per_row = oracle_row_floats(24, 101, False), oracle_row_floats(24, 101, True)
-        assert (shared, per_row) == (928, 1938)
-        assert policies.sweep_blocks(282, shared) == [(0, 282)]
-        assert policies.sweep_blocks(283, shared) == [(0, 141), (141, 283)]
-        assert policies.sweep_blocks(135, per_row) == [(0, 135)]
-        assert policies.sweep_blocks(136, per_row) == [(0, 68), (68, 136)]
+        assert (shared, per_row) == (904, 1712)
+        assert policies.sweep_blocks(289, shared) == [(0, 289)]
+        assert policies.sweep_blocks(290, shared) == [(0, 145), (145, 290)]
+        assert policies.sweep_blocks(153, per_row) == [(0, 153)]
+        assert policies.sweep_blocks(154, per_row) == [(0, 77), (77, 154)]
         # the DP's rows on the lattice 0, 1, ..., 5: (24 + 8) x 6 values and
         # temporaries, and 9 x 51 atom floats
         dp = (24 + policies.STEP_LEVELS) * 6 + policies.STEP_ARRAYS * 51
@@ -906,24 +946,41 @@ class TestOfflineCosts:
         assert policies.sweep_blocks(3, 10**6) == [(0, 1), (1, 2), (2, 3)]
         assert policies.sweep_blocks(0, shared) == []
 
+    @pytest.mark.parametrize("horizon, grid_size", [(24, 100), (480, 10), (8, 400)])
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_a_block_fits_its_row_budget(self, monkeypatch, horizon, grid_size, per_row):
+        # oracle_row_floats counts what a row of one block holds at its peak; a
+        # long horizon weighs its (T,) arrays, a fine grid its level columns
+        monkeypatch.setattr(policies, "SWEEP_BYTES", 1 << 40)  # every row in one block
+        rows = 64
+        instance = Instance.constant(horizon, 1.0, StorageSpec(4.0))
+        rng = np.random.default_rng(3)
+        prices = rng.normal(10.0, 2.0, (rows, horizon))
+        realized = 1.0 + rng.uniform(-0.3, 0.3, (rows, horizon)) if per_row else None
+        tracemalloc.start()
+        try:
+            offline_costs(instance, prices, grid_size, realized_demand=realized)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        width = storage_grid(4.0, grid_size).size
+        assert peak <= rows * 8 * oracle_row_floats(horizon, width, per_row)
+
     def test_no_rows_give_empty_rows(self):
         instance = Instance.constant(4, 1.0, StorageSpec(2.0))
         grid = storage_grid(2.0, 10)
         for realized in (None, np.zeros((0, 4))):
             costs = offline_costs(instance, np.zeros((0, 4)), 10, realized_demand=realized)
             assert costs.shape == (0,) and costs.dtype == float and not costs.flags.writeable
-            # the sweep and its greedy pass themselves turn no rows into empty rows
+            # the sweep and its forward pass themselves turn no rows into empty rows
             plan = instance.demand if realized is None else realized
             best = hindsight_indices(instance, np.zeros((0, 4)), grid, plan)
             assert best.shape == (4, 0)
-            rule = metrics._HindsightRule(grid, best, plan)
-            batch = simulate_batch(instance, np.zeros((0, 4)), rule, realized)
-            assert batch.prices.shape == batch.purchases.shape == batch.clamped.shape == (0, 4)
-            assert batch.levels.shape == (0, 5)
-            assert batch.total_cost.shape == (0,)
+            purchases, levels, costs = hindsight_pass(instance, np.zeros((0, 4)), grid, best, plan)
+            assert purchases.shape == (0, 4) and levels.shape == (0, 5) and costs.shape == (0,)
 
     def test_rows_cross_a_default_block(self, reference_instance):
-        rows = 300  # 282 rows of the oracle fit in SWEEP_BYTES at T = 24, G = 100
+        rows = 300  # 289 rows of the oracle fit in SWEEP_BYTES at T = 24, G = 100
         assert len(policies.sweep_blocks(rows, oracle_row_floats(24, 101, False))) == 2
         prices = generate(Normal(10.0, 2.0), 24 * rows, stream(17)).reshape(rows, 24)
         costs, blocks = _oracle_blocks(reference_instance, prices, 100, None)
@@ -965,22 +1022,28 @@ def _sweep_bytes(instance, width, atoms, rows):
 
 
 def _oracle_blocks(instance, prices, grid_size, realized, block=None):
-    """``offline_costs`` and the trajectories of its blocks' greedy passes, in order.
+    """``offline_costs`` and the trajectories of its blocks' forward passes, in order.
 
-    ``block``, if given, is a byte budget of that many oracle rows.
+    ``block``, if given, is a byte budget of that many oracle rows.  The
+    pass clamps no purchase, so its trajectories carry no clamp flags, and
+    a reference trajectory they match must have clamped no slot either.
     """
     blocks = []
 
-    def recording(instance, prices, rule, realized_demand=None):
-        blocks.append(simulate_batch(instance, prices, rule, realized_demand=realized_demand))
-        return blocks[-1]
+    def recording(instance, prices, grid, best, demand):
+        purchases, levels, costs = hindsight_pass(instance, prices, grid, best, demand)
+        blocks.append(TrajectoryBatch(
+            prices=prices, purchases=purchases, levels=levels, total_cost=costs,
+            clamped=np.zeros(purchases.shape, dtype=bool),
+        ))
+        return purchases, levels, costs
 
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             width = storage_grid(instance.storage.capacity, grid_size).size
             row_floats = oracle_row_floats(instance.horizon, width, realized is not None)
             mp.setattr(policies, "SWEEP_BYTES", block * 8 * row_floats)
-        mp.setattr(metrics, "simulate_batch", recording)
+        mp.setattr(metrics, "hindsight_pass", recording)
         costs = offline_costs(instance, prices, grid_size, realized_demand=realized)
     return costs, blocks
 

@@ -213,6 +213,29 @@ class TestValidation:
         parse_config("kind=policy-compare\nclamp_m=true\nmu=5.0\n")
         parse_config("kind=violation-curve\nclamp_m=false\nmu=5.0\n")
 
+    @pytest.mark.parametrize("kind, sets, field", [
+        # exp(1000) overflows the lognormal's marginal mean
+        ("policy-compare", "model=lognormal\nlog_mu=1000\n", "log_mu"),
+        # finite bounds near 1e304, whose product overflows the threshold
+        ("policy-compare", "model=lognormal\nlog_mu=700\n", "log_mu"),
+        # a finite mean and an infinite standard deviation
+        ("policy-compare", "model=lognormal\nlog_mu=700\nlog_sigma=3.5\n", "log_mu"),
+        ("policy-compare", "mu=1e200\n", "mu"),
+        ("policy-compare", "mu=1e308\nsigma=1e308\n", "mu"),
+        ("relax", "mu=1e200\nscenarios=baseline,ar1\n", "mu"),
+    ])
+    def test_policy_model_bounds_must_be_finite(self, tmp_path, capsys, kind, sets, field):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"kind={kind}\n{sets}")
+        assert err.value.field == field
+        out = tmp_path / "x.csv"
+        overrides = [arg for kv in sets.split() for arg in ("--set", kv)]
+        assert main([kind, *overrides, "--out", str(out)]) == 1
+        assert f"{field}: " in capsys.readouterr().err
+        assert not out.exists()
+        # the same parameters configure runs that derive no bounds from the model
+        parse_config(f"kind=estimate\n{sets}")
+
     def test_adaptive_needs_clamp_m(self):
         # a warmup whose unclamped lower bound is <= 0 has no earlier report to keep
         with pytest.raises(ConfigError, match="clamp_m"):

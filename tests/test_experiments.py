@@ -627,7 +627,15 @@ class TestRunAdaptive:
             draws.append(length)
             return generate_(model, length, seed)
 
+        generate_rows_ = experiments.generate_rows
+
+        def counting_rows(model, length, rngs):
+            rows = generate_rows_(model, length, rngs)
+            draws.extend([length] * len(rows))
+            return rows
+
         monkeypatch.setattr(experiments, "generate", counting_generate)
+        monkeypatch.setattr(experiments, "generate_rows", counting_rows)
         fan_outs = _FanOutLog(monkeypatch)
         config = small_config(tmp_path, kind="adaptive", rounds=4, episodes=3,
                               warmup_grid=(10, 30), refresh_grid=(math.inf, 2.0))

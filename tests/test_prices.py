@@ -17,7 +17,8 @@ from storelab import (
     write_series,
 )
 from storelab import prices
-from storelab.prices import RESAMPLE_MODES, as_series
+from storelab.prices import RESAMPLE_MODES, as_series, generate_rows
+from storelab.seeds import KeyedStreams, stream
 
 
 class TestGenerate:
@@ -76,6 +77,43 @@ class TestGenerate:
             LogNormal(0.0, -1.0)
         with pytest.raises(ValueError):
             Clamped(Normal(0.0, 1.0), 2.0, 1.0)
+
+    @pytest.mark.parametrize("model", [
+        Normal(10.0, 2.0), LogNormal(2.0, 0.3), AR1(10.0, 2.0, 0.8), AR1(-1.0, 0.5, -0.95),
+        Clamped(AR1(10.0, 2.0, 0.8), 8.0, 12.0), Clamped(Normal(10.0, 4.0), 4.0, 16.0),
+    ])
+    @pytest.mark.parametrize("length", [1, 2, 24])
+    def test_generate_rows_are_generate_per_stream(self, model, length):
+        units = np.arange(-2, 7)
+        rows = generate_rows(model, length, KeyedStreams(11, 1, units))
+        assert rows.shape == (units.size, length) and not rows.flags.writeable
+        for row, unit in zip(rows, units.tolist()):
+            assert row.tobytes() == generate(model, length, stream(11, 1, unit)).tobytes()
+        listed = generate_rows(model, length, [stream(11, 1, u) for u in units.tolist()])
+        assert listed.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("phi", [0.0, 0.8, -0.95])
+    def test_ar1_rows_step_the_scalar_recursion(self, phi):
+        # the reference: one series at a time, one scalar step per slot
+        model = AR1(10.0, 2.0, phi)
+        rows = generate_rows(model, 30, KeyedStreams(3, np.arange(5)))
+        for e, row in enumerate(rows):
+            z = stream(3, e).standard_normal(30)
+            want = [model.mu + model.marginal_std * z[0]]
+            for t in range(1, 30):
+                want.append(model.mu + model.phi * (want[-1] - model.mu) + model.sigma * z[t])
+            assert row.tobytes() == np.array(want).tobytes()
+
+    def test_generate_rows_checks_as_generate_does(self):
+        streams = KeyedStreams(0, np.arange(3))
+        for model in (Empirical([1.0, 2.0]), Clamped(Empirical([1.0, 2.0]), 0.0, 5.0)):
+            with pytest.raises(ValueError, match="resampled, not generated"):
+                generate_rows(model, 5, streams)
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            generate_rows(Normal(0.0, 1.0), 0, streams)
+        with pytest.raises(ValueError, match="non-finite"):
+            generate_rows(LogNormal(1000.0, 1.0), 5, streams)
+        assert generate_rows(Normal(0.0, 1.0), 4, []).shape == (0, 4)
 
     def test_lognormal_moment_matching(self):
         model = LogNormal.from_moments(10.0, 2.0)
