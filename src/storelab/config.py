@@ -26,6 +26,9 @@ SCENARIOS = ("baseline", "ar1", "lognormal", "demand-noise")
 FAMILIES = ("dp", "threshold")
 # kinds that score every episode by alg_cost / opt_cost
 _RATIO_KINDS = ("violation-curve", "policy-compare", "relax")
+# the largest |mu| and sigma: past it a price's square, and a sample's sum of
+# squared deviations, can overflow
+PRICE_LIMIT = 1e100
 
 
 class ConfigError(ValueError):
@@ -183,11 +186,15 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("model", f"must be one of {MODELS}, got {config.model!r}")
     if config.kind == "relax" and config.model != "normal":
         raise ConfigError("model", "relaxation scenarios are defined for the normal model")
-    if not (0.0 < config.alpha < 1.0):
-        raise ConfigError("alpha", f"must lie in (0, 1), got {config.alpha}")
+    # the intervals' upper quantile is taken at 1 - alpha/2, which must round below 1
+    if not (0.0 < config.alpha < 1.0 and 1.0 - config.alpha / 2.0 < 1.0):
+        raise ConfigError("alpha", f"must lie in (0, 1) with 1 - alpha/2 < 1, got {config.alpha}")
     for name in ("mu", "sigma", "log_mu", "log_sigma", "B"):
-        if not math.isfinite(getattr(config, name)):
-            raise ConfigError(name, f"must be finite, got {getattr(config, name)!r}")
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ConfigError(name, f"must be finite, got {value!r}")
+        if name in ("mu", "sigma") and abs(value) > PRICE_LIMIT:
+            raise ConfigError(name, f"must be at most {PRICE_LIMIT!r} in magnitude, got {value!r}")
     if config.model in ("normal", "ar1") and not config.sigma > 0:
         raise ConfigError("sigma", f"must be > 0, got {config.sigma}")
     if config.model == "lognormal" and not config.log_sigma > 0:
@@ -285,19 +292,27 @@ def validate_config(config: ExperimentConfig) -> None:
         )
     # the true-parameter threshold policies need finite price bounds and
     # threshold, and a positive lower price bound
-    if config.kind == "policy-compare":
-        policy_models = {"model": build_model(config)}
-    elif config.kind == "relax":
-        policy_models = {f"scenario {s!r}": scenario_models(config, s)[1] for s in config.scenarios}
-    else:
-        policy_models = {}
     location = "log_mu" if config.model == "lognormal" and config.kind == "policy-compare" else "mu"
-    try:
+    if config.kind == "relax":
+        # the lognormal scenario's moment match fails where (sigma / mu)^2
+        # overflows, for a small mu, or underflows, for a small sigma
+        location = "mu" if config.sigma > config.mu else "sigma"
+    try:  # a model constructor, or ``math.exp`` of a lognormal's marginal moments
+        if config.kind == "policy-compare":
+            policy_models = {"model": build_model(config)}
+        elif config.kind == "relax":
+            policy_models = {
+                f"scenario {s!r}": scenario_models(config, s)[1] for s in config.scenarios
+            }
+        else:
+            policy_models = {}
         with np.errstate(over="ignore"):  # an overflowing bound or threshold is reported below
             fits = model_bounds(policy_models.values(), config.clamp_m)
             thresholds = fits.threshold.tolist()
-    except OverflowError as err:  # ``math.exp`` of a lognormal's marginal moments
-        raise ConfigError(location, f"the price model's marginal moments overflow ({err})") from None
+    except (ValueError, OverflowError) as err:
+        raise ConfigError(
+            location, f"the price model's moments leave float range ({type(err).__name__}: {err})"
+        ) from None
     rows = zip(policy_models, fits.lower_bound.tolist(), fits.upper_bound.tolist(), thresholds)
     for label, lower, upper, threshold in rows:
         if not (math.isfinite(lower) and math.isfinite(upper)) or math.isinf(threshold):

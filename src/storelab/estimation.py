@@ -15,6 +15,8 @@ arithmetic, one ``RowEstimates`` row per model: one helper turns a mean
 and a standard deviation into the bounds, the clamp and the failed mask,
 and one gives the interval ends.  The t and chi-squared quantiles of
 every interval and bound are computed once per (n, alpha) and cached.
+Callers estimate their rows in ``policies.sweep_blocks`` of
+``estimate_row_floats(n)`` floats a size-n row.
 """
 
 from __future__ import annotations
@@ -29,9 +31,18 @@ from .special import chi2_quantile, t_quantile
 
 CLAMP_EPS = 1e-3
 
-# floats in one sample array passed to ``estimate_rows``: callers estimate
-# their rows in blocks of max(1, BLOCK_FLOATS // n) size-n samples
-BLOCK_FLOATS = 1 << 15
+# (n,) arrays an estimated size-n row holds at once: its bootstrap indices,
+# the sample and its deviations
+ESTIMATE_ARRAYS = 3
+# and floats of its (R,) statistics beside them: the mean, the deviation sum,
+# the bounds, the clamp and the threshold's temporaries (tracemalloc reads
+# about 8 at n = 2 and at n = 10)
+ESTIMATE_STATS = 16
+
+
+def estimate_row_floats(n: int) -> int:
+    """The floats one estimated size-n row holds, for ``policies.sweep_blocks``."""
+    return ESTIMATE_ARRAYS * n + ESTIMATE_STATS
 
 
 class EstimationError(ValueError):

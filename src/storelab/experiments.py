@@ -7,10 +7,12 @@ count; output rows are canonically ordered before writing.  A chunk keys
 each of its stream sites' units at once (``seeds.KeyedStreams``) and
 draws every unit from one re-keyed generator.
 
-Fan-out: a runner splits each index range (rounds or episodes) into
-contiguous chunks, at least one per worker, and more where what one
-chunk holds, ``CHUNK_ARRAYS`` arrays per price series, would not fit
-``policies.SWEEP_BYTES`` (through ``sweep_blocks``).  Every chunk runs one
+Every batched loop blocks its rows by ``policies.sweep_blocks``, the one
+memory rule: the fewest equal blocks whose rows, each counted in floats,
+fit ``SWEEP_BYTES``.  Fan-out: a runner splits each index range (rounds
+or episodes) into contiguous chunks, at least one per worker, and more
+where what one chunk holds, ``chunk_row_floats`` per unit, would not fit
+that budget.  Every chunk runs one
 module-level function with the frozen config and the objects the runner
 built once bound by ``functools.partial``, and returns a tuple of arrays
 whose last axis runs over its units.  A fan-out is a fork-join over
@@ -27,9 +29,9 @@ that covers every scenario (relax runs its scenarios as one comparison,
 policy-compare is the one-scenario case), so a run starts at most
 workers - 1 processes, and none at one worker.
 
-A chunk is one batch.  A violation chunk estimates in blocks of
-``BLOCK_FLOATS // max(n)`` rounds, so its bootstrap index array and each
-(rounds, n) sample hold at most ``BLOCK_FLOATS`` values: a block draws
+A chunk is one batch.  A violation chunk estimates its rounds in
+blocks of ``estimate_row_floats(max(n))`` floats a round, its bootstrap
+indices, a sample, the sample's deviations and its statistics: a block draws
 each round's bootstrap indices once, at the largest n, and slices the
 smaller samples from them, and each n's samples are one ``estimate_rows``
 call.  It then scores every estimated (round, n) pair together, with one
@@ -56,8 +58,11 @@ per refresh stride: each row re-estimates from its own warmup and
 observed prices, one family call per refresh slot rebuilds every row of
 the block (one stacked DP value table), and the block's base policy, one
 table row per distinct warmup, is built once for every refresh stride.  A
-block is whole (warmup, round) groups, as many as ``sweep_blocks`` fits by
-their refresh tables; a group too big for that is a block alone.
+block is as many rows as fit the budget, whatever the episode count, a
+row counting a refresh and a base table row of (T+1) x W floats and a
+chunk's series; it draws and estimates the warmup of every (warmup,
+round) group its rows touch, so a group split across two blocks does so
+in both, with the same bits.
 """
 
 from __future__ import annotations
@@ -80,9 +85,9 @@ from .config import (
     scenario_models,
 )
 from .estimation import (
-    BLOCK_FLOATS,
     EstimateReport,
     estimate,
+    estimate_row_floats,
     estimate_rows,
     model_bounds,
 )
@@ -143,8 +148,17 @@ def _write_records(path, header: str, records) -> None:
 
 
 # (T,) float arrays a chunk holds per price series: the series, the rows it
-# is stacked from, and simulate_batch's price copy, purchases and levels
-CHUNK_ARRAYS = 5
+# is stacked from, simulate_batch's price copy, purchases and levels, and one
+# for its clamp flags and the levels' first column
+CHUNK_ARRAYS = 6
+# and floats per series beside them: its keyed stream's words, its costs, its
+# policies' parameters and simulate_batch's per-slot (E,) temporaries
+CHUNK_FLOATS = 32
+
+
+def chunk_row_floats(horizon: int, series: int, demand_rows: int = 0) -> int:
+    """The floats one unit of a chunk holds, for ``sweep_blocks``: price series and demand rows."""
+    return series * (CHUNK_ARRAYS * horizon + CHUNK_FLOATS) + demand_rows * horizon
 
 
 def _split(items, parts: int) -> list:
@@ -161,8 +175,10 @@ def _map_chunks(
     ``fn(chunk)`` returns a tuple of arrays whose last axis runs over the
     chunk's units, and array i of the result is every chunk's array i
     concatenated along that axis.  A unit holds ``series`` price series of
-    ``horizon`` floats, each ``CHUNK_ARRAYS`` arrays of that size, and
-    ``demand_rows`` realized demand rows.  There are at least ``workers``
+    ``horizon`` floats, each ``CHUNK_ARRAYS`` arrays of that size and
+    ``CHUNK_FLOATS`` more floats, and ``demand_rows`` realized demand rows.
+    The oracle, the value tables and the estimation and adaptive blocks it
+    runs are bounded by their own blocks.  There are at least ``workers``
     chunks, and more where ``sweep_blocks`` needs them for what one chunk
     holds to fit ``SWEEP_BYTES``.  The chunks are cut into min(workers,
     chunks) contiguous shares: this process runs share 0 while one worker
@@ -171,8 +187,8 @@ def _map_chunks(
     share stops at its first failing chunk, so the first reply that holds
     an error holds the first failing chunk's, as at one worker.
     """
-    width = series * CHUNK_ARRAYS + demand_rows
-    parts = max(len(sweep_blocks(count, horizon * width)), min(workers, count))
+    parts = max(len(sweep_blocks(count, chunk_row_floats(horizon, series, demand_rows))),
+                min(workers, count))
     chunks = _split(range(count), parts)
     shares = _split(chunks, min(workers, len(chunks)))
     procs, pipes = [], []
@@ -281,25 +297,27 @@ def _estimate_rounds(config: ExperimentConfig, history: np.ndarray, ns, rounds: 
     history draws max(ns) indices once per round, and the smaller samples
     are their prefixes; every other sample is drawn by ``resample``, once
     per (round, n).  Every round's stream is keyed once (``KeyedStreams``),
-    and rounds go in blocks of ``BLOCK_FLOATS // max(ns)``.
+    and rounds go in ``sweep_blocks`` of ``estimate_row_floats(max(ns))``.
     """
     mode, held = config.resample_mode, config.eval_source == "held-out"
     shared = mode == "with-replacement" and not held
     values = np.empty((4, len(ns), len(rounds)))
     failed = np.empty((len(ns), len(rounds)), dtype=bool)
-    per_block = max(1, BLOCK_FLOATS // max(ns))
     keyed = KeyedStreams(config.seed, 0, rounds)
-    for first in range(0, len(rounds), per_block):
-        block = slice(first, first + per_block)
+    for first, stop in sweep_blocks(len(rounds), estimate_row_floats(max(ns))):
+        block = slice(first, stop)
         streams = keyed[block]
+        # rows are filled one at a time, so no list of per-round arrays is held
         if shared:
-            drawn = np.array([rng.integers(0, history.size, size=max(ns)) for rng in streams])
+            drawn = np.fromiter((rng.integers(0, history.size, size=max(ns)) for rng in streams),
+                                np.dtype((np.int64, max(ns))), stop - first)
         for i, n in enumerate(ns):
             if shared:
                 samples = history[drawn[:, :n]]
             else:
                 pool = history[:n] if held else history
-                samples = np.array([_resample(pool, n, rng, mode=mode) for rng in streams])
+                samples = np.fromiter((_resample(pool, n, rng, mode=mode) for rng in streams),
+                                      np.dtype((float, n)), stop - first)
             fits = estimate_rows(
                 samples, config.alpha,
                 conservative=config.conservative, clamp_nonpositive_lower=config.clamp_m,
@@ -525,12 +543,11 @@ def _compare_chunk(
     opt_costs = np.empty((len(etas), E))
     for eta in dict.fromkeys(etas):
         group = [s for s, other in enumerate(etas) if other == eta]
-        rows = np.concatenate([drawn[drawn_rows[s]] for s in group])
         demand = noise.get(eta)
-        if demand is not None:
-            demand = np.tile(demand, (len(group), 1))
+        # the group's rows are stacked for the oracle alone, and dropped with its call
         opt_costs[group] = offline_costs(
-            instance, rows, config.G, realized_demand=demand
+            instance, np.concatenate([drawn[drawn_rows[s]] for s in group]), config.G,
+            realized_demand=None if demand is None else np.tile(demand, (len(group), 1)),
         ).reshape(len(group), E)
     alg_costs = np.array([
         simulate_batch(instance, prices, policy, realized_demand=realized).total_cost
@@ -654,14 +671,17 @@ def _adaptive_chunk(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """True-parameter DP, oracle and per-grid-point adaptive costs of ``rounds``.
 
-    Each (round, episode) series and each (warmup, round) warmup is drawn
-    once, from streams keyed once per chunk and once per block.  The adaptive rows are every (warmup, round, episode) of the
-    chunk, in that order, in blocks of whole (warmup, round) groups cut by
-    ``sweep_blocks``: a group's refresh table holds (T+1) x W floats per
-    episode, W the instance's ``breakpoint_lattice``.  A block draws its
-    groups' warmups when it runs, and one adaptive policy per block
-    estimates each of them once, builds its base policy once, and steps
-    every row of the block in one ``simulate_batch`` per refresh stride.
+    Each (round, episode) series is drawn once, from streams keyed once
+    per chunk.  The adaptive rows are every (warmup, round, episode) of
+    the chunk, in that order, in blocks cut by ``sweep_blocks``: a row
+    holds a refresh table row of (T+1) x W floats, W the instance's
+    ``breakpoint_lattice``, a base table row where its warmup is its own,
+    and its trajectory's arrays.  A block draws the warmup of each (warmup,
+    round) group its rows touch from that group's keyed stream, so a group
+    split across two blocks draws the same warmup in both; one adaptive
+    policy per block estimates each of its warmups once, builds its base
+    policy once, and steps every row of the block in one ``simulate_batch``
+    per refresh stride.
     Costs are (R·E,) arrays in (round, episode) order; the adaptive ones are
     one (grid, R·E) array, a row per warmup x refresh grid point, warmups
     sorted, refreshes in config order.
@@ -683,20 +703,24 @@ def _adaptive_chunk(
     width = breakpoint_lattice(instance.storage.capacity, instance.demand).size
     group = np.arange(groups)
     warmup_streams = KeyedStreams(config.seed, 3, group // len(rounds), units[group % len(rounds)])
-    for first, stop in sweep_blocks(groups, (T + 1) * width * E):
+    # a row holds its refresh table's row, a base table row where its warmup
+    # is its own, and what a chunk holds per series
+    for first, stop in sweep_blocks(groups * E, 2 * (T + 1) * width + chunk_row_floats(T, 1)):
+        head, tail = first // E, -(-stop // E)  # the groups the block's rows touch
         warmups = [
             generate(model, warmup_sizes[g // len(rounds)], rng)
-            for g, rng in zip(range(first, stop), warmup_streams[first:stop])
+            for g, rng in zip(range(head, tail), warmup_streams[head:tail])
         ]
+        rows = np.arange(first, stop)
         policy = AdaptivePolicy(
-            family, warmups, np.repeat(np.arange(stop - first), E), alpha=config.alpha,
+            family, warmups, rows // E - head, alpha=config.alpha,
             conservative=config.conservative, clamp_nonpositive_lower=config.clamp_m,
         )
-        rows = np.arange(first * E, stop * E)
         prices = flat[rows % len(flat)]
         for si, stride in enumerate(strides):
             policy.refresh_stride = stride
             costs[si, rows] = simulate_batch(instance, prices, policy).total_cost
+        del policy, prices  # its tables and rows, before the next block builds its own
     adaptive_costs = (costs.reshape(len(strides), len(warmup_sizes), -1).swapaxes(0, 1)
                       .reshape(-1, len(flat)))
     return true_costs, oracle_costs, adaptive_costs

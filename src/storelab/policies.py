@@ -16,7 +16,8 @@ from one slot to the next.  The hindsight oracle in ``metrics`` steps
 through the same geometry, on its own ``storage_grid``, by
 ``SlotGeometry.min_costs``: its value rows are level-major, (W, E), one
 grid level per row, and their suffix minima come from a log-step scan
-(``suffix_minima``).  Both sweeps split their rows by ``sweep_blocks``.
+(``suffix_minima``).  Both sweeps split their rows by ``sweep_blocks``,
+the one way storelab blocks rows under its one budget, ``SWEEP_BYTES``.
 The DP step is row-wise: one sweep builds a stacked table, one value row
 per price model, and every row equals its model's own table bit for bit.
 Its only loop over the rows is one sorted search for the base-stock
@@ -54,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from . import special
-from .estimation import BLOCK_FLOATS, RowEstimates, estimate_rows
+from .estimation import RowEstimates, estimate_row_floats, estimate_rows
 from .estimation import estimate  # noqa: F401  (a name bench/tracer.py wraps)
 from .model import (
     ENERGY_TOL,
@@ -592,7 +593,7 @@ def quantile_atoms(model, count: int) -> np.ndarray:
     return np.asarray([model.quantile(float(p)) for p in _midpoint_probs(count)], dtype=float)
 
 
-SWEEP_BYTES = 1 << 21  # bytes of one block of a backward sweep's rows
+SWEEP_BYTES = 1 << 21  # bytes of one block of rows, storelab's one memory budget
 # (rows, K) arrays a DP step holds at once: the four of its ``AtomSums``, J, J's
 # flat index and the terms, and then p grid[J] and its product, or the head sums
 # and the buffer their accumulate writes through
@@ -606,11 +607,15 @@ STEP_LEVELS = 8
 def sweep_blocks(rows: int, row_floats: int) -> list[tuple[int, int]]:
     """(start, stop) of the fewest equal blocks of rows of ``row_floats`` floats that fit ``SWEEP_BYTES``.
 
-    A DP table's row counts its T x W values, ``STEP_ARRAYS`` rows of K
-    atom floats and ``STEP_LEVELS`` rows of W floats; the hindsight
-    oracle's, ``metrics.oracle_row_floats``; a runner chunk's row, the
-    price series of one round or episode.  The edges are
-    ``np.linspace``'s; a row too big for ``SWEEP_BYTES`` is a block alone.
+    Every batched loop in storelab blocks its rows here.  A DP table's row
+    counts its T x W values, ``STEP_ARRAYS`` rows of K atom floats and
+    ``STEP_LEVELS`` rows of W floats; the hindsight oracle's,
+    ``metrics.oracle_row_floats``; an estimated size-n row,
+    ``estimation.estimate_row_floats(n)``; a runner chunk's row, one round
+    or episode, ``experiments.chunk_row_floats``; an adaptive row, a
+    refresh and a base table row of (T+1) x W floats and a chunk's series.
+    The edges are ``np.linspace``'s; a row too big for ``SWEEP_BYTES`` is
+    a block alone.
     """
     fit = max(1, SWEEP_BYTES // (8 * row_floats))
     edges = np.linspace(0, rows, -(-rows // fit) + 1).astype(int).tolist()
@@ -628,7 +633,10 @@ def build_value_tables(
     so the order a model gives its atoms in does not change a bit, and
     each row equals ``build_value_table`` for its own model bit for bit.
     Rows go through in ``sweep_blocks``, each its own sweep, and a row's
-    bits do not depend on its block.  Only slots first_slot..T-1 are
+    bits do not depend on its block.  The whole table is allocated at
+    once, outside those blocks: its callers bound E, the true-parameter
+    runners by their few distinct price models and the adaptive runner by
+    its blocks of rows.  Only slots first_slot..T-1 are
     stepped.  values[t] depends on values[t + 1] alone, and the lattice on
     the instance alone, so those slots equal a full build bit for bit.
     """
@@ -806,8 +814,8 @@ class AdaptivePolicy(Policy):
     observes join its own warmup; every ``refresh_stride`` slots each
     row's fit is re-estimated from that row's history, and one family
     call rebuilds every row's policy at the current slot.  Histories of
-    one size are estimated together, in ``estimate_rows`` blocks of at
-    most ``BLOCK_FLOATS`` floats.  A row whose estimate fails keeps its
+    one size n are estimated together, in ``sweep_blocks`` of
+    ``estimate_row_floats(n)`` floats a row.  A row whose estimate fails keeps its
     previous fit, which rebuilt at the later slot gives the decisions its
     previous policy gave; the failure is recorded in ``events``, which
     name the row and quote its ``RowEstimates.failure``.  Rows share no
@@ -896,9 +904,8 @@ class AdaptivePolicy(Policy):
         parts = []
         for m in dict.fromkeys(sizes.tolist()):
             rows = np.flatnonzero(sizes == m)
-            per_block = max(1, BLOCK_FLOATS // (m + t))
-            for first in range(0, rows.size, per_block):
-                block = rows[first:first + per_block]
+            for first, stop in sweep_blocks(rows.size, estimate_row_floats(m + t)):
+                block = rows[first:stop]
                 samples = np.empty((block.size, m + t))
                 for w in dict.fromkeys(owners[block].tolist()):
                     samples[owners[block] == w, :m] = self._warmups[w]

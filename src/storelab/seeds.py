@@ -6,9 +6,9 @@ depend on scheduling order or worker count.  ``stream`` builds one unit's
 generator.  ``KeyedStreams`` keys a whole array of units at once, so a
 chunk of hundreds of units builds no ``SeedSequence`` or generator per
 unit: one whole-array pass of numpy's ``SeedSequence`` hash, restated here
-with numpy's constants, gives every unit's ``PCG64`` state, and iterating
-it re-keys one reused generator to each unit's state in turn, bit for bit
-the generator ``stream`` builds.
+with numpy's constants, gives every unit's ``PCG64`` seed words, and
+iterating it re-keys one reused generator to each unit's state in turn,
+bit for bit the generator ``stream`` builds.
 """
 
 from __future__ import annotations
@@ -54,7 +54,9 @@ class KeyedStreams:
     yields one generator, re-keyed before each unit to the state that
     ``stream`` gives it, so draw from it before taking the next; the
     streams may be iterated again, from the first unit.  A slice gives the
-    streams of those units without hashing again.
+    streams of those units without hashing again.  The streams keep each
+    unit's eight state words, 32 bytes a unit, and build its ``PCG64``
+    state when the unit is reached.
     """
 
     def __init__(self, master_seed: int, *path) -> None:
@@ -68,18 +70,18 @@ class KeyedStreams:
             words += [0] * (_POOL - len(words))
         words += [np.broadcast_to(word, shape).ravel() if np.ndim(word) else word for word in key]
         units = math.prod(shape)
-        state = [np.broadcast_to(w, (units,)).tolist() for w in _generate_state(_mix_entropy(words))]
-        self.states = [_pcg64_state(*unit) for unit in zip(*state)]
+        state = _generate_state(_mix_entropy(words))
+        self.words = np.array([np.broadcast_to(w, (units,)) for w in state], dtype=np.uint32)
 
     def __getitem__(self, units: slice) -> KeyedStreams:
         part = copy.copy(self)
-        part.states = self.states[units]
+        part.words = self.words[:, units]
         return part
 
     def __iter__(self):
         rng = np.random.Generator(np.random.PCG64(0))
-        for state in self.states:
-            rng.bit_generator.state = state
+        for unit in self.words.T:
+            rng.bit_generator.state = _pcg64_state(*unit.tolist())
             yield rng
 
 

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from storelab import (
     generate,
 )
 from storelab.estimation import RowEstimates
+from storelab import policies
 from storelab.model import ENERGY_TOL, simulate_batch
 from storelab.policies import storage_grid
 from storelab.seeds import stream
@@ -390,3 +393,74 @@ def brute_force_optimal(instance: Instance, prices, q_step: float) -> float:
     if not math.isfinite(result):
         raise ValueError("no feasible purchase sequence on the given lattice")
     return result
+
+
+class TracedPeaks:
+    """tracemalloc peaks of a run, split at the kernels it nests.
+
+    ``blocks[module]`` holds the (rows, peak over the memory traced at its
+    start) of every block of rows that a ``block_loops`` module takes from
+    ``sweep_blocks``, and ``own`` is the run's peak outside them.  Neither
+    counts what a call of ``nested``, (owner, attribute name) pairs, holds
+    only while it runs: a nested kernel is bounded by its own test.  What
+    it returns is counted where it is kept.
+    """
+
+    def __init__(self, monkeypatch, nested=(), block_loops=()):
+        self.blocks = {module: [] for module in block_loops}
+        self._frames = [[0, 0]]  # [memory at the start, peak so far] of the run, then of each open block
+        self._calls = 0
+        self._sweep_blocks = policies.sweep_blocks
+        for owner, name in nested:
+            monkeypatch.setattr(owner, name, self._nested(getattr(owner, name)))
+        for module in block_loops:
+            monkeypatch.setattr(module, "sweep_blocks", partial(self._blocks, module))
+
+    @property
+    def own(self) -> int:
+        return self._frames[0][1]
+
+    def run(self, fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            self._close()
+        finally:
+            tracemalloc.stop()
+        return result
+
+    def _close(self):
+        # the peak since the last reset belongs to the innermost open frame
+        frame = self._frames[-1]
+        frame[1] = max(frame[1], tracemalloc.get_traced_memory()[1])
+
+    def _nested(self, fn):
+        def call(*args, **kwargs):
+            if self._calls:
+                return fn(*args, **kwargs)
+            self._close()
+            self._calls += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self._calls -= 1
+                tracemalloc.reset_peak()
+
+        return call
+
+    def _blocks(self, module, rows, row_floats):
+        for start, stop in self._sweep_blocks(rows, row_floats):
+            if self._calls:
+                yield start, stop
+                continue
+            self._close()
+            held = tracemalloc.get_traced_memory()[0]
+            self._frames.append([held, held])
+            tracemalloc.reset_peak()
+            try:
+                yield start, stop
+                self._close()
+            finally:
+                held, peak = self._frames.pop()
+            self.blocks[module].append((stop - start, peak - held))
+            tracemalloc.reset_peak()

@@ -52,6 +52,7 @@ from storelab.seeds import stream
 
 from conftest import (
     ReferenceAdaptive,
+    TracedPeaks,
     fits_of,
     hindsight_table,
     reference_backward_step,
@@ -303,7 +304,7 @@ class TestAdaptiveBatch:
         else:
             family = ThresholdFamily()
         stride = data.draw(st.one_of(st.none(), st.integers(1, T)), label="stride")
-        # warmups of several sizes; a small block bound splits one warmup's
+        # warmups of several sizes; a block of few floats splits one warmup's
         # rows, and one size's rows, over several ``estimate_rows`` calls
         block_floats = data.draw(st.sampled_from((1, 8, 16, 1 << 15)), label="block_floats")
         warmups = data.draw(st.lists(
@@ -324,8 +325,12 @@ class TestAdaptiveBatch:
             with pytest.raises(type(error), match=re.escape(str(error))):
                 AdaptivePolicy(family, warmups, rows, stride, **kw)
             return
+        # ``sweep_blocks`` fits max(1, block_floats // n) size-n rows in a block
+        def row_floats(n):
+            return policies.SWEEP_BYTES // (8 * max(1, block_floats // n))
+
         # unclamped, the wide price rows make some refreshes fail and not others
-        with mock.patch.object(policies, "BLOCK_FLOATS", block_floats):
+        with mock.patch.object(policies, "estimate_row_floats", row_floats):
             _rows_match_one_policy_per_warmup(
                 instance, prices, realized, family, warmups, rows, stride, **kw
             )
@@ -719,34 +724,29 @@ class TestValueTables:
             tracemalloc.stop()
         assert peak - table.values.nbytes < policies.SWEEP_BYTES
 
-    def test_a_wide_lattice_block_fits_its_budget(self, monkeypatch):
-        # U(0.2, 2) vector demand puts 302 levels on the lattice, many more than
-        # the 51 atoms, so a step's (rows, W) temporaries outweigh its atom
-        # arrays.  A block's value rows and all it holds beside the table must
-        # fit SWEEP_BYTES; counting T x W values and the atoms alone, 34 rows
-        # fill a block and overshoot it by about a fifth.
-        demand = np.random.default_rng(0).uniform(0.2, 2.0, 24)
-        instance = Instance(24, demand, StorageSpec(30.0))
-        width = breakpoint_lattice(30.0, demand).size
-        assert width == 302
-        blocks = []
-
-        def recording(atoms, levels):
-            blocks.append(len(atoms))
-            return AtomSums(atoms, levels)
-
-        monkeypatch.setattr(policies, "AtomSums", recording)
-        models = [Normal(8.0 + 0.01 * e, 2.0) for e in range(68)]
-        build_value_tables(instance, models[:2], 51)  # first-call caches out of the peak
-        blocks.clear()
-        tracemalloc.start()
-        try:
-            table = build_value_tables(instance, models, 51)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        block_values = max(blocks) * 8 * instance.horizon * width
-        assert peak - table.values.nbytes + block_values <= policies.SWEEP_BYTES
+    @pytest.mark.parametrize("capacity, demand", [
+        (5.0, np.ones(24)),
+        (30.0, np.random.default_rng(0).uniform(0.2, 2.0, 24)),
+    ], ids=["6-levels", "302-levels"])
+    def test_each_block_fits_the_budget(self, monkeypatch, capacity, demand):
+        # STEP_ARRAYS and STEP_LEVELS count what a row holds beside its value
+        # rows: on 6 levels its (rows, K) atom arrays weigh most, on 302, from
+        # U(0.2, 2) vector demand, its (rows, W) temporaries.  The models fill
+        # two blocks.
+        instance = Instance(24, demand, StorageSpec(capacity))
+        width = breakpoint_lattice(capacity, demand).size
+        assert width == {5.0: 6, 30.0: 302}[capacity]
+        row_floats = (24 + policies.STEP_LEVELS) * width + policies.STEP_ARRAYS * 51
+        count = 2 * (policies.SWEEP_BYTES // (8 * row_floats))
+        models = [Normal(8.0 + 0.001 * e, 2.0) for e in range(count)]
+        build_value_tables(instance, models[:2], 51)  # first-call caches out of the peaks
+        peaks = TracedPeaks(monkeypatch, block_loops=[policies])
+        peaks.run(build_value_tables, instance, models, 51)
+        blocks = peaks.blocks[policies]
+        assert len(blocks) == 2
+        for rows, peak in blocks:
+            # the block's value rows were allocated with the whole table, before it
+            assert peak + rows * 8 * instance.horizon * width <= policies.SWEEP_BYTES
 
     @given(table_cases(), st.data())
     @settings(max_examples=100, deadline=None)

@@ -233,8 +233,49 @@ class TestValidation:
         assert main([kind, *overrides, "--out", str(out)]) == 1
         assert f"{field}: " in capsys.readouterr().err
         assert not out.exists()
-        # the same parameters configure runs that derive no bounds from the model
-        parse_config(f"kind=estimate\n{sets}")
+        if field == "log_mu":
+            # the same parameters configure runs that derive no bounds from the model
+            parse_config(f"kind=estimate\n{sets}")
+        else:
+            # a mean past PRICE_LIMIT is rejected for every kind
+            with pytest.raises(ConfigError, match="^mu: must be at most"):
+                parse_config(f"kind=estimate\n{sets}")
+
+    @pytest.mark.parametrize("kind, sets, field", [
+        # 1 - alpha/2 rounds to 1, where no quantile is defined
+        ("estimate", "alpha=1e-300", "alpha"),
+        ("estimate", "alpha=1e-17", "alpha"),
+        # a price scale whose squares overflow: an estimate of inf, or no policy
+        ("estimate", "mu=1e200", "mu"),
+        ("estimate", "mu=-1e200", "mu"),
+        ("estimate", "sigma=1e200", "sigma"),
+        ("adaptive", "sigma=1e200", "sigma"),
+        ("violation-curve", "sigma=1e200", "sigma"),
+        # the relax lognormal scenario's moment match: past PRICE_LIMIT ...
+        ("relax", "mu=1e200", "mu"),
+        ("relax", "sigma=1e200", "sigma"),
+        # ... and (sigma / mu)^2 out of float range: LogNormal.from_moments
+        # raises OverflowError for a small mean and ValueError for a small spread
+        ("relax", "mu=1e-300", "mu"),
+        ("relax", "sigma=1e-300", "sigma"),
+        ("relax", "mu=1e99 sigma=1e-250", "sigma"),
+    ])
+    def test_out_of_range_parameters_are_config_errors(self, tmp_path, capsys, kind, sets, field):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"kind={kind}\n" + "\n".join(sets.split()) + "\n")
+        assert err.value.field == field
+        out = tmp_path / "x.csv"
+        overrides = [arg for kv in sets.split() for arg in ("--set", kv)]
+        assert main([kind, *overrides, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
+        assert not out.exists()
+
+    def test_the_smallest_usable_alpha_runs(self, tmp_path):
+        # 1 - 1e-15 / 2 is below 1, so its quantiles are defined
+        out = tmp_path / "x.csv"
+        assert main(["estimate", "--set", "alpha=1e-15", "--set", "history_size=100",
+                     "--out", str(out)]) == 0
+        assert out.exists()
 
     def test_adaptive_needs_clamp_m(self):
         # a warmup whose unclamped lower bound is <= 0 has no earlier report to keep

@@ -30,7 +30,7 @@ from storelab import (
 )
 from storelab import cli
 from storelab.cli import main
-from storelab.config import build_instance, build_model, load_history
+from storelab.config import SCENARIOS, build_instance, build_model, load_history, scenario_models
 from storelab.experiments import (
     ADAPTIVE_HEADER,
     METRIC_HEADER,
@@ -48,7 +48,7 @@ from storelab.metrics import oracle_row_floats
 from storelab.seeds import stream
 from storelab.special import normal_cdf, normal_pdf
 
-from conftest import reference_offline_optimal, reference_simulate
+from conftest import TracedPeaks, reference_offline_optimal, reference_simulate
 
 
 def _no_rounds(*args):
@@ -167,22 +167,26 @@ class _FanOutLog:
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
 
 
-def _groups_per_block(monkeypatch, config, groups):
-    """Set ``SWEEP_BYTES`` so an adaptive block holds ``groups`` (warmup, round) groups."""
+def _adaptive_row_floats(config):
+    """The floats of one adaptive row: a refresh and a base table row, and a chunk's series."""
     instance = build_instance(config)
     width = policies.breakpoint_lattice(instance.storage.capacity, instance.demand).size
-    group_bytes = 8 * (config.T + 1) * width * config.episodes
-    monkeypatch.setattr(policies, "SWEEP_BYTES", groups * group_bytes)
+    return 2 * (config.T + 1) * width + experiments.chunk_row_floats(config.T, 1)
+
+
+def _rows_per_block(monkeypatch, config, rows):
+    """Set ``SWEEP_BYTES`` so an adaptive block holds ``rows`` (warmup, round, episode) rows."""
+    monkeypatch.setattr(policies, "SWEEP_BYTES", rows * 8 * _adaptive_row_floats(config))
 
 
 def _units_per_chunk(monkeypatch, config, units):
     """Set ``SWEEP_BYTES`` so a runner chunk holds ``units`` rounds or episodes.
 
-    A unit holds ``CHUNK_ARRAYS`` arrays of T floats per price series: one
-    series per policy-compare episode and per relax scenario and episode,
-    len(n_grid) x eval_episodes per violation round, and episodes per
-    adaptive round.  When a relax scenario is noisy, a relax episode also
-    holds a realized demand row per scenario.
+    A unit holds ``chunk_row_floats`` of its price series: one series per
+    policy-compare episode and per relax scenario and episode, len(n_grid)
+    x eval_episodes per violation round, and episodes per adaptive round.
+    When a relax scenario is noisy, a relax episode also holds a realized
+    demand row per scenario.
     """
     scenarios = len(config.scenarios) if config.kind == "relax" else 1
     series = {
@@ -190,8 +194,8 @@ def _units_per_chunk(monkeypatch, config, units):
         "adaptive": config.episodes,
     }.get(config.kind, scenarios)
     noisy = config.kind == "relax" and "demand-noise" in config.scenarios and config.eta > 0.0
-    width = series * experiments.CHUNK_ARRAYS + scenarios * noisy
-    monkeypatch.setattr(policies, "SWEEP_BYTES", units * 8 * config.T * width)
+    row_floats = experiments.chunk_row_floats(config.T, series, scenarios * noisy)
+    monkeypatch.setattr(policies, "SWEEP_BYTES", units * 8 * row_floats)
 
 
 def small_config(tmp_path, **kw):
@@ -357,8 +361,10 @@ class TestRunViolationCurve:
     def test_rows_match_per_slot_reference(self, tmp_path, monkeypatch, mode):
         # every round's threshold, bound and ratio, bit for bit, against
         # reference_simulate and the per-episode reference oracle; the two
-        # chunks of three rounds estimate in blocks of two rounds, then one
-        monkeypatch.setattr(experiments, "BLOCK_FLOATS", 2 * 60)
+        # chunks of three rounds estimate in blocks of one round, then two,
+        # as ``sweep_blocks`` cuts three rows of which two fit a block
+        monkeypatch.setattr(experiments, "estimate_row_floats",
+                            lambda n: policies.SWEEP_BYTES // (8 * 2))
         config = small_config(tmp_path, kind="violation-curve", n_grid=(3, 8, 60),
                               rounds=6, eval_episodes=3, **mode)
         reports = run_violation_curve(config, workers=2)
@@ -650,18 +656,21 @@ class TestRunAdaptive:
         assert fan_outs.started == 1
 
     @staticmethod
-    def _count_work(tmp_path, monkeypatch, groups=None):
+    def _count_work(tmp_path, monkeypatch, rows=None):
         """(rows per estimate call, value-table builds, warmup draw sizes) of one
         small adaptive run.
 
-        ``groups``, if given, is the (warmup, round) groups per adaptive block.
+        ``rows``, if given, is the (warmup, round, episode) rows per adaptive block.
         """
         import storelab.policies as policies
 
         config = small_config(tmp_path, kind="adaptive", rounds=3, episodes=4,
                               warmup_grid=(10, 30), refresh_grid=(math.inf, 2.0))
-        if groups is not None:
-            _groups_per_block(monkeypatch, config, groups)
+        if rows is not None:
+            _rows_per_block(monkeypatch, config, rows)
+            # every history of one size fits one estimation block, so the
+            # counts show the adaptive blocks alone
+            monkeypatch.setattr(policies, "estimate_row_floats", lambda n: 1)
         builds, estimates, draws = [], [], []
         build, estimate_rows = policies.build_value_tables, policies.estimate_rows
         generate_ = experiments.generate
@@ -700,16 +709,27 @@ class TestRunAdaptive:
         assert draws == [10] * 3 + [30] * 3
 
     def test_each_block_builds_its_own_tables(self, tmp_path, monkeypatch):
-        estimates, builds, draws = self._count_work(tmp_path, monkeypatch, groups=2)
-        # three blocks of two (warmup, round) groups: a block estimates the
-        # warmups of its own groups, so each warmup is drawn and estimated
-        # once however many blocks there are
+        estimates, builds, draws = self._count_work(tmp_path, monkeypatch, rows=8)
+        # three blocks of two (warmup, round) groups of four rows: a block
+        # estimates the warmups of its own groups, so each warmup is drawn and
+        # estimated once however many blocks there are
         assert sum(estimates) == 6 + 24 * 2
-        # each block holds one round's two warmups, of two sizes: one call
-        # per size at construction and at each refresh slot
-        assert len(estimates) == 3 * (2 + 2 * 2)
+        # the blocks hold warmups of one, two and one sizes: one call per
+        # size at construction and at each of the two refresh slots
+        assert len(estimates) == (1 + 2 + 1) * (1 + 2)
         assert builds == 1 + 3 * (1 + 2)
         assert draws == [10] * 3 + [30] * 3
+
+    def test_a_group_split_across_blocks_draws_its_warmup_in_each(self, tmp_path, monkeypatch):
+        estimates, builds, draws = self._count_work(tmp_path, monkeypatch, rows=3)
+        # each round is a chunk of two groups of four rows, cut into blocks of
+        # two, three and three rows: the middle block holds the last two rows
+        # of the first group and the first row of the second, so each group's
+        # warmup is drawn and estimated by two blocks
+        assert draws == [10] * 6 + [30] * 6
+        assert sum(estimates) == 12 + 24 * 2
+        assert len(estimates) == 3 * (1 + 2 + 1) * (1 + 2)
+        assert builds == 1 + 9 * (1 + 2)
 
     @pytest.mark.parametrize("kw", [
         dict(family="dp", refresh_grid=(math.inf, 2.0, 1.0)),
@@ -736,10 +756,12 @@ class TestRunAdaptive:
         want = reference_adaptive_costs(config, instance, model, rounds)
         got = experiments._adaptive_chunk(config, instance, model, true_policy, rounds)[2]
         assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
-        # and with one (warmup, round) group per adaptive block
-        _groups_per_block(monkeypatch, config, 1)
-        got = experiments._adaptive_chunk(config, instance, model, true_policy, rounds)[2]
-        assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+        # and with one (warmup, round) group per adaptive block, or three rows,
+        # which split groups of four across blocks
+        for rows in (config.episodes, 3):
+            _rows_per_block(monkeypatch, config, rows)
+            got = experiments._adaptive_chunk(config, instance, model, true_policy, rounds)[2]
+            assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
 
     @pytest.mark.parametrize("family", ["dp", "threshold"])
     def test_blocks_and_workers_do_not_change_output(self, tmp_path, monkeypatch, family):
@@ -747,9 +769,10 @@ class TestRunAdaptive:
                               warmup_grid=(10, 30), refresh_grid=(math.inf, 2.0))
         run_adaptive_convergence(config)
         whole = (tmp_path / "out.csv").read_bytes()
-        # 1, 2 and 3 of the 10 (warmup, round) groups per block
-        for groups in (1, 2, 3):
-            _groups_per_block(monkeypatch, config, groups)
+        # 1, 2 and 3 of the 10 (warmup, round) groups of four rows per block,
+        # and 3 or 5 rows, which split groups across blocks
+        for rows in (4, 8, 12, 3, 5):
+            _rows_per_block(monkeypatch, config, rows)
             run_adaptive_convergence(config)
             assert (tmp_path / "out.csv").read_bytes() == whole
         monkeypatch.undo()
@@ -758,37 +781,41 @@ class TestRunAdaptive:
             run_adaptive_convergence(config, workers=workers)
             assert (tmp_path / "out.csv").read_bytes() == whole
 
-    def test_wide_lattice_blocks_keep_tables_to_one_round(self, tmp_path):
-        import tracemalloc
+    @pytest.mark.parametrize("wide", [False, True], ids=["6-levels", "wide-lattice"])
+    def test_blocks_keep_refresh_tables_to_the_budget(self, tmp_path, monkeypatch, wide):
+        from storelab import DpPolicy, build_value_table
 
-        from storelab.policies import SWEEP_BYTES, breakpoint_lattice, sweep_blocks
-
-        rng = np.random.default_rng(5)
-        T = 48
-        demand = "vector:" + ",".join(f"{d:.3f}" for d in rng.uniform(0.2, 2.0, T))
-        config = small_config(tmp_path, kind="adaptive", T=T, B=50.0, demand=demand,
-                              rounds=2, episodes=6, warmup_grid=(10, 50),
-                              refresh_grid=(16.0,))
-        instance = build_instance(config)
-        width = breakpoint_lattice(instance.storage.capacity, instance.demand).size
-        row_bytes = 8 * (T + 1) * width
-        assert width > 1000 and 6 * row_bytes > SWEEP_BYTES
-        # a table of one (warmup, round) group's six rows exceeds SWEEP_BYTES,
-        # so each of the 2 x 2 groups is a block alone
-        groups = len(config.warmup_grid) * config.rounds
-        assert sweep_blocks(groups, (T + 1) * width * config.episodes) == [
-            (g, g + 1) for g in range(groups)
-        ]
-        tracemalloc.start()
-        try:
-            run_adaptive_convergence(config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # one group's refresh table, the block's one-row base table and the
-        # true-parameter table, and sweep temporaries within SWEEP_BYTES; one
-        # table of all 24 rows would be 24 rows alone
-        assert peak < (6 + 2) * row_bytes + SWEEP_BYTES
+        # on 6 levels a row's trajectories weigh about half what its tables do
+        T, B, demand = 48, 5.0, "constant:1.0"
+        if wide:
+            rng = np.random.default_rng(5)
+            B, demand = 50.0, "vector:" + ",".join(f"{d:.3f}" for d in rng.uniform(0.2, 2.0, T))
+        config = small_config(tmp_path, kind="adaptive", T=T, B=B, demand=demand,
+                              rounds=1, warmup_grid=(10,), refresh_grid=(16.0,))
+        instance, model = build_instance(config), build_model(config)
+        width = policies.breakpoint_lattice(instance.storage.capacity, instance.demand).size
+        assert width == (1160 if wide else 6)
+        # the run's one (warmup, round) group holds the rows of three full blocks
+        episodes = 3 * (policies.SWEEP_BYTES // (8 * _adaptive_row_floats(config)))
+        config = replace(config, episodes=episodes)
+        true_policy = DpPolicy(build_value_table(instance, model, config.K))
+        chunk = partial(experiments._adaptive_chunk, config, instance, model, true_policy)
+        experiments._adaptive_chunk(replace(config, episodes=2), instance, model, true_policy,
+                                    range(1))  # first-call caches out of the peaks
+        # a block's own peak: its rows, its refresh and base tables, and their
+        # trajectories; the table builds' sweeps, the DP's decisions and the
+        # refreshes' estimation blocks are bounded by their own blocks
+        peaks = TracedPeaks(
+            monkeypatch,
+            nested=[(policies, "build_value_tables"), (DpPolicy, "decide_batch"),
+                    (experiments, "offline_costs")],
+            block_loops=[experiments, policies],
+        )
+        peaks.run(chunk, range(1))
+        blocks = peaks.blocks[experiments]
+        assert len(blocks) >= 3 and sum(rows for rows, _ in blocks) == episodes
+        for rows, peak in blocks:
+            assert peak <= policies.SWEEP_BYTES
 
     def test_worker_invariance(self, tmp_path):
         c1 = small_config(tmp_path, kind="adaptive", rounds=4, episodes=3,
@@ -1006,7 +1033,8 @@ def test_relax_chunks_are_bounded_by_what_they_hold(tmp_path, monkeypatch):
     for episodes in (8, 512, 2048):
         run_relaxation(replace(config, episodes=episodes))  # 8: first-call caches out of the peaks
         whole[episodes] = (tmp_path / "r.csv").read_bytes()
-    # a chunk's series and trajectories fit 256 KiB: 273 episodes of 24 prices
+    # a chunk's series, trajectories and per-episode scalars fit 256 KiB:
+    # 186 episodes of 24 prices
     monkeypatch.setattr(policies, "SWEEP_BYTES", 1 << 18)
     peaks = []
     for episodes in (512, 2048):
@@ -1026,14 +1054,18 @@ def test_relax_chunks_are_bounded_by_what_they_hold(tmp_path, monkeypatch):
 def test_violation_chunk_memory_does_not_grow_with_rounds_beyond_one_block(tmp_path):
     import tracemalloc
 
+    from storelab.estimation import ESTIMATE_ARRAYS, estimate_row_floats
+
     config = small_config(tmp_path, kind="violation-curve", T=6, G=10, eval_episodes=1,
                           n_grid=(10, 10_000), history_size=100_000, clamp_m=True)
     instance, model = build_instance(config), build_model(config)
     history = load_history(config)
     chunk = partial(experiments.violation_rounds, config, instance, model, history, (10, 10_000))
     chunk(range(2))  # first-call caches out of the peaks
+    # a block holds eight rounds at n = 10 000 at both sizes
+    assert policies.sweep_blocks(80, estimate_row_floats(10_000))[0] == (0, 8)
     peaks = []
-    for rounds in (6, 60):
+    for rounds in (8, 80):
         tracemalloc.start()
         try:
             (values,) = chunk(range(rounds))
@@ -1043,12 +1075,61 @@ def test_violation_chunk_memory_does_not_grow_with_rounds_beyond_one_block(tmp_p
         # no round failed: no threshold reads NaN
         assert values.shape == (3, 2, rounds)
         assert not np.isnan(values).any()
-    # the bootstrap work of a block of three rounds at n = 10 000 is alive at a
-    # time: its draw, a sample and the sample's temporaries.  The rest of the
+    # the bootstrap work of a block of eight rounds at n = 10 000 is alive at a
+    # time: its draw, a sample and the sample's deviations.  The rest of the
     # chunk grows by the scored pairs' prices, costs and ratios, under a
-    # kilobyte a round here; one array of the block is 256 KiB.  Drawing
-    # every round's samples at once would add over 4 MiB per array.
-    assert peaks[1] - peaks[0] < 8 * experiments.BLOCK_FLOATS
+    # kilobyte a round here; one array of a full block is a third of
+    # SWEEP_BYTES.  Drawing every round's samples at once would add over
+    # 6 MiB per array.
+    assert peaks[1] - peaks[0] < policies.SWEEP_BYTES // ESTIMATE_ARRAYS
+
+
+@pytest.mark.parametrize("n", [10, 10_000])
+def test_an_estimation_block_fits_the_budget(tmp_path, monkeypatch, n):
+    from storelab.estimation import estimate_row_floats
+
+    # ``estimate_row_floats`` counts what a round holds at once: at n = 10
+    # its (R,) statistics weigh about as much as its (n,) arrays
+    config = small_config(tmp_path, kind="violation-curve", n_grid=(n,), history_size=30_000)
+    history = load_history(config)
+    rounds = list(range(2 * (policies.SWEEP_BYTES // (8 * estimate_row_floats(n)))))
+    experiments._estimate_rounds(config, history, (n,), rounds[:2])  # first-call caches
+    peaks = TracedPeaks(monkeypatch, block_loops=[experiments])
+    peaks.run(experiments._estimate_rounds, config, history, (n,), rounds)
+    blocks = peaks.blocks[experiments]
+    assert len(blocks) == 2
+    for _, peak in blocks:
+        assert peak <= policies.SWEEP_BYTES
+
+
+@pytest.mark.parametrize("scenarios", [("baseline",), SCENARIOS], ids=["baseline", "all"])
+@pytest.mark.parametrize("T", [6, 480])
+def test_a_comparison_chunk_fits_the_budget(tmp_path, monkeypatch, T, scenarios):
+    from storelab import DpPolicy
+
+    # ``chunk_row_floats`` counts what an episode holds per price series: at
+    # T = 6 its ``CHUNK_FLOATS`` weigh most, at T = 480 its ``CHUNK_ARRAYS``.
+    # The episodes fill a chunk of the budget; of all four relax scenarios,
+    # one is noisy and holds a realized demand row per scenario.
+    config = ExperimentConfig(kind="relax", scenarios=scenarios, T=T, G=10, seed=3,
+                              out=str(tmp_path / "r.csv"))
+    instance = build_instance(config)
+    _, eval_models, policy_models, etas = zip(
+        *[(s, *scenario_models(config, s)) for s in config.scenarios]
+    )
+    models, model_rows = policies._distinct(policy_models)
+    true_policies = experiments._TruePolicies.build(config, instance, models)
+    chunk = partial(experiments._compare_chunk, config, instance, eval_models, etas,
+                    true_policies, model_rows)
+    chunk(range(2))  # first-call caches out of the peak
+    series = len(scenarios)
+    noisy = series * ("demand-noise" in scenarios)
+    episodes = policies.SWEEP_BYTES // (8 * experiments.chunk_row_floats(T, series, noisy))
+    # the oracle's sweeps are bounded by their own blocks
+    peaks = TracedPeaks(monkeypatch, nested=[(experiments, "offline_costs"),
+                                             (DpPolicy, "decide_batch")])
+    peaks.run(chunk, range(episodes))
+    assert peaks.own <= policies.SWEEP_BYTES
 
 
 class _PickleCountingChunk:
